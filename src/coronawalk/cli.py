@@ -8,8 +8,9 @@ emitted documents survive a parse/re-emit round trip unchanged.
 from __future__ import annotations
 
 import argparse
-import os
 import json
+import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -140,7 +141,7 @@ def _canon(obj):
 
 
 def dumps_report(report: dict) -> str:
-    return json.dumps(_canon(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_canon(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _text_lines(value, prefix: str = "") -> list[str]:
@@ -397,11 +398,21 @@ def _cmd_pgst(args, cfg: RunConfig):
         "best_time": result.best_time,
         "best_fidelity": result.best_fidelity,
         "target_reached": result.target_reached,
-        "trace": [{"ell": e, "fidelity": f} for e, f in result.trace],
+        "trace": [{"ell": e, "fidelity": f} for e, f in _printed_trace(result.trace)],
     }
     if result.g is not None:
         report["g"] = result.g
     return report, None
+
+
+def _printed_trace(trace) -> list[tuple[int, float]]:
+    """The trace minus entries whose 15-digit fidelity does not print below the
+    next kept one, so the report stays strictly improving as printed."""
+    kept = [trace[-1]]
+    for ell, fid in reversed(trace[:-1]):
+        if _round15(fid) < _round15(kept[-1][1]):
+            kept.append((ell, fid))
+    return kept[::-1]
 
 
 _HANDLERS = {
@@ -447,6 +458,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{value} must be finite")
+    return value
+
+
+def _grid_size(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{value} must be >= 2")
+    return value
+
+
 def _unit_fraction(text: str) -> float:
     value = float(text)
     if not 0.0 < value <= 1.0:
@@ -480,11 +505,11 @@ def _build_parser() -> _Parser:
     add("spectrum")
     add("corona-build")
     add("fidelity", needs_uv=("u", "v"),
-        extra=lambda p: p.add_argument("--t", type=float, required=True))
+        extra=lambda p: p.add_argument("--t", type=_finite_float, required=True))
 
     def sweep_extra(p):
-        p.add_argument("--t-max", type=float, required=True)
-        p.add_argument("--steps", type=int, required=True)
+        p.add_argument("--t-max", type=_finite_float, required=True)
+        p.add_argument("--steps", type=_grid_size, required=True)
 
     add("sweep", needs_uv=("u", "v"), extra=sweep_extra)
     add("support", needs_uv=("u",))
@@ -497,8 +522,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--v", type=int, required=True)
         p.add_argument("--vp", type=int, required=True)
         p.add_argument("--w", type=int, default=0)
-        p.add_argument("--t-max", type=float, default=50.0)
-        p.add_argument("--points", type=int, default=10000)
+        p.add_argument("--t-max", type=_finite_float, default=50.0)
+        p.add_argument("--points", type=_grid_size, default=10000)
 
     add("no-pst-scan", extra=scan_extra)
 

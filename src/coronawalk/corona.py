@@ -21,17 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import QuadInt, SquareFreeSplit, divisors, square_free_part
+from .exact import QuadInt, divisors, square_free_part
 from .graphs import Graph, make_graph
 from .spectral import (
     DEFAULT_GROUP_TOL,
     EigenClass,
     SpectralDecomposition,
 )
-
-
-def base_index(v: int) -> int:
-    return v
 
 
 def copy_index(n: int, v: int, w: int) -> int:
@@ -92,26 +88,15 @@ class CoronaEigenPair:
     lam_plus: float
     lam_minus: float
     big_lambda: float
-    exact: QuadInt | None = None
-    split: SquareFreeSplit | None = None  # of (lam-k)^2 + 4m lam^2, integer lam only
 
 
-def eigen_pair(lam: float, k: int, m: int, exact: QuadInt | None = None) -> CoronaEigenPair:
-    disc = (lam - k) ** 2 + 4.0 * m * lam * lam
-    big = math.sqrt(disc)
-    split = None
-    if exact is not None and exact.is_rational_integer:
-        z = exact.as_integer()
-        disc_int = (z - k) ** 2 + 4 * m * z * z
-        if disc_int >= 1:
-            split = square_free_part(disc_int)
+def eigen_pair(lam: float, k: int, m: int) -> CoronaEigenPair:
+    big = math.sqrt((lam - k) ** 2 + 4.0 * m * lam * lam)
     return CoronaEigenPair(
         lam=lam,
         lam_plus=(lam + k + big) / 2.0,
         lam_minus=(lam + k - big) / 2.0,
         big_lambda=big,
-        exact=exact,
-        split=split,
     )
 
 
@@ -119,7 +104,7 @@ def corona_eigen_pairs(
     spec: CoronaSpec, g_decomp: SpectralDecomposition
 ) -> list[CoronaEigenPair]:
     k = spec.require_regular()
-    return [eigen_pair(c.value, k, spec.m, c.exact) for c in g_decomp.classes]
+    return [eigen_pair(c.value, k, spec.m) for c in g_decomp.classes]
 
 
 def corona_spectral_closed_form(
@@ -160,7 +145,6 @@ def corona_spectral_closed_form(
     ones = np.ones(m)
     for c in g_decomp.classes:
         lam = c.value
-        pair = eigen_pair(lam, k, m, c.exact)
         if abs(lam) <= group_tol:
             top = np.zeros((m + 1, m + 1))
             top[1:, 1:] = np.full((m, m), 1.0 / m)
@@ -171,7 +155,11 @@ def corona_spectral_closed_form(
             raw.append(EigenClass(0.0, np.kron(bottom, c.projector),
                                   c.multiplicity, QuadInt.from_int(0)))
             continue
-        for value, sign in ((pair.lam_plus, 1), (pair.lam_minus, -1)):
+        pair = eigen_pair(lam, k, m)
+        labels = [None, None]
+        if c.exact is not None:
+            labels = lift_base_eigenvalue(c.exact, k, m)[0] or labels
+        for value, label in zip((pair.lam_plus, pair.lam_minus), labels):
             shifted = value - k
             block = np.empty((m + 1, m + 1))
             block[0, 0] = shifted * shifted
@@ -184,26 +172,11 @@ def corona_spectral_closed_form(
                     value,
                     np.kron(block, c.projector),
                     c.multiplicity,
-                    _exact_pair_value(pair, k, sign),
+                    label,
                 )
             )
 
     return _merge_classes(raw, spec.n * (spec.m + 1), group_tol)
-
-
-def _exact_pair_value(pair: CoronaEigenPair, k: int, sign: int) -> QuadInt | None:
-    """Exact label for lam_plus (sign=+1) or lam_minus (sign=-1) when available."""
-    if pair.exact is None:
-        return None
-    if pair.exact.is_rational_integer:
-        z = pair.exact.as_integer()
-        if pair.split is None:  # discriminant 0, only when z == 0 and k == 0
-            return QuadInt.from_int((z + k) // 2)
-        return QuadInt.make(z + k, sign * pair.split.s, pair.split.c)
-    # Irrational base eigenvalues lift exactly only for k == 0 with 1+4m a
-    # perfect square, and a connected H with k == 0 forces m == 1 where that
-    # never holds; the closed form therefore cannot label these.
-    return None
 
 
 def corona_support_base_vertex(
@@ -225,9 +198,8 @@ def corona_support_base_vertex(
                 out.extend(exact)
                 continue
             lam = lam.value()
-        lam = float(lam)
-        big = math.sqrt((lam - k) ** 2 + 4.0 * m * lam * lam)
-        out.extend([(lam + k + big) / 2.0, (lam + k - big) / 2.0])
+        pair = eigen_pair(float(lam), k, m)
+        out.extend([pair.lam_plus, pair.lam_minus])
     deduped: list[QuadInt | float] = []
     for item in sorted(out, key=_numeric_value, reverse=True):
         if deduped and _same_value(deduped[-1], item):
@@ -241,17 +213,17 @@ def lift_base_eigenvalue(
 ) -> tuple[list[QuadInt] | None, bool]:
     """Exact pair lift of one base eigenvalue, if it stays quadratic.
 
-    Returns (values, proven_nonquadratic).  values is None when the lift is
-    not representable; the flag is True only when the lifted pair provably
-    leaves every quadratic field (the gap sqrt((lam-k)^2 + 4m lam^2) is not
-    an element of Q(sqrt(delta))), which certifies the lifted vertex cannot
-    be periodic.
+    Returns (values, proven_nonquadratic).  values is the pair
+    [lam_plus, lam_minus], or None when the lift is not representable; the
+    flag is True only when the lifted pair provably leaves every quadratic
+    field (the gap sqrt((lam-k)^2 + 4m lam^2) is not an element of
+    Q(sqrt(delta))), which certifies the lifted vertex cannot be periodic.
     """
     if lam.is_rational_integer:
         z = lam.as_integer()
         disc = (z - k) ** 2 + 4 * m * z * z
-        if disc == 0:
-            return [QuadInt.from_int((z + k) // 2)], False
+        if disc == 0:  # z == k == 0: the pair coincides
+            return [QuadInt.from_int(0)] * 2, False
         split = square_free_part(disc)
         return [
             QuadInt.make(z + k, split.s, split.c),
@@ -327,7 +299,7 @@ def corona_entry_base_base(
     for c in g_decomp.classes:
         lam = c.value
         entry = c.projector[v, vp]
-        big = math.sqrt((lam - k) ** 2 + 4.0 * m * lam * lam)
+        big = eigen_pair(lam, k, m).big_lambda
         phase = np.exp(-1j * ts * (lam + k) / 2.0)
         if big == 0.0:
             factor = np.ones(ts.shape, dtype=complex)
@@ -357,7 +329,7 @@ def corona_entry_base_copy(
     total = np.zeros(ts.shape, dtype=complex)
     for c in g_decomp.classes:
         lam = c.value
-        big = math.sqrt((lam - k) ** 2 + 4.0 * m * lam * lam)
+        big = eigen_pair(lam, k, m).big_lambda
         if big == 0.0:
             continue
         entry = c.projector[v, vp]

@@ -1,13 +1,13 @@
 """Dense symmetric spectral engine.
 
-Jacobi eigensolver, eigenvalue classes with orthogonal projectors, walk
-transition matrices, vertex supports, strong cospectrality, and exact
-(integer / quadratic) labeling of eigenvalue classes.
+Symmetric eigensolver (LAPACK eigh through numpy), eigenvalue classes with
+orthogonal projectors, walk transition matrices, vertex supports, strong
+cospectrality, and exact (integer / quadratic) labeling of eigenvalue
+classes, verified by big-integer rank.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -20,15 +20,13 @@ DEFAULT_GROUP_TOL = 1e-8
 DEFAULT_SUPPORT_TOL = 1e-8
 DEFAULT_COSPECTRAL_TOL = 1e-7
 MAX_DIMENSION = 4096
-_MAX_SWEEPS = 100
 
 
-def symmetric_eigen(matrix, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of a real symmetric matrix.
 
-    Cyclic Jacobi rotations run until every off-diagonal magnitude drops
-    below tol (default 1e-12 * Frobenius norm).  Returns eigenvalues in
-    ascending order and the matching eigenvector columns.
+    LAPACK's symmetric solver through numpy.linalg.eigh.  Returns
+    eigenvalues in ascending order and the matching eigenvector columns.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -41,42 +39,7 @@ def symmetric_eigen(matrix, tol: float | None = None) -> tuple[np.ndarray, np.nd
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    a = (a + a.T) / 2.0
-    if tol is None:
-        tol = 1e-12 * float(np.linalg.norm(a, "fro"))
-    vecs = np.eye(n)
-    if n > 1:
-        for _ in range(_MAX_SWEEPS):
-            off = float(np.max(np.abs(a - np.diag(np.diag(a)))))
-            if off <= tol:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    tau = s / (1.0 + c)
-                    app, aqq = a[p, p], a[q, q]
-                    row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                    a[p, :] = row_p - s * (row_q + tau * row_p)
-                    a[q, :] = row_q + s * (row_p - tau * row_q)
-                    a[:, p] = a[p, :]
-                    a[:, q] = a[q, :]
-                    a[p, p] = app - t * apq
-                    a[q, q] = aqq + t * apq
-                    a[p, q] = a[q, p] = 0.0
-                    col_p, col_q = vecs[:, p].copy(), vecs[:, q].copy()
-                    vecs[:, p] = col_p - s * (col_q + tau * col_p)
-                    vecs[:, q] = col_q + s * (col_p - tau * col_q)
-        else:
-            raise RuntimeError("Jacobi failed to converge within the sweep budget")
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    return values[order], vecs[:, order]
+    return np.linalg.eigh((a + a.T) / 2.0)
 
 
 @dataclass
@@ -240,22 +203,24 @@ def attach_exact_labels(
     a_float = np.asarray(adjacency)
     if not np.allclose(a_float, np.round(a_float), atol=1e-12):
         raise ValueError("exact labels need an integer matrix")
-    a_int = [[int(round(x)) for x in row] for row in a_float]
+    # object arrays hold Python ints, so the products below never overflow
+    a_int = np.array([[int(round(x)) for x in row] for row in a_float], dtype=object)
     n = d.n
+    eye = np.identity(n, dtype=object)
     values = [c.value for c in d.classes]
     deltas = _delta_candidates(values)
-    a_sq = _int_matmul(a_int, a_int)
+    a_sq = a_int @ a_int
 
     labeled: list[EigenClass] = []
     for i, c in enumerate(d.classes):
         exact: QuadInt | None = None
         r = round(c.value)
         if abs(c.value - r) < value_tol:
-            defect = n - exact_rank(_int_add_scaled_identity(a_int, -r))
+            defect = n - exact_rank(a_int - r * eye)
             if defect == c.multiplicity:
                 exact = QuadInt.from_int(r)
         if exact is None and deltas:
-            exact = _verify_quadratic(c, i, d, a_int, a_sq, deltas, value_tol)
+            exact = _verify_quadratic(c, i, d, a_int, a_sq, eye, deltas, value_tol)
         labeled.append(replace(c, exact=exact))
     return SpectralDecomposition(labeled, d.n)
 
@@ -267,7 +232,7 @@ def exact_decomposition(
     return attach_exact_labels(decompose(g.adjacency(), group_tol), g.adjacency())
 
 
-def _verify_quadratic(c, index, d, a_int, a_sq, deltas, value_tol) -> QuadInt | None:
+def _verify_quadratic(c, index, d, a_int, a_sq, eye, deltas, value_tol) -> QuadInt | None:
     q = recognize_quad(c.value, deltas, value_tol)
     if q is None or q.delta == 1:
         return None
@@ -275,14 +240,7 @@ def _verify_quadratic(c, index, d, a_int, a_sq, deltas, value_tol) -> QuadInt | 
     if norm4 % 4 != 0:
         return None
     # minimal polynomial x^2 - a x + (a^2 - b^2 delta)/4 annihilates the pair
-    poly = _int_add_scaled_identity(
-        [
-            [a_sq[r][s] - q.a * a_int[r][s] for s in range(d.n)]
-            for r in range(d.n)
-        ],
-        norm4 // 4,
-    )
-    defect = d.n - exact_rank(poly)
+    defect = d.n - exact_rank(a_sq - q.a * a_int + (norm4 // 4) * eye)
     conj_value = q.conjugate().value()
     conj_mult = sum(
         cc.multiplicity
@@ -309,22 +267,6 @@ def _delta_candidates(values: Sequence[float]) -> set[int]:
             if c > 1:
                 out.add(c)
     return out
-
-
-def _int_matmul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _int_add_scaled_identity(a, shift):
-    n = len(a)
-    return [
-        [a[i][j] + (shift if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def _check_vertex(d: SpectralDecomposition, u: int) -> None:

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from coronawalk import transfer
 from coronawalk.cli import (
     EXIT_ANALYSIS,
     EXIT_OK,
@@ -88,6 +90,12 @@ class TestSpectrumCommand:
     def test_json_roundtrip_identical(self, capsys):
         _, out, _ = run(capsys, "spectrum", "corona(path:3,cycle:3)")
         assert dumps_report(json.loads(out)) == out
+
+    def test_72_vertex_corona_is_warning_free(self, capsys):
+        # the suite turns RuntimeWarnings into errors
+        code, out, err = run(capsys, "spectrum", "corona(cycle:12,cycle:5)")
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["n"] == 72
 
 
 class TestPstCommand:
@@ -186,6 +194,29 @@ class TestOtherCommands:
         assert report["best_ell"] == 53
         assert report["best_fidelity"] >= 0.99
 
+    def test_pgst_printed_trace_strictly_increases(self, capsys, monkeypatch):
+        low = 0.7
+        high = float(np.nextafter(low, 1.0))  # equal to 15 significant digits
+        fake = transfer.PGSTSearchResult(
+            family="t51", u=0, v=1, g=2, target=0.99, ell_max=10,
+            best_ell=7, best_time=1.0, best_fidelity=high, target_reached=False,
+            trace=((0, 0.5), (3, low), (7, high)),
+        )
+        monkeypatch.setattr(transfer, "pgst_search", lambda *a, **kw: fake)
+        code, out, _ = run(
+            capsys,
+            "pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1",
+            "--family", "t51",
+        )
+        assert code == EXIT_OK
+        report = json.loads(out)
+        fids = [e["fidelity"] for e in report["trace"]]
+        assert all(a < b for a, b in zip(fids, fids[1:]))
+        assert report["trace"][-1] == {
+            "ell": report["best_ell"], "fidelity": report["best_fidelity"]
+        }
+        assert [e["ell"] for e in report["trace"]] == [0, 7]
+
     def test_corona_build_text_is_loadable(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "corona-build", "corona(path:2,empty:1)", "--format", "text"
@@ -247,6 +278,32 @@ class TestExitCodes:
                 "--family", "t51")
         assert run(capsys, *base, "--lmax", "0")[0] == EXIT_USAGE
         assert run(capsys, *base, "--target", "1.5")[0] == EXIT_USAGE
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fidelity", "path:3", "--u", "0", "--v", "2", "--t", "nan"),
+            ("fidelity", "path:3", "--u", "0", "--v", "2", "--t=-inf"),
+            ("sweep", "path:3", "--u", "0", "--v", "2", "--t-max", "inf",
+             "--steps", "5"),
+            ("sweep", "path:3", "--u", "0", "--v", "2", "--t-max", "5",
+             "--steps", "1"),
+            ("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base",
+             "--v", "0", "--vp", "1", "--points", "0"),
+            ("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base",
+             "--v", "0", "--vp", "1", "--t-max", "nan"),
+        ],
+        ids=["t-nan", "t-neg-inf", "t-max-inf", "steps-1", "points-0", "scan-t-max-nan"],
+    )
+    def test_bad_numeric_flags_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and "usage error" in err
+
+    def test_nan_never_reaches_json(self):
+        with pytest.raises(ValueError):
+            dumps_report({"fidelity": math.nan})
 
 
 class TestEnvOverrides:

@@ -18,11 +18,13 @@ from coronawalk.corona import (
 )
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
+    cocktail_party_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
     make_graph,
     path_graph,
+    star_graph,
 )
 from coronawalk.spectral import decompose, entry_amplitudes, exact_decomposition
 
@@ -94,10 +96,6 @@ class TestEigenPairs:
             lhs2 = (p.lam_plus - k) * (p.lam_minus - k)
             assert lhs2 == pytest.approx(-m * lam * lam, rel=1e-6, abs=1e-9)
 
-    def test_integer_base_eigenvalue_gets_split(self):
-        p = eigen_pair(1.0, 2, 3, QuadInt.from_int(1))
-        assert (p.split.s, p.split.c) == (1, 13)
-
     @given(
         st.floats(0.1, 5.0),
         st.sampled_from([-1, 1]),
@@ -139,6 +137,7 @@ class TestClosedForm:
         assert [c.multiplicity for c in d.classes] == [1, 1, 1, 4, 1]
         assert d.classes[0].exact == QuadInt(3, 1, 13)
         assert d.classes[1].exact == QuadInt(1, 1, 21)
+        assert d.classes[2].exact == QuadInt(3, -1, 13)
 
     def test_zero_branch_contributes_k_and_zero(self):
         _, d = closed_form(path_graph(3), cycle_graph(3))
@@ -195,6 +194,34 @@ class TestClosedForm:
         for c in d.classes:
             if round(c.value, 9) in h_only and round(c.value, 9) not in pair_values:
                 assert np.max(np.abs(c.projector[: g.n, :])) == 0.0
+
+    @pytest.mark.parametrize(
+        "g,h",
+        [
+            # irrational base eigenvalues (1 +- sqrt 5)/2 whose lifts stay quadratic
+            (path_graph(4), cycle_graph(3)),
+            (path_graph(4), cycle_graph(5)),
+            (path_graph(4), complete_graph(2)),
+            (path_graph(4), complete_graph(4)),
+            (cycle_graph(5), cycle_graph(5)),
+            (path_graph(2), cycle_graph(3)),
+            (path_graph(3), cocktail_party_graph(2)),
+            (cycle_graph(6), complete_graph(3)),
+            (complete_graph(4), cycle_graph(4)),
+            (cocktail_party_graph(3), cycle_graph(3)),
+            (star_graph(4), complete_graph(5)),
+        ],
+        ids=["p4c3", "p4c5", "p4k2", "p4k4", "c5c5", "p2c3", "p3cp2", "c6k3",
+             "k4c4", "cp3c3", "s4k5"],
+    )
+    def test_labels_equal_assembled_labels(self, g, h):
+        _, d = closed_form(g, h)
+        ref = exact_decomposition(corona_graph(g, h))
+        assert len(d.classes) == len(ref.classes)
+        for c, r in zip(d.classes, ref.classes):
+            assert c.value == pytest.approx(r.value, abs=1e-7)
+            assert c.multiplicity == r.multiplicity
+            assert c.exact == r.exact
 
     def test_requires_regular_copy_factor(self):
         g, h = path_graph(2), path_graph(3)
