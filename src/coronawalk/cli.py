@@ -184,17 +184,13 @@ def _class_record(c: spectral.EigenClass) -> dict:
     return rec
 
 
-def _build(spec: graphs.GraphSpec) -> graphs.Graph:
-    return graphs.build_family(spec)
-
-
 def _corona_context(spec: graphs.GraphSpec, cfg: RunConfig):
     if spec.kind != "corona":
         raise GraphSpecError("this subcommand needs a corona(...) spec", 0)
-    g = _build(spec.factors[0])
-    h = _build(spec.factors[1])
+    g = graphs.build_family(spec.factors[0])
+    h = graphs.build_family(spec.factors[1])
     cspec = corona.CoronaSpec.from_graphs(g, h)
-    g_decomp = spectral.exact_decomposition(g, cfg.group_tol)
+    g_decomp = corona.decompose_spec(spec.factors[0], cfg.group_tol)
     return cspec, g_decomp
 
 
@@ -202,12 +198,11 @@ def _corona_context(spec: graphs.GraphSpec, cfg: RunConfig):
 # subcommand handlers: each returns (report_dict, csv_payload_or_None)
 
 def _cmd_spectrum(args, cfg: RunConfig):
-    g = _build(args.spec)
-    d = spectral.exact_decomposition(g, cfg.group_tol)
+    d = corona.decompose_spec(args.spec, cfg.group_tol)
     return {
         "command": "spectrum",
         "spec": str(args.spec),
-        "n": g.n,
+        "n": d.n,
         "classes": [_class_record(c) for c in d.classes],
     }, None
 
@@ -215,7 +210,7 @@ def _cmd_spectrum(args, cfg: RunConfig):
 def _cmd_corona_build(args, cfg: RunConfig):
     if args.spec.kind != "corona":
         raise GraphSpecError("corona-build needs a corona(...) spec", 0)
-    g = _build(args.spec)
+    g = graphs.build_family(args.spec)
     report = {
         "command": "corona-build",
         "spec": str(args.spec),
@@ -228,8 +223,7 @@ def _cmd_corona_build(args, cfg: RunConfig):
 
 
 def _cmd_fidelity(args, cfg: RunConfig):
-    g = _build(args.spec)
-    d = spectral.decompose(g.adjacency(), cfg.group_tol)
+    d = corona.decompose_spec(args.spec, cfg.group_tol, exact=False)
     amp = complex(spectral.entry_amplitudes(d, args.u, args.v, args.t))
     return {
         "command": "fidelity",
@@ -243,8 +237,7 @@ def _cmd_fidelity(args, cfg: RunConfig):
 
 
 def _cmd_sweep(args, cfg: RunConfig):
-    g = _build(args.spec)
-    d = spectral.decompose(g.adjacency(), cfg.group_tol)
+    d = corona.decompose_spec(args.spec, cfg.group_tol, exact=False)
     trace = transfer.fidelity_sweep(d, args.u, args.v, args.t_max, args.steps)
     report = {
         "command": "sweep",
@@ -266,8 +259,7 @@ def _cmd_sweep(args, cfg: RunConfig):
 
 
 def _cmd_support(args, cfg: RunConfig):
-    g = _build(args.spec)
-    d = spectral.exact_decomposition(g, cfg.group_tol)
+    d = corona.decompose_spec(args.spec, cfg.group_tol)
     sup = spectral.eigenvalue_support(d, args.u, cfg.support_tol)
     return {
         "command": "support",
@@ -278,8 +270,7 @@ def _cmd_support(args, cfg: RunConfig):
 
 
 def _cmd_cospectral(args, cfg: RunConfig):
-    g = _build(args.spec)
-    d = spectral.decompose(g.adjacency(), cfg.group_tol)
+    d = corona.decompose_spec(args.spec, cfg.group_tol, exact=False)
     signs = spectral.strong_cospectral(d, args.u, args.v, cfg.cospectral_tol)
     report = {
         "command": "cospectral",
@@ -311,8 +302,7 @@ def _verdict_record(verdict: transfer.PeriodicityVerdict) -> dict:
 
 
 def _cmd_periodic(args, cfg: RunConfig):
-    g = _build(args.spec)
-    d = spectral.exact_decomposition(g, cfg.group_tol)
+    d = corona.decompose_spec(args.spec, cfg.group_tol)
     sup = spectral.eigenvalue_support(d, args.u, cfg.support_tol)
     entries = [q if q is not None else v for q, v in zip(sup.exact, sup.values)]
     verdict = transfer.periodicity_test(entries)
@@ -323,8 +313,8 @@ def _cmd_periodic(args, cfg: RunConfig):
         "vertex_test": _verdict_record(verdict),
     }
     if args.spec.kind == "corona":
-        base = _build(args.spec.factors[0])
-        copyf = _build(args.spec.factors[1])
+        base = graphs.build_family(args.spec.factors[0])
+        copyf = graphs.build_family(args.spec.factors[1])
         if args.u < base.n and copyf.is_regular() is not None and base.n >= 2 \
                 and base.is_connected():
             lifted = transfer.corona_base_periodicity(
@@ -335,8 +325,7 @@ def _cmd_periodic(args, cfg: RunConfig):
 
 
 def _cmd_pst(args, cfg: RunConfig):
-    g = _build(args.spec)
-    d = spectral.exact_decomposition(g, cfg.group_tol)
+    d = corona.decompose_spec(args.spec, cfg.group_tol)
     cert = transfer.pst_certify(d, args.u, args.v, cfg.support_tol, cfg.cospectral_tol)
     report = {
         "command": "pst",
@@ -465,6 +454,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_finite(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"{value} must be positive")
+    return value
+
+
 def _grid_size(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -508,7 +504,7 @@ def _build_parser() -> _Parser:
         extra=lambda p: p.add_argument("--t", type=_finite_float, required=True))
 
     def sweep_extra(p):
-        p.add_argument("--t-max", type=_finite_float, required=True)
+        p.add_argument("--t-max", type=_positive_finite, required=True)
         p.add_argument("--steps", type=_grid_size, required=True)
 
     add("sweep", needs_uv=("u", "v"), extra=sweep_extra)
@@ -568,7 +564,7 @@ def run_command(argv: list[str]) -> int:
                 return EXIT_USAGE
             payload = csv_payload
         elif args.command == "corona-build" and cfg.fmt == "text":
-            payload = graphs.write_edge_list(_build(args.spec))
+            payload = graphs.write_edge_list(graphs.build_family(args.spec))
         else:
             payload = render_report(report, cfg.fmt)
     except GraphSpecError as err:

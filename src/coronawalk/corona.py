@@ -16,17 +16,19 @@ spectral data, without assembling the large matrix.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import QuadInt, divisors, square_free_part
-from .graphs import Graph, make_graph
+from .graphs import Graph, GraphSpec, build_family, make_graph
 from .spectral import (
     DEFAULT_GROUP_TOL,
+    MAX_DIMENSION,
     EigenClass,
     SpectralDecomposition,
+    decompose,
+    exact_decomposition,
 )
 
 
@@ -119,7 +121,9 @@ def corona_spectral_closed_form(
     multiplicity n * mult(mu); every base eigenvalue's pair lam_pm with the
     rank-structured projector over E_lam(G), using the special value-k and
     value-0 projectors when lam = 0.  Numerically coincident values merge by
-    projector addition.  Requires H connected and regular.
+    projector addition.  Requires H connected and regular; the base may be
+    any graph.  Raises ValueError when the corona order n(m+1) exceeds the
+    dense budget, as the assembled eigensolver does.
     """
     k = spec.require_regular()
     n, m = spec.n, spec.m
@@ -128,8 +132,10 @@ def corona_spectral_closed_form(
             "closed form needs H connected: eigenvalue k would repeat and its "
             "classes are not covered by the lifted families"
         )
-    if not spec.g.is_connected():
-        warnings.warn("closed-form corona decomposition with disconnected base graph")
+    if n * (m + 1) > MAX_DIMENSION:
+        raise ValueError(
+            f"dimension {n * (m + 1)} exceeds dense budget {MAX_DIMENSION}"
+        )
 
     raw: list[EigenClass] = []
     eye_n = np.eye(n)
@@ -179,19 +185,52 @@ def corona_spectral_closed_form(
     return _merge_classes(raw, spec.n * (spec.m + 1), group_tol)
 
 
+def decompose_spec(
+    spec: GraphSpec, group_tol: float = DEFAULT_GROUP_TOL, exact: bool = True
+) -> SpectralDecomposition:
+    """Spectral decomposition of a parsed graph spec, from its factors when it can.
+
+    A corona whose copy factor is connected and regular is decomposed in
+    closed form from the decompositions of its factors, recursing into the
+    base, so nested coronas are never assembled either.  Any other spec is
+    assembled and decomposed densely, and with `exact` set its classes get
+    rank-verified exact labels.
+    """
+    if spec.kind == "corona":
+        g_spec, h_spec = spec.factors
+        cspec = CoronaSpec.from_graphs(build_family(g_spec), build_family(h_spec))
+        if cspec.k is not None and cspec.h.is_connected():
+            return corona_spectral_closed_form(
+                cspec,
+                decompose_spec(g_spec, group_tol, exact),
+                decompose_spec(h_spec, group_tol, exact),
+                group_tol,
+            )
+        graph = corona_graph(cspec.g, cspec.h)
+    else:
+        graph = build_family(spec)
+    if exact:
+        return exact_decomposition(graph, group_tol)
+    return decompose(graph.adjacency(), group_tol)
+
+
 def corona_support_base_vertex(
     phi_v, k: int, m: int
 ) -> list[QuadInt | float]:
     """Support of a base vertex in the corona from its support in the base graph.
 
-    Each base support eigenvalue lam contributes the pair
-    (lam + k +- sqrt((lam-k)^2 + 4m lam^2)) / 2.  Values come back as
+    Each nonzero base support eigenvalue lam contributes the pair
+    (lam + k +- sqrt((lam-k)^2 + 4m lam^2)) / 2; lam = 0 contributes only 0,
+    because its value-k class lies on copy coordinates.  Values come back as
     QuadInt whenever the lifted pair stays inside a quadratic field,
     otherwise as plain floats (the inexactness flag).  Sorted by decreasing
     value, duplicates removed.
     """
     out: list[QuadInt | float] = []
     for lam in phi_v:
+        if abs(_numeric_value(lam)) <= DEFAULT_GROUP_TOL:
+            out.append(lam)
+            continue
         if isinstance(lam, QuadInt):
             exact, _ = lift_base_eigenvalue(lam, k, m)
             if exact is not None:

@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corona import CoronaSpec, corona_entry_base_base, corona_entry_base_copy, \
-    corona_support_base_vertex
+from .corona import CoronaSpec, _check_base, corona_entry_base_base, \
+    corona_entry_base_copy, corona_support_base_vertex
 from .exact import QuadInt, gcd_list, p_adic_valuation
 from .graphs import Graph, cocktail_antipode_map
 from .spectral import (
@@ -31,6 +31,9 @@ from .spectral import (
 DEFAULT_ELL_MAX = 100_000
 DEFAULT_TARGET = 0.99
 _ALPHA_MAX = 64
+# ell values per vectorized step of a pgst sweep: a search that reaches its
+# target early evaluates at most one chunk past the hit, not all of ell_max
+_PGST_CHUNK = 8192
 
 PGST_FAMILIES = ("t51", "t52", "cocktail")
 
@@ -373,7 +376,6 @@ def pgst_search(
     family: str,
     ell_max: int = DEFAULT_ELL_MAX,
     target: float = DEFAULT_TARGET,
-    chunk: int = 8192,
 ) -> PGSTSearchResult:
     """Sweep a structured time family for high corona base-to-base fidelity.
 
@@ -388,6 +390,8 @@ def pgst_search(
     strictly-improving best-so-far trace and stops once fidelity reaches the
     target.
     """
+    _check_base(spec, u)
+    _check_base(spec, v)
     k = spec.require_regular()
     if k == 0:
         raise ValueError("pgst families need a copy factor of nonzero degree")
@@ -439,21 +443,19 @@ def pgst_search(
 
     trace: list[tuple[int, float]] = []
     best = -1.0
-    best_ell = 0
-    done = False
-    for start in range(0, ell_max + 1, chunk):
-        ells = np.arange(start, min(start + chunk, ell_max + 1))
+    for start in range(0, ell_max + 1, _PGST_CHUNK):
+        ells = np.arange(start, min(start + _PGST_CHUNK, ell_max + 1))
         fids = np.abs(corona_entry_base_base(spec, g_decomp, u, v, times(ells)))
-        for ell, fid in zip(ells, fids):
-            if fid > best:
-                best = float(fid)
-                best_ell = int(ell)
-                trace.append((best_ell, best))
-                if best >= target:
-                    done = True
-                    break
-        if done:
+        hits = np.flatnonzero(fids >= target)
+        if hits.size:
+            ells, fids = ells[: hits[0] + 1], fids[: hits[0] + 1]
+        before = np.maximum.accumulate(np.concatenate(([best], fids[:-1])))
+        improved = np.flatnonzero(fids > before)
+        trace.extend((int(ells[i]), float(fids[i])) for i in improved)
+        best = trace[-1][1]
+        if hits.size:
             break
+    best_ell = trace[-1][0]
     return PGSTSearchResult(
         family=family,
         u=u,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coronawalk import transfer
+from coronawalk import spectral, transfer
 from coronawalk.cli import (
     EXIT_ANALYSIS,
     EXIT_OK,
@@ -14,6 +14,7 @@ from coronawalk.cli import (
     parse_graph_spec,
     run_command,
 )
+from coronawalk.corona import corona_graph
 from coronawalk.graphs import GraphSpec, build_family
 
 
@@ -96,6 +97,82 @@ class TestSpectrumCommand:
         code, out, err = run(capsys, "spectrum", "corona(cycle:12,cycle:5)")
         assert code == EXIT_OK and err == ""
         assert json.loads(out)["n"] == 72
+
+
+class TestFactorRouting:
+    """Corona specs with a connected regular copy factor decompose from their
+    factors; every other spec is assembled."""
+
+    COMMANDS = [
+        ("spectrum",),
+        ("support", "--u", "1"),
+        ("periodic", "--u", "1"),
+        ("pst", "--u", "0", "--v", "1"),
+        ("fidelity", "--u", "0", "--v", "1", "--t", "1.5"),
+        ("sweep", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "5"),
+        ("cospectral", "--u", "0", "--v", "1"),
+    ]
+
+    @pytest.mark.parametrize(
+        "spec, largest_factor",
+        [("corona(cycle:12,cycle:5)", 12),
+         ("corona(corona(cycle:6,cycle:3),cycle:3)", 24)],
+        ids=["c12-c5", "nested"],
+    )
+    def test_eigensolver_never_sees_the_corona(self, capsys, monkeypatch,
+                                               spec, largest_factor):
+        dims = []
+        solve = spectral.symmetric_eigen
+
+        def recording(matrix):
+            dims.append(len(matrix))
+            return solve(matrix)
+
+        monkeypatch.setattr(spectral, "symmetric_eigen", recording)
+        for command, *flags in self.COMMANDS:
+            assert run(capsys, command, spec, *flags)[0] == EXIT_OK, command
+        assert dims and max(dims) <= largest_factor
+        dims.clear()
+        # a path copy factor is irregular: that corona is still assembled
+        assert run(capsys, "spectrum", "corona(cycle:13,path:4)")[0] == EXIT_OK
+        assert max(dims) == 65
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "corona(cycle:12,cycle:5)",
+            "corona(cocktail:3,cycle:3)",
+            "corona(cycle:8,cycle:4)",
+            "corona(path:4,cycle:3)",
+            "corona(star:4,complete:3)",
+            "corona(empty:2,cycle:3)",
+            "corona(path:3,complete:1)",
+            "corona(corona(cycle:6,cycle:3),cycle:3)",
+        ],
+    )
+    def test_classes_equal_assembled_exact_decomposition(self, capsys, text):
+        spec = parse_graph_spec(text)
+        g, h = (build_family(f) for f in spec.factors)
+        oracle = spectral.exact_decomposition(corona_graph(g, h))
+
+        def check(records, classes):
+            assert len(records) == len(classes)
+            for rec, c in zip(records, classes):
+                assert rec["value"] == pytest.approx(c.value, abs=1e-9)
+                assert rec["multiplicity"] == c.multiplicity
+                expected = None if c.exact is None else {
+                    "a": c.exact.a, "b": c.exact.b, "delta": c.exact.delta}
+                assert rec.get("exact") == expected
+
+        code, out, err = run(capsys, "spectrum", text)
+        assert code == EXIT_OK and err == ""
+        check(json.loads(out)["classes"], oracle.classes)
+        for u in (0, g.n):  # a base vertex and a copy vertex
+            code, out, err = run(capsys, "support", text, "--u", str(u))
+            assert code == EXIT_OK and err == ""
+            sup = spectral.eigenvalue_support(oracle, u)
+            check(json.loads(out)["classes"],
+                  [oracle.classes[i] for i in sup.class_indices])
 
 
 class TestPstCommand:
@@ -287,6 +364,10 @@ class TestExitCodes:
             ("fidelity", "path:3", "--u", "0", "--v", "2", "--t=-inf"),
             ("sweep", "path:3", "--u", "0", "--v", "2", "--t-max", "inf",
              "--steps", "5"),
+            ("sweep", "path:3", "--u", "0", "--v", "2", "--t-max", "0",
+             "--steps", "5"),
+            ("sweep", "path:3", "--u", "0", "--v", "2", "--t-max=-1",
+             "--steps", "5"),
             ("sweep", "path:3", "--u", "0", "--v", "2", "--t-max", "5",
              "--steps", "1"),
             ("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base",
@@ -294,12 +375,25 @@ class TestExitCodes:
             ("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base",
              "--v", "0", "--vp", "1", "--t-max", "nan"),
         ],
-        ids=["t-nan", "t-neg-inf", "t-max-inf", "steps-1", "points-0", "scan-t-max-nan"],
+        ids=["t-nan", "t-neg-inf", "t-max-inf", "t-max-zero", "t-max-negative",
+             "steps-1", "points-0", "scan-t-max-nan"],
     )
     def test_bad_numeric_flags_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == "" and "usage error" in err
+
+    @pytest.mark.parametrize("u, v", [("99", "1"), ("-1", "1"), ("0", "6")])
+    def test_pgst_vertex_out_of_range_is_analysis_error(self, capsys, u, v):
+        code, out, err = run(capsys, "pgst", "corona(cocktail:3,cycle:4)",
+                             "--u", u, "--v", v, "--family", "cocktail")
+        assert code == EXIT_ANALYSIS
+        assert out == "" and "out of range" in err and "Traceback" not in err
+
+    def test_corona_beyond_dense_budget_is_analysis_error(self, capsys):
+        code, out, err = run(capsys, "spectrum", "corona(cycle:100,cycle:50)")
+        assert code == EXIT_ANALYSIS
+        assert out == "" and "exceeds dense budget" in err
 
     def test_nan_never_reaches_json(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,12 @@ from coronawalk.graphs import (
     path_graph,
     star_graph,
 )
-from coronawalk.spectral import decompose, entry_amplitudes, exact_decomposition
+from coronawalk.spectral import (
+    decompose,
+    eigenvalue_support,
+    entry_amplitudes,
+    exact_decomposition,
+)
 
 
 def closed_form(g, h):
@@ -240,13 +245,12 @@ class TestClosedForm:
                 spec, exact_decomposition(g), exact_decomposition(h)
             )
 
-    def test_disconnected_base_warns_but_reconstructs(self):
+    def test_disconnected_base_reconstructs(self):
         g, h = empty_graph(2), cycle_graph(3)
         spec = CoronaSpec.from_graphs(g, h)
-        with pytest.warns(UserWarning):
-            d = corona_spectral_closed_form(
-                spec, exact_decomposition(g), exact_decomposition(h)
-            )
+        d = corona_spectral_closed_form(
+            spec, exact_decomposition(g), exact_decomposition(h)
+        )
         a = corona_graph(g, h).adjacency().astype(float)
         assert np.max(np.abs(d.matrix() - a)) < 1e-8
 
@@ -371,9 +375,25 @@ class TestSupportLift:
             QuadInt(1, -1, 21),
         ]
 
-    def test_zero_eigenvalue_contributes_k_and_zero(self):
-        out = corona_support_base_vertex([QuadInt.from_int(0)], 2, 3)
-        assert out == [QuadInt.from_int(2), QuadInt.from_int(0)]
+    def test_zero_eigenvalue_contributes_only_zero(self):
+        # the value-k class of base eigenvalue 0 lies on copy coordinates, so
+        # the lifted support must equal the assembled corona's support
+        cases = [
+            (path_graph(3), cycle_graph(3), 0),
+            (path_graph(3), cycle_graph(3), 1),
+            (star_graph(4), complete_graph(3), 1),
+            (cycle_graph(4), cycle_graph(3), 0),
+        ]
+        for g, h, v in cases:
+            base = eigenvalue_support(exact_decomposition(g), v)
+            lifted = corona_support_base_vertex(list(base.exact), h.is_regular(), h.n)
+            assembled = eigenvalue_support(exact_decomposition(corona_graph(g, h)), v)
+            assert len(lifted) == len(assembled)
+            for x, value, q in zip(lifted, assembled.values, assembled.exact):
+                got = x.value() if isinstance(x, QuadInt) else x
+                assert got == pytest.approx(value, abs=1e-9)
+                if isinstance(x, QuadInt) and q is not None:
+                    assert x == q
 
     def test_zero_degree_square_shift(self):
         out = corona_support_base_vertex(

@@ -329,6 +329,41 @@ class TestPgstSearch:
         assert result.best_ell == 72  # frozen regression value
         assert result.best_time == pytest.approx(8 * 72 * math.pi)
 
+    @pytest.mark.parametrize(
+        "g, h, u, v, family, ell_max, target",
+        [
+            (path_graph(2), cycle_graph(3), 0, 1, "t51", 300, 0.9999),
+            (cycle_graph(4), cycle_graph(5), 0, 2, "t52", 1000, 0.99),
+            (cocktail_party_graph(3), complete_graph(4), 0, 1, "cocktail", 1000, 0.99),
+            # capped at 1/2, so the sweep runs through three chunks of ell
+            (cycle_graph(4), cycle_graph(3), 0, 2, "t52", 20000, 0.99),
+        ],
+        ids=["t51-p2-c3", "t52-c4-c5", "cocktail3-k4", "t52-c4-c3-capped"],
+    )
+    def test_trace_is_strict_prefix_maxima(self, g, h, u, v, family, ell_max, target):
+        from coronawalk.corona import corona_entry_base_base
+
+        spec = CoronaSpec.from_graphs(g, h)
+        gd = exact_decomposition(g)
+        result = pgst_search(spec, gd, u, v, family, ell_max=ell_max, target=target)
+        ells = np.arange(result.best_ell + 1)
+        times = {
+            "t51": lambda: (4.0 * ells + 2.0 / result.g) * math.pi,
+            "t52": lambda: (4.0 * ells + 1.0) * math.pi,
+            "cocktail": lambda: 8.0 * ells * math.pi,
+        }[family]()
+        fids = np.abs(corona_entry_base_base(spec, gd, u, v, times))
+        expected, best = [], -1.0
+        for ell, fid in zip(ells, fids):
+            if fid > best:
+                best = float(fid)
+                expected.append((int(ell), best))
+        assert [e for e, _ in result.trace] == [e for e, _ in expected]
+        assert [f for _, f in result.trace] == pytest.approx(
+            [f for _, f in expected], abs=1e-12
+        )
+        assert result.target_reached == (best >= target)
+
     def test_zero_degree_copy_factor_rejected(self):
         g, h = path_graph(2), empty_graph(2)
         spec = CoronaSpec.from_graphs(g, h)
