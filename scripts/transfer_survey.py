@@ -34,7 +34,8 @@ def main() -> None:
     for gname, g in BASES:
         gd = exact_decomposition(g)
         for hname, h in COPIES:
-            verdict = corona_base_periodicity(g, h, 0)
+            spec = CoronaSpec.from_graphs(g, h)
+            verdict = corona_base_periodicity(spec, gd, 0)
             note = verdict.periodic
             if verdict.reason:
                 note += f" ({verdict.reason})"
@@ -42,7 +43,6 @@ def main() -> None:
                 note += f" (period {verdict.witness_period:.6f})"
             scan_txt = "n/a (copies disconnected)"
             if h.is_connected():
-                spec = CoronaSpec.from_graphs(g, h)
                 scan = corona_no_pst_check(spec, gd, ("base-base", 0, g.n - 1), ts)
                 scan_txt = f"{scan.max_fidelity:.9f}"
             print(f"{gname}*{hname:7} {note:40} {scan_txt:>18}")

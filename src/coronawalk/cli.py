@@ -8,11 +8,11 @@ emitted documents survive a parse/re-emit round trip unchanged.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class GraphSpecError(ValueError):
         self.position = position
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     group_tol: float = spectral.DEFAULT_GROUP_TOL
     support_tol: float = spectral.DEFAULT_SUPPORT_TOL
@@ -184,21 +184,17 @@ def _class_record(c: spectral.EigenClass) -> dict:
     return rec
 
 
-def _corona_context(spec: graphs.GraphSpec, cfg: RunConfig):
+def _require_corona(spec: graphs.GraphSpec, who: str = "this subcommand") -> None:
     if spec.kind != "corona":
-        raise GraphSpecError("this subcommand needs a corona(...) spec", 0)
-    g = graphs.build_family(spec.factors[0])
-    h = graphs.build_family(spec.factors[1])
-    cspec = corona.CoronaSpec.from_graphs(g, h)
-    g_decomp = corona.decompose_spec(spec.factors[0], cfg.group_tol)
-    return cspec, g_decomp
+        raise GraphSpecError(f"{who} needs a corona(...) spec", 0)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (report_dict, csv_payload_or_None)
+# subcommand handlers: each returns (report_dict, payload_or_None); a payload
+# is the handler's own rendering of --format (sweep csv, corona-build text)
 
 def _cmd_spectrum(args, cfg: RunConfig):
-    d = corona.decompose_spec(args.spec, cfg.group_tol)
+    d = corona.SpecFactors(cfg.group_tol).decomposition(args.spec)
     return {
         "command": "spectrum",
         "spec": str(args.spec),
@@ -208,8 +204,7 @@ def _cmd_spectrum(args, cfg: RunConfig):
 
 
 def _cmd_corona_build(args, cfg: RunConfig):
-    if args.spec.kind != "corona":
-        raise GraphSpecError("corona-build needs a corona(...) spec", 0)
+    _require_corona(args.spec, "corona-build")
     g = graphs.build_family(args.spec)
     report = {
         "command": "corona-build",
@@ -219,11 +214,11 @@ def _cmd_corona_build(args, cfg: RunConfig):
         "edges": [list(e) for e in sorted(g.edges)],
         "labels": [graphs.format_vertex_label(l) for l in g.labels],
     }
-    return report, None
+    return report, graphs.write_edge_list(g) if cfg.fmt == "text" else None
 
 
 def _cmd_fidelity(args, cfg: RunConfig):
-    d = corona.decompose_spec(args.spec, cfg.group_tol, exact=False)
+    d = corona.SpecFactors(cfg.group_tol, exact=False).decomposition(args.spec)
     amp = complex(spectral.entry_amplitudes(d, args.u, args.v, args.t))
     return {
         "command": "fidelity",
@@ -237,7 +232,7 @@ def _cmd_fidelity(args, cfg: RunConfig):
 
 
 def _cmd_sweep(args, cfg: RunConfig):
-    d = corona.decompose_spec(args.spec, cfg.group_tol, exact=False)
+    d = corona.SpecFactors(cfg.group_tol, exact=False).decomposition(args.spec)
     trace = transfer.fidelity_sweep(d, args.u, args.v, args.t_max, args.steps)
     report = {
         "command": "sweep",
@@ -251,15 +246,16 @@ def _cmd_sweep(args, cfg: RunConfig):
         "times": trace.times,
         "fidelities": trace.values,
     }
-    csv_payload = _render_csv(
+    if cfg.fmt != "csv":
+        return report, None
+    return report, _render_csv(
         [(float(t), float(f)) for t, f in zip(trace.times, trace.values)],
         ("t", "fidelity"),
     )
-    return report, csv_payload
 
 
 def _cmd_support(args, cfg: RunConfig):
-    d = corona.decompose_spec(args.spec, cfg.group_tol)
+    d = corona.SpecFactors(cfg.group_tol).decomposition(args.spec)
     sup = spectral.eigenvalue_support(d, args.u, cfg.support_tol)
     return {
         "command": "support",
@@ -270,7 +266,7 @@ def _cmd_support(args, cfg: RunConfig):
 
 
 def _cmd_cospectral(args, cfg: RunConfig):
-    d = corona.decompose_spec(args.spec, cfg.group_tol, exact=False)
+    d = corona.SpecFactors(cfg.group_tol, exact=False).decomposition(args.spec)
     signs = spectral.strong_cospectral(d, args.u, args.v, cfg.cospectral_tol)
     report = {
         "command": "cospectral",
@@ -287,22 +283,12 @@ def _cmd_cospectral(args, cfg: RunConfig):
 
 
 def _verdict_record(verdict: transfer.PeriodicityVerdict) -> dict:
-    rec: dict = {"periodic": verdict.periodic}
-    if verdict.case is not None:
-        rec["case"] = verdict.case
-    if verdict.a is not None:
-        rec["a"] = verdict.a
-    if verdict.delta is not None:
-        rec["delta"] = verdict.delta
-    if verdict.witness_period is not None:
-        rec["witness_period"] = verdict.witness_period
-    if verdict.reason is not None:
-        rec["reason"] = verdict.reason
-    return rec
+    return {k: v for k, v in dataclasses.asdict(verdict).items() if v is not None}
 
 
 def _cmd_periodic(args, cfg: RunConfig):
-    d = corona.decompose_spec(args.spec, cfg.group_tol)
+    factors = corona.SpecFactors(cfg.group_tol)
+    d = factors.decomposition(args.spec)
     sup = spectral.eigenvalue_support(d, args.u, cfg.support_tol)
     entries = [q if q is not None else v for q, v in zip(sup.exact, sup.values)]
     verdict = transfer.periodicity_test(entries)
@@ -313,19 +299,19 @@ def _cmd_periodic(args, cfg: RunConfig):
         "vertex_test": _verdict_record(verdict),
     }
     if args.spec.kind == "corona":
-        base = graphs.build_family(args.spec.factors[0])
-        copyf = graphs.build_family(args.spec.factors[1])
-        if args.u < base.n and copyf.is_regular() is not None and base.n >= 2 \
-                and base.is_connected():
+        cspec = factors.corona(args.spec)
+        if args.u < cspec.n and cspec.k is not None and cspec.n >= 2 \
+                and cspec.g.is_connected():
             lifted = transfer.corona_base_periodicity(
-                base, copyf, args.u, cfg.support_tol
+                cspec, factors.decomposition(args.spec.factors[0]), args.u,
+                cfg.support_tol,
             )
             report["corona_base_test"] = _verdict_record(lifted)
     return report, None
 
 
 def _cmd_pst(args, cfg: RunConfig):
-    d = corona.decompose_spec(args.spec, cfg.group_tol)
+    d = corona.SpecFactors(cfg.group_tol).decomposition(args.spec)
     cert = transfer.pst_certify(d, args.u, args.v, cfg.support_tol, cfg.cospectral_tol)
     report = {
         "command": "pst",
@@ -347,7 +333,8 @@ def _cmd_pst(args, cfg: RunConfig):
 
 
 def _cmd_no_pst_scan(args, cfg: RunConfig):
-    cspec, g_decomp = _corona_context(args.spec, cfg)
+    _require_corona(args.spec)
+    cspec, g_decomp = corona.SpecFactors(cfg.group_tol).corona_context(args.spec)
     ts = np.linspace(0.0, args.t_max, args.points)
     if args.pair == "base-base":
         pair = ("base-base", args.v, args.vp)
@@ -369,7 +356,8 @@ def _cmd_no_pst_scan(args, cfg: RunConfig):
 
 
 def _cmd_pgst(args, cfg: RunConfig):
-    cspec, g_decomp = _corona_context(args.spec, cfg)
+    _require_corona(args.spec)
+    cspec, g_decomp = corona.SpecFactors(cfg.group_tol).corona_context(args.spec)
     result = transfer.pgst_search(
         cspec, g_decomp, args.u, args.v, args.family,
         ell_max=args.lmax if args.lmax is not None else cfg.ell_max,
@@ -518,7 +506,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--v", type=int, required=True)
         p.add_argument("--vp", type=int, required=True)
         p.add_argument("--w", type=int, default=0)
-        p.add_argument("--t-max", type=_finite_float, default=50.0)
+        p.add_argument("--t-max", type=_positive_finite, default=50.0)
         p.add_argument("--points", type=_grid_size, default=10000)
 
     add("no-pst-scan", extra=scan_extra)
@@ -557,15 +545,11 @@ def run_command(argv: list[str]) -> int:
         return EXIT_USAGE
 
     try:
-        report, csv_payload = _HANDLERS[args.command](args, cfg)
-        if cfg.fmt == "csv":
-            if csv_payload is None:
-                print(f"usage error: {args.command} has no csv form", file=sys.stderr)
-                return EXIT_USAGE
-            payload = csv_payload
-        elif args.command == "corona-build" and cfg.fmt == "text":
-            payload = graphs.write_edge_list(graphs.build_family(args.spec))
-        else:
+        report, payload = _HANDLERS[args.command](args, cfg)
+        if payload is None and cfg.fmt == "csv":
+            print(f"usage error: {args.command} has no csv form", file=sys.stderr)
+            return EXIT_USAGE
+        if payload is None:
             payload = render_report(report, cfg.fmt)
     except GraphSpecError as err:
         print(f"usage error: {err}", file=sys.stderr)
@@ -575,8 +559,12 @@ def run_command(argv: list[str]) -> int:
         return EXIT_ANALYSIS
 
     if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as err:
+            print(f"usage error: cannot write {cfg.output}: {err}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(payload)
     return EXIT_OK

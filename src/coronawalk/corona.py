@@ -185,33 +185,54 @@ def corona_spectral_closed_form(
     return _merge_classes(raw, spec.n * (spec.m + 1), group_tol)
 
 
-def decompose_spec(
-    spec: GraphSpec, group_tol: float = DEFAULT_GROUP_TOL, exact: bool = True
-) -> SpectralDecomposition:
-    """Spectral decomposition of a parsed graph spec, from its factors when it can.
+class SpecFactors:
+    """Built graphs and decompositions of a spec's terms, each made once.
 
     A corona whose copy factor is connected and regular is decomposed in
-    closed form from the decompositions of its factors, recursing into the
-    base, so nested coronas are never assembled either.  Any other spec is
-    assembled and decomposed densely, and with `exact` set its classes get
-    rank-verified exact labels.
+    closed form from its factors' decompositions, recursing into the base,
+    and is assembled only where an enclosing corona needs it as a factor.
+    Any other term is assembled and decomposed densely, with rank-verified
+    exact labels when `exact` is set.
     """
-    if spec.kind == "corona":
-        g_spec, h_spec = spec.factors
-        cspec = CoronaSpec.from_graphs(build_family(g_spec), build_family(h_spec))
-        if cspec.k is not None and cspec.h.is_connected():
-            return corona_spectral_closed_form(
-                cspec,
-                decompose_spec(g_spec, group_tol, exact),
-                decompose_spec(h_spec, group_tol, exact),
-                group_tol,
-            )
-        graph = corona_graph(cspec.g, cspec.h)
-    else:
-        graph = build_family(spec)
-    if exact:
-        return exact_decomposition(graph, group_tol)
-    return decompose(graph.adjacency(), group_tol)
+
+    def __init__(self, group_tol: float = DEFAULT_GROUP_TOL, exact: bool = True):
+        self.group_tol = group_tol
+        self.exact = exact
+        self._graphs: dict[GraphSpec, Graph] = {}
+        self._decomps: dict[GraphSpec, SpectralDecomposition] = {}
+
+    def graph(self, spec: GraphSpec) -> Graph:
+        if spec not in self._graphs:
+            self._graphs[spec] = (corona_graph(*map(self.graph, spec.factors))
+                                  if spec.kind == "corona" else build_family(spec))
+        return self._graphs[spec]
+
+    def corona(self, spec: GraphSpec) -> CoronaSpec:
+        return CoronaSpec.from_graphs(*map(self.graph, spec.factors))
+
+    def corona_context(self, spec: GraphSpec) -> tuple[CoronaSpec, SpectralDecomposition]:
+        """A corona spec's built factors and its base's decomposition."""
+        return self.corona(spec), self.decomposition(spec.factors[0])
+
+    def decomposition(self, spec: GraphSpec) -> SpectralDecomposition:
+        if spec not in self._decomps:
+            self._decomps[spec] = self._decompose(spec)
+        return self._decomps[spec]
+
+    def _decompose(self, spec: GraphSpec) -> SpectralDecomposition:
+        if spec.kind == "corona":
+            cspec = self.corona(spec)
+            n = cspec.n * (cspec.m + 1)
+            if n > MAX_DIMENSION:  # checked before any factor is decomposed
+                raise ValueError(f"dimension {n} exceeds dense budget {MAX_DIMENSION}")
+            if cspec.k is not None and cspec.h.is_connected():
+                return corona_spectral_closed_form(
+                    cspec, *map(self.decomposition, spec.factors), self.group_tol
+                )
+        graph = self.graph(spec)
+        if self.exact:
+            return exact_decomposition(graph, self.group_tol)
+        return decompose(graph.adjacency(), self.group_tol)
 
 
 def corona_support_base_vertex(

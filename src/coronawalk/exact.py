@@ -38,10 +38,6 @@ class SquareFreeSplit:
     s: int
     c: int
 
-    @property
-    def n(self) -> int:
-        return self.s * self.s * self.c
-
 
 def square_free_part(n: int) -> SquareFreeSplit:
     """Split n >= 1 as s^2 * c with c square-free, by trial division."""

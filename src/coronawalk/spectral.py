@@ -69,9 +69,6 @@ class SpectralDecomposition:
             out += c.value * c.projector
         return out
 
-    def spectral_radius(self) -> float:
-        return max(abs(c.value) for c in self.classes)
-
 
 def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
     """Spectral decomposition with eigenvalues grouped into classes.

@@ -17,14 +17,13 @@ import numpy as np
 from .corona import CoronaSpec, _check_base, corona_entry_base_base, \
     corona_entry_base_copy, corona_support_base_vertex
 from .exact import QuadInt, gcd_list, p_adic_valuation
-from .graphs import Graph, cocktail_antipode_map
+from .graphs import cocktail_antipode_map
 from .spectral import (
     DEFAULT_COSPECTRAL_TOL,
     DEFAULT_SUPPORT_TOL,
     SpectralDecomposition,
     eigenvalue_support,
     entry_amplitudes,
-    exact_decomposition,
     strong_cospectral,
 )
 
@@ -84,28 +83,27 @@ def periodicity_test(support: Sequence[QuadInt | float]) -> PeriodicityVerdict:
 
 
 def corona_base_periodicity(
-    g: Graph, h: Graph, v: int, support_tol: float = DEFAULT_SUPPORT_TOL
+    spec: CoronaSpec, g_decomp: SpectralDecomposition, v: int,
+    support_tol: float = DEFAULT_SUPPORT_TOL,
 ) -> PeriodicityVerdict:
-    """Periodicity of the lifted base vertex (v, 0) in the corona of g and h.
+    """Periodicity of the lifted base vertex (v, 0) in the corona spec.
 
     Holds exactly when k = 0, 1 + 4m is an odd perfect square > 1, and the
-    base support of v is all integers or all nonzero integer multiples of a
-    single sqrt(delta).  Evaluated directly on those three conditions.
+    base support of v (read from g_decomp, the base's exact decomposition)
+    is all integers or all nonzero integer multiples of a single
+    sqrt(delta).  Evaluated directly on those three conditions.
     """
-    k = h.is_regular()
-    if k is None:
-        raise ValueError("corona periodicity needs a regular copy factor H")
-    if g.n < 2:
+    k = spec.require_regular()
+    if spec.n < 2:
         raise ValueError("base graph needs at least two vertices")
-    if not g.is_connected():
+    if not spec.g.is_connected():
         raise ValueError("base graph must be connected")
-    d = exact_decomposition(g)
-    sup = eigenvalue_support(d, v, support_tol)
+    sup = eigenvalue_support(g_decomp, v, support_tol)
     if not sup.all_exact:
         return PeriodicityVerdict("inconclusive", reason="inexact base spectrum")
     if k != 0:
         return PeriodicityVerdict("no", reason="copy factor degree k >= 1")
-    m = h.n
+    m = spec.m
     root = math.isqrt(1 + 4 * m)
     if root * root != 1 + 4 * m:
         return PeriodicityVerdict("no", reason="1 + 4m is not a perfect square")

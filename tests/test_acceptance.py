@@ -79,6 +79,10 @@ def _line(tag: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {tag} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
+def _base_periodicity(g, h, v):
+    return corona_base_periodicity(CoronaSpec.from_graphs(g, h), exact_decomposition(g), v)
+
+
 def test_criterion_1_closed_form_matches_numeric_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -148,15 +152,15 @@ def test_criterion_2_pst_certificates():
 
 
 def test_criterion_3_base_periodicity_conditions():
-    yes = corona_base_periodicity(path_graph(2), empty_graph(2), 0)
+    yes = _base_periodicity(path_graph(2), empty_graph(2), 0)
     assert yes.periodic == "yes"
     assembled = decompose(corona_graph(path_graph(2), empty_graph(2)).adjacency())
     revival = fidelity(assembled, 0, 0, 2 * math.pi)
     assert revival > 1 - 1e-8
 
-    no_square = corona_base_periodicity(path_graph(2), empty_graph(3), 0)
+    no_square = _base_periodicity(path_graph(2), empty_graph(3), 0)
     assert no_square.periodic == "no"
-    no_degree = corona_base_periodicity(path_graph(2), cycle_graph(3), 0)
+    no_degree = _base_periodicity(path_graph(2), cycle_graph(3), 0)
     assert no_degree.periodic == "no"
     _line(
         "3",
@@ -430,7 +434,7 @@ def test_criterion_7b_no_periodicity_lift():
         assert periodicity_test(list(sup.exact)).periodic == "no"
     for h in (empty_graph(2), cycle_graph(3)):
         for v in range(g.n):
-            assert corona_base_periodicity(g, h, v).periodic == "no"
+            assert _base_periodicity(g, h, v).periodic == "no"
     _line(
         "7b",
         True,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coronawalk import spectral, transfer
+from coronawalk import graphs, spectral, transfer
 from coronawalk.cli import (
     EXIT_ANALYSIS,
     EXIT_OK,
@@ -116,7 +116,7 @@ class TestFactorRouting:
     @pytest.mark.parametrize(
         "spec, largest_factor",
         [("corona(cycle:12,cycle:5)", 12),
-         ("corona(corona(cycle:6,cycle:3),cycle:3)", 24)],
+         ("corona(corona(cycle:6,cycle:3),cycle:3)", 6)],
         ids=["c12-c5", "nested"],
     )
     def test_eigensolver_never_sees_the_corona(self, capsys, monkeypatch,
@@ -173,6 +173,35 @@ class TestFactorRouting:
             sup = spectral.eigenvalue_support(oracle, u)
             check(json.loads(out)["classes"],
                   [oracle.classes[i] for i in sup.class_indices])
+
+
+class TestFileReads:
+    """A file: leaf is read once per command, however the command uses it."""
+
+    COMMANDS = TestFactorRouting.COMMANDS + [
+        ("no-pst-scan", "--pair", "base-base", "--v", "0", "--vp", "1",
+         "--points", "50"),
+        ("pgst", "--u", "0", "--v", "1", "--family", "t51", "--lmax", "10"),
+        ("corona-build", "--format", "text"),
+    ]
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["corona", "nested"])
+    def test_each_file_is_read_once(self, capsys, monkeypatch, tmp_path, nested):
+        path = tmp_path / "p.edges"
+        path.write_text("6\n0 1\n1 2\n2 3\n3 4\n4 5\n", encoding="utf-8")
+        spec = f"corona(file:{path},cycle:3)"
+        if nested:
+            spec = f"corona({spec},cycle:3)"
+        reads = []
+        read = graphs.read_edge_list
+        monkeypatch.setattr(graphs, "read_edge_list",
+                            lambda p: reads.append(p) or read(p))
+        for command, *flags in self.COMMANDS:
+            reads.clear()
+            code, _, err = run(capsys, command, spec, *flags)
+            # pgst t51 needs base transfer, which the 6-path lacks
+            assert code == (EXIT_ANALYSIS if command == "pgst" else EXIT_OK), err
+            assert reads == [str(path)], command
 
 
 class TestPstCommand:
@@ -374,9 +403,14 @@ class TestExitCodes:
              "--v", "0", "--vp", "1", "--points", "0"),
             ("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base",
              "--v", "0", "--vp", "1", "--t-max", "nan"),
+            ("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base",
+             "--v", "0", "--vp", "1", "--t-max=-5"),
+            ("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base",
+             "--v", "0", "--vp", "1", "--t-max", "0"),
         ],
         ids=["t-nan", "t-neg-inf", "t-max-inf", "t-max-zero", "t-max-negative",
-             "steps-1", "points-0", "scan-t-max-nan"],
+             "steps-1", "points-0", "scan-t-max-nan", "scan-t-max-negative",
+             "scan-t-max-zero"],
     )
     def test_bad_numeric_flags_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -390,10 +424,22 @@ class TestExitCodes:
         assert code == EXIT_ANALYSIS
         assert out == "" and "out of range" in err and "Traceback" not in err
 
-    def test_corona_beyond_dense_budget_is_analysis_error(self, capsys):
+    def test_corona_beyond_dense_budget_is_analysis_error(self, capsys, monkeypatch):
+        dims = []
+        solve = spectral.symmetric_eigen
+        monkeypatch.setattr(spectral, "symmetric_eigen",
+                            lambda matrix: dims.append(len(matrix)) or solve(matrix))
         code, out, err = run(capsys, "spectrum", "corona(cycle:100,cycle:50)")
         assert code == EXIT_ANALYSIS
-        assert out == "" and "exceeds dense budget" in err
+        assert out == "" and "dimension 5100 exceeds dense budget 4096" in err
+        assert dims == []  # the budget is checked before any factor is decomposed
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "spectrum", "path:3", "--output", str(target))
+        assert code == EXIT_USAGE
+        assert out == "" and f"usage error: cannot write {target}" in err
+        assert not target.exists()
 
     def test_nan_never_reaches_json(self):
         with pytest.raises(ValueError):

@@ -34,6 +34,10 @@ def qi(n):
     return QuadInt.from_int(n)
 
 
+def base_periodicity(g, h, v):
+    return corona_base_periodicity(CoronaSpec.from_graphs(g, h), exact_decomposition(g), v)
+
+
 class TestPeriodicityTest:
     def test_all_integer_support(self):
         verdict = periodicity_test([qi(2), qi(-1), qi(-2), qi(1)])
@@ -81,24 +85,24 @@ class TestPeriodicityTest:
 
 class TestCoronaBasePeriodicity:
     def test_two_isolated_copies_periodic(self):
-        verdict = corona_base_periodicity(path_graph(2), empty_graph(2), 0)
+        verdict = base_periodicity(path_graph(2), empty_graph(2), 0)
         assert verdict.periodic == "yes"
         assert verdict.case == "all-integer"
         assert verdict.witness_period == pytest.approx(2 * math.pi)
 
     def test_positive_degree_blocks(self):
-        verdict = corona_base_periodicity(path_graph(2), cycle_graph(3), 0)
+        verdict = base_periodicity(path_graph(2), cycle_graph(3), 0)
         assert verdict.periodic == "no"
         assert "k >= 1" in verdict.reason
 
     def test_non_square_copy_count_blocks(self):
-        verdict = corona_base_periodicity(path_graph(2), empty_graph(3), 0)
+        verdict = base_periodicity(path_graph(2), empty_graph(3), 0)
         assert verdict.periodic == "no"
         assert "perfect square" in verdict.reason
 
     def test_quadratic_branch(self):
         # the middle vertex of the 3-path supports only +-sqrt(2)
-        verdict = corona_base_periodicity(path_graph(3), empty_graph(2), 1)
+        verdict = base_periodicity(path_graph(3), empty_graph(2), 1)
         assert verdict.periodic == "yes"
         assert verdict.case == "quadratic"
         assert verdict.witness_period == pytest.approx(math.pi * math.sqrt(2))
@@ -106,15 +110,15 @@ class TestCoronaBasePeriodicity:
     def test_mixed_direction_support_blocks(self):
         # 4-path support values (±1 ± sqrt(5))/2 are neither integers nor
         # multiples of one square root
-        verdict = corona_base_periodicity(path_graph(4), empty_graph(2), 0)
+        verdict = base_periodicity(path_graph(4), empty_graph(2), 0)
         assert verdict.periodic == "no"
 
     def test_irregular_copy_factor_rejected(self):
         with pytest.raises(ValueError):
-            corona_base_periodicity(path_graph(2), path_graph(3), 0)
+            base_periodicity(path_graph(2), path_graph(3), 0)
 
     def test_numeric_confirmation_on_assembled_graph(self):
-        verdict = corona_base_periodicity(path_graph(2), empty_graph(2), 0)
+        verdict = base_periodicity(path_graph(2), empty_graph(2), 0)
         assembled = decompose(corona_graph(path_graph(2), empty_graph(2)).adjacency())
         assert fidelity(assembled, 0, 0, verdict.witness_period) > 1 - 1e-8
 
@@ -236,7 +240,7 @@ class TestNoPeriodicityLift:
             sup = eigenvalue_support(d, v)
             assert periodicity_test(list(sup.exact)).periodic == "no"
         for v in range(g.n):
-            assert corona_base_periodicity(g, h, v).periodic == "no"
+            assert base_periodicity(g, h, v).periodic == "no"
 
 
 class TestNoTransferScan:
