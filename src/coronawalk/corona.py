@@ -8,9 +8,11 @@ lifts to the pair
     lam_pm = (lam + k +- Lambda) / 2,   Lambda = sqrt((lam - k)^2 + 4 m lam^2),
 
 while every eigenvalue mu != k of H survives with multiplicity n.  The
-functions below build those classes with explicit projectors and evaluate
-walk amplitudes on base/copy vertices directly from the base factor's
-spectral data, without assembling the large matrix.
+functions below build those classes as eigenvector blocks, each a Kronecker
+product of a small factor column with a factor's block (x (x) V_lam for a
+lifted pair, (0 (+) W_mu) (x) I_n for a copy class), and evaluate walk
+amplitudes on base/copy vertices directly from the base factor's spectral
+data, without assembling the large matrix.
 """
 
 from __future__ import annotations
@@ -117,13 +119,13 @@ def corona_spectral_closed_form(
 ) -> SpectralDecomposition:
     """Spectral decomposition of the corona built from the factor decompositions.
 
-    Classes: every mu != k of H with projector diag(0, E_mu(H)) (x) I_n and
-    multiplicity n * mult(mu); every base eigenvalue's pair lam_pm with the
-    rank-structured projector over E_lam(G), using the special value-k and
-    value-0 projectors when lam = 0.  Numerically coincident values merge by
-    projector addition.  Requires H connected and regular; the base may be
-    any graph.  Raises ValueError when the corona order n(m+1) exceeds the
-    dense budget, as the assembled eigensolver does.
+    Classes: every mu != k of H with block (0 (+) W_mu) (x) I_n, of
+    multiplicity n * mult(mu); every base eigenvalue's pair lam_pm with block
+    x (x) V_lam, x = (lam_pm - k, lam 1_m) / norm, using (0, 1_m / sqrt(m))
+    for value k and e_0 for value 0 when lam = 0.  Numerically coincident
+    values merge by concatenating their blocks.  Requires H connected and
+    regular; the base may be any graph.  Raises ValueError when the corona
+    order n(m+1) exceeds the dense budget, as the assembled eigensolver does.
     """
     k = spec.require_regular()
     n, m = spec.n, spec.m
@@ -142,45 +144,24 @@ def corona_spectral_closed_form(
     for c in h_decomp.classes:
         if abs(c.value - k) <= group_tol * max(1.0, abs(k)):
             continue
-        block = np.zeros((m + 1, m + 1))
-        block[1:, 1:] = c.projector
-        raw.append(
-            EigenClass(c.value, np.kron(block, eye_n), n * c.multiplicity, c.exact)
-        )
+        w = np.vstack([np.zeros((1, c.multiplicity)), c.vectors])
+        raw.append(EigenClass(c.value, np.kron(w, eye_n), c.exact))
 
-    ones = np.ones(m)
     for c in g_decomp.classes:
         lam = c.value
         if abs(lam) <= group_tol:
-            top = np.zeros((m + 1, m + 1))
-            top[1:, 1:] = np.full((m, m), 1.0 / m)
-            raw.append(EigenClass(float(k), np.kron(top, c.projector),
-                                  c.multiplicity, QuadInt.from_int(k)))
-            bottom = np.zeros((m + 1, m + 1))
-            bottom[0, 0] = 1.0
-            raw.append(EigenClass(0.0, np.kron(bottom, c.projector),
-                                  c.multiplicity, QuadInt.from_int(0)))
+            top = np.r_[0.0, np.full(m, 1.0 / math.sqrt(m))]
+            bottom = np.r_[1.0, np.zeros(m)]
+            raw.append(EigenClass(float(k), _lift(top, c.vectors), QuadInt.from_int(k)))
+            raw.append(EigenClass(0.0, _lift(bottom, c.vectors), QuadInt.from_int(0)))
             continue
         pair = eigen_pair(lam, k, m)
         labels = [None, None]
         if c.exact is not None:
             labels = lift_base_eigenvalue(c.exact, k, m)[0] or labels
         for value, label in zip((pair.lam_plus, pair.lam_minus), labels):
-            shifted = value - k
-            block = np.empty((m + 1, m + 1))
-            block[0, 0] = shifted * shifted
-            block[0, 1:] = lam * shifted * ones
-            block[1:, 0] = lam * shifted * ones
-            block[1:, 1:] = lam * lam
-            block /= shifted * shifted + m * lam * lam
-            raw.append(
-                EigenClass(
-                    value,
-                    np.kron(block, c.projector),
-                    c.multiplicity,
-                    label,
-                )
-            )
+            x = np.r_[value - k, np.full(m, lam)]
+            raw.append(EigenClass(value, _lift(x / np.linalg.norm(x), c.vectors), label))
 
     return _merge_classes(raw, spec.n * (spec.m + 1), group_tol)
 
@@ -358,7 +339,7 @@ def corona_entry_base_base(
     total = np.zeros(ts.shape, dtype=complex)
     for c in g_decomp.classes:
         lam = c.value
-        entry = c.projector[v, vp]
+        entry = c.entry(v, vp)
         big = eigen_pair(lam, k, m).big_lambda
         phase = np.exp(-1j * ts * (lam + k) / 2.0)
         if big == 0.0:
@@ -392,7 +373,7 @@ def corona_entry_base_copy(
         big = eigen_pair(lam, k, m).big_lambda
         if big == 0.0:
             continue
-        entry = c.projector[v, vp]
+        entry = c.entry(v, vp)
         phase = np.exp(-1j * ts * (lam + k) / 2.0)
         factor = (-2.0 * lam / big) * 1j * np.sin(ts * big / 2.0)
         total = total + phase * entry * factor
@@ -404,6 +385,11 @@ def _check_base(spec: CoronaSpec, v: int) -> None:
         raise ValueError(f"base vertex {v} out of range")
 
 
+def _lift(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Block x (x) V: column x over the m+1 layers, base block V in each."""
+    return np.kron(x[:, None], vectors)
+
+
 def _merge_classes(
     raw: list[EigenClass], n: int, group_tol: float
 ) -> SpectralDecomposition:
@@ -413,11 +399,10 @@ def _merge_classes(
     for c in raw:
         if merged and merged[-1].value - c.value < group_tol * radius:
             prev = merged[-1]
-            prev.projector = prev.projector + c.projector
-            prev.multiplicity += c.multiplicity
+            prev.vectors = np.hstack([prev.vectors, c.vectors])
             prev.exact = _merge_exact(prev.exact, c.exact)
         else:
-            merged.append(EigenClass(c.value, c.projector.copy(), c.multiplicity, c.exact))
+            merged.append(c)
     return SpectralDecomposition(merged, n)
 
 

@@ -56,7 +56,8 @@ class Graph:
         return a
 
     def degrees(self) -> np.ndarray:
-        return self.adjacency().sum(axis=1)
+        ends = np.array(list(self.edges), dtype=np.int64).reshape(-1)
+        return np.bincount(ends, minlength=self.n)
 
     def is_regular(self) -> int | None:
         """Common degree k if the graph is regular, else None."""

@@ -1,9 +1,11 @@
 """Dense symmetric spectral engine.
 
-Symmetric eigensolver (LAPACK eigh through numpy), eigenvalue classes with
-orthogonal projectors, walk transition matrices, vertex supports, strong
-cospectrality, and exact (integer / quadratic) labeling of eigenvalue
-classes, verified by big-integer rank.
+Symmetric eigensolver (LAPACK eigh through numpy), eigenvalue classes held
+as orthonormal eigenvector blocks V (the projector V V^T is formed only on
+demand), walk transition matrices, vertex supports, strong cospectrality,
+and exact (integer / quadratic) labeling of eigenvalue classes, verified by
+big-integer rank.  Vertex queries read rows of V: E[u,v] = V[u].V[v] and
+||E e_u|| = ||V[u]||.
 """
 
 from __future__ import annotations
@@ -44,17 +46,31 @@ def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class EigenClass:
-    """One eigenvalue class: value, orthogonal projector, and optional exact label."""
+    """One eigenvalue class: value, orthonormal N x mult eigenvector block, exact label."""
 
     value: float
-    projector: np.ndarray
-    multiplicity: int
+    vectors: np.ndarray
     exact: QuadInt | None = None
+
+    @property
+    def multiplicity(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def projector(self) -> np.ndarray:
+        """Orthogonal projector V V^T onto the class, formed on demand."""
+        return self.vectors @ self.vectors.T
+
+    def entry(self, u: int, v: int) -> float:
+        """Projector entry E[u, v] = V[u] . V[v], read from two rows."""
+        # np.dot, not a 1-D @: on decompose's blocks of small multiplicity it
+        # sums in the order `projector` does, so the two agree to the bit
+        return np.dot(self.vectors[u], self.vectors[v])
 
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenvalue classes sorted by decreasing value; projectors sum to I."""
+    """Eigenvalue classes sorted by decreasing value; their blocks form an eigenbasis."""
 
     classes: list[EigenClass]
     n: int
@@ -74,8 +90,7 @@ def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposi
     """Spectral decomposition with eigenvalues grouped into classes.
 
     Adjacent sorted eigenvalues closer than group_tol * max(1, spectral
-    radius) share a class; the class projector is the sum of outer products
-    of its eigenvectors.
+    radius) share a class, which keeps its block of eigenvector columns.
     """
     values, vecs = symmetric_eigen(matrix)
     values = values[::-1]
@@ -87,10 +102,7 @@ def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposi
     for i in range(1, n + 1):
         if i < n and values[i - 1] - values[i] < gap:
             continue
-        block = vecs[:, start:i]
-        proj = block @ block.T
-        proj = (proj + proj.T) / 2.0
-        classes.append(EigenClass(float(np.mean(values[start:i])), proj, i - start))
+        classes.append(EigenClass(float(np.mean(values[start:i])), vecs[:, start:i]))
         start = i
     return SpectralDecomposition(classes, n)
 
@@ -102,7 +114,7 @@ def entry_amplitudes(d: SpectralDecomposition, u: int, v: int, times) -> np.ndar
     ts = np.asarray(times, dtype=float)
     out = np.zeros(ts.shape, dtype=complex)
     for c in d.classes:
-        out += np.exp(-1j * ts * c.value) * c.projector[u, v]
+        out += np.exp(-1j * ts * c.value) * c.entry(u, v)
     return out
 
 
@@ -144,7 +156,7 @@ def eigenvalue_support(
     idx = [
         i
         for i, c in enumerate(d.classes)
-        if float(np.linalg.norm(c.projector[:, u])) > tol
+        if float(np.linalg.norm(c.vectors[u])) > tol
     ]
     return SupportSet(
         vertex=u,
@@ -168,8 +180,8 @@ def strong_cospectral(
     _check_vertex(d, v)
     signs: dict[int, int] = {}
     for i, c in enumerate(d.classes):
-        cu = c.projector[:, u]
-        cv = c.projector[:, v]
+        cu = c.vectors @ c.vectors[u]
+        cv = c.vectors @ c.vectors[v]
         if np.linalg.norm(cu) <= tol and np.linalg.norm(cv) <= tol:
             continue
         if float(np.max(np.abs(cu - cv))) <= tol:
@@ -226,7 +238,8 @@ def exact_decomposition(
     g: Graph, group_tol: float = DEFAULT_GROUP_TOL
 ) -> SpectralDecomposition:
     """Decompose a graph's adjacency matrix and attach exact labels."""
-    return attach_exact_labels(decompose(g.adjacency(), group_tol), g.adjacency())
+    a = g.adjacency()
+    return attach_exact_labels(decompose(a, group_tol), a)
 
 
 def _verify_quadratic(c, index, d, a_int, a_sq, eye, deltas, value_tol) -> QuadInt | None:

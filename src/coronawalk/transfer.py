@@ -334,9 +334,7 @@ def corona_no_pst_check(
     fids = np.abs(amps)
     arg = int(np.argmax(fids))
     v_idx, vp_idx = (pair[1], pair[2]) if kind == "base-base" else (pair[2], pair[1])
-    bound = float(
-        sum(abs(c.projector[v_idx, vp_idx]) for c in g_decomp.classes)
-    )
+    bound = float(sum(abs(c.entry(v_idx, vp_idx)) for c in g_decomp.classes))
     return NoTransferScan(
         pair_kind=kind,
         vertices=vertices,

@@ -204,6 +204,24 @@ class TestFileReads:
             assert reads == [str(path)], command
 
 
+class TestAdjacencyBuilds:
+    """Each graph's adjacency matrix is built once per command."""
+
+    @pytest.mark.parametrize(
+        "argv, orders",
+        [(("spectrum", "cycle:12"), [12]),
+         (("periodic", "corona(cycle:8,cycle:4)", "--u", "1"), [8, 4])],
+        ids=["spectrum", "periodic-corona"],
+    )
+    def test_each_adjacency_is_built_once(self, capsys, monkeypatch, argv, orders):
+        built = []
+        adjacency = graphs.Graph.adjacency
+        monkeypatch.setattr(graphs.Graph, "adjacency",
+                            lambda g: built.append(g.n) or adjacency(g))
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert built == orders
+
+
 class TestPstCommand:
     def test_two_path(self, capsys):
         code, out, _ = run(capsys, "pst", "path:2", "--u", "0", "--v", "1")

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coronawalk.cli import parse_graph_spec
 from coronawalk.corona import (
     CoronaSpec,
+    SpecFactors,
     copy_index,
     corona_entry_base_base,
     corona_entry_base_copy,
@@ -18,6 +21,7 @@ from coronawalk.corona import (
 )
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
+    build_family,
     cocktail_party_graph,
     complete_graph,
     cycle_graph,
@@ -294,6 +298,47 @@ class TestClosedForm:
                  for i in range(closed.n)]
             )
             assert np.max(np.abs(lhs - rhs)) < 1e-7
+
+
+class TestBlockFormat:
+    @pytest.mark.parametrize("path", ["closed-form", "decompose"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # -4 is both a lift of the base eigenvalue -2 and a copy class
+            "corona(cocktail:3,cycle:3)",
+            # the disconnected base puts its lam = 0 columns into the k and 0 classes
+            "corona(empty:2,cycle:3)",
+            "corona(corona(path:2,cycle:3),complete:3)",
+        ],
+        ids=["cocktail3-c3", "empty2-c3", "nested"],
+    )
+    def test_blocks_are_orthonormal_and_rows_give_eigh_projector(self, text, path):
+        spec = parse_graph_spec(text)
+        a = build_family(spec).adjacency().astype(float)
+        d = SpecFactors().decomposition(spec) if path == "closed-form" else decompose(a)
+        values, vecs = np.linalg.eigh(a)
+        assert sum(c.multiplicity for c in d.classes) == d.n == len(values)
+        for c in d.classes:
+            v = c.vectors
+            assert np.max(np.abs(v.T @ v - np.eye(c.multiplicity))) < 1e-10
+            cols = vecs[:, np.abs(values - c.value) < 1e-6]
+            assert cols.shape[1] == c.multiplicity
+            ref = cols @ cols.T
+            rows = np.array([[c.entry(u, w) for w in range(d.n)] for u in range(d.n)])
+            assert np.max(np.abs(rows - ref)) < 1e-8
+
+    def test_closed_form_memory_is_one_basis_not_a_projector_per_class(self):
+        # 71 classes on 1260 vertices: dense projectors would need ~0.9 GB
+        spec = parse_graph_spec("corona(cycle:60,cycle:20)")
+        tracemalloc.start()
+        try:
+            d = SpecFactors().decomposition(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.n == 1260
+        assert peak < 64 * 2**20
 
 
 class TestEntries:
