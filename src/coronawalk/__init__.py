@@ -5,7 +5,6 @@ from .exact import (
     SquareFreeSplit,
     exact_rank,
     gcd_list,
-    p_adic_norm,
     p_adic_valuation,
     recognize_quad,
     square_free_part,

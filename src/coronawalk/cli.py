@@ -1,5 +1,13 @@
 """Command-line interface: graph-spec grammar, analysis subcommands, reports.
 
+Each subcommand declares only the options its handler reads.  Every one
+takes --format json|text and --output; csv is a format of sweep alone.
+--group-tol is on every subcommand but corona-build, --support-tol on
+support, periodic and pst, --cospectral-tol on cospectral and pst.  A
+CORONAWALK_* variable (GROUP_TOL, SUPPORT_TOL, COSPECTRAL_TOL, LMAX, TARGET)
+sets the default of its flag and is checked by the flag's own type; all are
+read whenever a command runs, so a bad value fails every subcommand.
+
 Reports are byte-deterministic for a fixed command line: floats are rounded
 to 15 significant digits before serialization and JSON keys are sorted, so
 emitted documents survive a parse/re-emit round trip unchanged.
@@ -32,27 +40,6 @@ class GraphSpecError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-@dataclasses.dataclass
-class RunConfig:
-    group_tol: float = spectral.DEFAULT_GROUP_TOL
-    support_tol: float = spectral.DEFAULT_SUPPORT_TOL
-    cospectral_tol: float = spectral.DEFAULT_COSPECTRAL_TOL
-    ell_max: int = transfer.DEFAULT_ELL_MAX
-    target: float = transfer.DEFAULT_TARGET
-    fmt: str = "json"
-    output: str | None = None
-
-    def validate(self) -> None:
-        for name in ("group_tol", "support_tol", "cospectral_tol"):
-            tol = getattr(self, name)
-            if not 0.0 < tol <= 1e-2:
-                raise ValueError(f"{name} must lie in (0, 1e-2], got {tol}")
-        if self.ell_max < 1:
-            raise ValueError("ell_max must be >= 1")
-        if not 0.0 < self.target <= 1.0:
-            raise ValueError("target fidelity must lie in (0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -193,36 +180,30 @@ def _require_corona(spec: graphs.GraphSpec, who: str = "this subcommand") -> Non
 # subcommand handlers: each returns (report_dict, payload_or_None); a payload
 # is the handler's own rendering of --format (sweep csv, corona-build text)
 
-def _cmd_spectrum(args, cfg: RunConfig):
-    d = corona.SpecFactors(cfg.group_tol).decomposition(args.spec)
+def _cmd_spectrum(args):
+    d = corona.SpecFactors(args.group_tol).decomposition(args.spec)
     return {
-        "command": "spectrum",
-        "spec": str(args.spec),
         "n": d.n,
         "classes": [_class_record(c) for c in d.classes],
     }, None
 
 
-def _cmd_corona_build(args, cfg: RunConfig):
+def _cmd_corona_build(args):
     _require_corona(args.spec, "corona-build")
     g = graphs.build_family(args.spec)
     report = {
-        "command": "corona-build",
-        "spec": str(args.spec),
         "n": g.n,
         "edge_count": g.edge_count,
         "edges": [list(e) for e in sorted(g.edges)],
         "labels": [graphs.format_vertex_label(l) for l in g.labels],
     }
-    return report, graphs.write_edge_list(g) if cfg.fmt == "text" else None
+    return report, graphs.write_edge_list(g) if args.fmt == "text" else None
 
 
-def _cmd_fidelity(args, cfg: RunConfig):
-    d = corona.SpecFactors(cfg.group_tol, exact=False).decomposition(args.spec)
+def _cmd_fidelity(args):
+    d = corona.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
     amp = complex(spectral.entry_amplitudes(d, args.u, args.v, args.t))
     return {
-        "command": "fidelity",
-        "spec": str(args.spec),
         "u": args.u,
         "v": args.v,
         "t": args.t,
@@ -231,12 +212,10 @@ def _cmd_fidelity(args, cfg: RunConfig):
     }, None
 
 
-def _cmd_sweep(args, cfg: RunConfig):
-    d = corona.SpecFactors(cfg.group_tol, exact=False).decomposition(args.spec)
+def _cmd_sweep(args):
+    d = corona.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
     trace = transfer.fidelity_sweep(d, args.u, args.v, args.t_max, args.steps)
     report = {
-        "command": "sweep",
-        "spec": str(args.spec),
         "u": args.u,
         "v": args.v,
         "t_max": args.t_max,
@@ -246,7 +225,7 @@ def _cmd_sweep(args, cfg: RunConfig):
         "times": trace.times,
         "fidelities": trace.values,
     }
-    if cfg.fmt != "csv":
+    if args.fmt != "csv":
         return report, None
     return report, _render_csv(
         [(float(t), float(f)) for t, f in zip(trace.times, trace.values)],
@@ -254,23 +233,19 @@ def _cmd_sweep(args, cfg: RunConfig):
     )
 
 
-def _cmd_support(args, cfg: RunConfig):
-    d = corona.SpecFactors(cfg.group_tol).decomposition(args.spec)
-    sup = spectral.eigenvalue_support(d, args.u, cfg.support_tol)
+def _cmd_support(args):
+    d = corona.SpecFactors(args.group_tol).decomposition(args.spec)
+    sup = spectral.eigenvalue_support(d, args.u, args.support_tol)
     return {
-        "command": "support",
-        "spec": str(args.spec),
         "u": args.u,
         "classes": [_class_record(d.classes[i]) for i in sup.class_indices],
     }, None
 
 
-def _cmd_cospectral(args, cfg: RunConfig):
-    d = corona.SpecFactors(cfg.group_tol, exact=False).decomposition(args.spec)
-    signs = spectral.strong_cospectral(d, args.u, args.v, cfg.cospectral_tol)
+def _cmd_cospectral(args):
+    d = corona.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
+    signs = spectral.strong_cospectral(d, args.u, args.v, args.cospectral_tol)
     report = {
-        "command": "cospectral",
-        "spec": str(args.spec),
         "u": args.u,
         "v": args.v,
         "strongly_cospectral": signs is not None,
@@ -282,21 +257,20 @@ def _cmd_cospectral(args, cfg: RunConfig):
     return report, None
 
 
-def _verdict_record(verdict: transfer.PeriodicityVerdict) -> dict:
-    return {k: v for k, v in dataclasses.asdict(verdict).items() if v is not None}
+def _record(result) -> dict:
+    """A result dataclass as report fields, the fields that are None left out."""
+    return {k: v for k, v in dataclasses.asdict(result).items() if v is not None}
 
 
-def _cmd_periodic(args, cfg: RunConfig):
-    factors = corona.SpecFactors(cfg.group_tol)
+def _cmd_periodic(args):
+    factors = corona.SpecFactors(args.group_tol)
     d = factors.decomposition(args.spec)
-    sup = spectral.eigenvalue_support(d, args.u, cfg.support_tol)
+    sup = spectral.eigenvalue_support(d, args.u, args.support_tol)
     entries = [q if q is not None else v for q, v in zip(sup.exact, sup.values)]
     verdict = transfer.periodicity_test(entries)
     report = {
-        "command": "periodic",
-        "spec": str(args.spec),
         "u": args.u,
-        "vertex_test": _verdict_record(verdict),
+        "vertex_test": _record(verdict),
     }
     if args.spec.kind == "corona":
         cspec = factors.corona(args.spec)
@@ -304,37 +278,21 @@ def _cmd_periodic(args, cfg: RunConfig):
                 and cspec.g.is_connected():
             lifted = transfer.corona_base_periodicity(
                 cspec, factors.decomposition(args.spec.factors[0]), args.u,
-                cfg.support_tol,
+                args.support_tol,
             )
-            report["corona_base_test"] = _verdict_record(lifted)
+            report["corona_base_test"] = _record(lifted)
     return report, None
 
 
-def _cmd_pst(args, cfg: RunConfig):
-    d = corona.SpecFactors(cfg.group_tol).decomposition(args.spec)
-    cert = transfer.pst_certify(d, args.u, args.v, cfg.support_tol, cfg.cospectral_tol)
-    report = {
-        "command": "pst",
-        "spec": str(args.spec),
-        "u": args.u,
-        "v": args.v,
-        "verdict": cert.verdict,
-    }
-    for field in ("failure_reason", "a", "delta", "g", "alpha", "tau",
-                  "tau_symbolic", "phase", "fidelity_at_tau"):
-        value = getattr(cert, field)
-        if value is not None:
-            report[field] = value
-    if cert.b_values is not None:
-        report["b_values"] = list(cert.b_values)
-    if cert.d_values is not None:
-        report["d_values"] = list(cert.d_values)
-    return report, None
+def _cmd_pst(args):
+    d = corona.SpecFactors(args.group_tol).decomposition(args.spec)
+    cert = transfer.pst_certify(d, args.u, args.v, args.support_tol, args.cospectral_tol)
+    return _record(cert), None
 
 
-def _cmd_no_pst_scan(args, cfg: RunConfig):
+def _cmd_no_pst_scan(args):
     _require_corona(args.spec)
-    cspec, g_decomp = corona.SpecFactors(cfg.group_tol).corona_context(args.spec)
+    cspec, g_decomp = corona.SpecFactors(args.group_tol).corona_context(args.spec)
     ts = np.linspace(0.0, args.t_max, args.points)
     if args.pair == "base-base":
         pair = ("base-base", args.v, args.vp)
@@ -342,8 +300,6 @@ def _cmd_no_pst_scan(args, cfg: RunConfig):
         pair = ("base-copy", args.vp, args.v, args.w)
     scan = transfer.corona_no_pst_check(cspec, g_decomp, pair, ts)
     return {
-        "command": "no-pst-scan",
-        "spec": str(args.spec),
         "pair": args.pair,
         "vertices": list(scan.vertices),
         "t_max": args.t_max,
@@ -355,31 +311,13 @@ def _cmd_no_pst_scan(args, cfg: RunConfig):
     }, None
 
 
-def _cmd_pgst(args, cfg: RunConfig):
+def _cmd_pgst(args):
     _require_corona(args.spec)
-    cspec, g_decomp = corona.SpecFactors(cfg.group_tol).corona_context(args.spec)
-    result = transfer.pgst_search(
-        cspec, g_decomp, args.u, args.v, args.family,
-        ell_max=args.lmax if args.lmax is not None else cfg.ell_max,
-        target=args.target if args.target is not None else cfg.target,
-    )
-    report = {
-        "command": "pgst",
-        "spec": str(args.spec),
-        "family": result.family,
-        "u": result.u,
-        "v": result.v,
-        "target": result.target,
-        "ell_max": result.ell_max,
-        "best_ell": result.best_ell,
-        "best_time": result.best_time,
-        "best_fidelity": result.best_fidelity,
-        "target_reached": result.target_reached,
-        "trace": [{"ell": e, "fidelity": f} for e, f in _printed_trace(result.trace)],
-    }
-    if result.g is not None:
-        report["g"] = result.g
-    return report, None
+    cspec, g_decomp = corona.SpecFactors(args.group_tol).corona_context(args.spec)
+    result = transfer.pgst_search(cspec, g_decomp, args.u, args.v, args.family,
+                                  ell_max=args.lmax, target=args.target)
+    trace = [{"ell": e, "fidelity": f} for e, f in _printed_trace(result.trace)]
+    return {**_record(result), "trace": trace}, None
 
 
 def _printed_trace(trace) -> list[tuple[int, float]]:
@@ -424,7 +362,7 @@ def _env_default(name: str, cast, fallback):
         return fallback
     try:
         return cast(raw)
-    except ValueError as err:
+    except (ValueError, argparse.ArgumentTypeError) as err:
         raise _UsageError(f"bad {ENV_PREFIX}{name}={raw!r}: {err}") from err
 
 
@@ -463,60 +401,59 @@ def _unit_fraction(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1e-2:
+        raise argparse.ArgumentTypeError(f"{value} must lie in (0, 1e-2]")
+    return value
+
+
 def _build_parser() -> _Parser:
+    # every CORONAWALK_* default is read here, so a bad one fails every subcommand
+    tols = {
+        "group": _env_default("GROUP_TOL", _tolerance, spectral.DEFAULT_GROUP_TOL),
+        "support": _env_default("SUPPORT_TOL", _tolerance, spectral.DEFAULT_SUPPORT_TOL),
+        "cospectral": _env_default("COSPECTRAL_TOL", _tolerance,
+                                   spectral.DEFAULT_COSPECTRAL_TOL),
+    }
+    ell_max = _env_default("LMAX", _positive_int, transfer.DEFAULT_ELL_MAX)
+    target = _env_default("TARGET", _unit_fraction, transfer.DEFAULT_TARGET)
     parser = _Parser(prog="coronawalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, needs_uv=(), extra=None):
+    def add(name: str, tolerances=("group",), needs_uv=(), formats=("json", "text")):
         p = sub.add_parser(name)
         p.add_argument("spec_text", metavar="SPEC")
         for flag in needs_uv:
             p.add_argument(f"--{flag}", type=int, required=True)
-        p.add_argument("--format", dest="fmt", default="json",
-                       choices=("json", "csv", "text"))
+        p.add_argument("--format", dest="fmt", default="json", choices=formats)
         p.add_argument("--output", default=None)
-        p.add_argument("--group-tol", type=float,
-                       default=_env_default("GROUP_TOL", float, spectral.DEFAULT_GROUP_TOL))
-        p.add_argument("--support-tol", type=float,
-                       default=_env_default("SUPPORT_TOL", float, spectral.DEFAULT_SUPPORT_TOL))
-        p.add_argument("--cospectral-tol", type=float,
-                       default=_env_default("COSPECTRAL_TOL", float,
-                                            spectral.DEFAULT_COSPECTRAL_TOL))
-        if extra:
-            extra(p)
+        for tol in tolerances:
+            p.add_argument(f"--{tol}-tol", type=_tolerance, default=tols[tol])
         return p
 
     add("spectrum")
-    add("corona-build")
-    add("fidelity", needs_uv=("u", "v"),
-        extra=lambda p: p.add_argument("--t", type=_finite_float, required=True))
-
-    def sweep_extra(p):
-        p.add_argument("--t-max", type=_positive_finite, required=True)
-        p.add_argument("--steps", type=_grid_size, required=True)
-
-    add("sweep", needs_uv=("u", "v"), extra=sweep_extra)
-    add("support", needs_uv=("u",))
-    add("cospectral", needs_uv=("u", "v"))
-    add("periodic", needs_uv=("u",))
-    add("pst", needs_uv=("u", "v"))
-
-    def scan_extra(p):
-        p.add_argument("--pair", choices=("base-base", "base-copy"), required=True)
-        p.add_argument("--v", type=int, required=True)
-        p.add_argument("--vp", type=int, required=True)
-        p.add_argument("--w", type=int, default=0)
-        p.add_argument("--t-max", type=_positive_finite, default=50.0)
-        p.add_argument("--points", type=_grid_size, default=10000)
-
-    add("no-pst-scan", extra=scan_extra)
-
-    def pgst_extra(p):
-        p.add_argument("--family", choices=transfer.PGST_FAMILIES, required=True)
-        p.add_argument("--lmax", type=_positive_int, default=None)
-        p.add_argument("--target", type=_unit_fraction, default=None)
-
-    add("pgst", needs_uv=("u", "v"), extra=pgst_extra)
+    add("corona-build", tolerances=())
+    p = add("fidelity", needs_uv=("u", "v"))
+    p.add_argument("--t", type=_finite_float, required=True)
+    p = add("sweep", needs_uv=("u", "v"), formats=("json", "csv", "text"))
+    p.add_argument("--t-max", type=_positive_finite, required=True)
+    p.add_argument("--steps", type=_grid_size, required=True)
+    add("support", ("group", "support"), needs_uv=("u",))
+    add("cospectral", ("group", "cospectral"), needs_uv=("u", "v"))
+    add("periodic", ("group", "support"), needs_uv=("u",))
+    add("pst", ("group", "support", "cospectral"), needs_uv=("u", "v"))
+    p = add("no-pst-scan")
+    p.add_argument("--pair", choices=("base-base", "base-copy"), required=True)
+    p.add_argument("--v", type=int, required=True)
+    p.add_argument("--vp", type=int, required=True)
+    p.add_argument("--w", type=int, default=0)
+    p.add_argument("--t-max", type=_positive_finite, default=50.0)
+    p.add_argument("--points", type=_grid_size, default=10000)
+    p = add("pgst", needs_uv=("u", "v"))
+    p.add_argument("--family", choices=transfer.PGST_FAMILIES, required=True)
+    p.add_argument("--lmax", type=_positive_int, default=ell_max)
+    p.add_argument("--target", type=_unit_fraction, default=target)
     return parser
 
 
@@ -527,30 +464,15 @@ def run_command(argv: list[str]) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         args.spec = parse_graph_spec(args.spec_text)
-        cfg = RunConfig(
-            group_tol=args.group_tol,
-            support_tol=args.support_tol,
-            cospectral_tol=args.cospectral_tol,
-            ell_max=_env_default("LMAX", int, transfer.DEFAULT_ELL_MAX),
-            target=_env_default("TARGET", float, transfer.DEFAULT_TARGET),
-            fmt=args.fmt,
-            output=args.output,
-        )
-        cfg.validate()
     except (_UsageError, GraphSpecError) as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
 
     try:
-        report, payload = _HANDLERS[args.command](args, cfg)
-        if payload is None and cfg.fmt == "csv":
-            print(f"usage error: {args.command} has no csv form", file=sys.stderr)
-            return EXIT_USAGE
+        report, payload = _HANDLERS[args.command](args)
+        report = {"command": args.command, "spec": str(args.spec), **report}
         if payload is None:
-            payload = render_report(report, cfg.fmt)
+            payload = render_report(report, args.fmt)
     except GraphSpecError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -558,12 +480,12 @@ def run_command(argv: list[str]) -> int:
         print(f"analysis error: {err}", file=sys.stderr)
         return EXIT_ANALYSIS
 
-    if cfg.output:
+    if args.output:
         try:
-            with open(cfg.output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(payload)
         except OSError as err:
-            print(f"usage error: cannot write {cfg.output}: {err}", file=sys.stderr)
+            print(f"usage error: cannot write {args.output}: {err}", file=sys.stderr)
             return EXIT_USAGE
     else:
         sys.stdout.write(payload)

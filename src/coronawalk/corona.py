@@ -201,15 +201,15 @@ class SpecFactors:
         return self._decomps[spec]
 
     def _decompose(self, spec: GraphSpec) -> SpectralDecomposition:
-        if spec.kind == "corona":
-            cspec = self.corona(spec)
-            n = cspec.n * (cspec.m + 1)
-            if n > MAX_DIMENSION:  # checked before any factor is decomposed
-                raise ValueError(f"dimension {n} exceeds dense budget {MAX_DIMENSION}")
-            if cspec.k is not None and cspec.h.is_connected():
-                return corona_spectral_closed_form(
-                    cspec, *map(self.decomposition, spec.factors), self.group_tol
-                )
+        cspec = self.corona(spec) if spec.kind == "corona" else None
+        n = cspec.n * (cspec.m + 1) if cspec is not None else self.graph(spec).n
+        # checked before any factor is decomposed or any adjacency matrix built
+        if n > MAX_DIMENSION:
+            raise ValueError(f"dimension {n} exceeds dense budget {MAX_DIMENSION}")
+        if cspec is not None and cspec.k is not None and cspec.h.is_connected():
+            return corona_spectral_closed_form(
+                cspec, *map(self.decomposition, spec.factors), self.group_tol
+            )
         graph = self.graph(spec)
         if self.exact:
             return exact_decomposition(graph, self.group_tol)

@@ -82,14 +82,6 @@ def p_adic_valuation(m: int | Fraction, p: int) -> int:
     return alpha
 
 
-def p_adic_norm(m: int | Fraction, p: int) -> Fraction:
-    """|m|_p = p^(-alpha) for nonzero rational m and prime p."""
-    alpha = p_adic_valuation(m, p)
-    if alpha >= 0:
-        return Fraction(1, p**alpha)
-    return Fraction(p ** (-alpha))
-
-
 def divisors(n: int) -> list[int]:
     """Positive divisors of |n| in increasing order; n must be nonzero."""
     n = abs(int(n))
@@ -195,12 +187,6 @@ class QuadInt:
 
     def conjugate(self) -> "QuadInt":
         return QuadInt(self.a, -self.b, self.delta)
-
-    def scale(self, c: int) -> "QuadInt":
-        """Integer multiple c * self."""
-        if self.b * c == 0:
-            return QuadInt.make(self.a * c, 0, 1)
-        return QuadInt(self.a * c, self.b * c, self.delta)
 
     @property
     def is_rational_integer(self) -> bool:

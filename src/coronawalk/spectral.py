@@ -30,14 +30,15 @@ def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     LAPACK's symmetric solver through numpy.linalg.eigh.  Returns
     eigenvalues in ascending order and the matching eigenvector columns.
     """
-    a = np.array(matrix, dtype=float)
+    a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("square matrix required")
     n = a.shape[0]
     if n == 0:
         raise ValueError("dimension 0")
-    if n > MAX_DIMENSION:
+    if n > MAX_DIMENSION:  # checked before the float copy
         raise ValueError(f"dimension {n} exceeds dense budget {MAX_DIMENSION}")
+    a = a.astype(float)
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")

@@ -442,15 +442,25 @@ class TestExitCodes:
         assert code == EXIT_ANALYSIS
         assert out == "" and "out of range" in err and "Traceback" not in err
 
-    def test_corona_beyond_dense_budget_is_analysis_error(self, capsys, monkeypatch):
-        dims = []
+    @pytest.mark.parametrize(
+        "spec, n",
+        [("corona(cycle:100,cycle:50)", 5100), ("path:5000", 5000)],
+        ids=["corona", "leaf"],
+    )
+    def test_corona_beyond_dense_budget_is_analysis_error(self, capsys, monkeypatch,
+                                                          spec, n):
+        dims, built = [], []
         solve = spectral.symmetric_eigen
         monkeypatch.setattr(spectral, "symmetric_eigen",
                             lambda matrix: dims.append(len(matrix)) or solve(matrix))
-        code, out, err = run(capsys, "spectrum", "corona(cycle:100,cycle:50)")
+        adjacency = graphs.Graph.adjacency
+        monkeypatch.setattr(graphs.Graph, "adjacency",
+                            lambda g: built.append(g.n) or adjacency(g))
+        code, out, err = run(capsys, "spectrum", spec)
         assert code == EXIT_ANALYSIS
-        assert out == "" and "dimension 5100 exceeds dense budget 4096" in err
-        assert dims == []  # the budget is checked before any factor is decomposed
+        assert out == "" and f"dimension {n} exceeds dense budget 4096" in err
+        # the budget is checked before any factor is decomposed or matrix built
+        assert dims == [] and built == []
 
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
@@ -462,6 +472,63 @@ class TestExitCodes:
     def test_nan_never_reaches_json(self):
         with pytest.raises(ValueError):
             dumps_report({"fidelity": math.nan})
+
+
+class TestOptionSurface:
+    """Each subcommand declares only the options its handler reads."""
+
+    ARGS = {
+        "spectrum": ("path:2",),
+        "corona-build": ("corona(path:2,cycle:3)",),
+        "fidelity": ("path:2", "--u", "0", "--v", "1", "--t", "1"),
+        "sweep": ("path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "5"),
+        "support": ("path:2", "--u", "0"),
+        "cospectral": ("path:2", "--u", "0", "--v", "1"),
+        "periodic": ("path:2", "--u", "0"),
+        "pst": ("path:2", "--u", "0", "--v", "1"),
+        "no-pst-scan": ("corona(path:2,cycle:3)", "--pair", "base-base",
+                        "--v", "0", "--vp", "1", "--points", "5"),
+        "pgst": ("corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51"),
+    }
+    UNREAD = [
+        ("spectrum", "--support-tol"), ("spectrum", "--cospectral-tol"),
+        ("corona-build", "--group-tol"), ("corona-build", "--support-tol"),
+        ("corona-build", "--cospectral-tol"),
+        ("fidelity", "--support-tol"), ("fidelity", "--cospectral-tol"),
+        ("sweep", "--support-tol"), ("sweep", "--cospectral-tol"),
+        ("support", "--cospectral-tol"), ("cospectral", "--support-tol"),
+        ("periodic", "--cospectral-tol"),
+        ("no-pst-scan", "--support-tol"), ("no-pst-scan", "--cospectral-tol"),
+        ("pgst", "--support-tol"), ("pgst", "--cospectral-tol"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [(c, (flag, "1e-3"), f"unrecognized arguments: {flag} 1e-3") for c, flag in UNREAD]
+        + [(c, ("--format", "csv"), "argument --format: invalid choice: 'csv'")
+           for c in ARGS if c != "sweep"],
+        ids=[f"{c}{flag}" for c, flag in UNREAD]
+        + [f"{c}--format-csv" for c in ARGS if c != "sweep"],
+    )
+    def test_undeclared_option_is_refused_before_analysis(self, capsys, monkeypatch,
+                                                          command, extra, message):
+        dims = []
+        solve = spectral.symmetric_eigen
+        monkeypatch.setattr(spectral, "symmetric_eigen",
+                            lambda matrix: dims.append(len(matrix)) or solve(matrix))
+        code, out, err = run(capsys, command, *self.ARGS[command], *extra)
+        assert code == EXIT_USAGE
+        assert out == "" and message in err
+        assert dims == []
+
+    @pytest.mark.parametrize("command", ["spectrum", "corona-build"])
+    def test_tolerance_env_default_is_checked_like_the_flag(self, capsys, monkeypatch,
+                                                            command):
+        monkeypatch.setenv("CORONAWALK_GROUP_TOL", "0.5")
+        code, out, err = run(capsys, command, *self.ARGS[command])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "CORONAWALK_GROUP_TOL='0.5': 0.5 must lie in (0, 1e-2]" in err
 
 
 class TestEnvOverrides:

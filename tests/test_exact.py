@@ -10,7 +10,6 @@ from coronawalk.exact import (
     QuadInt,
     exact_rank,
     gcd_list,
-    p_adic_norm,
     p_adic_valuation,
     recognize_quad,
     square_free_part,
@@ -50,6 +49,8 @@ class TestSquareFreePart:
 
 
 class TestPAdicNorm:
+    """The p-adic norm |m|_p = p^(-v_p(m)), read through p_adic_valuation."""
+
     @pytest.mark.parametrize(
         "m,p,expected",
         [
@@ -60,13 +61,13 @@ class TestPAdicNorm:
         ],
     )
     def test_examples(self, m, p, expected):
-        assert p_adic_norm(m, p) == expected
+        assert Fraction(p) ** -p_adic_valuation(m, p) == expected
 
     def test_zero_and_composite_rejected(self):
         with pytest.raises(ValueError):
-            p_adic_norm(0, 2)
+            p_adic_valuation(0, 2)
         with pytest.raises(ValueError):
-            p_adic_norm(3, 6)
+            p_adic_valuation(3, 6)
 
     @given(
         st.integers(-200, 200).filter(bool),
@@ -76,8 +77,10 @@ class TestPAdicNorm:
         st.sampled_from([2, 3, 5, 7]),
     )
     def test_multiplicative(self, n1, d1, n2, d2, p):
+        # the norm is multiplicative exactly when the valuation is additive
         m1, m2 = Fraction(n1, d1), Fraction(n2, d2)
-        assert p_adic_norm(m1 * m2, p) == p_adic_norm(m1, p) * p_adic_norm(m2, p)
+        v1, v2 = p_adic_valuation(m1, p), p_adic_valuation(m2, p)
+        assert p_adic_valuation(m1 * m2, p) == v1 + v2
 
     def test_valuation_sign(self):
         assert p_adic_valuation(-12, 2) == 2
@@ -144,11 +147,8 @@ class TestQuadInt:
         with pytest.raises(ValueError):
             QuadInt(3, 0, 1)  # delta 1 forces a even
 
-    def test_conjugate_and_scale(self):
-        q = QuadInt(3, -1, 13)
-        assert q.conjugate() == QuadInt(3, 1, 13)
-        assert q.scale(2) == QuadInt(6, -2, 13)
-        assert QuadInt(0, 2, 2).scale(0) == QuadInt.from_int(0)
+    def test_conjugate(self):
+        assert QuadInt(3, -1, 13).conjugate() == QuadInt(3, 1, 13)
 
 
 def valid_quadint():
