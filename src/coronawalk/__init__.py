@@ -6,7 +6,6 @@ from .exact import (
     exact_rank,
     gcd_list,
     p_adic_valuation,
-    recognize_quad,
     square_free_part,
 )
 from .graphs import (

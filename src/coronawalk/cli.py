@@ -146,11 +146,10 @@ def _text_lines(value, prefix: str = "") -> list[str]:
 
 
 def render_report(report: dict, fmt: str) -> str:
+    """json, or text for any other --format: sweep renders its own csv."""
     if fmt == "json":
         return dumps_report(report)
-    if fmt == "text":
-        return "\n".join(_text_lines(_canon(report))) + "\n"
-    raise ValueError(f"format {fmt!r} is not supported for this report")
+    return "\n".join(_text_lines(_canon(report))) + "\n"
 
 
 def _render_csv(rows: list[tuple], header: tuple[str, ...]) -> str:
@@ -190,7 +189,7 @@ def _cmd_spectrum(args):
 
 def _cmd_corona_build(args):
     _require_corona(args.spec, "corona-build")
-    g = graphs.build_family(args.spec)
+    g = corona.SpecFactors().graph(args.spec)
     report = {
         "n": g.n,
         "edge_count": g.edge_count,

@@ -158,7 +158,7 @@ def corona_spectral_closed_form(
         pair = eigen_pair(lam, k, m)
         labels = [None, None]
         if c.exact is not None:
-            labels = lift_base_eigenvalue(c.exact, k, m)[0] or labels
+            labels = lift_base_eigenvalue(c.exact, k, m) or labels
         for value, label in zip((pair.lam_plus, pair.lam_minus), labels):
             x = np.r_[value - k, np.full(m, lam)]
             raw.append(EigenClass(value, _lift(x / np.linalg.norm(x), c.vectors), label))
@@ -234,7 +234,7 @@ def corona_support_base_vertex(
             out.append(lam)
             continue
         if isinstance(lam, QuadInt):
-            exact, _ = lift_base_eigenvalue(lam, k, m)
+            exact = lift_base_eigenvalue(lam, k, m)
             if exact is not None:
                 out.extend(exact)
                 continue
@@ -249,27 +249,23 @@ def corona_support_base_vertex(
     return deduped
 
 
-def lift_base_eigenvalue(
-    lam: QuadInt, k: int, m: int
-) -> tuple[list[QuadInt] | None, bool]:
-    """Exact pair lift of one base eigenvalue, if it stays quadratic.
+def lift_base_eigenvalue(lam: QuadInt, k: int, m: int) -> list[QuadInt] | None:
+    """Exact pair lift [lam_plus, lam_minus] of one base eigenvalue.
 
-    Returns (values, proven_nonquadratic).  values is the pair
-    [lam_plus, lam_minus], or None when the lift is not representable; the
-    flag is True only when the lifted pair provably leaves every quadratic
-    field (the gap sqrt((lam-k)^2 + 4m lam^2) is not an element of
-    Q(sqrt(delta))), which certifies the lifted vertex cannot be periodic.
+    None when the pair is not a pair of quadratic integers: the gap
+    sqrt((lam-k)^2 + 4m lam^2) leaves Q(sqrt(delta)), or the halved
+    coordinates are not integers.
     """
     if lam.is_rational_integer:
         z = lam.as_integer()
         disc = (z - k) ** 2 + 4 * m * z * z
         if disc == 0:  # z == k == 0: the pair coincides
-            return [QuadInt.from_int(0)] * 2, False
+            return [QuadInt.from_int(0)] * 2
         split = square_free_part(disc)
         return [
             QuadInt.make(z + k, split.s, split.c),
             QuadInt.make(z + k, -split.s, split.c),
-        ], False
+        ]
     a, b, delta = lam.a, lam.b, lam.delta
     # gap^2 = (lam - k)^2 + 4m lam^2 = (x + y*sqrt(delta)) / 4 exactly
     x = (a - 2 * k) ** 2 + b * b * delta + 4 * m * (a * a + b * b * delta)
@@ -281,9 +277,9 @@ def lift_base_eigenvalue(
             return _half_pair(a + 2 * k, b, s, 0, delta)
         if c == delta:  # gap s*sqrt(delta)/2 stays in the field
             return _half_pair(a + 2 * k, b, 0, s, delta)
-        return None, True  # gap brings in a second square root: degree four
+        return None  # gap brings in a second square root: degree four
     if y % 2:
-        return None, True
+        return None
     # gap = (p + q*sqrt(delta))/2 needs p*q = y/2 and p^2 + q^2*delta = x
     half = y // 2
     for p in divisors(half):
@@ -293,19 +289,19 @@ def lift_base_eigenvalue(
                 if p_signed + q * math.sqrt(delta) < 0:
                     p_signed, q = -p_signed, -q
                 return _half_pair(a + 2 * k, b, p_signed, q, delta)
-    return None, True  # gap^2 is not a square in the field: degree four
+    return None  # gap^2 is not a square in the field: degree four
 
 
 def _half_pair(
     num_a: int, num_b: int, gap_a: int, gap_b: int, delta: int
-) -> tuple[list[QuadInt] | None, bool]:
+) -> list[QuadInt] | None:
     """Values ((num_a +- gap_a) + (num_b +- gap_b) sqrt(delta)) / 4 as QuadInts."""
     if (num_a + gap_a) % 2 or (num_b + gap_b) % 2:
-        return None, False  # not half-integer coordinates; stay inexact
+        return None  # not half-integer coordinates; stay inexact
     return [
         QuadInt.make((num_a + gap_a) // 2, (num_b + gap_b) // 2, delta),
         QuadInt.make((num_a - gap_a) // 2, (num_b - gap_b) // 2, delta),
-    ], False
+    ]
 
 
 def _numeric_value(x) -> float:

@@ -201,41 +201,3 @@ class QuadInt:
         if self.is_rational_integer:
             return str(self.a // 2)
         return f"({self.a}{self.b:+}*sqrt({self.delta}))/2"
-
-
-def recognize_quad(
-    x: float, delta_candidates: Iterable[int], tol: float
-) -> QuadInt | None:
-    """Recognize x as (a + b*sqrt(delta))/2 over the candidate square-free deltas.
-
-    Searches |a|, |b| <= max(20, 4*ceil(|x|) + 8), smallest |b| first (then
-    positive before negative, then smaller delta), and returns the first
-    candidate within tol.  Returns None when nothing in the window fits;
-    callers that need certainty must verify the result exactly, e.g. with
-    exact_rank on the matrix annihilated by the recognized value.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    deltas = sorted({int(d) for d in delta_candidates})
-    for d in deltas:
-        if d < 1 or square_free_part(d).s != 1:
-            raise ValueError(f"candidate delta {d} is not positive square-free")
-    if not deltas:
-        return None
-    # Floor of 20 keeps small values with large coefficients (e.g. Pell-type
-    # near-cancellations) inside the window.
-    bound = max(20, 4 * math.ceil(abs(x)) + 8)
-    for mag in range(bound + 1):
-        bs = (0,) if mag == 0 else (mag, -mag)
-        for b in bs:
-            for d in deltas:
-                if d == 1 and b != 0:
-                    continue  # same values as b == 0 with shifted a
-                a = round(2.0 * x - b * math.sqrt(d))
-                if abs(a) > bound:
-                    continue
-                if d == 1 and a % 2 != 0:
-                    continue  # half-integers are not adjacency eigenvalues
-                if abs(x - (a + b * math.sqrt(d)) / 2.0) < tol:
-                    return QuadInt(a, b, d)
-    return None

@@ -191,12 +191,7 @@ class GraphSpec:
 
 
 def build_family(spec: GraphSpec) -> Graph:
-    """Materialize a GraphSpec; deterministic for identical specs."""
-    if spec.kind == "corona":
-        from .corona import corona_graph  # local import: corona builds on graphs
-
-        g, h = (build_family(f) for f in spec.factors)
-        return corona_graph(g, h)
+    """Materialize a family or file spec; coronas are built by SpecFactors.graph."""
     if spec.kind == "file":
         return read_edge_list(spec.path)
     if spec.kind not in FAMILY_KINDS:

@@ -4,18 +4,18 @@ Symmetric eigensolver (LAPACK eigh through numpy), eigenvalue classes held
 as orthonormal eigenvector blocks V (the projector V V^T is formed only on
 demand), walk transition matrices, vertex supports, strong cospectrality,
 and exact (integer / quadratic) labeling of eigenvalue classes, verified by
-big-integer rank.  Vertex queries read rows of V: E[u,v] = V[u].V[v] and
-||E e_u|| = ||V[u]||.
+big-integer rank.  A quadratic label is read off a conjugate pair of
+classes: a = theta + theta' and b^2 delta = (theta - theta')^2.  Vertex
+queries read rows of V: E[u,v] = V[u].V[v] and ||E e_u|| = ||V[u]||.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
-from .exact import QuadInt, exact_rank, recognize_quad, square_free_part
+from .exact import QuadInt, exact_rank, square_free_part
 from .graphs import Graph
 
 DEFAULT_GROUP_TOL = 1e-8
@@ -197,18 +197,25 @@ def strong_cospectral(
 # ---------------------------------------------------------------------------
 # exact labeling
 
-def attach_exact_labels(
-    d: SpectralDecomposition,
-    adjacency,
-    value_tol: float = 1e-9,
-) -> SpectralDecomposition:
+# a class value this close to an integer or to a pair's QuadInt is tried by rank
+_VALUE_TOL = 1e-9
+# a candidate conjugate pair's sum and squared gap lie this close to integers
+_PAIR_TOL = 1e-6
+
+
+def attach_exact_labels(d: SpectralDecomposition, adjacency) -> SpectralDecomposition:
     """Label classes with verified integer or quadratic-integer eigenvalues.
 
-    A candidate survives only if exact big-integer rank of the annihilating
-    matrix confirms it: A - rI singular with the class multiplicity for an
-    integer r, or A^2 - aA + cI singular with the combined multiplicity of
-    the conjugate pair for (a + b*sqrt(delta))/2.  Unverifiable classes keep
-    exact=None, which downgrades downstream certificates to inconclusive.
+    Integer rule, run first: a class near an integer r is labeled r when
+    A - rI has defect equal to the class multiplicity.  Pair rule: an
+    irrational eigenvalue theta of an integer matrix comes with its
+    conjugate theta' at equal multiplicity, and a = theta + theta',
+    b^2 delta = (theta - theta')^2 fix both labels (a +- b*sqrt(delta))/2.
+    An unlabeled class pairs with the first later unlabeled class whose sum
+    and squared gap are integers (the gap irrational); one exact rank checks
+    that A^2 - aA + ((a^2 - b^2 delta)/4) I has their combined multiplicity
+    as defect.  Unverifiable classes keep exact=None, which downgrades
+    downstream certificates to inconclusive.
     """
     a_float = np.asarray(adjacency)
     if not np.allclose(a_float, np.round(a_float), atol=1e-12):
@@ -217,22 +224,31 @@ def attach_exact_labels(
     a_int = np.array([[int(round(x)) for x in row] for row in a_float], dtype=object)
     n = d.n
     eye = np.identity(n, dtype=object)
-    values = [c.value for c in d.classes]
-    deltas = _delta_candidates(values)
-    a_sq = a_int @ a_int
-
-    labeled: list[EigenClass] = []
-    for i, c in enumerate(d.classes):
-        exact: QuadInt | None = None
+    classes = d.classes
+    labels: list[QuadInt | None] = [None] * len(classes)
+    for i, c in enumerate(classes):
         r = round(c.value)
-        if abs(c.value - r) < value_tol:
-            defect = n - exact_rank(a_int - r * eye)
-            if defect == c.multiplicity:
-                exact = QuadInt.from_int(r)
-        if exact is None and deltas:
-            exact = _verify_quadratic(c, i, d, a_int, a_sq, eye, deltas, value_tol)
-        labeled.append(replace(c, exact=exact))
-    return SpectralDecomposition(labeled, d.n)
+        if abs(c.value - r) < _VALUE_TOL:
+            if n - exact_rank(a_int - r * eye) == c.multiplicity:
+                labels[i] = QuadInt.from_int(r)
+
+    a_sq = a_int @ a_int
+    for i, c in enumerate(classes):
+        if labels[i] is not None:
+            continue
+        for j in range(i + 1, len(classes)):
+            q = _pair_label(c.value, classes[j].value) if labels[j] is None else None
+            if q is None:
+                continue
+            # minimal polynomial x^2 - a x + (a^2 - b^2 delta)/4 annihilates the pair
+            norm = (q.a * q.a - q.b * q.b * q.delta) // 4
+            defect = n - exact_rank(a_sq - q.a * a_int + norm * eye)
+            if defect == c.multiplicity + classes[j].multiplicity:
+                labels[i], labels[j] = q, q.conjugate()
+            break  # integer sum and squared gap leave only theta_j = a - theta_i
+    return SpectralDecomposition(
+        [replace(c, exact=q) for c, q in zip(classes, labels)], n
+    )
 
 
 def exact_decomposition(
@@ -243,41 +259,16 @@ def exact_decomposition(
     return attach_exact_labels(decompose(a, group_tol), a)
 
 
-def _verify_quadratic(c, index, d, a_int, a_sq, eye, deltas, value_tol) -> QuadInt | None:
-    q = recognize_quad(c.value, deltas, value_tol)
-    if q is None or q.delta == 1:
+def _pair_label(x: float, y: float) -> QuadInt | None:
+    """(a + s*sqrt(c))/2 for x > y with a = x + y and s^2 c = (x - y)^2, c > 1."""
+    a, sq = round(x + y), round((x - y) ** 2)
+    if abs(x + y - a) > _PAIR_TOL or abs((x - y) ** 2 - sq) > _PAIR_TOL or sq < 1:
         return None
-    norm4 = q.a * q.a - q.b * q.b * q.delta
-    if norm4 % 4 != 0:
+    split = square_free_part(sq)
+    if split.c == 1 or (a * a - sq) % 4:
         return None
-    # minimal polynomial x^2 - a x + (a^2 - b^2 delta)/4 annihilates the pair
-    defect = d.n - exact_rank(a_sq - q.a * a_int + (norm4 // 4) * eye)
-    conj_value = q.conjugate().value()
-    conj_mult = sum(
-        cc.multiplicity
-        for j, cc in enumerate(d.classes)
-        if j != index and abs(cc.value - conj_value) < 1e-7
-    )
-    if defect != c.multiplicity + conj_mult or conj_mult == 0:
-        return None
-    return q
-
-
-def _delta_candidates(values: Sequence[float]) -> set[int]:
-    """Square-free parts of (x - y)^2 for near-conjugate value pairs."""
-    out: set[int] = set()
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            s = values[i] + values[j]
-            if abs(s - round(s)) > 1e-6:
-                continue
-            sq = (values[i] - values[j]) ** 2
-            if abs(sq - round(sq)) > 1e-6 or round(sq) < 1:
-                continue
-            c = square_free_part(round(sq)).c
-            if c > 1:
-                out.add(c)
-    return out
+    q = QuadInt(a, split.s, split.c)
+    return q if abs(x - q.value()) < _VALUE_TOL else None
 
 
 def _check_vertex(d: SpectralDecomposition, u: int) -> None:

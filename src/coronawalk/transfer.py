@@ -382,9 +382,11 @@ def pgst_search(
                transfer at pi/2.
       cocktail times 8*ell*pi; needs the base graph to be a cocktail party
                graph on 2n vertices with odd n >= 3 and (u, v) antipodal.
-    All families need a regular copy factor of nonzero degree.  Records the
-    strictly-improving best-so-far trace and stops once fidelity reaches the
-    target.
+    All families need a regular copy factor of nonzero degree.  The t51 and
+    t52 gate certifies base transfer with pst_certify at DEFAULT_SUPPORT_TOL
+    and DEFAULT_COSPECTRAL_TOL; the pgst subcommand has no flag for either.
+    Records the strictly-improving best-so-far trace and stops once fidelity
+    reaches the target.
     """
     _check_base(spec, u)
     _check_base(spec, v)
@@ -394,26 +396,21 @@ def pgst_search(
     if ell_max < 0:
         raise ValueError("ell_max must be nonnegative")
     g_value: int | None = None
-    if family == "t51":
-        cert = pst_certify(g_decomp, u, v)
+    if family in ("t51", "t52"):
+        cert = pst_certify(g_decomp, u, v, DEFAULT_SUPPORT_TOL, DEFAULT_COSPECTRAL_TOL)
         if cert.verdict != "PST":
             raise ValueError(
-                f"t51 family needs base transfer between {u} and {v}: "
+                f"{family} family needs base transfer between {u} and {v}: "
                 f"{cert.failure_reason or cert.verdict}"
             )
+        g_value = cert.g
+    if family == "t51":
         if cert.delta != 1:
             raise ValueError("t51 family needs base transfer time pi/g with integer g")
         if any(q == QuadInt.from_int(0) for q in eigenvalue_support(g_decomp, u).exact):
             raise ValueError("t51 family needs 0 outside the support of u")
-        g_value = cert.g
         times = lambda ells: (4.0 * ells + 2.0 / g_value) * math.pi
     elif family == "t52":
-        cert = pst_certify(g_decomp, u, v)
-        if cert.verdict != "PST":
-            raise ValueError(
-                f"t52 family needs base transfer between {u} and {v}: "
-                f"{cert.failure_reason or cert.verdict}"
-            )
         if cert.delta != 1 or cert.g != 2:
             raise ValueError("t52 family needs base transfer exactly at time pi/2")
         has_zero = any(
@@ -422,7 +419,6 @@ def pgst_search(
         )
         if not has_zero:
             raise ValueError("t52 family needs 0 in the base spectrum")
-        g_value = cert.g
         times = lambda ells: (4.0 * ells + 1.0) * math.pi
     elif family == "cocktail":
         antipode = cocktail_antipode_map(spec.g)

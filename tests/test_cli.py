@@ -14,8 +14,8 @@ from coronawalk.cli import (
     parse_graph_spec,
     run_command,
 )
-from coronawalk.corona import corona_graph
-from coronawalk.graphs import GraphSpec, build_family
+from coronawalk.corona import SpecFactors
+from coronawalk.graphs import GraphSpec
 
 
 def run(capsys, *argv):
@@ -36,7 +36,7 @@ class TestParseGraphSpec:
     def test_nested_corona(self):
         spec = parse_graph_spec("corona(corona(path:2,empty:2),cycle:3)")
         assert spec.factors[0].kind == "corona"
-        assert build_family(spec).n == (2 * 3) * 4
+        assert SpecFactors().graph(spec).n == (2 * 3) * 4
 
     def test_whitespace_insensitive(self):
         assert parse_graph_spec(" corona( path:2 ,\tcycle:3 ) ") == parse_graph_spec(
@@ -152,8 +152,9 @@ class TestFactorRouting:
     )
     def test_classes_equal_assembled_exact_decomposition(self, capsys, text):
         spec = parse_graph_spec(text)
-        g, h = (build_family(f) for f in spec.factors)
-        oracle = spectral.exact_decomposition(corona_graph(g, h))
+        factors = SpecFactors()
+        g = factors.graph(spec.factors[0])
+        oracle = spectral.exact_decomposition(factors.graph(spec))
 
         def check(records, classes):
             assert len(records) == len(classes)

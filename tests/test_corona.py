@@ -21,7 +21,6 @@ from coronawalk.corona import (
 )
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
-    build_family,
     cocktail_party_graph,
     complete_graph,
     cycle_graph,
@@ -315,7 +314,7 @@ class TestBlockFormat:
     )
     def test_blocks_are_orthonormal_and_rows_give_eigh_projector(self, text, path):
         spec = parse_graph_spec(text)
-        a = build_family(spec).adjacency().astype(float)
+        a = SpecFactors().graph(spec).adjacency().astype(float)
         d = SpecFactors().decomposition(spec) if path == "closed-form" else decompose(a)
         values, vecs = np.linalg.eigh(a)
         assert sum(c.multiplicity for c in d.classes) == d.n == len(values)

@@ -11,7 +11,6 @@ from coronawalk.exact import (
     exact_rank,
     gcd_list,
     p_adic_valuation,
-    recognize_quad,
     square_free_part,
 )
 
@@ -150,46 +149,3 @@ class TestQuadInt:
     def test_conjugate(self):
         assert QuadInt(3, -1, 13).conjugate() == QuadInt(3, 1, 13)
 
-
-def valid_quadint():
-    def build(draw_tuple):
-        a, b, delta = draw_tuple
-        if delta == 1:
-            return QuadInt(2 * a, 0, 1)
-        return QuadInt(a, b, delta)
-
-    return st.tuples(
-        st.integers(-20, 20), st.integers(-20, 20), st.sampled_from([1, 2, 3, 5, 13])
-    ).map(build)
-
-
-class TestRecognizeQuad:
-    @pytest.mark.parametrize(
-        "x,deltas,expected",
-        [
-            (math.sqrt(2), {2}, QuadInt(0, 2, 2)),
-            (3.0, {1}, QuadInt(6, 0, 1)),
-            ((3 - math.sqrt(13)) / 2, {13}, QuadInt(3, -1, 13)),
-        ],
-    )
-    def test_examples(self, x, deltas, expected):
-        assert recognize_quad(x, deltas, 1e-9) == expected
-
-    @given(valid_quadint())
-    def test_roundtrip(self, q):
-        assert recognize_quad(q.value(), {q.delta}, 1e-9) == q
-
-    def test_near_cancellation_inside_window(self):
-        # 10 - 7*sqrt(2) is ~0.1, so the |x|-driven bound alone would be far
-        # too small; the floor of 20 keeps its coefficients in the window
-        q = QuadInt(20, -14, 2)
-        assert recognize_quad(q.value(), {2}, 1e-9) == q
-
-    def test_absent_is_none(self):
-        assert recognize_quad(math.pi, {2, 3}, 1e-9) is None
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            recognize_quad(1.0, {2}, 0.0)
-        with pytest.raises(ValueError):
-            recognize_quad(1.0, {12}, 1e-9)

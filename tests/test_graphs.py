@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from coronawalk.corona import SpecFactors
 from coronawalk.graphs import (
     UNREACHABLE,
     Graph,
@@ -92,7 +93,7 @@ class TestRegularityConnectivity:
     def test_is_connected(self):
         assert path_graph(4).is_connected()
         assert not empty_graph(2).is_connected()
-        corona = build_family(
+        corona = SpecFactors().graph(
             GraphSpec(
                 "corona",
                 factors=(GraphSpec("path", 2), GraphSpec("cycle", 3)),

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coronawalk import spectral
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
     cocktail_party_graph,
@@ -28,6 +31,14 @@ from coronawalk.spectral import (
 def random_graph(rng, n):
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     return make_graph(n, edges)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(n, [p for p, k in zip(pairs, keep) if k])
 
 
 class TestSymmetricEigen:
@@ -240,6 +251,32 @@ class TestExactLabels:
         # the six-path spectrum 2cos(k pi / 7) is degree three over Q
         d = exact_decomposition(path_graph(6))
         assert all(c.exact is None for c in d.classes)
+
+    @pytest.mark.parametrize("g,calls", [(path_graph(4), 2), (cycle_graph(5), 2)],
+                             ids=["path4", "cycle5"])
+    def test_one_rank_per_integer_class_and_per_conjugate_pair(self, monkeypatch, g, calls):
+        # path:4 is two conjugate pairs; cycle:5 is the integer 2 and one pair
+        recorded = []
+        rank = spectral.exact_rank
+        monkeypatch.setattr(spectral, "exact_rank", lambda m: recorded.append(len(m)) or rank(m))
+        d = exact_decomposition(g)
+        assert all(c.exact is not None for c in d.classes)
+        assert recorded == [g.n] * calls
+
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_labels_come_in_conjugate_pairs(self, g):
+        d = exact_decomposition(g)
+        for c in d.classes:
+            if c.exact is None:
+                continue
+            assert abs(c.exact.value() - c.value) < 1e-9
+            if c.exact.is_rational_integer:
+                continue
+            partners = [o for o in d.classes if o.exact == c.exact.conjugate()]
+            assert len(partners) == 1
+            assert partners[0] is not c
+            assert partners[0].multiplicity == c.multiplicity
 
     def test_non_integer_matrix_rejected(self):
         with pytest.raises(ValueError):
