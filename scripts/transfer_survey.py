@@ -6,8 +6,6 @@ when the copy factor is connected, the maximum base-base fidelity seen on a
 dense time grid (always strictly below 1).
 """
 
-import numpy as np
-
 from coronawalk import (
     CoronaSpec,
     corona_base_periodicity,
@@ -29,7 +27,6 @@ COPIES = [
 
 
 def main() -> None:
-    ts = np.linspace(0.0, 50.0, 5000)
     print(f"{'corona':12} {'(v,0) periodic?':34} {'max base-base fidelity':>24}")
     for gname, g in BASES:
         gd = exact_decomposition(g)
@@ -43,7 +40,7 @@ def main() -> None:
                 note += f" (period {verdict.witness_period:.6f})"
             scan_txt = "n/a (copies disconnected)"
             if h.is_connected():
-                scan = corona_no_pst_check(spec, gd, ("base-base", 0, g.n - 1), ts)
+                scan = corona_no_pst_check(spec, gd, ("base-base", 0, g.n - 1), 50.0, 5000)
                 scan_txt = f"{scan.max_fidelity:.9f}"
             print(f"{gname}*{hname:7} {note:40} {scan_txt:>18}")
 

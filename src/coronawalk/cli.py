@@ -3,10 +3,11 @@
 Each subcommand declares only the options its handler reads.  Every one
 takes --format json|text and --output; csv is a format of sweep alone.
 --group-tol is on every subcommand but corona-build, --support-tol on
-support, periodic and pst, --cospectral-tol on cospectral and pst.  A
-CORONAWALK_* variable (GROUP_TOL, SUPPORT_TOL, COSPECTRAL_TOL, LMAX, TARGET)
-sets the default of its flag and is checked by the flag's own type; all are
-read whenever a command runs, so a bad value fails every subcommand.
+support, periodic, pst and pgst, --cospectral-tol on cospectral, pst and
+pgst.  A CORONAWALK_* variable (GROUP_TOL, SUPPORT_TOL, COSPECTRAL_TOL,
+LMAX, TARGET) sets the default of its flag and is checked by the flag's own
+type; all are read whenever a command runs, so a bad value fails every
+subcommand.
 
 Reports are byte-deterministic for a fixed command line: floats are rounded
 to 15 significant digits before serialization and JSON keys are sorted, so
@@ -292,12 +293,11 @@ def _cmd_pst(args):
 def _cmd_no_pst_scan(args):
     _require_corona(args.spec)
     cspec, g_decomp = corona.SpecFactors(args.group_tol).corona_context(args.spec)
-    ts = np.linspace(0.0, args.t_max, args.points)
     if args.pair == "base-base":
         pair = ("base-base", args.v, args.vp)
     else:
         pair = ("base-copy", args.vp, args.v, args.w)
-    scan = transfer.corona_no_pst_check(cspec, g_decomp, pair, ts)
+    scan = transfer.corona_no_pst_check(cspec, g_decomp, pair, args.t_max, args.points)
     return {
         "pair": args.pair,
         "vertices": list(scan.vertices),
@@ -314,7 +314,9 @@ def _cmd_pgst(args):
     _require_corona(args.spec)
     cspec, g_decomp = corona.SpecFactors(args.group_tol).corona_context(args.spec)
     result = transfer.pgst_search(cspec, g_decomp, args.u, args.v, args.family,
-                                  ell_max=args.lmax, target=args.target)
+                                  ell_max=args.lmax, target=args.target,
+                                  support_tol=args.support_tol,
+                                  cospectral_tol=args.cospectral_tol)
     trace = [{"ell": e, "fidelity": f} for e, f in _printed_trace(result.trace)]
     return {**_record(result), "trace": trace}, None
 
@@ -449,7 +451,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--w", type=int, default=0)
     p.add_argument("--t-max", type=_positive_finite, default=50.0)
     p.add_argument("--points", type=_grid_size, default=10000)
-    p = add("pgst", needs_uv=("u", "v"))
+    p = add("pgst", ("group", "support", "cospectral"), needs_uv=("u", "v"))
     p.add_argument("--family", choices=transfer.PGST_FAMILIES, required=True)
     p.add_argument("--lmax", type=_positive_int, default=ell_max)
     p.add_argument("--target", type=_unit_fraction, default=target)

@@ -12,7 +12,11 @@ functions below build those classes as eigenvector blocks, each a Kronecker
 product of a small factor column with a factor's block (x (x) V_lam for a
 lifted pair, (0 (+) W_mu) (x) I_n for a copy class), and evaluate walk
 amplitudes on base/copy vertices directly from the base factor's spectral
-data, without assembling the large matrix.
+data, without assembling the large matrix.  Such an amplitude is an
+exponential sum sum_j c_j exp(-i t theta_j) with real coefficients c_j over
+the lifted values theta_j = lam_pm (`corona_terms`); on a uniform time grid
+it is evaluated in phase-factored batches (`exp_sum_grid`), in memory that
+does not grow with the number of grid points.
 """
 
 from __future__ import annotations
@@ -317,63 +321,86 @@ def _same_value(a, b, tol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 # closed-form walk amplitudes
 
+# time points per batch of a uniform-grid evaluation
+GRID_BLOCK = 8192
+
+
+def corona_terms(
+    spec: CoronaSpec, g_decomp: SpectralDecomposition, vp: int, v: int,
+    w: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real exponential sum (freqs, coefs) of a corona walk amplitude.
+
+    The amplitude is sum_j coefs[j] * exp(-i t freqs[j]) over the lifted
+    values lam_pm of each base class, with E = E_lam[v,v'].  With w None it
+    is <(v,0)| U(t) |(v',0)>: E (1 -+ r)/2 at lam_-+ for r = (lam-k)/Lambda,
+    or E at (lam+k)/2 when Lambda = 0 (lam = k = 0).  Otherwise it is
+    <(v',0)| U(t) |(v,w)>: -+E lam/Lambda at lam_-+, nothing at Lambda = 0,
+    and the same for every copy vertex w.
+    """
+    k = spec.require_regular()
+    _check_base(spec, v)
+    _check_base(spec, vp)
+    if w is not None and not 0 <= w < spec.m:
+        raise ValueError(f"copy vertex {w} out of range")
+    freqs: list[float] = []
+    coefs: list[float] = []
+    for c in g_decomp.classes:
+        entry = c.entry(v, vp)
+        pair = eigen_pair(c.value, k, spec.m)
+        big = pair.big_lambda
+        if big == 0.0:
+            if w is None:
+                freqs.append((pair.lam + k) / 2.0)
+                coefs.append(entry)
+            continue
+        if w is None:
+            r = (pair.lam - k) / big
+            minus, plus = entry * (1.0 - r) / 2.0, entry * (1.0 + r) / 2.0
+        else:
+            plus = entry * pair.lam / big
+            minus = -plus
+        freqs += [pair.lam_minus, pair.lam_plus]
+        coefs += [minus, plus]
+    return np.array(freqs, dtype=float), np.array(coefs, dtype=float)
+
+
+def exp_sum(freqs: np.ndarray, coefs: np.ndarray, t):
+    """sum_j coefs[j] * exp(-i t freqs[j]) at each time of t (scalar or array)."""
+    ts = np.asarray(t, dtype=float)
+    total = np.exp(-1j * np.multiply.outer(ts, freqs)) @ coefs
+    return total if ts.shape else complex(total)
+
+
+def exp_sum_grid(
+    freqs: np.ndarray, coefs: np.ndarray, t0: float, dt: float, count: int,
+    block: int = GRID_BLOCK,
+):
+    """Yield exp_sum at t0 + j*dt, j = 0..count-1, in batches of `block` times.
+
+    With j = s*block + r the sum factors as
+    (coefs * exp(-i freqs (t0 + s*block*dt))) @ W, W[:, r] = exp(-i freqs r dt),
+    so the phase table W is made once and each batch is one vector-matrix
+    product; memory stays O(len(freqs) * block) whatever the count.
+    """
+    table = np.exp(-1j * np.multiply.outer(freqs, np.arange(min(block, count)) * dt))
+    for start in range(0, count, block):
+        weights = coefs * np.exp(-1j * freqs * (t0 + start * dt))
+        yield weights @ table[:, : min(block, count - start)]
+
+
 def corona_entry_base_base(
     spec: CoronaSpec, g_decomp: SpectralDecomposition, v: int, vp: int, t
 ):
-    """Amplitude <(v,0)| U(t) |(v',0)> in the corona, vectorized over t.
-
-    Sum over base eigenvalue classes of
-        exp(-it(lam+k)/2) * E_lam[v,v'] * (cos(t Lambda/2)
-            - i ((lam-k)/Lambda) sin(t Lambda/2)),
-    where the bracket degenerates to 1 at Lambda = 0 (lam = k = 0).
-    """
-    k = spec.require_regular()
-    m = spec.m
-    _check_base(spec, v)
-    _check_base(spec, vp)
-    ts = np.asarray(t, dtype=float)
-    total = np.zeros(ts.shape, dtype=complex)
-    for c in g_decomp.classes:
-        lam = c.value
-        entry = c.entry(v, vp)
-        big = eigen_pair(lam, k, m).big_lambda
-        phase = np.exp(-1j * ts * (lam + k) / 2.0)
-        if big == 0.0:
-            factor = np.ones(ts.shape, dtype=complex)
-        else:
-            half = ts * big / 2.0
-            factor = np.cos(half) - 1j * ((lam - k) / big) * np.sin(half)
-        total = total + phase * entry * factor
-    return total if ts.shape else complex(total)
+    """Amplitude <(v,0)| U(t) |(v',0)> in the corona, vectorized over t."""
+    return exp_sum(*corona_terms(spec, g_decomp, vp, v), t)
 
 
 def corona_entry_base_copy(
     spec: CoronaSpec, g_decomp: SpectralDecomposition, vp: int, v: int, w: int, t
 ):
-    """Amplitude <(v',0)| U(t) |(v,w)> in the corona, vectorized over t.
-
-    Sum over base classes of exp(-it(lam+k)/2) * E_lam[v,v'] *
-    (-2 lam / Lambda) i sin(t Lambda/2); independent of which copy vertex w
-    is addressed, and zero contribution from lam = 0.
-    """
-    k = spec.require_regular()
-    m = spec.m
-    _check_base(spec, v)
-    _check_base(spec, vp)
-    if not 0 <= w < spec.m:
-        raise ValueError(f"copy vertex {w} out of range")
-    ts = np.asarray(t, dtype=float)
-    total = np.zeros(ts.shape, dtype=complex)
-    for c in g_decomp.classes:
-        lam = c.value
-        big = eigen_pair(lam, k, m).big_lambda
-        if big == 0.0:
-            continue
-        entry = c.entry(v, vp)
-        phase = np.exp(-1j * ts * (lam + k) / 2.0)
-        factor = (-2.0 * lam / big) * 1j * np.sin(ts * big / 2.0)
-        total = total + phase * entry * factor
-    return total if ts.shape else complex(total)
+    """Amplitude <(v',0)| U(t) |(v,w)> in the corona, vectorized over t."""
+    return exp_sum(*corona_terms(spec, g_decomp, vp, v, w), t)
 
 
 def _check_base(spec: CoronaSpec, v: int) -> None:

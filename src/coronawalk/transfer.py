@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corona import CoronaSpec, _check_base, corona_entry_base_base, \
-    corona_entry_base_copy, corona_support_base_vertex
+from .corona import CoronaSpec, _check_base, corona_support_base_vertex, \
+    corona_terms, exp_sum_grid
 from .exact import QuadInt, gcd_list, p_adic_valuation
 from .graphs import cocktail_antipode_map
 from .spectral import (
@@ -30,9 +30,6 @@ from .spectral import (
 DEFAULT_ELL_MAX = 100_000
 DEFAULT_TARGET = 0.99
 _ALPHA_MAX = 64
-# ell values per vectorized step of a pgst sweep: a search that reaches its
-# target early evaluates at most one chunk past the hit, not all of ell_max
-_PGST_CHUNK = 8192
 
 PGST_FAMILIES = ("t51", "t52", "cocktail")
 
@@ -309,40 +306,51 @@ def corona_no_pst_check(
     spec: CoronaSpec,
     g_decomp: SpectralDecomposition,
     pair: tuple,
-    t_grid,
+    t_max: float,
+    points: int,
 ) -> NoTransferScan:
-    """Scan closed-form corona fidelities over a time grid.
+    """Scan closed-form corona fidelities over np.linspace(0, t_max, points).
 
     pair is ("base-base", v, v') with v != v', or ("base-copy", v', v, w).
-    Reports the grid maximum, whether every sample stays below 1, and the
-    static bound sum_lam |E_lam[v,v']| (always <= 1) that caps the entry.
+    Reports the grid maximum and its first time (the linspace element, bit
+    for bit), whether every sample stays below 1, and the static bound
+    sum_lam |E_lam[v,v']| (always <= 1) that caps the entry.  The grid is
+    evaluated batch by batch and never held whole.
     """
-    ts = np.asarray(t_grid, dtype=float)
+    if points < 1:
+        raise ValueError("a scan needs at least one time point")
     kind = pair[0]
     if kind == "base-base":
         _, v, vp = pair
         if v == vp:
             raise ValueError("base-base scans need distinct vertices")
-        amps = corona_entry_base_base(spec, g_decomp, v, vp, ts)
+        freqs, coefs = corona_terms(spec, g_decomp, vp, v)
         vertices = (v, vp)
     elif kind == "base-copy":
         _, vp, v, w = pair
-        amps = corona_entry_base_copy(spec, g_decomp, vp, v, w, ts)
+        freqs, coefs = corona_terms(spec, g_decomp, vp, v, w)
         vertices = (vp, v, w)
     else:
         raise ValueError(f"unknown pair kind {kind!r}")
-    fids = np.abs(amps)
-    arg = int(np.argmax(fids))
-    v_idx, vp_idx = (pair[1], pair[2]) if kind == "base-base" else (pair[2], pair[1])
-    bound = float(sum(abs(c.entry(v_idx, vp_idx)) for c in g_decomp.classes))
+    step = t_max / (points - 1) if points > 1 else 0.0
+    best, arg, offset = -1.0, 0, 0
+    for amps in exp_sum_grid(freqs, coefs, 0.0, step, points):
+        fids = np.abs(amps)
+        i = int(np.argmax(fids))
+        if fids[i] > best:
+            best, arg = float(fids[i]), offset + i
+        offset += fids.size
+    # np.linspace puts t_max itself at the last point and i * step elsewhere
+    argmax_time = float(t_max) if points > 1 and arg == points - 1 else arg * step
+    bound = float(sum(abs(c.entry(v, vp)) for c in g_decomp.classes))
     return NoTransferScan(
         pair_kind=kind,
         vertices=vertices,
-        samples=int(ts.size),
-        max_fidelity=float(fids[arg]),
-        argmax_time=float(ts[arg]),
+        samples=points,
+        max_fidelity=best,
+        argmax_time=argmax_time,
         static_bound=bound,
-        all_below_one=bool(fids.max() < 1.0),
+        all_below_one=best < 1.0,
     )
 
 
@@ -372,6 +380,8 @@ def pgst_search(
     family: str,
     ell_max: int = DEFAULT_ELL_MAX,
     target: float = DEFAULT_TARGET,
+    support_tol: float = DEFAULT_SUPPORT_TOL,
+    cospectral_tol: float = DEFAULT_COSPECTRAL_TOL,
 ) -> PGSTSearchResult:
     """Sweep a structured time family for high corona base-to-base fidelity.
 
@@ -383,10 +393,11 @@ def pgst_search(
       cocktail times 8*ell*pi; needs the base graph to be a cocktail party
                graph on 2n vertices with odd n >= 3 and (u, v) antipodal.
     All families need a regular copy factor of nonzero degree.  The t51 and
-    t52 gate certifies base transfer with pst_certify at DEFAULT_SUPPORT_TOL
-    and DEFAULT_COSPECTRAL_TOL; the pgst subcommand has no flag for either.
+    t52 gate certifies base transfer with pst_certify at support_tol and
+    cospectral_tol, and t51 reads the support of u at support_tol.
     Records the strictly-improving best-so-far trace and stops once fidelity
-    reaches the target.
+    reaches the target; the family is evaluated one grid batch of ell values
+    at a time, so an early stop evaluates at most one batch past the hit.
     """
     _check_base(spec, u)
     _check_base(spec, v)
@@ -397,19 +408,21 @@ def pgst_search(
         raise ValueError("ell_max must be nonnegative")
     g_value: int | None = None
     if family in ("t51", "t52"):
-        cert = pst_certify(g_decomp, u, v, DEFAULT_SUPPORT_TOL, DEFAULT_COSPECTRAL_TOL)
+        cert = pst_certify(g_decomp, u, v, support_tol, cospectral_tol)
         if cert.verdict != "PST":
             raise ValueError(
                 f"{family} family needs base transfer between {u} and {v}: "
                 f"{cert.failure_reason or cert.verdict}"
             )
         g_value = cert.g
+    # family times (slope * ell + offset) * pi
     if family == "t51":
         if cert.delta != 1:
             raise ValueError("t51 family needs base transfer time pi/g with integer g")
-        if any(q == QuadInt.from_int(0) for q in eigenvalue_support(g_decomp, u).exact):
+        support = eigenvalue_support(g_decomp, u, support_tol).exact
+        if any(q == QuadInt.from_int(0) for q in support):
             raise ValueError("t51 family needs 0 outside the support of u")
-        times = lambda ells: (4.0 * ells + 2.0 / g_value) * math.pi
+        slope, offset = 4.0, 2.0 / g_value
     elif family == "t52":
         if cert.delta != 1 or cert.g != 2:
             raise ValueError("t52 family needs base transfer exactly at time pi/2")
@@ -419,7 +432,7 @@ def pgst_search(
         )
         if not has_zero:
             raise ValueError("t52 family needs 0 in the base spectrum")
-        times = lambda ells: (4.0 * ells + 1.0) * math.pi
+        slope, offset = 4.0, 1.0
     elif family == "cocktail":
         antipode = cocktail_antipode_map(spec.g)
         if antipode is None or (spec.g.n // 2) % 2 == 0 or spec.g.n < 6:
@@ -429,15 +442,19 @@ def pgst_search(
             )
         if antipode[u] != v:
             raise ValueError(f"vertices {u} and {v} are not antipodal")
-        times = lambda ells: 8.0 * ells * math.pi
+        slope, offset = 8.0, 0.0
     else:
         raise ValueError(f"unknown pgst family {family!r}; use one of {PGST_FAMILIES}")
 
+    freqs, coefs = corona_terms(spec, g_decomp, v, u)
+    batches = exp_sum_grid(freqs, coefs, offset * math.pi, slope * math.pi, ell_max + 1)
     trace: list[tuple[int, float]] = []
     best = -1.0
-    for start in range(0, ell_max + 1, _PGST_CHUNK):
-        ells = np.arange(start, min(start + _PGST_CHUNK, ell_max + 1))
-        fids = np.abs(corona_entry_base_base(spec, g_decomp, u, v, times(ells)))
+    start = 0
+    for amps in batches:
+        fids = np.abs(amps)
+        ells = np.arange(start, start + fids.size)
+        start += fids.size
         hits = np.flatnonzero(fids >= target)
         if hits.size:
             ells, fids = ells[: hits[0] + 1], fids[: hits[0] + 1]
@@ -456,7 +473,7 @@ def pgst_search(
         target=target,
         ell_max=ell_max,
         best_ell=best_ell,
-        best_time=float(times(np.asarray(float(best_ell)))),
+        best_time=(slope * best_ell + offset) * math.pi,
         best_fidelity=best,
         target_reached=best >= target,
         trace=tuple(trace),

@@ -176,17 +176,16 @@ def test_criterion_4_no_transfer_scan():
         h = cycle_graph(3)
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
-        ts = np.linspace(0.0, 50.0, 10000)
         for v in range(g.n):
             for vp in range(v + 1, g.n):
-                scan = corona_no_pst_check(spec, gd, ("base-base", v, vp), ts)
+                scan = corona_no_pst_check(spec, gd, ("base-base", v, vp), 50.0, 10000)
                 worst = max(worst, scan.max_fidelity)
                 assert scan.max_fidelity < 1 - 1e-6
         for vp in range(g.n):
             for v in range(g.n):
                 for w in range(h.n):
                     scan = corona_no_pst_check(
-                        spec, gd, ("base-copy", vp, v, w), ts
+                        spec, gd, ("base-copy", vp, v, w), 50.0, 10000
                     )
                     worst = max(worst, scan.max_fidelity)
                     assert scan.max_fidelity < 1 - 1e-6

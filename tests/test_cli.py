@@ -500,7 +500,6 @@ class TestOptionSurface:
         ("support", "--cospectral-tol"), ("cospectral", "--support-tol"),
         ("periodic", "--cospectral-tol"),
         ("no-pst-scan", "--support-tol"), ("no-pst-scan", "--cospectral-tol"),
-        ("pgst", "--support-tol"), ("pgst", "--cospectral-tol"),
     ]
 
     @pytest.mark.parametrize(
@@ -558,3 +557,24 @@ class TestEnvOverrides:
         monkeypatch.setenv("CORONAWALK_LMAX", "many")
         code, _, _ = run(capsys, "spectrum", "path:2")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("source", ["default", "flag", "env"])
+    def test_pgst_tolerances_reach_the_base_gate(self, capsys, monkeypatch, source):
+        seen = []
+        certify = transfer.pst_certify
+        monkeypatch.setattr(transfer, "pst_certify", lambda d, u, v, s, c:
+                            seen.append((s, c)) or certify(d, u, v, s, c))
+        extra = ()
+        expected = (spectral.DEFAULT_SUPPORT_TOL, spectral.DEFAULT_COSPECTRAL_TOL)
+        if source == "flag":
+            extra = ("--support-tol", "1e-6", "--cospectral-tol", "1e-5")
+            expected = (1e-6, 1e-5)
+        elif source == "env":
+            monkeypatch.setenv("CORONAWALK_SUPPORT_TOL", "1e-6")
+            monkeypatch.setenv("CORONAWALK_COSPECTRAL_TOL", "1e-5")
+            expected = (1e-6, 1e-5)
+        code, out, _ = run(capsys, "pgst", "corona(path:2,cycle:3)", "--u", "0",
+                           "--v", "1", "--family", "t51", "--lmax", "100", *extra)
+        assert code == EXIT_OK
+        assert seen == [expected]
+        assert json.loads(out)["best_ell"] == 53

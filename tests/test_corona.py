@@ -17,7 +17,10 @@ from coronawalk.corona import (
     corona_graph,
     corona_spectral_closed_form,
     corona_support_base_vertex,
+    corona_terms,
     eigen_pair,
+    exp_sum,
+    exp_sum_grid,
 )
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
@@ -407,6 +410,71 @@ class TestEntries:
         gd = exact_decomposition(g)
         val = corona_entry_base_base(spec, gd, 0, 0, 2 * math.pi)
         assert abs(val) == pytest.approx(1.0, abs=1e-12)
+
+
+GRID_BASES = [path_graph(2), path_graph(3), star_graph(4), cycle_graph(4),
+              cocktail_party_graph(3), complete_graph(1)]
+# connected and regular: k = 0 (the single vertex, where base eigenvalue 0
+# hits Lambda = 0), 1, 2 and 3
+GRID_COPIES = [empty_graph(1), complete_graph(2), cycle_graph(3), cycle_graph(5),
+               complete_graph(4)]
+
+
+@st.composite
+def corona_pairs(draw):
+    """A corona of a small base (family or random) and a connected regular
+    copy factor, its base decomposition and one base-base or base-copy pair."""
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(GRID_BASES))
+    else:
+        n = draw(st.integers(1, 6))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        g = make_graph(n, [p for p, k in zip(pairs, keep) if k])
+    h = draw(st.sampled_from(GRID_COPIES))
+    v = draw(st.integers(0, g.n - 1))
+    vp = draw(st.integers(0, g.n - 1))
+    w = draw(st.one_of(st.none(), st.integers(0, h.n - 1)))
+    return g, h, v, vp, w
+
+
+class TestExponentialSum:
+    @given(
+        corona_pairs(),
+        # block sizes B with counts 1, B - 1, B, B + 1 and several blocks
+        st.sampled_from([1, 2, 5, 64]).flatmap(lambda b: st.tuples(
+            st.just(b), st.sampled_from([1, max(1, b - 1), b, b + 1, 3 * b + 2]))),
+        st.floats(-40.0, 40.0),
+        st.floats(0.0, 4.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_grid_kernel_matches_explicit_times(self, case, sizes, t0, dt):
+        g, h, v, vp, w = case
+        block, count = sizes
+        spec = CoronaSpec.from_graphs(g, h)
+        freqs, coefs = corona_terms(spec, exact_decomposition(g), vp, v, w)
+        batches = list(exp_sum_grid(freqs, coefs, t0, dt, count, block))
+        assert [b.size for b in batches[:-1]] == [block] * (len(batches) - 1)
+        assert 1 <= batches[-1].size <= block
+        grid = np.concatenate(batches)
+        ts = t0 + np.arange(count) * dt
+        explicit = exp_sum(freqs, coefs, ts)
+        t_end = float(np.max(np.abs(ts)))
+        top = float(np.max(np.abs(freqs), initial=0.0))
+        assert grid.shape == (count,)
+        assert np.max(np.abs(grid - explicit)) <= 1e-12 * (1.0 + top * t_end)
+
+    @given(corona_pairs(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_terms_match_assembled_oracle(self, case, times):
+        g, h, v, vp, w = case
+        spec = CoronaSpec.from_graphs(g, h)
+        terms = corona_terms(spec, exact_decomposition(g), vp, v, w)
+        oracle = decompose(corona_graph(g, h).adjacency())
+        target = v if w is None else copy_index(g.n, v, w)
+        ts = np.array(times)
+        diff = exp_sum(*terms, ts) - entry_amplitudes(oracle, vp, target, ts)
+        assert np.max(np.abs(diff)) < 1e-9
 
 
 class TestSupportLift:

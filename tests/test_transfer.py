@@ -1,10 +1,16 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from coronawalk.corona import CoronaSpec, copy_index, corona_graph
+from coronawalk.corona import (
+    CoronaSpec,
+    copy_index,
+    corona_entry_base_copy,
+    corona_graph,
+)
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
     cocktail_party_graph,
@@ -248,8 +254,7 @@ class TestNoTransferScan:
         g, h = path_graph(2), cycle_graph(3)
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
-        ts = np.linspace(0.0, 50.0, 1000)
-        scan = corona_no_pst_check(spec, gd, ("base-base", 0, 1), ts)
+        scan = corona_no_pst_check(spec, gd, ("base-base", 0, 1), 50.0, 1000)
         assert scan.all_below_one
         assert scan.max_fidelity < 1 - 1e-6
         assert scan.static_bound <= 1 + 1e-9
@@ -258,15 +263,14 @@ class TestNoTransferScan:
         g, h = path_graph(2), cycle_graph(3)
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
-        scan = corona_no_pst_check(spec, gd, ("base-copy", 0, 1, 0), np.array([0.0]))
+        scan = corona_no_pst_check(spec, gd, ("base-copy", 0, 1, 0), 0.0, 1)
         assert scan.max_fidelity == pytest.approx(0.0, abs=1e-12)
 
     def test_p3_base_base_scan(self):
         g, h = path_graph(3), cycle_graph(3)
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
-        ts = np.linspace(0.0, 50.0, 1000)
-        scan = corona_no_pst_check(spec, gd, ("base-base", 0, 2), ts)
+        scan = corona_no_pst_check(spec, gd, ("base-base", 0, 2), 50.0, 1000)
         assert scan.all_below_one
 
     def test_identical_base_vertices_rejected(self):
@@ -274,7 +278,70 @@ class TestNoTransferScan:
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
         with pytest.raises(ValueError):
-            corona_no_pst_check(spec, gd, ("base-base", 1, 1), np.array([1.0]))
+            corona_no_pst_check(spec, gd, ("base-base", 1, 1), 1.0, 1)
+
+
+    def test_scan_reports_the_linspace_argmax(self):
+        g, h = path_graph(3), cycle_graph(3)
+        spec = CoronaSpec.from_graphs(g, h)
+        gd = exact_decomposition(g)
+        t_max, points = 37.3, 50_001
+        scan = corona_no_pst_check(spec, gd, ("base-copy", 0, 2, 1), t_max, points)
+        ts = np.linspace(0.0, t_max, points)
+        fids = np.abs(corona_entry_base_copy(spec, gd, 0, 2, 1, ts))
+        i = int(np.argmax(fids))
+        assert scan.samples == points
+        assert scan.argmax_time == float(ts[i])
+        assert scan.max_fidelity == pytest.approx(float(fids[i]), abs=1e-12)
+
+    def test_scan_argmax_at_the_last_point_is_t_max(self):
+        # the base-copy amplitude starts at 0 and grows on a short grid
+        g, h = path_graph(2), cycle_graph(3)
+        spec = CoronaSpec.from_graphs(g, h)
+        gd = exact_decomposition(g)
+        t_max = 0.1 + 0.2  # not a multiple of its own step in floats
+        scan = corona_no_pst_check(spec, gd, ("base-copy", 0, 1, 0), t_max, 7)
+        assert scan.argmax_time == t_max == float(np.linspace(0.0, t_max, 7)[-1])
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestBoundedMemory:
+    # numpy reports its buffers to tracemalloc; a whole grid of 10^6 times
+    # is 8 MB of floats and 16 MB of complex amplitudes
+    BOUND = 16 * 2**20
+
+    def test_two_million_point_scan(self):
+        g = cocktail_party_graph(7)
+        spec = CoronaSpec.from_graphs(g, complete_graph(4))
+        gd = exact_decomposition(g)
+        t_max, points = 150.0, 2_000_000
+        scan, peak = _peak_bytes(lambda: corona_no_pst_check(
+            spec, gd, ("base-copy", 1, 0, 2), t_max, points))
+        assert peak < self.BOUND
+        assert scan.samples == points
+        ts = np.linspace(0.0, t_max, points)
+        i = int(np.searchsorted(ts, scan.argmax_time))
+        assert scan.argmax_time == float(ts[i])
+        assert scan.all_below_one
+
+    def test_capped_pgst_sweep_to_a_million(self):
+        g = cycle_graph(4)
+        spec = CoronaSpec.from_graphs(g, cycle_graph(3))
+        gd = exact_decomposition(g)
+        result, peak = _peak_bytes(lambda: pgst_search(
+            spec, gd, 0, 2, "t52", ell_max=10**6, target=0.99))
+        assert peak < self.BOUND
+        assert not result.target_reached and result.ell_max == 10**6
+        assert result.best_fidelity <= 0.5 + 1e-8
 
 
 class TestPgstSearch:
@@ -367,6 +434,22 @@ class TestPgstSearch:
             [f for _, f in expected], abs=1e-12
         )
         assert result.target_reached == (best >= target)
+
+    def test_t51_gate_reads_support_at_the_given_tolerance(self, monkeypatch):
+        import coronawalk.transfer as transfer_module
+
+        seen = []
+        support = transfer_module.eigenvalue_support
+        monkeypatch.setattr(transfer_module, "eigenvalue_support",
+                            lambda d, u, tol: seen.append(tol) or support(d, u, tol))
+        g, h = path_graph(2), cycle_graph(3)
+        spec = CoronaSpec.from_graphs(g, h)
+        gd = exact_decomposition(g)
+        result = pgst_search(spec, gd, 0, 1, "t51", ell_max=100, target=0.99,
+                             support_tol=1e-6, cospectral_tol=1e-5)
+        assert result.best_ell == 53
+        # once inside pst_certify, once for the "0 outside the support" check
+        assert seen == [1e-6, 1e-6]
 
     def test_zero_degree_copy_factor_rejected(self):
         g, h = path_graph(2), empty_graph(2)
