@@ -15,8 +15,9 @@ amplitudes on base/copy vertices directly from the base factor's spectral
 data, without assembling the large matrix.  Such an amplitude is an
 exponential sum sum_j c_j exp(-i t theta_j) with real coefficients c_j over
 the lifted values theta_j = lam_pm (`corona_terms`); on a uniform time grid
-it is evaluated in phase-factored batches (`exp_sum_grid`), in memory that
-does not grow with the number of grid points.
+it is evaluated in phase-factored batches (`exp_sum_grid`), so
+`transfer.pgst_search` and `transfer.corona_no_pst_check(spec, g_decomp,
+pair, t_max, points)` run in memory independent of --lmax and --points.
 """
 
 from __future__ import annotations
