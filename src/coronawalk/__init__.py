@@ -39,16 +39,14 @@ from .spectral import (
     transition_matrix,
 )
 from .corona import (
-    CoronaEigenPair,
     CoronaSpec,
     corona_entry_base_base,
     corona_entry_base_copy,
-    corona_eigen_pairs,
     corona_graph,
     corona_spectral_closed_form,
     corona_support_base_vertex,
     copy_index,
-    eigen_pair,
+    lift_class,
 )
 from .transfer import (
     FidelityTrace,

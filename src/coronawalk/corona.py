@@ -2,28 +2,33 @@
 
 The corona of a base graph G (n vertices) with a k-regular graph H
 (m vertices) keeps one copy of G plus n copies of H and joins every vertex
-of copy j to all base neighbors of vertex j.  Each base eigenvalue lam
+of copy j to all base neighbors of vertex j.  Each base eigenvalue lam != 0
 lifts to the pair
 
     lam_pm = (lam + k +- Lambda) / 2,   Lambda = sqrt((lam - k)^2 + 4 m lam^2),
 
-while every eigenvalue mu != k of H survives with multiplicity n.  The
-functions below build those classes as eigenvector blocks, each a Kronecker
+on the layer column x = (lam_pm - k, lam 1_m) / norm, and lam = 0 lifts to
+k on the copies, x = (0, 1_m / sqrt(m)), and to 0 on the base, x = e_0;
+every eigenvalue mu != k of H survives with multiplicity n.  One routine,
+`lift_class`, applies that rule and its zero test for every consumer below:
+the closed form builds the classes as eigenvector blocks, each a Kronecker
 product of a small factor column with a factor's block (x (x) V_lam for a
-lifted pair, (0 (+) W_mu) (x) I_n for a copy class), and evaluate walk
-amplitudes on base/copy vertices directly from the base factor's spectral
-data, without assembling the large matrix.  Such an amplitude is an
-exponential sum sum_j c_j exp(-i t theta_j) with real coefficients c_j over
-the lifted values theta_j = lam_pm (`corona_terms`); on a uniform time grid
-it is evaluated in phase-factored batches (`exp_sum_grid`), so
-`transfer.pgst_search` and `transfer.corona_no_pst_check(spec, g_decomp,
-pair, t_max, points)` run in memory independent of --lmax and --points.
+lift, (0 (+) W_mu) (x) I_n for a copy class), the lifted supports keep the
+lifts that reach the base, and walk amplitudes on base/copy vertices are
+read directly from the base factor's spectral data, without assembling the
+large matrix.  Such an amplitude is an exponential sum
+sum_j c_j exp(-i t theta_j) with real coefficients c_j over the lifted
+values theta_j (`corona_terms`); on a uniform time grid it is evaluated in
+phase-factored batches (`exp_sum_grid`), so `transfer.pgst_search` and
+`transfer.corona_no_pst_check(spec, g_decomp, pair, t_max, points)` run in
+memory independent of --lmax and --points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,31 +94,44 @@ class CoronaSpec:
         return self.k
 
 
-@dataclass(frozen=True)
-class CoronaEigenPair:
-    """Lift of one base eigenvalue: the pair lam_pm and the gap Lambda."""
+class LiftedClass(NamedTuple):
+    """One corona class lifted from a base class.
 
-    lam: float
-    lam_plus: float
-    lam_minus: float
-    big_lambda: float
+    Its unit layer column has `base` on layer 0 and `copy` on each of the m
+    copy layers; the class block is that column (x) V_lam.
+    """
+
+    value: float
+    exact: QuadInt | None
+    base: float
+    copy: float
 
 
-def eigen_pair(lam: float, k: int, m: int) -> CoronaEigenPair:
+def lift_class(
+    lam: float, label: QuadInt | None, k: int, m: int,
+    zero_tol: float = DEFAULT_GROUP_TOL,
+) -> list[LiftedClass]:
+    """Corona classes of the base class lam (exact label or None), H k-regular.
+
+    lam != 0 lifts to lam_pm = (lam + k +- Lambda)/2 on the column
+    (lam_pm - k, lam)/norm, labelled by `lift_base_eigenvalue` of the label.
+    |lam| <= zero_tol lifts to k on (0, 1/sqrt(m)), the copies, and 0 on
+    (1, 0), the base; these carry labels k and 0 only when the base label is
+    exactly 0, since a near-zero value without that label is no eigenvalue 0.
+    """
+    if abs(lam) <= zero_tol:
+        labels = [None, None]
+        if label == QuadInt.from_int(0):
+            labels = [QuadInt.from_int(k), QuadInt.from_int(0)]
+        return [LiftedClass(float(k), labels[0], 0.0, 1.0 / math.sqrt(m)),
+                LiftedClass(0.0, labels[1], 1.0, 0.0)]
     big = math.sqrt((lam - k) ** 2 + 4.0 * m * lam * lam)
-    return CoronaEigenPair(
-        lam=lam,
-        lam_plus=(lam + k + big) / 2.0,
-        lam_minus=(lam + k - big) / 2.0,
-        big_lambda=big,
-    )
-
-
-def corona_eigen_pairs(
-    spec: CoronaSpec, g_decomp: SpectralDecomposition
-) -> list[CoronaEigenPair]:
-    k = spec.require_regular()
-    return [eigen_pair(c.value, k, spec.m) for c in g_decomp.classes]
+    labels = (label is not None and lift_base_eigenvalue(label, k, m)) or [None, None]
+    lifts = []
+    for value, exact in zip(((lam + k + big) / 2.0, (lam + k - big) / 2.0), labels):
+        norm = math.sqrt((value - k) ** 2 + m * lam * lam)
+        lifts.append(LiftedClass(value, exact, (value - k) / norm, lam / norm))
+    return lifts
 
 
 def corona_spectral_closed_form(
@@ -125,12 +143,12 @@ def corona_spectral_closed_form(
     """Spectral decomposition of the corona built from the factor decompositions.
 
     Classes: every mu != k of H with block (0 (+) W_mu) (x) I_n, of
-    multiplicity n * mult(mu); every base eigenvalue's pair lam_pm with block
-    x (x) V_lam, x = (lam_pm - k, lam 1_m) / norm, using (0, 1_m / sqrt(m))
-    for value k and e_0 for value 0 when lam = 0.  Numerically coincident
-    values merge by concatenating their blocks.  Requires H connected and
-    regular; the base may be any graph.  Raises ValueError when the corona
-    order n(m+1) exceeds the dense budget, as the assembled eigensolver does.
+    multiplicity n * mult(mu); and every lift of each base class
+    (`lift_class`, zero test at group_tol) with block x (x) V_lam, x its
+    layer column.  Numerically coincident values merge by concatenating
+    their blocks.  Requires H connected and regular; the base may be any
+    graph.  Raises ValueError when the corona order n(m+1) exceeds the dense
+    budget, as the assembled eigensolver does.
     """
     k = spec.require_regular()
     n, m = spec.n, spec.m
@@ -153,20 +171,10 @@ def corona_spectral_closed_form(
         raw.append(EigenClass(c.value, np.kron(w, eye_n), c.exact))
 
     for c in g_decomp.classes:
-        lam = c.value
-        if abs(lam) <= group_tol:
-            top = np.r_[0.0, np.full(m, 1.0 / math.sqrt(m))]
-            bottom = np.r_[1.0, np.zeros(m)]
-            raw.append(EigenClass(float(k), _lift(top, c.vectors), QuadInt.from_int(k)))
-            raw.append(EigenClass(0.0, _lift(bottom, c.vectors), QuadInt.from_int(0)))
-            continue
-        pair = eigen_pair(lam, k, m)
-        labels = [None, None]
-        if c.exact is not None:
-            labels = lift_base_eigenvalue(c.exact, k, m) or labels
-        for value, label in zip((pair.lam_plus, pair.lam_minus), labels):
-            x = np.r_[value - k, np.full(m, lam)]
-            raw.append(EigenClass(value, _lift(x / np.linalg.norm(x), c.vectors), label))
+        for lift in lift_class(c.value, c.exact, k, m, group_tol):
+            column = np.r_[lift.base, np.full(m, lift.copy)]
+            raw.append(EigenClass(lift.value, np.kron(column[:, None], c.vectors),
+                                  lift.exact))
 
     return _merge_classes(raw, spec.n * (spec.m + 1), group_tol)
 
@@ -198,7 +206,18 @@ class SpecFactors:
 
     def corona_context(self, spec: GraphSpec) -> tuple[CoronaSpec, SpectralDecomposition]:
         """A corona spec's built factors and its base's decomposition."""
-        return self.corona(spec), self.decomposition(spec.factors[0])
+        # the base's budget is checked before any factor is built
+        g_decomp = self.decomposition(spec.factors[0])
+        return self.corona(spec), g_decomp
+
+    def order(self, spec: GraphSpec) -> int:
+        """Vertex count of a spec's graph, from the spec; a file leaf is read."""
+        if spec.kind == "corona":
+            n, m = map(self.order, spec.factors)
+            return n * (m + 1)
+        if spec.kind == "file" or spec.size is None:
+            return self.graph(spec).n
+        return 2 * spec.size if spec.kind == "cocktail" else spec.size
 
     def decomposition(self, spec: GraphSpec) -> SpectralDecomposition:
         if spec not in self._decomps:
@@ -206,11 +225,11 @@ class SpecFactors:
         return self._decomps[spec]
 
     def _decompose(self, spec: GraphSpec) -> SpectralDecomposition:
-        cspec = self.corona(spec) if spec.kind == "corona" else None
-        n = cspec.n * (cspec.m + 1) if cspec is not None else self.graph(spec).n
-        # checked before any factor is decomposed or any adjacency matrix built
+        n = self.order(spec)
+        # checked before any graph is built, factor decomposed or matrix made
         if n > MAX_DIMENSION:
             raise ValueError(f"dimension {n} exceeds dense budget {MAX_DIMENSION}")
+        cspec = self.corona(spec) if spec.kind == "corona" else None
         if cspec is not None and cspec.k is not None and cspec.h.is_connected():
             return corona_spectral_closed_form(
                 cspec, *map(self.decomposition, spec.factors), self.group_tol
@@ -226,26 +245,19 @@ def corona_support_base_vertex(
 ) -> list[QuadInt | float]:
     """Support of a base vertex in the corona from its support in the base graph.
 
-    Each nonzero base support eigenvalue lam contributes the pair
-    (lam + k +- sqrt((lam-k)^2 + 4m lam^2)) / 2; lam = 0 contributes only 0,
-    because its value-k class lies on copy coordinates.  Values come back as
-    QuadInt whenever the lifted pair stays inside a quadratic field,
-    otherwise as plain floats (the inexactness flag).  Sorted by decreasing
-    value, duplicates removed.
+    Each base support eigenvalue lam (a QuadInt label or a float) keeps
+    the lifts of `lift_class` that do not vanish on the base layer: the pair
+    lam_pm for lam != 0, and only 0 for lam = 0, because its value-k class
+    lies on copy coordinates.  Values come back as QuadInt whenever the
+    lifted pair stays inside a quadratic field, otherwise as plain floats
+    (the inexactness flag).  Sorted by decreasing value, duplicates removed.
     """
     out: list[QuadInt | float] = []
     for lam in phi_v:
-        if abs(_numeric_value(lam)) <= DEFAULT_GROUP_TOL:
-            out.append(lam)
-            continue
-        if isinstance(lam, QuadInt):
-            exact = lift_base_eigenvalue(lam, k, m)
-            if exact is not None:
-                out.extend(exact)
-                continue
-            lam = lam.value()
-        pair = eigen_pair(float(lam), k, m)
-        out.extend([pair.lam_plus, pair.lam_minus])
+        label = lam if isinstance(lam, QuadInt) else None
+        for lift in lift_class(_numeric_value(lam), label, k, m):
+            if lift.base != 0.0:
+                out.append(lift.exact if lift.exact is not None else lift.value)
     deduped: list[QuadInt | float] = []
     for item in sorted(out, key=_numeric_value, reverse=True):
         if deduped and _same_value(deduped[-1], item):
@@ -332,12 +344,12 @@ def corona_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real exponential sum (freqs, coefs) of a corona walk amplitude.
 
-    The amplitude is sum_j coefs[j] * exp(-i t freqs[j]) over the lifted
-    values lam_pm of each base class, with E = E_lam[v,v'].  With w None it
-    is <(v,0)| U(t) |(v',0)>: E (1 -+ r)/2 at lam_-+ for r = (lam-k)/Lambda,
-    or E at (lam+k)/2 when Lambda = 0 (lam = k = 0).  Otherwise it is
-    <(v',0)| U(t) |(v,w)>: -+E lam/Lambda at lam_-+, nothing at Lambda = 0,
-    and the same for every copy vertex w.
+    The amplitude is sum_j coefs[j] * exp(-i t freqs[j]) over the lifts of
+    each base class (`lift_class`), with E = E_lam[v,v'] and (base, copy) the
+    lift's layer column.  With w None it is <(v,0)| U(t) |(v',0)>, with
+    coefficient E base^2 (E (1 +- r)/2 at lam_pm, r = (lam-k)/Lambda).
+    Otherwise it is <(v',0)| U(t) |(v,w)>, with coefficient E base copy
+    (+-E lam/Lambda at lam_pm), the same for every copy vertex w.
     """
     k = spec.require_regular()
     _check_base(spec, v)
@@ -348,21 +360,9 @@ def corona_terms(
     coefs: list[float] = []
     for c in g_decomp.classes:
         entry = c.entry(v, vp)
-        pair = eigen_pair(c.value, k, spec.m)
-        big = pair.big_lambda
-        if big == 0.0:
-            if w is None:
-                freqs.append((pair.lam + k) / 2.0)
-                coefs.append(entry)
-            continue
-        if w is None:
-            r = (pair.lam - k) / big
-            minus, plus = entry * (1.0 - r) / 2.0, entry * (1.0 + r) / 2.0
-        else:
-            plus = entry * pair.lam / big
-            minus = -plus
-        freqs += [pair.lam_minus, pair.lam_plus]
-        coefs += [minus, plus]
+        for lift in lift_class(c.value, None, k, spec.m):
+            freqs.append(lift.value)
+            coefs.append(entry * lift.base * (lift.base if w is None else lift.copy))
     return np.array(freqs, dtype=float), np.array(coefs, dtype=float)
 
 
@@ -407,11 +407,6 @@ def corona_entry_base_copy(
 def _check_base(spec: CoronaSpec, v: int) -> None:
     if not 0 <= v < spec.n:
         raise ValueError(f"base vertex {v} out of range")
-
-
-def _lift(x: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Block x (x) V: column x over the m+1 layers, base block V in each."""
-    return np.kron(x[:, None], vectors)
 
 
 def _merge_classes(

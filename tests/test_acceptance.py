@@ -31,11 +31,11 @@ import pytest
 from coronawalk.corona import (
     CoronaSpec,
     copy_index,
-    corona_eigen_pairs,
     corona_graph,
     corona_spectral_closed_form,
     corona_entry_base_base,
     corona_entry_base_copy,
+    lift_class,
 )
 from coronawalk.exact import QuadInt, SquareFreeSplit, square_free_part
 from coronawalk.graphs import (
@@ -361,13 +361,15 @@ def test_criterion_6_invariant_suite_on_random_graphs():
         assert unit_err < 1e-8 and sym_err < 1e-8 and group_err < 1e-7
 
         spec = CoronaSpec.from_graphs(g, cycle_graph(3))
-        for pair in corona_eigen_pairs(spec, d):
-            lam, k, m = pair.lam, 2, 3
-            lhs1 = ((pair.lam_plus - k) ** 2 + m * lam * lam) * (
-                (pair.lam_minus - k) ** 2 + m * lam * lam
+        k, m = spec.require_regular(), spec.m
+        for c in d.classes:
+            lam = c.value
+            plus, minus = (lift.value for lift in lift_class(lam, c.exact, k, m))
+            lhs1 = ((plus - k) ** 2 + m * lam * lam) * (
+                (minus - k) ** 2 + m * lam * lam
             )
-            rhs1 = m * lam * lam * pair.big_lambda**2
-            lhs2 = (pair.lam_plus - k) * (pair.lam_minus - k)
+            rhs1 = m * lam * lam * (plus - minus) ** 2
+            lhs2 = (plus - k) * (minus - k)
             rhs2 = -m * lam * lam
             scale1 = max(abs(rhs1), 1e-3)
             scale2 = max(abs(rhs2), 1e-3)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coronawalk import graphs, spectral, transfer
+from coronawalk import corona, graphs, spectral, transfer
 from coronawalk.cli import (
     EXIT_ANALYSIS,
     EXIT_OK,
@@ -444,12 +444,19 @@ class TestExitCodes:
         assert out == "" and "out of range" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "spec, n",
-        [("corona(cycle:100,cycle:50)", 5100), ("path:5000", 5000)],
-        ids=["corona", "leaf"],
+        "argv, n",
+        [
+            (("spectrum", "corona(cycle:100,cycle:50)"), 5100),
+            (("spectrum", "path:5000"), 5000),
+            (("spectrum", "complete:4097"), 4097),
+            (("spectrum", "corona(complete:2000,cycle:3)"), 8000),
+            (("pgst", "corona(cocktail:2049,cycle:3)", "--u", "0", "--v", "1",
+              "--family", "cocktail"), 4098),
+        ],
+        ids=["corona", "leaf", "complete", "complete-base", "pgst"],
     )
     def test_corona_beyond_dense_budget_is_analysis_error(self, capsys, monkeypatch,
-                                                          spec, n):
+                                                          argv, n):
         dims, built = [], []
         solve = spectral.symmetric_eigen
         monkeypatch.setattr(spectral, "symmetric_eigen",
@@ -457,10 +464,17 @@ class TestExitCodes:
         adjacency = graphs.Graph.adjacency
         monkeypatch.setattr(graphs.Graph, "adjacency",
                             lambda g: built.append(g.n) or adjacency(g))
-        code, out, err = run(capsys, "spectrum", spec)
+
+        def make_graph(*args, **kwargs):
+            raise AssertionError("graph built before the dense budget check")
+
+        monkeypatch.setattr(graphs, "make_graph", make_graph)
+        monkeypatch.setattr(corona, "make_graph", make_graph)
+        code, out, err = run(capsys, *argv)
         assert code == EXIT_ANALYSIS
         assert out == "" and f"dimension {n} exceeds dense budget 4096" in err
-        # the budget is checked before any factor is decomposed or matrix built
+        # the budget is read off the spec before any graph is built, factor
+        # decomposed or matrix made
         assert dims == [] and built == []
 
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):

@@ -13,14 +13,13 @@ from coronawalk.corona import (
     copy_index,
     corona_entry_base_base,
     corona_entry_base_copy,
-    corona_eigen_pairs,
     corona_graph,
     corona_spectral_closed_form,
     corona_support_base_vertex,
     corona_terms,
-    eigen_pair,
     exp_sum,
     exp_sum_grid,
+    lift_class,
 )
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
@@ -84,27 +83,27 @@ class TestEigenPairs:
     def test_pair_identities(self):
         for lam in (-2.0, -1.0, 0.5, 1.0, 3.0):
             for k, m in ((0, 2), (2, 3), (3, 4)):
-                p = eigen_pair(lam, k, m)
-                assert p.lam_plus + p.lam_minus == pytest.approx(lam + k, abs=1e-9)
-                assert p.lam_plus * p.lam_minus == pytest.approx(
+                plus, minus = (x.value for x in lift_class(lam, None, k, m))
+                assert plus + minus == pytest.approx(lam + k, abs=1e-9)
+                assert plus * minus == pytest.approx(
                     lam * k - m * lam * lam, abs=1e-8
                 )
-                assert (p.lam_plus - k) * (p.lam_minus - k) == pytest.approx(
+                assert (plus - k) * (minus - k) == pytest.approx(
                     -m * lam * lam, abs=1e-8
                 )
 
     def test_product_identities_all_pairs_of_a_decomposition(self):
         spec = CoronaSpec.from_graphs(cycle_graph(4), cycle_graph(3))
-        pairs = corona_eigen_pairs(spec, exact_decomposition(cycle_graph(4)))
-        k, m = 2, 3
-        for p in pairs:
-            lam = p.lam
-            lhs1 = ((p.lam_plus - k) ** 2 + m * lam * lam) * (
-                (p.lam_minus - k) ** 2 + m * lam * lam
+        k, m = spec.require_regular(), spec.m
+        for c in exact_decomposition(cycle_graph(4)).classes:
+            lam = c.value
+            plus, minus = (x.value for x in lift_class(lam, c.exact, k, m))
+            lhs1 = ((plus - k) ** 2 + m * lam * lam) * (
+                (minus - k) ** 2 + m * lam * lam
             )
-            rhs1 = m * lam * lam * p.big_lambda**2
+            rhs1 = m * lam * lam * (plus - minus) ** 2
             assert lhs1 == pytest.approx(rhs1, rel=1e-6, abs=1e-9)
-            lhs2 = (p.lam_plus - k) * (p.lam_minus - k)
+            lhs2 = (plus - k) * (minus - k)
             assert lhs2 == pytest.approx(-m * lam * lam, rel=1e-6, abs=1e-9)
 
     @given(
@@ -119,10 +118,10 @@ class TestEigenPairs:
         # sum_pm e^{∓i t L/2} (lam_pm - k)^2 / ((lam_pm - k)^2 + m lam^2)
         # equals cos(tL/2) - i ((lam - k)/L) sin(tL/2)
         lam = mag * sign
-        p = eigen_pair(lam, k, m)
-        big = p.big_lambda
+        plus, minus = (x.value for x in lift_class(lam, None, k, m))
+        big = plus - minus
         total = 0j
-        for value, s in ((p.lam_plus, 1), (p.lam_minus, -1)):
+        for value, s in ((plus, 1), (minus, -1)):
             w = (value - k) ** 2 / ((value - k) ** 2 + m * lam * lam)
             total += np.exp(-1j * s * t * big / 2.0) * w
         expected = math.cos(t * big / 2) - 1j * ((lam - k) / big) * math.sin(
@@ -199,9 +198,8 @@ class TestClosedForm:
         }
         pair_values = set()
         for c in exact_decomposition(g).classes:
-            p = eigen_pair(c.value, 3, 4)
-            pair_values.add(round(p.lam_plus, 9))
-            pair_values.add(round(p.lam_minus, 9))
+            for lift in lift_class(c.value, c.exact, 3, 4):
+                pair_values.add(round(lift.value, 9))
         for c in d.classes:
             if round(c.value, 9) in h_only and round(c.value, 9) not in pair_values:
                 assert np.max(np.abs(c.projector[: g.n, :])) == 0.0
@@ -268,6 +266,27 @@ class TestClosedForm:
         assert len(minus_one) == 1
         a = corona_graph(g, h).adjacency().astype(float)
         assert np.max(np.abs(d.matrix() - a)) < 1e-8
+
+    def test_near_zero_class_without_label_lifts_unlabelled(self, tmp_path):
+        # base class 0.00224 carries no exact label: grouped as zero at a loose
+        # group_tol it still lifts onto the zero columns, but not to labels
+        # k and 0, since the corona's eigenvalues there are 0.002232, 2.000008
+        path = tmp_path / "g.edges"
+        path.write_text(
+            "12\n0 2\n0 5\n0 6\n0 7\n0 8\n0 11\n1 3\n1 4\n1 8\n1 10\n"
+            "2 5\n2 6\n2 8\n2 9\n2 11\n3 4\n3 7\n3 8\n3 10\n4 5\n4 6\n"
+            "4 10\n5 10\n6 7\n7 10\n7 11\n9 10\n9 11\n10 11\n"
+        )
+        spec = parse_graph_spec(f"corona(file:{path},cycle:3)")
+        factors = SpecFactors(group_tol=1e-2)
+        base = factors.decomposition(spec.factors[0])
+        assert any(abs(c.value) <= 1e-2 and c.exact is None for c in base.classes)
+        d = factors.decomposition(spec)
+        assembled = np.linalg.eigvalsh(factors.graph(spec).adjacency().astype(float))
+        labels = [c.exact for c in d.classes if c.exact is not None]
+        assert labels
+        for q in labels:
+            assert np.min(np.abs(assembled - q.value())) < 1e-9
 
     @pytest.mark.parametrize("seed", range(4))
     def test_oracle_equivalence_on_random_connected_bases(self, seed):
@@ -390,6 +409,24 @@ class TestEntries:
         for w in (1, 2):
             other = corona_entry_base_copy(spec, gd, 0, 1, w, ts)
             assert np.max(np.abs(other - reference)) < 1e-10
+
+    def test_rounding_zero_class_lifts_as_in_the_closed_form(self):
+        # C4's class 0 (exact label 0) comes out of eigh as -1.1e-16
+        g, h = cycle_graph(4), cycle_graph(3)
+        spec, d = closed_form(g, h)
+        gd = exact_decomposition(g)
+        zero = next(c for c in gd.classes if c.exact == QuadInt.from_int(0))
+        freqs, coefs = corona_terms(spec, gd, 1, 0)
+        assert 0.0 in freqs and 2.0 in freqs
+        assert np.all(freqs[np.abs(freqs) < 1e-12] == 0.0)
+        assert coefs[list(freqs).index(2.0)] == 0.0
+        assert coefs[list(freqs).index(0.0)] == zero.entry(0, 1)
+        # the closed form lifts the same class to exactly 2 and 0, and its
+        # value-2 block lies on the copies alone
+        values = [c.value for c in d.classes]
+        assert 2.0 in values and 0.0 in values
+        assert np.all(d.classes[values.index(2.0)].vectors[: g.n] == 0.0)
+        assert corona_support_base_vertex([zero.exact], 2, 3) == [QuadInt.from_int(0)]
 
     def test_degenerate_zero_gap_for_zero_degree(self):
         # base eigenvalue 0 with a 0-regular copy factor hits Lambda = 0
