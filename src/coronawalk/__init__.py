@@ -5,8 +5,8 @@ from .exact import (
     SquareFreeSplit,
     exact_rank,
     gcd_list,
-    p_adic_valuation,
     square_free_part,
+    two_adic_valuation,
 )
 from .graphs import (
     Graph,
@@ -33,18 +33,16 @@ from .spectral import (
     eigenvalue_support,
     entry_amplitudes,
     exact_decomposition,
-    fidelity,
+    exp_sum,
     strong_cospectral,
     symmetric_eigen,
-    transition_matrix,
 )
 from .corona import (
     CoronaSpec,
-    corona_entry_base_base,
-    corona_entry_base_copy,
     corona_graph,
     corona_spectral_closed_form,
     corona_support_base_vertex,
+    corona_terms,
     copy_index,
     lift_class,
 )

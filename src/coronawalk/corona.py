@@ -10,7 +10,7 @@ lifts to the pair
 on the layer column x = (lam_pm - k, lam 1_m) / norm, and lam = 0 lifts to
 k on the copies, x = (0, 1_m / sqrt(m)), and to 0 on the base, x = e_0;
 every eigenvalue mu != k of H survives with multiplicity n.  One routine,
-`lift_class`, applies that rule and its zero test for every consumer below:
+`lift_class`, applies that rule for every consumer below:
 the closed form builds the classes as eigenvector blocks, each a Kronecker
 product of a small factor column with a factor's block (x (x) V_lam for a
 lift, (0 (+) W_mu) (x) I_n for a copy class), the lifted supports keep the
@@ -19,9 +19,9 @@ read directly from the base factor's spectral data, without assembling the
 large matrix.  Such an amplitude is an exponential sum
 sum_j c_j exp(-i t theta_j) with real coefficients c_j over the lifted
 values theta_j (`corona_terms`); on a uniform time grid it is evaluated in
-phase-factored batches (`exp_sum_grid`), so `transfer.pgst_search` and
-`transfer.corona_no_pst_check(spec, g_decomp, pair, t_max, points)` run in
-memory independent of --lmax and --points.
+phase-factored batches (`spectral.exp_sum_grid`), so `transfer.pgst_search`
+and `transfer.corona_no_pst_check(spec, g_decomp, pair, t_max, points)` run
+in memory independent of --lmax and --points.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import QuadInt, divisors, square_free_part
+from .exact import QuadInt, square_free_part
 from .graphs import Graph, GraphSpec, build_family, make_graph
 from .spectral import (
     DEFAULT_GROUP_TOL,
@@ -107,22 +107,24 @@ class LiftedClass(NamedTuple):
     copy: float
 
 
-def lift_class(
-    lam: float, label: QuadInt | None, k: int, m: int,
-    zero_tol: float = DEFAULT_GROUP_TOL,
-) -> list[LiftedClass]:
+# an unlabelled base class this close to 0 is eigenvalue 0 up to rounding; a
+# fixed bound, not the grouping tolerance, so that a small nonzero class
+# grouped at a loose tolerance still lifts to its own pair
+_ZERO_TOL = 1e-12
+
+
+def lift_class(lam: float, label: QuadInt | None, k: int, m: int) -> list[LiftedClass]:
     """Corona classes of the base class lam (exact label or None), H k-regular.
 
-    lam != 0 lifts to lam_pm = (lam + k +- Lambda)/2 on the column
-    (lam_pm - k, lam)/norm, labelled by `lift_base_eigenvalue` of the label.
-    |lam| <= zero_tol lifts to k on (0, 1/sqrt(m)), the copies, and 0 on
-    (1, 0), the base; these carry labels k and 0 only when the base label is
-    exactly 0, since a near-zero value without that label is no eigenvalue 0.
+    A class with label exactly 0, or with |lam| <= 1e-12, lifts to k on
+    (0, 1/sqrt(m)), the copies, and 0 on (1, 0), the base; these carry labels
+    k and 0 only when the base label is exactly 0.  Any other class lifts to
+    lam_pm = (lam + k +- Lambda)/2 on the column (lam_pm - k, lam)/norm,
+    labelled by `lift_base_eigenvalue` of the label.
     """
-    if abs(lam) <= zero_tol:
-        labels = [None, None]
-        if label == QuadInt.from_int(0):
-            labels = [QuadInt.from_int(k), QuadInt.from_int(0)]
+    is_zero = label == QuadInt.from_int(0)
+    if is_zero or abs(lam) <= _ZERO_TOL:
+        labels = [QuadInt.from_int(k), QuadInt.from_int(0)] if is_zero else [None, None]
         return [LiftedClass(float(k), labels[0], 0.0, 1.0 / math.sqrt(m)),
                 LiftedClass(0.0, labels[1], 1.0, 0.0)]
     big = math.sqrt((lam - k) ** 2 + 4.0 * m * lam * lam)
@@ -144,11 +146,11 @@ def corona_spectral_closed_form(
 
     Classes: every mu != k of H with block (0 (+) W_mu) (x) I_n, of
     multiplicity n * mult(mu); and every lift of each base class
-    (`lift_class`, zero test at group_tol) with block x (x) V_lam, x its
-    layer column.  Numerically coincident values merge by concatenating
-    their blocks.  Requires H connected and regular; the base may be any
-    graph.  Raises ValueError when the corona order n(m+1) exceeds the dense
-    budget, as the assembled eigensolver does.
+    (`lift_class`) with block x (x) V_lam, x its layer column.  Numerically
+    coincident values merge by concatenating their blocks.  Requires H
+    connected and regular; the base may be any graph.  Raises ValueError
+    when the corona order n(m+1) exceeds the dense budget, as the assembled
+    eigensolver does.
     """
     k = spec.require_regular()
     n, m = spec.n, spec.m
@@ -171,7 +173,7 @@ def corona_spectral_closed_form(
         raw.append(EigenClass(c.value, np.kron(w, eye_n), c.exact))
 
     for c in g_decomp.classes:
-        for lift in lift_class(c.value, c.exact, k, m, group_tol):
+        for lift in lift_class(c.value, c.exact, k, m):
             column = np.r_[lift.base, np.full(m, lift.copy)]
             raw.append(EigenClass(lift.value, np.kron(column[:, None], c.vectors),
                                   lift.exact))
@@ -297,15 +299,20 @@ def lift_base_eigenvalue(lam: QuadInt, k: int, m: int) -> list[QuadInt] | None:
         return None  # gap brings in a second square root: degree four
     if y % 2:
         return None
-    # gap = (p + q*sqrt(delta))/2 needs p*q = y/2 and p^2 + q^2*delta = x
+    # gap = (p + q*sqrt(delta))/2 needs p*q = y/2 and p^2 + q^2*delta = x, so
+    # p^2 and q^2*delta are the roots (x +- r)/2 of z^2 - x*z + (y/2)^2*delta,
+    # r^2 = x^2 - y^2*delta, which is 16 gap^2 times its conjugate, so >= 0
     half = y // 2
-    for p in divisors(half):
-        for p_signed in (p, -p):
-            q = half // p_signed
-            if p_signed * p_signed + q * q * delta == x:
-                if p_signed + q * math.sqrt(delta) < 0:
-                    p_signed, q = -p_signed, -q
-                return _half_pair(a + 2 * k, b, p_signed, q, delta)
+    disc = x * x - y * y * delta
+    r = math.isqrt(disc)
+    if r * r == disc:
+        for z in ((x + r) // 2, (x - r) // 2):
+            p = math.isqrt(z)
+            if p and p * p == z and half % p == 0:
+                q = half // p
+                if p + q * math.sqrt(delta) < 0:
+                    p, q = -p, -q
+                return _half_pair(a + 2 * k, b, p, q, delta)
     return None  # gap^2 is not a square in the field: degree four
 
 
@@ -334,10 +341,6 @@ def _same_value(a, b, tol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 # closed-form walk amplitudes
 
-# time points per batch of a uniform-grid evaluation
-GRID_BLOCK = 8192
-
-
 def corona_terms(
     spec: CoronaSpec, g_decomp: SpectralDecomposition, vp: int, v: int,
     w: int | None = None,
@@ -360,48 +363,10 @@ def corona_terms(
     coefs: list[float] = []
     for c in g_decomp.classes:
         entry = c.entry(v, vp)
-        for lift in lift_class(c.value, None, k, spec.m):
+        for lift in lift_class(c.value, c.exact, k, spec.m):
             freqs.append(lift.value)
             coefs.append(entry * lift.base * (lift.base if w is None else lift.copy))
     return np.array(freqs, dtype=float), np.array(coefs, dtype=float)
-
-
-def exp_sum(freqs: np.ndarray, coefs: np.ndarray, t):
-    """sum_j coefs[j] * exp(-i t freqs[j]) at each time of t (scalar or array)."""
-    ts = np.asarray(t, dtype=float)
-    total = np.exp(-1j * np.multiply.outer(ts, freqs)) @ coefs
-    return total if ts.shape else complex(total)
-
-
-def exp_sum_grid(
-    freqs: np.ndarray, coefs: np.ndarray, t0: float, dt: float, count: int,
-    block: int = GRID_BLOCK,
-):
-    """Yield exp_sum at t0 + j*dt, j = 0..count-1, in batches of `block` times.
-
-    With j = s*block + r the sum factors as
-    (coefs * exp(-i freqs (t0 + s*block*dt))) @ W, W[:, r] = exp(-i freqs r dt),
-    so the phase table W is made once and each batch is one vector-matrix
-    product; memory stays O(len(freqs) * block) whatever the count.
-    """
-    table = np.exp(-1j * np.multiply.outer(freqs, np.arange(min(block, count)) * dt))
-    for start in range(0, count, block):
-        weights = coefs * np.exp(-1j * freqs * (t0 + start * dt))
-        yield weights @ table[:, : min(block, count - start)]
-
-
-def corona_entry_base_base(
-    spec: CoronaSpec, g_decomp: SpectralDecomposition, v: int, vp: int, t
-):
-    """Amplitude <(v,0)| U(t) |(v',0)> in the corona, vectorized over t."""
-    return exp_sum(*corona_terms(spec, g_decomp, vp, v), t)
-
-
-def corona_entry_base_copy(
-    spec: CoronaSpec, g_decomp: SpectralDecomposition, vp: int, v: int, w: int, t
-):
-    """Amplitude <(v',0)| U(t) |(v,w)> in the corona, vectorized over t."""
-    return exp_sum(*corona_terms(spec, g_decomp, vp, v, w), t)
 
 
 def _check_base(spec: CoronaSpec, v: int) -> None:

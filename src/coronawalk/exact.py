@@ -1,6 +1,6 @@
 """Exact integer and quadratic-integer arithmetic backing the certification layer.
 
-Everything here works on plain Python integers and fractions so that the
+Everything here works on plain Python integers so that the
 eigenvalue certificates downstream never rest on floating point alone.
 """
 
@@ -8,27 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 # Inputs are discriminants of desk-scale graphs; anything past 128 bits means
 # the caller fed us something this trial-division factorizer was not built for.
 _MAX_FACTOR_INPUT = 1 << 128
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -63,39 +47,12 @@ def square_free_part(n: int) -> SquareFreeSplit:
     return SquareFreeSplit(s, c * rem)
 
 
-def p_adic_valuation(m: int | Fraction, p: int) -> int:
-    """Exponent alpha with m = p^alpha * r/s and p dividing neither r nor s."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    m = Fraction(m)
+def two_adic_valuation(m: int) -> int:
+    """Exponent alpha with m = 2^alpha * r, r odd; m a nonzero integer."""
     if m == 0:
-        raise ValueError("p-adic valuation of 0 is undefined")
-    alpha = 0
-    num = abs(m.numerator)
-    den = m.denominator
-    while num % p == 0:
-        num //= p
-        alpha += 1
-    while den % p == 0:
-        den //= p
-        alpha -= 1
-    return alpha
-
-
-def divisors(n: int) -> list[int]:
-    """Positive divisors of |n| in increasing order; n must be nonzero."""
-    n = abs(int(n))
-    if n == 0:
-        raise ValueError("0 has no finite divisor list")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+        raise ValueError("2-adic valuation of 0 is undefined")
+    # m & -m keeps the lowest set bit of m, in two's complement for m < 0 too
+    return (m & -m).bit_length() - 1
 
 
 def gcd_list(values: Iterable[int]) -> int:

@@ -147,19 +147,17 @@ def cocktail_party_graph(n: int) -> Graph:
 def cocktail_antipode_map(g: Graph) -> list[int] | None:
     """Antipode of each vertex when g is a cocktail party graph, else None.
 
-    Detection is structural: every off-diagonal distance is 1 except a single
-    distance-2 partner per vertex.
+    Detection is structural: on n >= 4 vertices, g is a cocktail party graph
+    exactly when every vertex has exactly one non-neighbor, its antipode (at
+    distance 2 through any third vertex).  Below 4 vertices no graph has such
+    a distance-2 partner for every vertex.
     """
-    if g.n < 2 or g.n % 2 != 0:
+    if g.n < 4:
         return None
-    dist = g.distance_matrix()
-    antipode = [-1] * g.n
-    for v in range(g.n):
-        far = [u for u in range(g.n) if u != v and dist[v, u] != 1]
-        if len(far) != 1 or dist[v, far[0]] != 2:
-            return None
-        antipode[v] = far[0]
-    return antipode
+    far = (g.adjacency() == 0) & ~np.eye(g.n, dtype=bool)
+    if not (far.sum(axis=1) == 1).all():
+        return None
+    return [int(u) for u in far.argmax(axis=1)]
 
 
 def _require_size(n: int, minimum: int, family: str) -> None:

@@ -1,12 +1,12 @@
 """Dense symmetric spectral engine.
 
 Symmetric eigensolver (LAPACK eigh through numpy), eigenvalue classes held
-as orthonormal eigenvector blocks V (the projector V V^T is formed only on
-demand), walk transition matrices, vertex supports, strong cospectrality,
-and exact (integer / quadratic) labeling of eigenvalue classes, verified by
-big-integer rank.  A quadratic label is read off a conjugate pair of
-classes: a = theta + theta' and b^2 delta = (theta - theta')^2.  Vertex
-queries read rows of V: E[u,v] = V[u].V[v] and ||E e_u|| = ||V[u]||.
+as orthonormal eigenvector blocks V, walk amplitudes as exponential sums,
+vertex supports, strong cospectrality, and exact (integer / quadratic)
+labeling of eigenvalue classes, verified by big-integer rank.  A quadratic
+label is read off a conjugate pair of classes: a = theta + theta' and
+b^2 delta = (theta - theta')^2.  Vertex queries read rows of V:
+E[u,v] = V[u].V[v] and ||E e_u|| = ||V[u]||.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ DEFAULT_GROUP_TOL = 1e-8
 DEFAULT_SUPPORT_TOL = 1e-8
 DEFAULT_COSPECTRAL_TOL = 1e-7
 MAX_DIMENSION = 4096
+# time points per batch of a uniform-grid evaluation
+GRID_BLOCK = 8192
 
 
 def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -57,15 +59,10 @@ class EigenClass:
     def multiplicity(self) -> int:
         return self.vectors.shape[1]
 
-    @property
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector V V^T onto the class, formed on demand."""
-        return self.vectors @ self.vectors.T
-
     def entry(self, u: int, v: int) -> float:
         """Projector entry E[u, v] = V[u] . V[v], read from two rows."""
-        # np.dot, not a 1-D @: on decompose's blocks of small multiplicity it
-        # sums in the order `projector` does, so the two agree to the bit
+        # np.dot, not a 1-D @: on blocks of small multiplicity it sums in the
+        # order the dense product V V^T does, so the two agree to the bit
         return np.dot(self.vectors[u], self.vectors[v])
 
 
@@ -75,16 +72,6 @@ class SpectralDecomposition:
 
     classes: list[EigenClass]
     n: int
-
-    def values(self) -> list[float]:
-        return [c.value for c in self.classes]
-
-    def matrix(self) -> np.ndarray:
-        """Reassemble sum(value * projector)."""
-        out = np.zeros((self.n, self.n))
-        for c in self.classes:
-            out += c.value * c.projector
-        return out
 
 
 def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
@@ -108,28 +95,42 @@ def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposi
     return SpectralDecomposition(classes, n)
 
 
+def exp_sum(freqs, coefs, t) -> np.ndarray:
+    """sum_j coefs[j] * exp(-i t freqs[j]) at each time of t (scalar or array).
+
+    Terms are added one at a time in the given order, so memory stays
+    O(len(t)) whatever the number of terms.
+    """
+    ts = np.asarray(t, dtype=float)
+    out = np.zeros(ts.shape, dtype=complex)
+    for f, c in zip(freqs, coefs):
+        out += np.exp(-1j * ts * f) * c
+    return out
+
+
+def exp_sum_grid(
+    freqs: np.ndarray, coefs: np.ndarray, t0: float, dt: float, count: int,
+    block: int = GRID_BLOCK,
+):
+    """Yield exp_sum at t0 + j*dt, j = 0..count-1, in batches of `block` times.
+
+    With j = s*block + r the sum factors as
+    (coefs * exp(-i freqs (t0 + s*block*dt))) @ W, W[:, r] = exp(-i freqs r dt),
+    so the phase table W is made once and each batch is one vector-matrix
+    product; memory stays O(len(freqs) * block) whatever the count.
+    """
+    table = np.exp(-1j * np.multiply.outer(freqs, np.arange(min(block, count)) * dt))
+    for start in range(0, count, block):
+        weights = coefs * np.exp(-1j * freqs * (t0 + start * dt))
+        yield weights @ table[:, : min(block, count - start)]
+
+
 def entry_amplitudes(d: SpectralDecomposition, u: int, v: int, times) -> np.ndarray:
-    """Walk amplitude <u| exp(-itA) |v> at each requested time."""
+    """Walk amplitude <u| exp(-itA) |v> = sum_r exp(-it value_r) E_r[u,v]."""
     _check_vertex(d, u)
     _check_vertex(d, v)
-    ts = np.asarray(times, dtype=float)
-    out = np.zeros(ts.shape, dtype=complex)
-    for c in d.classes:
-        out += np.exp(-1j * ts * c.value) * c.entry(u, v)
-    return out
-
-
-def transition_matrix(d: SpectralDecomposition, t: float) -> np.ndarray:
-    """U(t) = sum_r exp(-i t value_r) * projector_r; symmetric and unitary."""
-    out = np.zeros((d.n, d.n), dtype=complex)
-    for c in d.classes:
-        out += np.exp(-1j * t * c.value) * c.projector
-    return out
-
-
-def fidelity(d: SpectralDecomposition, u: int, v: int, t: float) -> float:
-    """|U(t)_{u,v}|."""
-    return float(abs(entry_amplitudes(d, u, v, float(t))))
+    return exp_sum([c.value for c in d.classes],
+                   [c.entry(u, v) for c in d.classes], times)
 
 
 @dataclass(frozen=True)

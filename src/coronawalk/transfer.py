@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corona import CoronaSpec, _check_base, corona_support_base_vertex, \
-    corona_terms, exp_sum_grid
-from .exact import QuadInt, gcd_list, p_adic_valuation
+from .corona import CoronaSpec, _check_base, corona_support_base_vertex, corona_terms
+from .exact import QuadInt, gcd_list, two_adic_valuation
 from .graphs import cocktail_antipode_map
 from .spectral import (
     DEFAULT_COSPECTRAL_TOL,
@@ -24,6 +23,7 @@ from .spectral import (
     SpectralDecomposition,
     eigenvalue_support,
     entry_amplitudes,
+    exp_sum_grid,
     strong_cospectral,
 )
 
@@ -270,7 +270,7 @@ def _match_two_adic_pattern(d_values: Sequence[int], signs: Sequence[int]) -> in
     for d_r, sign in zip(d_values[1:], signs[1:]):
         if d_r == 0:
             return None  # distinct support eigenvalues cannot repeat
-        checks.append((p_adic_valuation(d_r, 2), sign))
+        checks.append((two_adic_valuation(d_r), sign))
     for alpha in range(_ALPHA_MAX + 1):
         ok = all(
             (val == alpha) if sign < 0 else (val > alpha) for val, sign in checks

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coronawalk.cli import parse_graph_spec
@@ -11,14 +11,11 @@ from coronawalk.corona import (
     CoronaSpec,
     SpecFactors,
     copy_index,
-    corona_entry_base_base,
-    corona_entry_base_copy,
     corona_graph,
     corona_spectral_closed_form,
     corona_support_base_vertex,
     corona_terms,
-    exp_sum,
-    exp_sum_grid,
+    lift_base_eigenvalue,
     lift_class,
 )
 from coronawalk.exact import QuadInt
@@ -36,6 +33,15 @@ from coronawalk.spectral import (
     eigenvalue_support,
     entry_amplitudes,
     exact_decomposition,
+    exp_sum,
+    exp_sum_grid,
+)
+
+from oracles import (
+    corona_entry_base_base,
+    corona_entry_base_copy,
+    projector,
+    reassemble,
 )
 
 
@@ -107,6 +113,36 @@ class TestEigenPairs:
             assert lhs2 == pytest.approx(-m * lam * lam, rel=1e-6, abs=1e-9)
 
     @given(
+        st.integers(-12, 12),
+        st.integers(-6, 6).filter(bool),
+        st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13]),
+        st.integers(0, 6),
+        st.integers(1, 6),
+    )
+    # exact lifts through the irrational gap (p + q sqrt(delta))/2, q != 0
+    @example(-6, -4, 5, 0, 1)
+    @example(-6, -3, 2, 3, 2)
+    @settings(max_examples=300)
+    def test_exact_lift_is_the_pair_of_roots(self, a, b, delta, k, m):
+        # lam_pm are the roots of z^2 - (lam + k) z + (lam k - m lam^2)
+        lam = QuadInt(a, b, delta)
+        pair = lift_base_eigenvalue(lam, k, m)
+        lifts = lift_class(lam.value(), lam, k, m)
+        assert [x.exact for x in lifts] == (pair or [None, None])
+        if pair is None:
+            return
+        # each lifted value (a_i + b_i sqrt(delta))/2 as the integers (a_i, b_i)
+        (a1, b1), (a2, b2) = ((q.a, q.b) for q in pair)
+        assert all(q.b == 0 or q.delta == delta for q in pair)
+        assert (a1 + a2, b1 + b2) == (a + 2 * k, b)
+        # 4 (lam k - m lam^2)
+        #   = 2k (a + b sqrt(delta)) - m (a^2 + b^2 delta + 2ab sqrt(delta))
+        assert a1 * a2 + b1 * b2 * delta == 2 * k * a - m * (a * a + b * b * delta)
+        assert a1 * b2 + a2 * b1 == 2 * k * b - 2 * m * a * b
+        for q, lift in zip(pair, lifts):
+            assert abs(q.value() - lift.value) < 1e-9
+
+    @given(
         st.floats(0.1, 5.0),
         st.sampled_from([-1, 1]),
         st.integers(0, 4),
@@ -143,7 +179,7 @@ class TestClosedForm:
             ],
             reverse=True,
         )
-        assert np.allclose(d.values(), expected, atol=1e-9)
+        assert np.allclose([c.value for c in d.classes], expected, atol=1e-9)
         assert [c.multiplicity for c in d.classes] == [1, 1, 1, 4, 1]
         assert d.classes[0].exact == QuadInt(3, 1, 13)
         assert d.classes[1].exact == QuadInt(1, 1, 21)
@@ -151,7 +187,7 @@ class TestClosedForm:
 
     def test_zero_branch_contributes_k_and_zero(self):
         _, d = closed_form(path_graph(3), cycle_graph(3))
-        values = d.values()
+        values = [c.value for c in d.classes]
         assert any(abs(v - 2.0) < 1e-9 for v in values)
         assert any(abs(v) < 1e-9 for v in values)
 
@@ -168,8 +204,8 @@ class TestClosedForm:
     def test_reconstructs_adjacency(self, g, h):
         spec, d = closed_form(g, h)
         a = corona_graph(g, h).adjacency().astype(float)
-        assert np.max(np.abs(d.matrix() - a)) < 1e-8
-        total = sum(c.projector for c in d.classes)
+        assert np.max(np.abs(reassemble(d) - a)) < 1e-8
+        total = sum(projector(c) for c in d.classes)
         assert np.max(np.abs(total - np.eye(d.n))) < 1e-9
         assert sum(c.multiplicity for c in d.classes) == d.n
 
@@ -202,7 +238,7 @@ class TestClosedForm:
                 pair_values.add(round(lift.value, 9))
         for c in d.classes:
             if round(c.value, 9) in h_only and round(c.value, 9) not in pair_values:
-                assert np.max(np.abs(c.projector[: g.n, :])) == 0.0
+                assert np.max(np.abs(projector(c)[: g.n, :])) == 0.0
 
     @pytest.mark.parametrize(
         "g,h",
@@ -256,7 +292,7 @@ class TestClosedForm:
             spec, exact_decomposition(g), exact_decomposition(h)
         )
         a = corona_graph(g, h).adjacency().astype(float)
-        assert np.max(np.abs(d.matrix() - a)) < 1e-8
+        assert np.max(np.abs(reassemble(d) - a)) < 1e-8
 
     def test_merges_collisions_with_copy_eigenvalues(self):
         # complete base: eigenvalue -1 collides with the copy factor's -1
@@ -265,12 +301,12 @@ class TestClosedForm:
         minus_one = [c for c in d.classes if abs(c.value + 1.0) < 1e-8]
         assert len(minus_one) == 1
         a = corona_graph(g, h).adjacency().astype(float)
-        assert np.max(np.abs(d.matrix() - a)) < 1e-8
+        assert np.max(np.abs(reassemble(d) - a)) < 1e-8
 
     def test_near_zero_class_without_label_lifts_unlabelled(self, tmp_path):
-        # base class 0.00224 carries no exact label: grouped as zero at a loose
-        # group_tol it still lifts onto the zero columns, but not to labels
-        # k and 0, since the corona's eigenvalues there are 0.002232, 2.000008
+        # base class 0.00224 carries no exact label and lies within the loose
+        # group_tol of 0, but it is no eigenvalue 0: it lifts to its own pair,
+        # the corona's eigenvalues 0.002232 and 2.000008, not to k and 0
         path = tmp_path / "g.edges"
         path.write_text(
             "12\n0 2\n0 5\n0 6\n0 7\n0 8\n0 11\n1 3\n1 4\n1 8\n1 10\n"
@@ -287,6 +323,8 @@ class TestClosedForm:
         assert labels
         for q in labels:
             assert np.min(np.abs(assembled - q.value())) < 1e-9
+        for c in d.classes:
+            assert np.min(np.abs(assembled - c.value)) < 1e-9
 
     @pytest.mark.parametrize("seed", range(4))
     def test_oracle_equivalence_on_random_connected_bases(self, seed):
@@ -307,7 +345,7 @@ class TestClosedForm:
             spec, decompose(g.adjacency()), decompose(h.adjacency())
         )
         a = corona_graph(g, h).adjacency().astype(float)
-        assert np.max(np.abs(closed.matrix() - a)) < 1e-8
+        assert np.max(np.abs(reassemble(closed) - a)) < 1e-8
         oracle = decompose(a)
         for t in rng.uniform(0.0, 10.0, size=10):
             lhs = np.array(

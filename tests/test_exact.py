@@ -10,8 +10,8 @@ from coronawalk.exact import (
     QuadInt,
     exact_rank,
     gcd_list,
-    p_adic_valuation,
     square_free_part,
+    two_adic_valuation,
 )
 
 
@@ -48,42 +48,39 @@ class TestSquareFreePart:
 
 
 class TestPAdicNorm:
-    """The p-adic norm |m|_p = p^(-v_p(m)), read through p_adic_valuation."""
+    """The 2-adic norm |m|_2 = 2^(-v_2(m)) of the PST sign test, read through
+    two_adic_valuation."""
 
     @pytest.mark.parametrize(
-        "m,p,expected",
-        [
-            (12, 2, Fraction(1, 4)),
-            (5, 2, Fraction(1)),
-            (Fraction(3, 8), 2, Fraction(8)),
-            (9, 3, Fraction(1, 9)),
-        ],
+        "m,expected",
+        [(12, Fraction(1, 4)), (5, Fraction(1)), (-96, Fraction(1, 32)),
+         (40, Fraction(1, 8))],
     )
-    def test_examples(self, m, p, expected):
-        assert Fraction(p) ** -p_adic_valuation(m, p) == expected
+    def test_examples(self, m, expected):
+        assert Fraction(2) ** -two_adic_valuation(m) == expected
 
-    def test_zero_and_composite_rejected(self):
+    def test_zero_rejected(self):
         with pytest.raises(ValueError):
-            p_adic_valuation(0, 2)
-        with pytest.raises(ValueError):
-            p_adic_valuation(3, 6)
+            two_adic_valuation(0)
 
-    @given(
-        st.integers(-200, 200).filter(bool),
-        st.integers(1, 200),
-        st.integers(-200, 200).filter(bool),
-        st.integers(1, 200),
-        st.sampled_from([2, 3, 5, 7]),
-    )
-    def test_multiplicative(self, n1, d1, n2, d2, p):
+    @given(st.integers(-(10**6), 10**6).filter(bool),
+           st.integers(-(10**6), 10**6).filter(bool))
+    def test_multiplicative(self, m1, m2):
         # the norm is multiplicative exactly when the valuation is additive
-        m1, m2 = Fraction(n1, d1), Fraction(n2, d2)
-        v1, v2 = p_adic_valuation(m1, p), p_adic_valuation(m2, p)
-        assert p_adic_valuation(m1 * m2, p) == v1 + v2
+        v1, v2 = two_adic_valuation(m1), two_adic_valuation(m2)
+        assert two_adic_valuation(m1 * m2) == v1 + v2
+
+    @given(st.integers(-(10**30), 10**30).filter(bool))
+    def test_matches_repeated_halving(self, m):
+        alpha, rest = 0, m
+        while rest % 2 == 0:
+            rest //= 2
+            alpha += 1
+        assert two_adic_valuation(m) == alpha
 
     def test_valuation_sign(self):
-        assert p_adic_valuation(-12, 2) == 2
-        assert p_adic_valuation(Fraction(3, 8), 2) == -3
+        assert two_adic_valuation(-12) == 2
+        assert two_adic_valuation(-1) == 0
 
 
 class TestGcdList:

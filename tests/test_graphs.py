@@ -127,6 +127,20 @@ class TestDistances:
         # the 2-person cocktail party is the 4-cycle
         assert cocktail_antipode_map(cycle_graph(4)) == [2, 3, 0, 1]
 
+    def test_antipode_map_matches_distance_definition(self):
+        # cocktail party: every off-diagonal distance is 1 except one
+        # distance-2 partner per vertex; checked on every labeled graph
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for keep in itertools.product((False, True), repeat=len(pairs)):
+                g = make_graph(n, [p for p, k in zip(pairs, keep) if k])
+                dist = g.distance_matrix()
+                far = [[u for u in range(n) if u != v and dist[v, u] != 1]
+                       for v in range(n)]
+                ok = n % 2 == 0 and all(len(f) == 1 and dist[v, f[0]] == 2
+                                        for v, f in enumerate(far))
+                assert cocktail_antipode_map(g) == ([f[0] for f in far] if ok else None)
+
 
 class TestGraphValidation:
     def test_rejects_self_loop(self):

@@ -8,7 +8,6 @@ import pytest
 from coronawalk.corona import (
     CoronaSpec,
     copy_index,
-    corona_entry_base_copy,
     corona_graph,
 )
 from coronawalk.exact import QuadInt
@@ -24,7 +23,6 @@ from coronawalk.spectral import (
     eigenvalue_support,
     entry_amplitudes,
     exact_decomposition,
-    fidelity,
 )
 from coronawalk.transfer import (
     corona_base_periodicity,
@@ -34,6 +32,8 @@ from coronawalk.transfer import (
     pgst_search,
     pst_certify,
 )
+
+from oracles import corona_entry_base_base, corona_entry_base_copy, fidelity
 
 
 def qi(n):
@@ -369,8 +369,6 @@ class TestPgstSearch:
         assert result.best_fidelity <= 1 + 1e-9
 
     def test_t51_times_match_assembled_oracle(self):
-        from coronawalk.corona import corona_entry_base_base
-
         g, h = path_graph(2), cycle_graph(3)
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
@@ -412,8 +410,6 @@ class TestPgstSearch:
         ids=["t51-p2-c3", "t52-c4-c5", "cocktail3-k4", "t52-c4-c3-capped"],
     )
     def test_trace_is_strict_prefix_maxima(self, g, h, u, v, family, ell_max, target):
-        from coronawalk.corona import corona_entry_base_base
-
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
         result = pgst_search(spec, gd, u, v, family, ell_max=ell_max, target=target)
