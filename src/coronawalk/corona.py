@@ -1,26 +1,24 @@
 """Neighborhood corona assembly and its closed-form spectral decomposition.
 
-The corona of a base graph G (n vertices) with a k-regular graph H
-(m vertices) keeps one copy of G plus n copies of H and joins every vertex
-of copy j to all base neighbors of vertex j.  Each base eigenvalue lam != 0
-lifts to the pair
+The corona of a base graph G (n vertices) with a graph H (m vertices) keeps
+one copy of G plus n copies of H and joins every vertex of copy j to all
+base neighbors of vertex j.  On columns x (x) phi, phi a base eigenvector of
+lam and x a layer column (base, copy_0, ..., copy_{m-1}), it acts as the
+layer matrix [[lam, lam 1^T], [lam 1, A_H]].  Restricted to the base layer
+and the main directions u_mu = P_mu 1 / w_mu of H (w_mu = ||P_mu 1|| > 0)
+that is the arrowhead [[lam, lam w^T], [lam w, diag(mu)]], whose eigenpairs
+are the lifts of lam; the rest of each H class survives with multiplicity n.
+For a k-regular H the one main direction is 1/sqrt(m), so lam lifts to
 
     lam_pm = (lam + k +- Lambda) / 2,   Lambda = sqrt((lam - k)^2 + 4 m lam^2),
 
-on the layer column x = (lam_pm - k, lam 1_m) / norm, and lam = 0 lifts to
-k on the copies, x = (0, 1_m / sqrt(m)), and to 0 on the base, x = e_0;
-every eigenvalue mu != k of H survives with multiplicity n.  One routine,
-`lift_class`, applies that rule for every consumer below:
-the closed form builds the classes as eigenvector blocks, each a Kronecker
-product of a small factor column with a factor's block (x (x) V_lam for a
-lift, (0 (+) W_mu) (x) I_n for a copy class), the lifted supports keep the
-lifts that reach the base, and walk amplitudes on base/copy vertices are
-read directly from the base factor's spectral data, without assembling the
-large matrix.  Such an amplitude is an exponential sum
-sum_j c_j exp(-i t theta_j) with real coefficients c_j over the lifted
-values theta_j (`corona_terms`); on a uniform time grid it is evaluated in
-phase-factored batches (`spectral.exp_sum_grid`), so `transfer.pgst_search`
-and `transfer.corona_no_pst_check(spec, g_decomp, pair, t_max, points)` run
+the paper's pair.  One routine, `lift_class`, serves every consumer below:
+the closed form builds the classes as eigenvector blocks (x (x) V_lam for a
+lift, (0 (+) W) (x) I_n for a copy class), the lifted supports keep the
+lifts that reach the base, and a walk amplitude on base/copy vertices is
+read from the base factor's spectral data as an exponential sum
+sum_j c_j exp(-i t theta_j) over the lifted values theta_j (`corona_terms`),
+which `spectral.exp_sum_grid` evaluates on uniform time grids in batches,
 in memory independent of --lmax and --points.
 """
 
@@ -32,13 +30,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import QuadInt, square_free_part
+from .exact import QuadInt, exact_rank
 from .graphs import Graph, GraphSpec, build_family, make_graph
 from .spectral import (
     DEFAULT_GROUP_TOL,
     MAX_DIMENSION,
     EigenClass,
     SpectralDecomposition,
+    attach_exact_labels,
     decompose,
     exact_decomposition,
 )
@@ -68,17 +67,61 @@ def corona_graph(g: Graph, h: Graph) -> Graph:
     return make_graph(n * (m + 1), edges, labels)
 
 
+class MainData(NamedTuple):
+    """H's s main eigenvalues mu and unit directions P_mu 1 / ||P_mu 1|| (m x s;
+    ||P_mu 1|| is a column's sum), with walks 1^T A^j 1 and coefs of
+    A^s 1 = sum_j coefs[j] A^j 1 (j < s) in Python ints, or None (no lift is
+    labelled) when the main polynomial rounded from mu fails its exact check."""
+
+    values: np.ndarray
+    directions: np.ndarray
+    walks: tuple[int, ...] | None
+    coefs: tuple[int, ...] | None
+
+
+def main_data(h: Graph, h_decomp: SpectralDecomposition) -> MainData:
+    """Main data of an irregular H: the s classes of h_decomp with the largest
+    ||P_mu 1||, s the exact rank of the Krylov vectors A^j 1 (Python ints:
+    walk counts outgrow int64)."""
+    m, classes = h.n, h_decomp.classes
+    krylov = [[1] * m]  # at most one new dimension per eigenvalue class
+    for _ in classes:
+        prev, walk = krylov[-1], [0] * m
+        for a, b in h.edges:
+            walk[a] += prev[b]
+            walk[b] += prev[a]
+        krylov.append(walk)
+    s = exact_rank(krylov)
+    sums = [c.vectors.sum(axis=0) for c in classes]  # ||P_mu 1|| = |W^T 1|
+    main = sorted(sorted(range(len(classes)), key=lambda i: -(sums[i] @ sums[i]))[:s])
+    directions = np.column_stack([classes[i].vectors @ sums[i] / math.sqrt(sums[i] @ sums[i])
+                                  for i in main])
+    values = np.array([classes[i].value for i in main])
+    # prod (x - mu) = x^s + p_1 x^{s-1} + ... + p_s, so coefs[j] = -p_{s-j}
+    coefs = tuple(-int(round(p)) for p in np.poly(values)[:0:-1])
+    if any(sum(c * vec[i] for c, vec in zip(coefs, krylov)) != krylov[s][i] for i in range(m)):
+        return MainData(values, directions, None, None)
+    return MainData(values, directions, tuple(sum(vec) for vec in krylov[:s]), coefs)
+
+
 @dataclass(frozen=True)
 class CoronaSpec:
-    """Corona factors with H's regular degree cached (None when H irregular)."""
+    """Corona factors with H's regular degree (None when H irregular) and main data."""
 
     g: Graph
     h: Graph
     k: int | None
+    main: MainData
 
     @classmethod
-    def from_graphs(cls, g: Graph, h: Graph) -> "CoronaSpec":
-        return cls(g, h, h.is_regular())
+    def from_graphs(cls, g: Graph, h: Graph, h_decomp=None) -> "CoronaSpec":
+        """A k-regular H has mu = k on 1/sqrt(m); h_decomp, H's decomposition,
+        is read (or made) only for an irregular H."""
+        k, m = h.is_regular(), h.n
+        if k is not None:
+            return cls(g, h, k, MainData(np.array([float(k)]), np.full((m, 1), 1 / math.sqrt(m)),
+                                         (m,), (k,)))
+        return cls(g, h, k, main_data(h, h_decomp or decompose(h.adjacency())))
 
     @property
     def n(self) -> int:
@@ -90,50 +133,85 @@ class CoronaSpec:
 
     def require_regular(self) -> int:
         if self.k is None:
-            raise ValueError("closed forms require a regular copy factor H")
+            raise ValueError("the pgst families and the lifted base periodicity test "
+                             "need a regular copy factor H")
         return self.k
 
 
 class LiftedClass(NamedTuple):
-    """One corona class lifted from a base class.
-
-    Its unit layer column has `base` on layer 0 and `copy` on each of the m
-    copy layers; the class block is that column (x) V_lam.
-    """
+    """One corona eigenvector direction lifted from a base class: its unit layer
+    column has `base` on layer 0 and `copy[w]` on copy layer w, and its block
+    is that column (x) V_lam."""
 
     value: float
     exact: QuadInt | None
     base: float
-    copy: float
+    copy: np.ndarray
 
 
-# an unlabelled base class this close to 0 is eigenvalue 0 up to rounding; a
-# fixed bound, not the grouping tolerance, so that a small nonzero class
-# grouped at a loose tolerance still lifts to its own pair
-_ZERO_TOL = 1e-12
+def lift_class(lam: float, label: QuadInt | None, main: MainData) -> list[LiftedClass]:
+    """Corona lifts of the base class lam (exact label or None) over H's main data.
 
-
-def lift_class(lam: float, label: QuadInt | None, k: int, m: int) -> list[LiftedClass]:
-    """Corona classes of the base class lam (exact label or None), H k-regular.
-
-    A class with label exactly 0, or with |lam| <= 1e-12, lifts to k on
-    (0, 1/sqrt(m)), the copies, and 0 on (1, 0), the base; these carry labels
-    k and 0 only when the base label is exactly 0.  Any other class lifts to
-    lam_pm = (lam + k +- Lambda)/2 on the column (lam_pm - k, lam)/norm,
-    labelled by `lift_base_eigenvalue` of the label.
+    One lift per eigenvector x of the arrowhead of lam (the label's value
+    when labelled), with base x[0] and copy U x[1:], U the main directions.
+    A label lifts by `attach_exact_labels` on `_walk_operator`, checked
+    against the arrowheads of lam and its conjugate side by side, so a lift
+    of lam that coincides with one of the conjugate shares its class.
     """
-    is_zero = label == QuadInt.from_int(0)
-    if is_zero or abs(lam) <= _ZERO_TOL:
-        labels = [QuadInt.from_int(k), QuadInt.from_int(0)] if is_zero else [None, None]
-        return [LiftedClass(float(k), labels[0], 0.0, 1.0 / math.sqrt(m)),
-                LiftedClass(0.0, labels[1], 1.0, 0.0)]
-    big = math.sqrt((lam - k) ** 2 + 4.0 * m * lam * lam)
-    labels = (label is not None and lift_base_eigenvalue(label, k, m)) or [None, None]
+    labelled = label is not None and main.coefs is not None
+    if label is not None:
+        lam = label.value()
+    arrow = _arrowhead(lam, main)
+    size = len(arrow)
+    if labelled and not label.is_rational_integer:
+        arrow = np.kron(np.diag([1.0, 0.0]), arrow)
+        arrow[size:, size:] = _arrowhead(label.conjugate().value(), main)
+    d = decompose(arrow)
+    if labelled:
+        doubled = [EigenClass(2.0 * c.value, c.vectors) for c in d.classes]
+        labels = attach_exact_labels(SpectralDecomposition(doubled, d.n),
+                                     _walk_operator(label, main)).classes
     lifts = []
-    for value, exact in zip(((lam + k + big) / 2.0, (lam + k - big) / 2.0), labels):
-        norm = math.sqrt((value - k) ** 2 + m * lam * lam)
-        lifts.append(LiftedClass(value, exact, (value - k) / norm, lam / norm))
+    for i, c in enumerate(d.classes):
+        exact = _halve(labels[i].exact) if labelled else None
+        cols = c.vectors[:size]
+        # the class's eigenvectors of lam's own arrowhead: ||cols||^2 of them
+        share = round(float(np.sum(cols * cols)))
+        if share < c.multiplicity:
+            cols = np.linalg.svd(cols, full_matrices=False)[0][:, :share]
+        for x in cols.T:
+            lifts.append(LiftedClass(c.value, exact, float(x[0]), main.directions @ x[1:]))
     return lifts
+
+
+def _arrowhead(lam: float, main: MainData) -> np.ndarray:
+    arrow = np.diag(np.r_[lam, main.values])
+    arrow[0, 1:] = arrow[1:, 0] = lam * main.directions.sum(axis=0)
+    return arrow
+
+
+def _walk_operator(label: QuadInt, main: MainData) -> np.ndarray:
+    """2 L_lam = 2 lam P + 2 Q on the walk basis (e_0, 1, A1, ..., A^{s-1} 1)
+    in Python ints, 2 lam = a + b sqrt(delta) replaced by its integer
+    companion matrix C: P (x) C + 2Q (x) I has eigenvalues twice the lifts of
+    lam and of its conjugate."""
+    s = len(main.coefs)
+    lam_part = np.zeros((s + 1, s + 1), dtype=object)
+    lam_part[0, 0] = lam_part[1, 0] = 1  # L e_0 = lam e_0 + lam 1
+    lam_part[0, 1:] = main.walks  # L A^j 1 = lam (1^T A^j 1) e_0 + A^{j+1} 1
+    fixed = np.zeros((s + 1, s + 1), dtype=object)
+    fixed[2:, 1:s] = np.identity(s - 1, dtype=object)
+    fixed[1:, s] = main.coefs  # A^s 1 = sum_j coefs[j] A^j 1
+    a, b, delta = label.a, label.b, label.delta
+    companion = [[a]] if label.is_rational_integer else [[0, b * b * delta - a * a], [1, 2 * a]]
+    return (np.kron(lam_part, np.array(companion, dtype=object))
+            + np.kron(2 * fixed, np.identity(len(companion), dtype=object)))
+
+
+def _halve(q: QuadInt | None) -> QuadInt | None:
+    """q / 2, or None when that is no (a + b sqrt(delta))/2 with integer a, b."""
+    ok = q is not None and q.a % 2 == q.b % 2 == 0 and (q.delta > 1 or q.a % 4 == 0)
+    return QuadInt(q.a // 2, q.b // 2, q.delta) if ok else None
 
 
 def corona_spectral_closed_form(
@@ -144,21 +222,14 @@ def corona_spectral_closed_form(
 ) -> SpectralDecomposition:
     """Spectral decomposition of the corona built from the factor decompositions.
 
-    Classes: every mu != k of H with block (0 (+) W_mu) (x) I_n, of
-    multiplicity n * mult(mu); and every lift of each base class
-    (`lift_class`) with block x (x) V_lam, x its layer column.  Numerically
-    coincident values merge by concatenating their blocks.  Requires H
-    connected and regular; the base may be any graph.  Raises ValueError
-    when the corona order n(m+1) exceeds the dense budget, as the assembled
-    eigensolver does.
+    Classes: every lift of each base class (`lift_class`) with block
+    x (x) V_lam, x its layer column; and each H class with block
+    (0 (+) W) (x) I_n, W its eigenvector block minus its main direction.
+    Numerically coincident values merge by concatenating their blocks.
+    Raises ValueError when the corona order n(m+1) exceeds the dense budget,
+    as the assembled eigensolver does.
     """
-    k = spec.require_regular()
     n, m = spec.n, spec.m
-    if not spec.h.is_connected():
-        raise ValueError(
-            "closed form needs H connected: eigenvalue k would repeat and its "
-            "classes are not covered by the lifted families"
-        )
     if n * (m + 1) > MAX_DIMENSION:
         raise ValueError(
             f"dimension {n * (m + 1)} exceeds dense budget {MAX_DIMENSION}"
@@ -167,28 +238,30 @@ def corona_spectral_closed_form(
     raw: list[EigenClass] = []
     eye_n = np.eye(n)
     for c in h_decomp.classes:
-        if abs(c.value - k) <= group_tol * max(1.0, abs(k)):
-            continue
-        w = np.vstack([np.zeros((1, c.multiplicity)), c.vectors])
-        raw.append(EigenClass(c.value, np.kron(w, eye_n), c.exact))
+        # main directions inside this class: ||U^T W||^2 of them, 0 or 1
+        inner = spec.main.directions.T @ c.vectors
+        mains = round(float(np.sum(inner * inner)))
+        block = c.vectors @ np.linalg.svd(inner)[2][mains:].T if mains else c.vectors
+        if block.shape[1]:
+            w = np.vstack([np.zeros((1, block.shape[1])), block])
+            raw.append(EigenClass(c.value, np.kron(w, eye_n), c.exact))
 
     for c in g_decomp.classes:
-        for lift in lift_class(c.value, c.exact, k, m):
-            column = np.r_[lift.base, np.full(m, lift.copy)]
+        for lift in lift_class(c.value, c.exact, spec.main):
+            column = np.r_[lift.base, lift.copy]
             raw.append(EigenClass(lift.value, np.kron(column[:, None], c.vectors),
                                   lift.exact))
 
-    return _merge_classes(raw, spec.n * (spec.m + 1), group_tol)
+    return _merge_classes(raw, n * (m + 1), group_tol)
 
 
 class SpecFactors:
     """Built graphs and decompositions of a spec's terms, each made once.
 
-    A corona whose copy factor is connected and regular is decomposed in
-    closed form from its factors' decompositions, recursing into the base,
-    and is assembled only where an enclosing corona needs it as a factor.
-    Any other term is assembled and decomposed densely, with rank-verified
-    exact labels when `exact` is set.
+    A corona is decomposed in closed form from its factors' decompositions,
+    recursing into both, and is assembled only where an enclosing corona
+    needs it as a factor.  Any other term is decomposed densely, with
+    rank-verified exact labels when `exact` is set.
     """
 
     def __init__(self, group_tol: float = DEFAULT_GROUP_TOL, exact: bool = True):
@@ -204,7 +277,10 @@ class SpecFactors:
         return self._graphs[spec]
 
     def corona(self, spec: GraphSpec) -> CoronaSpec:
-        return CoronaSpec.from_graphs(*map(self.graph, spec.factors))
+        g, h = map(self.graph, spec.factors)
+        # an irregular H's main data is read off its decomposition
+        h_decomp = None if h.is_regular() is not None else self.decomposition(spec.factors[1])
+        return CoronaSpec.from_graphs(g, h, h_decomp)
 
     def corona_context(self, spec: GraphSpec) -> tuple[CoronaSpec, SpectralDecomposition]:
         """A corona spec's built factors and its base's decomposition."""
@@ -231,10 +307,9 @@ class SpecFactors:
         # checked before any graph is built, factor decomposed or matrix made
         if n > MAX_DIMENSION:
             raise ValueError(f"dimension {n} exceeds dense budget {MAX_DIMENSION}")
-        cspec = self.corona(spec) if spec.kind == "corona" else None
-        if cspec is not None and cspec.k is not None and cspec.h.is_connected():
+        if spec.kind == "corona":
             return corona_spectral_closed_form(
-                cspec, *map(self.decomposition, spec.factors), self.group_tol
+                self.corona(spec), *map(self.decomposition, spec.factors), self.group_tol
             )
         graph = self.graph(spec)
         if self.exact:
@@ -242,22 +317,20 @@ class SpecFactors:
         return decompose(graph.adjacency(), self.group_tol)
 
 
-def corona_support_base_vertex(
-    phi_v, k: int, m: int
-) -> list[QuadInt | float]:
+def corona_support_base_vertex(phi_v, main: MainData) -> list[QuadInt | float]:
     """Support of a base vertex in the corona from its support in the base graph.
 
     Each base support eigenvalue lam (a QuadInt label or a float) keeps
-    the lifts of `lift_class` that do not vanish on the base layer: the pair
-    lam_pm for lam != 0, and only 0 for lam = 0, because its value-k class
-    lies on copy coordinates.  Values come back as QuadInt whenever the
-    lifted pair stays inside a quadratic field, otherwise as plain floats
-    (the inexactness flag).  Sorted by decreasing value, duplicates removed.
+    the lifts of `lift_class` that do not vanish on the base layer: all of
+    them for lam != 0, and only 0 for lam = 0, whose other lifts lie on copy
+    coordinates.  Values come back as QuadInt where the lift is labelled,
+    otherwise as plain floats (the inexactness flag).  Sorted by decreasing
+    value, duplicates removed.
     """
     out: list[QuadInt | float] = []
     for lam in phi_v:
         label = lam if isinstance(lam, QuadInt) else None
-        for lift in lift_class(_numeric_value(lam), label, k, m):
+        for lift in lift_class(_numeric_value(lam), label, main):
             if lift.base != 0.0:
                 out.append(lift.exact if lift.exact is not None else lift.value)
     deduped: list[QuadInt | float] = []
@@ -266,66 +339,6 @@ def corona_support_base_vertex(
             continue
         deduped.append(item)
     return deduped
-
-
-def lift_base_eigenvalue(lam: QuadInt, k: int, m: int) -> list[QuadInt] | None:
-    """Exact pair lift [lam_plus, lam_minus] of one base eigenvalue.
-
-    None when the pair is not a pair of quadratic integers: the gap
-    sqrt((lam-k)^2 + 4m lam^2) leaves Q(sqrt(delta)), or the halved
-    coordinates are not integers.
-    """
-    if lam.is_rational_integer:
-        z = lam.as_integer()
-        disc = (z - k) ** 2 + 4 * m * z * z
-        if disc == 0:  # z == k == 0: the pair coincides
-            return [QuadInt.from_int(0)] * 2
-        split = square_free_part(disc)
-        return [
-            QuadInt.make(z + k, split.s, split.c),
-            QuadInt.make(z + k, -split.s, split.c),
-        ]
-    a, b, delta = lam.a, lam.b, lam.delta
-    # gap^2 = (lam - k)^2 + 4m lam^2 = (x + y*sqrt(delta)) / 4 exactly
-    x = (a - 2 * k) ** 2 + b * b * delta + 4 * m * (a * a + b * b * delta)
-    y = 2 * b * (a - 2 * k) + 8 * m * a * b
-    if y == 0:
-        split = square_free_part(x)
-        s, c = split.s, split.c
-        if c == 1:  # rational gap s/2
-            return _half_pair(a + 2 * k, b, s, 0, delta)
-        if c == delta:  # gap s*sqrt(delta)/2 stays in the field
-            return _half_pair(a + 2 * k, b, 0, s, delta)
-        return None  # gap brings in a second square root: degree four
-    if y % 2:
-        return None
-    # gap = (p + q*sqrt(delta))/2 needs p*q = y/2 and p^2 + q^2*delta = x, so
-    # p^2 and q^2*delta are the roots (x +- r)/2 of z^2 - x*z + (y/2)^2*delta,
-    # r^2 = x^2 - y^2*delta, which is 16 gap^2 times its conjugate, so >= 0
-    half = y // 2
-    disc = x * x - y * y * delta
-    r = math.isqrt(disc)
-    if r * r == disc:
-        for z in ((x + r) // 2, (x - r) // 2):
-            p = math.isqrt(z)
-            if p and p * p == z and half % p == 0:
-                q = half // p
-                if p + q * math.sqrt(delta) < 0:
-                    p, q = -p, -q
-                return _half_pair(a + 2 * k, b, p, q, delta)
-    return None  # gap^2 is not a square in the field: degree four
-
-
-def _half_pair(
-    num_a: int, num_b: int, gap_a: int, gap_b: int, delta: int
-) -> list[QuadInt] | None:
-    """Values ((num_a +- gap_a) + (num_b +- gap_b) sqrt(delta)) / 4 as QuadInts."""
-    if (num_a + gap_a) % 2 or (num_b + gap_b) % 2:
-        return None  # not half-integer coordinates; stay inexact
-    return [
-        QuadInt.make((num_a + gap_a) // 2, (num_b + gap_b) // 2, delta),
-        QuadInt.make((num_a - gap_a) // 2, (num_b - gap_b) // 2, delta),
-    ]
 
 
 def _numeric_value(x) -> float:
@@ -348,13 +361,13 @@ def corona_terms(
     """Real exponential sum (freqs, coefs) of a corona walk amplitude.
 
     The amplitude is sum_j coefs[j] * exp(-i t freqs[j]) over the lifts of
-    each base class (`lift_class`), with E = E_lam[v,v'] and (base, copy) the
-    lift's layer column.  With w None it is <(v,0)| U(t) |(v',0)>, with
-    coefficient E base^2 (E (1 +- r)/2 at lam_pm, r = (lam-k)/Lambda).
-    Otherwise it is <(v',0)| U(t) |(v,w)>, with coefficient E base copy
-    (+-E lam/Lambda at lam_pm), the same for every copy vertex w.
+    each base class (`lift_class`, at the label's value but labelling
+    nothing), with E = E_lam[v,v'] and (base, copy) the lift's layer column.
+    With w None it is <(v,0)| U(t) |(v',0)>, with coefficient E base^2
+    (E (1 +- r)/2 at lam_pm for a k-regular H, r = (lam-k)/Lambda).
+    Otherwise it is <(v',0)| U(t) |(v,w)>, with coefficient E base copy[w]
+    (+-E lam/Lambda at lam_pm, the same for every w, when H is regular).
     """
-    k = spec.require_regular()
     _check_base(spec, v)
     _check_base(spec, vp)
     if w is not None and not 0 <= w < spec.m:
@@ -363,9 +376,10 @@ def corona_terms(
     coefs: list[float] = []
     for c in g_decomp.classes:
         entry = c.entry(v, vp)
-        for lift in lift_class(c.value, c.exact, k, spec.m):
+        lam = c.value if c.exact is None else c.exact.value()
+        for lift in lift_class(lam, None, spec.main):
             freqs.append(lift.value)
-            coefs.append(entry * lift.base * (lift.base if w is None else lift.copy))
+            coefs.append(entry * lift.base * (lift.base if w is None else lift.copy[w]))
     return np.array(freqs, dtype=float), np.array(coefs, dtype=float)
 
 

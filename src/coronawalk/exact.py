@@ -122,23 +122,6 @@ class QuadInt:
     def from_int(cls, n: int) -> "QuadInt":
         return cls(2 * int(n), 0, 1)
 
-    @classmethod
-    def make(cls, a: int, b: int, disc: int) -> "QuadInt":
-        """Canonicalize (a + b*sqrt(disc))/2 for any disc >= 1.
-
-        Folds square factors of disc into b and collapses rational values
-        onto the delta == 1 representation.
-        """
-        split = square_free_part(disc)
-        a, b, delta = int(a), int(b) * split.s, split.c
-        if b == 0:
-            delta = 1
-        if delta == 1:
-            a, b = a + b, 0
-            if a % 2 != 0:
-                raise ValueError("value is a half-integer, not an algebraic integer")
-        return cls(a, b, delta)
-
     def value(self) -> float:
         return (self.a + self.b * math.sqrt(self.delta)) / 2.0
 

@@ -204,8 +204,9 @@ _VALUE_TOL = 1e-9
 _PAIR_TOL = 1e-6
 
 
-def attach_exact_labels(d: SpectralDecomposition, adjacency) -> SpectralDecomposition:
-    """Label classes with verified integer or quadratic-integer eigenvalues.
+def attach_exact_labels(d: SpectralDecomposition, matrix) -> SpectralDecomposition:
+    """Label the classes of d, which decomposes `matrix` or a matrix similar to
+    it, with verified integer or quadratic-integer eigenvalues.
 
     Integer rule, run first: a class near an integer r is labeled r when
     A - rI has defect equal to the class multiplicity.  Pair rule: an
@@ -218,11 +219,12 @@ def attach_exact_labels(d: SpectralDecomposition, adjacency) -> SpectralDecompos
     as defect.  Unverifiable classes keep exact=None, which downgrades
     downstream certificates to inconclusive.
     """
-    a_float = np.asarray(adjacency)
-    if not np.allclose(a_float, np.round(a_float), atol=1e-12):
-        raise ValueError("exact labels need an integer matrix")
-    # object arrays hold Python ints, so the products below never overflow
-    a_int = np.array([[int(round(x)) for x in row] for row in a_float], dtype=object)
+    a_int = np.asarray(matrix)
+    if a_int.dtype != object:  # an object array holds Python ints already
+        if not np.allclose(a_int, np.round(a_int), atol=1e-12):
+            raise ValueError("exact labels need an integer matrix")
+        # object arrays hold Python ints, so the products below never overflow
+        a_int = np.array([[int(round(x)) for x in row] for row in a_int], dtype=object)
     n = d.n
     eye = np.identity(n, dtype=object)
     classes = d.classes

@@ -110,7 +110,7 @@ def corona_base_periodicity(
             reason="base support is neither all integers nor integer multiples "
             "of one square root",
         )
-    lifted = corona_support_base_vertex(list(sup.exact), k, m)
+    lifted = corona_support_base_vertex(list(sup.exact), spec.main)
     verdict = periodicity_test(lifted)
     if verdict.periodic != "yes":
         raise RuntimeError("lifted support failed the periodicity test it implies")

@@ -366,7 +366,7 @@ def test_criterion_6_invariant_suite_on_random_graphs():
         k, m = spec.require_regular(), spec.m
         for c in d.classes:
             lam = c.value
-            plus, minus = (lift.value for lift in lift_class(lam, c.exact, k, m))
+            plus, minus = (lift.value for lift in lift_class(lam, c.exact, spec.main))
             lhs1 = ((plus - k) ** 2 + m * lam * lam) * (
                 (minus - k) ** 2 + m * lam * lam
             )

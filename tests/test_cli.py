@@ -100,8 +100,8 @@ class TestSpectrumCommand:
 
 
 class TestFactorRouting:
-    """Corona specs with a connected regular copy factor decompose from their
-    factors; every other spec is assembled."""
+    """Corona specs decompose from their factors, whatever the copy factor;
+    only a corona that is a copy factor itself is assembled."""
 
     COMMANDS = [
         ("spectrum",),
@@ -133,9 +133,9 @@ class TestFactorRouting:
             assert run(capsys, command, spec, *flags)[0] == EXIT_OK, command
         assert dims and max(dims) <= largest_factor
         dims.clear()
-        # a path copy factor is irregular: that corona is still assembled
+        # an irregular copy factor lifts through its main directions too
         assert run(capsys, "spectrum", "corona(cycle:13,path:4)")[0] == EXIT_OK
-        assert max(dims) == 65
+        assert max(dims) <= 13
 
     @pytest.mark.parametrize(
         "text",
@@ -148,9 +148,18 @@ class TestFactorRouting:
             "corona(empty:2,cycle:3)",
             "corona(path:3,complete:1)",
             "corona(corona(cycle:6,cycle:3),cycle:3)",
+            # irregular, disconnected, nested and file: copy factors
+            "corona(cycle:6,path:3)",
+            "corona(star:4,star:5)",
+            "corona(path:4,empty:2)",
+            "corona(cycle:5,corona(path:2,empty:1))",
+            "corona(path:3,file:{paw})",
         ],
     )
-    def test_classes_equal_assembled_exact_decomposition(self, capsys, text):
+    def test_classes_equal_assembled_exact_decomposition(self, capsys, tmp_path, text):
+        paw = tmp_path / "paw.edges"
+        paw.write_text("4\n0 1\n1 2\n0 2\n2 3\n", encoding="utf-8")
+        text = text.format(paw=paw)
         spec = parse_graph_spec(text)
         factors = SpecFactors()
         g = factors.graph(spec.factors[0])

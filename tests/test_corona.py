@@ -15,7 +15,6 @@ from coronawalk.corona import (
     corona_spectral_closed_form,
     corona_support_base_vertex,
     corona_terms,
-    lift_base_eigenvalue,
     lift_class,
 )
 from coronawalk.exact import QuadInt
@@ -40,8 +39,11 @@ from coronawalk.spectral import (
 from oracles import (
     corona_entry_base_base,
     corona_entry_base_copy,
+    lift_base_eigenvalue,
     projector,
     reassemble,
+    regular_main,
+    transition_matrix,
 )
 
 
@@ -89,7 +91,7 @@ class TestEigenPairs:
     def test_pair_identities(self):
         for lam in (-2.0, -1.0, 0.5, 1.0, 3.0):
             for k, m in ((0, 2), (2, 3), (3, 4)):
-                plus, minus = (x.value for x in lift_class(lam, None, k, m))
+                plus, minus = (x.value for x in lift_class(lam, None, regular_main(k, m)))
                 assert plus + minus == pytest.approx(lam + k, abs=1e-9)
                 assert plus * minus == pytest.approx(
                     lam * k - m * lam * lam, abs=1e-8
@@ -103,7 +105,7 @@ class TestEigenPairs:
         k, m = spec.require_regular(), spec.m
         for c in exact_decomposition(cycle_graph(4)).classes:
             lam = c.value
-            plus, minus = (x.value for x in lift_class(lam, c.exact, k, m))
+            plus, minus = (x.value for x in lift_class(lam, c.exact, spec.main))
             lhs1 = ((plus - k) ** 2 + m * lam * lam) * (
                 (minus - k) ** 2 + m * lam * lam
             )
@@ -127,7 +129,7 @@ class TestEigenPairs:
         # lam_pm are the roots of z^2 - (lam + k) z + (lam k - m lam^2)
         lam = QuadInt(a, b, delta)
         pair = lift_base_eigenvalue(lam, k, m)
-        lifts = lift_class(lam.value(), lam, k, m)
+        lifts = lift_class(lam.value(), lam, regular_main(k, m))
         assert [x.exact for x in lifts] == (pair or [None, None])
         if pair is None:
             return
@@ -154,7 +156,7 @@ class TestEigenPairs:
         # sum_pm e^{∓i t L/2} (lam_pm - k)^2 / ((lam_pm - k)^2 + m lam^2)
         # equals cos(tL/2) - i ((lam - k)/L) sin(tL/2)
         lam = mag * sign
-        plus, minus = (x.value for x in lift_class(lam, None, k, m))
+        plus, minus = (x.value for x in lift_class(lam, None, regular_main(k, m)))
         big = plus - minus
         total = 0j
         for value, s in ((plus, 1), (minus, -1)):
@@ -164,6 +166,20 @@ class TestEigenPairs:
             t * big / 2
         )
         assert abs(total - expected) < 1e-9
+
+    @pytest.mark.parametrize("lam", [10.0 ** -e for e in range(3, 12)])
+    def test_small_unlabelled_class_lifts_to_orthonormal_columns(self, lam):
+        # (lam + k + Lambda)/2 - k cancels for 0 < lam << k; the arrowhead's
+        # eigenvectors carry no such difference
+        h = cycle_graph(3)
+        lifts = lift_class(lam, None, CoronaSpec.from_graphs(path_graph(1), h).main)
+        cols = np.array([np.r_[x.base, x.copy] for x in lifts])
+        assert np.max(np.abs(cols @ cols.T - np.eye(2))) <= 1e-15
+        layer = np.block([[np.array([[lam]]), np.full((1, 3), lam)],
+                          [np.full((3, 1), lam), h.adjacency()]])
+        assembled = np.linalg.eigvalsh(layer)
+        for x in lifts:
+            assert np.min(np.abs(assembled - x.value)) < 1e-12
 
 
 class TestClosedForm:
@@ -234,7 +250,7 @@ class TestClosedForm:
         }
         pair_values = set()
         for c in exact_decomposition(g).classes:
-            for lift in lift_class(c.value, c.exact, 3, 4):
+            for lift in lift_class(c.value, c.exact, spec.main):
                 pair_values.add(round(lift.value, 9))
         for c in d.classes:
             if round(c.value, 9) in h_only and round(c.value, 9) not in pair_values:
@@ -268,22 +284,24 @@ class TestClosedForm:
             assert c.multiplicity == r.multiplicity
             assert c.exact == r.exact
 
-    def test_requires_regular_copy_factor(self):
-        g, h = path_graph(2), path_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        assert spec.k is None
-        with pytest.raises(ValueError):
-            corona_spectral_closed_form(
-                spec, exact_decomposition(g), decompose(h.adjacency())
-            )
-
-    def test_requires_connected_copy_factor(self):
-        g, h = path_graph(2), empty_graph(2)
-        spec = CoronaSpec.from_graphs(g, h)
-        with pytest.raises(ValueError):
-            corona_spectral_closed_form(
-                spec, exact_decomposition(g), exact_decomposition(h)
-            )
+    @pytest.mark.parametrize(
+        "g,h",
+        [(path_graph(2), path_graph(3)), (cycle_graph(5), star_graph(4)),
+         (path_graph(4), make_graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])),
+         # a disconnected regular H repeats k, and only 1/sqrt(m) of it lifts
+         (path_graph(2), empty_graph(2)), (cycle_graph(4), empty_graph(3)),
+         (path_graph(3), make_graph(5, [(0, 1), (2, 3), (3, 4), (2, 4)]))],
+        ids=["p2p3", "c5s4", "p4paw", "p2e2", "c4e3", "p3k2+k3"],
+    )
+    def test_irregular_or_disconnected_copy_factor_equals_assembled(self, g, h):
+        _, d = closed_form(g, h)
+        assert h.is_regular() is None or not h.is_connected()
+        ref = exact_decomposition(corona_graph(g, h))
+        assert [(c.multiplicity, c.exact) for c in d.classes] == \
+            [(r.multiplicity, r.exact) for r in ref.classes]
+        assert np.allclose([c.value for c in d.classes], [r.value for r in ref.classes],
+                           atol=1e-9)
+        assert np.max(np.abs(reassemble(d) - corona_graph(g, h).adjacency())) < 1e-12
 
     def test_disconnected_base_reconstructs(self):
         g, h = empty_graph(2), cycle_graph(3)
@@ -400,6 +418,43 @@ class TestBlockFormat:
         assert peak < 64 * 2**20
 
 
+ORACLE_BASES = ([f"path:{n}" for n in range(1, 6)] + ["cycle:3", "cycle:4", "cycle:5"]
+                + ["star:3", "star:4", "star:5"] + [f"complete:{n}" for n in range(1, 5)]
+                + ["empty:1", "empty:2", "empty:3", "cocktail:2"])
+# file: copy factors, irregular (the last also disconnected), as edge lists
+ORACLE_FILES = {"file:triangle-forks": "6\n0 1\n0 2\n1 2\n2 3\n3 4\n3 5\n",
+                "file:c4-pendant": "5\n0 1\n1 2\n2 3\n0 3\n0 4\n",
+                "file:k2+p3": "5\n0 1\n2 3\n3 4\n"}
+ORACLE_COPIES = ["path:2", "path:3", "path:4", "star:3", "star:4", "empty:1", "empty:2",
+                 "empty:3", "cycle:3", "cycle:4", "complete:3", "cocktail:2",
+                 "corona(path:2,empty:1)", "corona(empty:2,complete:2)", *ORACLE_FILES]
+
+
+class TestOracleEquality:
+    """The closed form equals the assembled exact decomposition class by class
+    on 19 bases times 17 copy factors, 323 factor pairs."""
+
+    @pytest.mark.parametrize("copy", ORACLE_COPIES)
+    def test_closed_form_equals_assembled_exact_decomposition(self, tmp_path, copy):
+        assert len(ORACLE_BASES) * len(ORACLE_COPIES) >= 200
+        if copy in ORACLE_FILES:
+            path = tmp_path / "h.edges"
+            path.write_text(ORACLE_FILES[copy], encoding="utf-8")
+            copy = f"file:{path}"
+        for base in ORACLE_BASES:
+            spec = parse_graph_spec(f"corona({base},{copy})")
+            factors = SpecFactors()
+            d = factors.decomposition(spec)
+            ref = exact_decomposition(factors.graph(spec))
+            assert [(c.multiplicity, c.exact) for c in d.classes] == \
+                [(r.multiplicity, r.exact) for r in ref.classes], base
+            assert np.allclose([c.value for c in d.classes],
+                               [r.value for r in ref.classes], rtol=0, atol=1e-9), base
+            for t in (0.7, 3.1):
+                diff = transition_matrix(d, t) - transition_matrix(ref, t)
+                assert np.max(np.abs(diff)) < 1e-8, base
+
+
 class TestEntries:
     def test_base_base_at_zero_is_kronecker(self):
         g, h = path_graph(3), cycle_graph(3)
@@ -464,7 +519,7 @@ class TestEntries:
         values = [c.value for c in d.classes]
         assert 2.0 in values and 0.0 in values
         assert np.all(d.classes[values.index(2.0)].vectors[: g.n] == 0.0)
-        assert corona_support_base_vertex([zero.exact], 2, 3) == [QuadInt.from_int(0)]
+        assert corona_support_base_vertex([zero.exact], spec.main) == [QuadInt.from_int(0)]
 
     def test_degenerate_zero_gap_for_zero_degree(self):
         # base eigenvalue 0 with a 0-regular copy factor hits Lambda = 0
@@ -487,18 +542,29 @@ class TestEntries:
         assert abs(val) == pytest.approx(1.0, abs=1e-12)
 
 
+def random_irregular_graph(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    while True:
+        g = make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < 0.5])
+        if g.is_regular() is None:
+            return g
+
+
 GRID_BASES = [path_graph(2), path_graph(3), star_graph(4), cycle_graph(4),
               cocktail_party_graph(3), complete_graph(1)]
-# connected and regular: k = 0 (the single vertex, where base eigenvalue 0
-# hits Lambda = 0), 1, 2 and 3
+# regular of degree k = 0 (the single vertex, where base eigenvalue 0 hits
+# Lambda = 0), 1, 2 and 3; irregular, where a base-copy coefficient
+# E x_0 x_{1+w} depends on w; and disconnected
 GRID_COPIES = [empty_graph(1), complete_graph(2), cycle_graph(3), cycle_graph(5),
-               complete_graph(4)]
+               complete_graph(4), path_graph(3), star_graph(4), empty_graph(2),
+               random_irregular_graph(6, 3)]
 
 
 @st.composite
 def corona_pairs(draw):
-    """A corona of a small base (family or random) and a connected regular
-    copy factor, its base decomposition and one base-base or base-copy pair."""
+    """A corona of a small base (family or random) and a small copy factor,
+    its base decomposition and one base-base or base-copy pair."""
     if draw(st.booleans()):
         g = draw(st.sampled_from(GRID_BASES))
     else:
@@ -554,7 +620,8 @@ class TestExponentialSum:
 
 class TestSupportLift:
     def test_integer_support_with_degree_two_copies(self):
-        out = corona_support_base_vertex([QuadInt.from_int(1), QuadInt.from_int(-1)], 2, 3)
+        out = corona_support_base_vertex([QuadInt.from_int(1), QuadInt.from_int(-1)],
+                                         regular_main(2, 3))
         assert out == [
             QuadInt(3, 1, 13),
             QuadInt(1, 1, 21),
@@ -573,7 +640,8 @@ class TestSupportLift:
         ]
         for g, h, v in cases:
             base = eigenvalue_support(exact_decomposition(g), v)
-            lifted = corona_support_base_vertex(list(base.exact), h.is_regular(), h.n)
+            lifted = corona_support_base_vertex(list(base.exact),
+                                                CoronaSpec.from_graphs(g, h).main)
             assembled = eigenvalue_support(exact_decomposition(corona_graph(g, h)), v)
             assert len(lifted) == len(assembled)
             for x, value, q in zip(lifted, assembled.values, assembled.exact):
@@ -584,7 +652,7 @@ class TestSupportLift:
 
     def test_zero_degree_square_shift(self):
         out = corona_support_base_vertex(
-            [QuadInt.from_int(1), QuadInt.from_int(-1)], 0, 2
+            [QuadInt.from_int(1), QuadInt.from_int(-1)], regular_main(0, 2)
         )
         assert out == [
             QuadInt.from_int(2),
@@ -594,7 +662,8 @@ class TestSupportLift:
         ]
 
     def test_quadratic_multiples_scale(self):
-        out = corona_support_base_vertex([QuadInt(0, 2, 2), QuadInt(0, -2, 2)], 0, 2)
+        out = corona_support_base_vertex([QuadInt(0, 2, 2), QuadInt(0, -2, 2)],
+                                         regular_main(0, 2))
         assert out == [
             QuadInt(0, 4, 2),
             QuadInt(0, 2, 2),
@@ -603,7 +672,7 @@ class TestSupportLift:
         ]
 
     def test_inexact_fallback_is_float(self):
-        out = corona_support_base_vertex([QuadInt(0, 2, 2)], 2, 3)
+        out = corona_support_base_vertex([QuadInt(0, 2, 2)], regular_main(2, 3))
         assert all(isinstance(x, float) for x in out)
         lam = math.sqrt(2)
         big = math.sqrt((lam - 2) ** 2 + 12 * lam * lam)

