@@ -1,63 +1,88 @@
-"""Continuous-time quantum walks on neighborhood corona graphs."""
+"""Continuous-time quantum walks on neighborhood corona graphs.
 
-from .exact import (
-    QuadInt,
-    SquareFreeSplit,
-    exact_rank,
-    gcd_list,
-    square_free_part,
-    two_adic_valuation,
-)
-from .graphs import (
-    Graph,
-    GraphSpec,
-    UNREACHABLE,
-    build_family,
-    cocktail_antipode_map,
-    cocktail_party_graph,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
-    make_graph,
-    path_graph,
-    read_edge_list,
-    star_graph,
-    write_edge_list,
-)
-from .spectral import (
-    EigenClass,
-    SpectralDecomposition,
-    SupportSet,
-    attach_exact_labels,
-    decompose,
-    eigenvalue_support,
-    entry_amplitudes,
-    exact_decomposition,
-    exp_sum,
-    strong_cospectral,
-    symmetric_eigen,
-)
-from .corona import (
-    CoronaSpec,
-    corona_graph,
-    corona_spectral_closed_form,
-    corona_support_base_vertex,
-    corona_terms,
-    copy_index,
-    lift_class,
-)
-from .transfer import (
-    FidelityTrace,
-    NoTransferScan,
-    PGSTSearchResult,
-    PSTCertificate,
-    PeriodicityVerdict,
-    corona_base_periodicity,
-    corona_no_pst_check,
-    fidelity_sweep,
-    periodicity_test,
-    pgst_search,
-    pst_certify,
-)
+The public names below are imported from their modules on first access
+(PEP 562), so importing the package, or `coronawalk.cli` through it, loads
+neither numpy nor any analysis module.
+"""
 
+from importlib import import_module
+
+_EXPORTS = {
+    "exact": (
+        "QuadInt",
+        "SquareFreeSplit",
+        "exact_rank",
+        "gcd_list",
+        "square_free_part",
+        "two_adic_valuation",
+    ),
+    "graphs": (
+        "Graph",
+        "GraphSpec",
+        "UNREACHABLE",
+        "build_family",
+        "cocktail_antipode_map",
+        "cocktail_party_graph",
+        "complete_graph",
+        "copy_index",
+        "corona_graph",
+        "cycle_graph",
+        "empty_graph",
+        "make_graph",
+        "path_graph",
+        "read_edge_list",
+        "star_graph",
+        "write_edge_list",
+    ),
+    "spectral": (
+        "EigenClass",
+        "SpectralDecomposition",
+        "SupportSet",
+        "attach_exact_labels",
+        "decompose",
+        "eigenvalue_support",
+        "entry_amplitudes",
+        "exact_decomposition",
+        "exp_sum",
+        "strong_cospectral",
+        "symmetric_eigen",
+    ),
+    "corona": (
+        "CoronaSpec",
+        "corona_spectral_closed_form",
+        "corona_support_base_vertex",
+        "corona_terms",
+        "lift_class",
+    ),
+    "transfer": (
+        "FidelityTrace",
+        "NoTransferScan",
+        "PGSTSearchResult",
+        "PSTCertificate",
+        "PeriodicityVerdict",
+        "corona_base_periodicity",
+        "corona_no_pst_check",
+        "fidelity_sweep",
+        "periodicity_test",
+        "pgst_search",
+        "pst_certify",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule, loaded on first access
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

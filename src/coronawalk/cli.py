@@ -9,6 +9,11 @@ LMAX, TARGET) sets the default of its flag and is checked by the flag's own
 type; all are read whenever a command runs, so a bad value fails every
 subcommand.
 
+Only `graphs` and the defaults are loaded up front, so usage errors and
+corona-build never load numpy.  Each handler imports the analysis modules
+it calls: `corona` and `spectral` (and numpy) for every other subcommand,
+and `transfer` as well for sweep, periodic, pst, no-pst-scan and pgst.
+
 Reports are byte-deterministic for a fixed command line: floats are rounded
 to 15 significant digits before serialization and JSON keys are sorted, so
 emitted documents survive a parse/re-emit round trip unchanged.
@@ -23,9 +28,15 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import corona, graphs, spectral, transfer
+from . import graphs
+from .defaults import (
+    DEFAULT_COSPECTRAL_TOL,
+    DEFAULT_ELL_MAX,
+    DEFAULT_GROUP_TOL,
+    DEFAULT_SUPPORT_TOL,
+    DEFAULT_TARGET,
+    PGST_FAMILIES,
+)
 from .exact import QuadInt
 
 ENV_PREFIX = "CORONAWALK_"
@@ -115,16 +126,19 @@ def _canon(obj):
         return {"im": _round15(obj.imag), "re": _round15(obj.real)}
     if isinstance(obj, QuadInt):
         return {"a": obj.a, "b": obj.b, "delta": obj.delta}
+    if isinstance(obj, dict):
+        return {str(k): _canon(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canon(x) for x in obj]
+    # last, so a report of plain values never loads numpy
+    import numpy as np
+
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
         return _round15(float(obj))
     if isinstance(obj, np.ndarray):
         return [_canon(x) for x in obj.tolist()]
-    if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canon(x) for x in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -164,7 +178,7 @@ def _render_csv(rows: list[tuple], header: tuple[str, ...]) -> str:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _class_record(c: spectral.EigenClass) -> dict:
+def _class_record(c) -> dict:
     rec: dict = {"value": c.value, "multiplicity": c.multiplicity}
     if c.exact is not None:
         rec["exact"] = c.exact
@@ -181,6 +195,8 @@ def _require_corona(spec: graphs.GraphSpec, who: str = "this subcommand") -> Non
 # is the handler's own rendering of --format (sweep csv, corona-build text)
 
 def _cmd_spectrum(args):
+    from . import corona
+
     d = corona.SpecFactors(args.group_tol).decomposition(args.spec)
     return {
         "n": d.n,
@@ -190,7 +206,7 @@ def _cmd_spectrum(args):
 
 def _cmd_corona_build(args):
     _require_corona(args.spec, "corona-build")
-    g = corona.SpecFactors().graph(args.spec)
+    g = graphs.build_graph(args.spec, {})
     report = {
         "n": g.n,
         "edge_count": g.edge_count,
@@ -201,6 +217,8 @@ def _cmd_corona_build(args):
 
 
 def _cmd_fidelity(args):
+    from . import corona, spectral
+
     d = corona.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
     amp = complex(spectral.entry_amplitudes(d, args.u, args.v, args.t))
     return {
@@ -213,6 +231,8 @@ def _cmd_fidelity(args):
 
 
 def _cmd_sweep(args):
+    from . import corona, transfer
+
     d = corona.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
     trace = transfer.fidelity_sweep(d, args.u, args.v, args.t_max, args.steps)
     report = {
@@ -234,6 +254,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_support(args):
+    from . import corona, spectral
+
     d = corona.SpecFactors(args.group_tol).decomposition(args.spec)
     sup = spectral.eigenvalue_support(d, args.u, args.support_tol)
     return {
@@ -243,6 +265,8 @@ def _cmd_support(args):
 
 
 def _cmd_cospectral(args):
+    from . import corona, spectral
+
     d = corona.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
     signs = spectral.strong_cospectral(d, args.u, args.v, args.cospectral_tol)
     report = {
@@ -263,6 +287,8 @@ def _record(result) -> dict:
 
 
 def _cmd_periodic(args):
+    from . import corona, spectral, transfer
+
     factors = corona.SpecFactors(args.group_tol)
     d = factors.decomposition(args.spec)
     sup = spectral.eigenvalue_support(d, args.u, args.support_tol)
@@ -285,6 +311,8 @@ def _cmd_periodic(args):
 
 
 def _cmd_pst(args):
+    from . import corona, transfer
+
     d = corona.SpecFactors(args.group_tol).decomposition(args.spec)
     cert = transfer.pst_certify(d, args.u, args.v, args.support_tol, args.cospectral_tol)
     return _record(cert), None
@@ -292,6 +320,8 @@ def _cmd_pst(args):
 
 def _cmd_no_pst_scan(args):
     _require_corona(args.spec)
+    from . import corona, transfer
+
     cspec, g_decomp = corona.SpecFactors(args.group_tol).corona_context(args.spec)
     if args.pair == "base-base":
         pair = ("base-base", args.v, args.vp)
@@ -312,6 +342,8 @@ def _cmd_no_pst_scan(args):
 
 def _cmd_pgst(args):
     _require_corona(args.spec)
+    from . import corona, transfer
+
     cspec, g_decomp = corona.SpecFactors(args.group_tol).corona_context(args.spec)
     result = transfer.pgst_search(cspec, g_decomp, args.u, args.v, args.family,
                                   ell_max=args.lmax, target=args.target,
@@ -412,13 +444,12 @@ def _tolerance(text: str) -> float:
 def _build_parser() -> _Parser:
     # every CORONAWALK_* default is read here, so a bad one fails every subcommand
     tols = {
-        "group": _env_default("GROUP_TOL", _tolerance, spectral.DEFAULT_GROUP_TOL),
-        "support": _env_default("SUPPORT_TOL", _tolerance, spectral.DEFAULT_SUPPORT_TOL),
-        "cospectral": _env_default("COSPECTRAL_TOL", _tolerance,
-                                   spectral.DEFAULT_COSPECTRAL_TOL),
+        "group": _env_default("GROUP_TOL", _tolerance, DEFAULT_GROUP_TOL),
+        "support": _env_default("SUPPORT_TOL", _tolerance, DEFAULT_SUPPORT_TOL),
+        "cospectral": _env_default("COSPECTRAL_TOL", _tolerance, DEFAULT_COSPECTRAL_TOL),
     }
-    ell_max = _env_default("LMAX", _positive_int, transfer.DEFAULT_ELL_MAX)
-    target = _env_default("TARGET", _unit_fraction, transfer.DEFAULT_TARGET)
+    ell_max = _env_default("LMAX", _positive_int, DEFAULT_ELL_MAX)
+    target = _env_default("TARGET", _unit_fraction, DEFAULT_TARGET)
     parser = _Parser(prog="coronawalk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -452,7 +483,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t-max", type=_positive_finite, default=50.0)
     p.add_argument("--points", type=_grid_size, default=10000)
     p = add("pgst", ("group", "support", "cospectral"), needs_uv=("u", "v"))
-    p.add_argument("--family", choices=transfer.PGST_FAMILIES, required=True)
+    p.add_argument("--family", choices=PGST_FAMILIES, required=True)
     p.add_argument("--lmax", type=_positive_int, default=ell_max)
     p.add_argument("--target", type=_unit_fraction, default=target)
     return parser

@@ -1,12 +1,14 @@
-"""Neighborhood corona assembly and its closed-form spectral decomposition.
+"""Closed-form spectral decomposition of neighborhood coronas.
 
 The corona of a base graph G (n vertices) with a graph H (m vertices) keeps
 one copy of G plus n copies of H and joins every vertex of copy j to all
-base neighbors of vertex j.  On columns x (x) phi, phi a base eigenvector of
-lam and x a layer column (base, copy_0, ..., copy_{m-1}), it acts as the
-layer matrix [[lam, lam 1^T], [lam 1, A_H]].  Restricted to the base layer
-and the main directions u_mu = P_mu 1 / w_mu of H (w_mu = ||P_mu 1|| > 0)
-that is the arrowhead [[lam, lam w^T], [lam w, diag(mu)]], whose eigenpairs
+base neighbors of vertex j; `graphs.corona_graph` assembles it, which
+this module asks for only where a corona is a copy factor.  On columns
+x (x) phi, phi a base eigenvector of lam and x a layer column (base,
+copy_0, ..., copy_{m-1}), it acts as the layer matrix
+[[lam, lam 1^T], [lam 1, A_H]].  Restricted to the base layer and the main
+directions u_mu = P_mu 1 / w_mu of H (w_mu = ||P_mu 1|| > 0) that is the
+arrowhead [[lam, lam w^T], [lam w, diag(mu)]], whose eigenpairs
 are the lifts of lam; the rest of each H class survives with multiplicity n.
 For a k-regular H the one main direction is 1/sqrt(m), so lam lifts to
 
@@ -30,10 +32,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .defaults import DEFAULT_GROUP_TOL
 from .exact import QuadInt, exact_rank
-from .graphs import Graph, GraphSpec, build_family, make_graph
+from .graphs import Graph, GraphSpec, build_graph
 from .spectral import (
-    DEFAULT_GROUP_TOL,
     MAX_DIMENSION,
     EigenClass,
     SpectralDecomposition,
@@ -41,30 +43,6 @@ from .spectral import (
     decompose,
     exact_decomposition,
 )
-
-
-def copy_index(n: int, v: int, w: int) -> int:
-    """Flat index of copy vertex (v, w): block layout [base | w=0 | w=1 | ...]."""
-    return n + w * n + v
-
-
-def corona_graph(g: Graph, h: Graph) -> Graph:
-    """Assemble the neighborhood corona of g and h on g.n * (h.n + 1) vertices."""
-    n, m = g.n, h.n
-    edges: list[tuple[int, int]] = list(g.edges)
-    for w, w2 in h.edges:
-        for v in range(n):
-            edges.append((copy_index(n, v, w), copy_index(n, v, w2)))
-    for v, v2 in g.edges:
-        for w in range(m):
-            # copy vertices over v see every neighbor of v, and vice versa
-            edges.append((copy_index(n, v, w), v2))
-            edges.append((copy_index(n, v2, w), v))
-    labels = tuple(
-        [("base", v) for v in range(n)]
-        + [("copy", v, w) for w in range(m) for v in range(n)]
-    )
-    return make_graph(n * (m + 1), edges, labels)
 
 
 class MainData(NamedTuple):
@@ -269,18 +247,19 @@ class SpecFactors:
         self.exact = exact
         self._graphs: dict[GraphSpec, Graph] = {}
         self._decomps: dict[GraphSpec, SpectralDecomposition] = {}
+        self._coronas: dict[GraphSpec, CoronaSpec] = {}
 
     def graph(self, spec: GraphSpec) -> Graph:
-        if spec not in self._graphs:
-            self._graphs[spec] = (corona_graph(*map(self.graph, spec.factors))
-                                  if spec.kind == "corona" else build_family(spec))
-        return self._graphs[spec]
+        return build_graph(spec, self._graphs)
 
     def corona(self, spec: GraphSpec) -> CoronaSpec:
-        g, h = map(self.graph, spec.factors)
-        # an irregular H's main data is read off its decomposition
-        h_decomp = None if h.is_regular() is not None else self.decomposition(spec.factors[1])
-        return CoronaSpec.from_graphs(g, h, h_decomp)
+        if spec not in self._coronas:
+            g, h = map(self.graph, spec.factors)
+            # an irregular H's main data is read off its decomposition
+            h_decomp = (None if h.is_regular() is not None
+                        else self.decomposition(spec.factors[1]))
+            self._coronas[spec] = CoronaSpec.from_graphs(g, h, h_decomp)
+        return self._coronas[spec]
 
     def corona_context(self, spec: GraphSpec) -> tuple[CoronaSpec, SpectralDecomposition]:
         """A corona spec's built factors and its base's decomposition."""

@@ -1,7 +1,11 @@
-"""Graph families, adjacency matrices, and metric utilities.
+"""Graph families, edge-list files, corona assembly, and metric utilities.
 
 Vertices are always 0-indexed integers; corona-built graphs additionally
 carry per-vertex labels mapping flat indices back to (base, copy) addresses.
+Building a graph from a spec, corona or not, needs no numpy: only the
+array-valued methods (adjacency, degrees, BFS distances) and
+`cocktail_antipode_map` import it, when called, so `corona-build` never
+loads it.
 """
 
 from __future__ import annotations
@@ -9,8 +13,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Sentinel for unreachable vertex pairs in distance matrices.
 UNREACHABLE = -1
@@ -50,12 +56,16 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         """Symmetric 0/1 integer matrix with zero diagonal."""
+        import numpy as np
+
         a = np.zeros((self.n, self.n), dtype=np.int64)
         for u, v in self.edges:
             a[u, v] = a[v, u] = 1
         return a
 
     def degrees(self) -> np.ndarray:
+        import numpy as np
+
         ends = np.array(list(self.edges), dtype=np.int64).reshape(-1)
         return np.bincount(ends, minlength=self.n)
 
@@ -69,6 +79,8 @@ class Graph:
         return bool((self.bfs_distances(0) != UNREACHABLE).all())
 
     def bfs_distances(self, source: int) -> np.ndarray:
+        import numpy as np
+
         if not 0 <= source < self.n:
             raise ValueError(f"vertex {source} out of range")
         adj = [[] for _ in range(self.n)]
@@ -88,6 +100,8 @@ class Graph:
 
     def distance_matrix(self) -> np.ndarray:
         """All-pairs BFS distances; UNREACHABLE marks disconnected pairs."""
+        import numpy as np
+
         return np.stack([self.bfs_distances(v) for v in range(self.n)])
 
 
@@ -152,6 +166,8 @@ def cocktail_antipode_map(g: Graph) -> list[int] | None:
     distance 2 through any third vertex).  Below 4 vertices no graph has such
     a distance-2 partner for every vertex.
     """
+    import numpy as np
+
     if g.n < 4:
         return None
     far = (g.adjacency() == 0) & ~np.eye(g.n, dtype=bool)
@@ -166,7 +182,7 @@ def _require_size(n: int, minimum: int, family: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# specs and files
+# specs
 
 FAMILY_KINDS = ("path", "cycle", "complete", "cocktail", "empty", "star")
 
@@ -189,7 +205,7 @@ class GraphSpec:
 
 
 def build_family(spec: GraphSpec) -> Graph:
-    """Materialize a family or file spec; coronas are built by SpecFactors.graph."""
+    """Materialize a family or file spec; coronas are built by build_graph."""
     if spec.kind == "file":
         return read_edge_list(spec.path)
     if spec.kind not in FAMILY_KINDS:
@@ -206,6 +222,45 @@ def build_family(spec: GraphSpec) -> Graph:
     }
     return builders[spec.kind](spec.size)
 
+
+def build_graph(spec: GraphSpec, built: dict[GraphSpec, Graph]) -> Graph:
+    """Materialize any spec, a corona from its factors, each term built once
+    and kept in `built`."""
+    if spec not in built:
+        built[spec] = (corona_graph(*(build_graph(f, built) for f in spec.factors))
+                       if spec.kind == "corona" else build_family(spec))
+    return built[spec]
+
+
+# ---------------------------------------------------------------------------
+# corona assembly
+
+def copy_index(n: int, v: int, w: int) -> int:
+    """Flat index of copy vertex (v, w): block layout [base | w=0 | w=1 | ...]."""
+    return n + w * n + v
+
+
+def corona_graph(g: Graph, h: Graph) -> Graph:
+    """Assemble the neighborhood corona of g and h on g.n * (h.n + 1) vertices."""
+    n, m = g.n, h.n
+    edges: list[tuple[int, int]] = list(g.edges)
+    for w, w2 in h.edges:
+        for v in range(n):
+            edges.append((copy_index(n, v, w), copy_index(n, v, w2)))
+    for v, v2 in g.edges:
+        for w in range(m):
+            # copy vertices over v see every neighbor of v, and vice versa
+            edges.append((copy_index(n, v, w), v2))
+            edges.append((copy_index(n, v2, w), v))
+    labels = tuple(
+        [("base", v) for v in range(n)]
+        + [("copy", v, w) for w in range(m) for v in range(n)]
+    )
+    return make_graph(n * (m + 1), edges, labels)
+
+
+# ---------------------------------------------------------------------------
+# edge-list files
 
 def read_edge_list(path: str | Path) -> Graph:
     """Load the plain edge-list format.

@@ -15,12 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_GROUP_TOL, DEFAULT_SUPPORT_TOL
 from .exact import QuadInt, exact_rank, square_free_part
 from .graphs import Graph
 
-DEFAULT_GROUP_TOL = 1e-8
-DEFAULT_SUPPORT_TOL = 1e-8
-DEFAULT_COSPECTRAL_TOL = 1e-7
 MAX_DIMENSION = 4096
 # time points per batch of a uniform-grid evaluation
 GRID_BLOCK = 8192

@@ -15,11 +15,16 @@ from typing import Sequence
 import numpy as np
 
 from .corona import CoronaSpec, _check_base, corona_support_base_vertex, corona_terms
+from .defaults import (
+    DEFAULT_COSPECTRAL_TOL,
+    DEFAULT_ELL_MAX,
+    DEFAULT_SUPPORT_TOL,
+    DEFAULT_TARGET,
+    PGST_FAMILIES,
+)
 from .exact import QuadInt, gcd_list, two_adic_valuation
 from .graphs import cocktail_antipode_map
 from .spectral import (
-    DEFAULT_COSPECTRAL_TOL,
-    DEFAULT_SUPPORT_TOL,
     SpectralDecomposition,
     eigenvalue_support,
     entry_amplitudes,
@@ -27,11 +32,7 @@ from .spectral import (
     strong_cospectral,
 )
 
-DEFAULT_ELL_MAX = 100_000
-DEFAULT_TARGET = 0.99
 _ALPHA_MAX = 64
-
-PGST_FAMILIES = ("t51", "t52", "cocktail")
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ import pytest
 
 from coronawalk.corona import (
     CoronaSpec,
-    copy_index,
-    corona_graph,
     corona_spectral_closed_form,
     lift_class,
 )
@@ -39,6 +37,8 @@ from coronawalk.exact import QuadInt, SquareFreeSplit, square_free_part
 from coronawalk.graphs import (
     cocktail_party_graph,
     complete_graph,
+    copy_index,
+    corona_graph,
     cycle_graph,
     empty_graph,
     make_graph,

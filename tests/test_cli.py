@@ -232,6 +232,17 @@ class TestAdjacencyBuilds:
         assert built == orders
 
 
+class TestCoronaSpecBuilds:
+    def test_irregular_copy_factor_krylov_rank_runs_once(self, capsys, monkeypatch):
+        # periodic reads the corona spec in the closed form and in the base test
+        dims = []
+        rank = corona.exact_rank
+        monkeypatch.setattr(corona, "exact_rank",
+                            lambda rows: dims.append(len(rows)) or rank(rows))
+        assert run(capsys, "periodic", "corona(cycle:6,path:3)", "--u", "1")[0] == EXIT_OK
+        assert dims == [4]
+
+
 class TestPstCommand:
     def test_two_path(self, capsys):
         code, out, _ = run(capsys, "pst", "path:2", "--u", "0", "--v", "1")
@@ -478,7 +489,6 @@ class TestExitCodes:
             raise AssertionError("graph built before the dense budget check")
 
         monkeypatch.setattr(graphs, "make_graph", make_graph)
-        monkeypatch.setattr(corona, "make_graph", make_graph)
         code, out, err = run(capsys, *argv)
         assert code == EXIT_ANALYSIS
         assert out == "" and f"dimension {n} exceeds dense budget 4096" in err

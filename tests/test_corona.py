@@ -10,8 +10,6 @@ from coronawalk.cli import parse_graph_spec
 from coronawalk.corona import (
     CoronaSpec,
     SpecFactors,
-    copy_index,
-    corona_graph,
     corona_spectral_closed_form,
     corona_support_base_vertex,
     corona_terms,
@@ -21,6 +19,8 @@ from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
     cocktail_party_graph,
     complete_graph,
+    copy_index,
+    corona_graph,
     cycle_graph,
     empty_graph,
     make_graph,

@@ -1,0 +1,74 @@
+"""The import graph follows the work: each check runs in a fresh interpreter,
+so `sys.modules` starts clean, and reports which modules it loaded."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# prints {"code": <exit code or null>, "loaded": [watched modules in sys.modules]}
+PROBE = """
+import json, sys
+{body}
+watched = ("numpy", "coronawalk.corona", "coronawalk.spectral", "coronawalk.transfer")
+print(json.dumps({{"code": code, "loaded": [m for m in watched if m in sys.modules]}}))
+"""
+
+
+def probe(body: str, **env) -> dict:
+    path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+    res = subprocess.run([sys.executable, "-c", PROBE.format(body=body)],
+                         env={**os.environ, "PYTHONPATH": path, **env},
+                         capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def run_quietly(argv) -> str:
+    """Probe body: run_command on argv with its output discarded."""
+    return ("import contextlib, io\nfrom coronawalk.cli import run_command\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    code = run_command({list(argv)!r})")
+
+
+@pytest.mark.parametrize("module", ["coronawalk", "coronawalk.cli"])
+def test_import_loads_no_analysis_module(module):
+    assert probe(f"import {module}\ncode = None") == {"code": None, "loaded": []}
+
+
+@pytest.mark.parametrize(
+    "argv, env, code",
+    [
+        (("spectrum", "cycle:2"), {}, 1),
+        (("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "1"), {}, 1),
+        (("spectrum", "path:3"), {"CORONAWALK_GROUP_TOL": "0.5"}, 1),
+        (("pgst", "path:3", "--u", "0", "--v", "2", "--family", "t51"), {}, 1),
+        (("corona-build", "corona(path:4,complete:2)"), {}, 0),
+        (("corona-build", "corona(path:4,complete:2)", "--format", "text"), {}, 0),
+    ],
+    ids=["bad-spec", "bad-flag", "bad-env", "plain-spec-to-pgst", "corona-build-json",
+         "corona-build-text"],
+)
+def test_usage_errors_and_corona_build_never_load_numpy(argv, env, code):
+    assert probe(run_quietly(argv), **env) == {"code": code, "loaded": []}
+
+
+def test_spectrum_skips_transfer():
+    assert probe(run_quietly(("spectrum", "complete:4"))) == {
+        "code": 0, "loaded": ["numpy", "coronawalk.corona", "coronawalk.spectral"]}
+
+
+def test_every_exported_name_resolves():
+    body = ("import coronawalk\n"
+            "missing = [n for n in coronawalk.__all__ if getattr(coronawalk, n, None) is None]\n"
+            "assert coronawalk.__all__ and not missing, missing\n"
+            "from coronawalk import (CoronaSpec, corona_base_periodicity,\n"
+            "    corona_spectral_closed_form, empty_graph, exact_decomposition,\n"
+            "    path_graph, cycle_graph, pgst_search, pst_certify)\n"
+            "code = 0")
+    assert probe(body)["code"] == 0

@@ -5,15 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coronawalk.corona import (
-    CoronaSpec,
-    copy_index,
-    corona_graph,
-)
+from coronawalk.corona import CoronaSpec
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
     cocktail_party_graph,
     complete_graph,
+    copy_index,
+    corona_graph,
     cycle_graph,
     empty_graph,
     path_graph,
