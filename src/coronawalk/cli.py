@@ -17,6 +17,13 @@ and `transfer` as well for sweep, periodic, pst, no-pst-scan and pgst.
 Reports are byte-deterministic for a fixed command line: floats are rounded
 to 15 significant digits before serialization and JSON keys are sorted, so
 emitted documents survive a parse/re-emit round trip unchanged.
+
+`run_command` is the in-process entry point: it returns the exit code (only
+--help exits, as argparse does).  `main`, the console script, runs it,
+flushes stdout and stderr and ends the process with `os._exit`, skipping
+interpreter teardown, so nothing the CLI loads may rely on an atexit
+handler.  A stdout that cannot be written (a full device, a pipe closed by
+its reader) is a usage error, as an unwritable --output is.
 """
 
 from __future__ import annotations
@@ -520,12 +527,29 @@ def run_command(argv: list[str]) -> int:
             print(f"usage error: cannot write {args.output}: {err}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+        except OSError as err:
+            return _stdout_failed(err)
     return EXIT_OK
 
 
+def _stdout_failed(err: OSError) -> int:
+    print(f"usage error: cannot write stdout: {err}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    """Run one command, flush, and end the process without interpreter teardown."""
+    code = run_command(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError as err:
+        # after a failed write run_command has said so; the flush fails again
+        if code == EXIT_OK:
+            code = _stdout_failed(err)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

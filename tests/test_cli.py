@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +22,24 @@ from coronawalk.corona import SpecFactors
 from coronawalk.graphs import GraphSpec
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(capsys, *argv):
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(argv, cwd=None, stdout=subprocess.PIPE, unbuffered=False):
+    """`python -m coronawalk.cli argv` in a child, its stdout buffered unless
+    `unbuffered`.  main() ends the process, so it only ever runs in a child."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), *filter(None, [env.get("PYTHONPATH")])])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "coronawalk.cli", *argv], cwd=cwd,
+                          env=env, stdout=stdout, stderr=subprocess.PIPE, timeout=60)
 
 
 class TestParseGraphSpec:
@@ -611,3 +629,69 @@ class TestEnvOverrides:
         assert code == EXIT_OK
         assert seen == [expected]
         assert json.loads(out)["best_ell"] == 53
+
+
+SMALL_REPORT = ("spectrum", "path:4")
+# 225,627 bytes of JSON, far past the 8 KiB stdout buffer
+LARGE_REPORT = ("sweep", "path:4", "--u", "0", "--v", "3", "--t-max", "10",
+                "--steps", "5000")
+
+
+class TestProcess:
+    """The console entry point flushes and ends in os._exit: what it flushed is
+    all that reaches the caller."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SMALL_REPORT,
+            LARGE_REPORT,
+            ("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3",
+             "--steps", "2000", "--format", "csv"),
+            ("corona-build", "corona(path:3,cycle:3)", "--format", "text"),
+            ("spectrum", "corona(path:2,cycle:3)", "--output", "report.json"),
+            ("spectrum", "cycle:2"),
+            ("spectrum", "complete:5000"),
+        ],
+        ids=["small", "large", "csv", "corona-build-text", "output-file",
+             "usage-error", "analysis-error"],
+    )
+    def test_process_writes_what_run_command_writes(self, capsys, monkeypatch,
+                                                    tmp_path, argv):
+        in_process, child = tmp_path / "in-process", tmp_path / "child"
+        in_process.mkdir()
+        child.mkdir()
+        monkeypatch.chdir(in_process)
+        code, out, err = run(capsys, *argv)
+        proc = run_process(argv, cwd=child)
+        assert (proc.returncode, proc.stderr.decode()) == (code, err)
+        assert proc.stdout == out.encode()
+        assert {p.name: p.read_bytes() for p in child.iterdir()} == \
+            {p.name: p.read_bytes() for p in in_process.iterdir()}
+
+    @staticmethod
+    def assert_stdout_refused(proc):
+        err = proc.stderr.decode()
+        assert proc.returncode == EXIT_USAGE, err
+        assert err.startswith("usage error: cannot write stdout: "), err
+        assert "Traceback" not in err and err.count("\n") == 1, err
+
+    # unbuffered, the write fails in run_command; buffered, a small report
+    # fails only at the flush in main()
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [SMALL_REPORT, LARGE_REPORT], ids=["small", "large"])
+    def test_full_stdout_is_usage_error(self, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            self.assert_stdout_refused(run_process(argv, stdout=full, unbuffered=unbuffered))
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [SMALL_REPORT, LARGE_REPORT], ids=["small", "large"])
+    def test_closed_stdout_pipe_is_usage_error(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts, so before it writes
+        try:
+            proc = run_process(argv, stdout=write_end, unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+        self.assert_stdout_refused(proc)

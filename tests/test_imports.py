@@ -72,3 +72,41 @@ def test_every_exported_name_resolves():
             "    path_graph, cycle_graph, pgst_search, pst_certify)\n"
             "code = 0")
     assert probe(body)["code"] == 0
+
+
+EVERY_SUBCOMMAND = [
+    ("spectrum", "path:3"),
+    ("corona-build", "corona(path:2,cycle:3)"),
+    ("fidelity", "path:2", "--u", "0", "--v", "1", "--t", "1"),
+    ("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "5"),
+    ("support", "path:3", "--u", "1"),
+    ("cospectral", "path:3", "--u", "0", "--v", "2"),
+    ("periodic", "corona(path:2,empty:2)", "--u", "0"),
+    ("pst", "path:3", "--u", "0", "--v", "2"),
+    ("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base", "--v", "0",
+     "--vp", "1", "--points", "100"),
+    ("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
+     "--lmax", "100"),
+]
+
+
+def test_cli_registers_no_exit_handler():
+    """The console entry point ends in os._exit, which runs no atexit handler,
+    so nothing the CLI loads may register one."""
+    body = ("import atexit, contextlib, io\n"
+            "registered = []\n"
+            "_register = atexit.register\n"
+            "def register(func, *args, **kwargs):\n"
+            "    registered.append(repr(func))\n"
+            "    return _register(func, *args, **kwargs)\n"
+            "atexit.register = register\n"
+            "before = atexit._ncallbacks()\n"
+            "from coronawalk.cli import run_command\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [run_command(list(argv)) for argv in {EVERY_SUBCOMMAND!r}]\n"
+            "code = {'codes': codes, 'registered': registered,\n"
+            "        'added': atexit._ncallbacks() - before}")
+    assert probe(body) == {
+        "code": {"codes": [0] * 10, "registered": [], "added": 0},
+        "loaded": ["numpy", "coronawalk.corona", "coronawalk.spectral", "coronawalk.transfer"],
+    }
