@@ -13,10 +13,19 @@ Only `graphs` and the defaults are loaded up front, so usage errors and
 corona-build never load numpy.  Each handler imports the analysis modules
 it calls: `corona` and `spectral` (and numpy) for every other subcommand,
 and `transfer` as well for sweep, periodic, pst, no-pst-scan and pgst.
+Records are NamedTuples and eigenvalue classes plain `__slots__` classes,
+so no call builds classes from generated source, and a call that skips
+numpy loads no `inspect` either.
 
-Reports are byte-deterministic for a fixed command line: floats are rounded
-to 15 significant digits before serialization and JSON keys are sorted, so
-emitted documents survive a parse/re-emit round trip unchanged.
+Reports are byte-deterministic for a fixed command line.  `dumps_report`
+writes JSON in one walk, byte for byte as json.dumps(indent=2,
+sort_keys=True, allow_nan=False) writes the values rounded to 15
+significant digits: each run of floats (a float array or list) is formatted
+by one `%.15g` call, whose text is already the repr of the rounded value
+when it has a '.' and no exponent; any other text goes through repr.  A
+value that rounds to inf or nan is an analysis error, so --t and --t-max
+values that would are usage errors.  The sweep csv writes all its rows with
+one `%` call.  A report parsed and re-emitted by json.dumps is unchanged.
 
 `run_command` is the in-process entry point: it returns the exit code (only
 --help exits, as argparse does).  `main`, the console script, runs it,
@@ -29,11 +38,10 @@ its reader) is a usage error, as an unwritable --output is.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import graphs
 from .defaults import (
@@ -149,8 +157,74 @@ def _canon(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _floats_json(values) -> list[str]:
+    """JSON texts of Python floats rounded to 15 significant digits, formatted
+    with one `%` call: a text with a '.' and no exponent is already the repr
+    of its rounded value (15 digits identify one double), any other goes
+    through repr.  A value that rounds to inf or nan raises as json.dumps
+    does with allow_nan=False."""
+    texts = (("%.15g," * len(values)) % tuple(values)).split(",")
+    texts.pop()
+    return [s if "." in s and "e" not in s else _float_repr(s) for s in texts]
+
+
+def _float_repr(text: str) -> str:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return repr(value)
+
+
+def _json(obj, indent: str) -> str:
+    """obj as json.dumps(_canon(obj), indent=2, sort_keys=True,
+    allow_nan=False) writes it, at nesting `indent`."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _floats_json((obj,))[0]
+    if isinstance(obj, complex):
+        return _json({"im": obj.imag, "re": obj.real}, indent)
+    if isinstance(obj, QuadInt):
+        return _json({"a": obj.a, "b": obj.b, "delta": obj.delta}, indent)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        texts = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in items]
+        return "{\n" + inner + f",\n{inner}".join(texts) + "\n" + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(x) is float for x in obj):
+            texts = _floats_json(obj)
+        else:
+            texts = [_json(x, inner) for x in obj]
+        return "[\n" + inner + f",\n{inner}".join(texts) + "\n" + indent + "]"
+    # last, so a report of plain values never loads numpy
+    import numpy as np
+
+    if isinstance(obj, np.integer):
+        return int.__repr__(int(obj))
+    if isinstance(obj, np.floating):
+        return _json(float(obj), indent)
+    if isinstance(obj, np.ndarray):
+        return _json(obj.tolist(), indent)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def dumps_report(report: dict) -> str:
-    return json.dumps(_canon(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The report as json.dumps(_canon(report), indent=2, sort_keys=True,
+    allow_nan=False) + newline writes it, byte for byte, in one walk."""
+    return _json(report, "") + "\n"
 
 
 def _text_lines(value, prefix: str = "") -> list[str]:
@@ -174,12 +248,11 @@ def render_report(report: dict, fmt: str) -> str:
     return "\n".join(_text_lines(_canon(report))) + "\n"
 
 
-def _render_csv(rows: list[tuple], header: tuple[str, ...]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{_round15(x):.15g}" if isinstance(x, float) else str(x)
-                              for x in row))
-    return "\n".join(lines) + "\n"
+def _render_csv(header: tuple[str, str], left, right) -> str:
+    """Two float columns (arrays) under a header, each value at 15 significant
+    digits, the rows written by one `%` call."""
+    flat = [x for row in zip(left.tolist(), right.tolist()) for x in row]
+    return ",".join(header) + "\n" + ("%.15g,%.15g\n" * len(left)) % tuple(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +327,7 @@ def _cmd_sweep(args):
     }
     if args.fmt != "csv":
         return report, None
-    return report, _render_csv(
-        [(float(t), float(f)) for t, f in zip(trace.times, trace.values)],
-        ("t", "fidelity"),
-    )
+    return report, _render_csv(("t", "fidelity"), trace.times, trace.values)
 
 
 def _cmd_support(args):
@@ -289,8 +359,8 @@ def _cmd_cospectral(args):
 
 
 def _record(result) -> dict:
-    """A result dataclass as report fields, the fields that are None left out."""
-    return {k: v for k, v in dataclasses.asdict(result).items() if v is not None}
+    """A result record as report fields, the fields that are None left out."""
+    return {k: v for k, v in result._asdict().items() if v is not None}
 
 
 def _cmd_periodic(args):
@@ -414,9 +484,12 @@ def _positive_int(text: str) -> int:
 
 
 def _finite_float(text: str) -> float:
+    """A float that stays finite at the 15 significant digits a report prints."""
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{value} must be finite")
+    if not math.isfinite(_round15(value)):
+        raise argparse.ArgumentTypeError(f"{value} is infinite at 15 significant digits")
     return value
 
 

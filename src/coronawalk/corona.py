@@ -27,7 +27,6 @@ in memory independent of --lmax and --points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -82,8 +81,7 @@ def main_data(h: Graph, h_decomp: SpectralDecomposition) -> MainData:
     return MainData(values, directions, tuple(sum(vec) for vec in krylov[:s]), coefs)
 
 
-@dataclass(frozen=True)
-class CoronaSpec:
+class CoronaSpec(NamedTuple):
     """Corona factors with H's regular degree (None when H irregular) and main data."""
 
     g: Graph

@@ -7,16 +7,14 @@ eigenvalue certificates downstream never rest on floating point alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 # Inputs are discriminants of desk-scale graphs; anything past 128 bits means
 # the caller fed us something this trial-division factorizer was not built for.
 _MAX_FACTOR_INPUT = 1 << 128
 
 
-@dataclass(frozen=True)
-class SquareFreeSplit:
+class SquareFreeSplit(NamedTuple):
     """Decomposition n = s**2 * c with c square-free."""
 
     s: int
@@ -98,25 +96,23 @@ def exact_rank(matrix: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(NamedTuple("QuadInt", [("a", int), ("b", int), ("delta", int)])):
     """Exact eigenvalue (a + b*sqrt(delta)) / 2.
 
     delta is positive and square-free.  Plain integers n are canonically
     stored as (2n, 0, 1), so delta == 1 forces b == 0 and a even.
     """
 
-    a: int
-    b: int
-    delta: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.delta < 1:
+    def __new__(cls, a: int, b: int, delta: int) -> "QuadInt":
+        if delta < 1:
             raise ValueError("delta must be a positive integer")
-        if square_free_part(self.delta).s != 1:
-            raise ValueError(f"delta={self.delta} is not square-free")
-        if self.delta == 1 and (self.b != 0 or self.a % 2 != 0):
+        if square_free_part(delta).s != 1:
+            raise ValueError(f"delta={delta} is not square-free")
+        if delta == 1 and (b != 0 or a % 2 != 0):
             raise ValueError("rational integers must be stored as (2n, 0, 1)")
+        return super().__new__(cls, a, b, delta)
 
     @classmethod
     def from_int(cls, n: int) -> "QuadInt":

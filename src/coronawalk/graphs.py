@@ -11,9 +11,8 @@ loads it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -22,24 +21,23 @@ if TYPE_CHECKING:
 UNREACHABLE = -1
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple("Graph", [("n", int), ("edges", frozenset), ("labels", tuple)])):
     """Simple undirected graph on n vertices with canonical (u < v) edges."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    labels: tuple | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, edges: frozenset[tuple[int, int]],
+                labels: tuple | None = None) -> "Graph":
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u},{v}) is not canonical for n={self.n}")
-        if self.labels is not None and len(self.labels) != self.n:
+            if not (0 <= u < v < n):
+                raise ValueError(f"edge ({u},{v}) is not canonical for n={n}")
+        if labels is not None and len(labels) != n:
             raise ValueError("labels must cover every vertex")
+        return super().__new__(cls, n, edges, labels)
 
     @property
     def edge_count(self) -> int:
@@ -187,8 +185,7 @@ def _require_size(n: int, minimum: int, family: str) -> None:
 FAMILY_KINDS = ("path", "cycle", "complete", "cocktail", "empty", "star")
 
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(NamedTuple):
     """Parsed description of a graph: a named family, a file, or a corona."""
 
     kind: str

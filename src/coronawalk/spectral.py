@@ -11,7 +11,7 @@ E[u,v] = V[u].V[v] and ||E e_u|| = ||V[u]||.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,13 +45,15 @@ def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh((a + a.T) / 2.0)
 
 
-@dataclass
 class EigenClass:
     """One eigenvalue class: value, orthonormal N x mult eigenvector block, exact label."""
 
-    value: float
-    vectors: np.ndarray
-    exact: QuadInt | None = None
+    __slots__ = ("value", "vectors", "exact")
+
+    def __init__(self, value: float, vectors: np.ndarray, exact: QuadInt | None = None):
+        self.value = value
+        self.vectors = vectors
+        self.exact = exact
 
     @property
     def multiplicity(self) -> int:
@@ -64,12 +66,14 @@ class EigenClass:
         return np.dot(self.vectors[u], self.vectors[v])
 
 
-@dataclass
 class SpectralDecomposition:
     """Eigenvalue classes sorted by decreasing value; their blocks form an eigenbasis."""
 
-    classes: list[EigenClass]
-    n: int
+    __slots__ = ("classes", "n")
+
+    def __init__(self, classes: list[EigenClass], n: int):
+        self.classes = classes
+        self.n = n
 
 
 def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
@@ -131,17 +135,13 @@ def entry_amplitudes(d: SpectralDecomposition, u: int, v: int, times) -> np.ndar
                    [c.entry(u, v) for c in d.classes], times)
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class SupportSet(NamedTuple):
     """Eigenvalue classes whose projector does not kill the vertex."""
 
     vertex: int
     class_indices: tuple[int, ...]
     values: tuple[float, ...]
     exact: tuple[QuadInt | None, ...]
-
-    def __len__(self) -> int:
-        return len(self.class_indices)
 
     @property
     def all_exact(self) -> bool:
@@ -248,7 +248,7 @@ def attach_exact_labels(d: SpectralDecomposition, matrix) -> SpectralDecompositi
                 labels[i], labels[j] = q, q.conjugate()
             break  # integer sum and squared gap leave only theta_j = a - theta_i
     return SpectralDecomposition(
-        [replace(c, exact=q) for c, q in zip(classes, labels)], n
+        [EigenClass(c.value, c.vectors, q) for c, q in zip(classes, labels)], n
     )
 
 

@@ -9,8 +9,7 @@ state transfer between lifted base vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,8 +37,7 @@ _ALPHA_MAX = 64
 # ---------------------------------------------------------------------------
 # periodicity
 
-@dataclass(frozen=True)
-class PeriodicityVerdict:
+class PeriodicityVerdict(NamedTuple):
     periodic: str  # "yes" | "no" | "inconclusive"
     case: str | None = None  # "all-integer" | "quadratic" | None
     a: int | None = None
@@ -158,8 +156,7 @@ def _common_quadratic_fit(
 # ---------------------------------------------------------------------------
 # perfect state transfer certification
 
-@dataclass(frozen=True)
-class PSTCertificate:
+class PSTCertificate(NamedTuple):
     verdict: str  # "PST" | "NoPST" | "Inconclusive"
     u: int
     v: int
@@ -199,7 +196,7 @@ def pst_certify(
     if u == v:
         raise ValueError("perfect state transfer is between distinct vertices")
     sup = eigenvalue_support(d, u, support_tol)
-    if len(sup) == 0:
+    if not sup.class_indices:
         raise ValueError(f"vertex {u} has empty eigenvalue support")
     if not sup.all_exact:
         return PSTCertificate(
@@ -292,8 +289,7 @@ def _tau_symbolic(g: int, delta: int) -> str:
 # ---------------------------------------------------------------------------
 # no-transfer scans on coronas
 
-@dataclass(frozen=True)
-class NoTransferScan:
+class NoTransferScan(NamedTuple):
     pair_kind: str  # "base-base" | "base-copy"
     vertices: tuple[int, ...]
     samples: int
@@ -358,8 +354,7 @@ def corona_no_pst_check(
 # ---------------------------------------------------------------------------
 # pretty good state transfer searches
 
-@dataclass(frozen=True)
-class PGSTSearchResult:
+class PGSTSearchResult(NamedTuple):
     family: str
     u: int
     v: int
@@ -484,8 +479,7 @@ def pgst_search(
 # ---------------------------------------------------------------------------
 # plain fidelity sweeps
 
-@dataclass(frozen=True)
-class FidelityTrace:
+class FidelityTrace(NamedTuple):
     times: np.ndarray
     values: np.ndarray
     best_index: int

@@ -5,13 +5,17 @@ block and evaluates every walk amplitude as an exponential sum
 (`spectral.exp_sum`).  These helpers build the dense N x N objects instead:
 class projectors, the reassembled matrix and the transition matrix U(t).
 It also keeps the exact algebra of the paper's pair lift for a k-regular
-copy factor, which the walk-basis labels of `corona.lift_class` must equal.
+copy factor, which the walk-basis labels of `corona.lift_class` must equal,
+and the report writers the CLI's one-walk JSON and bulk CSV writers must
+match byte for byte.
 """
 
+import json
 import math
 
 import numpy as np
 
+from coronawalk.cli import _canon, _round15
 from coronawalk.corona import MainData, corona_terms
 from coronawalk.exact import QuadInt, square_free_part
 from coronawalk.spectral import entry_amplitudes, exp_sum
@@ -51,6 +55,19 @@ def corona_entry_base_base(spec, g_decomp, v: int, vp: int, t):
 def corona_entry_base_copy(spec, g_decomp, vp: int, v: int, w: int, t):
     """Amplitude <(v',0)| U(t) |(v,w)> in the corona, vectorized over t."""
     return exp_sum(*corona_terms(spec, g_decomp, vp, v, w), t)
+
+
+def dumps_report(report) -> str:
+    """A JSON report as the stdlib encoder writes the canonical values."""
+    return json.dumps(_canon(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def render_csv(header, left, right) -> str:
+    """CSV rows of two float columns, each value rounded, then printed at 15 digits."""
+    lines = [",".join(header)]
+    for row in zip(left.tolist(), right.tolist()):
+        lines.append(",".join(f"{_round15(x):.15g}" for x in row))
+    return "\n".join(lines) + "\n"
 
 
 def regular_main(k: int, m: int) -> MainData:

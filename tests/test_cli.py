@@ -7,18 +7,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from coronawalk import corona, graphs, spectral, transfer
 from coronawalk.cli import (
     EXIT_ANALYSIS,
     EXIT_OK,
     EXIT_USAGE,
     GraphSpecError,
+    _render_csv,
+    _round15,
     dumps_report,
     parse_graph_spec,
     run_command,
 )
 from coronawalk.corona import SpecFactors
+from coronawalk.exact import QuadInt
 from coronawalk.graphs import GraphSpec
 
 
@@ -115,6 +121,80 @@ class TestSpectrumCommand:
         code, out, err = run(capsys, "spectrum", "corona(cycle:12,cycle:5)")
         assert code == EXIT_OK and err == ""
         assert json.loads(out)["n"] == 72
+
+
+# -0.0, integral floats, the edges of %.15g's fixed notation (1e15, 1e-4),
+# values that round to inf at 15 digits, and the non-finite ones
+EDGE_FLOATS = [0.0, -0.0, 1.0, -7.0, 2.0**53, 1e15, 999999999999999.4, 1e16,
+               123456789012345.67, 1e-4, 9.99999999999999e-05, 1.5e-7, 5e-324,
+               1.7976931348623157e308, -1.79769313486232e308, math.inf, -math.inf,
+               math.nan]
+report_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e14, 1e17),
+    st.floats(1e-12, 1e-4),
+    st.integers(-(2**60), 2**60).map(float),
+    st.sampled_from(EDGE_FLOATS),
+)
+report_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.text(max_size=8),
+    report_floats,
+    st.builds(complex, report_floats, report_floats),
+    st.builds(QuadInt.from_int, st.integers(-50, 50)),
+    st.builds(QuadInt, st.integers(-50, 50), st.integers(-50, 50).filter(bool),
+              st.sampled_from([2, 3, 5, 6, 7, 10])),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    report_floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.lists(report_floats, max_size=8).map(np.array),
+    st.lists(report_floats, max_size=8).map(lambda v: np.array(v).reshape(-1, 1)),
+    st.lists(st.integers(-(2**40), 2**40), max_size=8).map(
+        lambda v: np.array(v, dtype=np.int64)),
+)
+report_values = st.recursive(
+    report_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(report_floats, max_size=12),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(-9, 9)), inner,
+                        max_size=5),
+    ),
+    max_leaves=16,
+)
+
+
+class TestReportWriter:
+    """The one-walk JSON writer and the bulk CSV writer print the bytes of the
+    stdlib-encoder reference in tests/oracles.py, and raise where it raises."""
+
+    @given(st.dictionaries(st.text(max_size=6), report_values, max_size=6))
+    @example({"times": np.linspace(0.0, 3.0, 7), "empty": {}, "none": [], "s": "a\"\n\u00e9"})
+    @example({"t": 1.7976931348623157e308})
+    @example({"fidelities": [0.5, math.nan]})
+    @settings(max_examples=150, deadline=None)
+    def test_json_matches_stdlib_reference(self, report):
+        try:
+            expected = oracles.dumps_report(report)
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                dumps_report(report)
+            assert str(raised.value) == str(err)
+            return
+        assert dumps_report(report) == expected
+
+    # finite values that round to inf at 15 digits are left out: the reference
+    # prints them as inf and the bulk writer as their 15 digits, and neither
+    # reaches a sweep (such a --t-max is a usage error, fidelities are <= 1)
+    @given(st.lists(st.tuples(report_floats, report_floats).filter(
+        lambda row: all(math.isfinite(_round15(x)) or not math.isfinite(x) for x in row)),
+        max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_csv_matches_reference(self, rows):
+        left = np.array([t for t, _ in rows], dtype=float)
+        right = np.array([f for _, f in rows], dtype=float)
+        header = ("t", "fidelity")
+        assert _render_csv(header, left, right) == oracles.render_csv(header, left, right)
 
 
 class TestFactorRouting:
@@ -464,10 +544,16 @@ class TestExitCodes:
              "--v", "0", "--vp", "1", "--t-max=-5"),
             ("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base",
              "--v", "0", "--vp", "1", "--t-max", "0"),
+            ("sweep", "path:2", "--u", "0", "--v", "1", "--t-max",
+             "1.7976931348623157e308", "--steps", "2"),
+            ("sweep", "path:2", "--u", "0", "--v", "1", "--t-max",
+             "1.7976931348623157e308", "--steps", "2", "--format", "csv"),
+            ("fidelity", "path:2", "--u", "0", "--v", "1", "--t=-1.7976931348623157e308"),
         ],
         ids=["t-nan", "t-neg-inf", "t-max-inf", "t-max-zero", "t-max-negative",
              "steps-1", "points-0", "scan-t-max-nan", "scan-t-max-negative",
-             "scan-t-max-zero"],
+             "scan-t-max-zero", "t-max-rounds-to-inf-json", "t-max-rounds-to-inf-csv",
+             "t-rounds-to-inf"],
     )
     def test_bad_numeric_flags_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)

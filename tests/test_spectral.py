@@ -172,7 +172,7 @@ class TestSupport:
 
     def test_cycle4_all_classes(self):
         d = decompose(cycle_graph(4).adjacency())
-        assert len(eigenvalue_support(d, 0)) == 3
+        assert len(eigenvalue_support(d, 0).class_indices) == 3
 
     def test_single_vertex_graph(self):
         d = decompose(complete_graph(1).adjacency())
