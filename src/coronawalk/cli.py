@@ -10,12 +10,17 @@ type; all are read whenever a command runs, so a bad value fails every
 subcommand.
 
 Only `graphs` and the defaults are loaded up front, so usage errors and
-corona-build never load numpy.  Each handler imports the analysis modules
-it calls: `corona` and `spectral` (and numpy) for every other subcommand,
-and `transfer` as well for sweep, periodic, pst, no-pst-scan and pgst.
-Records are NamedTuples and eigenvalue classes plain `__slots__` classes,
-so no call builds classes from generated source, and a call that skips
-numpy loads no `inspect` either.
+corona-build never load numpy.  pgst and no-pst-scan first import `gates`
+and run the gates their factor graphs decide (the dense budgets, vertex
+ranges, distinct vertices, a regular copy factor of nonzero degree, the
+cocktail family's base), so those analysis errors load no numpy either, and
+the graphs the gates build seed the handler's `SpecFactors`.
+Each handler imports the analysis modules it calls: `corona` and
+`spectral` (and numpy) for every other subcommand, and `transfer` as well
+for sweep, periodic, pst, no-pst-scan and pgst.  No module uses
+`dataclasses` (records are NamedTuples, eigenvalue classes plain
+`__slots__` classes), so no call loads it, and a call that skips numpy
+loads no `inspect` either.
 
 Reports are byte-deterministic for a fixed command line.  `dumps_report`
 writes JSON in one walk, byte for byte as json.dumps(indent=2,
@@ -397,13 +402,17 @@ def _cmd_pst(args):
 
 def _cmd_no_pst_scan(args):
     _require_corona(args.spec)
-    from . import corona, transfer
-
-    cspec, g_decomp = corona.SpecFactors(args.group_tol).corona_context(args.spec)
     if args.pair == "base-base":
         pair = ("base-base", args.v, args.vp)
     else:
         pair = ("base-copy", args.vp, args.v, args.w)
+    from . import gates
+
+    built: dict = {}
+    gates.scan_gates(args.spec, built, pair)
+    from . import corona, transfer
+
+    cspec, g_decomp = corona.SpecFactors(args.group_tol, built=built).corona_context(args.spec)
     scan = transfer.corona_no_pst_check(cspec, g_decomp, pair, args.t_max, args.points)
     return {
         "pair": args.pair,
@@ -419,9 +428,13 @@ def _cmd_no_pst_scan(args):
 
 def _cmd_pgst(args):
     _require_corona(args.spec)
+    from . import gates
+
+    built: dict = {}
+    gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax)
     from . import corona, transfer
 
-    cspec, g_decomp = corona.SpecFactors(args.group_tol).corona_context(args.spec)
+    cspec, g_decomp = corona.SpecFactors(args.group_tol, built=built).corona_context(args.spec)
     result = transfer.pgst_search(cspec, g_decomp, args.u, args.v, args.family,
                                   ell_max=args.lmax, target=args.target,
                                   support_tol=args.support_tol,

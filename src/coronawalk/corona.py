@@ -33,9 +33,9 @@ import numpy as np
 
 from .defaults import DEFAULT_GROUP_TOL
 from .exact import QuadInt, exact_rank
-from .graphs import Graph, GraphSpec, build_graph
+from .gates import check_base_vertex, check_budget, check_copy_vertex, require_regular
+from .graphs import Graph, GraphSpec, build_graph, spec_order
 from .spectral import (
-    MAX_DIMENSION,
     EigenClass,
     SpectralDecomposition,
     attach_exact_labels,
@@ -108,10 +108,7 @@ class CoronaSpec(NamedTuple):
         return self.h.n
 
     def require_regular(self) -> int:
-        if self.k is None:
-            raise ValueError("the pgst families and the lifted base periodicity test "
-                             "need a regular copy factor H")
-        return self.k
+        return require_regular(self.k)
 
 
 class LiftedClass(NamedTuple):
@@ -206,10 +203,7 @@ def corona_spectral_closed_form(
     as the assembled eigensolver does.
     """
     n, m = spec.n, spec.m
-    if n * (m + 1) > MAX_DIMENSION:
-        raise ValueError(
-            f"dimension {n * (m + 1)} exceeds dense budget {MAX_DIMENSION}"
-        )
+    check_budget(n * (m + 1))
 
     raw: list[EigenClass] = []
     eye_n = np.eye(n)
@@ -237,13 +231,15 @@ class SpecFactors:
     A corona is decomposed in closed form from its factors' decompositions,
     recursing into both, and is assembled only where an enclosing corona
     needs it as a factor.  Any other term is decomposed densely, with
-    rank-verified exact labels when `exact` is set.
+    rank-verified exact labels when `exact` is set.  `built` seeds the graph
+    cache with graphs already built, as the search gates build them.
     """
 
-    def __init__(self, group_tol: float = DEFAULT_GROUP_TOL, exact: bool = True):
+    def __init__(self, group_tol: float = DEFAULT_GROUP_TOL, exact: bool = True,
+                 built: dict[GraphSpec, Graph] | None = None):
         self.group_tol = group_tol
         self.exact = exact
-        self._graphs: dict[GraphSpec, Graph] = {}
+        self._graphs: dict[GraphSpec, Graph] = {} if built is None else built
         self._decomps: dict[GraphSpec, SpectralDecomposition] = {}
         self._coronas: dict[GraphSpec, CoronaSpec] = {}
 
@@ -265,25 +261,14 @@ class SpecFactors:
         g_decomp = self.decomposition(spec.factors[0])
         return self.corona(spec), g_decomp
 
-    def order(self, spec: GraphSpec) -> int:
-        """Vertex count of a spec's graph, from the spec; a file leaf is read."""
-        if spec.kind == "corona":
-            n, m = map(self.order, spec.factors)
-            return n * (m + 1)
-        if spec.kind == "file" or spec.size is None:
-            return self.graph(spec).n
-        return 2 * spec.size if spec.kind == "cocktail" else spec.size
-
     def decomposition(self, spec: GraphSpec) -> SpectralDecomposition:
         if spec not in self._decomps:
             self._decomps[spec] = self._decompose(spec)
         return self._decomps[spec]
 
     def _decompose(self, spec: GraphSpec) -> SpectralDecomposition:
-        n = self.order(spec)
         # checked before any graph is built, factor decomposed or matrix made
-        if n > MAX_DIMENSION:
-            raise ValueError(f"dimension {n} exceeds dense budget {MAX_DIMENSION}")
+        check_budget(spec_order(spec, self._graphs))
         if spec.kind == "corona":
             return corona_spectral_closed_form(
                 self.corona(spec), *map(self.decomposition, spec.factors), self.group_tol
@@ -345,10 +330,10 @@ def corona_terms(
     Otherwise it is <(v',0)| U(t) |(v,w)>, with coefficient E base copy[w]
     (+-E lam/Lambda at lam_pm, the same for every w, when H is regular).
     """
-    _check_base(spec, v)
-    _check_base(spec, vp)
-    if w is not None and not 0 <= w < spec.m:
-        raise ValueError(f"copy vertex {w} out of range")
+    check_base_vertex(spec.n, v)
+    check_base_vertex(spec.n, vp)
+    if w is not None:
+        check_copy_vertex(spec.m, w)
     freqs: list[float] = []
     coefs: list[float] = []
     for c in g_decomp.classes:
@@ -358,11 +343,6 @@ def corona_terms(
             freqs.append(lift.value)
             coefs.append(entry * lift.base * (lift.base if w is None else lift.copy[w]))
     return np.array(freqs, dtype=float), np.array(coefs, dtype=float)
-
-
-def _check_base(spec: CoronaSpec, v: int) -> None:
-    if not 0 <= v < spec.n:
-        raise ValueError(f"base vertex {v} out of range")
 
 
 def _merge_classes(

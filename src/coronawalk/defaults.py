@@ -1,4 +1,5 @@
-"""Default tolerances and search settings shared by the analysis and the CLI.
+"""Default tolerances, search settings and the dense budget shared by the
+analysis and the CLI.
 
 Kept apart from the modules that use them, and importing nothing, so the
 argument parser can read them without loading numpy.
@@ -11,3 +12,6 @@ DEFAULT_ELL_MAX = 100_000
 DEFAULT_TARGET = 0.99
 
 PGST_FAMILIES = ("t51", "t52", "cocktail")
+
+# largest order of a matrix that is decomposed densely
+MAX_DIMENSION = 4096

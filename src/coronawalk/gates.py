@@ -1,0 +1,129 @@
+"""Preconditions of the corona searches that the factor graphs alone decide.
+
+`pgst` and `no-pst-scan` meet the gates below before any decomposition:
+the dense budgets, the vertex ranges, distinct vertices where a pgst family
+certifies base transfer or a scan pairs two base vertices, the regular copy
+factor of nonzero degree a pgst family needs, and the cocktail family's
+base.  Each gate is defined once, here, and needs no numpy: the CLI runs
+`pgst_gates` or `scan_gates` before it loads the analysis modules, and
+`transfer.pgst_search` and `transfer.corona_no_pst_check` run the same
+checks for library callers.  The graphs the CLI's gates build go into the
+caller's `built` cache, so a call that passes builds each factor graph once.
+"""
+
+from __future__ import annotations
+
+from .defaults import MAX_DIMENSION, PGST_FAMILIES
+from .graphs import Graph, GraphSpec, build_graph, cocktail_antipode_map, spec_order
+
+_COCKTAIL_BASE = ("cocktail family needs a cocktail party base graph on 2n "
+                  "vertices with odd n >= 3")
+
+
+def check_budget(n: int) -> None:
+    """A matrix of order n is decomposed densely only within MAX_DIMENSION."""
+    if n > MAX_DIMENSION:
+        raise ValueError(f"dimension {n} exceeds dense budget {MAX_DIMENSION}")
+
+
+def check_base_vertex(n: int, v: int) -> None:
+    if not 0 <= v < n:
+        raise ValueError(f"base vertex {v} out of range")
+
+
+def check_copy_vertex(m: int, w: int) -> None:
+    if not 0 <= w < m:
+        raise ValueError(f"copy vertex {w} out of range")
+
+
+def check_distinct(u: int, v: int) -> None:
+    if u == v:
+        raise ValueError("perfect state transfer is between distinct vertices")
+
+
+def require_regular(k: int | None) -> int:
+    """H's regular degree k, which must exist."""
+    if k is None:
+        raise ValueError("the pgst families and the lifted base periodicity test "
+                         "need a regular copy factor H")
+    return k
+
+
+def check_pgst(n: int, k: int | None, u: int, v: int, family: str, ell_max: int) -> None:
+    """The gates of a pgst search on a base of order n, H's regular degree k
+    (None when H is irregular), in the order the search meets them; the
+    cocktail family's base must also pass `check_antipodal`."""
+    check_base_vertex(n, u)
+    check_base_vertex(n, v)
+    if require_regular(k) == 0:
+        raise ValueError("pgst families need a copy factor of nonzero degree")
+    if ell_max < 0:
+        raise ValueError("ell_max must be nonnegative")
+    if family == "cocktail":
+        # a cocktail party graph on 2n vertices, n odd: n >= 6 and n = 2 mod 4
+        if n < 6 or n % 4 != 2:
+            raise ValueError(_COCKTAIL_BASE)
+    elif family not in PGST_FAMILIES:
+        raise ValueError(f"unknown pgst family {family!r}; use one of {PGST_FAMILIES}")
+    else:  # t51 and t52 certify base transfer from u to v first
+        check_distinct(u, v)
+
+
+def check_antipodal(g: Graph, u: int, v: int) -> None:
+    """The cocktail family's base is a cocktail party graph with v the antipode of u."""
+    antipode = cocktail_antipode_map(g)
+    if antipode is None:
+        raise ValueError(_COCKTAIL_BASE)
+    if antipode[u] != v:
+        raise ValueError(f"vertices {u} and {v} are not antipodal")
+
+
+def check_scan_pair(n: int, m: int, pair: tuple) -> None:
+    """A no-transfer scan's pair, ("base-base", v, v') with v != v' or
+    ("base-copy", v', v, w), on a base of order n and a copy factor of order m."""
+    kind = pair[0]
+    if kind == "base-base":
+        _, v, vp = pair
+        if v == vp:
+            raise ValueError("base-base scans need distinct vertices")
+        check_base_vertex(n, v)
+        check_base_vertex(n, vp)
+    elif kind == "base-copy":
+        _, vp, v, w = pair
+        check_base_vertex(n, v)
+        check_base_vertex(n, vp)
+        check_copy_vertex(m, w)
+    else:
+        raise ValueError(f"unknown pair kind {kind!r}")
+
+
+def _corona_budgets(spec: GraphSpec, built: dict[GraphSpec, Graph]) -> tuple[int, Graph]:
+    """The base order and the built copy factor of a corona spec, after the
+    budgets its base decomposition meets: the base's, read off the spec
+    before any graph is built, then an irregular H's, whose main data is
+    read off its dense decomposition."""
+    base, copy = spec.factors
+    n = spec_order(base, built)
+    check_budget(n)
+    h = build_graph(copy, built)
+    if h.is_regular() is None:
+        check_budget(h.n)
+    return n, h
+
+
+def pgst_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], u: int, v: int,
+               family: str, ell_max: int) -> None:
+    """Every gate of `pgst` on a corona spec that its factor graphs decide,
+    in the order the analysis meets them.  The base graph is built only for
+    the cocktail family, once its order has passed."""
+    n, h = _corona_budgets(spec, built)
+    check_pgst(n, h.is_regular(), u, v, family, ell_max)
+    if family == "cocktail":
+        check_antipodal(build_graph(spec.factors[0], built), u, v)
+
+
+def scan_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], pair: tuple) -> None:
+    """Every gate of `no-pst-scan` on a corona spec that its factor graphs
+    decide, in the order the analysis meets them."""
+    n, h = _corona_budgets(spec, built)
+    check_scan_pair(n, h.n, pair)

@@ -2,15 +2,16 @@
 
 Vertices are always 0-indexed integers; corona-built graphs additionally
 carry per-vertex labels mapping flat indices back to (base, copy) addresses.
-Building a graph from a spec, corona or not, needs no numpy: only the
-array-valued methods (adjacency, degrees, BFS distances) and
-`cocktail_antipode_map` import it, when called, so `corona-build` never
-loads it.
+Building a graph from a spec, corona or not, reading a spec's order and
+the structural tests (`Graph.is_regular`, `cocktail_antipode_map`) need no
+numpy: only the array-valued methods (adjacency, degrees, BFS distances)
+import it, when called, so `corona-build` and the search gates never load it.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -69,9 +70,11 @@ class Graph(NamedTuple("Graph", [("n", int), ("edges", frozenset), ("labels", tu
 
     def is_regular(self) -> int | None:
         """Common degree k if the graph is regular, else None."""
-        degs = self.degrees()
-        k = int(degs[0])
-        return k if bool((degs == k).all()) else None
+        counts = Counter(chain.from_iterable(self.edges))
+        if len(counts) < self.n:  # a vertex of degree 0
+            return None if counts else 0
+        degrees = set(counts.values())
+        return degrees.pop() if len(degrees) == 1 else None
 
     def is_connected(self) -> bool:
         return bool((self.bfs_distances(0) != UNREACHABLE).all())
@@ -159,19 +162,25 @@ def cocktail_party_graph(n: int) -> Graph:
 def cocktail_antipode_map(g: Graph) -> list[int] | None:
     """Antipode of each vertex when g is a cocktail party graph, else None.
 
-    Detection is structural: on n >= 4 vertices, g is a cocktail party graph
-    exactly when every vertex has exactly one non-neighbor, its antipode (at
-    distance 2 through any third vertex).  Below 4 vertices no graph has such
-    a distance-2 partner for every vertex.
+    On p >= 4 vertices, g is a cocktail party graph exactly when every degree
+    is p - 2: each vertex then misses one other, its antipode (at distance 2
+    through any third vertex), which is p(p-1)/2 - v - (sum of v's
+    neighbours).  Below 4 vertices no graph has such a distance-2 partner
+    for every vertex.
     """
-    import numpy as np
-
-    if g.n < 4:
+    p = g.n
+    if p < 4 or 2 * len(g.edges) != p * (p - 2):
         return None
-    far = (g.adjacency() == 0) & ~np.eye(g.n, dtype=bool)
-    if not (far.sum(axis=1) == 1).all():
+    degree, total = [0] * p, [0] * p
+    for a, b in g.edges:
+        degree[a] += 1
+        degree[b] += 1
+        total[a] += b
+        total[b] += a
+    if any(d != p - 2 for d in degree):
         return None
-    return [int(u) for u in far.argmax(axis=1)]
+    whole = p * (p - 1) // 2
+    return [whole - v - t for v, t in enumerate(total)]
 
 
 def _require_size(n: int, minimum: int, family: str) -> None:
@@ -227,6 +236,17 @@ def build_graph(spec: GraphSpec, built: dict[GraphSpec, Graph]) -> Graph:
         built[spec] = (corona_graph(*(build_graph(f, built) for f in spec.factors))
                        if spec.kind == "corona" else build_family(spec))
     return built[spec]
+
+
+def spec_order(spec: GraphSpec, built: dict[GraphSpec, Graph]) -> int:
+    """Vertex count of a spec's graph, read off the spec; only a file leaf is
+    built (kept in `built`, as build_graph keeps it)."""
+    if spec.kind == "corona":
+        n, m = (spec_order(f, built) for f in spec.factors)
+        return n * (m + 1)
+    if spec.kind == "file" or spec.size is None:
+        return build_graph(spec, built).n
+    return 2 * spec.size if spec.kind == "cocktail" else spec.size
 
 
 # ---------------------------------------------------------------------------

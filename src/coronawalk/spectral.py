@@ -15,11 +15,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_GROUP_TOL, DEFAULT_SUPPORT_TOL
+from .defaults import (  # MAX_DIMENSION is re-exported
+    DEFAULT_COSPECTRAL_TOL,
+    DEFAULT_GROUP_TOL,
+    DEFAULT_SUPPORT_TOL,
+    MAX_DIMENSION,
+)
 from .exact import QuadInt, exact_rank, square_free_part
+from .gates import check_budget
 from .graphs import Graph
 
-MAX_DIMENSION = 4096
 # time points per batch of a uniform-grid evaluation
 GRID_BLOCK = 8192
 
@@ -36,8 +41,7 @@ def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if n == 0:
         raise ValueError("dimension 0")
-    if n > MAX_DIMENSION:  # checked before the float copy
-        raise ValueError(f"dimension {n} exceeds dense budget {MAX_DIMENSION}")
+    check_budget(n)  # before the float copy
     a = a.astype(float)
     scale = max(1.0, float(np.max(np.abs(a))))
     if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:

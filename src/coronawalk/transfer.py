@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .corona import CoronaSpec, _check_base, corona_support_base_vertex, corona_terms
+from .corona import CoronaSpec, corona_support_base_vertex, corona_terms
 from .defaults import (
     DEFAULT_COSPECTRAL_TOL,
     DEFAULT_ELL_MAX,
@@ -22,7 +22,7 @@ from .defaults import (
     PGST_FAMILIES,
 )
 from .exact import QuadInt, gcd_list, two_adic_valuation
-from .graphs import cocktail_antipode_map
+from .gates import check_antipodal, check_distinct, check_pgst, check_scan_pair
 from .spectral import (
     SpectralDecomposition,
     eigenvalue_support,
@@ -193,8 +193,7 @@ def pst_certify(
     Classes in the support must carry exact labels; otherwise the verdict is
     Inconclusive rather than a guess.
     """
-    if u == v:
-        raise ValueError("perfect state transfer is between distinct vertices")
+    check_distinct(u, v)
     sup = eigenvalue_support(d, u, support_tol)
     if not sup.class_indices:
         raise ValueError(f"vertex {u} has empty eigenvalue support")
@@ -312,23 +311,22 @@ def corona_no_pst_check(
     Reports the grid maximum and its first time (the linspace element, bit
     for bit), whether every sample stays below 1, and the static bound
     sum_lam |E_lam[v,v']| (always <= 1) that caps the entry.  The grid is
-    evaluated batch by batch and never held whole.
+    evaluated batch by batch and never held whole.  The pair's gates
+    (`gates.check_scan_pair`: distinct base-base vertices, vertex ranges)
+    need no decomposition, so the CLI runs them before it loads numpy.
     """
     if points < 1:
         raise ValueError("a scan needs at least one time point")
+    check_scan_pair(spec.n, spec.m, pair)
     kind = pair[0]
     if kind == "base-base":
         _, v, vp = pair
-        if v == vp:
-            raise ValueError("base-base scans need distinct vertices")
         freqs, coefs = corona_terms(spec, g_decomp, vp, v)
         vertices = (v, vp)
-    elif kind == "base-copy":
+    else:
         _, vp, v, w = pair
         freqs, coefs = corona_terms(spec, g_decomp, vp, v, w)
         vertices = (vp, v, w)
-    else:
-        raise ValueError(f"unknown pair kind {kind!r}")
     step = t_max / (points - 1) if points > 1 else 0.0
     best, arg, offset = -1.0, 0, 0
     for amps in exp_sum_grid(freqs, coefs, 0.0, step, points):
@@ -388,22 +386,19 @@ def pgst_search(
                transfer at pi/2.
       cocktail times 8*ell*pi; needs the base graph to be a cocktail party
                graph on 2n vertices with odd n >= 3 and (u, v) antipodal.
-    All families need a regular copy factor of nonzero degree.  The t51 and
-    t52 gate certifies base transfer with pst_certify at support_tol and
+    All families need a regular copy factor of nonzero degree, and t51 and
+    t52 distinct u and v.  These gates, the vertex ranges and the cocktail
+    base (`gates.check_pgst`, `gates.check_antipodal`) read only the factor
+    graphs, so the CLI runs them before it loads numpy.  The t51 and t52
+    gate certifies base transfer with pst_certify at support_tol and
     cospectral_tol, and t51 reads the support of u at support_tol.
     Records the strictly-improving best-so-far trace and stops once fidelity
     reaches the target; the family is evaluated one grid batch of ell values
     at a time, so an early stop evaluates at most one batch past the hit.
     """
-    _check_base(spec, u)
-    _check_base(spec, v)
-    k = spec.require_regular()
-    if k == 0:
-        raise ValueError("pgst families need a copy factor of nonzero degree")
-    if ell_max < 0:
-        raise ValueError("ell_max must be nonnegative")
+    check_pgst(spec.n, spec.k, u, v, family, ell_max)
     g_value: int | None = None
-    if family in ("t51", "t52"):
+    if family != "cocktail":
         cert = pst_certify(g_decomp, u, v, support_tol, cospectral_tol)
         if cert.verdict != "PST":
             raise ValueError(
@@ -429,18 +424,9 @@ def pgst_search(
         if not has_zero:
             raise ValueError("t52 family needs 0 in the base spectrum")
         slope, offset = 4.0, 1.0
-    elif family == "cocktail":
-        antipode = cocktail_antipode_map(spec.g)
-        if antipode is None or (spec.g.n // 2) % 2 == 0 or spec.g.n < 6:
-            raise ValueError(
-                "cocktail family needs a cocktail party base graph on 2n "
-                "vertices with odd n >= 3"
-            )
-        if antipode[u] != v:
-            raise ValueError(f"vertices {u} and {v} are not antipodal")
-        slope, offset = 8.0, 0.0
     else:
-        raise ValueError(f"unknown pgst family {family!r}; use one of {PGST_FAMILIES}")
+        check_antipodal(spec.g, u, v)
+        slope, offset = 8.0, 0.0
 
     freqs, coefs = corona_terms(spec, g_decomp, v, u)
     batches = exp_sum_grid(freqs, coefs, offset * math.pi, slope * math.pi, ell_max + 1)

@@ -6,8 +6,9 @@ block and evaluates every walk amplitude as an exponential sum
 class projectors, the reassembled matrix and the transition matrix U(t).
 It also keeps the exact algebra of the paper's pair lift for a k-regular
 copy factor, which the walk-basis labels of `corona.lift_class` must equal,
-and the report writers the CLI's one-walk JSON and bulk CSV writers must
-match byte for byte.
+the report writers the CLI's one-walk JSON and bulk CSV writers must
+match byte for byte, and the numpy forms of the structural tests that
+`graphs` computes in pure Python.
 """
 
 import json
@@ -55,6 +56,24 @@ def corona_entry_base_base(spec, g_decomp, v: int, vp: int, t):
 def corona_entry_base_copy(spec, g_decomp, vp: int, v: int, w: int, t):
     """Amplitude <(v',0)| U(t) |(v,w)> in the corona, vectorized over t."""
     return exp_sum(*corona_terms(spec, g_decomp, vp, v, w), t)
+
+
+def is_regular(g) -> int | None:
+    """Common degree of g from its numpy degree vector, else None."""
+    degs = g.degrees()
+    k = int(degs[0])
+    return k if bool((degs == k).all()) else None
+
+
+def cocktail_antipode_map(g) -> list[int] | None:
+    """Antipodes read off the adjacency matrix: on n >= 4 vertices, each
+    vertex's one non-neighbour when every vertex has exactly one, else None."""
+    if g.n < 4:
+        return None
+    far = (g.adjacency() == 0) & ~np.eye(g.n, dtype=bool)
+    if not (far.sum(axis=1) == 1).all():
+        return None
+    return [int(u) for u in far.argmax(axis=1)]
 
 
 def dumps_report(report) -> str:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from coronawalk import corona, graphs, spectral, transfer
+from coronawalk import corona, exact, graphs, spectral, transfer
 from coronawalk.cli import (
     EXIT_ANALYSIS,
     EXIT_OK,
@@ -610,6 +610,124 @@ class TestExitCodes:
     def test_nan_never_reaches_json(self):
         with pytest.raises(ValueError):
             dumps_report({"fidelity": math.nan})
+
+
+_BUDGET = "analysis error: dimension 5000 exceeds dense budget 4096\n"
+_REGULAR = ("analysis error: the pgst families and the lifted base periodicity test "
+            "need a regular copy factor H\n")
+_DEGREE = "analysis error: pgst families need a copy factor of nonzero degree\n"
+_COCKTAIL = ("analysis error: cocktail family needs a cocktail party base graph on 2n "
+             "vertices with odd n >= 3\n")
+_DISTINCT = "analysis error: base-base scans need distinct vertices\n"
+_SAME = "analysis error: perfect state transfer is between distinct vertices\n"
+_NO_FILE = ("analysis error: cannot read edge list no/such.edges: [Errno 2] No such file "
+            "or directory: 'no/such.edges'\n")
+
+
+def _pgst(spec, u, v, family):
+    return ("pgst", spec, "--u", str(u), "--v", str(v), "--family", family)
+
+
+def _scan(spec, pair, v, vp, *w):
+    return ("no-pst-scan", spec, "--pair", pair, "--v", str(v), "--vp", str(vp), *w)
+
+
+class TestSearchGates:
+    """The gates of pgst and no-pst-scan that the factor graphs decide fail
+    before anything is decomposed.  Exit codes and stderr were recorded from
+    the code that checked them after the decompositions; each row with more
+    than one fault pins which gate comes first."""
+
+    ROWS = [
+        (_pgst("corona(path:5000,cycle:3)", 0, 1, "t51"), _BUDGET),
+        (_pgst("corona(path:2,star:5000)", 0, 1, "t51"), _BUDGET),
+        (_pgst("corona(path:2,cycle:3)", 2, 1, "t51"),
+         "analysis error: base vertex 2 out of range\n"),
+        (_pgst("corona(path:2,cycle:3)", 0, -1, "t52"),
+         "analysis error: base vertex -1 out of range\n"),
+        (_pgst("corona(path:2,star:3)", 0, 1, "t51"), _REGULAR),
+        (_pgst("corona(path:2,empty:3)", 0, 1, "t51"), _DEGREE),
+        (_pgst("corona(path:2,cycle:3)", 0, 0, "t51"), _SAME),
+        (_pgst("corona(path:2,cycle:3)", 1, 1, "t52"), _SAME),
+        (_pgst("corona(cocktail:4,cycle:3)", 0, 1, "cocktail"), _COCKTAIL),
+        (_pgst("corona(cocktail:1,cycle:3)", 0, 1, "cocktail"), _COCKTAIL),
+        (_pgst("corona(cycle:6,cycle:3)", 0, 3, "cocktail"), _COCKTAIL),
+        (_pgst("corona(cocktail:3,cycle:3)", 0, 2, "cocktail"),
+         "analysis error: vertices 0 and 2 are not antipodal\n"),
+        (_pgst("corona(cocktail:3,cycle:3)", 0, 0, "cocktail"),
+         "analysis error: vertices 0 and 0 are not antipodal\n"),
+        (_pgst("corona(corona(path:2,empty:2),cycle:3)", 0, 1, "cocktail"), _COCKTAIL),
+        (_pgst("corona(file:no/such.edges,cycle:3)", 0, 1, "t51"), _NO_FILE),
+        # more than one fault
+        (_pgst("corona(path:5000,star:3)", 0, 1, "t51"), _BUDGET),
+        (_pgst("corona(path:2,star:5000)", 9, 1, "t51"), _BUDGET),
+        (_pgst("corona(cocktail:4,cycle:3)", 0, 2, "cocktail"), _COCKTAIL),
+        (_pgst("corona(path:3,star:3)", 5, 1, "cocktail"),
+         "analysis error: base vertex 5 out of range\n"),
+        (_pgst("corona(cycle:6,star:3)", 0, 3, "cocktail"), _REGULAR),
+        (_pgst("corona(cycle:6,empty:2)", 0, 3, "cocktail"), _DEGREE),
+        (_pgst("corona(path:2,star:3)", 1, 1, "t52"), _REGULAR),
+        (_scan("corona(path:5000,cycle:3)", "base-base", 0, 1), _BUDGET),
+        (_scan("corona(path:2,star:5000)", "base-copy", 0, 1), _BUDGET),
+        (_scan("corona(path:3,cycle:3)", "base-base", 1, 1), _DISTINCT),
+        (_scan("corona(path:3,cycle:3)", "base-base", 3, 0),
+         "analysis error: base vertex 3 out of range\n"),
+        (_scan("corona(path:3,cycle:3)", "base-base", 0, -1),
+         "analysis error: base vertex -1 out of range\n"),
+        (_scan("corona(path:3,cycle:3)", "base-copy", 3, 0),
+         "analysis error: base vertex 3 out of range\n"),
+        (_scan("corona(path:3,cycle:3)", "base-copy", 0, 3),
+         "analysis error: base vertex 3 out of range\n"),
+        (_scan("corona(path:3,cycle:3)", "base-copy", 0, 1, "--w", "3"),
+         "analysis error: copy vertex 3 out of range\n"),
+        (_scan("corona(path:3,star:4)", "base-copy", 0, 1, "--w", "-1"),
+         "analysis error: copy vertex -1 out of range\n"),
+        (_scan("corona(file:no/such.edges,cycle:3)", "base-base", 0, 1), _NO_FILE),
+        # more than one fault
+        (_scan("corona(path:3,cycle:3)", "base-base", 9, 9), _DISTINCT),
+        (_scan("corona(path:3,cycle:3)", "base-copy", 5, 1, "--w", "7"),
+         "analysis error: base vertex 5 out of range\n"),
+        (_scan("corona(path:2,star:5000)", "base-base", 1, 1), _BUDGET),
+    ]
+
+    @staticmethod
+    def record_decompositions(monkeypatch) -> list[str]:
+        """Record every eigensolve, exact rank and adjacency matrix a call makes."""
+        calls: list[str] = []
+
+        def recorder(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "symmetric_eigen",
+                            recorder("symmetric_eigen", spectral.symmetric_eigen))
+        for module in (exact, spectral, corona):
+            monkeypatch.setattr(module, "exact_rank",
+                                recorder("exact_rank", module.exact_rank))
+        monkeypatch.setattr(graphs.Graph, "adjacency",
+                            recorder("adjacency", graphs.Graph.adjacency))
+        return calls
+
+    @pytest.mark.parametrize("argv, err", ROWS, ids=[" ".join(r[0]) for r in ROWS])
+    def test_pinned_failures(self, capsys, monkeypatch, tmp_path, argv, err):
+        monkeypatch.chdir(tmp_path)  # where no/such.edges does not exist
+        calls = self.record_decompositions(monkeypatch)
+        assert run(capsys, *argv) == (EXIT_ANALYSIS, "", err)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [(_pgst("corona(cycle:2000,cycle:3)", 0, 5, "cocktail"), _COCKTAIL),
+         (_scan("corona(cycle:400,cycle:3)", "base-base", 1, 1), _DISTINCT),
+         (_pgst("corona(cycle:400,cycle:3)", 1, 1, "t51"), _SAME)],
+        ids=["pgst-cycle-2000-cocktail", "scan-cycle-400-same-vertex",
+             "pgst-cycle-400-same-vertex"],
+    )
+    def test_gates_do_not_scale_with_the_base(self, capsys, monkeypatch, argv, err):
+        """Before the gates ran first, the cocktail call ran for minutes and
+        the other two for seconds, in the base's exact decomposition."""
+        calls = self.record_decompositions(monkeypatch)
+        assert run(capsys, *argv) == (EXIT_ANALYSIS, "", err)
+        assert calls == []
 
 
 class TestOptionSurface:

@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from coronawalk.corona import SpecFactors
 from coronawalk.graphs import (
+    FAMILY_KINDS,
     UNREACHABLE,
     Graph,
     GraphSpec,
@@ -140,6 +142,62 @@ class TestDistances:
                 ok = n % 2 == 0 and all(len(f) == 1 and dist[v, f[0]] == 2
                                         for v, f in enumerate(far))
                 assert cocktail_antipode_map(g) == ([f[0] for f in far] if ok else None)
+
+
+def _relabelled(g: Graph, perm) -> Graph:
+    return make_graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def _random_graph(rng, n: int) -> Graph:
+    p = rng.choice([0.2, 0.5, 0.9])
+    return make_graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def _cocktail_neighbours(n: int, seed: int) -> list[Graph]:
+    """cocktail:n relabelled, with one edge removed and with one non-edge added."""
+    rng = np.random.default_rng(seed)
+    g = _relabelled(cocktail_party_graph(n), [int(x) for x in rng.permutation(2 * n)])
+    edges = sorted(g.edges)
+    missing = sorted(set(itertools.combinations(range(2 * n), 2)) - g.edges)
+    drop = edges[rng.integers(len(edges))]
+    add = missing[rng.integers(len(missing))]
+    return [g, make_graph(2 * n, g.edges - {drop}), make_graph(2 * n, g.edges | {add})]
+
+
+class TestStructureMatchesNumpyOracles:
+    """`Graph.is_regular` and `cocktail_antipode_map` count degrees in pure
+    Python; they agree with the numpy forms in `oracles`."""
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        assert g.is_regular() == oracles.is_regular(g)
+        assert cocktail_antipode_map(g) == oracles.cocktail_antipode_map(g)
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_family_leaves(self, kind):
+        for size in range(3 if kind == "cycle" else 1, 13):
+            self.check(build_family(GraphSpec(kind, size)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_random_graphs(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        for _ in range(25):
+            self.check(_random_graph(rng, int(rng.integers(1, 13))))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cocktail_relabelled_and_one_edge_off(self, n):
+        for seed in range(6):
+            g, removed, added = _cocktail_neighbours(n, 100 * n + seed)
+            for h in (g, removed, added):
+                self.check(h)
+            antipode = cocktail_antipode_map(g)
+            assert antipode is not None and g.is_regular() == 2 * n - 2
+            assert all(antipode[antipode[v]] == v != antipode[v] for v in range(2 * n))
+            assert all((min(v, antipode[v]), max(v, antipode[v])) not in g.edges
+                       for v in range(2 * n))
+            assert cocktail_antipode_map(removed) is None
+            assert cocktail_antipode_map(added) is None
+            assert removed.is_regular() is None and added.is_regular() is None
 
 
 class TestGraphValidation:

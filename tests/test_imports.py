@@ -63,6 +63,30 @@ def test_usage_errors_and_corona_build_never_load_numpy(argv, env, code):
     assert probe(run_quietly(argv), NUMPY_FREE, **env) == {"code": code, "loaded": []}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pgst", "corona(path:2,star:3)", "--u", "0", "--v", "1", "--family", "t51"),
+        ("pgst", "corona(path:2,empty:3)", "--u", "0", "--v", "1", "--family", "t52"),
+        ("pgst", "corona(cocktail:4,cycle:3)", "--u", "0", "--v", "1", "--family", "cocktail"),
+        ("pgst", "corona(cycle:6,cycle:3)", "--u", "0", "--v", "3", "--family", "cocktail"),
+        ("pgst", "corona(cocktail:3,cycle:3)", "--u", "0", "--v", "2", "--family", "cocktail"),
+        ("pgst", "corona(path:2,cycle:3)", "--u", "2", "--v", "1", "--family", "t51"),
+        ("pgst", "corona(path:2,cycle:3)", "--u", "1", "--v", "1", "--family", "t51"),
+        ("no-pst-scan", "corona(path:3,cycle:3)", "--pair", "base-base", "--v", "1",
+         "--vp", "1"),
+        ("no-pst-scan", "corona(path:3,cycle:3)", "--pair", "base-copy", "--v", "0",
+         "--vp", "1", "--w", "3"),
+    ],
+    ids=["irregular-h", "h-degree-0", "even-cocktail-size", "not-cocktail",
+         "not-antipodal", "base-vertex-range", "pgst-same-vertex", "base-base-same-vertex",
+         "w-range"],
+)
+def test_search_gate_failures_never_load_numpy(argv):
+    """What the factor graphs alone decide fails before the analysis imports."""
+    assert probe(run_quietly(argv), NUMPY_FREE) == {"code": 2, "loaded": []}
+
+
 def test_spectrum_skips_transfer():
     assert probe(run_quietly(("spectrum", "complete:4"))) == {
         "code": 0, "loaded": ["numpy", "coronawalk.corona", "coronawalk.spectral"]}
