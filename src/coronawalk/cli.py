@@ -9,18 +9,22 @@ LMAX, TARGET) sets the default of its flag and is checked by the flag's own
 type; all are read whenever a command runs, so a bad value fails every
 subcommand.
 
-Only `graphs` and the defaults are loaded up front, so usage errors and
-corona-build never load numpy.  pgst and no-pst-scan first import `gates`
-and run the gates their factor graphs decide (the dense budgets, vertex
-ranges, distinct vertices, a regular copy factor of nonzero degree, the
-cocktail family's base), so those analysis errors load no numpy either, and
-the graphs the gates build seed the handler's `SpecFactors`.
-Each handler imports the analysis modules it calls: `corona` and
-`spectral` (and numpy) for every other subcommand, and `transfer` as well
-for sweep, periodic, pst, no-pst-scan and pgst.  No module uses
-`dataclasses` (records are NamedTuples, eigenvalue classes plain
-`__slots__` classes), so no call loads it, and a call that skips numpy
-loads no `inspect` either.
+Only `graphs` and the defaults are loaded up front (the JSON string
+escaper comes from `_json`, not `json`), so usage errors and corona-build
+load neither numpy, `json` nor `exact`.  pgst and no-pst-scan first import
+`gates` and run the gates their factor graphs decide (the dense budgets,
+vertex ranges, distinct vertices, a regular copy factor of nonzero degree,
+the cocktail family's base), so those analysis errors load no numpy
+either; the graphs the gates build seed the handler's `SpecFactors`, and
+H's regular degree and the cocktail base's antipode map go on to the
+search.  cospectral first compares the degrees of u and v, read off the
+factor graphs: unequal degrees refute strong cospectrality exactly, with
+no numpy.  Each handler imports the analysis modules it calls: `spectral`
+(and numpy) for every other subcommand, which loads `corona` only for a
+corona spec, and `transfer` as well for sweep, periodic, pst, no-pst-scan
+and pgst.  No module uses `dataclasses` (records are NamedTuples,
+eigenvalue classes plain `__slots__` classes), so no call loads it, and a
+call that skips numpy loads no `inspect` either.
 
 Reports are byte-deterministic for a fixed command line.  `dumps_report`
 writes JSON in one walk, byte for byte as json.dumps(indent=2,
@@ -29,8 +33,10 @@ significant digits: each run of floats (a float array or list) is formatted
 by one `%.15g` call, whose text is already the repr of the rounded value
 when it has a '.' and no exponent; any other text goes through repr.  A
 value that rounds to inf or nan is an analysis error, so --t and --t-max
-values that would are usage errors.  The sweep csv writes all its rows with
-one `%` call.  A report parsed and re-emitted by json.dumps is unchanged.
+values that would are usage errors.  A record (a NamedTuple such as
+QuadInt) is written as the object of its fields, so the writer needs no
+import to recognize one.  The sweep csv writes all its rows with one `%`
+call.  A report parsed and re-emitted by json.dumps is unchanged.
 
 `run_command` is the in-process entry point: it returns the exit code (only
 --help exits, as argparse does).  `main`, the console script, runs it,
@@ -46,7 +52,7 @@ import argparse
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # json.encoder's, without loading json
 
 from . import graphs
 from .defaults import (
@@ -57,7 +63,6 @@ from .defaults import (
     DEFAULT_TARGET,
     PGST_FAMILIES,
 )
-from .exact import QuadInt
 
 ENV_PREFIX = "CORONAWALK_"
 
@@ -144,11 +149,11 @@ def _canon(obj):
         return _round15(obj)
     if isinstance(obj, complex):
         return {"im": _round15(obj.imag), "re": _round15(obj.real)}
-    if isinstance(obj, QuadInt):
-        return {"a": obj.a, "b": obj.b, "delta": obj.delta}
     if isinstance(obj, dict):
         return {str(k): _canon(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if hasattr(obj, "_fields"):  # a record (QuadInt): the object of its fields
+            return _canon(obj._asdict())
         return [_canon(x) for x in obj]
     # last, so a report of plain values never loads numpy
     import numpy as np
@@ -197,8 +202,6 @@ def _json(obj, indent: str) -> str:
         return _floats_json((obj,))[0]
     if isinstance(obj, complex):
         return _json({"im": obj.imag, "re": obj.real}, indent)
-    if isinstance(obj, QuadInt):
-        return _json({"a": obj.a, "b": obj.b, "delta": obj.delta}, indent)
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -207,6 +210,8 @@ def _json(obj, indent: str) -> str:
         texts = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in items]
         return "{\n" + inner + f",\n{inner}".join(texts) + "\n" + indent + "}"
     if isinstance(obj, (list, tuple)):
+        if hasattr(obj, "_fields"):  # a record (QuadInt): the object of its fields
+            return _json(obj._asdict(), indent)
         if not obj:
             return "[]"
         if all(type(x) is float for x in obj):
@@ -280,9 +285,9 @@ def _require_corona(spec: graphs.GraphSpec, who: str = "this subcommand") -> Non
 # is the handler's own rendering of --format (sweep csv, corona-build text)
 
 def _cmd_spectrum(args):
-    from . import corona
+    from . import spectral
 
-    d = corona.SpecFactors(args.group_tol).decomposition(args.spec)
+    d = spectral.SpecFactors(args.group_tol).decomposition(args.spec)
     return {
         "n": d.n,
         "classes": [_class_record(c) for c in d.classes],
@@ -302,9 +307,9 @@ def _cmd_corona_build(args):
 
 
 def _cmd_fidelity(args):
-    from . import corona, spectral
+    from . import spectral
 
-    d = corona.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
+    d = spectral.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
     amp = complex(spectral.entry_amplitudes(d, args.u, args.v, args.t))
     return {
         "u": args.u,
@@ -316,9 +321,9 @@ def _cmd_fidelity(args):
 
 
 def _cmd_sweep(args):
-    from . import corona, transfer
+    from . import spectral, transfer
 
-    d = corona.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
+    d = spectral.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
     trace = transfer.fidelity_sweep(d, args.u, args.v, args.t_max, args.steps)
     report = {
         "u": args.u,
@@ -336,9 +341,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_support(args):
-    from . import corona, spectral
+    from . import spectral
 
-    d = corona.SpecFactors(args.group_tol).decomposition(args.spec)
+    d = spectral.SpecFactors(args.group_tol).decomposition(args.spec)
     sup = spectral.eigenvalue_support(d, args.u, args.support_tol)
     return {
         "u": args.u,
@@ -347,13 +352,22 @@ def _cmd_support(args):
 
 
 def _cmd_cospectral(args):
-    from . import corona, spectral
+    u, v = args.u, args.v
+    built: dict = {}
+    n = graphs.spec_order(args.spec, built)
+    graphs.check_budget(n)
+    # strongly cospectral vertices have equal closed-walk counts, degrees
+    # among them: an exact refutation, which wins over any tolerance
+    if u != v and 0 <= u < n and 0 <= v < n \
+            and graphs.spec_degree(args.spec, built, u) != graphs.spec_degree(args.spec, built, v):
+        return {"u": u, "v": v, "strongly_cospectral": False}, None
+    from . import spectral
 
-    d = corona.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
-    signs = spectral.strong_cospectral(d, args.u, args.v, args.cospectral_tol)
+    d = spectral.SpecFactors(args.group_tol, exact=False, built=built).decomposition(args.spec)
+    signs = spectral.strong_cospectral(d, u, v, args.cospectral_tol)
     report = {
-        "u": args.u,
-        "v": args.v,
+        "u": u,
+        "v": v,
         "strongly_cospectral": signs is not None,
     }
     if signs is not None:
@@ -369,9 +383,9 @@ def _record(result) -> dict:
 
 
 def _cmd_periodic(args):
-    from . import corona, spectral, transfer
+    from . import spectral, transfer
 
-    factors = corona.SpecFactors(args.group_tol)
+    factors = spectral.SpecFactors(args.group_tol)
     d = factors.decomposition(args.spec)
     sup = spectral.eigenvalue_support(d, args.u, args.support_tol)
     entries = [q if q is not None else v for q, v in zip(sup.exact, sup.values)]
@@ -393,9 +407,9 @@ def _cmd_periodic(args):
 
 
 def _cmd_pst(args):
-    from . import corona, transfer
+    from . import spectral, transfer
 
-    d = corona.SpecFactors(args.group_tol).decomposition(args.spec)
+    d = spectral.SpecFactors(args.group_tol).decomposition(args.spec)
     cert = transfer.pst_certify(d, args.u, args.v, args.support_tol, args.cospectral_tol)
     return _record(cert), None
 
@@ -409,10 +423,11 @@ def _cmd_no_pst_scan(args):
     from . import gates
 
     built: dict = {}
-    gates.scan_gates(args.spec, built, pair)
-    from . import corona, transfer
+    k = gates.scan_gates(args.spec, built, pair)
+    from . import spectral, transfer
 
-    cspec, g_decomp = corona.SpecFactors(args.group_tol, built=built).corona_context(args.spec)
+    factors = spectral.SpecFactors(args.group_tol, built=built)
+    cspec, g_decomp = factors.corona_context(args.spec, k)
     scan = transfer.corona_no_pst_check(cspec, g_decomp, pair, args.t_max, args.points)
     return {
         "pair": args.pair,
@@ -431,14 +446,15 @@ def _cmd_pgst(args):
     from . import gates
 
     built: dict = {}
-    gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax)
-    from . import corona, transfer
+    k, antipode = gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax)
+    from . import spectral, transfer
 
-    cspec, g_decomp = corona.SpecFactors(args.group_tol, built=built).corona_context(args.spec)
+    factors = spectral.SpecFactors(args.group_tol, built=built)
+    cspec, g_decomp = factors.corona_context(args.spec, k)
     result = transfer.pgst_search(cspec, g_decomp, args.u, args.v, args.family,
                                   ell_max=args.lmax, target=args.target,
                                   support_tol=args.support_tol,
-                                  cospectral_tol=args.cospectral_tol)
+                                  cospectral_tol=args.cospectral_tol, antipode=antipode)
     trace = [{"ell": e, "fidelity": f} for e, f in _printed_trace(result.trace)]
     return {**_record(result), "trace": trace}, None
 

@@ -3,7 +3,10 @@
 The corona of a base graph G (n vertices) with a graph H (m vertices) keeps
 one copy of G plus n copies of H and joins every vertex of copy j to all
 base neighbors of vertex j; `graphs.corona_graph` assembles it, which
-this module asks for only where a corona is a copy factor.  On columns
+`spectral.SpecFactors` asks for only where a corona is a copy factor.
+`SpecFactors` loads this module only when a spec term is a corona, and the
+searches (`transfer.pgst_search`, `corona_no_pst_check`,
+`corona_base_periodicity`) only when they run.  On columns
 x (x) phi, phi a base eigenvector of lam and x a layer column (base,
 copy_0, ..., copy_{m-1}), it acts as the layer matrix
 [[lam, lam 1^T], [lam 1, A_H]].  Restricted to the base layer and the main
@@ -33,15 +36,8 @@ import numpy as np
 
 from .defaults import DEFAULT_GROUP_TOL
 from .exact import QuadInt, exact_rank
-from .gates import check_base_vertex, check_budget, check_copy_vertex, require_regular
-from .graphs import Graph, GraphSpec, build_graph, spec_order
-from .spectral import (
-    EigenClass,
-    SpectralDecomposition,
-    attach_exact_labels,
-    decompose,
-    exact_decomposition,
-)
+from .graphs import Graph, check_base_vertex, check_budget, check_copy_vertex, require_regular
+from .spectral import EigenClass, SpectralDecomposition, attach_exact_labels, decompose
 
 
 class MainData(NamedTuple):
@@ -91,9 +87,15 @@ class CoronaSpec(NamedTuple):
 
     @classmethod
     def from_graphs(cls, g: Graph, h: Graph, h_decomp=None) -> "CoronaSpec":
-        """A k-regular H has mu = k on 1/sqrt(m); h_decomp, H's decomposition,
-        is read (or made) only for an irregular H."""
-        k, m = h.is_regular(), h.n
+        """The corona of g and h, H's regular degree read off h."""
+        return cls.from_degree(g, h, h.is_regular(), h_decomp)
+
+    @classmethod
+    def from_degree(cls, g: Graph, h: Graph, k: int | None, h_decomp=None) -> "CoronaSpec":
+        """The corona of g and h, given H's regular degree k (None when H is
+        irregular).  A k-regular H has mu = k on 1/sqrt(m); h_decomp, H's
+        decomposition, is read (or made) only for an irregular H."""
+        m = h.n
         if k is not None:
             return cls(g, h, k, MainData(np.array([float(k)]), np.full((m, 1), 1 / math.sqrt(m)),
                                          (m,), (k,)))
@@ -223,60 +225,6 @@ def corona_spectral_closed_form(
                                   lift.exact))
 
     return _merge_classes(raw, n * (m + 1), group_tol)
-
-
-class SpecFactors:
-    """Built graphs and decompositions of a spec's terms, each made once.
-
-    A corona is decomposed in closed form from its factors' decompositions,
-    recursing into both, and is assembled only where an enclosing corona
-    needs it as a factor.  Any other term is decomposed densely, with
-    rank-verified exact labels when `exact` is set.  `built` seeds the graph
-    cache with graphs already built, as the search gates build them.
-    """
-
-    def __init__(self, group_tol: float = DEFAULT_GROUP_TOL, exact: bool = True,
-                 built: dict[GraphSpec, Graph] | None = None):
-        self.group_tol = group_tol
-        self.exact = exact
-        self._graphs: dict[GraphSpec, Graph] = {} if built is None else built
-        self._decomps: dict[GraphSpec, SpectralDecomposition] = {}
-        self._coronas: dict[GraphSpec, CoronaSpec] = {}
-
-    def graph(self, spec: GraphSpec) -> Graph:
-        return build_graph(spec, self._graphs)
-
-    def corona(self, spec: GraphSpec) -> CoronaSpec:
-        if spec not in self._coronas:
-            g, h = map(self.graph, spec.factors)
-            # an irregular H's main data is read off its decomposition
-            h_decomp = (None if h.is_regular() is not None
-                        else self.decomposition(spec.factors[1]))
-            self._coronas[spec] = CoronaSpec.from_graphs(g, h, h_decomp)
-        return self._coronas[spec]
-
-    def corona_context(self, spec: GraphSpec) -> tuple[CoronaSpec, SpectralDecomposition]:
-        """A corona spec's built factors and its base's decomposition."""
-        # the base's budget is checked before any factor is built
-        g_decomp = self.decomposition(spec.factors[0])
-        return self.corona(spec), g_decomp
-
-    def decomposition(self, spec: GraphSpec) -> SpectralDecomposition:
-        if spec not in self._decomps:
-            self._decomps[spec] = self._decompose(spec)
-        return self._decomps[spec]
-
-    def _decompose(self, spec: GraphSpec) -> SpectralDecomposition:
-        # checked before any graph is built, factor decomposed or matrix made
-        check_budget(spec_order(spec, self._graphs))
-        if spec.kind == "corona":
-            return corona_spectral_closed_form(
-                self.corona(spec), *map(self.decomposition, spec.factors), self.group_tol
-            )
-        graph = self.graph(spec)
-        if self.exact:
-            return exact_decomposition(graph, self.group_tol)
-        return decompose(graph.adjacency(), self.group_tol)
 
 
 def corona_support_base_vertex(phi_v, main: MainData) -> list[QuadInt | float]:

@@ -1,52 +1,40 @@
-"""Preconditions of the corona searches that the factor graphs alone decide.
+"""Search gates: the preconditions of the corona searches that the factor
+graphs alone decide.
 
-`pgst` and `no-pst-scan` meet the gates below before any decomposition:
-the dense budgets, the vertex ranges, distinct vertices where a pgst family
-certifies base transfer or a scan pairs two base vertices, the regular copy
-factor of nonzero degree a pgst family needs, and the cocktail family's
-base.  Each gate is defined once, here, and needs no numpy: the CLI runs
-`pgst_gates` or `scan_gates` before it loads the analysis modules, and
+Only `pgst` and `no-pst-scan` load this module.  They meet the gates below
+before any decomposition: the dense budgets, the vertex ranges, distinct
+vertices where a pgst family certifies base transfer or a scan pairs two
+base vertices, the regular copy factor of nonzero degree a pgst family
+needs, and the cocktail family's base.  The checks every analysis shares
+(budget, ranges, distinct vertices, a regular H) live in `graphs`; the
+gates here combine them and need no numpy.  The CLI runs `pgst_gates` or
+`scan_gates` before it loads the analysis modules, and
 `transfer.pgst_search` and `transfer.corona_no_pst_check` run the same
-checks for library callers.  The graphs the CLI's gates build go into the
-caller's `built` cache, so a call that passes builds each factor graph once.
+checks for library callers.  What the CLI's gates read goes on to the
+analysis: the graphs they build into the caller's `built` cache, H's
+regular degree into `SpecFactors.corona_context` and the cocktail base's
+antipode map into `pgst_search`, so a call that passes builds each factor
+graph, and counts H's degrees and the base's antipodes, once.
 """
 
 from __future__ import annotations
 
-from .defaults import MAX_DIMENSION, PGST_FAMILIES
-from .graphs import Graph, GraphSpec, build_graph, cocktail_antipode_map, spec_order
+from .defaults import PGST_FAMILIES
+from .graphs import (
+    Graph,
+    GraphSpec,
+    build_graph,
+    check_base_vertex,
+    check_budget,
+    check_copy_vertex,
+    check_distinct,
+    cocktail_antipode_map,
+    require_regular,
+    spec_order,
+)
 
 _COCKTAIL_BASE = ("cocktail family needs a cocktail party base graph on 2n "
                   "vertices with odd n >= 3")
-
-
-def check_budget(n: int) -> None:
-    """A matrix of order n is decomposed densely only within MAX_DIMENSION."""
-    if n > MAX_DIMENSION:
-        raise ValueError(f"dimension {n} exceeds dense budget {MAX_DIMENSION}")
-
-
-def check_base_vertex(n: int, v: int) -> None:
-    if not 0 <= v < n:
-        raise ValueError(f"base vertex {v} out of range")
-
-
-def check_copy_vertex(m: int, w: int) -> None:
-    if not 0 <= w < m:
-        raise ValueError(f"copy vertex {w} out of range")
-
-
-def check_distinct(u: int, v: int) -> None:
-    if u == v:
-        raise ValueError("perfect state transfer is between distinct vertices")
-
-
-def require_regular(k: int | None) -> int:
-    """H's regular degree k, which must exist."""
-    if k is None:
-        raise ValueError("the pgst families and the lifted base periodicity test "
-                         "need a regular copy factor H")
-    return k
 
 
 def check_pgst(n: int, k: int | None, u: int, v: int, family: str, ell_max: int) -> None:
@@ -69,13 +57,17 @@ def check_pgst(n: int, k: int | None, u: int, v: int, family: str, ell_max: int)
         check_distinct(u, v)
 
 
-def check_antipodal(g: Graph, u: int, v: int) -> None:
-    """The cocktail family's base is a cocktail party graph with v the antipode of u."""
-    antipode = cocktail_antipode_map(g)
+def check_antipodal(g: Graph, u: int, v: int,
+                    antipode: list[int] | None = None) -> list[int]:
+    """The cocktail family's base is a cocktail party graph with v the antipode
+    of u; returns g's antipode map, read off g unless the caller has it."""
+    if antipode is None:
+        antipode = cocktail_antipode_map(g)
     if antipode is None:
         raise ValueError(_COCKTAIL_BASE)
     if antipode[u] != v:
         raise ValueError(f"vertices {u} and {v} are not antipodal")
+    return antipode
 
 
 def check_scan_pair(n: int, m: int, pair: tuple) -> None:
@@ -97,33 +89,40 @@ def check_scan_pair(n: int, m: int, pair: tuple) -> None:
         raise ValueError(f"unknown pair kind {kind!r}")
 
 
-def _corona_budgets(spec: GraphSpec, built: dict[GraphSpec, Graph]) -> tuple[int, Graph]:
-    """The base order and the built copy factor of a corona spec, after the
-    budgets its base decomposition meets: the base's, read off the spec
-    before any graph is built, then an irregular H's, whose main data is
-    read off its dense decomposition."""
+def _corona_budgets(spec: GraphSpec,
+                    built: dict[GraphSpec, Graph]) -> tuple[int, Graph, int | None]:
+    """The base order, the built copy factor H and H's regular degree (None
+    when irregular) of a corona spec, after the budgets its base
+    decomposition meets: the base's, read off the spec before any graph is
+    built, then an irregular H's, whose main data is read off its dense
+    decomposition."""
     base, copy = spec.factors
     n = spec_order(base, built)
     check_budget(n)
     h = build_graph(copy, built)
-    if h.is_regular() is None:
+    k = h.is_regular()
+    if k is None:
         check_budget(h.n)
-    return n, h
+    return n, h, k
 
 
 def pgst_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], u: int, v: int,
-               family: str, ell_max: int) -> None:
+               family: str, ell_max: int) -> tuple[int, list[int] | None]:
     """Every gate of `pgst` on a corona spec that its factor graphs decide,
     in the order the analysis meets them.  The base graph is built only for
-    the cocktail family, once its order has passed."""
-    n, h = _corona_budgets(spec, built)
-    check_pgst(n, h.is_regular(), u, v, family, ell_max)
-    if family == "cocktail":
-        check_antipodal(build_graph(spec.factors[0], built), u, v)
+    the cocktail family, once its order has passed.  Returns H's regular
+    degree and, for the cocktail family, the base's antipode map."""
+    n, _, k = _corona_budgets(spec, built)
+    check_pgst(n, k, u, v, family, ell_max)
+    if family != "cocktail":
+        return k, None
+    return k, check_antipodal(build_graph(spec.factors[0], built), u, v)
 
 
-def scan_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], pair: tuple) -> None:
+def scan_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], pair: tuple) -> int | None:
     """Every gate of `no-pst-scan` on a corona spec that its factor graphs
-    decide, in the order the analysis meets them."""
-    n, h = _corona_budgets(spec, built)
+    decide, in the order the analysis meets them.  Returns H's regular
+    degree (None when irregular)."""
+    n, h, k = _corona_budgets(spec, built)
     check_scan_pair(n, h.n, pair)
+    return k

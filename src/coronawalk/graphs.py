@@ -1,11 +1,15 @@
-"""Graph families, edge-list files, corona assembly, and metric utilities.
+"""Graph families, edge-list files, corona assembly, and the checks every
+analysis shares.
 
 Vertices are always 0-indexed integers; corona-built graphs additionally
 carry per-vertex labels mapping flat indices back to (base, copy) addresses.
-Building a graph from a spec, corona or not, reading a spec's order and
-the structural tests (`Graph.is_regular`, `cocktail_antipode_map`) need no
-numpy: only the array-valued methods (adjacency, degrees, BFS distances)
-import it, when called, so `corona-build` and the search gates never load it.
+Building a graph from a spec, corona or not, reading a spec's order or a
+vertex degree off its factors (`spec_order`, `spec_degree`), the structural
+tests (`Graph.is_regular`, `cocktail_antipode_map`) and the shared checks
+(the dense budget, vertex ranges, distinct vertices, a regular copy factor)
+need no numpy: only the array-valued methods (adjacency, degrees, BFS
+distances) import it, when called, so `corona-build`, the search gates and
+a degree-refuted `cospectral` never load it.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from collections import Counter, deque
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
+
+from .defaults import MAX_DIMENSION
 
 if TYPE_CHECKING:
     import numpy as np
@@ -189,6 +195,38 @@ def _require_size(n: int, minimum: int, family: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# checks shared by the analysis modules and the search gates
+
+def check_budget(n: int) -> None:
+    """A matrix of order n is decomposed densely only within MAX_DIMENSION."""
+    if n > MAX_DIMENSION:
+        raise ValueError(f"dimension {n} exceeds dense budget {MAX_DIMENSION}")
+
+
+def check_base_vertex(n: int, v: int) -> None:
+    if not 0 <= v < n:
+        raise ValueError(f"base vertex {v} out of range")
+
+
+def check_copy_vertex(m: int, w: int) -> None:
+    if not 0 <= w < m:
+        raise ValueError(f"copy vertex {w} out of range")
+
+
+def check_distinct(u: int, v: int) -> None:
+    if u == v:
+        raise ValueError("perfect state transfer is between distinct vertices")
+
+
+def require_regular(k: int | None) -> int:
+    """H's regular degree k, which must exist."""
+    if k is None:
+        raise ValueError("the pgst families and the lifted base periodicity test "
+                         "need a regular copy factor H")
+    return k
+
+
+# ---------------------------------------------------------------------------
 # specs
 
 FAMILY_KINDS = ("path", "cycle", "complete", "cocktail", "empty", "star")
@@ -247,6 +285,25 @@ def spec_order(spec: GraphSpec, built: dict[GraphSpec, Graph]) -> int:
     if spec.kind == "file" or spec.size is None:
         return build_graph(spec, built).n
     return 2 * spec.size if spec.kind == "cocktail" else spec.size
+
+
+def spec_degree(spec: GraphSpec, built: dict[GraphSpec, Graph], v: int) -> int:
+    """Degree of vertex v (in range) of a spec's graph, read off its factors:
+    only leaves are built (kept in `built`), no corona is assembled.
+
+    In the corona of G (n vertices) and H (m vertices), base vertex v sees
+    its G-neighbours and their m copy vertices each, (m + 1) deg_G(v), and
+    copy vertex (v, w) sees w's neighbours in its copy and v's G-neighbours,
+    deg_H(w) + deg_G(v).
+    """
+    if spec.kind != "corona":
+        return len(build_graph(spec, built).neighbors(v))
+    base, copy = spec.factors
+    n = spec_order(base, built)
+    if v < n:
+        return (spec_order(copy, built) + 1) * spec_degree(base, built, v)
+    w, b = divmod(v - n, n)  # copy_index layout: v = n + w * n + b
+    return spec_degree(copy, built, w) + spec_degree(base, built, b)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,16 @@ labeling of eigenvalue classes, verified by big-integer rank.  A quadratic
 label is read off a conjugate pair of classes: a = theta + theta' and
 b^2 delta = (theta - theta')^2.  Vertex queries read rows of V:
 E[u,v] = V[u].V[v] and ||E e_u|| = ||V[u]||.
+
+`SpecFactors` decomposes any graph spec, each term once: a family or file
+spec densely here, a corona in closed form from its factors through
+`corona`, which is imported only when a spec term is a corona, so calls on
+a plain spec never load it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -22,8 +27,10 @@ from .defaults import (  # MAX_DIMENSION is re-exported
     MAX_DIMENSION,
 )
 from .exact import QuadInt, exact_rank, square_free_part
-from .gates import check_budget
-from .graphs import Graph
+from .graphs import Graph, GraphSpec, build_graph, check_budget, spec_order
+
+if TYPE_CHECKING:
+    from .corona import CoronaSpec
 
 # time points per batch of a uniform-grid evaluation
 GRID_BLOCK = 8192
@@ -262,6 +269,70 @@ def exact_decomposition(
     """Decompose a graph's adjacency matrix and attach exact labels."""
     a = g.adjacency()
     return attach_exact_labels(decompose(a, group_tol), a)
+
+
+class SpecFactors:
+    """Built graphs and decompositions of a spec's terms, each made once.
+
+    A corona is decomposed in closed form from its factors' decompositions,
+    recursing into both, and is assembled only where an enclosing corona
+    needs it as a factor.  Any other term is decomposed densely, with
+    rank-verified exact labels when `exact` is set.  `built` seeds the graph
+    cache with graphs already built, as the search gates build them.
+    """
+
+    def __init__(self, group_tol: float = DEFAULT_GROUP_TOL, exact: bool = True,
+                 built: dict[GraphSpec, Graph] | None = None):
+        self.group_tol = group_tol
+        self.exact = exact
+        self._graphs: dict[GraphSpec, Graph] = {} if built is None else built
+        self._decomps: dict[GraphSpec, SpectralDecomposition] = {}
+        self._coronas: dict[GraphSpec, CoronaSpec] = {}
+
+    def graph(self, spec: GraphSpec) -> Graph:
+        return build_graph(spec, self._graphs)
+
+    def corona(self, spec: GraphSpec) -> CoronaSpec:
+        if spec not in self._coronas:
+            k = self.graph(spec.factors[1]).is_regular()
+            self._coronas[spec] = self._corona(spec, k)
+        return self._coronas[spec]
+
+    def corona_context(self, spec: GraphSpec,
+                       k: int | None) -> tuple[CoronaSpec, SpectralDecomposition]:
+        """A corona spec's built factors, given H's regular degree k (None
+        when H is irregular) as the search gates read it, and its base's
+        decomposition."""
+        # the base's budget is checked before any factor is built
+        g_decomp = self.decomposition(spec.factors[0])
+        return self._corona(spec, k), g_decomp
+
+    def _corona(self, spec: GraphSpec, k: int | None) -> CoronaSpec:
+        from .corona import CoronaSpec
+
+        g, h = map(self.graph, spec.factors)
+        # an irregular H's main data is read off its decomposition
+        h_decomp = None if k is not None else self.decomposition(spec.factors[1])
+        return CoronaSpec.from_degree(g, h, k, h_decomp)
+
+    def decomposition(self, spec: GraphSpec) -> SpectralDecomposition:
+        if spec not in self._decomps:
+            self._decomps[spec] = self._decompose(spec)
+        return self._decomps[spec]
+
+    def _decompose(self, spec: GraphSpec) -> SpectralDecomposition:
+        # checked before any graph is built, factor decomposed or matrix made
+        check_budget(spec_order(spec, self._graphs))
+        if spec.kind == "corona":
+            from .corona import corona_spectral_closed_form
+
+            return corona_spectral_closed_form(
+                self.corona(spec), *map(self.decomposition, spec.factors), self.group_tol
+            )
+        graph = self.graph(spec)
+        if self.exact:
+            return exact_decomposition(graph, self.group_tol)
+        return decompose(graph.adjacency(), self.group_tol)
 
 
 def _pair_label(x: float, y: float) -> QuadInt | None:

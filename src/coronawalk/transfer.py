@@ -3,17 +3,18 @@
 Periodicity tests on exact eigenvalue supports, full perfect-state-transfer
 certification with 2-adic sign conditions, pointwise no-transfer scans on
 coronas, and the structured time-family searches that realize pretty good
-state transfer between lifted base vertices.
+state transfer between lifted base vertices.  The three corona analyses
+import `corona` (and the searches `gates`) when they run, so `pst`,
+`sweep` and `periodic` on a plain spec load neither.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .corona import CoronaSpec, corona_support_base_vertex, corona_terms
 from .defaults import (
     DEFAULT_COSPECTRAL_TOL,
     DEFAULT_ELL_MAX,
@@ -22,7 +23,7 @@ from .defaults import (
     PGST_FAMILIES,
 )
 from .exact import QuadInt, gcd_list, two_adic_valuation
-from .gates import check_antipodal, check_distinct, check_pgst, check_scan_pair
+from .graphs import check_distinct
 from .spectral import (
     SpectralDecomposition,
     eigenvalue_support,
@@ -30,6 +31,9 @@ from .spectral import (
     exp_sum_grid,
     strong_cospectral,
 )
+
+if TYPE_CHECKING:
+    from .corona import CoronaSpec
 
 _ALPHA_MAX = 64
 
@@ -89,6 +93,8 @@ def corona_base_periodicity(
     is all integers or all nonzero integer multiples of a single
     sqrt(delta).  Evaluated directly on those three conditions.
     """
+    from .corona import corona_support_base_vertex
+
     k = spec.require_regular()
     if spec.n < 2:
         raise ValueError("base graph needs at least two vertices")
@@ -315,6 +321,9 @@ def corona_no_pst_check(
     (`gates.check_scan_pair`: distinct base-base vertices, vertex ranges)
     need no decomposition, so the CLI runs them before it loads numpy.
     """
+    from .corona import corona_terms
+    from .gates import check_scan_pair
+
     if points < 1:
         raise ValueError("a scan needs at least one time point")
     check_scan_pair(spec.n, spec.m, pair)
@@ -376,6 +385,7 @@ def pgst_search(
     target: float = DEFAULT_TARGET,
     support_tol: float = DEFAULT_SUPPORT_TOL,
     cospectral_tol: float = DEFAULT_COSPECTRAL_TOL,
+    antipode: list[int] | None = None,
 ) -> PGSTSearchResult:
     """Sweep a structured time family for high corona base-to-base fidelity.
 
@@ -389,13 +399,18 @@ def pgst_search(
     All families need a regular copy factor of nonzero degree, and t51 and
     t52 distinct u and v.  These gates, the vertex ranges and the cocktail
     base (`gates.check_pgst`, `gates.check_antipodal`) read only the factor
-    graphs, so the CLI runs them before it loads numpy.  The t51 and t52
-    gate certifies base transfer with pst_certify at support_tol and
-    cospectral_tol, and t51 reads the support of u at support_tol.
-    Records the strictly-improving best-so-far trace and stops once fidelity
-    reaches the target; the family is evaluated one grid batch of ell values
-    at a time, so an early stop evaluates at most one batch past the hit.
+    graphs, so the CLI runs them before it loads numpy and passes on the
+    base's antipode map as `antipode`, which is then not read again.  The
+    t51 and t52 gate certifies base transfer with pst_certify at
+    support_tol and cospectral_tol, and t51 reads the support of u at
+    support_tol.  Records the strictly-improving best-so-far trace and stops
+    once fidelity reaches the target; the family is evaluated one grid batch
+    of ell values at a time, so an early stop evaluates at most one batch
+    past the hit, and a batch that cannot beat the best so far is skipped.
     """
+    from .corona import corona_terms
+    from .gates import check_antipodal, check_pgst
+
     check_pgst(spec.n, spec.k, u, v, family, ell_max)
     g_value: int | None = None
     if family != "cocktail":
@@ -425,7 +440,7 @@ def pgst_search(
             raise ValueError("t52 family needs 0 in the base spectrum")
         slope, offset = 4.0, 1.0
     else:
-        check_antipodal(spec.g, u, v)
+        check_antipodal(spec.g, u, v, antipode)
         slope, offset = 8.0, 0.0
 
     freqs, coefs = corona_terms(spec, g_decomp, v, u)
@@ -435,8 +450,10 @@ def pgst_search(
     start = 0
     for amps in batches:
         fids = np.abs(amps)
-        ells = np.arange(start, start + fids.size)
         start += fids.size
+        if fids.max() <= best:  # best < target: nothing here improves or hits
+            continue
+        ells = np.arange(start - fids.size, start)
         hits = np.flatnonzero(fids >= target)
         if hits.size:
             ells, fids = ells[: hits[0] + 1], fids[: hits[0] + 1]

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from coronawalk import corona, exact, graphs, spectral, transfer
+from coronawalk import corona, exact, gates, graphs, spectral, transfer
 from coronawalk.cli import (
     EXIT_ANALYSIS,
     EXIT_OK,
@@ -23,7 +27,7 @@ from coronawalk.cli import (
     parse_graph_spec,
     run_command,
 )
-from coronawalk.corona import SpecFactors
+from coronawalk.spectral import SpecFactors
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import GraphSpec
 
@@ -728,6 +732,141 @@ class TestSearchGates:
         calls = self.record_decompositions(monkeypatch)
         assert run(capsys, *argv) == (EXIT_ANALYSIS, "", err)
         assert calls == []
+
+    def test_cocktail_pgst_reads_the_factors_once(self, capsys, monkeypatch):
+        """The gates' regular degree of H and antipode map of the base go on
+        to the search, which reads neither again."""
+        calls: list[str] = []
+
+        def recorder(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        monkeypatch.setattr(graphs.Graph, "is_regular",
+                            recorder("is_regular", graphs.Graph.is_regular))
+        for module in (graphs, gates):
+            monkeypatch.setattr(module, "cocktail_antipode_map",
+                                recorder("antipode", module.cocktail_antipode_map))
+        argv = _pgst("corona(cocktail:3,cycle:3)", 0, 1, "cocktail")
+        code, out, err = run(capsys, *argv, "--lmax", "100")
+        assert code == EXIT_OK and err == ""
+        assert sorted(calls) == ["antipode", "is_regular"]
+
+
+def run_captured(*argv) -> tuple[int, str, str]:
+    """run_command on argv: exit code, stdout and stderr (no fixtures, for
+    use under hypothesis)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def cospectral_report(spec_text: str, u: int, v: int,
+                      tol: float = spectral.DEFAULT_COSPECTRAL_TOL):
+    """Signs of strong cospectrality on the spec's full decomposition (closed
+    form for a corona), and the cospectral report that path writes."""
+    spec = parse_graph_spec(spec_text)
+    d = SpecFactors(exact=False).decomposition(spec)
+    signs = spectral.strong_cospectral(d, u, v, tol)
+    report = {"command": "cospectral", "spec": str(spec), "u": u, "v": v,
+              "strongly_cospectral": signs is not None}
+    if signs is not None:
+        report["signs"] = [{"value": d.classes[i].value, "sign": sign}
+                           for i, sign in sorted(signs.items())]
+    return signs, dumps_report(report)
+
+
+LEAVES = ("path:1", "path:2", "path:3", "cycle:3", "star:3", "star:4", "empty:2",
+          "complete:3", "cocktail:2")
+small_coronas = st.recursive(
+    st.sampled_from(LEAVES),
+    lambda inner: st.builds(lambda g, h: f"corona({g},{h})", inner, inner),
+    max_leaves=3,
+).filter(lambda text: "corona" in text
+         and graphs.spec_order(parse_graph_spec(text), {}) <= 48)
+
+
+class TestCospectralDegreeGate:
+    """Strongly cospectral vertices have equal degrees (closed walks of length
+    2), so cospectral refutes a pair of unequal degrees, read off the factor
+    graphs, before anything is decomposed.  At the default tolerances the
+    decomposition path agrees whenever 4 tol |E| < 1: each class moves
+    |E[u,u] - E[v,v]| by at most 2 tol, and sum theta^2 <= tr A^2 = 2|E|."""
+
+    # at most this many refuted pairs a graph go through the CLI
+    CLI_PAIRS = 6
+
+    def check_refuted_pairs(self, text: str) -> int:
+        spec = parse_graph_spec(text)
+        g = graphs.build_graph(spec, {})
+        degree = [len(g.neighbors(x)) for x in range(g.n)]
+        assert [graphs.spec_degree(spec, {}, x) for x in range(g.n)] == degree
+        assert 4 * spectral.DEFAULT_COSPECTRAL_TOL * g.edge_count < 1
+        d = SpecFactors(exact=False).decomposition(spec)
+        refuted = [(u, v) for u in range(g.n) for v in range(g.n) if degree[u] != degree[v]]
+        for u, v in refuted:
+            assert spectral.strong_cospectral(d, u, v) is None, (u, v)
+        for u, v in refuted[:: max(1, len(refuted) // self.CLI_PAIRS)]:
+            expected = cospectral_report(text, u, v)[1]
+            with mock.patch.object(spectral.SpecFactors, "decomposition") as decomposition:
+                assert run_captured("cospectral", text, "--u", str(u), "--v", str(v)) == (
+                    EXIT_OK, expected, "")
+            decomposition.assert_not_called()
+        return len(refuted)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs(self, tmp_path_factory, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        p = rng.random()
+        g = graphs.make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                  if rng.random() < p])
+        path = tmp_path_factory.mktemp("degree-gate") / "g.edges"
+        path.write_text(graphs.write_edge_list(g), encoding="utf-8")
+        self.check_refuted_pairs(f"file:{path}")
+
+    @given(small_coronas)
+    @example("corona(path:3,cycle:3)")
+    @example("corona(corona(path:2,empty:2),path:3)")
+    @settings(max_examples=30, deadline=None)
+    def test_small_nested_coronas(self, text):
+        self.check_refuted_pairs(text)
+
+    def test_refutation_outranks_a_coarse_tolerance(self):
+        """At --cospectral-tol 1e-2 on 33 edges, 4 tol |E| = 1.32: the bound no
+        longer covers the float path, and the exact false stands."""
+        text = "corona(path:4,cycle:3)"  # base 0 has degree 4, base 1 degree 8
+        assert graphs.build_graph(parse_graph_spec(text), {}).edge_count == 33
+        argv = ("cospectral", text, "--u", "0", "--v", "1", "--cospectral-tol", "1e-2")
+        with mock.patch.object(spectral.SpecFactors, "decomposition") as decomposition:
+            code, out, err = run_captured(*argv)
+        decomposition.assert_not_called()
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {"command": "cospectral", "spec": text, "u": 0, "v": 1,
+                                   "strongly_cospectral": False}
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [(("--u", "2", "--v", "2"),
+          "analysis error: strong cospectrality is a relation on distinct vertices\n"),
+         (("--u", "2", "--v", "12"),
+          "analysis error: vertex 12 out of range for dimension 12\n"),
+         (("--u", "12", "--v", "0"),
+          "analysis error: vertex 12 out of range for dimension 12\n"),
+         (("--u", "-1", "--v", "6"),
+          "analysis error: vertex -1 out of range for dimension 12\n")],
+        ids=["same-vertex", "v-out-of-range", "u-out-of-range", "u-negative"],
+    )
+    def test_errors_come_from_the_decomposition_path(self, capsys, argv, err):
+        """Only an in-range pair of distinct vertices is refuted by degree;
+        any other reaches strong_cospectral's own checks and messages."""
+        assert run(capsys, "cospectral", "corona(path:3,cycle:3)", *argv) == (
+            EXIT_ANALYSIS, "", err)
+
+    def test_budget_comes_first(self, capsys):
+        assert run(capsys, "cospectral", "corona(path:5000,cycle:3)", "--u", "0",
+                   "--v", "5000") == (EXIT_ANALYSIS, "", _BUDGET.replace("5000", "20000"))
 
 
 class TestOptionSurface:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from coronawalk.cli import parse_graph_spec
 from coronawalk.corona import (
     CoronaSpec,
-    SpecFactors,
     corona_spectral_closed_form,
     corona_support_base_vertex,
     corona_terms,
@@ -28,6 +27,7 @@ from coronawalk.graphs import (
     star_graph,
 )
 from coronawalk.spectral import (
+    SpecFactors,
     decompose,
     eigenvalue_support,
     entry_amplitudes,

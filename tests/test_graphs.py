@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from coronawalk.corona import SpecFactors
+from coronawalk.spectral import SpecFactors
 from coronawalk.graphs import (
     FAMILY_KINDS,
     UNREACHABLE,

@@ -11,17 +11,21 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# no module of the package uses dataclasses, so no call may load it
-WATCHED = ("numpy", "dataclasses", "coronawalk.corona", "coronawalk.spectral",
-           "coronawalk.transfer")
+# no module of the package uses dataclasses, so no call may load it; the
+# report writer takes its string escaper from _json, so none loads json
+WATCHED = ("numpy", "dataclasses", "json", "coronawalk.exact", "coronawalk.gates",
+           "coronawalk.corona", "coronawalk.spectral", "coronawalk.transfer")
 # numpy loads inspect, so only calls that skip numpy can be held to skip it
 NUMPY_FREE = WATCHED + ("inspect",)
 
-# prints {"code": <exit code or null>, "loaded": [watched modules in sys.modules]}
+# prints {"code": <exit code or null>, "loaded": [watched modules in sys.modules]},
+# the modules read before the probe itself imports json
 PROBE = """
-import json, sys
+import sys
 {body}
-print(json.dumps({{"code": code, "loaded": [m for m in {watched!r} if m in sys.modules]}}))
+loaded = [m for m in {watched!r} if m in sys.modules]
+import json
+print(json.dumps({{"code": code, "loaded": loaded}}))
 """
 
 
@@ -84,12 +88,58 @@ def test_usage_errors_and_corona_build_never_load_numpy(argv, env, code):
 )
 def test_search_gate_failures_never_load_numpy(argv):
     """What the factor graphs alone decide fails before the analysis imports."""
-    assert probe(run_quietly(argv), NUMPY_FREE) == {"code": 2, "loaded": []}
+    assert probe(run_quietly(argv), NUMPY_FREE) == {"code": 2, "loaded": ["coronawalk.gates"]}
+
+
+def test_degree_refuted_cospectral_never_loads_numpy():
+    """Base vertex 2 has degree (3 + 1) * 1 = 4, copy vertex 6 = (0, w1) has
+    2 + 1 = 3: unequal degrees refute strong cospectrality exactly."""
+    argv = ("cospectral", "corona(path:3,cycle:3)", "--u", "2", "--v", "6")
+    assert probe(run_quietly(argv), NUMPY_FREE) == {"code": 0, "loaded": []}
 
 
 def test_spectrum_skips_transfer():
     assert probe(run_quietly(("spectrum", "complete:4"))) == {
-        "code": 0, "loaded": ["numpy", "coronawalk.corona", "coronawalk.spectral"]}
+        "code": 0, "loaded": ["numpy", "coronawalk.exact", "coronawalk.spectral"]}
+
+
+ANALYSIS = ["numpy", "coronawalk.exact", "coronawalk.spectral"]
+SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
+          "coronawalk.spectral", "coronawalk.transfer"]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("spectrum", "path:3"), ANALYSIS),
+        (("spectrum", "file:{path}"), ANALYSIS),
+        (("fidelity", "path:2", "--u", "0", "--v", "1", "--t", "1"), ANALYSIS),
+        (("support", "file:{path}", "--u", "1"), ANALYSIS),
+        (("cospectral", "path:3", "--u", "0", "--v", "2"), ANALYSIS),
+        (("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "5"),
+         ANALYSIS + ["coronawalk.transfer"]),
+        (("periodic", "path:3", "--u", "0"), ANALYSIS + ["coronawalk.transfer"]),
+        (("pst", "file:{path}", "--u", "0", "--v", "2"), ANALYSIS + ["coronawalk.transfer"]),
+        (("spectrum", "corona(path:2,cycle:3)"),
+         ["numpy", "coronawalk.exact", "coronawalk.corona", "coronawalk.spectral"]),
+        (("periodic", "corona(path:2,empty:2)", "--u", "0"),
+         ["numpy", "coronawalk.exact", "coronawalk.corona", "coronawalk.spectral",
+          "coronawalk.transfer"]),
+        (("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base", "--v", "0",
+          "--vp", "1", "--points", "100"), SEARCH),
+        (("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
+          "--lmax", "100"), SEARCH),
+    ],
+    ids=["spectrum", "spectrum-file", "fidelity", "support-file", "cospectral", "sweep",
+         "periodic", "pst-file", "spectrum-corona", "periodic-corona", "no-pst-scan",
+         "pgst"],
+)
+def test_each_subcommand_loads_what_it_runs(argv, loaded, tmp_path):
+    """Only the searches load `gates`, and only a corona spec loads `corona`."""
+    path = tmp_path / "path3.txt"
+    path.write_text("3\n0 1\n1 2\n", encoding="utf-8")
+    argv = [a.format(path=path) for a in argv]
+    assert probe(run_quietly(argv)) == {"code": 0, "loaded": loaded}
 
 
 def test_every_exported_name_resolves():
@@ -137,5 +187,5 @@ def test_cli_registers_no_exit_handler():
             "        'added': atexit._ncallbacks() - before}")
     assert probe(body) == {
         "code": {"codes": [0] * 10, "registered": [], "added": 0},
-        "loaded": ["numpy", "coronawalk.corona", "coronawalk.spectral", "coronawalk.transfer"],
+        "loaded": SEARCH,
     }
