@@ -15,9 +15,8 @@ load neither numpy, `json` nor `exact`.  pgst and no-pst-scan first import
 `gates` and run the gates their factor graphs decide (the dense budgets,
 vertex ranges, distinct vertices, a regular copy factor of nonzero degree,
 the cocktail family's base), so those analysis errors load no numpy
-either; the graphs the gates build seed the handler's `SpecFactors`, and
-H's regular degree and the cocktail base's antipode map go on to the
-search.  cospectral first compares the degrees of u and v, read off the
+either; the graphs the gates build seed the handler's `SpecFactors`.
+cospectral first compares the degrees of u and v, read off the
 factor graphs: unequal degrees refute strong cospectrality exactly, with
 no numpy.  Each handler imports the analysis modules it calls: `spectral`
 (and numpy) for every other subcommand, which loads `corona` only for a
@@ -65,6 +64,17 @@ from .defaults import (
 )
 
 ENV_PREFIX = "CORONAWALK_"
+
+_DESCRIPTION = """\
+Continuous-time quantum walks on graphs and neighborhood coronas: spectra,
+supports, fidelities, strong cospectrality, periodicity, perfect state
+transfer certificates, no-transfer scans and pretty good transfer searches.
+
+SPEC: path:N, cycle:N, complete:N, cocktail:N, empty:N, star:N, file:PATH
+(an edge list) or corona(SPEC,SPEC); coronas nest.  Reports are JSON
+(--format json, the default) or text, and csv for sweep; --output FILE.
+Exit codes: 0 success, 1 usage error, 2 analysis error.
+"""
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -423,12 +433,13 @@ def _cmd_no_pst_scan(args):
     from . import gates
 
     built: dict = {}
-    k = gates.scan_gates(args.spec, built, pair)
+    gates.scan_gates(args.spec, built, pair)
     from . import spectral, transfer
 
     factors = spectral.SpecFactors(args.group_tol, built=built)
-    cspec, g_decomp = factors.corona_context(args.spec, k)
-    scan = transfer.corona_no_pst_check(cspec, g_decomp, pair, args.t_max, args.points)
+    g_decomp = factors.decomposition(args.spec.factors[0])
+    scan = transfer.corona_no_pst_check(factors.corona(args.spec), g_decomp, pair,
+                                        args.t_max, args.points)
     return {
         "pair": args.pair,
         "vertices": list(scan.vertices),
@@ -446,15 +457,15 @@ def _cmd_pgst(args):
     from . import gates
 
     built: dict = {}
-    k, antipode = gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax)
+    gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax)
     from . import spectral, transfer
 
     factors = spectral.SpecFactors(args.group_tol, built=built)
-    cspec, g_decomp = factors.corona_context(args.spec, k)
-    result = transfer.pgst_search(cspec, g_decomp, args.u, args.v, args.family,
-                                  ell_max=args.lmax, target=args.target,
+    g_decomp = factors.decomposition(args.spec.factors[0])
+    result = transfer.pgst_search(factors.corona(args.spec), g_decomp, args.u, args.v,
+                                  args.family, ell_max=args.lmax, target=args.target,
                                   support_tol=args.support_tol,
-                                  cospectral_tol=args.cospectral_tol, antipode=antipode)
+                                  cospectral_tol=args.cospectral_tol)
     trace = [{"ell": e, "fidelity": f} for e, f in _printed_trace(result.trace)]
     return {**_record(result), "trace": trace}, None
 
@@ -559,7 +570,8 @@ def _build_parser() -> _Parser:
     }
     ell_max = _env_default("LMAX", _positive_int, DEFAULT_ELL_MAX)
     target = _env_default("TARGET", _unit_fraction, DEFAULT_TARGET)
-    parser = _Parser(prog="coronawalk", description=__doc__)
+    parser = _Parser(prog="coronawalk", description=_DESCRIPTION,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, tolerances=("group",), needs_uv=(), formats=("json", "text")):

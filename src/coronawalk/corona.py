@@ -36,7 +36,7 @@ import numpy as np
 
 from .defaults import DEFAULT_GROUP_TOL
 from .exact import QuadInt, exact_rank
-from .graphs import Graph, check_base_vertex, check_budget, check_copy_vertex, require_regular
+from .graphs import Graph, check_base_vertex, check_budget, check_copy_vertex
 from .spectral import EigenClass, SpectralDecomposition, attach_exact_labels, decompose
 
 
@@ -87,15 +87,9 @@ class CoronaSpec(NamedTuple):
 
     @classmethod
     def from_graphs(cls, g: Graph, h: Graph, h_decomp=None) -> "CoronaSpec":
-        """The corona of g and h, H's regular degree read off h."""
-        return cls.from_degree(g, h, h.is_regular(), h_decomp)
-
-    @classmethod
-    def from_degree(cls, g: Graph, h: Graph, k: int | None, h_decomp=None) -> "CoronaSpec":
-        """The corona of g and h, given H's regular degree k (None when H is
-        irregular).  A k-regular H has mu = k on 1/sqrt(m); h_decomp, H's
-        decomposition, is read (or made) only for an irregular H."""
-        m = h.n
+        """The corona of g and h.  A k-regular H has mu = k on 1/sqrt(m);
+        h_decomp, H's decomposition, is read (or made) only for an irregular H."""
+        k, m = h.is_regular(), h.n
         if k is not None:
             return cls(g, h, k, MainData(np.array([float(k)]), np.full((m, 1), 1 / math.sqrt(m)),
                                          (m,), (k,)))
@@ -108,9 +102,6 @@ class CoronaSpec(NamedTuple):
     @property
     def m(self) -> int:
         return self.h.n
-
-    def require_regular(self) -> int:
-        return require_regular(self.k)
 
 
 class LiftedClass(NamedTuple):

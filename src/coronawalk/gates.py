@@ -10,11 +10,9 @@ needs, and the cocktail family's base.  The checks every analysis shares
 gates here combine them and need no numpy.  The CLI runs `pgst_gates` or
 `scan_gates` before it loads the analysis modules, and
 `transfer.pgst_search` and `transfer.corona_no_pst_check` run the same
-checks for library callers.  What the CLI's gates read goes on to the
-analysis: the graphs they build into the caller's `built` cache, H's
-regular degree into `SpecFactors.corona_context` and the cocktail base's
-antipode map into `pgst_search`, so a call that passes builds each factor
-graph, and counts H's degrees and the base's antipodes, once.
+checks for library callers.  Only the graphs the CLI's gates build go on to
+the analysis, through the caller's `built` cache, so a call that passes
+builds each factor graph once.
 """
 
 from __future__ import annotations
@@ -57,17 +55,13 @@ def check_pgst(n: int, k: int | None, u: int, v: int, family: str, ell_max: int)
         check_distinct(u, v)
 
 
-def check_antipodal(g: Graph, u: int, v: int,
-                    antipode: list[int] | None = None) -> list[int]:
-    """The cocktail family's base is a cocktail party graph with v the antipode
-    of u; returns g's antipode map, read off g unless the caller has it."""
-    if antipode is None:
-        antipode = cocktail_antipode_map(g)
+def check_antipodal(g: Graph, u: int, v: int) -> None:
+    """The cocktail family's base is a cocktail party graph with v the antipode of u."""
+    antipode = cocktail_antipode_map(g)
     if antipode is None:
         raise ValueError(_COCKTAIL_BASE)
     if antipode[u] != v:
         raise ValueError(f"vertices {u} and {v} are not antipodal")
-    return antipode
 
 
 def check_scan_pair(n: int, m: int, pair: tuple) -> None:
@@ -107,22 +101,18 @@ def _corona_budgets(spec: GraphSpec,
 
 
 def pgst_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], u: int, v: int,
-               family: str, ell_max: int) -> tuple[int, list[int] | None]:
+               family: str, ell_max: int) -> None:
     """Every gate of `pgst` on a corona spec that its factor graphs decide,
     in the order the analysis meets them.  The base graph is built only for
-    the cocktail family, once its order has passed.  Returns H's regular
-    degree and, for the cocktail family, the base's antipode map."""
+    the cocktail family, once its order has passed."""
     n, _, k = _corona_budgets(spec, built)
     check_pgst(n, k, u, v, family, ell_max)
-    if family != "cocktail":
-        return k, None
-    return k, check_antipodal(build_graph(spec.factors[0], built), u, v)
+    if family == "cocktail":
+        check_antipodal(build_graph(spec.factors[0], built), u, v)
 
 
-def scan_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], pair: tuple) -> int | None:
+def scan_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], pair: tuple) -> None:
     """Every gate of `no-pst-scan` on a corona spec that its factor graphs
-    decide, in the order the analysis meets them.  Returns H's regular
-    degree (None when irregular)."""
-    n, h, k = _corona_budgets(spec, built)
+    decide, in the order the analysis meets them."""
+    n, h, _ = _corona_budgets(spec, built)
     check_scan_pair(n, h.n, pair)
-    return k

@@ -20,12 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .defaults import (  # MAX_DIMENSION is re-exported
-    DEFAULT_COSPECTRAL_TOL,
-    DEFAULT_GROUP_TOL,
-    DEFAULT_SUPPORT_TOL,
-    MAX_DIMENSION,
-)
+from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_GROUP_TOL, DEFAULT_SUPPORT_TOL
 from .exact import QuadInt, exact_rank, square_free_part
 from .graphs import Graph, GraphSpec, build_graph, check_budget, spec_order
 
@@ -294,26 +289,14 @@ class SpecFactors:
 
     def corona(self, spec: GraphSpec) -> CoronaSpec:
         if spec not in self._coronas:
-            k = self.graph(spec.factors[1]).is_regular()
-            self._coronas[spec] = self._corona(spec, k)
+            from .corona import CoronaSpec
+
+            g, h = map(self.graph, spec.factors)
+            # an irregular H's main data is read off its decomposition
+            h_decomp = (None if h.is_regular() is not None
+                        else self.decomposition(spec.factors[1]))
+            self._coronas[spec] = CoronaSpec.from_graphs(g, h, h_decomp)
         return self._coronas[spec]
-
-    def corona_context(self, spec: GraphSpec,
-                       k: int | None) -> tuple[CoronaSpec, SpectralDecomposition]:
-        """A corona spec's built factors, given H's regular degree k (None
-        when H is irregular) as the search gates read it, and its base's
-        decomposition."""
-        # the base's budget is checked before any factor is built
-        g_decomp = self.decomposition(spec.factors[0])
-        return self._corona(spec, k), g_decomp
-
-    def _corona(self, spec: GraphSpec, k: int | None) -> CoronaSpec:
-        from .corona import CoronaSpec
-
-        g, h = map(self.graph, spec.factors)
-        # an irregular H's main data is read off its decomposition
-        h_decomp = None if k is not None else self.decomposition(spec.factors[1])
-        return CoronaSpec.from_degree(g, h, k, h_decomp)
 
     def decomposition(self, spec: GraphSpec) -> SpectralDecomposition:
         if spec not in self._decomps:

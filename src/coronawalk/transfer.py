@@ -15,15 +15,9 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .defaults import (
-    DEFAULT_COSPECTRAL_TOL,
-    DEFAULT_ELL_MAX,
-    DEFAULT_SUPPORT_TOL,
-    DEFAULT_TARGET,
-    PGST_FAMILIES,
-)
+from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_ELL_MAX, DEFAULT_SUPPORT_TOL, DEFAULT_TARGET
 from .exact import QuadInt, gcd_list, two_adic_valuation
-from .graphs import check_distinct
+from .graphs import check_distinct, require_regular
 from .spectral import (
     SpectralDecomposition,
     eigenvalue_support,
@@ -95,7 +89,7 @@ def corona_base_periodicity(
     """
     from .corona import corona_support_base_vertex
 
-    k = spec.require_regular()
+    k = require_regular(spec.k)
     if spec.n < 2:
         raise ValueError("base graph needs at least two vertices")
     if not spec.g.is_connected():
@@ -385,7 +379,6 @@ def pgst_search(
     target: float = DEFAULT_TARGET,
     support_tol: float = DEFAULT_SUPPORT_TOL,
     cospectral_tol: float = DEFAULT_COSPECTRAL_TOL,
-    antipode: list[int] | None = None,
 ) -> PGSTSearchResult:
     """Sweep a structured time family for high corona base-to-base fidelity.
 
@@ -399,14 +392,14 @@ def pgst_search(
     All families need a regular copy factor of nonzero degree, and t51 and
     t52 distinct u and v.  These gates, the vertex ranges and the cocktail
     base (`gates.check_pgst`, `gates.check_antipodal`) read only the factor
-    graphs, so the CLI runs them before it loads numpy and passes on the
-    base's antipode map as `antipode`, which is then not read again.  The
-    t51 and t52 gate certifies base transfer with pst_certify at
-    support_tol and cospectral_tol, and t51 reads the support of u at
-    support_tol.  Records the strictly-improving best-so-far trace and stops
-    once fidelity reaches the target; the family is evaluated one grid batch
-    of ell values at a time, so an early stop evaluates at most one batch
-    past the hit, and a batch that cannot beat the best so far is skipped.
+    graphs, so the CLI runs them before it loads numpy; they run here again,
+    on the graphs, for library callers.  The t51 and t52 gate certifies base
+    transfer with pst_certify at support_tol and cospectral_tol, and t51
+    reads the support of u at support_tol.  Records the strictly-improving
+    best-so-far trace and stops once fidelity reaches the target; the family
+    is evaluated one grid batch of ell values at a time, so an early stop
+    evaluates at most one batch past the hit, and a batch that cannot beat
+    the best so far is skipped.
     """
     from .corona import corona_terms
     from .gates import check_antipodal, check_pgst
@@ -440,7 +433,7 @@ def pgst_search(
             raise ValueError("t52 family needs 0 in the base spectrum")
         slope, offset = 4.0, 1.0
     else:
-        check_antipodal(spec.g, u, v, antipode)
+        check_antipodal(spec.g, u, v)
         slope, offset = 8.0, 0.0
 
     freqs, coefs = corona_terms(spec, g_decomp, v, u)
@@ -507,21 +500,3 @@ def fidelity_sweep(
     ts = np.linspace(0.0, float(t_max), int(steps))
     vals = np.abs(entry_amplitudes(d, u, v, ts))
     return FidelityTrace(times=ts, values=vals, best_index=int(np.argmax(vals)))
-
-
-__all__ = [
-    "PeriodicityVerdict",
-    "periodicity_test",
-    "corona_base_periodicity",
-    "PSTCertificate",
-    "pst_certify",
-    "NoTransferScan",
-    "corona_no_pst_check",
-    "PGSTSearchResult",
-    "pgst_search",
-    "FidelityTrace",
-    "fidelity_sweep",
-    "PGST_FAMILIES",
-    "DEFAULT_ELL_MAX",
-    "DEFAULT_TARGET",
-]

@@ -43,6 +43,7 @@ from coronawalk.graphs import (
     empty_graph,
     make_graph,
     path_graph,
+    require_regular,
 )
 from coronawalk.spectral import (
     decompose,
@@ -221,7 +222,7 @@ def _level_gap_splits(spec: CoronaSpec, g_decomp) -> dict[int, SquareFreeSplit]:
     Keyed by the exact integer base eigenvalue lam.  The gap Lambda = s*sqrt(c)
     is rational, and so locked at every family time, exactly when c == 1.
     """
-    k, m = spec.require_regular(), spec.m
+    k, m = require_regular(spec.k), spec.m
     splits = {}
     for c in g_decomp.classes:
         lam = c.exact.as_integer()
@@ -363,7 +364,7 @@ def test_criterion_6_invariant_suite_on_random_graphs():
         assert unit_err < 1e-8 and sym_err < 1e-8 and group_err < 1e-7
 
         spec = CoronaSpec.from_graphs(g, cycle_graph(3))
-        k, m = spec.require_regular(), spec.m
+        k, m = require_regular(spec.k), spec.m
         for c in d.classes:
             lam = c.value
             plus, minus = (lift.value for lift in lift_class(lam, c.exact, spec.main))

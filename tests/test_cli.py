@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from coronawalk import corona, exact, gates, graphs, spectral, transfer
+from coronawalk import corona, exact, graphs, spectral, transfer
 from coronawalk.cli import (
     EXIT_ANALYSIS,
     EXIT_OK,
@@ -441,6 +441,25 @@ class TestOtherCommands:
         assert report["best_ell"] == 53
         assert report["best_fidelity"] >= 0.99
 
+    def test_pgst_cocktail(self, capsys):
+        """A cocktail search that passes its gates reports what the library
+        search on the same factors finds."""
+        code, out, err = run(
+            capsys,
+            "pgst", "corona(cocktail:3,complete:4)", "--u", "0", "--v", "1",
+            "--family", "cocktail", "--lmax", "1000", "--target", "0.99",
+        )
+        assert code == EXIT_OK and err == ""
+        g = graphs.cocktail_party_graph(3)
+        result = transfer.pgst_search(
+            corona.CoronaSpec.from_graphs(g, graphs.complete_graph(4)),
+            spectral.exact_decomposition(g), 0, 1, "cocktail", ell_max=1000, target=0.99,
+        )
+        report = json.loads(out)
+        assert result.target_reached and report["target_reached"] is True
+        assert report["best_ell"] == result.best_ell
+        assert report["best_fidelity"] == pytest.approx(result.best_fidelity, abs=1e-14)
+
     def test_pgst_printed_trace_strictly_increases(self, capsys, monkeypatch):
         low = 0.7
         high = float(np.nextafter(low, 1.0))  # equal to 15 significant digits
@@ -733,24 +752,6 @@ class TestSearchGates:
         assert run(capsys, *argv) == (EXIT_ANALYSIS, "", err)
         assert calls == []
 
-    def test_cocktail_pgst_reads_the_factors_once(self, capsys, monkeypatch):
-        """The gates' regular degree of H and antipode map of the base go on
-        to the search, which reads neither again."""
-        calls: list[str] = []
-
-        def recorder(name, fn):
-            return lambda *args: calls.append(name) or fn(*args)
-
-        monkeypatch.setattr(graphs.Graph, "is_regular",
-                            recorder("is_regular", graphs.Graph.is_regular))
-        for module in (graphs, gates):
-            monkeypatch.setattr(module, "cocktail_antipode_map",
-                                recorder("antipode", module.cocktail_antipode_map))
-        argv = _pgst("corona(cocktail:3,cycle:3)", 0, 1, "cocktail")
-        code, out, err = run(capsys, *argv, "--lmax", "100")
-        assert code == EXIT_OK and err == ""
-        assert sorted(calls) == ["antipode", "is_regular"]
-
 
 def run_captured(*argv) -> tuple[int, str, str]:
     """run_command on argv: exit code, stdout and stderr (no fixtures, for
@@ -923,6 +924,16 @@ class TestOptionSurface:
         assert code == EXIT_USAGE
         assert out == ""
         assert "CORONAWALK_GROUP_TOL='0.5': 0.5 must lie in (0, 1e-2]" in err
+
+    def test_help_is_for_users(self, capsys):
+        """--help exits 0 and describes the tool, not its internals."""
+        with pytest.raises(SystemExit) as stop:
+            run_command(["--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        assert "0 success, 1 usage error, 2 analysis error" in out
+        assert "corona(SPEC,SPEC)" in out
+        assert not any(word in out for word in ("numpy", "_json", "dataclasses"))
 
 
 class TestEnvOverrides:

@@ -24,6 +24,7 @@ from coronawalk.graphs import (
     empty_graph,
     make_graph,
     path_graph,
+    require_regular,
     star_graph,
 )
 from coronawalk.spectral import (
@@ -102,7 +103,7 @@ class TestEigenPairs:
 
     def test_product_identities_all_pairs_of_a_decomposition(self):
         spec = CoronaSpec.from_graphs(cycle_graph(4), cycle_graph(3))
-        k, m = spec.require_regular(), spec.m
+        k, m = require_regular(spec.k), spec.m
         for c in exact_decomposition(cycle_graph(4)).classes:
             lam = c.value
             plus, minus = (x.value for x in lift_class(lam, c.exact, spec.main))

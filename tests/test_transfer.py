@@ -14,6 +14,7 @@ from coronawalk.graphs import (
     corona_graph,
     cycle_graph,
     empty_graph,
+    make_graph,
     path_graph,
 )
 from coronawalk.spectral import (
@@ -488,6 +489,23 @@ class TestPgstSearch:
         gd = exact_decomposition(g)
         with pytest.raises(ValueError, match="antipodal"):
             pgst_search(spec, gd, 0, 2, "cocktail")
+
+    @pytest.mark.parametrize("change", ["cycle", "removed", "added"])
+    def test_cocktail_base_read_off_the_graph(self, change):
+        """Order-6 bases that pass the size gate but are not cocktail party
+        graphs: the 6-cycle (whose opposite vertices are at distance 3), and
+        cocktail:3 relabelled with one edge removed or added."""
+        perm = [4, 0, 5, 2, 1, 3]
+        edges = set(cocktail_party_graph(3).edges)
+        if change == "removed":
+            edges.remove((0, 2))
+        elif change == "added":
+            edges.add((0, 1))
+        g = (cycle_graph(6) if change == "cycle"
+             else make_graph(6, [(perm[a], perm[b]) for a, b in edges]))
+        spec = CoronaSpec.from_graphs(g, cycle_graph(3))
+        with pytest.raises(ValueError, match="cocktail family needs a cocktail party base"):
+            pgst_search(spec, exact_decomposition(g), 0, 3, "cocktail")
 
     def test_unknown_family_rejected(self):
         g, h = path_graph(2), cycle_graph(3)
