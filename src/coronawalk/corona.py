@@ -24,7 +24,8 @@ lifts that reach the base, and a walk amplitude on base/copy vertices is
 read from the base factor's spectral data as an exponential sum
 sum_j c_j exp(-i t theta_j) over the lifted values theta_j (`corona_terms`),
 which `spectral.exp_sum_grid` evaluates on uniform time grids in batches,
-in memory independent of --lmax and --points.
+each one small matrix product of two phase tables of about sqrt(batch)
+columns, in memory independent of --lmax and --points.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ a plain spec never load it.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -122,15 +123,25 @@ def exp_sum_grid(
 ):
     """Yield exp_sum at t0 + j*dt, j = 0..count-1, in batches of `block` times.
 
-    With j = s*block + r the sum factors as
-    (coefs * exp(-i freqs (t0 + s*block*dt))) @ W, W[:, r] = exp(-i freqs r dt),
-    so the phase table W is made once and each batch is one vector-matrix
-    product; memory stays O(len(freqs) * block) whatever the count.
+    With j = s*block + q*a + r (r < a, q < b, a*b >= min(block, count)) it is
+    sum_k w[k] coarse[k, q] fine[k, r], w = coefs * exp(-i freqs (t0 +
+    s*block*dt)), fine[:, r] = exp(-i freqs r dt) and coarse[:, q] =
+    exp(-i freqs q a dt).  The two tables are made once, a and b near
+    sqrt(block), and each batch is one (b x K)(K x a) matrix product
+    (w[:, None] * coarse)^T @ fine, raveled and cut to the batch; memory
+    stays O(K sqrt(block) + block), K = len(freqs), whatever the count.
     """
-    table = np.exp(-1j * np.multiply.outer(freqs, np.arange(min(block, count)) * dt))
+    if count <= 0:
+        return
+    size = min(block, count)
+    a = math.isqrt(size - 1) + 1  # a * a >= size
+    fine = np.exp(-1j * np.multiply.outer(freqs, np.arange(a) * dt))
+    # q * a for q < b = ceil(size / a)
+    coarse = np.exp(-1j * np.multiply.outer(freqs, np.arange(0, size, a) * dt))
     for start in range(0, count, block):
         weights = coefs * np.exp(-1j * freqs * (t0 + start * dt))
-        yield weights @ table[:, : min(block, count - start)]
+        batch = ((weights[:, None] * coarse).T @ fine).ravel()
+        yield batch[: min(block, count - start)]
 
 
 def entry_amplitudes(d: SpectralDecomposition, u: int, v: int, times) -> np.ndarray:

@@ -28,6 +28,7 @@ from coronawalk.graphs import (
     star_graph,
 )
 from coronawalk.spectral import (
+    GRID_BLOCK,
     SpecFactors,
     decompose,
     eigenvalue_support,
@@ -584,7 +585,7 @@ class TestExponentialSum:
     @given(
         corona_pairs(),
         # block sizes B with counts 1, B - 1, B, B + 1 and several blocks
-        st.sampled_from([1, 2, 5, 64]).flatmap(lambda b: st.tuples(
+        st.sampled_from([1, 2, 5, 64, 97]).flatmap(lambda b: st.tuples(
             st.just(b), st.sampled_from([1, max(1, b - 1), b, b + 1, 3 * b + 2]))),
         st.floats(-40.0, 40.0),
         st.floats(0.0, 4.0),
@@ -605,6 +606,44 @@ class TestExponentialSum:
         top = float(np.max(np.abs(freqs), initial=0.0))
         assert grid.shape == (count,)
         assert np.max(np.abs(grid - explicit)) <= 1e-12 * (1.0 + top * t_end)
+
+    # the searches' grids: t = (slope l + offset) pi, slope 4 (t51, t52) or 8
+    # (cocktail), offset 1 (t52) or 2/g (t51)
+    @pytest.mark.parametrize("slope", [4.0, 8.0])
+    @pytest.mark.parametrize("offset", [1.0, 2.0 / 3.0])
+    @pytest.mark.parametrize("g, h, v, vp, w", [
+        (cycle_graph(4), cycle_graph(3), 2, 0, None),
+        (cocktail_party_graph(3), cycle_graph(5), 3, 0, None),
+        (path_graph(3), star_graph(4), 0, 2, 1),
+    ], ids=["C4*C3", "CP3*C5", "P3*S4-copy"])
+    def test_grid_kernel_at_search_scale(self, slope, offset, g, h, v, vp, w):
+        spec = CoronaSpec.from_graphs(g, h)
+        freqs, coefs = corona_terms(spec, exact_decomposition(g), vp, v, w)
+        t0, dt, count = offset * math.pi, slope * math.pi, 2 * GRID_BLOCK + 1234
+        grid = np.concatenate(list(exp_sum_grid(freqs, coefs, t0, dt, count)))
+        assert grid.shape == (count,)
+        picks = np.random.default_rng(5).integers(0, count, 250)
+        picks = np.r_[picks, 0, GRID_BLOCK - 1, GRID_BLOCK, 2 * GRID_BLOCK, count - 2, count - 1]
+        explicit = exp_sum(freqs, coefs, t0 + picks * dt)
+        top = float(np.max(np.abs(freqs)))
+        bound = 1e-12 * (1.0 + top * (t0 + (count - 1) * dt))
+        assert np.max(np.abs(grid[picks] - explicit)) <= bound
+
+    def test_grid_kernel_memory_is_below_the_batch_table(self):
+        # one K x GRID_BLOCK phase table of 64 terms alone takes 8 MB
+        freqs, coefs = np.linspace(-8.0, 8.0, 64), np.linspace(-1.0, 1.0, 64)
+        tracemalloc.start()
+        try:
+            for _, amps in zip(range(3), exp_sum_grid(freqs, coefs, math.pi, 8 * math.pi,
+                                                     10**6)):
+                assert amps.size == GRID_BLOCK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_empty_grid_yields_nothing(self):
+        assert list(exp_sum_grid(np.ones(3), np.ones(3), 0.0, 1.0, 0)) == []
 
     @given(corona_pairs(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
