@@ -21,9 +21,13 @@ factor graphs: unequal degrees refute strong cospectrality exactly, with
 no numpy.  Each handler imports the analysis modules it calls: `spectral`
 (and numpy) for every other subcommand, which loads `corona` only for a
 corona spec, and `transfer` as well for sweep, periodic, pst, no-pst-scan
-and pgst.  No module uses `dataclasses` (records are NamedTuples,
-eigenvalue classes plain `__slots__` classes), so no call loads it, and a
-call that skips numpy loads no `inspect` either.
+and pgst.  Each handler asks `SpecFactors` for the classes it reads:
+spectrum, support, periodic, pst and the base of no-pst-scan and pgst for
+classes with rank-verified exact labels (`labelled`), fidelity, sweep and
+cospectral for float classes alone (`decomposition`).  No module uses
+`dataclasses` (records are NamedTuples, eigenvalue classes plain
+`__slots__` classes), so no call loads it, and a call that skips numpy
+loads no `inspect` either.
 
 Reports are byte-deterministic for a fixed command line.  `dumps_report`
 writes JSON in one walk, byte for byte as json.dumps(indent=2,
@@ -297,7 +301,7 @@ def _require_corona(spec: graphs.GraphSpec, who: str = "this subcommand") -> Non
 def _cmd_spectrum(args):
     from . import spectral
 
-    d = spectral.SpecFactors(args.group_tol).decomposition(args.spec)
+    d = spectral.SpecFactors(args.group_tol).labelled(args.spec)
     return {
         "n": d.n,
         "classes": [_class_record(c) for c in d.classes],
@@ -319,7 +323,7 @@ def _cmd_corona_build(args):
 def _cmd_fidelity(args):
     from . import spectral
 
-    d = spectral.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
+    d = spectral.SpecFactors(args.group_tol).decomposition(args.spec)
     amp = complex(spectral.entry_amplitudes(d, args.u, args.v, args.t))
     return {
         "u": args.u,
@@ -333,7 +337,7 @@ def _cmd_fidelity(args):
 def _cmd_sweep(args):
     from . import spectral, transfer
 
-    d = spectral.SpecFactors(args.group_tol, exact=False).decomposition(args.spec)
+    d = spectral.SpecFactors(args.group_tol).decomposition(args.spec)
     trace = transfer.fidelity_sweep(d, args.u, args.v, args.t_max, args.steps)
     report = {
         "u": args.u,
@@ -353,7 +357,7 @@ def _cmd_sweep(args):
 def _cmd_support(args):
     from . import spectral
 
-    d = spectral.SpecFactors(args.group_tol).decomposition(args.spec)
+    d = spectral.SpecFactors(args.group_tol).labelled(args.spec)
     sup = spectral.eigenvalue_support(d, args.u, args.support_tol)
     return {
         "u": args.u,
@@ -373,7 +377,7 @@ def _cmd_cospectral(args):
         return {"u": u, "v": v, "strongly_cospectral": False}, None
     from . import spectral
 
-    d = spectral.SpecFactors(args.group_tol, exact=False, built=built).decomposition(args.spec)
+    d = spectral.SpecFactors(args.group_tol, built=built).decomposition(args.spec)
     signs = spectral.strong_cospectral(d, u, v, args.cospectral_tol)
     report = {
         "u": u,
@@ -396,7 +400,7 @@ def _cmd_periodic(args):
     from . import spectral, transfer
 
     factors = spectral.SpecFactors(args.group_tol)
-    d = factors.decomposition(args.spec)
+    d = factors.labelled(args.spec)
     sup = spectral.eigenvalue_support(d, args.u, args.support_tol)
     entries = [q if q is not None else v for q, v in zip(sup.exact, sup.values)]
     verdict = transfer.periodicity_test(entries)
@@ -409,7 +413,7 @@ def _cmd_periodic(args):
         if args.u < cspec.n and cspec.k is not None and cspec.n >= 2 \
                 and cspec.g.is_connected():
             lifted = transfer.corona_base_periodicity(
-                cspec, factors.decomposition(args.spec.factors[0]), args.u,
+                cspec, factors.labelled(args.spec.factors[0]), args.u,
                 args.support_tol,
             )
             report["corona_base_test"] = _record(lifted)
@@ -419,7 +423,7 @@ def _cmd_periodic(args):
 def _cmd_pst(args):
     from . import spectral, transfer
 
-    d = spectral.SpecFactors(args.group_tol).decomposition(args.spec)
+    d = spectral.SpecFactors(args.group_tol).labelled(args.spec)
     cert = transfer.pst_certify(d, args.u, args.v, args.support_tol, args.cospectral_tol)
     return _record(cert), None
 
@@ -437,7 +441,7 @@ def _cmd_no_pst_scan(args):
     from . import spectral, transfer
 
     factors = spectral.SpecFactors(args.group_tol, built=built)
-    g_decomp = factors.decomposition(args.spec.factors[0])
+    g_decomp = factors.labelled(args.spec.factors[0])
     scan = transfer.corona_no_pst_check(factors.corona(args.spec), g_decomp, pair,
                                         args.t_max, args.points)
     return {
@@ -461,7 +465,7 @@ def _cmd_pgst(args):
     from . import spectral, transfer
 
     factors = spectral.SpecFactors(args.group_tol, built=built)
-    g_decomp = factors.decomposition(args.spec.factors[0])
+    g_decomp = factors.labelled(args.spec.factors[0])
     result = transfer.pgst_search(factors.corona(args.spec), g_decomp, args.u, args.v,
                                   args.family, ell_max=args.lmax, target=args.target,
                                   support_tol=args.support_tol,

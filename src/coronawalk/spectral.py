@@ -11,7 +11,8 @@ E[u,v] = V[u].V[v] and ||E e_u|| = ||V[u]||.
 `SpecFactors` decomposes any graph spec, each term once: a family or file
 spec densely here, a corona in closed form from its factors through
 `corona`, which is imported only when a spec term is a corona, so calls on
-a plain spec never load it.
+a plain spec never load it.  Its caller asks for labels: `labelled` runs
+`attach_exact_labels` on the terms it reaches, `decomposition` never does.
 """
 
 from __future__ import annotations
@@ -280,53 +281,78 @@ def exact_decomposition(
 class SpecFactors:
     """Built graphs and decompositions of a spec's terms, each made once.
 
-    A corona is decomposed in closed form from its factors' decompositions,
-    recursing into both, and is assembled only where an enclosing corona
-    needs it as a factor.  Any other term is decomposed densely, with
-    rank-verified exact labels when `exact` is set.  `built` seeds the graph
-    cache with graphs already built, as the search gates build them.
+    The caller asks for what it reads: `decomposition(spec)` gives float
+    classes, `labelled(spec)` the same classes with rank-verified exact
+    labels (`attach_exact_labels`), made only for the terms it reaches.  A
+    leaf is decomposed densely, once: its labels are attached to that same
+    eigensolve.  A corona is decomposed in closed form from its factors'
+    decompositions of the same kind, recursing into both, and is assembled
+    only where an enclosing corona needs it as a factor.  An irregular copy
+    factor's main data is read off its labelled decomposition where the
+    command made one, else off the float one.  `built` seeds the graph cache
+    with graphs already built, as the search gates build them.
     """
 
-    def __init__(self, group_tol: float = DEFAULT_GROUP_TOL, exact: bool = True,
+    def __init__(self, group_tol: float = DEFAULT_GROUP_TOL,
                  built: dict[GraphSpec, Graph] | None = None):
         self.group_tol = group_tol
-        self.exact = exact
         self._graphs: dict[GraphSpec, Graph] = {} if built is None else built
         self._decomps: dict[GraphSpec, SpectralDecomposition] = {}
+        self._labelled: dict[GraphSpec, SpectralDecomposition] = {}
         self._coronas: dict[GraphSpec, CoronaSpec] = {}
 
     def graph(self, spec: GraphSpec) -> Graph:
         return build_graph(spec, self._graphs)
 
     def corona(self, spec: GraphSpec) -> CoronaSpec:
+        return self._corona(spec, self.decomposition)
+
+    def decomposition(self, spec: GraphSpec) -> SpectralDecomposition:
+        """Float classes: no label is made."""
+        if spec not in self._decomps:
+            self._decomps[spec] = (
+                self._closed_form(spec, self.decomposition) if spec.kind == "corona"
+                else decompose(self._adjacency(spec), self.group_tol))
+        return self._decomps[spec]
+
+    def labelled(self, spec: GraphSpec) -> SpectralDecomposition:
+        """The same classes with rank-verified exact labels."""
+        if spec not in self._labelled:
+            if spec.kind == "corona":
+                self._labelled[spec] = self._closed_form(spec, self.labelled)
+            else:  # labels on the leaf's one eigensolve
+                a = self._adjacency(spec)
+                if spec not in self._decomps:
+                    self._decomps[spec] = decompose(a, self.group_tol)
+                self._labelled[spec] = attach_exact_labels(self._decomps[spec], a)
+        return self._labelled[spec]
+
+    def _adjacency(self, spec: GraphSpec) -> np.ndarray:
+        check_budget(spec_order(spec, self._graphs))  # before the matrix is made
+        return self.graph(spec).adjacency()
+
+    def _corona(self, spec: GraphSpec, factor) -> CoronaSpec:
         if spec not in self._coronas:
             from .corona import CoronaSpec
 
             g, h = map(self.graph, spec.factors)
-            # an irregular H's main data is read off its decomposition
+            h_spec = spec.factors[1]
+            # an irregular H's main data is read off its decomposition, the
+            # labelled one where this command made it
             h_decomp = (None if h.is_regular() is not None
-                        else self.decomposition(spec.factors[1]))
+                        else self._labelled.get(h_spec) or factor(h_spec))
             self._coronas[spec] = CoronaSpec.from_graphs(g, h, h_decomp)
         return self._coronas[spec]
 
-    def decomposition(self, spec: GraphSpec) -> SpectralDecomposition:
-        if spec not in self._decomps:
-            self._decomps[spec] = self._decompose(spec)
-        return self._decomps[spec]
-
-    def _decompose(self, spec: GraphSpec) -> SpectralDecomposition:
-        # checked before any graph is built, factor decomposed or matrix made
+    def _closed_form(self, spec: GraphSpec, factor) -> SpectralDecomposition:
+        """The corona's classes from its factors' `factor` decompositions."""
+        # checked before any graph is built or factor decomposed
         check_budget(spec_order(spec, self._graphs))
-        if spec.kind == "corona":
-            from .corona import corona_spectral_closed_form
+        from .corona import corona_spectral_closed_form
 
-            return corona_spectral_closed_form(
-                self.corona(spec), *map(self.decomposition, spec.factors), self.group_tol
-            )
-        graph = self.graph(spec)
-        if self.exact:
-            return exact_decomposition(graph, self.group_tol)
-        return decompose(graph.adjacency(), self.group_tol)
+        return corona_spectral_closed_form(
+            self._corona(spec, factor), *map(factor, spec.factors), self.group_tol
+        )
 
 
 def _pair_label(x: float, y: float) -> QuadInt | None:

@@ -2,9 +2,10 @@
 
 The definitions checked are the public module-level functions and classes,
 and the public methods, classmethods and properties of the public classes.
-A name counts as used when some module of the package or some script
-refers to it (a bare name or an attribute) outside its own definition.
-Re-exports in `__init__` do not count, and neither do tests, so a helper
+A function or class counts as used when some module of the package or some
+script refers to it (a bare name or an attribute) outside its own
+definition, a method only when it is referred to as an attribute: a local
+variable of the same name calls nothing.  Re-exports in `__init__` do not count, and neither do tests, so a helper
 that only tests call belongs in the tests.
 """
 
@@ -20,22 +21,27 @@ ALLOWED = {
     # bench/tracer.py looks it up by name in GRAPH_METHODS; it goes with the
     # next change to the benchmark (ROADMAP item 8)
     "graphs.py:Graph.distance_matrix",
+    # bench/tracer.py looks it up by name in GRAPH_METHODS; it goes with the
+    # next change to the benchmark (ROADMAP item 8)
+    "graphs.py:Graph.degrees",
 }
 
 
 def _names(node) -> set[str]:
+    """Bare names and attributes node refers to, attributes as '.name'."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out |= {sub.attr, f".{sub.attr}"}
     return out
 
 
 def _scan(path: Path, defined: dict[str, str], used: set[str]) -> None:
-    """Add path's public definitions (qualified name -> name) to `defined`
-    and the names it uses outside their own definitions to `used`."""
+    """Add path's public definitions (qualified name -> the name a use must
+    match: '.name' for a method) to `defined` and the names it uses outside
+    their own definitions to `used`."""
     checked = path.parent == PACKAGE and path.name != "__init__.py"
     for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
         if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -55,8 +61,8 @@ def _scan(path: Path, defined: dict[str, str], used: set[str]) -> None:
                 used |= _names(member) - {own}
                 continue
             if public and not member.name.startswith("_"):
-                defined[f"{path.name}:{own}.{member.name}"] = member.name
-            used |= _names(member) - {own, member.name}
+                defined[f"{path.name}:{own}.{member.name}"] = f".{member.name}"
+            used |= _names(member) - {own, member.name, f".{member.name}"}
 
 
 def test_every_public_definition_is_referenced():

@@ -322,8 +322,10 @@ class TestAdjacencyBuilds:
     @pytest.mark.parametrize(
         "argv, orders",
         [(("spectrum", "cycle:12"), [12]),
-         (("periodic", "corona(cycle:8,cycle:4)", "--u", "1"), [8, 4])],
-        ids=["spectrum", "periodic-corona"],
+         (("periodic", "corona(cycle:8,cycle:4)", "--u", "1"), [8, 4]),
+         # an irregular H is labelled before its main data is read off it
+         (("pst", "corona(cycle:13,path:4)", "--u", "0", "--v", "6"), [4, 13])],
+        ids=["spectrum", "periodic-corona", "pst-irregular-copy"],
     )
     def test_each_adjacency_is_built_once(self, capsys, monkeypatch, argv, orders):
         built = []
@@ -343,6 +345,51 @@ class TestCoronaSpecBuilds:
                             lambda rows: dims.append(len(rows)) or rank(rows))
         assert run(capsys, "periodic", "corona(cycle:6,path:3)", "--u", "1")[0] == EXIT_OK
         assert dims == [4]
+
+
+class TestLabelsFollowTheReader:
+    """Exact labels are made only where a command reads them: the certifying
+    commands and the base of the searches, never a scan's copy factor nor a
+    float reader."""
+
+    SCAN = ("--pair", "base-base", "--v", "0", "--vp", "3", "--points", "100")
+
+    @pytest.mark.parametrize(
+        "spec, orders",
+        [("corona(cycle:6,path:9)", [6, 6, 6, 6, 10]),
+         ("corona(cycle:6,corona(path:3,empty:1))", [6, 6, 6, 6, 6])],
+        ids=["irregular-copy", "corona-copy"],
+    )
+    def test_scan_ranks_the_base_and_the_main_data_alone(self, capsys, monkeypatch,
+                                                         spec, orders):
+        """Four integer labels of the 6-cycle, then the rank of H's Krylov
+        vectors; H's own classes stay unlabelled."""
+        ranks = []
+        for module in (exact, spectral, corona):
+            monkeypatch.setattr(module, "exact_rank", lambda rows, rank=module.exact_rank:
+                                ranks.append(len(rows)) or rank(rows))
+        code, out, err = run(capsys, "no-pst-scan", spec, *self.SCAN)
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["max_fidelity"] < 1
+        assert ranks == orders
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("fidelity", "corona(cycle:6,corona(path:3,empty:1))", "--u", "0", "--v", "3",
+          "--t", "1"),
+         ("sweep", "corona(cycle:6,path:9)", "--u", "0", "--v", "3", "--t-max", "3",
+          "--steps", "5"),
+         ("cospectral", "corona(cycle:6,path:3)", "--u", "0", "--v", "3")],
+        ids=["fidelity", "sweep", "cospectral"],
+    )
+    def test_float_readers_make_no_label(self, capsys, monkeypatch, argv):
+        labels = []
+        for module in (spectral, corona):
+            monkeypatch.setattr(module, "attach_exact_labels",
+                                lambda *args, label=module.attach_exact_labels:
+                                labels.append(args[0].n) or label(*args))
+        assert run(capsys, *argv)[0] == EXIT_OK
+        assert labels == []
 
 
 class TestPstCommand:
@@ -767,7 +814,7 @@ def cospectral_report(spec_text: str, u: int, v: int,
     """Signs of strong cospectrality on the spec's full decomposition (closed
     form for a corona), and the cospectral report that path writes."""
     spec = parse_graph_spec(spec_text)
-    d = SpecFactors(exact=False).decomposition(spec)
+    d = SpecFactors().decomposition(spec)
     signs = spectral.strong_cospectral(d, u, v, tol)
     report = {"command": "cospectral", "spec": str(spec), "u": u, "v": v,
               "strongly_cospectral": signs is not None}
@@ -803,7 +850,7 @@ class TestCospectralDegreeGate:
         degree = [len(g.neighbors(x)) for x in range(g.n)]
         assert [graphs.spec_degree(spec, {}, x) for x in range(g.n)] == degree
         assert 4 * spectral.DEFAULT_COSPECTRAL_TOL * g.edge_count < 1
-        d = SpecFactors(exact=False).decomposition(spec)
+        d = SpecFactors().decomposition(spec)
         refuted = [(u, v) for u in range(g.n) for v in range(g.n) if degree[u] != degree[v]]
         for u, v in refuted:
             assert spectral.strong_cospectral(d, u, v) is None, (u, v)

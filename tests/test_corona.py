@@ -335,9 +335,9 @@ class TestClosedForm:
         )
         spec = parse_graph_spec(f"corona(file:{path},cycle:3)")
         factors = SpecFactors(group_tol=1e-2)
-        base = factors.decomposition(spec.factors[0])
+        base = factors.labelled(spec.factors[0])
         assert any(abs(c.value) <= 1e-2 and c.exact is None for c in base.classes)
-        d = factors.decomposition(spec)
+        d = factors.labelled(spec)
         assembled = np.linalg.eigvalsh(factors.graph(spec).adjacency().astype(float))
         labels = [c.exact for c in d.classes if c.exact is not None]
         assert labels
@@ -446,7 +446,7 @@ class TestOracleEquality:
         for base in ORACLE_BASES:
             spec = parse_graph_spec(f"corona({base},{copy})")
             factors = SpecFactors()
-            d = factors.decomposition(spec)
+            d = factors.labelled(spec)
             ref = exact_decomposition(factors.graph(spec))
             assert [(c.multiplicity, c.exact) for c in d.classes] == \
                 [(r.multiplicity, r.exact) for r in ref.classes], base
