@@ -36,9 +36,11 @@ significant digits: each run of floats (a float array or list) is formatted
 by one `%.15g` call, whose text is already the repr of the rounded value
 when it has a '.' and no exponent; any other text goes through repr.  A
 value that rounds to inf or nan is an analysis error, so --t and --t-max
-values that would are usage errors.  A record (a NamedTuple such as
-QuadInt) is written as the object of its fields, so the writer needs no
-import to recognize one.  The sweep csv writes all its rows with one `%`
+values that would are usage errors.  Text prints the report's leaves as
+`path = value` lines.  Both writers share one normalisation step, `_plain`:
+a record (a NamedTuple such as QuadInt) becomes its fields, a complex
+{"im", "re"}, a numpy value (one with a dtype) its tolist(), so neither
+imports numpy.  The sweep csv writes all its rows with one `%`
 call.  A report parsed and re-emitted by json.dumps is unchanged.
 
 `run_command` is the in-process entry point: it returns the exit code (only
@@ -156,28 +158,14 @@ def _round15(x: float) -> float:
     return float(f"{float(x):.15g}")
 
 
-def _canon(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return _round15(obj)
+def _plain(obj):
+    """A record, complex or numpy value as the plain values it is written as."""
+    if hasattr(obj, "_fields"):
+        return obj._asdict()
     if isinstance(obj, complex):
-        return {"im": _round15(obj.imag), "re": _round15(obj.real)}
-    if isinstance(obj, dict):
-        return {str(k): _canon(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        if hasattr(obj, "_fields"):  # a record (QuadInt): the object of its fields
-            return _canon(obj._asdict())
-        return [_canon(x) for x in obj]
-    # last, so a report of plain values never loads numpy
-    import numpy as np
-
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return _round15(float(obj))
-    if isinstance(obj, np.ndarray):
-        return [_canon(x) for x in obj.tolist()]
+        return {"im": obj.imag, "re": obj.real}
+    if hasattr(obj, "dtype"):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -200,8 +188,8 @@ def _float_repr(text: str) -> str:
 
 
 def _json(obj, indent: str) -> str:
-    """obj as json.dumps(_canon(obj), indent=2, sort_keys=True,
-    allow_nan=False) writes it, at nesting `indent`."""
+    """obj as json.dumps(indent=2, sort_keys=True, allow_nan=False) writes its
+    values rounded to 15 significant digits, at nesting `indent`."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -214,8 +202,6 @@ def _json(obj, indent: str) -> str:
         return int.__repr__(obj)
     if isinstance(obj, float):
         return _floats_json((obj,))[0]
-    if isinstance(obj, complex):
-        return _json({"im": obj.imag, "re": obj.real}, indent)
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -223,9 +209,7 @@ def _json(obj, indent: str) -> str:
         items = sorted({str(k): v for k, v in obj.items()}.items())
         texts = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in items]
         return "{\n" + inner + f",\n{inner}".join(texts) + "\n" + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if hasattr(obj, "_fields"):  # a record (QuadInt): the object of its fields
-            return _json(obj._asdict(), indent)
+    if isinstance(obj, (list, tuple)) and not hasattr(obj, "_fields"):
         if not obj:
             return "[]"
         if all(type(x) is float for x in obj):
@@ -233,35 +217,26 @@ def _json(obj, indent: str) -> str:
         else:
             texts = [_json(x, inner) for x in obj]
         return "[\n" + inner + f",\n{inner}".join(texts) + "\n" + indent + "]"
-    # last, so a report of plain values never loads numpy
-    import numpy as np
-
-    if isinstance(obj, np.integer):
-        return int.__repr__(int(obj))
-    if isinstance(obj, np.floating):
-        return _json(float(obj), indent)
-    if isinstance(obj, np.ndarray):
-        return _json(obj.tolist(), indent)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return _json(_plain(obj), indent)
 
 
 def dumps_report(report: dict) -> str:
-    """The report as json.dumps(_canon(report), indent=2, sort_keys=True,
-    allow_nan=False) + newline writes it, byte for byte, in one walk."""
+    """The report as json.dumps(indent=2, sort_keys=True, allow_nan=False) +
+    newline writes its 15-digit values, byte for byte, in one walk."""
     return _json(report, "") + "\n"
 
 
 def _text_lines(value, prefix: str = "") -> list[str]:
+    """`path = value` lines of the report's leaves, floats at 15 digits."""
     if isinstance(value, dict):
-        lines = []
-        for key in sorted(value):
-            lines.extend(_text_lines(value[key], f"{prefix}{key}."))
-        return lines
-    if isinstance(value, (list, tuple)):
-        lines = []
-        for idx, item in enumerate(value):
-            lines.extend(_text_lines(item, f"{prefix}{idx}."))
-        return lines
+        items = sorted({str(k): v for k, v in value.items()}.items())
+        return [line for k, v in items for line in _text_lines(v, f"{prefix}{k}.")]
+    if isinstance(value, (list, tuple)) and not hasattr(value, "_fields"):
+        return [line for i, v in enumerate(value) for line in _text_lines(v, f"{prefix}{i}.")]
+    if isinstance(value, float):
+        value = _round15(value)
+    elif not isinstance(value, (str, int)) and value is not None:
+        return _text_lines(_plain(value), prefix)
     return [f"{prefix[:-1]} = {value}"]
 
 
@@ -269,7 +244,7 @@ def render_report(report: dict, fmt: str) -> str:
     """json, or text for any other --format: sweep renders its own csv."""
     if fmt == "json":
         return dumps_report(report)
-    return "\n".join(_text_lines(_canon(report))) + "\n"
+    return "\n".join(_text_lines(report)) + "\n"
 
 
 def _render_csv(header: tuple[str, str], left, right) -> str:
@@ -314,7 +289,7 @@ def _cmd_corona_build(args):
     report = {
         "n": g.n,
         "edge_count": g.edge_count,
-        "edges": [list(e) for e in sorted(g.edges)],
+        "edges": sorted(g.edges),
         "labels": [graphs.format_vertex_label(l) for l in g.labels],
     }
     return report, graphs.write_edge_list(g) if args.fmt == "text" else None
@@ -446,7 +421,7 @@ def _cmd_no_pst_scan(args):
                                         args.t_max, args.points)
     return {
         "pair": args.pair,
-        "vertices": list(scan.vertices),
+        "vertices": scan.vertices,
         "t_max": args.t_max,
         "samples": scan.samples,
         "max_fidelity": scan.max_fidelity,

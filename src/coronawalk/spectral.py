@@ -118,11 +118,9 @@ def exp_sum(freqs, coefs, t) -> np.ndarray:
     return out
 
 
-def exp_sum_grid(
-    freqs: np.ndarray, coefs: np.ndarray, t0: float, dt: float, count: int,
-    block: int = GRID_BLOCK,
-):
-    """Yield exp_sum at t0 + j*dt, j = 0..count-1, in batches of `block` times.
+def exp_sum_grid(freqs: np.ndarray, coefs: np.ndarray, t0: float, dt: float, count: int):
+    """Yield exp_sum at t0 + j*dt, j = 0..count-1, in batches of block =
+    GRID_BLOCK times.
 
     With j = s*block + q*a + r (r < a, q < b, a*b >= min(block, count)) it is
     sum_k w[k] coarse[k, q] fine[k, r], w = coefs * exp(-i freqs (t0 +
@@ -134,6 +132,7 @@ def exp_sum_grid(
     """
     if count <= 0:
         return
+    block = GRID_BLOCK
     size = min(block, count)
     a = math.isqrt(size - 1) + 1  # a * a >= size
     fine = np.exp(-1j * np.multiply.outer(freqs, np.arange(a) * dt))

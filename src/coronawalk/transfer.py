@@ -29,8 +29,6 @@ from .spectral import (
 if TYPE_CHECKING:
     from .corona import CoronaSpec
 
-_ALPHA_MAX = 64
-
 
 # ---------------------------------------------------------------------------
 # periodicity
@@ -260,7 +258,8 @@ def pst_certify(
 
 
 def _match_two_adic_pattern(d_values: Sequence[int], signs: Sequence[int]) -> int | None:
-    """Smallest alpha in [0, 64] matching signs against 2-adic norms, else None."""
+    """The valuation alpha that every negative entry's D_r shares (0 if none
+    is negative) when every other entry's valuation exceeds it, else None."""
     if signs[0] <= 0:
         return None  # the top class has D_0 = 0, norm below every 2^-alpha
     checks = []
@@ -268,13 +267,11 @@ def _match_two_adic_pattern(d_values: Sequence[int], signs: Sequence[int]) -> in
         if d_r == 0:
             return None  # distinct support eigenvalues cannot repeat
         checks.append((two_adic_valuation(d_r), sign))
-    for alpha in range(_ALPHA_MAX + 1):
-        ok = all(
-            (val == alpha) if sign < 0 else (val > alpha) for val, sign in checks
-        )
-        if ok:
-            return alpha
-    return None
+    negative = {val for val, sign in checks if sign < 0}
+    alpha = min(negative, default=0)
+    if len(negative) > 1 or any(val <= alpha for val, sign in checks if sign >= 0):
+        return None
+    return alpha
 
 
 def _tau_symbolic(g: int, delta: int) -> str:

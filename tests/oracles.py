@@ -5,10 +5,13 @@ block and evaluates every walk amplitude as an exponential sum
 (`spectral.exp_sum`).  These helpers build the dense N x N objects instead:
 class projectors, the reassembled matrix and the transition matrix U(t).
 It also keeps the exact algebra of the paper's pair lift for a k-regular
-copy factor, which the walk-basis labels of `corona.lift_class` must equal,
-the report writers the CLI's one-walk JSON and bulk CSV writers must
-match byte for byte, and the numpy forms of the structural tests that
-`graphs` computes in pure Python.
+copy factor, which the walk-basis labels of `corona.lift_class` must equal;
+the reference report writers, which the CLI's must match byte for byte: the
+canonicaliser `canon` (values rounded to 15 digits; records, complex and
+numpy values made plain), a stdlib-encoder JSON writer, the `path = value`
+lines of a canonical or parsed JSON report and a row-by-row CSV writer; and
+the numpy forms of the structural tests that `graphs` computes in pure
+Python.
 """
 
 import json
@@ -16,7 +19,7 @@ import math
 
 import numpy as np
 
-from coronawalk.cli import _canon, _round15
+from coronawalk.cli import _round15
 from coronawalk.corona import MainData, corona_terms
 from coronawalk.exact import QuadInt, square_free_part
 from coronawalk.spectral import entry_amplitudes, exp_sum
@@ -76,9 +79,44 @@ def cocktail_antipode_map(g) -> list[int] | None:
     return [int(u) for u in far.argmax(axis=1)]
 
 
+def canon(obj):
+    """A report's values as plain JSON values, floats rounded to 15 digits."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        return _round15(obj)
+    if isinstance(obj, complex):
+        return {"im": _round15(obj.imag), "re": _round15(obj.real)}
+    if isinstance(obj, dict):
+        return {str(k): canon(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if hasattr(obj, "_fields"):  # a record (QuadInt): the object of its fields
+            return canon(obj._asdict())
+        return [canon(x) for x in obj]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return _round15(float(obj))
+    if isinstance(obj, np.ndarray):
+        return [canon(x) for x in obj.tolist()]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def dumps_report(report) -> str:
     """A JSON report as the stdlib encoder writes the canonical values."""
-    return json.dumps(_canon(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(canon(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def text_lines(value, prefix: str = "") -> list[str]:
+    """A parsed or canonical report as `path = value` lines: keys sorted, list
+    indices, and str() of each leaf."""
+    if isinstance(value, dict):
+        return [line for key in sorted(value)
+                for line in text_lines(value[key], f"{prefix}{key}.")]
+    if isinstance(value, list):
+        return [line for idx, item in enumerate(value)
+                for line in text_lines(item, f"{prefix}{idx}.")]
+    return [f"{prefix[:-1]} = {value}"]
 
 
 def render_csv(header, left, right) -> str:

@@ -25,6 +25,7 @@ from coronawalk.cli import (
     _round15,
     dumps_report,
     parse_graph_spec,
+    render_report,
     run_command,
 )
 from coronawalk.spectral import SpecFactors
@@ -169,8 +170,10 @@ report_values = st.recursive(
 
 
 class TestReportWriter:
-    """The one-walk JSON writer and the bulk CSV writer print the bytes of the
-    stdlib-encoder reference in tests/oracles.py, and raise where it raises."""
+    """The one-walk JSON writer, the text writer and the bulk CSV writer print
+    the bytes of the references in tests/oracles.py (a stdlib encoder and a
+    flattening of the canonical values that `oracles.canon` makes), and raise
+    where they raise."""
 
     @given(st.dictionaries(st.text(max_size=6), report_values, max_size=6))
     @example({"times": np.linspace(0.0, 3.0, 7), "empty": {}, "none": [], "s": "a\"\n\u00e9"})
@@ -187,6 +190,19 @@ class TestReportWriter:
             return
         assert dumps_report(report) == expected
 
+    @given(st.dictionaries(st.text(max_size=6), report_values, max_size=6))
+    @example({"phase": complex(-0.0, 1.0), "label": QuadInt(1, -1, 5), 3: (2.5, np.int64(4))})
+    @settings(max_examples=150, deadline=None)
+    def test_text_matches_reference(self, report):
+        expected = "\n".join(oracles.text_lines(oracles.canon(report))) + "\n"
+        assert render_report(report, "text") == expected
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_unknown_value_raises(self, fmt):
+        with pytest.raises(TypeError) as raised:
+            render_report({"ok": [1, QuadInt(2, 0, 1)], "seen": {3}}, fmt)
+        assert str(raised.value) == "cannot serialize set"
+
     # finite values that round to inf at 15 digits are left out: the reference
     # prints them as inf and the bulk writer as their 15 digits, and neither
     # reaches a sweep (such a --t-max is a usage error, fidelities are <= 1)
@@ -199,6 +215,37 @@ class TestReportWriter:
         right = np.array([f for _, f in rows], dtype=float)
         header = ("t", "fidelity")
         assert _render_csv(header, left, right) == oracles.render_csv(header, left, right)
+
+
+class TestTextReports:
+    """--format text prints the JSON report's leaves as `path = value` lines:
+    sorted keys, list indices and str() of each parsed leaf."""
+
+    @pytest.mark.parametrize("argv, marker", [
+        (("spectrum", "path:4"), "classes.0.exact.delta = 5"),
+        (("support", "path:4", "--u", "0"), "classes.3.exact.b = -1"),
+        (("fidelity", "path:2", "--u", "0", "--v", "1", "--t", "1.5"), "amplitude.im = "),
+        (("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "5"),
+         "times.4 = 3.0"),
+        (("cospectral", "corona(path:3,cycle:3)", "--u", "2", "--v", "6"),
+         "strongly_cospectral = False"),
+        (("cospectral", "path:3", "--u", "0", "--v", "2"), "signs.1.sign = -1"),
+        (("periodic", "corona(path:2,cycle:3)", "--u", "0"), "corona_base_test.periodic = "),
+        (("pst", "path:3", "--u", "0", "--v", "2"), "phase.re = "),
+        (("no-pst-scan", "corona(cycle:4,cycle:3)", "--pair", "base-base", "--v", "0",
+          "--vp", "2", "--points", "100"), "vertices.1 = 2"),
+        (("pgst", "corona(cycle:4,cycle:3)", "--u", "0", "--v", "2", "--family", "t52",
+          "--lmax", "100"), "trace.0.ell = 0"),
+    ], ids=["spectrum", "support", "fidelity", "sweep", "cospectral-refuted",
+            "cospectral-decomposed", "periodic", "pst", "no-pst-scan", "pgst"])
+    def test_text_flattens_the_json_report(self, capsys, argv, marker):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        code, text, err = run(capsys, *argv, "--format", "text")
+        assert code == EXIT_OK, err
+        assert text == "\n".join(oracles.text_lines(report)) + "\n"
+        assert any(line.startswith(marker) for line in text.splitlines())
 
 
 class TestFactorRouting:

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coronawalk import spectral
 from coronawalk.cli import parse_graph_spec
 from coronawalk.corona import (
     CoronaSpec,
@@ -596,7 +598,9 @@ class TestExponentialSum:
         block, count = sizes
         spec = CoronaSpec.from_graphs(g, h)
         freqs, coefs = corona_terms(spec, exact_decomposition(g), vp, v, w)
-        batches = list(exp_sum_grid(freqs, coefs, t0, dt, count, block))
+        # a patch, not the monkeypatch fixture, which @given rejects
+        with mock.patch.object(spectral, "GRID_BLOCK", block):
+            batches = list(exp_sum_grid(freqs, coefs, t0, dt, count))
         assert [b.size for b in batches[:-1]] == [block] * (len(batches) - 1)
         assert 1 <= batches[-1].size <= block
         grid = np.concatenate(batches)

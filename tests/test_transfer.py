@@ -4,9 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coronawalk.corona import CoronaSpec
-from coronawalk.exact import QuadInt
+from coronawalk.exact import QuadInt, two_adic_valuation
 from coronawalk.graphs import (
     cocktail_party_graph,
     complete_graph,
@@ -24,6 +26,7 @@ from coronawalk.spectral import (
     exact_decomposition,
 )
 from coronawalk.transfer import (
+    _match_two_adic_pattern,
     corona_base_periodicity,
     corona_no_pst_check,
     fidelity_sweep,
@@ -189,6 +192,35 @@ class TestPstCertify:
         d = exact_decomposition(g)
         cert = pst_certify(d, u, v)
         assert fidelity(d, u, u, 2 * cert.tau) > 1 - 1e-8
+
+
+def two_adic_match_by_search(d_values, signs, alpha_max=64):
+    """The smallest alpha in [0, alpha_max] whose 2-adic pattern the signs
+    match, found by trying each in turn, else None."""
+    if signs[0] <= 0 or 0 in d_values[1:]:
+        return None
+    checks = [(two_adic_valuation(d), s) for d, s in zip(d_values[1:], signs[1:])]
+    for alpha in range(alpha_max + 1):
+        if all(val == alpha if s < 0 else val > alpha for val, s in checks):
+            return alpha
+    return None
+
+
+class TestTwoAdicPattern:
+    # D_r = m 2^k spreads the valuations, so matching patterns are common
+    @given(st.lists(st.tuples(st.builds(lambda m, k: m << k, st.integers(-511, 511),
+                                        st.integers(0, 6)),
+                              st.sampled_from([-1, 1])), min_size=1, max_size=8))
+    @example([(0, 1), (6, -1), (2, -1), (4, 1)])
+    @example([(0, 1), (8, 1), (12, 1)])
+    @example([(0, 1), (3, 1)])
+    @example([(0, -1), (2, -1)])
+    @example([(0, 1), (0, -1)])
+    @settings(max_examples=500, deadline=None)
+    def test_closed_form_matches_search(self, entries):
+        d_values, signs = [0] + [d for d, _ in entries[1:]], [s for _, s in entries]
+        assert _match_two_adic_pattern(d_values, signs) == two_adic_match_by_search(
+            d_values, signs)
 
 
 class TestSupportContainment:
