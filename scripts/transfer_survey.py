@@ -38,7 +38,7 @@ def main() -> None:
                 note += f" ({verdict.reason})"
             elif verdict.witness_period:
                 note += f" (period {verdict.witness_period:.6f})"
-            scan = corona_no_pst_check(spec, gd, ("base-base", 0, g.n - 1), 50.0, 5000)
+            scan = corona_no_pst_check(spec, gd, 0, g.n - 1, 50.0, 5000)
             print(f"{gname}*{hname:7} {note:40} {scan.max_fidelity:>18.9f}")
 
 

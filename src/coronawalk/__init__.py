@@ -42,6 +42,7 @@ _EXPORTS = {
         "decompose",
         "eigenvalue_support",
         "entry_amplitudes",
+        "entry_terms",
         "exact_decomposition",
         "exp_sum",
         "strong_cospectral",

@@ -15,7 +15,8 @@ load neither numpy, `json` nor `exact`.  pgst and no-pst-scan first import
 `gates` and run the gates their factor graphs decide (the dense budgets,
 vertex ranges, distinct vertices, a regular copy factor of nonzero degree,
 the cocktail family's base), so those analysis errors load no numpy
-either; the graphs the gates build seed the handler's `SpecFactors`.
+either; the graphs the gates build seed the handler's `SpecFactors`.  A
+scan passes --v, --vp and --w (None for base-base) to its gates and scan.
 cospectral first compares the degrees of u and v, read off the
 factor graphs: unequal degrees refute strong cospectrality exactly, with
 no numpy.  Each handler imports the analysis modules it calls: `spectral`
@@ -110,9 +111,6 @@ def parse_graph_spec(text: str) -> graphs.GraphSpec:
     return spec
 
 
-_SIZE_MINIMA = {"cycle": 3}
-
-
 def _parse_spec(s: str, i: int) -> tuple[graphs.GraphSpec, int]:
     if s.startswith("corona(", i):
         left, j = _parse_spec(s, i + len("corona("))
@@ -135,7 +133,7 @@ def _parse_spec(s: str, i: int) -> tuple[graphs.GraphSpec, int]:
         if tail == head + 1:
             raise GraphSpecError("empty file path", head + 1)
         return graphs.GraphSpec("file", path=s[head + 1 : tail]), tail
-    if kind not in graphs.FAMILY_KINDS:
+    if kind not in graphs.FAMILIES:
         raise GraphSpecError(f"unknown graph family {kind!r}", i)
     tail = head + 1
     while tail < len(s) and s[tail].isdigit():
@@ -143,11 +141,9 @@ def _parse_spec(s: str, i: int) -> tuple[graphs.GraphSpec, int]:
     if tail == head + 1:
         raise GraphSpecError(f"{kind} needs an integer size", head + 1)
     size = int(s[head + 1 : tail])
-    if size < _SIZE_MINIMA.get(kind, 1):
-        raise GraphSpecError(
-            f"{kind}:{size} is out of range (minimum {_SIZE_MINIMA.get(kind, 1)})",
-            head + 1,
-        )
+    minimum = graphs.FAMILIES[kind].minimum
+    if size < minimum:
+        raise GraphSpecError(f"{kind}:{size} is out of range (minimum {minimum})", head + 1)
     return graphs.GraphSpec(kind, size=size), tail
 
 
@@ -405,30 +401,18 @@ def _cmd_pst(args):
 
 def _cmd_no_pst_scan(args):
     _require_corona(args.spec)
-    if args.pair == "base-base":
-        pair = ("base-base", args.v, args.vp)
-    else:
-        pair = ("base-copy", args.vp, args.v, args.w)
+    w = None if args.pair == "base-base" else args.w
     from . import gates
 
     built: dict = {}
-    gates.scan_gates(args.spec, built, pair)
+    gates.scan_gates(args.spec, built, args.v, args.vp, w)
     from . import spectral, transfer
 
     factors = spectral.SpecFactors(args.group_tol, built=built)
     g_decomp = factors.labelled(args.spec.factors[0])
-    scan = transfer.corona_no_pst_check(factors.corona(args.spec), g_decomp, pair,
-                                        args.t_max, args.points)
-    return {
-        "pair": args.pair,
-        "vertices": scan.vertices,
-        "t_max": args.t_max,
-        "samples": scan.samples,
-        "max_fidelity": scan.max_fidelity,
-        "argmax_time": scan.argmax_time,
-        "static_bound": scan.static_bound,
-        "all_below_one": scan.all_below_one,
-    }, None
+    scan = transfer.corona_no_pst_check(factors.corona(args.spec), g_decomp, args.v, args.vp,
+                                        args.t_max, args.points, w)
+    return {"pair": args.pair, "t_max": args.t_max, **_record(scan)}, None
 
 
 def _cmd_pgst(args):

@@ -19,10 +19,10 @@ For a k-regular H the one main direction is 1/sqrt(m), so lam lifts to
 
 the paper's pair.  One routine, `lift_class`, serves every consumer below:
 the closed form builds the classes as eigenvector blocks (x (x) V_lam for a
-lift, (0 (+) W) (x) I_n for a copy class), the lifted supports keep the
-lifts that reach the base, and a walk amplitude on base/copy vertices is
-read from the base factor's spectral data as an exponential sum
-sum_j c_j exp(-i t theta_j) over the lifted values theta_j (`corona_terms`),
+lift, (0 (+) W) (x) I_n for a copy class), grouped as `decompose` groups
+(`spectral.class_runs`); the lifted supports keep the lifts that reach the
+base; and the walk amplitude from (v', 0) to (v, 0), or to (v, w) with w
+given, is an exponential sum over the lifted values (`corona_terms`),
 which `spectral.exp_sum_grid` evaluates on uniform time grids in batches,
 each one small matrix product of two phase tables of about sqrt(batch)
 columns, in memory independent of --lmax and --points.
@@ -38,7 +38,7 @@ import numpy as np
 from .defaults import DEFAULT_GROUP_TOL
 from .exact import QuadInt, exact_rank
 from .graphs import Graph, check_base_vertex, check_budget, check_copy_vertex
-from .spectral import EigenClass, SpectralDecomposition, attach_exact_labels, decompose
+from .spectral import EigenClass, SpectralDecomposition, attach_exact_labels, class_runs, decompose
 
 
 class MainData(NamedTuple):
@@ -257,7 +257,7 @@ def _same_value(a, b, tol: float = 1e-12) -> bool:
 # closed-form walk amplitudes
 
 def corona_terms(
-    spec: CoronaSpec, g_decomp: SpectralDecomposition, vp: int, v: int,
+    spec: CoronaSpec, g_decomp: SpectralDecomposition, v: int, vp: int,
     w: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real exponential sum (freqs, coefs) of a corona walk amplitude.
@@ -288,22 +288,15 @@ def corona_terms(
 def _merge_classes(
     raw: list[EigenClass], n: int, group_tol: float
 ) -> SpectralDecomposition:
+    """The raw classes grouped as `decompose` groups eigenvalues; a class keeps
+    its first member's value, one of the corona's eigenvalues."""
     raw.sort(key=lambda c: c.value, reverse=True)
-    radius = max(1.0, max(abs(c.value) for c in raw))
     merged: list[EigenClass] = []
-    for c in raw:
-        if merged and merged[-1].value - c.value < group_tol * radius:
-            prev = merged[-1]
-            prev.vectors = np.hstack([prev.vectors, c.vectors])
-            prev.exact = _merge_exact(prev.exact, c.exact)
-        else:
-            merged.append(c)
+    for a, b in class_runs([c.value for c in raw], group_tol):
+        run = raw[a:b]
+        vectors = run[0].vectors if b - a == 1 else np.hstack([c.vectors for c in run])
+        labels = {c.exact for c in run} - {None}
+        # numerically merged but symbolically distinct labels: stay honest
+        merged.append(EigenClass(run[0].value, vectors,
+                                 labels.pop() if len(labels) == 1 else None))
     return SpectralDecomposition(merged, n)
-
-
-def _merge_exact(a: QuadInt | None, b: QuadInt | None) -> QuadInt | None:
-    if a is None:
-        return b
-    if b is None or a == b:
-        return a
-    return None  # numerically merged but symbolically distinct: stay honest

@@ -5,7 +5,8 @@ Only `pgst` and `no-pst-scan` load this module.  They meet the gates below
 before any decomposition: the dense budgets, the vertex ranges, distinct
 vertices where a pgst family certifies base transfer or a scan pairs two
 base vertices, the regular copy factor of nonzero degree a pgst family
-needs, and the cocktail family's base.  The checks every analysis shares
+needs, and the cocktail family's base; a scan's pair is (v, v', w), w None
+for base-base, as the CLI's flags give it.  The checks every analysis shares
 (budget, ranges, distinct vertices, a regular H) live in `graphs`; the
 gates here combine them and need no numpy.  The CLI runs `pgst_gates` or
 `scan_gates` before it loads the analysis modules, and
@@ -64,23 +65,15 @@ def check_antipodal(g: Graph, u: int, v: int) -> None:
         raise ValueError(f"vertices {u} and {v} are not antipodal")
 
 
-def check_scan_pair(n: int, m: int, pair: tuple) -> None:
-    """A no-transfer scan's pair, ("base-base", v, v') with v != v' or
-    ("base-copy", v', v, w), on a base of order n and a copy factor of order m."""
-    kind = pair[0]
-    if kind == "base-base":
-        _, v, vp = pair
-        if v == vp:
-            raise ValueError("base-base scans need distinct vertices")
-        check_base_vertex(n, v)
-        check_base_vertex(n, vp)
-    elif kind == "base-copy":
-        _, vp, v, w = pair
-        check_base_vertex(n, v)
-        check_base_vertex(n, vp)
+def check_scan_pair(n: int, m: int, v: int, vp: int, w: int | None = None) -> None:
+    """A scan's pair, base-base (v, 0), (v', 0) with v != v' when w is None,
+    else base-copy (v', 0), (v, w), on factors of orders n and m."""
+    if w is None and v == vp:
+        raise ValueError("base-base scans need distinct vertices")
+    check_base_vertex(n, v)
+    check_base_vertex(n, vp)
+    if w is not None:
         check_copy_vertex(m, w)
-    else:
-        raise ValueError(f"unknown pair kind {kind!r}")
 
 
 def _corona_budgets(spec: GraphSpec,
@@ -111,8 +104,9 @@ def pgst_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], u: int, v: int,
         check_antipodal(build_graph(spec.factors[0], built), u, v)
 
 
-def scan_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], pair: tuple) -> None:
+def scan_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], v: int, vp: int,
+               w: int | None = None) -> None:
     """Every gate of `no-pst-scan` on a corona spec that its factor graphs
     decide, in the order the analysis meets them."""
     n, h, _ = _corona_budgets(spec, built)
-    check_scan_pair(n, h.n, pair)
+    check_scan_pair(n, h.n, v, vp, w)

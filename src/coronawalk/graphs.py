@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .defaults import MAX_DIMENSION
 
@@ -127,35 +127,34 @@ def make_graph(n: int, edges, labels=None) -> Graph:
 # named families
 
 def path_graph(n: int) -> Graph:
-    _require_size(n, 1, "path")
+    _require_size(n, "path")
     return make_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    # a 1- or 2-cycle would need loops or parallel edges
-    _require_size(n, 3, "cycle")
+    _require_size(n, "cycle")
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
-    _require_size(n, 1, "complete")
+    _require_size(n, "complete")
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def empty_graph(n: int) -> Graph:
-    _require_size(n, 1, "empty")
+    _require_size(n, "empty")
     return make_graph(n, [])
 
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices: center 0 joined to every leaf."""
-    _require_size(n, 1, "star")
+    _require_size(n, "star")
     return make_graph(n, [(0, i) for i in range(1, n)])
 
 
 def cocktail_party_graph(n: int) -> Graph:
     """Complete graph on 2n vertices minus the perfect matching {(2i, 2i+1)}."""
-    _require_size(n, 1, "cocktail")
+    _require_size(n, "cocktail")
     edges = [
         (i, j)
         for i in range(2 * n)
@@ -189,7 +188,8 @@ def cocktail_antipode_map(g: Graph) -> list[int] | None:
     return [whole - v - t for v, t in enumerate(total)]
 
 
-def _require_size(n: int, minimum: int, family: str) -> None:
+def _require_size(n: int, family: str) -> None:
+    minimum = FAMILIES[family].minimum
     if n < minimum:
         raise ValueError(f"{family} family needs size >= {minimum}, got {n}")
 
@@ -229,7 +229,22 @@ def require_regular(k: int | None) -> int:
 # ---------------------------------------------------------------------------
 # specs
 
-FAMILY_KINDS = ("path", "cycle", "complete", "cocktail", "empty", "star")
+class Family(NamedTuple):
+    """A named graph family: its builder on a size and the least size it takes."""
+
+    build: Callable[[int], Graph]
+    minimum: int = 1
+
+
+FAMILIES = {
+    "path": Family(path_graph),
+    # a 1- or 2-cycle would need loops or parallel edges
+    "cycle": Family(cycle_graph, 3),
+    "complete": Family(complete_graph),
+    "cocktail": Family(cocktail_party_graph),
+    "empty": Family(empty_graph),
+    "star": Family(star_graph),
+}
 
 
 class GraphSpec(NamedTuple):
@@ -252,19 +267,11 @@ def build_family(spec: GraphSpec) -> Graph:
     """Materialize a family or file spec; coronas are built by build_graph."""
     if spec.kind == "file":
         return read_edge_list(spec.path)
-    if spec.kind not in FAMILY_KINDS:
+    if spec.kind not in FAMILIES:
         raise ValueError(f"unknown graph family {spec.kind!r}")
     if spec.size is None:
         raise ValueError(f"{spec.kind} spec needs a size")
-    builders = {
-        "path": path_graph,
-        "cycle": cycle_graph,
-        "complete": complete_graph,
-        "cocktail": cocktail_party_graph,
-        "empty": empty_graph,
-        "star": star_graph,
-    }
-    return builders[spec.kind](spec.size)
+    return FAMILIES[spec.kind].build(spec.size)
 
 
 def build_graph(spec: GraphSpec, built: dict[GraphSpec, Graph]) -> Graph:

@@ -88,21 +88,26 @@ def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposi
     """Spectral decomposition with eigenvalues grouped into classes.
 
     Adjacent sorted eigenvalues closer than group_tol * max(1, spectral
-    radius) share a class, which keeps its block of eigenvector columns.
+    radius) share a class (`class_runs`), which keeps its block of
+    eigenvector columns and the mean of its eigenvalues.
     """
     values, vecs = symmetric_eigen(matrix)
     values = values[::-1]
     vecs = vecs[:, ::-1]
-    n = len(values)
+    return SpectralDecomposition(
+        [EigenClass(float(np.mean(values[a:b])), vecs[:, a:b])
+         for a, b in class_runs(values, group_tol)], len(values))
+
+
+def class_runs(values, group_tol: float) -> list[tuple[int, int]]:
+    """Index runs [a, b) of the classes of descending values, for `decompose` and
+    the corona closed form: a class ends where the next value is at least
+    group_tol * max(1, max|value|) lower."""
+    values = np.asarray(values, dtype=float)
     gap = group_tol * max(1.0, float(np.max(np.abs(values))))
-    classes: list[EigenClass] = []
-    start = 0
-    for i in range(1, n + 1):
-        if i < n and values[i - 1] - values[i] < gap:
-            continue
-        classes.append(EigenClass(float(np.mean(values[start:i])), vecs[:, start:i]))
-        start = i
-    return SpectralDecomposition(classes, n)
+    ends = np.flatnonzero(values[:-1] - values[1:] >= gap) + 1
+    bounds = [0, *ends.tolist(), len(values)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def exp_sum(freqs, coefs, t) -> np.ndarray:
@@ -144,12 +149,18 @@ def exp_sum_grid(freqs: np.ndarray, coefs: np.ndarray, t0: float, dt: float, cou
         yield batch[: min(block, count - start)]
 
 
-def entry_amplitudes(d: SpectralDecomposition, u: int, v: int, times) -> np.ndarray:
-    """Walk amplitude <u| exp(-itA) |v> = sum_r exp(-it value_r) E_r[u,v]."""
+def entry_terms(d: SpectralDecomposition, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponential sum (values, E[u,v]) of the walk amplitude <u| exp(-itA) |v>,
+    one term per class."""
     _check_vertex(d, u)
     _check_vertex(d, v)
-    return exp_sum([c.value for c in d.classes],
-                   [c.entry(u, v) for c in d.classes], times)
+    return (np.array([c.value for c in d.classes], dtype=float),
+            np.array([c.entry(u, v) for c in d.classes], dtype=float))
+
+
+def entry_amplitudes(d: SpectralDecomposition, u: int, v: int, times) -> np.ndarray:
+    """Walk amplitude <u| exp(-itA) |v> = sum_r exp(-it value_r) E_r[u,v]."""
+    return exp_sum(*entry_terms(d, u, v), times)
 
 
 class SupportSet(NamedTuple):

@@ -2,10 +2,11 @@
 
 Periodicity tests on exact eigenvalue supports, full perfect-state-transfer
 certification with 2-adic sign conditions, pointwise no-transfer scans on
-coronas, and the structured time-family searches that realize pretty good
-state transfer between lifted base vertices.  The three corona analyses
-import `corona` (and the searches `gates`) when they run, so `pst`,
-`sweep` and `periodic` on a plain spec load neither.
+coronas, the structured time-family searches that realize pretty good
+state transfer between lifted base vertices, and fidelity sweeps; each
+runs its own loop over the batches of one grid kernel, `exp_sum_grid`.
+The three corona analyses import `corona` (and the searches `gates`) when
+they run, so `pst`, `sweep` and `periodic` on a plain spec load neither.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .spectral import (
     SpectralDecomposition,
     eigenvalue_support,
     entry_amplitudes,
+    entry_terms,
     exp_sum_grid,
     strong_cospectral,
 )
@@ -286,8 +288,7 @@ def _tau_symbolic(g: int, delta: int) -> str:
 # no-transfer scans on coronas
 
 class NoTransferScan(NamedTuple):
-    pair_kind: str  # "base-base" | "base-copy"
-    vertices: tuple[int, ...]
+    vertices: tuple[int, ...]  # (v, v') base-base, (v', v, w) base-copy
     samples: int
     max_fidelity: float
     argmax_time: float
@@ -298,35 +299,30 @@ class NoTransferScan(NamedTuple):
 def corona_no_pst_check(
     spec: CoronaSpec,
     g_decomp: SpectralDecomposition,
-    pair: tuple,
+    v: int,
+    vp: int,
     t_max: float,
     points: int,
+    w: int | None = None,
 ) -> NoTransferScan:
     """Scan closed-form corona fidelities over np.linspace(0, t_max, points).
 
-    pair is ("base-base", v, v') with v != v', or ("base-copy", v', v, w).
-    Reports the grid maximum and its first time (the linspace element, bit
-    for bit), whether every sample stays below 1, and the static bound
-    sum_lam |E_lam[v,v']| (always <= 1) that caps the entry.  The grid is
-    evaluated batch by batch and never held whole.  The pair's gates
-    (`gates.check_scan_pair`: distinct base-base vertices, vertex ranges)
-    need no decomposition, so the CLI runs them before it loads numpy.
+    The pair is base-base (v, 0), (v', 0) with v != v' when w is None, else
+    base-copy (v', 0), (v, w), as in `corona_terms`.  Reports the grid
+    maximum and its first time (the linspace element, bit for bit), whether
+    every sample stays below 1, and the static bound sum_lam |E_lam[v,v']|
+    (always <= 1) that caps the entry.  The grid is evaluated batch by batch
+    and never held whole.  The pair's gates (`gates.check_scan_pair`:
+    distinct base-base vertices, vertex ranges) need no decomposition, so
+    the CLI runs them before it loads numpy.
     """
     from .corona import corona_terms
     from .gates import check_scan_pair
 
     if points < 1:
         raise ValueError("a scan needs at least one time point")
-    check_scan_pair(spec.n, spec.m, pair)
-    kind = pair[0]
-    if kind == "base-base":
-        _, v, vp = pair
-        freqs, coefs = corona_terms(spec, g_decomp, vp, v)
-        vertices = (v, vp)
-    else:
-        _, vp, v, w = pair
-        freqs, coefs = corona_terms(spec, g_decomp, vp, v, w)
-        vertices = (vp, v, w)
+    check_scan_pair(spec.n, spec.m, v, vp, w)
+    freqs, coefs = corona_terms(spec, g_decomp, v, vp, w)
     step = t_max / (points - 1) if points > 1 else 0.0
     best, arg, offset = -1.0, 0, 0
     for amps in exp_sum_grid(freqs, coefs, 0.0, step, points):
@@ -339,8 +335,7 @@ def corona_no_pst_check(
     argmax_time = float(t_max) if points > 1 and arg == points - 1 else arg * step
     bound = float(sum(abs(c.entry(v, vp)) for c in g_decomp.classes))
     return NoTransferScan(
-        pair_kind=kind,
-        vertices=vertices,
+        vertices=(v, vp) if w is None else (vp, v, w),
         samples=points,
         max_fidelity=best,
         argmax_time=argmax_time,
@@ -351,6 +346,10 @@ def corona_no_pst_check(
 
 # ---------------------------------------------------------------------------
 # pretty good state transfer searches
+
+# an unlabelled base class this close to 0 counts as the t52 gate's eigenvalue 0
+_ZERO_TOL = 1e-9
+
 
 class PGSTSearchResult(NamedTuple):
     family: str
@@ -423,8 +422,8 @@ def pgst_search(
         if cert.delta != 1 or cert.g != 2:
             raise ValueError("t52 family needs base transfer exactly at time pi/2")
         has_zero = any(
-            c.exact == QuadInt.from_int(0) if c.exact is not None else abs(c.value) < 1e-9
-            for c in g_decomp.classes
+            c.exact == QuadInt.from_int(0) if c.exact is not None
+            else abs(c.value) < _ZERO_TOL for c in g_decomp.classes
         )
         if not has_zero:
             raise ValueError("t52 family needs 0 in the base spectrum")
@@ -433,7 +432,7 @@ def pgst_search(
         check_antipodal(spec.g, u, v)
         slope, offset = 8.0, 0.0
 
-    freqs, coefs = corona_terms(spec, g_decomp, v, u)
+    freqs, coefs = corona_terms(spec, g_decomp, u, v)
     batches = exp_sum_grid(freqs, coefs, offset * math.pi, slope * math.pi, ell_max + 1)
     trace: list[tuple[int, float]] = []
     best = -1.0
@@ -495,5 +494,6 @@ def fidelity_sweep(
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     ts = np.linspace(0.0, float(t_max), int(steps))
-    vals = np.abs(entry_amplitudes(d, u, v, ts))
+    batches = exp_sum_grid(*entry_terms(d, u, v), 0.0, t_max / (steps - 1), steps)
+    vals = np.concatenate([np.abs(amps) for amps in batches])
     return FidelityTrace(times=ts, values=vals, best_index=int(np.argmax(vals)))

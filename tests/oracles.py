@@ -53,12 +53,12 @@ def fidelity(d, u: int, v: int, t: float) -> float:
 
 def corona_entry_base_base(spec, g_decomp, v: int, vp: int, t):
     """Amplitude <(v,0)| U(t) |(v',0)> in the corona, vectorized over t."""
-    return exp_sum(*corona_terms(spec, g_decomp, vp, v), t)
+    return exp_sum(*corona_terms(spec, g_decomp, v, vp), t)
 
 
 def corona_entry_base_copy(spec, g_decomp, vp: int, v: int, w: int, t):
     """Amplitude <(v',0)| U(t) |(v,w)> in the corona, vectorized over t."""
-    return exp_sum(*corona_terms(spec, g_decomp, vp, v, w), t)
+    return exp_sum(*corona_terms(spec, g_decomp, v, vp, w), t)
 
 
 def is_regular(g) -> int | None:

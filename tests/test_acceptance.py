@@ -184,15 +184,13 @@ def test_criterion_4_no_transfer_scan():
         gd = exact_decomposition(g)
         for v in range(g.n):
             for vp in range(v + 1, g.n):
-                scan = corona_no_pst_check(spec, gd, ("base-base", v, vp), 50.0, 10000)
+                scan = corona_no_pst_check(spec, gd, v, vp, 50.0, 10000)
                 worst = max(worst, scan.max_fidelity)
                 assert scan.max_fidelity < 1 - 1e-6
         for vp in range(g.n):
             for v in range(g.n):
                 for w in range(h.n):
-                    scan = corona_no_pst_check(
-                        spec, gd, ("base-copy", vp, v, w), 50.0, 10000
-                    )
+                    scan = corona_no_pst_check(spec, gd, v, vp, 50.0, 10000, w)
                     worst = max(worst, scan.max_fidelity)
                     assert scan.max_fidelity < 1 - 1e-6
     _line("4", True, f"10^4-point scans stay below 1 - 1e-6 (max {worst:.9f})")

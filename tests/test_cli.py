@@ -231,13 +231,17 @@ class TestTextReports:
          "strongly_cospectral = False"),
         (("cospectral", "path:3", "--u", "0", "--v", "2"), "signs.1.sign = -1"),
         (("periodic", "corona(path:2,cycle:3)", "--u", "0"), "corona_base_test.periodic = "),
+        # the integer 2 cannot share the a = -1 of (-1 +- sqrt(5))/2
+        (("periodic", "cycle:5", "--u", "0"),
+         "vertex_test.reason = no shared (a, delta) quadratic form covers the support"),
         (("pst", "path:3", "--u", "0", "--v", "2"), "phase.re = "),
         (("no-pst-scan", "corona(cycle:4,cycle:3)", "--pair", "base-base", "--v", "0",
           "--vp", "2", "--points", "100"), "vertices.1 = 2"),
         (("pgst", "corona(cycle:4,cycle:3)", "--u", "0", "--v", "2", "--family", "t52",
           "--lmax", "100"), "trace.0.ell = 0"),
     ], ids=["spectrum", "support", "fidelity", "sweep", "cospectral-refuted",
-            "cospectral-decomposed", "periodic", "pst", "no-pst-scan", "pgst"])
+            "cospectral-decomposed", "periodic", "periodic-no-quadratic-fit", "pst",
+            "no-pst-scan", "pgst"])
     def test_text_flattens_the_json_report(self, capsys, argv, marker):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_OK, err
@@ -845,6 +849,20 @@ class TestSearchGates:
         calls = self.record_decompositions(monkeypatch)
         assert run(capsys, *argv) == (EXIT_ANALYSIS, "", err)
         assert calls == []
+
+
+class TestSearchPreconditions:
+    """The pgst family conditions that the base's exact spectrum decides fail
+    after its decomposition, with their own messages."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (_pgst("corona(cycle:4,cycle:3)", 0, 2, "t51"),
+         "analysis error: t51 family needs 0 outside the support of u\n"),
+        (_pgst("corona(path:3,cycle:3)", 0, 2, "t52"),
+         "analysis error: t52 family needs base transfer exactly at time pi/2\n"),
+    ], ids=["t51-zero-in-support", "t52-transfer-not-at-pi-over-2"])
+    def test_unmet_family_condition(self, capsys, argv, err):
+        assert run(capsys, *argv) == (EXIT_ANALYSIS, "", err)
 
 
 def run_captured(*argv) -> tuple[int, str, str]:

@@ -349,6 +349,23 @@ class TestClosedForm:
             assert np.min(np.abs(assembled - c.value)) < 1e-9
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_main_polynomial_fallback_keeps_the_assembled_classes(self, seed):
+        # H = G(40, 1/2) has 40 main eigenvalues, and the main polynomial
+        # rounded from them fails its exact check: no lift is labelled, but
+        # the classes still match the assembled corona's
+        g, h = path_graph(3), random_irregular_graph(40, seed)
+        spec = CoronaSpec.from_graphs(g, h)
+        assert spec.main.coefs is None
+        gd = exact_decomposition(g)
+        assert all(lift.exact is None for c in gd.classes
+                   for lift in lift_class(c.value, c.exact, spec.main))
+        d = corona_spectral_closed_form(spec, gd, decompose(h.adjacency()))
+        ref = decompose(corona_graph(g, h).adjacency())
+        assert [c.multiplicity for c in d.classes] == [r.multiplicity for r in ref.classes]
+        assert np.allclose([c.value for c in d.classes], [r.value for r in ref.classes],
+                           rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_oracle_equivalence_on_random_connected_bases(self, seed):
         rng = np.random.default_rng(500 + seed)
         copies = [cycle_graph(3), cycle_graph(4), cycle_graph(5), complete_graph(4)]
@@ -434,9 +451,29 @@ ORACLE_COPIES = ["path:2", "path:3", "path:4", "star:3", "star:4", "empty:1", "e
                  "corona(path:2,empty:1)", "corona(empty:2,complete:2)", *ORACLE_FILES]
 
 
+# the small family factors: path 2-7, cycle 3-8, star 2-6, complete 2-5, cocktail 2-3
+GROUPING_FACTORS = ([f"path:{n}" for n in range(2, 8)] + [f"cycle:{n}" for n in range(3, 9)]
+                    + [f"star:{n}" for n in range(2, 7)]
+                    + [f"complete:{n}" for n in range(2, 6)] + ["cocktail:2", "cocktail:3"])
+
+
 class TestOracleEquality:
     """The closed form equals the assembled exact decomposition class by class
     on 19 bases times 17 copy factors, 323 factor pairs."""
+
+    @pytest.mark.parametrize("group_tol", [1e-2, 5e-3, 1e-3])
+    def test_loose_group_tol_splits_where_the_assembled_graph_does(self, group_tol):
+        # at a loose tolerance adjacent gaps chain into one class: the closed
+        # form groups its values by the rule `decompose` applies to the
+        # assembled corona's, over all 529 coronas of the small families
+        factors = SpecFactors(group_tol)
+        for base in GROUPING_FACTORS:
+            for copy in GROUPING_FACTORS:
+                spec = parse_graph_spec(f"corona({base},{copy})")
+                d = factors.decomposition(spec)
+                ref = decompose(factors.graph(spec).adjacency(), group_tol)
+                assert [c.multiplicity for c in d.classes] == \
+                    [r.multiplicity for r in ref.classes], str(spec)
 
     @pytest.mark.parametrize("copy", ORACLE_COPIES)
     def test_closed_form_equals_assembled_exact_decomposition(self, tmp_path, copy):
@@ -513,7 +550,7 @@ class TestEntries:
         spec, d = closed_form(g, h)
         gd = exact_decomposition(g)
         zero = next(c for c in gd.classes if c.exact == QuadInt.from_int(0))
-        freqs, coefs = corona_terms(spec, gd, 1, 0)
+        freqs, coefs = corona_terms(spec, gd, 0, 1)
         assert 0.0 in freqs and 2.0 in freqs
         assert np.all(freqs[np.abs(freqs) < 1e-12] == 0.0)
         assert coefs[list(freqs).index(2.0)] == 0.0
@@ -597,7 +634,7 @@ class TestExponentialSum:
         g, h, v, vp, w = case
         block, count = sizes
         spec = CoronaSpec.from_graphs(g, h)
-        freqs, coefs = corona_terms(spec, exact_decomposition(g), vp, v, w)
+        freqs, coefs = corona_terms(spec, exact_decomposition(g), v, vp, w)
         # a patch, not the monkeypatch fixture, which @given rejects
         with mock.patch.object(spectral, "GRID_BLOCK", block):
             batches = list(exp_sum_grid(freqs, coefs, t0, dt, count))
@@ -622,7 +659,7 @@ class TestExponentialSum:
     ], ids=["C4*C3", "CP3*C5", "P3*S4-copy"])
     def test_grid_kernel_at_search_scale(self, slope, offset, g, h, v, vp, w):
         spec = CoronaSpec.from_graphs(g, h)
-        freqs, coefs = corona_terms(spec, exact_decomposition(g), vp, v, w)
+        freqs, coefs = corona_terms(spec, exact_decomposition(g), v, vp, w)
         t0, dt, count = offset * math.pi, slope * math.pi, 2 * GRID_BLOCK + 1234
         grid = np.concatenate(list(exp_sum_grid(freqs, coefs, t0, dt, count)))
         assert grid.shape == (count,)
@@ -654,7 +691,7 @@ class TestExponentialSum:
     def test_terms_match_assembled_oracle(self, case, times):
         g, h, v, vp, w = case
         spec = CoronaSpec.from_graphs(g, h)
-        terms = corona_terms(spec, exact_decomposition(g), vp, v, w)
+        terms = corona_terms(spec, exact_decomposition(g), v, vp, w)
         oracle = decompose(corona_graph(g, h).adjacency())
         target = v if w is None else copy_index(g.n, v, w)
         ts = np.array(times)

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from coronawalk.spectral import SpecFactors
 from coronawalk.graphs import (
-    FAMILY_KINDS,
+    FAMILIES,
     UNREACHABLE,
     Graph,
     GraphSpec,
@@ -173,9 +173,9 @@ class TestStructureMatchesNumpyOracles:
         assert g.is_regular() == oracles.is_regular(g)
         assert cocktail_antipode_map(g) == oracles.cocktail_antipode_map(g)
 
-    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    @pytest.mark.parametrize("kind", list(FAMILIES))
     def test_family_leaves(self, kind):
-        for size in range(3 if kind == "cycle" else 1, 13):
+        for size in range(FAMILIES[kind].minimum, 13):
             self.check(build_family(GraphSpec(kind, size)))
 
     @pytest.mark.parametrize("seed", range(8))

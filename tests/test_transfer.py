@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coronawalk.corona import CoronaSpec
 from coronawalk.exact import QuadInt, two_adic_valuation
+from coronawalk.gates import check_pgst
 from coronawalk.graphs import (
     cocktail_party_graph,
     complete_graph,
@@ -129,6 +130,30 @@ class TestCoronaBasePeriodicity:
         verdict = base_periodicity(path_graph(2), empty_graph(2), 0)
         assembled = decompose(corona_graph(path_graph(2), empty_graph(2)).adjacency())
         assert fidelity(assembled, 0, 0, verdict.witness_period) > 1 - 1e-8
+
+
+def _p2_c3_scan(points):
+    spec = CoronaSpec.from_graphs(path_graph(2), cycle_graph(3))
+    return corona_no_pst_check(spec, exact_decomposition(path_graph(2)), 0, 1, 1.0, points)
+
+
+class TestLibraryOnlyErrors:
+    """Errors that the CLI's own checks keep it from meeting: its flags take no
+    empty grid or negative ell_max, and it runs the lifted base test only on a
+    connected base of two or more vertices."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: base_periodicity(complete_graph(1), cycle_graph(3), 0),
+         "base graph needs at least two vertices"),
+        (lambda: base_periodicity(empty_graph(2), cycle_graph(3), 0),
+         "base graph must be connected"),
+        (lambda: _p2_c3_scan(0), "a scan needs at least one time point"),
+        (lambda: check_pgst(2, 2, 0, 1, "t51", -1), "ell_max must be nonnegative"),
+    ], ids=["periodic-one-vertex-base", "periodic-disconnected-base", "scan-no-points",
+            "pgst-negative-ell-max"])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 class TestPstCertify:
@@ -285,7 +310,7 @@ class TestNoTransferScan:
         g, h = path_graph(2), cycle_graph(3)
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
-        scan = corona_no_pst_check(spec, gd, ("base-base", 0, 1), 50.0, 1000)
+        scan = corona_no_pst_check(spec, gd, 0, 1, 50.0, 1000)
         assert scan.all_below_one
         assert scan.max_fidelity < 1 - 1e-6
         assert scan.static_bound <= 1 + 1e-9
@@ -294,14 +319,14 @@ class TestNoTransferScan:
         g, h = path_graph(2), cycle_graph(3)
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
-        scan = corona_no_pst_check(spec, gd, ("base-copy", 0, 1, 0), 0.0, 1)
+        scan = corona_no_pst_check(spec, gd, 1, 0, 0.0, 1, w=0)
         assert scan.max_fidelity == pytest.approx(0.0, abs=1e-12)
 
     def test_p3_base_base_scan(self):
         g, h = path_graph(3), cycle_graph(3)
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
-        scan = corona_no_pst_check(spec, gd, ("base-base", 0, 2), 50.0, 1000)
+        scan = corona_no_pst_check(spec, gd, 0, 2, 50.0, 1000)
         assert scan.all_below_one
 
     def test_identical_base_vertices_rejected(self):
@@ -309,7 +334,7 @@ class TestNoTransferScan:
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
         with pytest.raises(ValueError):
-            corona_no_pst_check(spec, gd, ("base-base", 1, 1), 1.0, 1)
+            corona_no_pst_check(spec, gd, 1, 1, 1.0, 1)
 
 
     def test_scan_reports_the_linspace_argmax(self):
@@ -317,7 +342,7 @@ class TestNoTransferScan:
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
         t_max, points = 37.3, 50_001
-        scan = corona_no_pst_check(spec, gd, ("base-copy", 0, 2, 1), t_max, points)
+        scan = corona_no_pst_check(spec, gd, 2, 0, t_max, points, w=1)
         ts = np.linspace(0.0, t_max, points)
         fids = np.abs(corona_entry_base_copy(spec, gd, 0, 2, 1, ts))
         i = int(np.argmax(fids))
@@ -331,7 +356,7 @@ class TestNoTransferScan:
         spec = CoronaSpec.from_graphs(g, h)
         gd = exact_decomposition(g)
         t_max = 0.1 + 0.2  # not a multiple of its own step in floats
-        scan = corona_no_pst_check(spec, gd, ("base-copy", 0, 1, 0), t_max, 7)
+        scan = corona_no_pst_check(spec, gd, 1, 0, t_max, 7, w=0)
         assert scan.argmax_time == t_max == float(np.linspace(0.0, t_max, 7)[-1])
 
 
@@ -356,7 +381,7 @@ class TestBoundedMemory:
         gd = exact_decomposition(g)
         t_max, points = 150.0, 2_000_000
         scan, peak = _peak_bytes(lambda: corona_no_pst_check(
-            spec, gd, ("base-copy", 1, 0, 2), t_max, points))
+            spec, gd, 0, 1, t_max, points, w=2))
         assert peak < self.BOUND
         assert scan.samples == points
         ts = np.linspace(0.0, t_max, points)
