@@ -1,13 +1,15 @@
 """Command-line interface: graph-spec grammar, analysis subcommands, reports.
 
-Each subcommand declares only the options its handler reads.  Every one
-takes --format json|text and --output; csv is a format of sweep alone.
---group-tol is on every subcommand but corona-build, --support-tol on
-support, periodic, pst and pgst, --cospectral-tol on cospectral, pst and
-pgst.  A CORONAWALK_* variable (GROUP_TOL, SUPPORT_TOL, COSPECTRAL_TOL,
-LMAX, TARGET) sets the default of its flag and is checked by the flag's own
-type; all are read whenever a command runs, so a bad value fails every
-subcommand.
+Each subcommand declares only the options its handler reads, and a flag
+is the one source of its setting.  Every subcommand takes --format
+json|text and --output; csv is a format of sweep alone.  --group-tol is on
+the subcommands whose reports depend on which eigenvalues share a class
+(spectrum, support, cospectral, periodic, pst, pgst); fidelity, sweep and
+no-pst-scan report the walk amplitude, a sum over the classes that does
+not, and group at the default.  --support-tol is on support, periodic, pst
+and pgst, --cospectral-tol on cospectral, pst and pgst.  --w is a usage
+error unless --pair is base-copy.  The help text is in `helptext`, which
+only a call with -h or --help imports.
 
 Only `graphs` and the defaults are loaded up front (the JSON string
 escaper comes from `_json`, not `json`), so usage errors and corona-build
@@ -69,19 +71,6 @@ from .defaults import (
     DEFAULT_TARGET,
     PGST_FAMILIES,
 )
-
-ENV_PREFIX = "CORONAWALK_"
-
-_DESCRIPTION = """\
-Continuous-time quantum walks on graphs and neighborhood coronas: spectra,
-supports, fidelities, strong cospectrality, periodicity, perfect state
-transfer certificates, no-transfer scans and pretty good transfer searches.
-
-SPEC: path:N, cycle:N, complete:N, cocktail:N, empty:N, star:N, file:PATH
-(an edge list) or corona(SPEC,SPEC); coronas nest.  Reports are JSON
-(--format json, the default) or text, and csv for sweep; --output FILE.
-Exit codes: 0 success, 1 usage error, 2 analysis error.
-"""
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -294,7 +283,7 @@ def _cmd_corona_build(args):
 def _cmd_fidelity(args):
     from . import spectral
 
-    d = spectral.SpecFactors(args.group_tol).decomposition(args.spec)
+    d = spectral.SpecFactors().decomposition(args.spec)
     amp = complex(spectral.entry_amplitudes(d, args.u, args.v, args.t))
     return {
         "u": args.u,
@@ -308,7 +297,7 @@ def _cmd_fidelity(args):
 def _cmd_sweep(args):
     from . import spectral, transfer
 
-    d = spectral.SpecFactors(args.group_tol).decomposition(args.spec)
+    d = spectral.SpecFactors().decomposition(args.spec)
     trace = transfer.fidelity_sweep(d, args.u, args.v, args.t_max, args.steps)
     report = {
         "u": args.u,
@@ -401,14 +390,16 @@ def _cmd_pst(args):
 
 def _cmd_no_pst_scan(args):
     _require_corona(args.spec)
-    w = None if args.pair == "base-base" else args.w
+    if args.pair == "base-base" and args.w is not None:
+        raise _UsageError("argument --w: a base-base pair has no copy vertex")
+    w = None if args.pair == "base-base" else args.w or 0
     from . import gates
 
     built: dict = {}
     gates.scan_gates(args.spec, built, args.v, args.vp, w)
     from . import spectral, transfer
 
-    factors = spectral.SpecFactors(args.group_tol, built=built)
+    factors = spectral.SpecFactors(built=built)
     g_decomp = factors.labelled(args.spec.factors[0])
     scan = transfer.corona_no_pst_check(factors.corona(args.spec), g_decomp, args.v, args.vp,
                                         args.t_max, args.points, w)
@@ -469,16 +460,6 @@ class _UsageError(Exception):
     pass
 
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except (ValueError, argparse.ArgumentTypeError) as err:
-        raise _UsageError(f"bad {ENV_PREFIX}{name}={raw!r}: {err}") from err
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -524,61 +505,73 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _build_parser() -> _Parser:
-    # every CORONAWALK_* default is read here, so a bad one fails every subcommand
-    tols = {
-        "group": _env_default("GROUP_TOL", _tolerance, DEFAULT_GROUP_TOL),
-        "support": _env_default("SUPPORT_TOL", _tolerance, DEFAULT_SUPPORT_TOL),
-        "cospectral": _env_default("COSPECTRAL_TOL", _tolerance, DEFAULT_COSPECTRAL_TOL),
-    }
-    ell_max = _env_default("LMAX", _positive_int, DEFAULT_ELL_MAX)
-    target = _env_default("TARGET", _unit_fraction, DEFAULT_TARGET)
-    parser = _Parser(prog="coronawalk", description=_DESCRIPTION,
+_TOLERANCE_DEFAULTS = {"group": DEFAULT_GROUP_TOL, "support": DEFAULT_SUPPORT_TOL,
+                       "cospectral": DEFAULT_COSPECTRAL_TOL}
+
+
+def _asks_for_help(argv: list[str]) -> bool:
+    """-h, or --help or a prefix of it, which argparse takes as --help."""
+    return any(a == "-h" or (len(a) > 2 and "--help".startswith(a)) for a in argv)
+
+
+def _build_parser(text=None) -> _Parser:
+    """The parser; `text` is the `helptext` module for a call that asks for
+    help, else None, and the parser carries no help text."""
+    commands = text.COMMANDS if text else {}
+    options = text.OPTIONS if text else {}
+    parser = _Parser(prog="coronawalk", description=text.DESCRIPTION if text else None,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, tolerances=("group",), needs_uv=(), formats=("json", "text")):
-        p = sub.add_parser(name)
-        p.add_argument("spec_text", metavar="SPEC")
-        for flag in needs_uv:
-            p.add_argument(f"--{flag}", type=int, required=True)
-        p.add_argument("--format", dest="fmt", default="json", choices=formats)
-        p.add_argument("--output", default=None)
-        for tol in tolerances:
-            p.add_argument(f"--{tol}-tol", type=_tolerance, default=tols[tol])
-        return p
+    def add(name: str, tolerances=(), needs_uv=(), formats=("json", "text")):
+        """Declare a subcommand; returns its option declarer."""
+        p = sub.add_parser(name, help=commands.get(name), description=commands.get(name))
 
-    add("spectrum")
-    add("corona-build", tolerances=())
-    p = add("fidelity", needs_uv=("u", "v"))
-    p.add_argument("--t", type=_finite_float, required=True)
-    p = add("sweep", needs_uv=("u", "v"), formats=("json", "csv", "text"))
-    p.add_argument("--t-max", type=_positive_finite, required=True)
-    p.add_argument("--steps", type=_grid_size, required=True)
+        def arg(flag: str, **kwargs) -> None:
+            p.add_argument(flag, help=options.get(f"{name} {flag}", options.get(flag)),
+                           **kwargs)
+
+        p.add_argument("spec_text", metavar="SPEC", help=options.get("SPEC"))
+        for flag in needs_uv:
+            arg(f"--{flag}", type=int, required=True)
+        arg("--format", dest="fmt", default="json", choices=formats)
+        arg("--output", default=None)
+        for tol in tolerances:
+            arg(f"--{tol}-tol", type=_tolerance, default=_TOLERANCE_DEFAULTS[tol])
+        return arg
+
+    add("spectrum", ("group",))
+    add("corona-build")
+    arg = add("fidelity", needs_uv=("u", "v"))
+    arg("--t", type=_finite_float, required=True)
+    arg = add("sweep", needs_uv=("u", "v"), formats=("json", "csv", "text"))
+    arg("--t-max", type=_positive_finite, required=True)
+    arg("--steps", type=_grid_size, required=True)
     add("support", ("group", "support"), needs_uv=("u",))
     add("cospectral", ("group", "cospectral"), needs_uv=("u", "v"))
     add("periodic", ("group", "support"), needs_uv=("u",))
     add("pst", ("group", "support", "cospectral"), needs_uv=("u", "v"))
-    p = add("no-pst-scan")
-    p.add_argument("--pair", choices=("base-base", "base-copy"), required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--vp", type=int, required=True)
-    p.add_argument("--w", type=int, default=0)
-    p.add_argument("--t-max", type=_positive_finite, default=50.0)
-    p.add_argument("--points", type=_grid_size, default=10000)
-    p = add("pgst", ("group", "support", "cospectral"), needs_uv=("u", "v"))
-    p.add_argument("--family", choices=PGST_FAMILIES, required=True)
-    p.add_argument("--lmax", type=_positive_int, default=ell_max)
-    p.add_argument("--target", type=_unit_fraction, default=target)
+    arg = add("no-pst-scan")
+    arg("--pair", choices=("base-base", "base-copy"), required=True)
+    arg("--v", type=int, required=True)
+    arg("--vp", type=int, required=True)
+    arg("--w", type=int)
+    arg("--t-max", type=_positive_finite, default=50.0)
+    arg("--points", type=_grid_size, default=10000)
+    arg = add("pgst", ("group", "support", "cospectral"), needs_uv=("u", "v"))
+    arg("--family", choices=PGST_FAMILIES, required=True)
+    arg("--lmax", type=_positive_int, default=DEFAULT_ELL_MAX)
+    arg("--target", type=_unit_fraction, default=DEFAULT_TARGET)
     return parser
 
 
 def run_command(argv: list[str]) -> int:
     """Execute one subcommand; exit code 0 ok, 1 usage error, 2 analysis error."""
+    text = None
+    if _asks_for_help(argv):
+        from . import helptext as text
     try:
-        # built inside the guard: defaults read the CORONAWALK_* environment
-        parser = _build_parser()
-        args = parser.parse_args(argv)
+        args = _build_parser(text).parse_args(argv)
         args.spec = parse_graph_spec(args.spec_text)
     except (_UsageError, GraphSpecError) as err:
         print(f"usage error: {err}", file=sys.stderr)
@@ -589,7 +582,7 @@ def run_command(argv: list[str]) -> int:
         report = {"command": args.command, "spec": str(args.spec), **report}
         if payload is None:
             payload = render_report(report, args.fmt)
-    except GraphSpecError as err:
+    except (_UsageError, GraphSpecError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError) as err:

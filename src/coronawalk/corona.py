@@ -247,10 +247,14 @@ def _numeric_value(x) -> float:
     return x.value() if isinstance(x, QuadInt) else float(x)
 
 
-def _same_value(a, b, tol: float = 1e-12) -> bool:
+# support values this close are one eigenvalue unless both carry exact labels
+_SAME_VALUE_TOL = 1e-12
+
+
+def _same_value(a, b) -> bool:
     if isinstance(a, QuadInt) and isinstance(b, QuadInt):
         return a == b
-    return abs(_numeric_value(a) - _numeric_value(b)) < tol
+    return abs(_numeric_value(a) - _numeric_value(b)) < _SAME_VALUE_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ if TYPE_CHECKING:
 
 # time points per batch of a uniform-grid evaluation
 GRID_BLOCK = 8192
+# a matrix is symmetric when A - A^T is this small relative to max(1, max|A|)
+_SYMMETRY_TOL = 1e-12
 
 
 def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -48,7 +50,7 @@ def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     check_budget(n)  # before the float copy
     a = a.astype(float)
     scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > 1e-12 * scale:
+    if float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
     return np.linalg.eigh((a + a.T) / 2.0)
 
@@ -228,6 +230,9 @@ def strong_cospectral(
 _VALUE_TOL = 1e-9
 # a candidate conjugate pair's sum and squared gap lie this close to integers
 _PAIR_TOL = 1e-6
+# a float matrix this close to integer entries (np.allclose's atol; its rtol
+# stays at the 1e-5 default) is read as that integer matrix
+_INTEGER_TOL = 1e-12
 
 
 def attach_exact_labels(d: SpectralDecomposition, matrix) -> SpectralDecomposition:
@@ -247,7 +252,7 @@ def attach_exact_labels(d: SpectralDecomposition, matrix) -> SpectralDecompositi
     """
     a_int = np.asarray(matrix)
     if a_int.dtype != object:  # an object array holds Python ints already
-        if not np.allclose(a_int, np.round(a_int), atol=1e-12):
+        if not np.allclose(a_int, np.round(a_int), atol=_INTEGER_TOL):
             raise ValueError("exact labels need an integer matrix")
         # object arrays hold Python ints, so the products below never overflow
         a_int = np.array([[int(round(x)) for x in row] for row in a_int], dtype=object)

@@ -173,6 +173,11 @@ class PSTCertificate(NamedTuple):
     fidelity_at_tau: float | None = None
 
 
+# a certified transfer whose float fidelity at tau falls this far below 1
+# contradicts the exact verdict, an internal error
+_CERTIFIED_FIDELITY_TOL = 1e-8
+
+
 def pst_certify(
     d: SpectralDecomposition,
     u: int,
@@ -238,7 +243,7 @@ def pst_certify(
     tau = math.pi / (g * math.sqrt(delta))
     amp = complex(entry_amplitudes(d, u, v, tau))
     fid = abs(amp)
-    if fid <= 1.0 - 1e-8:
+    if fid <= 1.0 - _CERTIFIED_FIDELITY_TOL:
         raise RuntimeError(
             f"certificate inconsistency: fidelity {fid} at the certified time"
         )

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -528,6 +529,15 @@ class TestOtherCommands:
         assert report["all_below_one"] is True
         assert report["max_fidelity"] < 1 - 1e-6
 
+    def test_base_copy_scan_defaults_to_copy_vertex_0(self, capsys):
+        """star:4 is irregular, so the base-copy amplitude depends on w."""
+        argv = ("no-pst-scan", "corona(path:3,star:4)", "--pair", "base-copy",
+                "--v", "0", "--vp", "1", "--points", "200")
+        default = run(capsys, *argv)
+        assert default[0] == EXIT_OK
+        assert run(capsys, *argv, "--w", "0") == default
+        assert run(capsys, *argv, "--w", "1") != default
+
     def test_pgst(self, capsys):
         code, out, _ = run(
             capsys,
@@ -1002,20 +1012,23 @@ class TestOptionSurface:
         ("spectrum", "--support-tol"), ("spectrum", "--cospectral-tol"),
         ("corona-build", "--group-tol"), ("corona-build", "--support-tol"),
         ("corona-build", "--cospectral-tol"),
-        ("fidelity", "--support-tol"), ("fidelity", "--cospectral-tol"),
-        ("sweep", "--support-tol"), ("sweep", "--cospectral-tol"),
+        ("fidelity", "--group-tol"), ("fidelity", "--support-tol"),
+        ("fidelity", "--cospectral-tol"),
+        ("sweep", "--group-tol"), ("sweep", "--support-tol"), ("sweep", "--cospectral-tol"),
         ("support", "--cospectral-tol"), ("cospectral", "--support-tol"),
         ("periodic", "--cospectral-tol"),
-        ("no-pst-scan", "--support-tol"), ("no-pst-scan", "--cospectral-tol"),
+        ("no-pst-scan", "--group-tol"), ("no-pst-scan", "--support-tol"),
+        ("no-pst-scan", "--cospectral-tol"),
     ]
 
     @pytest.mark.parametrize(
         "command, extra, message",
         [(c, (flag, "1e-3"), f"unrecognized arguments: {flag} 1e-3") for c, flag in UNREAD]
         + [(c, ("--format", "csv"), "argument --format: invalid choice: 'csv'")
-           for c in ARGS if c != "sweep"],
+           for c in ARGS if c != "sweep"]
+        + [("no-pst-scan", ("--w", "9"), "argument --w: a base-base pair has no copy vertex")],
         ids=[f"{c}{flag}" for c, flag in UNREAD]
-        + [f"{c}--format-csv" for c in ARGS if c != "sweep"],
+        + [f"{c}--format-csv" for c in ARGS if c != "sweep"] + ["no-pst-scan-base-base--w"],
     )
     def test_undeclared_option_is_refused_before_analysis(self, capsys, monkeypatch,
                                                           command, extra, message):
@@ -1028,54 +1041,67 @@ class TestOptionSurface:
         assert out == "" and message in err
         assert dims == []
 
-    @pytest.mark.parametrize("command", ["spectrum", "corona-build"])
-    def test_tolerance_env_default_is_checked_like_the_flag(self, capsys, monkeypatch,
-                                                            command):
-        monkeypatch.setenv("CORONAWALK_GROUP_TOL", "0.5")
-        code, out, err = run(capsys, command, *self.ARGS[command])
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "CORONAWALK_GROUP_TOL='0.5': 0.5 must lie in (0, 1e-2]" in err
+    @staticmethod
+    def help_output(capsys, *argv) -> str:
+        with pytest.raises(SystemExit) as stop:
+            run_command([*argv, "--help"])
+        assert stop.value.code == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def help_entries(out: str) -> dict[str, str]:
+        """Each argument entry of argparse's help output, by its first flag or
+        its name, mapped to its text (continuation lines joined)."""
+        entries: dict[str, str] = {}
+        name = None
+        for line in out.splitlines():
+            if re.match(r"  \S", line):
+                flags, _, text = line.strip().partition("  ")
+                name = flags.split()[0].rstrip(",")
+                entries[name] = text.strip()
+            elif name and line.startswith("    "):
+                entries[name] = f"{entries[name]} {line.strip()}".strip()
+            else:
+                name = None
+        return entries
 
     def test_help_is_for_users(self, capsys):
-        """--help exits 0 and describes the tool, not its internals."""
-        with pytest.raises(SystemExit) as stop:
-            run_command(["--help"])
-        assert stop.value.code == 0
-        out = capsys.readouterr().out
+        """--help exits 0 and describes the tool, not its internals: a line for
+        each subcommand, and for each option what it does and its default."""
+        out = self.help_output(capsys)
         assert "0 success, 1 usage error, 2 analysis error" in out
         assert "corona(SPEC,SPEC)" in out
+        listed = {command: " ".join(text.split()) for command, text in
+                  re.findall(r"^    (\S+) +(\S.*(?:\n {5,}\S.*)*)", out, re.M)}
+        assert set(listed) == set(self.ARGS)
+        for command in self.ARGS:
+            sub = self.help_output(capsys, command)
+            out += sub
+            usage, summary = sub.split("\n\n")[:2]
+            assert " ".join(summary.split()) == listed[command]
+            entries = self.help_entries(sub)
+            assert set(entries) == {"-h", "SPEC", *re.findall(r"--[\w-]+", usage)}, command
+            for flag, text in entries.items():
+                assert text, (command, flag)
+                if flag not in ("-h", "SPEC", "--output"):
+                    assert "default: " in text or "(required)" in text, (command, flag, text)
+        assert "%(" not in out
         assert not any(word in out for word in ("numpy", "_json", "dataclasses"))
 
 
-class TestEnvOverrides:
-    def test_target_env_changes_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORONAWALK_TARGET", "0.5")
+class TestSearchSettings:
+    def test_lowered_target_stops_early(self, capsys):
         code, out, _ = run(
             capsys,
             "pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1",
-            "--family", "t51",
+            "--family", "t51", "--target", "0.5",
         )
         report = json.loads(out)
         # fidelity 0.734 at ell = 0 already clears the lowered target
         assert report["target"] == 0.5
         assert report["best_ell"] == 0
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORONAWALK_TARGET", "0.5")
-        code, out, _ = run(
-            capsys,
-            "pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1",
-            "--family", "t51", "--target", "0.99", "--lmax", "100",
-        )
-        assert json.loads(out)["target"] == 0.99
-
-    def test_bad_env_value_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("CORONAWALK_LMAX", "many")
-        code, _, _ = run(capsys, "spectrum", "path:2")
-        assert code == EXIT_USAGE
-
-    @pytest.mark.parametrize("source", ["default", "flag", "env"])
+    @pytest.mark.parametrize("source", ["default", "flag"])
     def test_pgst_tolerances_reach_the_base_gate(self, capsys, monkeypatch, source):
         seen = []
         certify = transfer.pst_certify
@@ -1085,10 +1111,6 @@ class TestEnvOverrides:
         expected = (spectral.DEFAULT_SUPPORT_TOL, spectral.DEFAULT_COSPECTRAL_TOL)
         if source == "flag":
             extra = ("--support-tol", "1e-6", "--cospectral-tol", "1e-5")
-            expected = (1e-6, 1e-5)
-        elif source == "env":
-            monkeypatch.setenv("CORONAWALK_SUPPORT_TOL", "1e-6")
-            monkeypatch.setenv("CORONAWALK_COSPECTRAL_TOL", "1e-5")
             expected = (1e-6, 1e-5)
         code, out, _ = run(capsys, "pgst", "corona(path:2,cycle:3)", "--u", "0",
                            "--v", "1", "--family", "t51", "--lmax", "100", *extra)

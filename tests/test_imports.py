@@ -12,9 +12,11 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # no module of the package uses dataclasses, so no call may load it; the
-# report writer takes its string escaper from _json, so none loads json
+# report writer takes its string escaper from _json, so none loads json; only
+# a call that asks for help loads the help text
 WATCHED = ("numpy", "dataclasses", "json", "coronawalk.exact", "coronawalk.gates",
-           "coronawalk.corona", "coronawalk.spectral", "coronawalk.transfer")
+           "coronawalk.corona", "coronawalk.spectral", "coronawalk.transfer",
+           "coronawalk.helptext")
 # numpy loads inspect, so only calls that skip numpy can be held to skip it
 NUMPY_FREE = WATCHED + ("inspect",)
 
@@ -29,20 +31,24 @@ print(json.dumps({{"code": code, "loaded": loaded}}))
 """
 
 
-def probe(body: str, watched=WATCHED, **env) -> dict:
+def probe(body: str, watched=WATCHED) -> dict:
     path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
     res = subprocess.run([sys.executable, "-c", PROBE.format(body=body, watched=watched)],
-                         env={**os.environ, "PYTHONPATH": path, **env},
+                         env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=60, check=True)
     return json.loads(res.stdout.splitlines()[-1])
 
 
 def run_quietly(argv) -> str:
-    """Probe body: run_command on argv with its output discarded."""
+    """Probe body: run_command on argv with its output discarded; the code of
+    a --help call is that of the SystemExit argparse raises."""
     return ("import contextlib, io\nfrom coronawalk.cli import run_command\n"
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
-            f"    code = run_command({list(argv)!r})")
+            "    try:\n"
+            f"        code = run_command({list(argv)!r})\n"
+            "    except SystemExit as stop:\n"
+            "        code = stop.code")
 
 
 @pytest.mark.parametrize("module", ["coronawalk", "coronawalk.cli"])
@@ -51,20 +57,24 @@ def test_import_loads_no_analysis_module(module):
 
 
 @pytest.mark.parametrize(
-    "argv, env, code",
+    "argv, code, loaded",
     [
-        (("spectrum", "cycle:2"), {}, 1),
-        (("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "1"), {}, 1),
-        (("spectrum", "path:3"), {"CORONAWALK_GROUP_TOL": "0.5"}, 1),
-        (("pgst", "path:3", "--u", "0", "--v", "2", "--family", "t51"), {}, 1),
-        (("corona-build", "corona(path:4,complete:2)"), {}, 0),
-        (("corona-build", "corona(path:4,complete:2)", "--format", "text"), {}, 0),
+        (("spectrum", "cycle:2"), 1, []),
+        (("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "1"), 1, []),
+        (("spectrum", "path:3", "--group-tol", "0.5"), 1, []),
+        (("pgst", "path:3", "--u", "0", "--v", "2", "--family", "t51"), 1, []),
+        (("no-pst-scan", "corona(path:3,cycle:3)", "--pair", "base-base", "--v", "0",
+          "--vp", "1", "--w", "9", "--points", "3"), 1, []),
+        (("corona-build", "corona(path:4,complete:2)"), 0, []),
+        (("corona-build", "corona(path:4,complete:2)", "--format", "text"), 0, []),
+        (("pgst", "--help"), 0, ["coronawalk.helptext"]),
     ],
-    ids=["bad-spec", "bad-flag", "bad-env", "plain-spec-to-pgst", "corona-build-json",
-         "corona-build-text"],
+    ids=["bad-spec", "bad-flag", "bad-tolerance", "plain-spec-to-pgst", "base-base-w",
+         "corona-build-json", "corona-build-text", "pgst-help"],
 )
-def test_usage_errors_and_corona_build_never_load_numpy(argv, env, code):
-    assert probe(run_quietly(argv), NUMPY_FREE, **env) == {"code": code, "loaded": []}
+def test_usage_errors_and_corona_build_never_load_numpy(argv, code, loaded):
+    """Nor does --help, which alone loads the help text."""
+    assert probe(run_quietly(argv), NUMPY_FREE) == {"code": code, "loaded": loaded}
 
 
 @pytest.mark.parametrize(
