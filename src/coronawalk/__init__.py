@@ -51,7 +51,6 @@ _EXPORTS = {
     "corona": (
         "CoronaSpec",
         "corona_spectral_closed_form",
-        "corona_support_base_vertex",
         "corona_terms",
         "lift_class",
     ),

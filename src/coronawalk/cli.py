@@ -90,50 +90,60 @@ class GraphSpecError(ValueError):
 
 def parse_graph_spec(text: str) -> graphs.GraphSpec:
     """Parse `path:N | cycle:N | complete:N | cocktail:N | empty:N | star:N |
-    file:PATH | corona(SPEC,SPEC)`, whitespace-insensitive, coronas nest."""
-    compact = "".join(text.split())
-    if not compact:
+    file:PATH | corona(SPEC,SPEC)`; coronas nest.  Whitespace may stand
+    between tokens; PATH is the text up to the next ',' or ')' with its
+    surrounding whitespace stripped.  Error positions index `text`."""
+    if not text.strip():
         raise GraphSpecError("empty graph spec", 0)
-    spec, pos = _parse_spec(compact, 0)
-    if pos != len(compact):
-        raise GraphSpecError(f"unexpected trailing text {compact[pos:]!r}", pos)
+    spec, pos = _parse_spec(text, _skip_space(text, 0))
+    if pos != len(text):
+        raise GraphSpecError(f"unexpected trailing text {text[pos:]!r}", pos)
     return spec
 
 
+def _skip_space(s: str, i: int) -> int:
+    while i < len(s) and s[i].isspace():
+        i += 1
+    return i
+
+
 def _parse_spec(s: str, i: int) -> tuple[graphs.GraphSpec, int]:
-    if s.startswith("corona(", i):
-        left, j = _parse_spec(s, i + len("corona("))
-        if j >= len(s) or s[j] != ",":
-            raise GraphSpecError("expected ',' between corona factors", j)
-        right, j = _parse_spec(s, j + 1)
-        if j >= len(s) or s[j] != ")":
-            raise GraphSpecError("expected ')' closing corona", j)
-        return graphs.GraphSpec("corona", factors=(left, right)), j + 1
+    """The spec at s[i] and the position after it and the whitespace behind it."""
     head = i
     while head < len(s) and s[head].isalpha():
         head += 1
     kind = s[i:head]
-    if head >= len(s) or s[head] != ":":
+    j = _skip_space(s, head)
+    if kind == "corona" and s.startswith("(", j):
+        left, j = _parse_spec(s, _skip_space(s, j + 1))
+        if j >= len(s) or s[j] != ",":
+            raise GraphSpecError("expected ',' between corona factors", j)
+        right, j = _parse_spec(s, _skip_space(s, j + 1))
+        if j >= len(s) or s[j] != ")":
+            raise GraphSpecError("expected ')' closing corona", j)
+        return graphs.GraphSpec("corona", factors=(left, right)), _skip_space(s, j + 1)
+    if j >= len(s) or s[j] != ":":
         raise GraphSpecError("expected 'kind:value'", i)
     if kind == "file":
-        tail = head + 1
+        tail = j + 1
         while tail < len(s) and s[tail] not in ",)":
             tail += 1
-        if tail == head + 1:
-            raise GraphSpecError("empty file path", head + 1)
-        return graphs.GraphSpec("file", path=s[head + 1 : tail]), tail
+        path = s[j + 1 : tail].strip()
+        if not path:
+            raise GraphSpecError("empty file path", j + 1)
+        return graphs.GraphSpec("file", path=path), tail
     if kind not in graphs.FAMILIES:
         raise GraphSpecError(f"unknown graph family {kind!r}", i)
-    tail = head + 1
-    while tail < len(s) and s[tail].isdigit():
+    start = tail = _skip_space(s, j + 1)
+    while tail < len(s) and s[tail].isdecimal():  # the digits int() reads
         tail += 1
-    if tail == head + 1:
-        raise GraphSpecError(f"{kind} needs an integer size", head + 1)
-    size = int(s[head + 1 : tail])
+    if tail == start:
+        raise GraphSpecError(f"{kind} needs an integer size", start)
+    size = int(s[start:tail])
     minimum = graphs.FAMILIES[kind].minimum
     if size < minimum:
-        raise GraphSpecError(f"{kind}:{size} is out of range (minimum {minimum})", head + 1)
-    return graphs.GraphSpec(kind, size=size), tail
+        raise GraphSpecError(f"{kind}:{size} is out of range (minimum {minimum})", start)
+    return graphs.GraphSpec(kind, size=size), _skip_space(s, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +281,14 @@ def _cmd_spectrum(args):
 def _cmd_corona_build(args):
     _require_corona(args.spec, "corona-build")
     g = graphs.build_graph(args.spec, {})
-    report = {
+    if args.fmt == "text":
+        return {}, graphs.write_edge_list(g)
+    return {
         "n": g.n,
         "edge_count": g.edge_count,
         "edges": sorted(g.edges),
         "labels": [graphs.format_vertex_label(l) for l in g.labels],
-    }
-    return report, graphs.write_edge_list(g) if args.fmt == "text" else None
+    }, None
 
 
 def _cmd_fidelity(args):

@@ -20,8 +20,8 @@ For a k-regular H the one main direction is 1/sqrt(m), so lam lifts to
 the paper's pair.  One routine, `lift_class`, serves every consumer below:
 the closed form builds the classes as eigenvector blocks (x (x) V_lam for a
 lift, (0 (+) W) (x) I_n for a copy class), grouped as `decompose` groups
-(`spectral.class_runs`); the lifted supports keep the lifts that reach the
-base; and the walk amplitude from (v', 0) to (v, 0), or to (v, w) with w
+(`spectral.class_runs`); `transfer.corona_base_periodicity` reads the exact
+labels of the lifts that reach the base; and the walk amplitude from (v', 0) to (v, 0), or to (v, w) with w
 given, is an exponential sum over the lifted values (`corona_terms`),
 which `spectral.exp_sum_grid` evaluates on uniform time grids in batches,
 each one small matrix product of two phase tables of about sqrt(batch)
@@ -217,44 +217,6 @@ def corona_spectral_closed_form(
                                   lift.exact))
 
     return _merge_classes(raw, n * (m + 1), group_tol)
-
-
-def corona_support_base_vertex(phi_v, main: MainData) -> list[QuadInt | float]:
-    """Support of a base vertex in the corona from its support in the base graph.
-
-    Each base support eigenvalue lam (a QuadInt label or a float) keeps
-    the lifts of `lift_class` that do not vanish on the base layer: all of
-    them for lam != 0, and only 0 for lam = 0, whose other lifts lie on copy
-    coordinates.  Values come back as QuadInt where the lift is labelled,
-    otherwise as plain floats (the inexactness flag).  Sorted by decreasing
-    value, duplicates removed.
-    """
-    out: list[QuadInt | float] = []
-    for lam in phi_v:
-        label = lam if isinstance(lam, QuadInt) else None
-        for lift in lift_class(_numeric_value(lam), label, main):
-            if lift.base != 0.0:
-                out.append(lift.exact if lift.exact is not None else lift.value)
-    deduped: list[QuadInt | float] = []
-    for item in sorted(out, key=_numeric_value, reverse=True):
-        if deduped and _same_value(deduped[-1], item):
-            continue
-        deduped.append(item)
-    return deduped
-
-
-def _numeric_value(x) -> float:
-    return x.value() if isinstance(x, QuadInt) else float(x)
-
-
-# support values this close are one eigenvalue unless both carry exact labels
-_SAME_VALUE_TOL = 1e-12
-
-
-def _same_value(a, b) -> bool:
-    if isinstance(a, QuadInt) and isinstance(b, QuadInt):
-        return a == b
-    return abs(_numeric_value(a) - _numeric_value(b)) < _SAME_VALUE_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -230,9 +230,6 @@ def strong_cospectral(
 _VALUE_TOL = 1e-9
 # a candidate conjugate pair's sum and squared gap lie this close to integers
 _PAIR_TOL = 1e-6
-# a float matrix this close to integer entries (np.allclose's atol; its rtol
-# stays at the 1e-5 default) is read as that integer matrix
-_INTEGER_TOL = 1e-12
 
 
 def attach_exact_labels(d: SpectralDecomposition, matrix) -> SpectralDecomposition:
@@ -248,14 +245,18 @@ def attach_exact_labels(d: SpectralDecomposition, matrix) -> SpectralDecompositi
     and squared gap are integers (the gap irrational); one exact rank checks
     that A^2 - aA + ((a^2 - b^2 delta)/4) I has their combined multiplicity
     as defect.  Unverifiable classes keep exact=None, which downgrades
-    downstream certificates to inconclusive.
+    downstream certificates to inconclusive.  A matrix of any dtype but
+    integer, object (Python ints) or float with integer entries raises ValueError.
     """
     a_int = np.asarray(matrix)
-    if a_int.dtype != object:  # an object array holds Python ints already
-        if not np.allclose(a_int, np.round(a_int), atol=_INTEGER_TOL):
-            raise ValueError("exact labels need an integer matrix")
-        # object arrays hold Python ints, so the products below never overflow
-        a_int = np.array([[int(round(x)) for x in row] for row in a_int], dtype=object)
+    # a float matrix counts only when its entries are int64 integers exactly
+    if a_int.dtype.kind == "f" and np.all(np.abs(a_int) < 2.0**63) and np.array_equal(
+            a_int, np.round(a_int)):
+        a_int = a_int.astype(np.int64)
+    if a_int.dtype.kind not in "iuO":  # an object array holds Python ints already
+        raise ValueError("exact labels need an integer matrix")
+    # Python ints, so the products below never overflow
+    a_int = a_int.astype(object)
     n = d.n
     eye = np.identity(n, dtype=object)
     classes = d.classes

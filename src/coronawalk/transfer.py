@@ -12,7 +12,7 @@ they run, so `pst`, `sweep` and `periodic` on a plain spec load neither.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,12 +44,12 @@ class PeriodicityVerdict(NamedTuple):
     reason: str | None = None
 
 
-def periodicity_test(support: Sequence[QuadInt | float]) -> PeriodicityVerdict:
-    """Decide vertex periodicity from an exact eigenvalue support.
+def periodicity_test(support: Iterable[QuadInt | float | None]) -> PeriodicityVerdict:
+    """Decide vertex periodicity from an exact eigenvalue support, in any order.
 
     Periodic exactly when the support is all integers, or all of the shape
     (a + b*sqrt(delta))/2 for one shared integer a and square-free delta.
-    Any inexact (float) entry makes the verdict inconclusive.
+    Any inexact (float or None) entry makes the verdict inconclusive.
     """
     entries = list(support)
     if not entries:
@@ -85,9 +85,10 @@ def corona_base_periodicity(
     Holds exactly when k = 0, 1 + 4m is an odd perfect square > 1, and the
     base support of v (read from g_decomp, the base's exact decomposition)
     is all integers or all nonzero integer multiples of a single
-    sqrt(delta).  Evaluated directly on those three conditions.
+    sqrt(delta).  Evaluated directly on those three conditions; where they
+    hold, the lifted support must pass `periodicity_test`, else RuntimeError.
     """
-    from .corona import corona_support_base_vertex
+    from .corona import lift_class
 
     k = require_regular(spec.k)
     if spec.n < 2:
@@ -109,7 +110,11 @@ def corona_base_periodicity(
             reason="base support is neither all integers nor integer multiples "
             "of one square root",
         )
-    lifted = corona_support_base_vertex(list(sup.exact), spec.main)
+    # exact labels of the lifts that reach the base layer: an integer lam lifts
+    # to lam (1 +- r)/2, (b/2) sqrt(delta) to (b (1 +- r)/2) sqrt(delta), r^2 =
+    # 1 + 4m; an unlabelled lift (None) fails the test
+    lifted = {lift.exact for q in sup.exact for lift in lift_class(q.value(), q, spec.main)
+              if lift.base != 0}
     verdict = periodicity_test(lifted)
     if verdict.periodic != "yes":
         raise RuntimeError("lifted support failed the periodicity test it implies")

@@ -79,12 +79,37 @@ class TestParseGraphSpec:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "path:", "foo:3", "corona(path:2)", "path:2garbage", "cycle:2", "path:0"],
+        ["", "path:", "foo:3", "corona(path:2)", "path:2garbage", "cycle:2", "path:0",
+         "path:\u00b2", "corona(path:2,cycle:3", "path", "file:"],
     )
     def test_errors_carry_position(self, text):
         with pytest.raises(GraphSpecError) as err:
             parse_graph_spec(text)
         assert "position" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("path:\u00b2", "path needs an integer size (at position 5)"),
+            ("path:3\u00b2", "unexpected trailing text '\u00b2' (at position 6)"),
+            ("corona(path:2,cycle:\u00b9)", "cycle needs an integer size (at position 20)"),
+            ("corona(path:2,cycle:3", "expected ')' closing corona (at position 21)"),
+            ("path", "expected 'kind:value' (at position 0)"),
+            ("file:", "empty file path (at position 5)"),
+            ("file: ,", "empty file path (at position 5)"),
+            # positions index the text as given, whitespace included
+            (" corona( path:2 ;cycle:3)", "expected ',' between corona factors (at position 16)"),
+            ("path: 1 0", "unexpected trailing text '0' (at position 8)"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(GraphSpecError) as err:
+            parse_graph_spec(text)
+        assert str(err.value) == message
+
+    def test_file_path_keeps_inner_whitespace(self):
+        spec = parse_graph_spec("corona( file: /tmp/a b.edges ,cycle:3)")
+        assert spec.factors[0] == GraphSpec("file", path="/tmp/a b.edges")
 
 
 class TestSpectrumCommand:
@@ -591,6 +616,30 @@ class TestOtherCommands:
         }
         assert [e["ell"] for e in report["trace"]] == [0, 7]
 
+    def test_periodic_coincident_lifts(self, capsys):
+        # the lifts of C6's support over two isolated copies meet at 2 and -2
+        code, out, _ = run(capsys, "periodic", "corona(cycle:6,empty:2)", "--u", "0")
+        report = json.loads(out)
+        assert code == EXIT_OK and report["corona_base_test"] == report["vertex_test"]
+        assert report["vertex_test"]["periodic"] == "yes"
+
+    def test_file_path_with_a_space(self, capsys, tmp_path):
+        # a decoy without the space: reading it would report n = 2
+        (tmp_path / "a b.edges").write_text("3\n0 1\n1 2\n", encoding="utf-8")
+        (tmp_path / "ab.edges").write_text("2\n0 1\n", encoding="utf-8")
+        text = f"file:{tmp_path}/a b.edges"
+        code, out, _ = run(capsys, "spectrum", text)
+        report = json.loads(out)
+        assert code == EXIT_OK and report["n"] == 3 and report["spec"] == text
+
+    def test_corona_build_text_formats_each_label_once(self, capsys):
+        spec = "corona(path:4,cycle:3)"
+        with mock.patch.object(graphs, "format_vertex_label",
+                               wraps=graphs.format_vertex_label) as fmt:
+            code, out, _ = run(capsys, "corona-build", spec, "--format", "text")
+        assert code == EXIT_OK and fmt.call_count == 16
+        assert out == graphs.write_edge_list(graphs.build_graph(parse_graph_spec(spec), {}))
+
     def test_corona_build_text_is_loadable(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "corona-build", "corona(path:2,empty:1)", "--format", "text"
@@ -616,6 +665,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "spectrum", "tesseract:4")
         assert code == EXIT_USAGE
         assert "usage error" in err
+
+    @pytest.mark.parametrize("text", ["path:\u00b2", "path:3\u00b2", "corona(path:2,cycle:\u00b9)"])
+    def test_non_decimal_size_is_usage_error(self, capsys, text):
+        code, out, err = run(capsys, "spectrum", text)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("usage error") and "Traceback" not in err
 
     def test_unknown_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate", "path:2")

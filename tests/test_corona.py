@@ -7,12 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coronawalk import spectral
+from coronawalk import spectral, transfer
 from coronawalk.cli import parse_graph_spec
 from coronawalk.corona import (
     CoronaSpec,
     corona_spectral_closed_form,
-    corona_support_base_vertex,
     corona_terms,
     lift_class,
 )
@@ -560,7 +559,7 @@ class TestEntries:
         values = [c.value for c in d.classes]
         assert 2.0 in values and 0.0 in values
         assert np.all(d.classes[values.index(2.0)].vectors[: g.n] == 0.0)
-        assert corona_support_base_vertex([zero.exact], spec.main) == [QuadInt.from_int(0)]
+        assert base_lifts([zero.exact], spec.main) == [(0.0, QuadInt.from_int(0))]
 
     def test_degenerate_zero_gap_for_zero_degree(self):
         # base eigenvalue 0 with a 0-regular copy factor hits Lambda = 0
@@ -699,11 +698,30 @@ class TestExponentialSum:
         assert np.max(np.abs(diff)) < 1e-9
 
 
+def base_lifts(support, main):
+    """(value, label) of each lift of the base support that reaches the base
+    layer, by decreasing value."""
+    lifts = [(lift.value, lift.exact) for q in support
+             for lift in lift_class(q.value(), q, main) if lift.base != 0]
+    return sorted(lifts, key=lambda x: -x[0])
+
+
+def lifted_base_support(g, h, v):
+    """corona_base_periodicity's verdict at (v, 0) with the lifted support it
+    hands to periodicity_test, and the assembled corona's exact support at v."""
+    with mock.patch.object(transfer, "periodicity_test",
+                           wraps=transfer.periodicity_test) as test:
+        verdict = transfer.corona_base_periodicity(
+            CoronaSpec.from_graphs(g, h), exact_decomposition(g), v)
+    (lifted,), _ = test.call_args
+    assembled = eigenvalue_support(exact_decomposition(corona_graph(g, h)), v).exact
+    return verdict, lifted, assembled
+
+
 class TestSupportLift:
     def test_integer_support_with_degree_two_copies(self):
-        out = corona_support_base_vertex([QuadInt.from_int(1), QuadInt.from_int(-1)],
-                                         regular_main(2, 3))
-        assert out == [
+        out = base_lifts([QuadInt.from_int(1), QuadInt.from_int(-1)], regular_main(2, 3))
+        assert [q for _, q in out] == [
             QuadInt(3, 1, 13),
             QuadInt(1, 1, 21),
             QuadInt(3, -1, 13),
@@ -712,7 +730,7 @@ class TestSupportLift:
 
     def test_zero_eigenvalue_contributes_only_zero(self):
         # the value-k class of base eigenvalue 0 lies on copy coordinates, so
-        # the lifted support must equal the assembled corona's support
+        # the lifts that reach the base must be the assembled corona's support
         cases = [
             (path_graph(3), cycle_graph(3), 0),
             (path_graph(3), cycle_graph(3), 1),
@@ -721,40 +739,34 @@ class TestSupportLift:
         ]
         for g, h, v in cases:
             base = eigenvalue_support(exact_decomposition(g), v)
-            lifted = corona_support_base_vertex(list(base.exact),
-                                                CoronaSpec.from_graphs(g, h).main)
+            lifted = base_lifts(base.exact, CoronaSpec.from_graphs(g, h).main)
             assembled = eigenvalue_support(exact_decomposition(corona_graph(g, h)), v)
             assert len(lifted) == len(assembled.class_indices)
-            for x, value, q in zip(lifted, assembled.values, assembled.exact):
-                got = x.value() if isinstance(x, QuadInt) else x
-                assert got == pytest.approx(value, abs=1e-9)
-                if isinstance(x, QuadInt) and q is not None:
-                    assert x == q
+            for (value, label), got, q in zip(lifted, assembled.values, assembled.exact):
+                assert value == pytest.approx(got, abs=1e-9)
+                if label is not None and q is not None:
+                    assert label == q
 
     def test_zero_degree_square_shift(self):
-        out = corona_support_base_vertex(
-            [QuadInt.from_int(1), QuadInt.from_int(-1)], regular_main(0, 2)
-        )
-        assert out == [
-            QuadInt.from_int(2),
-            QuadInt.from_int(1),
-            QuadInt.from_int(-1),
-            QuadInt.from_int(-2),
-        ]
+        # P2's support {1, -1} over two isolated copies (r = 3): lam -> 2 lam, -lam
+        verdict, lifted, assembled = lifted_base_support(path_graph(2), empty_graph(2), 0)
+        expected = {QuadInt.from_int(x) for x in (2, 1, -1, -2)}
+        assert lifted == expected == set(assembled)
+        assert verdict == transfer.periodicity_test(expected)
+        assert verdict.case == "all-integer"
 
     def test_quadratic_multiples_scale(self):
-        out = corona_support_base_vertex([QuadInt(0, 2, 2), QuadInt(0, -2, 2)],
-                                         regular_main(0, 2))
-        assert out == [
-            QuadInt(0, 4, 2),
-            QuadInt(0, 2, 2),
-            QuadInt(0, -2, 2),
-            QuadInt(0, -4, 2),
-        ]
+        # the centre of P3 has support {sqrt2, -sqrt2}
+        verdict, lifted, assembled = lifted_base_support(path_graph(3), empty_graph(2), 1)
+        expected = {QuadInt(0, 4, 2), QuadInt(0, 2, 2), QuadInt(0, -2, 2), QuadInt(0, -4, 2)}
+        assert lifted == expected == set(assembled)
+        assert verdict == transfer.periodicity_test(expected)
+        assert (verdict.case, verdict.delta) == ("quadratic", 2)
 
-    def test_inexact_fallback_is_float(self):
-        out = corona_support_base_vertex([QuadInt(0, 2, 2)], regular_main(2, 3))
-        assert all(isinstance(x, float) for x in out)
-        lam = math.sqrt(2)
-        big = math.sqrt((lam - 2) ** 2 + 12 * lam * lam)
-        assert out[0] == pytest.approx((lam + 2 + big) / 2)
+    def test_coincident_lifts_are_one_support_value(self):
+        # C6's support {2, 1, -1, -2} over two isolated copies: 2 and -2 arise
+        # twice (from 1 and -2, and from -1 and 2)
+        verdict, lifted, assembled = lifted_base_support(cycle_graph(6), empty_graph(2), 0)
+        assert lifted == {QuadInt.from_int(x) for x in (4, 2, 1, -1, -2, -4)} == set(assembled)
+        assert verdict == transfer.periodicity_test(assembled)
+        assert verdict.periodic == "yes"

@@ -282,3 +282,30 @@ class TestExactLabels:
     def test_non_integer_matrix_rejected(self):
         with pytest.raises(ValueError):
             attach_exact_labels(decompose(np.eye(2) * 0.5), np.eye(2) * 0.5)
+
+    def test_nearly_integer_matrix_rejected(self):
+        # K3 with edge weights 1 +- 4e-6: np.allclose's default rtol would read
+        # it as K3 and label its eigenvalue 2.0000000000036 as exact 2
+        a = np.ones((3, 3)) - np.eye(3)
+        a[0, 1] = a[1, 0] = 1 + 4e-6
+        a[0, 2] = a[2, 0] = 1 - 4e-6
+        d = decompose(a)
+        assert abs(d.classes[0].value - 2) < 1e-10
+        with pytest.raises(ValueError, match="integer matrix"):
+            attach_exact_labels(d, a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 2.0**63])
+    def test_non_finite_or_oversized_matrix_rejected(self, bad):
+        a = np.zeros((2, 2))
+        a[0, 0] = bad
+        with pytest.raises(ValueError, match="integer matrix"):
+            attach_exact_labels(decompose(np.eye(2)), a)
+
+    def test_integral_float_matrix_is_labelled(self):
+        a = cocktail_party_graph(3).adjacency()
+        d = decompose(a)
+        labelled = attach_exact_labels(d, a.astype(float))
+        assert [c.exact for c in labelled.classes] == [
+            c.exact for c in attach_exact_labels(d, a).classes]
+        assert [c.exact for c in labelled.classes] == [
+            QuadInt.from_int(4), QuadInt.from_int(0), QuadInt.from_int(-2)]
