@@ -21,16 +21,17 @@ either; the graphs the gates build seed the handler's `SpecFactors`.  A
 scan passes --v, --vp and --w (None for base-base) to its gates and scan.
 cospectral first compares the degrees of u and v, read off the
 factor graphs: unequal degrees refute strong cospectrality exactly, with
-no numpy.  Each handler imports the analysis modules it calls: `spectral`
-(and numpy) for every other subcommand, which loads `corona` only for a
-corona spec, and `transfer` as well for sweep, periodic, pst, no-pst-scan
-and pgst.  Each handler asks `SpecFactors` for the classes it reads:
-spectrum, support, periodic, pst and the base of no-pst-scan and pgst for
-classes with rank-verified exact labels (`labelled`), fidelity, sweep and
-cospectral for float classes alone (`decomposition`).  No module uses
-`dataclasses` (records are NamedTuples, eigenvalue classes plain
-`__slots__` classes), so no call loads it, and a call that skips numpy
-loads no `inspect` either.
+no numpy.  spectrum on a family spec reads the family's classes by theorem
+off `leafspectra`, which loads `exact` but neither numpy nor `spectral`.
+Each handler imports the analysis modules it calls: `spectral` (and numpy)
+for every other call, which loads `corona` only for a corona spec, and
+`transfer` as well for sweep, periodic, pst, no-pst-scan and pgst.  Each
+handler asks `SpecFactors` for the classes it reads: spectrum, support,
+periodic, pst and the base of no-pst-scan and pgst for classes with exact
+labels (`labelled`), fidelity, sweep and cospectral for float classes alone
+(`decomposition`).  No module uses `dataclasses` (records are NamedTuples,
+eigenvalue classes plain `__slots__` classes), so no call loads it, and a
+call that skips numpy loads no `inspect` either.
 
 Reports are byte-deterministic for a fixed command line.  `dumps_report`
 writes JSON in one walk, byte for byte as json.dumps(indent=2,
@@ -122,7 +123,7 @@ def _parse_spec(s: str, i: int) -> tuple[graphs.GraphSpec, int]:
         if j >= len(s) or s[j] != ")":
             raise GraphSpecError("expected ')' closing corona", j)
         return graphs.GraphSpec("corona", factors=(left, right)), _skip_space(s, j + 1)
-    if j >= len(s) or s[j] != ":":
+    if not kind or j >= len(s) or s[j] != ":":
         raise GraphSpecError("expected 'kind:value'", i)
     if kind == "file":
         tail = j + 1
@@ -269,12 +270,21 @@ def _require_corona(spec: graphs.GraphSpec, who: str = "this subcommand") -> Non
 # is the handler's own rendering of --format (sweep csv, corona-build text)
 
 def _cmd_spectrum(args):
-    from . import spectral
+    spec = args.spec
+    if spec.kind in graphs.FAMILIES:  # the family's spectrum by theorem
+        n = graphs.spec_order(spec, {})
+        graphs.check_budget(n)
+        from . import leafspectra
 
-    d = spectral.SpecFactors(args.group_tol).labelled(args.spec)
+        classes = leafspectra.family_classes(spec.kind, spec.size, args.group_tol)
+    else:
+        from . import spectral
+
+        d = spectral.SpecFactors(args.group_tol).labelled(spec)
+        n, classes = d.n, d.classes
     return {
-        "n": d.n,
-        "classes": [_class_record(c) for c in d.classes],
+        "n": n,
+        "classes": [_class_record(c) for c in classes],
     }, None
 
 

@@ -20,7 +20,7 @@ For a k-regular H the one main direction is 1/sqrt(m), so lam lifts to
 the paper's pair.  One routine, `lift_class`, serves every consumer below:
 the closed form builds the classes as eigenvector blocks (x (x) V_lam for a
 lift, (0 (+) W) (x) I_n for a copy class), grouped as `decompose` groups
-(`spectral.class_runs`); `transfer.corona_base_periodicity` reads the exact
+(`leafspectra.class_runs`); `transfer.corona_base_periodicity` reads the exact
 labels of the lifts that reach the base; and the walk amplitude from (v', 0) to (v, 0), or to (v, w) with w
 given, is an exponential sum over the lifted values (`corona_terms`),
 which `spectral.exp_sum_grid` evaluates on uniform time grids in batches,
@@ -38,7 +38,8 @@ import numpy as np
 from .defaults import DEFAULT_GROUP_TOL
 from .exact import QuadInt, exact_rank
 from .graphs import Graph, check_base_vertex, check_budget, check_copy_vertex
-from .spectral import EigenClass, SpectralDecomposition, attach_exact_labels, class_runs, decompose
+from .leafspectra import class_runs
+from .spectral import EigenClass, SpectralDecomposition, attach_exact_labels, decompose
 
 
 class MainData(NamedTuple):

@@ -11,8 +11,12 @@ E[u,v] = V[u].V[v] and ||E e_u|| = ||V[u]||.
 `SpecFactors` decomposes any graph spec, each term once: a family or file
 spec densely here, a corona in closed form from its factors through
 `corona`, which is imported only when a spec term is a corona, so calls on
-a plain spec never load it.  Its caller asks for labels: `labelled` runs
-`attach_exact_labels` on the terms it reaches, `decomposition` never does.
+a plain spec never load it.  Its caller asks for labels: `labelled` labels
+a family leaf's classes from the family's spectrum by theorem
+(`leafspectra`), a `file:` leaf's by `attach_exact_labels`, and a corona's
+through its factors; `decomposition` makes no label.  The `spectrum`
+command reads a family's classes off that theorem alone, without this
+module.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import numpy as np
 
 from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_GROUP_TOL, DEFAULT_SUPPORT_TOL
 from .exact import QuadInt, exact_rank, square_free_part
-from .graphs import Graph, GraphSpec, build_graph, check_budget, spec_order
+from .graphs import FAMILIES, Graph, GraphSpec, build_graph, check_budget, spec_order
+from .leafspectra import FamilyClass, class_runs, family_values
 
 if TYPE_CHECKING:
     from .corona import CoronaSpec
@@ -98,18 +103,7 @@ def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposi
     vecs = vecs[:, ::-1]
     return SpectralDecomposition(
         [EigenClass(float(np.mean(values[a:b])), vecs[:, a:b])
-         for a, b in class_runs(values, group_tol)], len(values))
-
-
-def class_runs(values, group_tol: float) -> list[tuple[int, int]]:
-    """Index runs [a, b) of the classes of descending values, for `decompose` and
-    the corona closed form: a class ends where the next value is at least
-    group_tol * max(1, max|value|) lower."""
-    values = np.asarray(values, dtype=float)
-    gap = group_tol * max(1.0, float(np.max(np.abs(values))))
-    ends = np.flatnonzero(values[:-1] - values[1:] >= gap) + 1
-    bounds = [0, *ends.tolist(), len(values)]
-    return list(zip(bounds, bounds[1:]))
+         for a, b in class_runs(values.tolist(), group_tol)], len(values))
 
 
 def exp_sum(freqs, coefs, t) -> np.ndarray:
@@ -246,14 +240,17 @@ def attach_exact_labels(d: SpectralDecomposition, matrix) -> SpectralDecompositi
     that A^2 - aA + ((a^2 - b^2 delta)/4) I has their combined multiplicity
     as defect.  Unverifiable classes keep exact=None, which downgrades
     downstream certificates to inconclusive.  A matrix of any dtype but
-    integer, object (Python ints) or float with integer entries raises ValueError.
+    integer, object with int entries or float with integer entries raises
+    ValueError.
     """
     a_int = np.asarray(matrix)
     # a float matrix counts only when its entries are int64 integers exactly
     if a_int.dtype.kind == "f" and np.all(np.abs(a_int) < 2.0**63) and np.array_equal(
             a_int, np.round(a_int)):
         a_int = a_int.astype(np.int64)
-    if a_int.dtype.kind not in "iuO":  # an object array holds Python ints already
+    # exact_rank truncates with int(), so an object entry must be an int already
+    if a_int.dtype.kind not in "iuO" or (
+            a_int.dtype.kind == "O" and not all(isinstance(x, int) for x in a_int.flat)):
         raise ValueError("exact labels need an integer matrix")
     # Python ints, so the products below never overflow
     a_int = a_int.astype(object)
@@ -294,14 +291,34 @@ def exact_decomposition(
     return attach_exact_labels(decompose(a, group_tol), a)
 
 
+def family_labels(d: SpectralDecomposition,
+                  values: list[FamilyClass]) -> SpectralDecomposition:
+    """Label the classes of d, which decomposes a family graph, from the
+    family's distinct eigenvalues by theorem (`leafspectra.family_values`).
+
+    A class takes the label of the labelled value within _VALUE_TOL of it
+    that has its multiplicity, else none.  Distinct family eigenvalues at a
+    dense order lie at least about 2.3e-6 apart, so at most one value is
+    that near, and a class that merges several values has a larger
+    multiplicity than any one of them.
+    """
+    known = [v for v in values if v.exact is not None]
+    return SpectralDecomposition(
+        [EigenClass(c.value, c.vectors, next(
+            (v.exact for v in known
+             if v.multiplicity == c.multiplicity and abs(v.value - c.value) < _VALUE_TOL),
+            None)) for c in d.classes], d.n)
+
+
 class SpecFactors:
     """Built graphs and decompositions of a spec's terms, each made once.
 
     The caller asks for what it reads: `decomposition(spec)` gives float
-    classes, `labelled(spec)` the same classes with rank-verified exact
-    labels (`attach_exact_labels`), made only for the terms it reaches.  A
-    leaf is decomposed densely, once: its labels are attached to that same
-    eigensolve.  A corona is decomposed in closed form from its factors'
+    classes, `labelled(spec)` the same classes with exact labels, made only
+    for the terms it reaches.  A leaf is decomposed densely, once: its labels
+    are attached to that same eigensolve, a family's by theorem
+    (`family_labels`), a file's by exact rank (`attach_exact_labels`).  A
+    corona is decomposed in closed form from its factors'
     decompositions of the same kind, recursing into both, and is assembled
     only where an enclosing corona needs it as a factor.  An irregular copy
     factor's main data is read off its labelled decomposition where the
@@ -332,11 +349,14 @@ class SpecFactors:
         return self._decomps[spec]
 
     def labelled(self, spec: GraphSpec) -> SpectralDecomposition:
-        """The same classes with rank-verified exact labels."""
+        """The same classes with exact labels."""
         if spec not in self._labelled:
             if spec.kind == "corona":
                 self._labelled[spec] = self._closed_form(spec, self.labelled)
-            else:  # labels on the leaf's one eigensolve
+            elif spec.kind in FAMILIES:
+                self._labelled[spec] = family_labels(self.decomposition(spec),
+                                                     family_values(spec.kind, spec.size))
+            else:  # labels on the file leaf's one eigensolve
                 a = self._adjacency(spec)
                 if spec not in self._decomps:
                     self._decomps[spec] = decompose(a, self.group_tol)

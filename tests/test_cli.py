@@ -80,7 +80,7 @@ class TestParseGraphSpec:
     @pytest.mark.parametrize(
         "text",
         ["", "path:", "foo:3", "corona(path:2)", "path:2garbage", "cycle:2", "path:0",
-         "path:\u00b2", "corona(path:2,cycle:3", "path", "file:"],
+         "path:\u00b2", "corona(path:2,cycle:3", "path", ":3", "file:"],
     )
     def test_errors_carry_position(self, text):
         with pytest.raises(GraphSpecError) as err:
@@ -95,6 +95,9 @@ class TestParseGraphSpec:
             ("corona(path:2,cycle:\u00b9)", "cycle needs an integer size (at position 20)"),
             ("corona(path:2,cycle:3", "expected ')' closing corona (at position 21)"),
             ("path", "expected 'kind:value' (at position 0)"),
+            # a missing kind is no family's name
+            (":3", "expected 'kind:value' (at position 0)"),
+            ("corona(:3,path:2)", "expected 'kind:value' (at position 7)"),
             ("file:", "empty file path (at position 5)"),
             ("file: ,", "empty file path (at position 5)"),
             # positions index the text as given, whitespace included
@@ -142,6 +145,34 @@ class TestSpectrumCommand:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second and first
+
+    def test_family_values_print_as_their_labels(self, capsys):
+        # the eigensolver gives 7.00000000000001; the theorem gives 7 exactly
+        code, out, _ = run(capsys, "spectrum", "complete:8")
+        assert code == EXIT_OK
+        assert [(c["value"], c["multiplicity"]) for c in json.loads(out)["classes"]] == [
+            (7.0, 1), (-1.0, 7)]
+
+    def test_family_spectrum_runs_no_eigensolve_nor_rank(self, capsys, monkeypatch):
+        calls = []
+        for module, name in ((spectral, "symmetric_eigen"), (spectral, "exact_rank"),
+                             (exact, "exact_rank"), (graphs, "build_family")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        code, out, err = run(capsys, "spectrum", "cycle:400")
+        assert (code, err, calls) == (EXIT_OK, "", [])
+        classes = json.loads(out)["classes"]
+        # 2cos(2 pi j/400), j/400 = p/d: j = 0, 200, 100 (d = 1, 2, 4), then
+        # 80, 160 (d = 5), 50, 150 (d = 8) and 40, 120 (d = 10): 9 labels
+        assert len(classes) == 201 and sum(c["multiplicity"] for c in classes) == 400
+        assert sum("exact" in c for c in classes) == 9
+
+    @pytest.mark.parametrize("spec", ["path:5000", "complete:4097", "cocktail:2049"])
+    def test_family_spectrum_over_budget_builds_nothing(self, capsys, monkeypatch, spec):
+        builds = []
+        monkeypatch.setattr(graphs, "build_family", builds.append)
+        code, out, err = run(capsys, "spectrum", spec)
+        assert (code, out, builds) == (EXIT_ANALYSIS, "", [])
+        assert "exceeds dense budget 4096" in err
 
     def test_json_roundtrip_identical(self, capsys):
         _, out, _ = run(capsys, "spectrum", "corona(path:3,cycle:3)")
@@ -398,11 +429,13 @@ class TestAdjacencyBuilds:
 
     @pytest.mark.parametrize(
         "argv, orders",
-        [(("spectrum", "cycle:12"), [12]),
+        # a family's spectrum is read off the theorem: no matrix is built
+        [(("spectrum", "cycle:12"), []),
+         (("support", "cycle:12", "--u", "0"), [12]),
          (("periodic", "corona(cycle:8,cycle:4)", "--u", "1"), [8, 4]),
          # an irregular H is labelled before its main data is read off it
          (("pst", "corona(cycle:13,path:4)", "--u", "0", "--v", "6"), [4, 13])],
-        ids=["spectrum", "periodic-corona", "pst-irregular-copy"],
+        ids=["spectrum", "support", "periodic-corona", "pst-irregular-copy"],
     )
     def test_each_adjacency_is_built_once(self, capsys, monkeypatch, argv, orders):
         built = []
@@ -433,14 +466,13 @@ class TestLabelsFollowTheReader:
 
     @pytest.mark.parametrize(
         "spec, orders",
-        [("corona(cycle:6,path:9)", [6, 6, 6, 6, 10]),
-         ("corona(cycle:6,corona(path:3,empty:1))", [6, 6, 6, 6, 6])],
+        [("corona(cycle:6,path:9)", [10]),
+         ("corona(cycle:6,corona(path:3,empty:1))", [6])],
         ids=["irregular-copy", "corona-copy"],
     )
-    def test_scan_ranks_the_base_and_the_main_data_alone(self, capsys, monkeypatch,
-                                                         spec, orders):
-        """Four integer labels of the 6-cycle, then the rank of H's Krylov
-        vectors; H's own classes stay unlabelled."""
+    def test_scan_ranks_the_main_data_alone(self, capsys, monkeypatch, spec, orders):
+        """The 6-cycle base takes its labels by theorem, with no rank; the one
+        rank is of H's Krylov vectors, and H's own classes stay unlabelled."""
         ranks = []
         for module in (exact, spectral, corona):
             monkeypatch.setattr(module, "exact_rank", lambda rows, rank=module.exact_rank:
@@ -449,6 +481,23 @@ class TestLabelsFollowTheReader:
         assert (code, err) == (EXIT_OK, "")
         assert json.loads(out)["max_fidelity"] < 1
         assert ranks == orders
+
+    def test_family_base_takes_labels_without_rank(self, capsys, monkeypatch):
+        """The 202-vertex cocktail base is labelled by theorem, with no rank,
+        and its one eigensolve gives the float classes whose entries the
+        search reads."""
+        ranks, solves = [], []
+        for module in (exact, spectral, corona):
+            monkeypatch.setattr(module, "exact_rank", lambda rows, rank=module.exact_rank:
+                                ranks.append(len(rows)) or rank(rows))
+        eigen = spectral.symmetric_eigen
+        monkeypatch.setattr(spectral, "symmetric_eigen",
+                            lambda a: solves.append(len(a)) or eigen(a))
+        code, out, err = run(capsys, "pgst", "corona(cocktail:101,cycle:3)", "--u", "0",
+                             "--v", "1", "--family", "cocktail", "--lmax", "1000")
+        assert (code, err) == (EXIT_OK, "")
+        assert ranks == []
+        assert solves.count(202) == 1 and max(solves) == 202
 
     @pytest.mark.parametrize(
         "argv",

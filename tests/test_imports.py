@@ -108,9 +108,18 @@ def test_degree_refuted_cospectral_never_loads_numpy():
     assert probe(run_quietly(argv), NUMPY_FREE) == {"code": 0, "loaded": []}
 
 
-def test_spectrum_skips_transfer():
-    assert probe(run_quietly(("spectrum", "complete:4"))) == {
-        "code": 0, "loaded": ["numpy", "coronawalk.exact", "coronawalk.spectral"]}
+def test_family_spectrum_loads_no_numpy():
+    """A family's spectrum comes from the theorem, with no eigensolve: it loads
+    neither numpy nor `spectral`, only `exact` for the labels."""
+    assert probe(run_quietly(("spectrum", "complete:4")), NUMPY_FREE) == {
+        "code": 0, "loaded": ["coronawalk.exact"]}
+
+
+def test_family_spectrum_over_budget_loads_nothing():
+    """The order is read off the spec, 2n for cocktail:n: past the dense
+    budget the call fails before it loads an analysis module."""
+    assert probe(run_quietly(("spectrum", "cocktail:2049")), NUMPY_FREE) == {
+        "code": 2, "loaded": []}
 
 
 ANALYSIS = ["numpy", "coronawalk.exact", "coronawalk.spectral"]
@@ -121,7 +130,8 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (("spectrum", "path:3"), ANALYSIS),
+        # a family's spectrum is read off the theorem, a file's off the eigensolve
+        (("spectrum", "path:3"), ["coronawalk.exact"]),
         (("spectrum", "file:{path}"), ANALYSIS),
         (("fidelity", "path:2", "--u", "0", "--v", "1", "--t", "1"), ANALYSIS),
         (("support", "file:{path}", "--u", "1"), ANALYSIS),
