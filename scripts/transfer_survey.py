@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Survey state-transfer behavior on a grid of small coronas.
 
-For each base/copy pairing: the lifted base-vertex periodicity verdict and
-the maximum base-base fidelity seen on a dense time grid (always strictly
-below 1).
+For each base/copy pairing: the periodicity verdict of the lifted base
+vertex (0, 0), decided exactly from its lifted support, and the maximum
+base-base fidelity seen on a dense time grid (always strictly below 1).
 """
 
 from coronawalk import (
@@ -27,7 +27,7 @@ COPIES = [
 
 
 def main() -> None:
-    print(f"{'corona':12} {'(v,0) periodic?':34} {'max base-base fidelity':>24}")
+    print(f"{'corona':10} {'(v,0) periodic?':66} {'max base-base fidelity':>24}")
     for gname, g in BASES:
         gd = exact_decomposition(g)
         for hname, h in COPIES:
@@ -39,7 +39,7 @@ def main() -> None:
             elif verdict.witness_period:
                 note += f" (period {verdict.witness_period:.6f})"
             scan = corona_no_pst_check(spec, gd, 0, g.n - 1, 50.0, 5000)
-            print(f"{gname}*{hname:7} {note:40} {scan.max_fidelity:>18.9f}")
+            print(f"{gname}*{hname:7} {note:66} {scan.max_fidelity:>24.9f}")
 
 
 if __name__ == "__main__":

@@ -136,7 +136,7 @@ def _parse_spec(s: str, i: int) -> tuple[graphs.GraphSpec, int]:
     if kind not in graphs.FAMILIES:
         raise GraphSpecError(f"unknown graph family {kind!r}", i)
     start = tail = _skip_space(s, j + 1)
-    while tail < len(s) and s[tail].isdecimal():  # the digits int() reads
+    while tail < len(s) and graphs.is_decimal(s[tail]):
         tail += 1
     if tail == start:
         raise GraphSpecError(f"{kind} needs an integer size", start)
@@ -391,8 +391,7 @@ def _cmd_periodic(args):
     }
     if args.spec.kind == "corona":
         cspec = factors.corona(args.spec)
-        if args.u < cspec.n and cspec.k is not None and cspec.n >= 2 \
-                and cspec.g.is_connected():
+        if args.u < cspec.n and cspec.k is not None:
             lifted = transfer.corona_base_periodicity(
                 cspec, factors.labelled(args.spec.factors[0]), args.u,
                 args.support_tol,

@@ -343,12 +343,17 @@ def corona_graph(g: Graph, h: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # edge-list files
 
+def is_decimal(text: str) -> bool:
+    """Whether text is ASCII decimal digits; int() also reads '1_0', '+1', '\uff12'."""
+    return text.isascii() and text.isdigit()
+
+
 def read_edge_list(path: str | Path) -> Graph:
     """Load the plain edge-list format.
 
     First significant line holds the vertex count n; every following line is
-    "u v" with 0 <= u < v < n.  '#' starts a comment, blank lines are skipped,
-    duplicate edges are rejected.
+    "u v" with 0 <= u < v < n, all in ASCII decimal digits.  '#' starts a
+    comment, blank lines are skipped, duplicate edges are rejected.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -361,20 +366,18 @@ def read_edge_list(path: str | Path) -> Graph:
         if not line:
             continue
         if n is None:
-            try:
-                n = int(line)
-            except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: vertex count expected") from err
+            if not is_decimal(line):
+                raise ValueError(f"{path}:{lineno}: vertex count expected")
+            n = int(line)
             if n < 1:
                 raise ValueError(f"{path}:{lineno}: vertex count must be >= 1")
             continue
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: expected integers") from err
+        if not all(map(is_decimal, parts)):
+            raise ValueError(f"{path}:{lineno}: expected integers")
+        u, v = int(parts[0]), int(parts[1])
         if not 0 <= u < v < n:
             raise ValueError(f"{path}:{lineno}: edge ({u},{v}) needs 0 <= u < v < n")
         if (u, v) in edges:

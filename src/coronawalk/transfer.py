@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_ELL_MAX, DEFAULT_SUPPORT_TOL, DEFAULT_TARGET
-from .exact import QuadInt, gcd_list, two_adic_valuation
+from .exact import QuadInt, gcd_list, is_quadratic_square, two_adic_valuation
 from .graphs import check_distinct, require_regular
 from .spectral import (
     SpectralDecomposition,
@@ -82,53 +82,30 @@ def corona_base_periodicity(
 ) -> PeriodicityVerdict:
     """Periodicity of the lifted base vertex (v, 0) in the corona spec.
 
-    Holds exactly when k = 0, 1 + 4m is an odd perfect square > 1, and the
-    base support of v (read from g_decomp, the base's exact decomposition)
-    is all integers or all nonzero integer multiples of a single
-    sqrt(delta).  Evaluated directly on those three conditions; where they
-    hold, the lifted support must pass `periodicity_test`, else RuntimeError.
+    `periodicity_test` on the lifts, with a nonzero base part, of each value
+    lam in v's exact base support (from g_decomp).  Over a k-regular H on m
+    vertices lam lifts to the roots of x^2 - (lam + k)x + k lam - m lam^2.  For
+    lam = (a + b sqrt(delta))/2 irrational, 4(lam - k)^2 + 16m lam^2 is
+    P + Q sqrt(delta), P = (1 + 4m)(a^2 + b^2 delta) - 4ka + 4k^2 and
+    Q = 2b((1 + 4m)a - 2k).  Where it is no square in Q(sqrt(delta)) both lifts
+    have degree 4, so (v, 0) is not periodic: an automorphism that fixes a
+    quadratic lift outside Q(sqrt(delta)) and sends lam to lam' makes it a
+    root of both quadratics, whose difference (lam - lam')(k - m(lam + lam')
+    - x) makes it the rational k - ma.
     """
     from .corona import lift_class
 
-    k = require_regular(spec.k)
-    if spec.n < 2:
-        raise ValueError("base graph needs at least two vertices")
-    if not spec.g.is_connected():
-        raise ValueError("base graph must be connected")
+    k, m = require_regular(spec.k), spec.m
     sup = eigenvalue_support(g_decomp, v, support_tol)
     if not sup.all_exact:
         return PeriodicityVerdict("inconclusive", reason="inexact base spectrum")
-    if k != 0:
-        return PeriodicityVerdict("no", reason="copy factor degree k >= 1")
-    m = spec.m
-    root = math.isqrt(1 + 4 * m)
-    if root * root != 1 + 4 * m:
-        return PeriodicityVerdict("no", reason="1 + 4m is not a perfect square")
-    if not _integer_or_common_root_multiples(sup.exact):
-        return PeriodicityVerdict(
-            "no",
-            reason="base support is neither all integers nor integer multiples "
-            "of one square root",
-        )
-    # exact labels of the lifts that reach the base layer: an integer lam lifts
-    # to lam (1 +- r)/2, (b/2) sqrt(delta) to (b (1 +- r)/2) sqrt(delta), r^2 =
-    # 1 + 4m; an unlabelled lift (None) fails the test
-    lifted = {lift.exact for q in sup.exact for lift in lift_class(q.value(), q, spec.main)
-              if lift.base != 0}
-    verdict = periodicity_test(lifted)
-    if verdict.periodic != "yes":
-        raise RuntimeError("lifted support failed the periodicity test it implies")
-    return verdict
-
-
-def _integer_or_common_root_multiples(quads: Sequence[QuadInt]) -> bool:
-    if all(q.is_rational_integer for q in quads):
-        return True
-    deltas = {q.delta for q in quads}
-    if len(deltas) != 1 or 1 in deltas:
-        return False
-    # nonzero integer multiple of sqrt(delta): a = 0, b even and nonzero
-    return all(q.a == 0 and q.b != 0 and q.b % 2 == 0 for q in quads)
+    for a, b, delta in sup.exact:
+        if delta != 1 and not is_quadratic_square(
+                (1 + 4 * m) * (a * a + b * b * delta) - 4 * k * a + 4 * k * k,
+                2 * b * ((1 + 4 * m) * a - 2 * k), delta):
+            return PeriodicityVerdict("no", reason="a lifted support value has degree 4")
+    return periodicity_test({lift.exact for q in sup.exact
+                             for lift in lift_class(q.value(), q, spec.main) if lift.base != 0})
 
 
 def _common_quadratic_fit(

@@ -168,11 +168,26 @@ def test_criterion_3_base_periodicity_conditions():
     assert no_square.periodic == "no"
     no_degree = _base_periodicity(path_graph(2), cycle_graph(3), 0)
     assert no_degree.periodic == "no"
+
+    # periodic, though k >= 1 (C3*C4, cocktail(3)*C3) or the base support
+    # holds 0 beside +-sqrt(2) (P3*E2): the lifted support decides, and
+    # agrees with the assembled corona's own support
+    revivals = []
+    for name, g, h in (("C3*C4", cycle_graph(3), cycle_graph(4)),
+                       ("cocktail(3)*C3", cocktail_party_graph(3), cycle_graph(3)),
+                       ("P3*E2", path_graph(3), empty_graph(2))):
+        lifted = _base_periodicity(g, h, 0)
+        corona = corona_graph(g, h)
+        vertex = periodicity_test(eigenvalue_support(exact_decomposition(corona), 0).exact)
+        assert lifted.periodic == "yes" and lifted == vertex, name
+        at_period = fidelity(decompose(corona.adjacency()), 0, 0, lifted.witness_period)
+        assert at_period >= 1 - 1e-8, name
+        revivals.append(f"{name} |U({lifted.witness_period:.6f})| = {at_period:.12f}")
     _line(
         "3",
         True,
         f"two isolated copies: periodic, |U(2pi)| = {revival:.12f}; "
-        "three copies and 2-regular copies: not periodic",
+        "three copies and 2-regular copies: not periodic; " + "; ".join(revivals),
     )
 
 
@@ -437,9 +452,12 @@ def test_criterion_7b_no_periodicity_lift():
     for h in (empty_graph(2), cycle_graph(3)):
         for v in range(g.n):
             assert _base_periodicity(g, h, v).periodic == "no"
+    # over 3-cycle copies the lifts of (-1 +- sqrt(5))/2 have degree 4
+    degree = {_base_periodicity(g, cycle_graph(3), v).reason for v in range(g.n)}
+    assert degree == {"a lifted support value has degree 4"}
     _line(
         "7b",
         True,
         "aperiodic 4-path base keeps every lifted base vertex aperiodic "
-        "for both copy factors",
+        "for both copy factors, by a degree-4 lift over 3-cycle copies",
     )

@@ -91,6 +91,8 @@ class TestParseGraphSpec:
         "text, message",
         [
             ("path:\u00b2", "path needs an integer size (at position 5)"),
+            # int() reads a fullwidth digit; a size is ASCII digits only
+            ("path:\uff12", "path needs an integer size (at position 5)"),
             ("path:3\u00b2", "unexpected trailing text '\u00b2' (at position 6)"),
             ("corona(path:2,cycle:\u00b9)", "cycle needs an integer size (at position 20)"),
             ("corona(path:2,cycle:3", "expected ')' closing corona (at position 21)"),
@@ -672,6 +674,14 @@ class TestOtherCommands:
         assert code == EXIT_OK and report["corona_base_test"] == report["vertex_test"]
         assert report["vertex_test"]["periodic"] == "yes"
 
+    @pytest.mark.parametrize("spec", ["corona(path:1,cycle:3)", "corona(empty:2,empty:2)"])
+    def test_periodic_lifts_a_one_vertex_or_disconnected_base(self, capsys, spec):
+        # the base vertex is isolated in the corona: support {0}, periodic
+        code, out, _ = run(capsys, "periodic", spec, "--u", "0")
+        report = json.loads(out)
+        assert code == EXIT_OK and report["corona_base_test"] == report["vertex_test"]
+        assert report["vertex_test"]["periodic"] == "yes"
+
     def test_file_path_with_a_space(self, capsys, tmp_path):
         # a decoy without the space: reading it would report n = 2
         (tmp_path / "a b.edges").write_text("3\n0 1\n1 2\n", encoding="utf-8")
@@ -715,7 +725,8 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "usage error" in err
 
-    @pytest.mark.parametrize("text", ["path:\u00b2", "path:3\u00b2", "corona(path:2,cycle:\u00b9)"])
+    @pytest.mark.parametrize("text", ["path:\u00b2", "path:3\u00b2", "corona(path:2,cycle:\u00b9)",
+                                      "path:\uff12"])
     def test_non_decimal_size_is_usage_error(self, capsys, text):
         code, out, err = run(capsys, "spectrum", text)
         assert code == EXIT_USAGE

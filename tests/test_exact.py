@@ -10,6 +10,7 @@ from coronawalk.exact import (
     QuadInt,
     exact_rank,
     gcd_list,
+    is_quadratic_square,
     square_free_part,
     two_adic_valuation,
 )
@@ -47,6 +48,37 @@ class TestSquareFreePart:
             square_free_part(0)
         with pytest.raises(ValueError):
             square_free_part(1 << 200)
+
+
+class TestQuadraticSquare:
+    @pytest.mark.parametrize("delta", [2, 3, 5, 6, 7, 10])
+    def test_matches_brute_force(self, delta):
+        # every (x + y sqrt(delta))^2 with x, y in Z/(4 delta) and an integer
+        # p = x^2 + delta y^2 <= 40, q = 2xy; |q| <= p/sqrt(delta) < 30
+        den, p_max = 4 * delta, 40
+        x_max, y_max = math.isqrt(p_max * den * den), math.isqrt(p_max * den * den // delta)
+        squares = set()
+        for x in range(-x_max, x_max + 1):
+            for y in range(-y_max, y_max + 1):
+                p, p_rem = divmod(x * x + delta * y * y, den * den)
+                q, q_rem = divmod(2 * x * y, den * den)
+                if not p_rem and not q_rem and p <= p_max:
+                    squares.add((p, q))
+        assert {(1, 0), (delta, 0)} <= squares  # q = 0, from y = 0 and from x = 0
+        for p in range(-3, p_max + 1):
+            for q in range(-30, 31):
+                assert is_quadratic_square(p, q, delta) == ((p, q) in squares), (p, q)
+
+    def test_zero_irrational_part(self):
+        # q = 0: p itself a square (y = 0) or delta times one (x = 0)
+        assert is_quadratic_square(9, 0, 2) and is_quadratic_square(18, 0, 2)
+        assert is_quadratic_square(0, 0, 3)
+        assert not is_quadratic_square(3, 0, 2) and not is_quadratic_square(6, 0, 5)
+
+    def test_norm_square_is_not_enough(self):
+        # 102 - 34 sqrt(5) has norm 68^2, yet neither 2 * 170 nor 2 * 34 is a square
+        assert not is_quadratic_square(102, -34, 5)
+        assert is_quadratic_square(86, 18, 5)  # (9 + sqrt(5))^2
 
 
 class TestPAdicNorm:

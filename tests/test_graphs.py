@@ -243,6 +243,23 @@ class TestEdgeListFiles:
         with pytest.raises(ValueError):
             read_edge_list(path)
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [("1_0\n", "1: vertex count expected"), ("\uff13\n", "1: vertex count expected"),
+         ("+3\n", "1: vertex count expected"), ("3\n0 1\n1 2_0\n", "3: expected integers"),
+         ("3\n0 \uff12\n", "2: expected integers"), ("3\n+0 1\n", "2: expected integers"),
+         ("3\n0 -1\n", "2: expected integers")],
+        ids=["count-underscore", "count-fullwidth", "count-plus", "edge-underscore",
+             "edge-fullwidth", "edge-plus", "edge-minus"],
+    )
+    def test_numbers_are_ascii_decimal(self, tmp_path, content, message):
+        # int() reads each of these tokens
+        path = tmp_path / "bad.edges"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"{path}:{message}"
+
     def test_unreadable_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             read_edge_list(tmp_path / "missing.edges")
