@@ -2,19 +2,22 @@
 """Survey state-transfer behavior on a grid of small coronas.
 
 For each base/copy pairing: the periodicity verdict of the lifted base
-vertex (0, 0), decided exactly from its lifted support, and the maximum
-base-base fidelity seen on a dense time grid (always strictly below 1).
+vertex (0, 0), decided exactly from its support in the closed form built
+from the labelled factors, and the maximum base-base fidelity seen on a
+dense time grid (always strictly below 1).
 """
 
 from coronawalk import (
     CoronaSpec,
-    corona_base_periodicity,
-    corona_no_pst_check,
-    cycle_graph,
-    empty_graph,
     complete_graph,
+    corona_no_pst_check,
+    corona_spectral_closed_form,
+    cycle_graph,
+    eigenvalue_support,
+    empty_graph,
     exact_decomposition,
     path_graph,
+    periodicity_test,
 )
 
 BASES = [("P2", path_graph(2)), ("P3", path_graph(3)), ("C4", cycle_graph(4))]
@@ -32,7 +35,9 @@ def main() -> None:
         gd = exact_decomposition(g)
         for hname, h in COPIES:
             spec = CoronaSpec.from_graphs(g, h)
-            verdict = corona_base_periodicity(spec, gd, 0)
+            support = eigenvalue_support(
+                corona_spectral_closed_form(spec, gd, exact_decomposition(h)), 0)
+            verdict = periodicity_test(support.exact, support.beyond_quadratic)
             note = verdict.periodic
             if verdict.reason:
                 note += f" ({verdict.reason})"

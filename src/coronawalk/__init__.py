@@ -60,7 +60,6 @@ _EXPORTS = {
         "PGSTSearchResult",
         "PSTCertificate",
         "PeriodicityVerdict",
-        "corona_base_periodicity",
         "corona_no_pst_check",
         "fidelity_sweep",
         "periodicity_test",

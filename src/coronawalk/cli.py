@@ -380,24 +380,10 @@ def _record(result) -> dict:
 def _cmd_periodic(args):
     from . import spectral, transfer
 
-    factors = spectral.SpecFactors(args.group_tol)
-    d = factors.labelled(args.spec)
+    d = spectral.SpecFactors(args.group_tol).labelled(args.spec)
     sup = spectral.eigenvalue_support(d, args.u, args.support_tol)
-    entries = [q if q is not None else v for q, v in zip(sup.exact, sup.values)]
-    verdict = transfer.periodicity_test(entries)
-    report = {
-        "u": args.u,
-        "vertex_test": _record(verdict),
-    }
-    if args.spec.kind == "corona":
-        cspec = factors.corona(args.spec)
-        if args.u < cspec.n and cspec.k is not None:
-            lifted = transfer.corona_base_periodicity(
-                cspec, factors.labelled(args.spec.factors[0]), args.u,
-                args.support_tol,
-            )
-            report["corona_base_test"] = _record(lifted)
-    return report, None
+    verdict = transfer.periodicity_test(sup.exact, sup.beyond_quadratic)
+    return {"u": args.u, "vertex_test": _record(verdict)}, None
 
 
 def _cmd_pst(args):

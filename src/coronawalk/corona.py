@@ -5,10 +5,9 @@ one copy of G plus n copies of H and joins every vertex of copy j to all
 base neighbors of vertex j; `graphs.corona_graph` assembles it, which
 `spectral.SpecFactors` asks for only where a corona is a copy factor.
 `SpecFactors` loads this module only when a spec term is a corona, and the
-searches (`transfer.pgst_search`, `corona_no_pst_check`,
-`corona_base_periodicity`) only when they run.  On columns
-x (x) phi, phi a base eigenvector of lam and x a layer column (base,
-copy_0, ..., copy_{m-1}), it acts as the layer matrix
+searches (`transfer.pgst_search`, `corona_no_pst_check`) only when they
+run.  On columns x (x) phi, phi a base eigenvector of lam and x a layer
+column (base, copy_0, ..., copy_{m-1}), it acts as the layer matrix
 [[lam, lam 1^T], [lam 1, A_H]].  Restricted to the base layer and the main
 directions u_mu = P_mu 1 / w_mu of H (w_mu = ||P_mu 1|| > 0) that is the
 arrowhead [[lam, lam w^T], [lam w, diag(mu)]], whose eigenpairs
@@ -20,9 +19,10 @@ For a k-regular H the one main direction is 1/sqrt(m), so lam lifts to
 the paper's pair.  One routine, `lift_class`, serves every consumer below:
 the closed form builds the classes as eigenvector blocks (x (x) V_lam for a
 lift, (0 (+) W) (x) I_n for a copy class), grouped as `decompose` groups
-(`leafspectra.class_runs`); `transfer.corona_base_periodicity` reads the exact
-labels of the lifts that reach the base; and the walk amplitude from (v', 0) to (v, 0), or to (v, w) with w
-given, is an exponential sum over the lifted values (`corona_terms`),
+(`leafspectra.class_runs`), with exact labels and the flag of lifts of
+degree 4 that refutes periodicity and transfer; and the walk amplitude
+from (v', 0) to (v, 0), or to (v, w) with w given, is an exponential sum
+over the lifted values (`corona_terms`),
 which `spectral.exp_sum_grid` evaluates on uniform time grids in batches,
 each one small matrix product of two phase tables of about sqrt(batch)
 columns, in memory independent of --lmax and --points.
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .defaults import DEFAULT_GROUP_TOL
-from .exact import QuadInt, exact_rank
+from .exact import QuadInt, exact_rank, is_quadratic_square
 from .graphs import Graph, check_base_vertex, check_budget, check_copy_vertex
 from .leafspectra import class_runs
 from .spectral import EigenClass, SpectralDecomposition, attach_exact_labels, decompose
@@ -109,12 +109,13 @@ class CoronaSpec(NamedTuple):
 class LiftedClass(NamedTuple):
     """One corona eigenvector direction lifted from a base class: its unit layer
     column has `base` on layer 0 and `copy[w]` on copy layer w, and its block
-    is that column (x) V_lam."""
+    is that column (x) V_lam.  `beyond_quadratic` marks a value of degree > 2."""
 
     value: float
     exact: QuadInt | None
     base: float
     copy: np.ndarray
+    beyond_quadratic: bool
 
 
 def lift_class(lam: float, label: QuadInt | None, main: MainData) -> list[LiftedClass]:
@@ -125,8 +126,23 @@ def lift_class(lam: float, label: QuadInt | None, main: MainData) -> list[Lifted
     A label lifts by `attach_exact_labels` on `_walk_operator`, checked
     against the arrowheads of lam and its conjugate side by side, so a lift
     of lam that coincides with one of the conjugate shares its class.
+
+    Over a k-regular H on m vertices (s = 1, k = coefs[0], m = walks[0]) lam
+    lifts to the roots of x^2 - (lam + k)x + k lam - m lam^2.  For lam =
+    (a + b sqrt(delta))/2 irrational, 4(lam - k)^2 + 16m lam^2 is
+    P + Q sqrt(delta), P = (1 + 4m)(a^2 + b^2 delta) - 4ka + 4k^2 and
+    Q = 2b((1 + 4m)a - 2k).  Where it is no square in Q(sqrt(delta)) both lifts
+    have degree 4: an automorphism that fixes a quadratic lift outside
+    Q(sqrt(delta)) and sends lam to lam' makes it a root of both quadratics,
+    whose difference (lam - lam')(k - m(lam + lam') - x) makes it the rational
+    k - ma.  Those lifts are flagged `beyond_quadratic` and left unlabelled,
+    with no rank.  A periodic vertex, and so a vertex with perfect state
+    transfer, has only integer or quadratic support values (Godsil,
+    "Periodic graphs", Electron. J. Combin. 18 (2011) #P23), so such a lift in
+    a vertex's support refutes both.
     """
     labelled = label is not None and main.coefs is not None
+    beyond = labelled and len(main.coefs) == 1 and not _quadratic_lifts(label, main)
     if label is not None:
         lam = label.value()
     arrow = _arrowhead(lam, main)
@@ -135,21 +151,34 @@ def lift_class(lam: float, label: QuadInt | None, main: MainData) -> list[Lifted
         arrow = np.kron(np.diag([1.0, 0.0]), arrow)
         arrow[size:, size:] = _arrowhead(label.conjugate().value(), main)
     d = decompose(arrow)
-    if labelled:
+    labels = None
+    if labelled and not beyond:
         doubled = [EigenClass(2.0 * c.value, c.vectors) for c in d.classes]
         labels = attach_exact_labels(SpectralDecomposition(doubled, d.n),
                                      _walk_operator(label, main)).classes
     lifts = []
     for i, c in enumerate(d.classes):
-        exact = _halve(labels[i].exact) if labelled else None
+        exact = None if labels is None else _halve(labels[i].exact)
         cols = c.vectors[:size]
         # the class's eigenvectors of lam's own arrowhead: ||cols||^2 of them
         share = round(float(np.sum(cols * cols)))
         if share < c.multiplicity:
             cols = np.linalg.svd(cols, full_matrices=False)[0][:, :share]
         for x in cols.T:
-            lifts.append(LiftedClass(c.value, exact, float(x[0]), main.directions @ x[1:]))
+            lifts.append(LiftedClass(c.value, exact, float(x[0]), main.directions @ x[1:],
+                                     beyond))
     return lifts
+
+
+def _quadratic_lifts(label: QuadInt, main: MainData) -> bool:
+    """Whether the lifts of label over a regular H are quadratic: an integer
+    label's always are, an irrational one's when P + Q sqrt(delta)
+    (`lift_class`) is a square in Q(sqrt(delta))."""
+    (k,), (m,) = main.coefs, main.walks
+    a, b, delta = label
+    return label.is_rational_integer or is_quadratic_square(
+        (1 + 4 * m) * (a * a + b * b * delta) - 4 * k * a + 4 * k * k,
+        2 * b * ((1 + 4 * m) * a - 2 * k), delta)
 
 
 def _arrowhead(lam: float, main: MainData) -> np.ndarray:
@@ -209,13 +238,13 @@ def corona_spectral_closed_form(
         block = c.vectors @ np.linalg.svd(inner)[2][mains:].T if mains else c.vectors
         if block.shape[1]:
             w = np.vstack([np.zeros((1, block.shape[1])), block])
-            raw.append(EigenClass(c.value, np.kron(w, eye_n), c.exact))
+            raw.append(EigenClass(c.value, np.kron(w, eye_n), c.exact, c.beyond_quadratic))
 
     for c in g_decomp.classes:
         for lift in lift_class(c.value, c.exact, spec.main):
             column = np.r_[lift.base, lift.copy]
             raw.append(EigenClass(lift.value, np.kron(column[:, None], c.vectors),
-                                  lift.exact))
+                                  lift.exact, lift.beyond_quadratic))
 
     return _merge_classes(raw, n * (m + 1), group_tol)
 
@@ -256,14 +285,16 @@ def _merge_classes(
     raw: list[EigenClass], n: int, group_tol: float
 ) -> SpectralDecomposition:
     """The raw classes grouped as `decompose` groups eigenvalues; a class keeps
-    its first member's value, one of the corona's eigenvalues."""
+    its first member's value, one of the corona's eigenvalues, and a label or
+    the `beyond_quadratic` flag only where every member carries it."""
     raw.sort(key=lambda c: c.value, reverse=True)
     merged: list[EigenClass] = []
     for a, b in class_runs([c.value for c in raw], group_tol):
         run = raw[a:b]
         vectors = run[0].vectors if b - a == 1 else np.hstack([c.vectors for c in run])
-        labels = {c.exact for c in run} - {None}
-        # numerically merged but symbolically distinct labels: stay honest
+        labels = {c.exact for c in run}
+        # numerically merged but symbolically distinct values: stay honest
         merged.append(EigenClass(run[0].value, vectors,
-                                 labels.pop() if len(labels) == 1 else None))
+                                 labels.pop() if len(labels) == 1 else None,
+                                 all(c.beyond_quadratic for c in run)))
     return SpectralDecomposition(merged, n)

@@ -221,8 +221,7 @@ def check_distinct(u: int, v: int) -> None:
 def require_regular(k: int | None) -> int:
     """H's regular degree k, which must exist."""
     if k is None:
-        raise ValueError("the pgst families and the lifted base periodicity test "
-                         "need a regular copy factor H")
+        raise ValueError("the pgst families need a regular copy factor H")
     return k
 
 

@@ -61,14 +61,17 @@ def symmetric_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 class EigenClass:
-    """One eigenvalue class: value, orthonormal N x mult eigenvector block, exact label."""
+    """One eigenvalue class: value, orthonormal N x mult eigenvector block, exact
+    label, and whether its value is known to have degree > 2 (`corona.lift_class`)."""
 
-    __slots__ = ("value", "vectors", "exact")
+    __slots__ = ("value", "vectors", "exact", "beyond_quadratic")
 
-    def __init__(self, value: float, vectors: np.ndarray, exact: QuadInt | None = None):
+    def __init__(self, value: float, vectors: np.ndarray, exact: QuadInt | None = None,
+                 beyond_quadratic: bool = False):
         self.value = value
         self.vectors = vectors
         self.exact = exact
+        self.beyond_quadratic = beyond_quadratic
 
     @property
     def multiplicity(self) -> int:
@@ -160,12 +163,14 @@ def entry_amplitudes(d: SpectralDecomposition, u: int, v: int, times) -> np.ndar
 
 
 class SupportSet(NamedTuple):
-    """Eigenvalue classes whose projector does not kill the vertex."""
+    """Eigenvalue classes whose projector does not kill the vertex;
+    `beyond_quadratic` when one of them has a value of degree > 2."""
 
     vertex: int
     class_indices: tuple[int, ...]
     values: tuple[float, ...]
     exact: tuple[QuadInt | None, ...]
+    beyond_quadratic: bool
 
     @property
     def all_exact(self) -> bool:
@@ -187,6 +192,7 @@ def eigenvalue_support(
         class_indices=tuple(idx),
         values=tuple(d.classes[i].value for i in idx),
         exact=tuple(d.classes[i].exact for i in idx),
+        beyond_quadratic=any(d.classes[i].beyond_quadratic for i in idx),
     )
 
 

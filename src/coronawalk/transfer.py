@@ -5,8 +5,8 @@ certification with 2-adic sign conditions, pointwise no-transfer scans on
 coronas, the structured time-family searches that realize pretty good
 state transfer between lifted base vertices, and fidelity sweeps; each
 runs its own loop over the batches of one grid kernel, `exp_sum_grid`.
-The three corona analyses import `corona` (and the searches `gates`) when
-they run, so `pst`, `sweep` and `periodic` on a plain spec load neither.
+The two corona analyses import `corona` and `gates` when they run, so
+`pst`, `sweep` and `periodic` on a plain spec load neither.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_ELL_MAX, DEFAULT_SUPPORT_TOL, DEFAULT_TARGET
-from .exact import QuadInt, gcd_list, is_quadratic_square, two_adic_valuation
-from .graphs import check_distinct, require_regular
+from .exact import QuadInt, gcd_list, two_adic_valuation
+from .graphs import check_distinct
 from .spectral import (
     SpectralDecomposition,
     eigenvalue_support,
@@ -44,17 +44,22 @@ class PeriodicityVerdict(NamedTuple):
     reason: str | None = None
 
 
-def periodicity_test(support: Iterable[QuadInt | float | None]) -> PeriodicityVerdict:
+def periodicity_test(support: Iterable[QuadInt | float | None],
+                     beyond_quadratic: bool = False) -> PeriodicityVerdict:
     """Decide vertex periodicity from an exact eigenvalue support, in any order.
 
     Periodic exactly when the support is all integers, or all of the shape
-    (a + b*sqrt(delta))/2 for one shared integer a and square-free delta.
-    Any inexact (float or None) entry makes the verdict inconclusive.
+    (a + b*sqrt(delta))/2 for one shared integer a and square-free delta
+    (Godsil's ratio condition).  An inexact (float or None) entry makes the
+    verdict "no" when the support holds a value of degree > 2
+    (`beyond_quadratic`, `corona.lift_class`), else inconclusive.
     """
     entries = list(support)
     if not entries:
         raise ValueError("empty eigenvalue support")
     if any(not isinstance(x, QuadInt) for x in entries):
+        if beyond_quadratic:
+            return PeriodicityVerdict("no", reason="support value of degree > 2")
         return PeriodicityVerdict("inconclusive", reason="inexact eigenvalue in support")
     entries.sort(key=lambda q: q.value(), reverse=True)
     fit = _common_quadratic_fit(entries)
@@ -74,38 +79,6 @@ def periodicity_test(support: Iterable[QuadInt | float | None]) -> PeriodicityVe
     return PeriodicityVerdict(
         "yes", case="quadratic", a=a, delta=delta, witness_period=witness
     )
-
-
-def corona_base_periodicity(
-    spec: CoronaSpec, g_decomp: SpectralDecomposition, v: int,
-    support_tol: float = DEFAULT_SUPPORT_TOL,
-) -> PeriodicityVerdict:
-    """Periodicity of the lifted base vertex (v, 0) in the corona spec.
-
-    `periodicity_test` on the lifts, with a nonzero base part, of each value
-    lam in v's exact base support (from g_decomp).  Over a k-regular H on m
-    vertices lam lifts to the roots of x^2 - (lam + k)x + k lam - m lam^2.  For
-    lam = (a + b sqrt(delta))/2 irrational, 4(lam - k)^2 + 16m lam^2 is
-    P + Q sqrt(delta), P = (1 + 4m)(a^2 + b^2 delta) - 4ka + 4k^2 and
-    Q = 2b((1 + 4m)a - 2k).  Where it is no square in Q(sqrt(delta)) both lifts
-    have degree 4, so (v, 0) is not periodic: an automorphism that fixes a
-    quadratic lift outside Q(sqrt(delta)) and sends lam to lam' makes it a
-    root of both quadratics, whose difference (lam - lam')(k - m(lam + lam')
-    - x) makes it the rational k - ma.
-    """
-    from .corona import lift_class
-
-    k, m = require_regular(spec.k), spec.m
-    sup = eigenvalue_support(g_decomp, v, support_tol)
-    if not sup.all_exact:
-        return PeriodicityVerdict("inconclusive", reason="inexact base spectrum")
-    for a, b, delta in sup.exact:
-        if delta != 1 and not is_quadratic_square(
-                (1 + 4 * m) * (a * a + b * b * delta) - 4 * k * a + 4 * k * k,
-                2 * b * ((1 + 4 * m) * a - 2 * k), delta):
-            return PeriodicityVerdict("no", reason="a lifted support value has degree 4")
-    return periodicity_test({lift.exact for q in sup.exact
-                             for lift in lift_class(q.value(), q, spec.main) if lift.base != 0})
 
 
 def _common_quadratic_fit(
@@ -178,13 +151,16 @@ def pst_certify(
     minimal time is tau = pi / (g sqrt(delta)) with g = gcd(D_r).
 
     Classes in the support must carry exact labels; otherwise the verdict is
-    Inconclusive rather than a guess.
+    NoPST where the support of u holds a value of degree > 2 (transfer from
+    u makes u periodic), else Inconclusive rather than a guess.
     """
     check_distinct(u, v)
     sup = eigenvalue_support(d, u, support_tol)
     if not sup.class_indices:
         raise ValueError(f"vertex {u} has empty eigenvalue support")
     if not sup.all_exact:
+        if sup.beyond_quadratic:
+            return PSTCertificate("NoPST", u, v, failure_reason="support value of degree > 2")
         return PSTCertificate(
             "Inconclusive", u, v, failure_reason="inexact spectrum"
         )

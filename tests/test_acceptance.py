@@ -52,7 +52,6 @@ from coronawalk.spectral import (
     exact_decomposition,
 )
 from coronawalk.transfer import (
-    corona_base_periodicity,
     corona_no_pst_check,
     periodicity_test,
     pgst_search,
@@ -86,7 +85,11 @@ def _line(tag: str, ok: bool, detail: str) -> None:
 
 
 def _base_periodicity(g, h, v):
-    return corona_base_periodicity(CoronaSpec.from_graphs(g, h), exact_decomposition(g), v)
+    """The one periodicity verdict at (v, 0), from the closed form of g * h."""
+    closed = corona_spectral_closed_form(CoronaSpec.from_graphs(g, h), exact_decomposition(g),
+                                         exact_decomposition(h))
+    sup = eigenvalue_support(closed, v)
+    return periodicity_test(sup.exact, sup.beyond_quadratic)
 
 
 def test_criterion_1_closed_form_matches_numeric_oracle():
@@ -170,7 +173,7 @@ def test_criterion_3_base_periodicity_conditions():
     assert no_degree.periodic == "no"
 
     # periodic, though k >= 1 (C3*C4, cocktail(3)*C3) or the base support
-    # holds 0 beside +-sqrt(2) (P3*E2): the lifted support decides, and
+    # holds 0 beside +-sqrt(2) (P3*E2): the closed form's support decides, and
     # agrees with the assembled corona's own support
     revivals = []
     for name, g, h in (("C3*C4", cycle_graph(3), cycle_graph(4)),
@@ -454,7 +457,7 @@ def test_criterion_7b_no_periodicity_lift():
             assert _base_periodicity(g, h, v).periodic == "no"
     # over 3-cycle copies the lifts of (-1 +- sqrt(5))/2 have degree 4
     degree = {_base_periodicity(g, cycle_graph(3), v).reason for v in range(g.n)}
-    assert degree == {"a lifted support value has degree 4"}
+    assert degree == {"support value of degree > 2"}
     _line(
         "7b",
         True,

@@ -289,7 +289,7 @@ class TestTextReports:
         (("cospectral", "corona(path:3,cycle:3)", "--u", "2", "--v", "6"),
          "strongly_cospectral = False"),
         (("cospectral", "path:3", "--u", "0", "--v", "2"), "signs.1.sign = -1"),
-        (("periodic", "corona(path:2,cycle:3)", "--u", "0"), "corona_base_test.periodic = "),
+        (("periodic", "corona(path:2,cycle:3)", "--u", "0"), "vertex_test.periodic = "),
         # the integer 2 cannot share the a = -1 of (-1 +- sqrt(5))/2
         (("periodic", "cycle:5", "--u", "0"),
          "vertex_test.reason = no shared (a, delta) quadratic form covers the support"),
@@ -581,9 +581,9 @@ class TestOtherCommands:
             capsys, "periodic", "corona(path:2,empty:2)", "--u", "0"
         )
         report = json.loads(out)
+        assert "corona_base_test" not in report
         assert report["vertex_test"]["periodic"] == "yes"
-        assert report["corona_base_test"]["periodic"] == "yes"
-        assert report["corona_base_test"]["witness_period"] == pytest.approx(
+        assert report["vertex_test"]["witness_period"] == pytest.approx(
             2 * math.pi
         )
 
@@ -671,7 +671,7 @@ class TestOtherCommands:
         # the lifts of C6's support over two isolated copies meet at 2 and -2
         code, out, _ = run(capsys, "periodic", "corona(cycle:6,empty:2)", "--u", "0")
         report = json.loads(out)
-        assert code == EXIT_OK and report["corona_base_test"] == report["vertex_test"]
+        assert code == EXIT_OK and "corona_base_test" not in report
         assert report["vertex_test"]["periodic"] == "yes"
 
     @pytest.mark.parametrize("spec", ["corona(path:1,cycle:3)", "corona(empty:2,empty:2)"])
@@ -679,8 +679,9 @@ class TestOtherCommands:
         # the base vertex is isolated in the corona: support {0}, periodic
         code, out, _ = run(capsys, "periodic", spec, "--u", "0")
         report = json.loads(out)
-        assert code == EXIT_OK and report["corona_base_test"] == report["vertex_test"]
-        assert report["vertex_test"]["periodic"] == "yes"
+        assert code == EXIT_OK and "corona_base_test" not in report
+        assert report["vertex_test"] == {"case": "all-integer", "periodic": "yes",
+                                         "witness_period": pytest.approx(2 * math.pi)}
 
     def test_file_path_with_a_space(self, capsys, tmp_path):
         # a decoy without the space: reading it would report n = 2
@@ -859,8 +860,7 @@ class TestExitCodes:
 
 
 _BUDGET = "analysis error: dimension 5000 exceeds dense budget 4096\n"
-_REGULAR = ("analysis error: the pgst families and the lifted base periodicity test "
-            "need a regular copy factor H\n")
+_REGULAR = "analysis error: the pgst families need a regular copy factor H\n"
 _DEGREE = "analysis error: pgst families need a copy factor of nonzero degree\n"
 _COCKTAIL = ("analysis error: cocktail family needs a cocktail party base graph on 2n "
              "vertices with odd n >= 3\n")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coronawalk import corona as corona_module
 from coronawalk import spectral, transfer
 from coronawalk.cli import parse_graph_spec
 from coronawalk.corona import (
@@ -707,15 +709,12 @@ def base_lifts(support, main):
 
 
 def lifted_base_support(g, h, v):
-    """corona_base_periodicity's verdict at (v, 0) with the lifted support it
-    hands to periodicity_test, and the assembled corona's exact support at v."""
-    with mock.patch.object(transfer, "periodicity_test",
-                           wraps=transfer.periodicity_test) as test:
-        verdict = transfer.corona_base_periodicity(
-            CoronaSpec.from_graphs(g, h), exact_decomposition(g), v)
-    (lifted,), _ = test.call_args
+    """The periodicity verdict at (v, 0) with the labels of the closed form's
+    support it reads, and the assembled corona's exact support at v."""
+    sup = eigenvalue_support(closed_form(g, h)[1], v)
+    verdict = transfer.periodicity_test(sup.exact, sup.beyond_quadratic)
     assembled = eigenvalue_support(exact_decomposition(corona_graph(g, h)), v).exact
-    return verdict, lifted, assembled
+    return verdict, set(sup.exact), assembled
 
 
 class TestSupportLift:
@@ -770,3 +769,68 @@ class TestSupportLift:
         assert lifted == {QuadInt.from_int(x) for x in (4, 2, 1, -1, -2, -4)} == set(assembled)
         assert verdict == transfer.periodicity_test(assembled)
         assert verdict.periodic == "yes"
+
+
+_FAMILY_FACTORS = ("path:2", "path:3", "path:4", "path:5", "path:6", "cycle:3", "cycle:4",
+                   "cycle:5", "cycle:6", "star:3", "star:4", "star:5", "complete:2",
+                   "complete:3", "complete:4", "empty:1", "empty:2", "empty:3")
+
+
+class TestDegreeFlag:
+    def test_lifts_of_a_non_square_discriminant_are_flagged(self):
+        # over 3-cycle copies (-1 + sqrt(5))/2 has 4D = 102 - 34 sqrt(5), no
+        # square in Q(sqrt(5)); (1 + sqrt(5))/2 lifts to (7 + sqrt(5))/2 and -1
+        main = regular_main(2, 3)
+        flagged = lift_class(0.0, QuadInt(-1, 1, 5), main)
+        assert [(l.exact, l.beyond_quadratic) for l in flagged] == [(None, True)] * 2
+        quadratic = lift_class(0.0, QuadInt(1, 1, 5), main)
+        assert [(l.exact, l.beyond_quadratic) for l in quadratic] == [
+            (QuadInt(7, 1, 5), False), (QuadInt.from_int(-1), False)]
+
+    @pytest.mark.parametrize("label, main", [
+        (QuadInt.from_int(1), regular_main(2, 3)),  # an integer lifts to quadratics
+        (None, regular_main(2, 3)),  # a float class: nothing is known
+        (QuadInt(0, 2, 2), CoronaSpec.from_graphs(path_graph(2), star_graph(3)).main),
+    ], ids=["integer", "unlabelled", "irregular-h"])
+    def test_nothing_else_is_flagged(self, label, main):
+        assert not any(l.beyond_quadratic for l in lift_class(math.sqrt(2), label, main))
+
+    def test_float_classes_carry_no_flag(self):
+        d = SpecFactors().decomposition(parse_graph_spec("corona(path:4,cycle:3)"))
+        assert not any(c.beyond_quadratic for c in d.classes)
+
+    def test_copy_classes_inherit_the_flag(self):
+        # the copy factor corona(path:4,cycle:3) has four flagged classes, none
+        # of them main: each survives in the two copies of the outer corona
+        factors = SpecFactors()
+        h = factors.labelled(parse_graph_spec("corona(path:4,cycle:3)"))
+        d = factors.labelled(parse_graph_spec("corona(path:2,corona(path:4,cycle:3))"))
+        inner = [c.value for c in h.classes if c.beyond_quadratic]
+        outer = [(c.value, c.multiplicity) for c in d.classes if c.beyond_quadratic]
+        assert len(inner) == 4 and outer == [(value, 2) for value in inner]
+
+    @pytest.mark.parametrize("first, second, merged", [
+        ((QuadInt.from_int(1), False), (QuadInt.from_int(1), False), (QuadInt.from_int(1), False)),
+        ((QuadInt.from_int(1), False), (None, False), (None, False)),
+        ((None, True), (None, True), (None, True)),
+        ((None, True), (None, False), (None, False)),
+    ], ids=["shared-label", "one-unlabelled", "shared-flag", "one-unflagged"])
+    def test_a_merged_class_keeps_what_every_member_carries(self, first, second, merged):
+        raw = [spectral.EigenClass(1.0 + 1e-12 * i, np.eye(2)[:, [i]], *member)
+               for i, member in enumerate((first, second))]
+        (c,) = corona_module._merge_classes(raw, 2, 1e-8).classes
+        assert (c.exact, c.beyond_quadratic, c.multiplicity) == (*merged, 2)
+
+    def test_every_label_lies_on_its_class_at_the_widest_grouping(self):
+        # at --group-tol 1e-2, 20 of these coronas merged an eigenvalue
+        # 0.006-0.056 away from a member's label into its class, which kept
+        # the label, e.g. 2.43861813930342 with (2 + 2 sqrt(2))/2 in P5 * K2
+        worst = 0.0
+        for g, h in itertools.product(_FAMILY_FACTORS, repeat=2):
+            spec = parse_graph_spec(f"corona({g},{h})")
+            a = corona_graph(*(SpecFactors().graph(f) for f in spec.factors)).adjacency()
+            for c in SpecFactors(1e-2).labelled(spec).classes:
+                if c.exact is not None:
+                    values = np.linalg.eigvalsh(c.vectors.T @ a @ c.vectors)
+                    worst = max(worst, float(np.max(np.abs(values - c.exact.value()))))
+        assert worst < 1e-9

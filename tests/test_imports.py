@@ -166,9 +166,9 @@ def test_every_exported_name_resolves():
     body = ("import coronawalk\n"
             "missing = [n for n in coronawalk.__all__ if getattr(coronawalk, n, None) is None]\n"
             "assert coronawalk.__all__ and not missing, missing\n"
-            "from coronawalk import (CoronaSpec, corona_base_periodicity,\n"
-            "    corona_spectral_closed_form, empty_graph, exact_decomposition,\n"
-            "    path_graph, cycle_graph, pgst_search, pst_certify)\n"
+            "from coronawalk import (CoronaSpec, corona_spectral_closed_form, cycle_graph,\n"
+            "    eigenvalue_support, empty_graph, exact_decomposition, path_graph,\n"
+            "    periodicity_test, pgst_search, pst_certify)\n"
             "code = 0")
     assert probe(body)["code"] == 0
 

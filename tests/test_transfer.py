@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coronawalk import corona as corona_module
 from coronawalk.cli import parse_graph_spec
-from coronawalk.corona import CoronaSpec
+from coronawalk.corona import CoronaSpec, corona_spectral_closed_form
 from coronawalk.exact import QuadInt, two_adic_valuation
 from coronawalk.gates import check_pgst
 from coronawalk.graphs import (
@@ -34,7 +35,6 @@ from coronawalk.spectral import (
 from coronawalk.transfer import (
     PeriodicityVerdict,
     _match_two_adic_pattern,
-    corona_base_periodicity,
     corona_no_pst_check,
     fidelity_sweep,
     periodicity_test,
@@ -49,8 +49,20 @@ def qi(n):
     return QuadInt.from_int(n)
 
 
+def vertex_periodicity(d, u):
+    """The one periodicity verdict, as `periodic` reports it, at vertex u of d."""
+    sup = eigenvalue_support(d, u)
+    return periodicity_test(sup.exact, sup.beyond_quadratic)
+
+
+def closed_form(g, h):
+    """The closed form of g * h built from the labelled factors."""
+    return corona_spectral_closed_form(CoronaSpec.from_graphs(g, h), exact_decomposition(g),
+                                       exact_decomposition(h))
+
+
 def base_periodicity(g, h, v):
-    return corona_base_periodicity(CoronaSpec.from_graphs(g, h), exact_decomposition(g), v)
+    return vertex_periodicity(closed_form(g, h), v)
 
 
 class TestPeriodicityTest:
@@ -122,12 +134,14 @@ class TestCoronaBasePeriodicity:
     def test_degree_four_lift_refutes_before_lifting(self):
         # over 3-cycle copies (1 + sqrt(5))/2 lifts to (7 + sqrt(5))/2 and -1,
         # but (-1 + sqrt(5))/2 has 4D = 102 - 34 sqrt(5): its norm 68^2 is a
-        # square, yet neither 2(102 + 68) nor 2(102 - 68) is
-        with mock.patch("coronawalk.corona.lift_class") as lift:
+        # square, yet neither 2(102 + 68) nor 2(102 - 68) is, so its lifts
+        # are flagged without the walk-operator rank that could not label them
+        with mock.patch("coronawalk.corona._walk_operator",
+                        wraps=corona_module._walk_operator) as walk:
             verdict = base_periodicity(path_graph(4), cycle_graph(3), 0)
-        assert verdict == PeriodicityVerdict(
-            "no", reason="a lifted support value has degree 4")
-        lift.assert_not_called()
+        assert verdict == PeriodicityVerdict("no", reason="support value of degree > 2")
+        assert [call.args[0] for call in walk.call_args_list] == [
+            QuadInt(1, 1, 5), QuadInt(1, -1, 5)]
 
     def test_quadratic_branch(self):
         # the middle vertex of the 3-path supports only +-sqrt(2)
@@ -144,9 +158,15 @@ class TestCoronaBasePeriodicity:
         assert verdict.periodic == "no"
         assert verdict.reason == "no shared (a, delta) quadratic form covers the support"
 
-    def test_irregular_copy_factor_rejected(self):
-        with pytest.raises(ValueError):
-            base_periodicity(path_graph(2), path_graph(3), 0)
+    def test_irregular_copy_factor_is_decided_by_its_labels(self):
+        # the rule needs no regular H: in P2 * P3 the base value 1 lifts over
+        # the main values +-sqrt(2) of P3 to three cubic roots, which stay
+        # unlabelled and unflagged
+        g, h = path_graph(2), path_graph(3)
+        verdict = base_periodicity(g, h, 0)
+        assembled = vertex_periodicity(exact_decomposition(corona_graph(g, h)), 0)
+        assert verdict == assembled == PeriodicityVerdict(
+            "inconclusive", reason="inexact eigenvalue in support")
 
     def test_numeric_confirmation_on_assembled_graph(self):
         verdict = base_periodicity(path_graph(2), empty_graph(2), 0)
@@ -163,28 +183,26 @@ _SWEEP_COPIES = ("cycle:3", "cycle:4", "complete:2", "complete:3", "empty:1", "e
 
 
 def test_lifted_base_test_agrees_with_the_vertex_test_on_a_sweep():
-    """On 621 base vertices the lifted base test never contradicts the generic
-    test on the corona's own support, gives the same record wherever both
-    decide, and decides by the degree test 183 vertices the generic test
-    leaves open.  30 of its 80 "yes" have copy degree k >= 1."""
+    """On 621 base vertices the one verdict keeps every record that the labels
+    alone decide, and decides by a lift of degree 4 another 183 that they
+    leave open.  30 of its 80 "yes" have copy degree k >= 1."""
     counts: Counter = Counter()
     for g, h in itertools.product(_SWEEP_BASES, _SWEEP_COPIES):
         spec = parse_graph_spec(f"corona({g},{h})")
         factors = SpecFactors()
         d, cspec = factors.labelled(spec), factors.corona(spec)
-        g_decomp = factors.labelled(spec.factors[0])
         for u in range(cspec.n):
-            vertex = periodicity_test(eigenvalue_support(d, u).exact)
-            lifted = corona_base_periodicity(cspec, g_decomp, u)
-            counts[vertex.periodic, lifted.periodic, lifted.reason] += 1
-            counts["yes with k >= 1"] += lifted.periodic == "yes" and cspec.k >= 1
-            if "inconclusive" not in (vertex.periodic, lifted.periodic):
-                assert lifted == vertex, (g, h, u)
+            verdict = vertex_periodicity(d, u)
+            labels_only = periodicity_test(eigenvalue_support(d, u).exact)
+            counts[verdict.periodic, verdict.reason] += 1
+            counts["yes with k >= 1"] += verdict.periodic == "yes" and cspec.k >= 1
+            if labels_only.periodic != "inconclusive":
+                assert verdict == labels_only, (g, h, u)
     assert counts == {
-        ("yes", "yes", None): 80,
-        ("no", "no", "no shared (a, delta) quadratic form covers the support"): 304,
-        ("inconclusive", "no", "a lifted support value has degree 4"): 183,
-        ("inconclusive", "inconclusive", "inexact base spectrum"): 54,
+        ("yes", None): 80,
+        ("no", "no shared (a, delta) quadratic form covers the support"): 304,
+        ("no", "support value of degree > 2"): 183,
+        ("inconclusive", "inexact eigenvalue in support"): 54,
         "yes with k >= 1": 30,
     }
 
@@ -196,12 +214,14 @@ def test_lifted_base_test_agrees_with_the_vertex_test_on_a_sweep():
                         cycle_graph(4)]))
 @settings(max_examples=40, deadline=None)
 def test_lifted_base_test_never_contradicts_the_assembled_support(base, h):
-    # any base, one-vertex and disconnected ones too
+    # any base, one-vertex and disconnected ones too; the assembled corona's
+    # labels decide without the degree flag, copy vertices included
     g = make_graph(*base)
     assembled = exact_decomposition(corona_graph(g, h))
-    for u in range(g.n):
-        vertex = periodicity_test(eigenvalue_support(assembled, u).exact)
-        lifted = base_periodicity(g, h, u)
+    closed = closed_form(g, h)
+    for u in range(assembled.n):
+        vertex = vertex_periodicity(assembled, u)
+        lifted = vertex_periodicity(closed, u)
         if "inconclusive" not in (vertex.periodic, lifted.periodic):
             assert lifted == vertex, u
 
@@ -271,6 +291,27 @@ class TestPstCertify:
         cert = pst_certify(exact_decomposition(path_graph(6)), 0, 5)
         assert cert.verdict == "Inconclusive"
         assert cert.failure_reason == "inexact spectrum"
+
+    def test_degree_four_lift_refutes_a_base_base_pair(self):
+        # the assembled corona's labels leave (0, 0) and (4, 0) of C8 * C4
+        # open; the closed form flags the degree-4 lifts of +-sqrt(2)
+        g, h = cycle_graph(8), cycle_graph(4)
+        closed = pst_certify(SpecFactors().labelled(parse_graph_spec("corona(cycle:8,cycle:4)")),
+                             0, 4)
+        assembled = pst_certify(exact_decomposition(corona_graph(g, h)), 0, 4)
+        assert (closed.verdict, closed.failure_reason) == ("NoPST", "support value of degree > 2")
+        assert (assembled.verdict, assembled.failure_reason) == ("Inconclusive", "inexact spectrum")
+
+    def test_degree_four_lift_refutes_a_copy_vertex(self):
+        # copy vertex (0, 0) of P4 * C3 meets the lifts of (-1 +- sqrt(5))/2
+        d = SpecFactors().labelled(parse_graph_spec("corona(path:4,cycle:3)"))
+        u = copy_index(4, 0, 0)
+        sup = eigenvalue_support(d, u)
+        assert sup.beyond_quadratic and not sup.all_exact
+        cert = pst_certify(d, u, copy_index(4, 3, 0))
+        assert (cert.verdict, cert.failure_reason) == ("NoPST", "support value of degree > 2")
+        assert vertex_periodicity(d, u) == PeriodicityVerdict(
+            "no", reason="support value of degree > 2")
 
     def test_same_vertex_rejected(self):
         with pytest.raises(ValueError):
