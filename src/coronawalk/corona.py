@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .defaults import DEFAULT_GROUP_TOL
-from .exact import QuadInt, exact_rank, is_quadratic_square
+from .exact import QuadInt, is_quadratic_square, main_polynomial
 from .graphs import Graph, check_base_vertex, check_budget, check_copy_vertex
 from .leafspectra import class_runs
 from .spectral import EigenClass, SpectralDecomposition, attach_exact_labels, decompose
@@ -45,38 +45,26 @@ from .spectral import EigenClass, SpectralDecomposition, attach_exact_labels, de
 class MainData(NamedTuple):
     """H's s main eigenvalues mu and unit directions P_mu 1 / ||P_mu 1|| (m x s;
     ||P_mu 1|| is a column's sum), with walks 1^T A^j 1 and coefs of
-    A^s 1 = sum_j coefs[j] A^j 1 (j < s) in Python ints, or None (no lift is
-    labelled) when the main polynomial rounded from mu fails its exact check."""
+    A^s 1 = sum_j coefs[j] A^j 1 (j < s) in Python ints."""
 
     values: np.ndarray
     directions: np.ndarray
-    walks: tuple[int, ...] | None
-    coefs: tuple[int, ...] | None
+    walks: tuple[int, ...]
+    coefs: tuple[int, ...]
 
 
 def main_data(h: Graph, h_decomp: SpectralDecomposition) -> MainData:
-    """Main data of an irregular H: the s classes of h_decomp with the largest
-    ||P_mu 1||, s the exact rank of the Krylov vectors A^j 1 (Python ints:
-    walk counts outgrow int64)."""
-    m, classes = h.n, h_decomp.classes
-    krylov = [[1] * m]  # at most one new dimension per eigenvalue class
-    for _ in classes:
-        prev, walk = krylov[-1], [0] * m
-        for a, b in h.edges:
-            walk[a] += prev[b]
-            walk[b] += prev[a]
-        krylov.append(walk)
-    s = exact_rank(krylov)
+    """Main data of an irregular H: the exact Krylov relation of its all-ones
+    vector (`exact.main_polynomial`), of degree s, and the s classes of
+    h_decomp with the largest ||P_mu 1||."""
+    walks, coefs = main_polynomial(h.edges, h.n)
+    classes = h_decomp.classes
     sums = [c.vectors.sum(axis=0) for c in classes]  # ||P_mu 1|| = |W^T 1|
-    main = sorted(sorted(range(len(classes)), key=lambda i: -(sums[i] @ sums[i]))[:s])
+    main = sorted(sorted(range(len(classes)), key=lambda i: -(sums[i] @ sums[i]))[:len(coefs)])
     directions = np.column_stack([classes[i].vectors @ sums[i] / math.sqrt(sums[i] @ sums[i])
                                   for i in main])
     values = np.array([classes[i].value for i in main])
-    # prod (x - mu) = x^s + p_1 x^{s-1} + ... + p_s, so coefs[j] = -p_{s-j}
-    coefs = tuple(-int(round(p)) for p in np.poly(values)[:0:-1])
-    if any(sum(c * vec[i] for c, vec in zip(coefs, krylov)) != krylov[s][i] for i in range(m)):
-        return MainData(values, directions, None, None)
-    return MainData(values, directions, tuple(sum(vec) for vec in krylov[:s]), coefs)
+    return MainData(values, directions, walks, coefs)
 
 
 class CoronaSpec(NamedTuple):
@@ -123,7 +111,8 @@ def lift_class(lam: float, label: QuadInt | None, main: MainData) -> list[Lifted
 
     One lift per eigenvector x of the arrowhead of lam (the label's value
     when labelled), with base x[0] and copy U x[1:], U the main directions.
-    A label lifts by `attach_exact_labels` on `_walk_operator`, checked
+    A label lifts over every H by `attach_exact_labels` on `_walk_operator`,
+    which reads H's exact walk counts and main polynomial, checked
     against the arrowheads of lam and its conjugate side by side, so a lift
     of lam that coincides with one of the conjugate shares its class.
 
@@ -141,18 +130,18 @@ def lift_class(lam: float, label: QuadInt | None, main: MainData) -> list[Lifted
     "Periodic graphs", Electron. J. Combin. 18 (2011) #P23), so such a lift in
     a vertex's support refutes both.
     """
-    labelled = label is not None and main.coefs is not None
-    beyond = labelled and len(main.coefs) == 1 and not _quadratic_lifts(label, main)
+    beyond = False
     if label is not None:
         lam = label.value()
+        beyond = len(main.coefs) == 1 and not _quadratic_lifts(label, main)
     arrow = _arrowhead(lam, main)
     size = len(arrow)
-    if labelled and not label.is_rational_integer:
+    if label is not None and not label.is_rational_integer:
         arrow = np.kron(np.diag([1.0, 0.0]), arrow)
         arrow[size:, size:] = _arrowhead(label.conjugate().value(), main)
     d = decompose(arrow)
     labels = None
-    if labelled and not beyond:
+    if label is not None and not beyond:
         doubled = [EigenClass(2.0 * c.value, c.vectors) for c in d.classes]
         labels = attach_exact_labels(SpectralDecomposition(doubled, d.n),
                                      _walk_operator(label, main)).classes

@@ -111,6 +111,50 @@ def exact_rank(matrix: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def main_polynomial(
+    edges: Iterable[tuple[int, int]], n: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Walk counts and main polynomial of the graph on n vertices with these edges.
+
+    Builds the Krylov vectors 1, A1, A^2 1, ... and eliminates each against
+    the earlier ones, fraction-free with gcd normalisation, until the first
+    dependency A^s 1 = sum_j coefs[j] A^j 1 (j < s).  Returns the walk counts
+    walks[j] = 1^T A^j 1 for j < s and those coefs.  The relation is the
+    minimal polynomial of 1 (Wiedemann 1986 for Krylov minimal polynomials),
+    a monic factor of A's integer characteristic polynomial, so its
+    coefficients are integers by Gauss's lemma.
+    """
+    edges = list(edges)
+    vec = [1] * n
+    basis: list[tuple[int, list[int], list[int]]] = []  # pivot, row, row's Krylov combination
+    walks: list[int] = []
+    while True:
+        row, combo = vec, [0] * len(walks) + [1]
+        for pivot, b_row, b_combo in basis:
+            f, g = b_row[pivot], row[pivot]
+            if g:
+                row = [f * x - g * y for x, y in zip(row, b_row)]
+                combo = [f * x for x in combo]
+                for j, y in enumerate(b_combo):
+                    combo[j] -= g * y
+        pivot = next((i for i, x in enumerate(row) if x), None)
+        if pivot is None:
+            lead, coefs = combo[-1], []
+            for c in combo[:-1]:
+                q, r = divmod(-c, lead)
+                if r:
+                    raise ArithmeticError(f"main polynomial coefficient {-c}/{lead} is no integer")
+                coefs.append(q)
+            return tuple(walks), tuple(coefs)
+        d = math.gcd(*row, *combo)
+        basis.append((pivot, [x // d for x in row], [x // d for x in combo]))
+        walks.append(sum(vec))
+        prev, vec = vec, [0] * n
+        for a, b in edges:
+            vec[a] += prev[b]
+            vec[b] += prev[a]
+
+
 class QuadInt(NamedTuple("QuadInt", [("a", int), ("b", int), ("delta", int)])):
     """Exact eigenvalue (a + b*sqrt(delta)) / 2.
 

@@ -168,7 +168,6 @@ class SupportSet(NamedTuple):
 
     vertex: int
     class_indices: tuple[int, ...]
-    values: tuple[float, ...]
     exact: tuple[QuadInt | None, ...]
     beyond_quadratic: bool
 
@@ -190,7 +189,6 @@ def eigenvalue_support(
     return SupportSet(
         vertex=u,
         class_indices=tuple(idx),
-        values=tuple(d.classes[i].value for i in idx),
         exact=tuple(d.classes[i].exact for i in idx),
         beyond_quadratic=any(d.classes[i].beyond_quadratic for i in idx),
     )

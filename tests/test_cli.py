@@ -450,13 +450,14 @@ class TestAdjacencyBuilds:
 
 class TestCoronaSpecBuilds:
     def test_irregular_copy_factor_krylov_rank_runs_once(self, capsys, monkeypatch):
-        # periodic reads the corona spec in the closed form and in the base test
-        dims = []
-        rank = corona.exact_rank
-        monkeypatch.setattr(corona, "exact_rank",
-                            lambda rows: dims.append(len(rows)) or rank(rows))
+        # periodic reads the corona spec in the closed form and in the base
+        # test; H's Krylov relation is eliminated once
+        orders = []
+        relation = corona.main_polynomial
+        monkeypatch.setattr(corona, "main_polynomial",
+                            lambda edges, n: orders.append(n) or relation(edges, n))
         assert run(capsys, "periodic", "corona(cycle:6,path:3)", "--u", "1")[0] == EXIT_OK
-        assert dims == [4]
+        assert orders == [3]
 
 
 class TestLabelsFollowTheReader:
@@ -467,29 +468,29 @@ class TestLabelsFollowTheReader:
     SCAN = ("--pair", "base-base", "--v", "0", "--vp", "3", "--points", "100")
 
     @pytest.mark.parametrize(
-        "spec, orders",
-        [("corona(cycle:6,path:9)", [10]),
-         ("corona(cycle:6,corona(path:3,empty:1))", [6])],
+        "spec",
+        ["corona(cycle:6,path:9)", "corona(cycle:6,corona(path:3,empty:1))"],
         ids=["irregular-copy", "corona-copy"],
     )
-    def test_scan_ranks_the_main_data_alone(self, capsys, monkeypatch, spec, orders):
-        """The 6-cycle base takes its labels by theorem, with no rank; the one
-        rank is of H's Krylov vectors, and H's own classes stay unlabelled."""
+    def test_scan_ranks_the_main_data_alone(self, capsys, monkeypatch, spec):
+        """The scan makes no rank at all: the 6-cycle base takes its labels
+        by theorem, H's main data comes from its exact Krylov relation, and
+        H's own classes stay unlabelled."""
         ranks = []
-        for module in (exact, spectral, corona):
+        for module in (exact, spectral):
             monkeypatch.setattr(module, "exact_rank", lambda rows, rank=module.exact_rank:
                                 ranks.append(len(rows)) or rank(rows))
         code, out, err = run(capsys, "no-pst-scan", spec, *self.SCAN)
         assert (code, err) == (EXIT_OK, "")
         assert json.loads(out)["max_fidelity"] < 1
-        assert ranks == orders
+        assert ranks == []
 
     def test_family_base_takes_labels_without_rank(self, capsys, monkeypatch):
         """The 202-vertex cocktail base is labelled by theorem, with no rank,
         and its one eigensolve gives the float classes whose entries the
         search reads."""
         ranks, solves = [], []
-        for module in (exact, spectral, corona):
+        for module in (exact, spectral):
             monkeypatch.setattr(module, "exact_rank", lambda rows, rank=module.exact_rank:
                                 ranks.append(len(rows)) or rank(rows))
         eigen = spectral.symmetric_eigen
@@ -946,7 +947,7 @@ class TestSearchGates:
 
         monkeypatch.setattr(spectral, "symmetric_eigen",
                             recorder("symmetric_eigen", spectral.symmetric_eigen))
-        for module in (exact, spectral, corona):
+        for module in (exact, spectral):
             monkeypatch.setattr(module, "exact_rank",
                                 recorder("exact_rank", module.exact_rank))
         monkeypatch.setattr(graphs.Graph, "adjacency",

@@ -17,6 +17,7 @@ from coronawalk.corona import (
     corona_terms,
     lift_class,
 )
+from coronawalk.defaults import DEFAULT_GROUP_TOL
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
     cocktail_party_graph,
@@ -349,22 +350,32 @@ class TestClosedForm:
         for c in d.classes:
             assert np.min(np.abs(assembled - c.value)) < 1e-9
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_main_polynomial_fallback_keeps_the_assembled_classes(self, seed):
-        # H = G(40, 1/2) has 40 main eigenvalues, and the main polynomial
-        # rounded from them fails its exact check: no lift is labelled, but
-        # the classes still match the assembled corona's
-        g, h = path_graph(3), random_irregular_graph(40, seed)
+    @pytest.mark.parametrize("copy", [0, 1, 2, 3, "path:200"])
+    def test_exact_main_polynomial_labels_the_lifts(self, copy):
+        # H = G(40, 1/2) (s = 40) or P_200 (s = 100): the main polynomial's
+        # coefficients outgrow double precision, yet its Krylov relation is
+        # exact, so P_3's labelled classes lift to labelled classes, each an
+        # eigenvalue of the assembled corona
+        g = path_graph(3)
+        h = path_graph(200) if copy == "path:200" else random_irregular_graph(40, copy)
         spec = CoronaSpec.from_graphs(g, h)
-        assert spec.main.coefs is None
+        assert len(spec.main.coefs) == (100 if copy == "path:200" else 40)
         gd = exact_decomposition(g)
-        assert all(lift.exact is None for c in gd.classes
-                   for lift in lift_class(c.value, c.exact, spec.main))
+        labels = [lift.exact for c in gd.classes
+                  for lift in lift_class(c.value, c.exact, spec.main) if lift.exact is not None]
+        assert labels
         d = corona_spectral_closed_form(spec, gd, decompose(h.adjacency()))
-        ref = decompose(corona_graph(g, h).adjacency())
+        assert {c.exact for c in d.classes} > set(labels)
+        assembled = corona_graph(g, h).adjacency()
+        values = np.linalg.eigvalsh(assembled.astype(float))
+        for q in labels:
+            assert np.min(np.abs(values - q.value())) < 1e-9
+        ref = decompose(assembled)
         assert [c.multiplicity for c in d.classes] == [r.multiplicity for r in ref.classes]
+        # a class of values closer than the grouping gap takes one value for all
+        gap = DEFAULT_GROUP_TOL * np.max(np.abs(values))
         assert np.allclose([c.value for c in d.classes], [r.value for r in ref.classes],
-                           rtol=0, atol=1e-8)
+                           rtol=0, atol=gap)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_oracle_equivalence_on_random_connected_bases(self, seed):
@@ -739,10 +750,11 @@ class TestSupportLift:
         for g, h, v in cases:
             base = eigenvalue_support(exact_decomposition(g), v)
             lifted = base_lifts(base.exact, CoronaSpec.from_graphs(g, h).main)
-            assembled = eigenvalue_support(exact_decomposition(corona_graph(g, h)), v)
+            assembled_d = exact_decomposition(corona_graph(g, h))
+            assembled = eigenvalue_support(assembled_d, v)
             assert len(lifted) == len(assembled.class_indices)
-            for (value, label), got, q in zip(lifted, assembled.values, assembled.exact):
-                assert value == pytest.approx(got, abs=1e-9)
+            for (value, label), i, q in zip(lifted, assembled.class_indices, assembled.exact):
+                assert value == pytest.approx(assembled_d.classes[i].value, abs=1e-9)
                 if label is not None and q is not None:
                     assert label == q
 

@@ -11,9 +11,12 @@ from coronawalk.exact import (
     exact_rank,
     gcd_list,
     is_quadratic_square,
+    main_polynomial,
     square_free_part,
     two_adic_valuation,
 )
+from coronawalk.graphs import FAMILIES, corona_graph, make_graph, path_graph
+from coronawalk.spectral import decompose
 
 from oracles import quad_int
 
@@ -151,6 +154,100 @@ class TestExactRank:
         rng = np.random.default_rng(seed)
         m = rng.integers(-3, 4, size=(nr, nc))
         assert exact_rank(m) == np.linalg.matrix_rank(m.astype(float))
+
+
+def krylov(g, count):
+    """The first `count` Krylov vectors 1, A1, A^2 1, ... of g, in Python ints."""
+    vecs = [[1] * g.n]
+    while len(vecs) < count:
+        vec = [0] * g.n
+        for a, b in g.edges:
+            vec[a] += vecs[-1][b]
+            vec[b] += vecs[-1][a]
+        vecs.append(vec)
+    return vecs
+
+
+def rounded_main_polynomial(g):
+    """The main polynomial rounded from the float main eigenvalues, as it was
+    computed before the exact Krylov relation: s from the rank of the Krylov
+    vectors, coefficients from numpy's poly of the s classes with the largest
+    ||P_mu 1||; None where the rounding fails its exact check."""
+    classes = decompose(g.adjacency()).classes
+    vecs = krylov(g, len(classes) + 1)
+    s = exact_rank(vecs)
+    sums = [c.vectors.sum(axis=0) for c in classes]
+    main = sorted(range(len(classes)), key=lambda i: -(sums[i] @ sums[i]))[:s]
+    coefs = tuple(-int(round(p)) for p in np.poly([classes[i].value for i in main])[:0:-1])
+    if any(sum(c * vec[i] for c, vec in zip(coefs, vecs)) != vecs[s][i] for i in range(g.n)):
+        return None
+    return tuple(sum(vec) for vec in vecs[:s]), coefs
+
+
+def seeded_graph(seed):
+    """A seeded random graph: G(n, p), a circulant (regular), a disjoint union
+    of two G(n, p) or a G(n, p) with isolated vertices, by seed % 4."""
+    rng = np.random.default_rng(seed)
+    kind, n = seed % 4, int(rng.integers(1, 11))
+
+    def gnp(size, offset=0):
+        p = rng.choice([0.2, 0.5, 0.8])
+        return [(offset + i, offset + j) for i in range(size) for j in range(i + 1, size)
+                if rng.random() < p]
+
+    if kind == 1:
+        steps = {int(d) for d in rng.integers(1, n // 2 + 1, size=2)} if n > 2 else set()
+        return make_graph(n, {tuple(sorted((i, (i + d) % n))) for i in range(n) for d in steps
+                              if (i + d) % n != i})
+    if kind == 2:
+        n2 = int(rng.integers(1, 8))
+        return make_graph(n + n2, gnp(n) + gnp(n2, n))
+    return make_graph(n + 3 * (kind == 3), gnp(n))
+
+
+LEAVES = {f"{name}:{size}": family.build(size) for name, family in FAMILIES.items()
+          for size in range(family.minimum, 9)}
+# every 25th corona of two leaves on at most 24 vertices, and one nested corona
+CORONAS = [corona_graph(g, h) for g in LEAVES.values() for h in LEAVES.values()
+           if g.n * (h.n + 1) <= 24][::25]
+CORONAS.append(corona_graph(path_graph(3), corona_graph(path_graph(2), path_graph(3))))
+
+
+class TestMainPolynomial:
+    def check(self, g):
+        walks, coefs = main_polynomial(g.edges, g.n)
+        s = len(coefs)
+        vecs = krylov(g, g.n + 1)
+        assert s == len(walks) == exact_rank(vecs)
+        assert [sum(c * vec[i] for c, vec in zip(coefs, vecs)) for i in range(g.n)] == vecs[s]
+        assert walks == tuple(sum(vec) for vec in vecs[:s])
+        reference = rounded_main_polynomial(g)
+        assert reference is None or reference == (walks, coefs)
+
+    def test_examples(self):
+        # P_3: A1 = (1, 2, 1) and A^2 1 = (2, 2, 2) = 2 * 1, walks 3 and 4
+        assert main_polynomial([(0, 1), (1, 2)], 3) == ((3, 4), (2, 0))
+        # the star K_{1,3}: A1 = (3, 1, 1, 1) and A^2 1 = 3 * 1
+        assert main_polynomial([(0, 1), (0, 2), (0, 3)], 4) == ((4, 6), (3, 0))
+        assert main_polynomial([], 2) == ((2,), (0,))
+
+    @pytest.mark.parametrize("leaf", LEAVES)
+    def test_family_leaves(self, leaf):
+        self.check(LEAVES[leaf])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_random_graphs(self, seed):
+        self.check(seeded_graph(seed))
+
+    @pytest.mark.parametrize("index", range(len(CORONAS)))
+    def test_assembled_coronas(self, index):
+        self.check(CORONAS[index])
+
+    @pytest.mark.parametrize("n", [9, 60])
+    def test_long_paths_keep_the_rounded_coefficients(self, n):
+        # s = 30 at n = 60: the rounded route still passed its check there
+        assert rounded_main_polynomial(path_graph(n)) is not None
+        self.check(path_graph(n))
 
 
 class TestQuadInt:
