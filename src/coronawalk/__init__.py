@@ -34,10 +34,13 @@ _EXPORTS = {
         "star_graph",
         "write_edge_list",
     ),
+    "leafspectra": (
+        "FamilyDecomposition",
+        "SupportSet",
+    ),
     "spectral": (
         "EigenClass",
         "SpectralDecomposition",
-        "SupportSet",
         "attach_exact_labels",
         "decompose",
         "eigenvalue_support",

@@ -1,37 +1,44 @@
 """Command-line interface: graph-spec grammar, analysis subcommands, reports.
 
-Each subcommand declares only the options its handler reads, and a flag
-is the one source of its setting.  Every subcommand takes --format
-json|text and --output; csv is a format of sweep alone.  --group-tol is on
-the subcommands whose reports depend on which eigenvalues share a class
+Each subcommand declares only the options its handler reads, and a flag is
+the one source of its setting.  Every subcommand takes --format json|text
+and --output; csv is a format of sweep alone.  --group-tol is on the
+subcommands whose reports depend on which eigenvalues share a class
 (spectrum, support, cospectral, periodic, pst, pgst); fidelity, sweep and
 no-pst-scan report the walk amplitude, a sum over the classes that does
 not, and group at the default.  --support-tol is on support, periodic, pst
-and pgst, --cospectral-tol on cospectral, pst and pgst.  --w is a usage
-error unless --pair is base-copy.  The help text is in `helptext`, which
-only a call with -h or --help imports.
+and pgst, --cospectral-tol on cospectral, pst and pgst; neither is read on
+a family spec or a pgst family base, whose supports and signs are exact.
+--w is a usage error unless --pair is base-copy.  The help text is in
+`helptext`, which only a call with -h or --help imports.
 
-Only `graphs` and the defaults are loaded up front (the JSON string
-escaper comes from `_json`, not `json`), so usage errors and corona-build
-load neither numpy, `json` nor `exact`.  pgst and no-pst-scan first import
+Only `graphs` and the defaults are loaded up front (the JSON string escaper
+comes from `_json`, not `json`), so usage errors and corona-build load
+neither numpy, `json` nor `exact`.  pgst and no-pst-scan first import
 `gates` and run the gates their factor graphs decide (the dense budgets,
 vertex ranges, distinct vertices, a regular copy factor of nonzero degree,
-the cocktail family's base), so those analysis errors load no numpy
-either; the graphs the gates build seed the handler's `SpecFactors`.  A
-scan passes --v, --vp and --w (None for base-base) to its gates and scan.
-cospectral first compares the degrees of u and v, read off the
-factor graphs: unequal degrees refute strong cospectrality exactly, with
-no numpy.  spectrum on a family spec reads the family's classes by theorem
-off `leafspectra`, which loads `exact` but neither numpy nor `spectral`.
-Each handler imports the analysis modules it calls: `spectral` (and numpy)
-for every other call, which loads `corona` only for a corona spec, and
-`transfer` as well for sweep, periodic, pst, no-pst-scan and pgst.  Each
-handler asks `SpecFactors` for the classes it reads: spectrum, support,
-periodic, pst and the base of no-pst-scan and pgst for classes with exact
-labels (`labelled`), fidelity, sweep and cospectral for float classes alone
-(`decomposition`).  No module uses `dataclasses` (records are NamedTuples,
-eigenvalue classes plain `__slots__` classes), so no call loads it, and a
-call that skips numpy loads no `inspect` either.
+the cocktail family's base, and on a family base the t51 and t52 families'
+base transfer, by theorem), so those analysis errors load no numpy either;
+the graphs the gates build seed the handler's `SpecFactors`, and a family
+base's classes its search.  A scan passes --v, --vp and --w (None for
+base-base) to its gates and scan.  spectrum, support, cospectral, periodic
+and pst on a family spec read the family's classes and eigenspaces by
+theorem (`leafspectra.FamilyDecomposition`), which loads `exact` but
+neither numpy nor `spectral`.  cospectral on any other spec first compares
+the degrees of u and v, read off the factor graphs: unequal degrees refute
+strong cospectrality exactly, with no numpy.  Each handler imports the
+analysis modules it calls: `spectral` (and numpy) for every other call,
+which loads `corona` only for a corona spec, and `transfer`, which loads
+numpy only inside its grid analyses, for sweep, periodic, pst, no-pst-scan
+and pgst.  Each handler asks `SpecFactors` for the float classes it
+reads: spectrum, support, periodic and pst on a spec that is no family, and
+the base of no-pst-scan and pgst, for classes with exact labels
+(`labelled`), fidelity, sweep, and cospectral on a spec that is no family,
+for float classes alone (`decomposition`).  corona-build checks the vertex
+and edge count of its spec against the build budget before it builds.  No
+module uses `dataclasses` (records are NamedTuples, eigenvalue classes
+plain `__slots__` classes), so no call loads it, and a call that skips
+numpy loads no `inspect` either.
 
 Reports are byte-deterministic for a fixed command line.  `dumps_report`
 writes JSON in one walk, byte for byte as json.dumps(indent=2,
@@ -269,28 +276,34 @@ def _require_corona(spec: graphs.GraphSpec, who: str = "this subcommand") -> Non
 # subcommand handlers: each returns (report_dict, payload_or_None); a payload
 # is the handler's own rendering of --format (sweep csv, corona-build text)
 
-def _cmd_spectrum(args):
+def _labelled(args):
+    """The labelled classes of args.spec with its vertex queries: a family's
+    by theorem (`leafspectra.FamilyDecomposition`, no numpy), any other
+    spec's from `spectral.SpecFactors`."""
     spec = args.spec
-    if spec.kind in graphs.FAMILIES:  # the family's spectrum by theorem
-        n = graphs.spec_order(spec, {})
-        graphs.check_budget(n)
+    if spec.kind in graphs.FAMILIES:
+        graphs.check_budget(graphs.spec_order(spec, {}))
         from . import leafspectra
 
-        classes = leafspectra.family_classes(spec.kind, spec.size, args.group_tol)
-    else:
-        from . import spectral
+        return leafspectra.FamilyDecomposition(spec.kind, spec.size, args.group_tol)
+    from . import spectral
 
-        d = spectral.SpecFactors(args.group_tol).labelled(spec)
-        n, classes = d.n, d.classes
+    return spectral.SpecFactors(args.group_tol).labelled(spec)
+
+
+def _cmd_spectrum(args):
+    d = _labelled(args)
     return {
-        "n": n,
-        "classes": [_class_record(c) for c in classes],
+        "n": d.n,
+        "classes": [_class_record(c) for c in d.classes],
     }, None
 
 
 def _cmd_corona_build(args):
     _require_corona(args.spec, "corona-build")
-    g = graphs.build_graph(args.spec, {})
+    built: dict = {}
+    graphs.check_build_budget(args.spec, built)
+    g = graphs.build_graph(args.spec, built)
     if args.fmt == "text":
         return {}, graphs.write_edge_list(g)
     return {
@@ -336,10 +349,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_support(args):
-    from . import spectral
-
-    d = spectral.SpecFactors(args.group_tol).labelled(args.spec)
-    sup = spectral.eigenvalue_support(d, args.u, args.support_tol)
+    d = _labelled(args)
+    sup = d.support(args.u, args.support_tol)
     return {
         "u": args.u,
         "classes": [_class_record(d.classes[i]) for i in sup.class_indices],
@@ -348,18 +359,21 @@ def _cmd_support(args):
 
 def _cmd_cospectral(args):
     u, v = args.u, args.v
-    built: dict = {}
-    n = graphs.spec_order(args.spec, built)
-    graphs.check_budget(n)
-    # strongly cospectral vertices have equal closed-walk counts, degrees
-    # among them: an exact refutation, which wins over any tolerance
-    if u != v and 0 <= u < n and 0 <= v < n \
-            and graphs.spec_degree(args.spec, built, u) != graphs.spec_degree(args.spec, built, v):
-        return {"u": u, "v": v, "strongly_cospectral": False}, None
-    from . import spectral
+    if args.spec.kind in graphs.FAMILIES:  # signs by theorem, in integers
+        d = _labelled(args)
+    else:
+        built: dict = {}
+        n = graphs.spec_order(args.spec, built)
+        graphs.check_budget(n)
+        # strongly cospectral vertices have equal closed-walk counts, degrees
+        # among them: an exact refutation, which wins over any tolerance
+        if u != v and 0 <= u < n and 0 <= v < n and \
+                graphs.spec_degree(args.spec, built, u) != graphs.spec_degree(args.spec, built, v):
+            return {"u": u, "v": v, "strongly_cospectral": False}, None
+        from . import spectral
 
-    d = spectral.SpecFactors(args.group_tol, built=built).decomposition(args.spec)
-    signs = spectral.strong_cospectral(d, u, v, args.cospectral_tol)
+        d = spectral.SpecFactors(args.group_tol, built=built).decomposition(args.spec)
+    signs = d.signs(u, v, args.cospectral_tol)
     report = {
         "u": u,
         "v": v,
@@ -378,19 +392,17 @@ def _record(result) -> dict:
 
 
 def _cmd_periodic(args):
-    from . import spectral, transfer
+    from . import transfer
 
-    d = spectral.SpecFactors(args.group_tol).labelled(args.spec)
-    sup = spectral.eigenvalue_support(d, args.u, args.support_tol)
+    sup = _labelled(args).support(args.u, args.support_tol)
     verdict = transfer.periodicity_test(sup.exact, sup.beyond_quadratic)
     return {"u": args.u, "vertex_test": _record(verdict)}, None
 
 
 def _cmd_pst(args):
-    from . import spectral, transfer
+    from . import transfer
 
-    d = spectral.SpecFactors(args.group_tol).labelled(args.spec)
-    cert = transfer.pst_certify(d, args.u, args.v, args.support_tol, args.cospectral_tol)
+    cert = transfer.pst_certify(_labelled(args), args.u, args.v, args.support_tol, args.cospectral_tol)
     return _record(cert), None
 
 
@@ -417,7 +429,8 @@ def _cmd_pgst(args):
     from . import gates
 
     built: dict = {}
-    gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax)
+    base = gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax,
+                            args.group_tol, args.support_tol, args.cospectral_tol)
     from . import spectral, transfer
 
     factors = spectral.SpecFactors(args.group_tol, built=built)
@@ -425,7 +438,7 @@ def _cmd_pgst(args):
     result = transfer.pgst_search(factors.corona(args.spec), g_decomp, args.u, args.v,
                                   args.family, ell_max=args.lmax, target=args.target,
                                   support_tol=args.support_tol,
-                                  cospectral_tol=args.cospectral_tol)
+                                  cospectral_tol=args.cospectral_tol, base=base)
     trace = [{"ell": e, "fidelity": f} for e, f in _printed_trace(result.trace)]
     return {**_record(result), "trace": trace}, None
 

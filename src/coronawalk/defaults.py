@@ -1,5 +1,5 @@
-"""Default tolerances, search settings and the dense budget shared by the
-analysis and the CLI.
+"""Default tolerances, search settings and the dense and build budgets
+shared by the analysis and the CLI.
 
 Kept apart from the modules that use them, and importing nothing, so the
 argument parser can read them without loading numpy.
@@ -15,3 +15,6 @@ PGST_FAMILIES = ("t51", "t52", "cocktail")
 
 # largest order of a matrix that is decomposed densely
 MAX_DIMENSION = 4096
+# largest graph corona-build assembles, in vertices and in edges
+MAX_BUILD_VERTICES = 100_000
+MAX_BUILD_EDGES = 250_000

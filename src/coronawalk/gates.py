@@ -6,10 +6,13 @@ before any decomposition: the dense budgets, the vertex ranges, distinct
 vertices where a pgst family certifies base transfer or a scan pairs two
 base vertices, the regular copy factor of nonzero degree a pgst family
 needs, and the cocktail family's base; a scan's pair is (v, v', w), w None
-for base-base, as the CLI's flags give it.  The checks every analysis shares
-(budget, ranges, distinct vertices, a regular H) live in `graphs`; the
-gates here combine them and need no numpy.  The CLI runs `pgst_gates` or
-`scan_gates` before it loads the analysis modules, and
+for base-base, as the CLI's flags give it.  On a family base, the t51 and
+t52 families' base transfer is decided here as well, by theorem in pure
+Python (`leafspectra`, `transfer.base_transfer`), so a base without the
+transfer those families need loads no numpy either.  The checks every
+analysis shares (budget, ranges, distinct vertices, a regular H) live in
+`graphs`; the gates here combine them and need no numpy.  The CLI runs
+`pgst_gates` or `scan_gates` before it loads the analysis modules, and
 `transfer.pgst_search` and `transfer.corona_no_pst_check` run the same
 checks for library callers.  Only the graphs the CLI's gates build go on to
 the analysis, through the caller's `built` cache, so a call that passes
@@ -18,8 +21,11 @@ builds each factor graph once.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .defaults import PGST_FAMILIES
 from .graphs import (
+    FAMILIES,
     Graph,
     GraphSpec,
     build_graph,
@@ -31,6 +37,9 @@ from .graphs import (
     require_regular,
     spec_order,
 )
+
+if TYPE_CHECKING:
+    from .leafspectra import FamilyDecomposition
 
 _COCKTAIL_BASE = ("cocktail family needs a cocktail party base graph on 2n "
                   "vertices with odd n >= 3")
@@ -94,14 +103,28 @@ def _corona_budgets(spec: GraphSpec,
 
 
 def pgst_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], u: int, v: int,
-               family: str, ell_max: int) -> None:
+               family: str, ell_max: int, group_tol: float, support_tol: float,
+               cospectral_tol: float) -> FamilyDecomposition | None:
     """Every gate of `pgst` on a corona spec that its factor graphs decide,
     in the order the analysis meets them.  The base graph is built only for
-    the cocktail family, once its order has passed."""
+    the cocktail family, once its order has passed.  On a family base the
+    t51 and t52 families' base gate (`transfer.base_transfer`) runs here too,
+    on the family's classes and eigenspaces by theorem at group_tol
+    (`leafspectra.FamilyDecomposition`), which it returns for the search;
+    for any other base it returns None."""
     n, _, k = _corona_budgets(spec, built)
     check_pgst(n, k, u, v, family, ell_max)
+    base = spec.factors[0]
     if family == "cocktail":
-        check_antipodal(build_graph(spec.factors[0], built), u, v)
+        check_antipodal(build_graph(base, built), u, v)
+    elif base.kind in FAMILIES:
+        from .leafspectra import FamilyDecomposition
+        from .transfer import base_transfer
+
+        d = FamilyDecomposition(base.kind, base.size, group_tol)
+        base_transfer(d, u, v, family, support_tol, cospectral_tol)
+        return d
+    return None
 
 
 def scan_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], v: int, vp: int,

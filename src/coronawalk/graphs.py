@@ -19,7 +19,7 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .defaults import MAX_DIMENSION
+from .defaults import MAX_BUILD_EDGES, MAX_BUILD_VERTICES, MAX_DIMENSION
 
 if TYPE_CHECKING:
     import numpy as np
@@ -229,20 +229,22 @@ def require_regular(k: int | None) -> int:
 # specs
 
 class Family(NamedTuple):
-    """A named graph family: its builder on a size and the least size it takes."""
+    """A named graph family: its builder on a size, its edge count on a size
+    and the least size it takes."""
 
     build: Callable[[int], Graph]
+    edge_count: Callable[[int], int]
     minimum: int = 1
 
 
 FAMILIES = {
-    "path": Family(path_graph),
+    "path": Family(path_graph, lambda n: n - 1),
     # a 1- or 2-cycle would need loops or parallel edges
-    "cycle": Family(cycle_graph, 3),
-    "complete": Family(complete_graph),
-    "cocktail": Family(cocktail_party_graph),
-    "empty": Family(empty_graph),
-    "star": Family(star_graph),
+    "cycle": Family(cycle_graph, lambda n: n, 3),
+    "complete": Family(complete_graph, lambda n: n * (n - 1) // 2),
+    "cocktail": Family(cocktail_party_graph, lambda n: 2 * n * (n - 1)),
+    "empty": Family(empty_graph, lambda n: 0),
+    "star": Family(star_graph, lambda n: n - 1),
 }
 
 
@@ -291,6 +293,32 @@ def spec_order(spec: GraphSpec, built: dict[GraphSpec, Graph]) -> int:
     if spec.kind == "file" or spec.size is None:
         return build_graph(spec, built).n
     return 2 * spec.size if spec.kind == "cocktail" else spec.size
+
+
+def spec_edge_count(spec: GraphSpec, built: dict[GraphSpec, Graph]) -> int:
+    """Edge count of a spec's graph, read off the spec as `spec_order` reads
+    its order: the corona of G and H has |E_G|(1 + 2|V_H|) + |V_G| |E_H|
+    edges (G's, each G edge to the copy vertices over both ends, and a copy
+    of H per base vertex)."""
+    if spec.kind == "corona":
+        base, copy = spec.factors
+        return (spec_edge_count(base, built) * (1 + 2 * spec_order(copy, built))
+                + spec_order(base, built) * spec_edge_count(copy, built))
+    if spec.kind == "file" or spec.size is None:
+        return build_graph(spec, built).edge_count
+    return FAMILIES[spec.kind].edge_count(spec.size)
+
+
+def check_build_budget(spec: GraphSpec, built: dict[GraphSpec, Graph]) -> None:
+    """A spec's graph is assembled (`corona-build`) only within
+    MAX_BUILD_VERTICES and MAX_BUILD_EDGES, both read off the spec before
+    any graph but a file leaf (kept in `built`) is built."""
+    n = spec_order(spec, built)
+    if n > MAX_BUILD_VERTICES:
+        raise ValueError(f"{n} vertices exceed the build budget {MAX_BUILD_VERTICES}")
+    edges = spec_edge_count(spec, built)
+    if edges > MAX_BUILD_EDGES:
+        raise ValueError(f"{edges} edges exceed the build budget {MAX_BUILD_EDGES}")
 
 
 def spec_degree(spec: GraphSpec, built: dict[GraphSpec, Graph], v: int) -> int:

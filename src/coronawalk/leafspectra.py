@@ -1,22 +1,34 @@
-"""Spectra of the named graph families by theorem, and the one grouping rule.
+"""Spectra and eigenspaces of the named graph families by theorem, and the
+one grouping rule.
 
 Path, cycle, complete, cocktail party, empty and star graphs have textbook
-spectra (Brouwer & Haemers, *Spectra of Graphs*, 1.4):
+spectra and eigenspaces (Brouwer & Haemers, *Spectra of Graphs*, 1.4), on
+vertices 0-indexed as `graphs` builds them:
 
-    path:n       2cos(pi j/(n+1)), j = 1..n
-    cycle:n      2cos(2 pi j/n), j = 0..n/2, twice except at j = 0 and j = n/2
-    complete:n   n - 1 once, -1 n - 1 times
-    cocktail:n   2n - 2 once, 0 n times, -2 n - 1 times (on 2n vertices)
-    empty:n      0 n times
-    star:n       +-sqrt(n - 1) once each, 0 n - 2 times
+    path:n       2cos(pi j/(n+1)), j = 1..n, with
+                 E_j[u,v] = 2/(n+1) sin(pi j(u+1)/(n+1)) sin(pi j(v+1)/(n+1))
+    cycle:n      2cos(2 pi j/n), j = 0..n/2, m_j = 2 times except at j = 0
+                 and j = n/2, with E_j[u,v] = (m_j/n) cos(2 pi j(u-v)/n)
+    complete:n   n - 1 on J/n, -1 on I - J/n
+    cocktail:n   on 2n vertices, P the antipode map u -> u^1: 2n - 2 on J/2n,
+                 0 on (I - P)/2, -2 on (I + P)/2 - J/2n
+    empty:n      0 on I
+    star:n       +-sqrt(n - 1) on x x^T/(2(n - 1)), x = (+-sqrt(n - 1), 1,
+                 ..., 1) with the centre 0 first, and 0 on I - J/(n - 1) on
+                 the leaves
 
 Their exact labels follow from Lehmer's theorem (1933): with p/d the reduced
 fraction j/N, 2cos(2 pi j/N) is an integer iff d is 1, 2, 3, 4 or 6, and a
 quadratic integer iff d is 5, 8, 10 or 12; a path's value is 2cos(2 pi j/(2n+2)).
-A labelled value is the float of its label.  No numpy: the `spectrum`
-command reads a family's classes here without an eigensolve, and
-`spectral.SpecFactors` labels a family leaf's float classes from these
-values instead of by exact rank.
+Any other d has phi(d) >= 6, so an unlabelled family value has degree
+phi(d)/2 >= 3.  A labelled value is the float of its label.
+
+`FamilyDecomposition` answers the vertex queries of a decomposition from
+these eigenspaces, deciding support and strong-cospectral signs in
+integers, with no numpy and no eigensolve: `spectrum`, `support`,
+`cospectral`, `periodic` and `pst` on a family spec read it, as does the
+t51/t52 base gate of `pgst` on a family base.  `spectral.SpecFactors` labels
+a family leaf's float classes from `family_values` instead of by exact rank.
 
 `class_runs` is the one rule that groups descending eigenvalues into classes,
 for these values, `spectral.decompose` and the corona closed form alike.
@@ -42,6 +54,20 @@ class FamilyClass(NamedTuple):
     exact: QuadInt | None
 
 
+class SupportSet(NamedTuple):
+    """Eigenvalue classes whose projector does not kill the vertex;
+    `beyond_quadratic` when one of them has a value of degree > 2."""
+
+    vertex: int
+    class_indices: tuple[int, ...]
+    exact: tuple[QuadInt | None, ...]
+    beyond_quadratic: bool
+
+    @property
+    def all_exact(self) -> bool:
+        return all(q is not None for q in self.exact)
+
+
 def class_runs(values, group_tol: float) -> list[tuple[int, int]]:
     """Index runs [a, b) of the classes of descending values: a class ends
     where the next value is at least group_tol * max(1, max|value|) lower."""
@@ -54,45 +80,194 @@ def class_runs(values, group_tol: float) -> list[tuple[int, int]]:
 def family_values(kind: str, n: int) -> list[FamilyClass]:
     """The distinct eigenvalues of family graph `kind:n`, descending, each with
     its multiplicity and, where the theorem gives one, its exact label."""
+    return [value for value, _ in _distinct(kind, n)]
+
+
+class FamilyDecomposition:
+    """The classes of family graph `kind:size`, each with its eigenspaces,
+    answering the vertex queries of `spectral.SpectralDecomposition` by
+    theorem.  The classes are `family_values` grouped by `class_runs`: a
+    class's value is the mean of its eigenvalues, and it keeps a label only
+    when it holds one distinct value.
+
+    Support and strong-cospectral signs are decided in integers per
+    eigenspace, so the tolerances those take are not read.  A class that
+    merges several eigenspaces (at a loose group_tol) is the sum of their
+    orthogonal projectors: it holds a vertex iff one of them does, and has a
+    sign iff every one that holds u or v has that sign.  The amplitude is a
+    sum of closed-form projector entries, each at its eigenspace's value.
+    """
+
+    __slots__ = ("kind", "size", "n", "classes", "_spaces")
+
+    def __init__(self, kind: str, size: int, group_tol: float):
+        runs = _family_runs(kind, size, group_tol)
+        self.kind, self.size = kind, size
+        self.n = 2 * size if kind == "cocktail" else size
+        self.classes = [c for c, _ in runs]
+        self._spaces = [spaces for _, spaces in runs]
+
+    def support(self, u: int, tol: float | None = None) -> SupportSet:
+        """Classes holding u, in decreasing eigenvalue order, flagged
+        `beyond_quadratic` when u's support holds an unlabelled value, of
+        degree phi(d)/2 >= 3: an eigenspace's value, not a merged class's."""
+        self._check(u)
+        idx, beyond = [], False
+        for i, spaces in enumerate(self._spaces):
+            held = [value for value, key in spaces if self._holds(key, u)]
+            if held:
+                idx.append(i)
+                beyond = beyond or any(value.exact is None for value in held)
+        return SupportSet(u, tuple(idx), tuple(self.classes[i].exact for i in idx), beyond)
+
+    def signs(self, u: int, v: int, tol: float | None = None) -> dict[int, int] | None:
+        """Per-class signs when E e_u = +/- E e_v for every class, else None;
+        classes that hold neither vertex are skipped."""
+        if u == v:
+            raise ValueError("strong cospectrality is a relation on distinct vertices")
+        self._check(u)
+        self._check(v)
+        signs: dict[int, int] = {}
+        for i, spaces in enumerate(self._spaces):
+            found = {self._sign(key, u, v) for _, key in spaces} - {0}
+            if len(found) > 1 or None in found:
+                return None
+            if found:
+                signs[i] = found.pop()
+        return signs
+
+    def amplitude(self, u: int, v: int, t: float) -> complex:
+        """Walk amplitude <u| exp(-itA) |v> = sum_theta exp(-it theta) E_theta[u,v]."""
+        self._check(u)
+        self._check(v)
+        return sum(self._entry(key, u, v) * complex(math.cos(t * value.value),
+                                                    -math.sin(t * value.value))
+                   for spaces in self._spaces for value, key in spaces)
+
+    def _check(self, u: int) -> None:
+        if not 0 <= u < self.n:
+            raise ValueError(f"vertex {u} out of range for dimension {self.n}")
+
+    def _holds(self, key: int, u: int) -> bool:
+        """Whether eigenspace `key` does not kill e_u."""
+        n = self.size
+        if self.kind == "path":
+            return key * (u + 1) % (n + 1) != 0
+        # only the star's 0 space, on the leaves, kills a vertex: its centre
+        return not (self.kind == "star" and key == 0 and u == 0 and n > 1)
+
+    def _sign(self, key: int, u: int, v: int) -> int | None:
+        """s with E e_u = s E e_v != 0 on eigenspace `key` (u != v), 0 when E
+        kills both, None when neither sign holds."""
+        kind, n = self.kind, self.size
+        if kind == "path":  # E_j e_u is sin(pi a/N) times one vector, a = j(u + 1)
+            big = 2 * n + 2
+            a, b = key * (u + 1) % big, key * (v + 1) % big
+            if a % (n + 1) == 0 or b % (n + 1) == 0:
+                return 0 if a % (n + 1) == b % (n + 1) == 0 else None
+            # sin(pi a/N) = sin(pi b/N) iff a = b or a + b = N (mod 2N)
+            if (a - b) % big == 0 or (a + b) % big == n + 1:
+                return 1
+            return -1 if (a + b) % big == 0 or (a - b) % big == n + 1 else None
+        if kind == "cycle":  # the characters of +-j agree at u and v, or differ by -1
+            d = key * (u - v)
+            return 1 if d % n == 0 else -1 if 2 * d % n == 0 else None
+        if kind == "complete":  # J/n; I - J/n has e_u + e_v - 2J/n = 0 at n = 2
+            return 1 if key == 0 else -1 if n == 2 else None
+        if kind == "cocktail":  # J/2n, (I - P)/2, (I + P)/2 - J/2n
+            if key == 0:
+                return 1
+            if v == u ^ 1:
+                return -1 if key == 1 else 1
+            # at n = 2, u, v and their antipodes cover all four vertices
+            return -1 if key == 2 and n == 2 else None
+        if kind == "star":
+            if key == 0:  # zero at the centre; leaves u, v: e_u + e_v - 2J/(n - 1) = 0 at n = 3
+                return -1 if u * v and n == 3 else None
+            # x_u = x_v on two leaves; sqrt(n - 1) = 1 at the centre only at n = 2
+            return 1 if u * v else key if n == 2 else None
+        return None  # empty: E = I
+
+    def _entry(self, key: int, u: int, v: int) -> float:
+        """E[u, v] on eigenspace `key`."""
+        kind, n = self.kind, self.size
+        if kind == "path":
+            return 2.0 / (n + 1) * _sin_pi(key * (u + 1), n + 1) * _sin_pi(key * (v + 1), n + 1)
+        if kind == "cycle":
+            mult = 1 if key == 0 or 2 * key == n else 2
+            k = key * (u - v) % n
+            return mult / n * math.cos(2.0 * math.pi * min(k, n - k) / n)
+        same = float(u == v)
+        if kind == "complete":
+            return 1.0 / n if key == 0 else same - 1.0 / n
+        if kind == "cocktail":
+            if key == 0:
+                return 0.5 / n
+            anti = float(v == u ^ 1)
+            return (same - anti) / 2.0 if key == 1 else (same + anti) / 2.0 - 0.5 / n
+        if kind == "star" and n > 1:
+            if key == 0:
+                return same - 1.0 / (n - 1) if u * v else 0.0
+            root = math.sqrt(n - 1)
+            return (key * root if u == 0 else 1.0) * (key * root if v == 0 else 1.0) / (2 * n - 2)
+        return same  # empty, and star:1, one vertex
+
+
+def _sin_pi(a: int, big_n: int) -> float:
+    """sin(pi a/N) for an integer a, from an argument in [0, pi/2], so values
+    equal up to sign by symmetry are equal floats up to sign, and zeros 0.0."""
+    a %= 2 * big_n
+    r = a % big_n
+    return (-1.0 if a > big_n else 1.0) * math.sin(math.pi * min(r, big_n - r) / big_n)
+
+
+def _family_runs(kind: str, n: int,
+                 group_tol: float) -> list[tuple[FamilyClass, list[tuple[FamilyClass, int]]]]:
+    """The classes of kind:n grouped by `class_runs`, each with its eigenspaces."""
+    values = _distinct(kind, n)
+    runs = []
+    for a, b in class_runs([c.value for c, _ in values], group_tol):
+        spaces = [space for _, held in values[a:b] for space in held]
+        if b - a == 1:
+            runs.append((values[a][0], spaces))
+            continue
+        mult = sum(c.multiplicity for c, _ in values[a:b])
+        mean = sum(c.value * c.multiplicity for c, _ in values[a:b]) / mult
+        runs.append((FamilyClass(mean, mult, None), spaces))
+    return runs
+
+
+def _distinct(kind: str, n: int) -> list[tuple[FamilyClass, list[tuple[FamilyClass, int]]]]:
+    """The distinct eigenvalues of kind:n, descending, each with its
+    eigenspaces: (value, key) pairs, key j for a path or cycle, else the
+    eigenspace's place in the table of the module docstring (the star's
+    +1, 0, -1 by sign)."""
     if kind == "path":
-        raw = [_cosine(j, 2 * n + 2, 1) for j in range(1, n + 1)]
+        raw = [(_cosine(j, 2 * n + 2, 1), j) for j in range(1, n + 1)]
     elif kind == "cycle":
-        raw = [_cosine(j, n, 1 if j == 0 or 2 * j == n else 2) for j in range(n // 2 + 1)]
+        raw = [(_cosine(j, n, 1 if j == 0 or 2 * j == n else 2), j) for j in range(n // 2 + 1)]
     elif kind == "complete":
-        raw = [_integer(n - 1, 1), _integer(-1, n - 1)]
+        raw = [(_integer(n - 1, 1), 0), (_integer(-1, n - 1), 1)]
     elif kind == "cocktail":
-        raw = [_integer(2 * n - 2, 1), _integer(0, n), _integer(-2, n - 1)]
+        raw = [(_integer(2 * n - 2, 1), 0), (_integer(0, n), 1), (_integer(-2, n - 1), 2)]
     elif kind == "empty":
-        raw = [_integer(0, n)]
-    elif kind == "star":  # at n = 1, 0 three times at multiplicities 1, -1 and 1
+        raw = [(_integer(0, n), 0)]
+    elif kind == "star" and n == 1:  # one vertex
+        raw = [(_integer(0, 1), 0)]
+    elif kind == "star":
         root = _sqrt(n - 1)
-        raw = [_labelled(root, 1), _integer(0, n - 2),
-               _labelled(QuadInt(-root.a, -root.b, root.delta), 1)]
+        raw = [(_labelled(root, 1), 1), (_integer(0, n - 2), 0),
+               (_labelled(QuadInt(-root.a, -root.b, root.delta), 1), -1)]
     else:
         raise ValueError(f"unknown graph family {kind!r}")
     merged: dict = {}  # equal labels, as cocktail:1's two zeros, add up
-    for c in raw:
-        key = c.value if c.exact is None else c.exact
-        old = merged.get(key)
-        merged[key] = c if old is None else c._replace(
-            multiplicity=old.multiplicity + c.multiplicity)
-    return sorted((c for c in merged.values() if c.multiplicity > 0), key=lambda c: -c.value)
-
-
-def family_classes(kind: str, n: int, group_tol: float) -> list[FamilyClass]:
-    """The classes of `family_values` grouped by `class_runs`: a class's value
-    is the mean of its eigenvalues, and it keeps a label only when it holds
-    one distinct value."""
-    values = family_values(kind, n)
-    classes = []
-    for a, b in class_runs([c.value for c in values], group_tol):
-        if b - a == 1:
-            classes.append(values[a])
-            continue
-        mult = sum(c.multiplicity for c in values[a:b])
-        mean = sum(c.value * c.multiplicity for c in values[a:b]) / mult
-        classes.append(FamilyClass(mean, mult, None))
-    return classes
+    for c, key in raw:
+        if c.multiplicity > 0:
+            label = c.value if c.exact is None else c.exact
+            old, spaces = merged.get(label, (None, []))
+            merged[label] = (c if old is None else c._replace(
+                multiplicity=old.multiplicity + c.multiplicity), [*spaces, (c, key)])
+    return sorted(merged.values(), key=lambda item: -item[0].value)
 
 
 def _cosine(j: int, big_n: int, multiplicity: int) -> FamilyClass:
@@ -108,9 +283,7 @@ def _cosine(j: int, big_n: int, multiplicity: int) -> FamilyClass:
 
 
 def _sqrt(m: int) -> QuadInt:
-    """sqrt(m) for m >= 0 as a label: s sqrt(c) = (0 + 2s sqrt(c))/2."""
-    if m == 0:  # square_free_part takes m >= 1
-        return QuadInt.from_int(0)
+    """sqrt(m) for m >= 1 as a label: s sqrt(c) = (0 + 2s sqrt(c))/2."""
     s, c = square_free_part(m)
     return QuadInt.from_int(s) if c == 1 else QuadInt(0, 2 * s, c)
 

@@ -14,22 +14,24 @@ spec densely here, a corona in closed form from its factors through
 a plain spec never load it.  Its caller asks for labels: `labelled` labels
 a family leaf's classes from the family's spectrum by theorem
 (`leafspectra`), a `file:` leaf's by `attach_exact_labels`, and a corona's
-through its factors; `decomposition` makes no label.  The `spectrum`
-command reads a family's classes off that theorem alone, without this
-module.
+through its factors; `decomposition` makes no label.  On a family spec,
+`spectrum`, `support`, `cospectral`, `periodic` and `pst` read the theorem's
+classes and eigenspaces (`leafspectra.FamilyDecomposition`) without this
+module, so a family leaf is decomposed here only for `fidelity` and
+`sweep`, and as a corona factor.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_GROUP_TOL, DEFAULT_SUPPORT_TOL
 from .exact import QuadInt, exact_rank, square_free_part
 from .graphs import FAMILIES, Graph, GraphSpec, build_graph, check_budget, spec_order
-from .leafspectra import FamilyClass, class_runs, family_values
+from .leafspectra import FamilyClass, SupportSet, class_runs, family_values
 
 if TYPE_CHECKING:
     from .corona import CoronaSpec
@@ -85,13 +87,24 @@ class EigenClass:
 
 
 class SpectralDecomposition:
-    """Eigenvalue classes sorted by decreasing value; their blocks form an eigenbasis."""
+    """Eigenvalue classes sorted by decreasing value; their blocks form an
+    eigenbasis.  The vertex queries the verdicts read (`transfer`) are
+    methods, as on `leafspectra.FamilyDecomposition`."""
 
     __slots__ = ("classes", "n")
 
     def __init__(self, classes: list[EigenClass], n: int):
         self.classes = classes
         self.n = n
+
+    def support(self, u: int, tol: float = DEFAULT_SUPPORT_TOL) -> SupportSet:
+        return eigenvalue_support(self, u, tol)
+
+    def signs(self, u: int, v: int, tol: float = DEFAULT_COSPECTRAL_TOL) -> dict[int, int] | None:
+        return strong_cospectral(self, u, v, tol)
+
+    def amplitude(self, u: int, v: int, t: float) -> complex:
+        return complex(entry_amplitudes(self, u, v, t))
 
 
 def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
@@ -160,20 +173,6 @@ def entry_terms(d: SpectralDecomposition, u: int, v: int) -> tuple[np.ndarray, n
 def entry_amplitudes(d: SpectralDecomposition, u: int, v: int, times) -> np.ndarray:
     """Walk amplitude <u| exp(-itA) |v> = sum_r exp(-it value_r) E_r[u,v]."""
     return exp_sum(*entry_terms(d, u, v), times)
-
-
-class SupportSet(NamedTuple):
-    """Eigenvalue classes whose projector does not kill the vertex;
-    `beyond_quadratic` when one of them has a value of degree > 2."""
-
-    vertex: int
-    class_indices: tuple[int, ...]
-    exact: tuple[QuadInt | None, ...]
-    beyond_quadratic: bool
-
-    @property
-    def all_exact(self) -> bool:
-        return all(q is not None for q in self.exact)
 
 
 def eigenvalue_support(

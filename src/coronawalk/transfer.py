@@ -5,8 +5,16 @@ certification with 2-adic sign conditions, pointwise no-transfer scans on
 coronas, the structured time-family searches that realize pretty good
 state transfer between lifted base vertices, and fidelity sweeps; each
 runs its own loop over the batches of one grid kernel, `exp_sum_grid`.
-The two corona analyses import `corona` and `gates` when they run, so
-`pst`, `sweep` and `periodic` on a plain spec load neither.
+
+The verdicts (`periodicity_test`, `pst_certify` and the t51/t52 base gate
+`base_transfer`) read support, signs and amplitude through the methods of
+the decomposition they are given: `spectral.SpectralDecomposition`'s float
+classes, or a family leaf's `leafspectra.FamilyDecomposition`, decided in
+integers.  So this module loads numpy and `spectral` only inside the grid
+analyses (scans, searches and sweeps): `periodic` and `pst` on a family
+spec, and a family base the pgst gate refutes, load neither.  The two corona analyses import
+`corona` and `gates` when they run, so `pst`, `sweep` and `periodic` on a
+plain spec load neither.
 """
 
 from __future__ import annotations
@@ -14,22 +22,16 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_ELL_MAX, DEFAULT_SUPPORT_TOL, DEFAULT_TARGET
 from .exact import QuadInt, gcd_list, two_adic_valuation
 from .graphs import check_distinct
-from .spectral import (
-    SpectralDecomposition,
-    eigenvalue_support,
-    entry_amplitudes,
-    entry_terms,
-    exp_sum_grid,
-    strong_cospectral,
-)
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .corona import CoronaSpec
+    from .leafspectra import FamilyDecomposition
+    from .spectral import SpectralDecomposition
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +136,7 @@ _CERTIFIED_FIDELITY_TOL = 1e-8
 
 
 def pst_certify(
-    d: SpectralDecomposition,
+    d: SpectralDecomposition | FamilyDecomposition,
     u: int,
     v: int,
     support_tol: float = DEFAULT_SUPPORT_TOL,
@@ -152,10 +154,14 @@ def pst_certify(
 
     Classes in the support must carry exact labels; otherwise the verdict is
     NoPST where the support of u holds a value of degree > 2 (transfer from
-    u makes u periodic), else Inconclusive rather than a guess.
+    u makes u periodic), else Inconclusive rather than a guess.  d is a
+    decomposition, float or family (module docstring): its `support`,
+    `signs` and `amplitude` take support_tol and cospectral_tol.
     """
     check_distinct(u, v)
-    sup = eigenvalue_support(d, u, support_tol)
+    sup = d.support(u, support_tol)
+    if not 0 <= v < d.n:  # before any verdict, which may not read v
+        raise ValueError(f"vertex {v} out of range for dimension {d.n}")
     if not sup.class_indices:
         raise ValueError(f"vertex {u} has empty eigenvalue support")
     if not sup.all_exact:
@@ -164,7 +170,7 @@ def pst_certify(
         return PSTCertificate(
             "Inconclusive", u, v, failure_reason="inexact spectrum"
         )
-    signs_by_class = strong_cospectral(d, u, v, cospectral_tol)
+    signs_by_class = d.signs(u, v, cospectral_tol)
     if signs_by_class is None or set(signs_by_class) != set(sup.class_indices):
         return PSTCertificate(
             "NoPST", u, v, failure_reason="not strongly cospectral"
@@ -199,7 +205,7 @@ def pst_certify(
 
     g = gcd_list([x for x in d_values if x])
     tau = math.pi / (g * math.sqrt(delta))
-    amp = complex(entry_amplitudes(d, u, v, tau))
+    amp = d.amplitude(u, v, tau)
     fid = abs(amp)
     if fid <= 1.0 - _CERTIFIED_FIDELITY_TOL:
         raise RuntimeError(
@@ -279,8 +285,11 @@ def corona_no_pst_check(
     distinct base-base vertices, vertex ranges) need no decomposition, so
     the CLI runs them before it loads numpy.
     """
+    import numpy as np
+
     from .corona import corona_terms
     from .gates import check_scan_pair
+    from .spectral import exp_sum_grid
 
     if points < 1:
         raise ValueError("a scan needs at least one time point")
@@ -314,6 +323,45 @@ def corona_no_pst_check(
 _ZERO_TOL = 1e-9
 
 
+def base_transfer(
+    d: SpectralDecomposition | FamilyDecomposition,
+    u: int,
+    v: int,
+    family: str,
+    support_tol: float,
+    cospectral_tol: float,
+) -> int:
+    """The base gate of the t51 and t52 families on the base decomposition d
+    (float or family, as `pst_certify` takes it); returns the g of the base
+    transfer time pi/g.
+
+    t51 needs transfer from u to v at pi/g with integer g, and 0 outside the
+    support of u; t52 needs transfer at pi/2 and 0 in the base spectrum.
+    Raises ValueError naming the first condition that fails.
+    """
+    cert = pst_certify(d, u, v, support_tol, cospectral_tol)
+    if cert.verdict != "PST":
+        raise ValueError(
+            f"{family} family needs base transfer between {u} and {v}: "
+            f"{cert.failure_reason or cert.verdict}"
+        )
+    if family == "t51":
+        if cert.delta != 1:
+            raise ValueError("t51 family needs base transfer time pi/g with integer g")
+        if any(q == QuadInt.from_int(0) for q in d.support(u, support_tol).exact):
+            raise ValueError("t51 family needs 0 outside the support of u")
+    else:
+        if cert.delta != 1 or cert.g != 2:
+            raise ValueError("t52 family needs base transfer exactly at time pi/2")
+        has_zero = any(
+            c.exact == QuadInt.from_int(0) if c.exact is not None
+            else abs(c.value) < _ZERO_TOL for c in d.classes
+        )
+        if not has_zero:
+            raise ValueError("t52 family needs 0 in the base spectrum")
+    return cert.g
+
+
 class PGSTSearchResult(NamedTuple):
     family: str
     u: int
@@ -338,6 +386,7 @@ def pgst_search(
     target: float = DEFAULT_TARGET,
     support_tol: float = DEFAULT_SUPPORT_TOL,
     cospectral_tol: float = DEFAULT_COSPECTRAL_TOL,
+    base: FamilyDecomposition | None = None,
 ) -> PGSTSearchResult:
     """Sweep a structured time family for high corona base-to-base fidelity.
 
@@ -352,48 +401,33 @@ def pgst_search(
     t52 distinct u and v.  These gates, the vertex ranges and the cocktail
     base (`gates.check_pgst`, `gates.check_antipodal`) read only the factor
     graphs, so the CLI runs them before it loads numpy; they run here again,
-    on the graphs, for library callers.  The t51 and t52 gate certifies base
-    transfer with pst_certify at support_tol and cospectral_tol, and t51
-    reads the support of u at support_tol.  Records the strictly-improving
+    on the graphs, for library callers.  The t51 and t52 gate
+    (`base_transfer`) certifies base transfer with pst_certify at
+    support_tol and cospectral_tol, and t51 reads the support of u at
+    support_tol, on `base`, the base decomposition the gate reads: g_decomp
+    when None, a family base's `leafspectra.FamilyDecomposition` when the CLI
+    passes the one its gate read.  Records the strictly-improving
     best-so-far trace and stops once fidelity reaches the target; the family
     is evaluated one grid batch of ell values at a time, so an early stop
     evaluates at most one batch past the hit, and a batch that cannot beat
     the best so far is skipped.
     """
+    import numpy as np
+
     from .corona import corona_terms
     from .gates import check_antipodal, check_pgst
+    from .spectral import exp_sum_grid
 
     check_pgst(spec.n, spec.k, u, v, family, ell_max)
     g_value: int | None = None
-    if family != "cocktail":
-        cert = pst_certify(g_decomp, u, v, support_tol, cospectral_tol)
-        if cert.verdict != "PST":
-            raise ValueError(
-                f"{family} family needs base transfer between {u} and {v}: "
-                f"{cert.failure_reason or cert.verdict}"
-            )
-        g_value = cert.g
     # family times (slope * ell + offset) * pi
-    if family == "t51":
-        if cert.delta != 1:
-            raise ValueError("t51 family needs base transfer time pi/g with integer g")
-        support = eigenvalue_support(g_decomp, u, support_tol).exact
-        if any(q == QuadInt.from_int(0) for q in support):
-            raise ValueError("t51 family needs 0 outside the support of u")
-        slope, offset = 4.0, 2.0 / g_value
-    elif family == "t52":
-        if cert.delta != 1 or cert.g != 2:
-            raise ValueError("t52 family needs base transfer exactly at time pi/2")
-        has_zero = any(
-            c.exact == QuadInt.from_int(0) if c.exact is not None
-            else abs(c.value) < _ZERO_TOL for c in g_decomp.classes
-        )
-        if not has_zero:
-            raise ValueError("t52 family needs 0 in the base spectrum")
-        slope, offset = 4.0, 1.0
-    else:
+    if family == "cocktail":
         check_antipodal(spec.g, u, v)
         slope, offset = 8.0, 0.0
+    else:
+        g_value = base_transfer(g_decomp if base is None else base, u, v, family,
+                                support_tol, cospectral_tol)
+        slope, offset = 4.0, 2.0 / g_value if family == "t51" else 1.0
 
     freqs, coefs = corona_terms(spec, g_decomp, u, v)
     batches = exp_sum_grid(freqs, coefs, offset * math.pi, slope * math.pi, ell_max + 1)
@@ -452,6 +486,10 @@ def fidelity_sweep(
     d: SpectralDecomposition, u: int, v: int, t_max: float, steps: int
 ) -> FidelityTrace:
     """|U(t)_{u,v}| on the uniform grid t_j = j * t_max / (steps - 1)."""
+    import numpy as np
+
+    from .spectral import entry_terms, exp_sum_grid
+
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if t_max <= 0:

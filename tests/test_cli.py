@@ -168,6 +168,19 @@ class TestSpectrumCommand:
         assert len(classes) == 201 and sum(c["multiplicity"] for c in classes) == 400
         assert sum("exact" in c for c in classes) == 9
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("support", "star:5", "--u", "0"), ("cospectral", "path:3", "--u", "0", "--v", "2"),
+         ("periodic", "cycle:7", "--u", "0"), ("pst", "path:3", "--u", "0", "--v", "2")],
+        ids=["support", "cospectral", "periodic", "pst"])
+    def test_family_vertex_queries_run_no_eigensolve(self, capsys, monkeypatch, argv):
+        calls = []
+        for module, name in ((spectral, "symmetric_eigen"), (spectral, "exact_rank"),
+                             (exact, "exact_rank"), (graphs, "build_family")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+        code, _, err = run(capsys, *argv)
+        assert (code, err, calls) == (EXIT_OK, "", [])
+
     @pytest.mark.parametrize("spec", ["path:5000", "complete:4097", "cocktail:2049"])
     def test_family_spectrum_over_budget_builds_nothing(self, capsys, monkeypatch, spec):
         builds = []
@@ -431,9 +444,10 @@ class TestAdjacencyBuilds:
 
     @pytest.mark.parametrize(
         "argv, orders",
-        # a family's spectrum is read off the theorem: no matrix is built
+        # a family's spectrum and vertex queries are read off the theorem: no
+        # matrix is built
         [(("spectrum", "cycle:12"), []),
-         (("support", "cycle:12", "--u", "0"), [12]),
+         (("support", "cycle:12", "--u", "0"), []),
          (("periodic", "corona(cycle:8,cycle:4)", "--u", "1"), [8, 4]),
          # an irregular H is labelled before its main data is read off it
          (("pst", "corona(cycle:13,path:4)", "--u", "0", "--v", "6"), [4, 13])],
@@ -531,6 +545,32 @@ class TestPstCommand:
         assert report["g"] == 2
         assert report["delta"] == 1
         assert report["phase"] == {"im": -1.0, "re": 0.0}
+
+    def test_unlabelled_support_value_refutes_transfer_by_degree(self, capsys):
+        # 2cos(2 pi j/400) with j/400 = p/d, d = 400/gcd(j, 400), has degree
+        # phi(d)/2 >= 3 unless d is 1, 2, 3, 4, 5, 6, 8, 10 or 12
+        code, out, _ = run(capsys, "pst", "cycle:400", "--u", "0", "--v", "200")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert (report["verdict"], report["failure_reason"]) == (
+            "NoPST", "support value of degree > 2")
+        code, out, _ = run(capsys, "periodic", "cycle:7", "--u", "0")
+        assert json.loads(out)["vertex_test"] == {
+            "periodic": "no", "reason": "support value of degree > 2"}
+
+    @pytest.mark.parametrize("spec", ["path:7", "corona(path:3,path:3)"])
+    def test_out_of_range_target_fails_before_a_verdict(self, capsys, spec):
+        # u = 0's support holds an unlabelled value, a verdict that needs no v
+        code, out, err = run(capsys, "pst", spec, "--u", "0", "--v", "99")
+        assert (code, out) == (EXIT_ANALYSIS, "")
+        assert err.startswith("analysis error: vertex 99 out of range for dimension ")
+
+    def test_family_support_reads_no_tolerance(self, capsys):
+        # the 6 classes of path:200 nearest each of 2 and -2 hold vertex 0 with
+        # ||E e_0|| from 1.6e-3 to 9.4e-3, below this tolerance: the float
+        # route dropped them
+        code, out, _ = run(capsys, "support", "path:200", "--u", "0", "--support-tol", "1e-2")
+        assert code == EXIT_OK and len(json.loads(out)["classes"]) == 200
 
     def test_no_transfer_reports_reason(self, capsys):
         code, out, _ = run(capsys, "pst", "path:4", "--u", "0", "--v", "1")
@@ -1231,7 +1271,8 @@ class TestSearchSettings:
         code, out, _ = run(capsys, "pgst", "corona(path:2,cycle:3)", "--u", "0",
                            "--v", "1", "--family", "t51", "--lmax", "100", *extra)
         assert code == EXIT_OK
-        assert seen == [expected]
+        # once in the CLI's gate on the family base, once in the search
+        assert seen == [expected, expected]
         assert json.loads(out)["best_ell"] == 53
 
 
@@ -1299,3 +1340,30 @@ class TestProcess:
         finally:
             os.close(write_end)
         self.assert_stdout_refused(proc)
+
+
+class TestCoronaBuildBudget:
+    """corona-build reads the vertex and edge count off the spec and refuses
+    a graph past either build budget before it builds anything."""
+
+    @given(small_coronas)
+    @settings(max_examples=60, deadline=None)
+    @example("corona(cocktail:2,corona(star:4,complete:3))")
+    def test_edge_count_read_off_the_spec(self, text):
+        spec = parse_graph_spec(text)
+        g = graphs.build_graph(spec, {})
+        assert (graphs.spec_order(spec, {}), graphs.spec_edge_count(spec, {})) == (
+            g.n, g.edge_count)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("corona(path:10000,path:10)", "110000 vertices exceed the build budget 100000"),
+         # 40,200 vertices, within the vertex budget, but 11,959,900 edges
+         ("corona(complete:200,complete:200)", "11959900 edges exceed the build budget 250000")],
+        ids=["vertices", "edges"])
+    def test_over_budget_builds_nothing(self, capsys, monkeypatch, spec, message):
+        builds = []
+        monkeypatch.setattr(graphs, "build_family", builds.append)
+        code, out, err = run(capsys, "corona-build", spec, "--format", "text")
+        assert (code, out, builds) == (EXIT_ANALYSIS, "", [])
+        assert err == f"analysis error: {message}\n"

@@ -101,6 +101,15 @@ def test_search_gate_failures_never_load_numpy(argv):
     assert probe(run_quietly(argv), NUMPY_FREE) == {"code": 2, "loaded": ["coronawalk.gates"]}
 
 
+def test_family_base_without_transfer_fails_the_pgst_gate_without_numpy():
+    """path:3 transfers between its ends at pi/sqrt(2), not at pi/g with an
+    integer g: the t51 gate decides that on the family's eigenspaces, in pure
+    Python, before the analysis imports."""
+    argv = ("pgst", "corona(path:3,cycle:3)", "--u", "0", "--v", "2", "--family", "t51")
+    assert probe(run_quietly(argv), NUMPY_FREE) == {
+        "code": 2, "loaded": ["coronawalk.exact", "coronawalk.gates", "coronawalk.transfer"]}
+
+
 def test_degree_refuted_cospectral_never_loads_numpy():
     """Base vertex 2 has degree (3 + 1) * 1 = 4, copy vertex 6 = (0, w1) has
     2 + 1 = 3: unequal degrees refute strong cospectrality exactly."""
@@ -135,10 +144,13 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
         (("spectrum", "file:{path}"), ANALYSIS),
         (("fidelity", "path:2", "--u", "0", "--v", "1", "--t", "1"), ANALYSIS),
         (("support", "file:{path}", "--u", "1"), ANALYSIS),
-        (("cospectral", "path:3", "--u", "0", "--v", "2"), ANALYSIS),
+        # a family's vertex queries are decided by theorem, with no numpy
+        (("support", "star:5", "--u", "0"), ["coronawalk.exact"]),
+        (("cospectral", "path:3", "--u", "0", "--v", "2"), ["coronawalk.exact"]),
         (("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "5"),
          ANALYSIS + ["coronawalk.transfer"]),
-        (("periodic", "path:3", "--u", "0"), ANALYSIS + ["coronawalk.transfer"]),
+        (("periodic", "path:3", "--u", "0"), ["coronawalk.exact", "coronawalk.transfer"]),
+        (("pst", "path:3", "--u", "0", "--v", "2"), ["coronawalk.exact", "coronawalk.transfer"]),
         (("pst", "file:{path}", "--u", "0", "--v", "2"), ANALYSIS + ["coronawalk.transfer"]),
         (("spectrum", "corona(path:2,cycle:3)"),
          ["numpy", "coronawalk.exact", "coronawalk.corona", "coronawalk.spectral"]),
@@ -150,8 +162,8 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
         (("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
           "--lmax", "100"), SEARCH),
     ],
-    ids=["spectrum", "spectrum-file", "fidelity", "support-file", "cospectral", "sweep",
-         "periodic", "pst-file", "spectrum-corona", "periodic-corona", "no-pst-scan",
+    ids=["spectrum", "spectrum-file", "fidelity", "support-file", "support", "cospectral",
+         "sweep", "periodic", "pst", "pst-file", "spectrum-corona", "periodic-corona", "no-pst-scan",
          "pgst"],
 )
 def test_each_subcommand_loads_what_it_runs(argv, loaded, tmp_path):

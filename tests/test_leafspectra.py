@@ -1,12 +1,17 @@
-"""Family spectra by theorem against the dense oracle: the eigensolver on the
-built graph with rank-verified labels (`exact_decomposition`)."""
+"""Family spectra and vertex queries by theorem against the dense oracle: the
+eigensolver on the built graph with rank-verified labels
+(`exact_decomposition`), and the float route's supports, signs and verdicts."""
+
+import math
 
 import pytest
 
+from coronawalk.defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_SUPPORT_TOL
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import FAMILIES, GraphSpec, build_family
-from coronawalk.leafspectra import class_runs, family_classes, family_values
-from coronawalk.spectral import SpecFactors, exact_decomposition
+from coronawalk.leafspectra import FamilyDecomposition, class_runs, family_values
+from coronawalk.spectral import SpecFactors, eigenvalue_support, exact_decomposition
+from coronawalk.transfer import PeriodicityVerdict, PSTCertificate, periodicity_test, pst_certify
 
 # path and cycle up to 60, the others up to 20, each from its least size
 LARGEST = {"path": 60, "cycle": 60, "complete": 20, "cocktail": 20, "empty": 20, "star": 20}
@@ -21,7 +26,7 @@ def test_theorem_equals_exact_decomposition(kind, group_tol):
     for n in range(FAMILIES[kind].minimum, LARGEST[kind] + 1):
         spec = GraphSpec(kind, n)
         ref = exact_decomposition(build_family(spec), group_tol).classes
-        for classes in (family_classes(kind, n, group_tol),
+        for classes in (FamilyDecomposition(kind, n, group_tol).classes,
                         SpecFactors(group_tol).labelled(spec).classes):
             assert [(c.multiplicity, c.exact) for c in classes] == \
                 [(r.multiplicity, r.exact) for r in ref], str(spec)
@@ -71,7 +76,7 @@ def test_labels(kind, n, expected):
 
 def test_merged_class_holds_no_label():
     # at 1e-2 the 60-path's gaps near +-2, about 0.01, chain its values up
-    merged = family_classes("path", 60, 1e-2)
+    merged = FamilyDecomposition("path", 60, 1e-2).classes
     assert len(merged) < 60 and all(c.exact is None for c in merged if c.multiplicity > 1)
     assert sum(c.multiplicity for c in merged) == 60
 
@@ -80,3 +85,106 @@ def test_class_runs():
     assert class_runs([3.0, 2.0, 2.0 - 1e-9, -1.0], 1e-8) == [(0, 1), (1, 3), (3, 4)]
     # the gap scales with the largest |value|: 1e-8 * 300 > 2e-6
     assert class_runs([300.0, 1.0, 1.0 - 2e-6], 1e-8) == [(0, 1), (1, 3)]
+
+
+class _Memo:
+    """A decomposition's vertex queries, each support and unordered pair
+    computed once, for `pst_certify` to read on every ordered pair."""
+
+    def __init__(self, d):
+        self.d, self.classes, self.n = d, d.classes, d.n
+        self._supports, self._signs = {}, {}
+
+    def support(self, u, tol=DEFAULT_SUPPORT_TOL):
+        if u not in self._supports:
+            self._supports[u] = self.d.support(u, tol)
+        return self._supports[u]
+
+    def signs(self, u, v, tol=DEFAULT_COSPECTRAL_TOL):
+        pair = (min(u, v), max(u, v))
+        if pair not in self._signs:
+            self._signs[pair] = self.d.signs(u, v, tol)
+        return self._signs[pair]
+
+    def amplitude(self, u, v, t):
+        return self.d.amplitude(u, v, t)
+
+
+def _same_record(got, want):
+    """Equal records: every int, str and None field equal, floats within 1e-12."""
+    assert got._fields == want._fields
+    for field, x, y in zip(got._fields, got, want):
+        if isinstance(y, (float, complex)):
+            assert abs(x - y) <= 1e-12, field
+        else:
+            assert x == y, field
+
+
+@pytest.mark.parametrize("group_tol", [1e-8, 1e-3, 1e-2])
+@pytest.mark.parametrize("kind", sorted(LARGEST))
+def test_vertex_queries_equal_the_float_route(kind, group_tol):
+    """Support class indices, sign maps, periodicity and PST verdicts read off
+    the eigenspaces in integers equal the float route's on the labelled leaf,
+    on every vertex and ordered pair, floats within 1e-12.  The float route is
+    clear of its tolerances on these leaves: a family projector's nonzero
+    column norm or column difference is far above 1e-7.  The one designed
+    difference is the degree refutation: where u's support holds an
+    unlabelled value the family route says "no" and NoPST, the float route
+    (which flags no leaf value) inconclusive."""
+    for n in range(FAMILIES[kind].minimum, LARGEST[kind] + 1):
+        spec = GraphSpec(kind, n)
+        family = _Memo(FamilyDecomposition(kind, n, group_tol))
+        # the float classes' queries call eigenvalue_support, strong_cospectral
+        # and entry_amplitudes
+        floats = _Memo(SpecFactors(group_tol).labelled(spec))
+        assert family.n == floats.n and len(family.classes) == len(floats.classes)
+        for u in range(family.n):
+            got, want = family.support(u), floats.support(u)
+            assert got[:3] == want[:3] and not want.beyond_quadratic, (str(spec), u)
+            verdict = periodicity_test(got.exact, got.beyond_quadratic)
+            expected = periodicity_test(want.exact)
+            if got.beyond_quadratic:
+                assert expected.periodic == "inconclusive"
+                expected = PeriodicityVerdict("no", reason="support value of degree > 2")
+            _same_record(verdict, expected)
+            for v in range(family.n):
+                if v == u:
+                    continue
+                assert family.d.signs(u, v) == floats.signs(u, v), (str(spec), u, v)
+                cert, expected = pst_certify(family, u, v), pst_certify(floats, u, v)
+                if got.beyond_quadratic:
+                    assert (expected.verdict, expected.failure_reason) == (
+                        "Inconclusive", "inexact spectrum")
+                    expected = PSTCertificate("NoPST", u, v, "support value of degree > 2")
+                _same_record(cert, expected)
+
+
+def _degree(j: int, big_n: int) -> int:
+    """Degree of 2cos(2 pi j/N) by brute force: phi(d)/2 for the reduced
+    denominator d of j/N when d >= 3, else 1."""
+    d = big_n // math.gcd(j, big_n)
+    return sum(math.gcd(k, d) == 1 for k in range(1, d + 1)) // 2 if d >= 3 else 1
+
+
+@pytest.mark.parametrize("kind", sorted(LARGEST))
+def test_degree_flag_by_brute_force(kind):
+    """On every family leaf to order 60, u's support is flagged exactly where
+    one of its eigenvalues has degree at least 3, at every group_tol: per
+    value, also where a loose tolerance merges values into one class.  Only
+    path and cycle values can have degree 3 or more."""
+    for n in range(FAMILIES[kind].minimum, 61):
+        spec = GraphSpec(kind, n)
+        oracle = SpecFactors().labelled(spec)
+        if oracle.n > 60:
+            break
+        # the distinct values in descending order, as the oracle's classes
+        degrees = ([_degree(j, 2 * n + 2) for j in range(1, n + 1)] if kind == "path"
+                   else [_degree(j, n) for j in range(n // 2 + 1)] if kind == "cycle"
+                   else [1] * len(oracle.classes))
+        assert len(degrees) == len(oracle.classes)
+        for u in range(oracle.n):
+            held = eigenvalue_support(oracle, u).class_indices
+            flagged = any(degrees[i] >= 3 for i in held)
+            for group_tol in (1e-8, 1e-3, 1e-2):
+                sup = FamilyDecomposition(kind, n, group_tol).support(u)
+                assert sup.beyond_quadratic == flagged, (str(spec), u, group_tol)

@@ -597,11 +597,12 @@ class TestPgstSearch:
         assert result.target_reached == (best >= target)
 
     def test_t51_gate_reads_support_at_the_given_tolerance(self, monkeypatch):
-        import coronawalk.transfer as transfer_module
+        import coronawalk.spectral as spectral_module
 
         seen = []
-        support = transfer_module.eigenvalue_support
-        monkeypatch.setattr(transfer_module, "eigenvalue_support",
+        support = spectral_module.eigenvalue_support
+        # the gate reads the float decomposition's support method, which calls it
+        monkeypatch.setattr(spectral_module, "eigenvalue_support",
                             lambda d, u, tol: seen.append(tol) or support(d, u, tol))
         g, h = path_graph(2), cycle_graph(3)
         spec = CoronaSpec.from_graphs(g, h)
