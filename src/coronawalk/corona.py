@@ -11,8 +11,10 @@ column (base, copy_0, ..., copy_{m-1}), it acts as the layer matrix
 [[lam, lam 1^T], [lam 1, A_H]].  Restricted to the base layer and the main
 directions u_mu = P_mu 1 / w_mu of H (w_mu = ||P_mu 1|| > 0) that is the
 arrowhead [[lam, lam w^T], [lam w, diag(mu)]], whose eigenpairs
-are the lifts of lam; the rest of each H class survives with multiplicity n.
-For a k-regular H the one main direction is 1/sqrt(m), so lam lifts to
+are the lifts of lam, the roots of one integer polynomial in the doubled
+variable (`lift_polynomial`); the rest of each H class survives with
+multiplicity n.  For a k-regular H the one main direction is 1/sqrt(m), so
+lam lifts to
 
     lam_pm = (lam + k +- Lambda) / 2,   Lambda = sqrt((lam - k)^2 + 4 m lam^2),
 
@@ -20,7 +22,7 @@ the paper's pair.  One routine, `lift_class`, serves every consumer below:
 the closed form builds the classes as eigenvector blocks (x (x) V_lam for a
 lift, (0 (+) W) (x) I_n for a copy class), grouped as `decompose` groups
 (`leafspectra.class_runs`), with exact labels and the flag of lifts of
-degree 4 that refutes periodicity and transfer; and the walk amplitude
+degree > 2 that refutes periodicity and transfer; and the walk amplitude
 from (v', 0) to (v, 0), or to (v, w) with w given, is an exponential sum
 over the lifted values (`corona_terms`),
 which `spectral.exp_sum_grid` evaluates on uniform time grids in batches,
@@ -36,10 +38,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .defaults import DEFAULT_GROUP_TOL
-from .exact import QuadInt, is_quadratic_square, main_polynomial
+from .exact import QuadInt, main_polynomial
 from .graphs import Graph, check_base_vertex, check_budget, check_copy_vertex
 from .leafspectra import class_runs
-from .spectral import EigenClass, SpectralDecomposition, attach_exact_labels, decompose
+from .spectral import (_PAIR_TOL, _VALUE_TOL, EigenClass, SpectralDecomposition, _pair_label,
+                       decompose)
 
 
 class MainData(NamedTuple):
@@ -111,87 +114,120 @@ def lift_class(lam: float, label: QuadInt | None, main: MainData) -> list[Lifted
 
     One lift per eigenvector x of the arrowhead of lam (the label's value
     when labelled), with base x[0] and copy U x[1:], U the main directions.
-    A label lifts over every H by `attach_exact_labels` on `_walk_operator`,
-    which reads H's exact walk counts and main polynomial, checked
-    against the arrowheads of lam and its conjugate side by side, so a lift
-    of lam that coincides with one of the conjugate shares its class.
-
-    Over a k-regular H on m vertices (s = 1, k = coefs[0], m = walks[0]) lam
-    lifts to the roots of x^2 - (lam + k)x + k lam - m lam^2.  For lam =
-    (a + b sqrt(delta))/2 irrational, 4(lam - k)^2 + 16m lam^2 is
-    P + Q sqrt(delta), P = (1 + 4m)(a^2 + b^2 delta) - 4ka + 4k^2 and
-    Q = 2b((1 + 4m)a - 2k).  Where it is no square in Q(sqrt(delta)) both lifts
-    have degree 4: an automorphism that fixes a quadratic lift outside
-    Q(sqrt(delta)) and sends lam to lam' makes it a root of both quadratics,
-    whose difference (lam - lam')(k - m(lam + lam') - x) makes it the rational
-    k - ma.  Those lifts are flagged `beyond_quadratic` and left unlabelled,
-    with no rank.  A periodic vertex, and so a vertex with perfect state
-    transfer, has only integer or quadratic support values (Godsil,
-    "Periodic graphs", Electron. J. Combin. 18 (2011) #P23), so such a lift in
-    a vertex's support refutes both.
+    A labelled lam's lifts are labelled, and those of degree > 2 flagged
+    `beyond_quadratic`, from its integer lift polynomial (`lift_polynomial`)
+    by `_lift_labels`, with no rank, for a regular and an irregular H alike.
+    A periodic vertex, and so a vertex with perfect state transfer, has only
+    integer or quadratic support values (Godsil, "Periodic graphs", Electron.
+    J. Combin. 18 (2011) #P23), so a flagged lift in a vertex's support
+    refutes both.
     """
-    beyond = False
     if label is not None:
         lam = label.value()
-        beyond = len(main.coefs) == 1 and not _quadratic_lifts(label, main)
-    arrow = _arrowhead(lam, main)
-    size = len(arrow)
-    if label is not None and not label.is_rational_integer:
-        arrow = np.kron(np.diag([1.0, 0.0]), arrow)
-        arrow[size:, size:] = _arrowhead(label.conjugate().value(), main)
-    d = decompose(arrow)
-    labels = None
-    if label is not None and not beyond:
-        doubled = [EigenClass(2.0 * c.value, c.vectors) for c in d.classes]
-        labels = attach_exact_labels(SpectralDecomposition(doubled, d.n),
-                                     _walk_operator(label, main)).classes
-    lifts = []
-    for i, c in enumerate(d.classes):
-        exact = None if labels is None else _halve(labels[i].exact)
-        cols = c.vectors[:size]
-        # the class's eigenvectors of lam's own arrowhead: ||cols||^2 of them
-        share = round(float(np.sum(cols * cols)))
-        if share < c.multiplicity:
-            cols = np.linalg.svd(cols, full_matrices=False)[0][:, :share]
-        for x in cols.T:
-            lifts.append(LiftedClass(c.value, exact, float(x[0]), main.directions @ x[1:],
-                                     beyond))
-    return lifts
+    d = decompose(_arrowhead(lam, main))
+    marks = [(None, False)] * len(d.classes) if label is None else _lift_labels(d, label, main)
+    return [LiftedClass(c.value, exact, float(x[0]), main.directions @ x[1:], beyond)
+            for c, (exact, beyond) in zip(d.classes, marks) for x in c.vectors.T]
 
 
-def _quadratic_lifts(label: QuadInt, main: MainData) -> bool:
-    """Whether the lifts of label over a regular H are quadratic: an integer
-    label's always are, an irrational one's when P + Q sqrt(delta)
-    (`lift_class`) is a square in Q(sqrt(delta))."""
-    (k,), (m,) = main.coefs, main.walks
+def lift_polynomial(label: QuadInt, main: MainData) -> list[int]:
+    """Coefficients, highest first in Python ints, of the monic Psi in Z[y]
+    whose roots are twice the lifts of label and of its conjugate.
+
+    The lifts of lam are the roots of (x - lam) M(x) - lam^2 N(x), M(x) =
+    x^s - sum_j coefs[j] x^j being H's main polynomial and N/M = 1^T (xI -
+    A_H)^-1 1 its coronal (McLeman & McNicholas, Linear Algebra Appl. 435,
+    2011), so N_r = sum_{t>r} m_t walks[t-r-1], m_t the coefficients of M.
+    In y = 2x, with mu = 2 lam = a + b sqrt(delta), they are the roots of
+    psi(y) = (y - mu) M2(y) - mu^2 N2(y), M2(y) = 2^s M(y/2) and N2(y) =
+    2^(s-1) N(y/2).  Psi is psi for an integer lam, else psi psi' = (y^2 -
+    2ay + p) M2^2 - ((4a^2 - 2p) y - 2ap) M2 N2 + p^2 N2^2, p = a^2 - b^2
+    delta: monic in Z[y] even where label is no algebraic integer.
+    """
+    m = (1, *(-c for c in reversed(main.coefs)))  # M, highest first: m[i] = m_{s-i}
+    m2 = np.array([c << i for i, c in enumerate(m)], dtype=object)
+    # N2 padded to the length of M2: N_{s-1-r} 2^r at r + 1
+    n2 = np.array([0, *(sum(m[i] * main.walks[r - i] for i in range(r + 1)) << r
+                        for r in range(len(m) - 1))], dtype=object)
     a, b, delta = label
-    return label.is_rational_integer or is_quadratic_square(
-        (1 + 4 * m) * (a * a + b * b * delta) - 4 * k * a + 4 * k * k,
-        2 * b * ((1 + 4 * m) * a - 2 * k), delta)
+    p = a * a - b * b * delta
+    terms = ([([1, -a], m2), ([0, -a * a], n2)] if label.is_rational_integer else
+             [([1, -2 * a, p], np.convolve(m2, m2)),
+              ([0, 2 * p - 4 * a * a, 2 * a * p], np.convolve(m2, n2)),
+              ([0, 0, p * p], np.convolve(n2, n2))])
+    return sum(np.convolve(f, g) for f, g in terms).tolist()
+
+
+def _lift_labels(d: SpectralDecomposition, label: QuadInt,
+                 main: MainData) -> list[tuple[QuadInt | None, bool]]:
+    """(label, beyond_quadratic) of each class of d, the arrowhead of label.
+
+    Psi (`lift_polynomial`) is monic in Z[y], so a doubled lift y of degree
+    <= 2 is an integer root r of Psi or a root of a factor y^2 - Ay + B in
+    Z[y] whose other root is a root of Psi too.  A class near an integer r is
+    labelled r when r is a root of Psi of the class multiplicity times the
+    degree of label (a rational root of psi is one of psi' too); a
+    lone class takes a label `_pair_label` reads off it and another float
+    root of Psi, twice an eigenvalue of the arrowhead of label or of its
+    conjugate, when that factor divides Psi exactly; `_halve` halves it.
+    A lone class with no factor found has degree >= 3, and is flagged, when
+    that search was complete: R, Psi less the integer roots found, changes
+    sign across disjoint [t - eps, t + eps] about each of its deg R float
+    roots t, exactly, so each holds one root, and eps keeps every pair's
+    rounded sum and squared gap exact and its value within _VALUE_TOL.
+    """
+    psi, conjugates = lift_polynomial(label, main), {label, label.conjugate()}
+    roots = [2 * t for q in conjugates
+             for t in np.linalg.eigvalsh(_arrowhead(q.value(), main)).tolist()]
+    rest, left = psi, roots  # R and its float roots
+    marks = []
+    for c in d.classes:
+        y, r = 2 * c.value, round(2 * c.value)
+        count, rest = _divide_out(rest, [1, -r]) if abs(y - r) < _VALUE_TOL else (0, rest)
+        if count:
+            left = [t for t in left if abs(t - r) >= _VALUE_TOL]
+        q = QuadInt.from_int(r) if count == len(conjugates) * c.multiplicity else None
+        if not count and c.multiplicity == 1:
+            pairs = (_pair_label(y, z) for z in roots)
+            q = next((g for g in pairs if g and _divide_out(
+                psi, [1, -g.a, (g.a * g.a - g.b * g.b * g.delta) // 4])[0]), None)
+        marks.append((_halve(q), not count and c.multiplicity == 1 and q is None))
+    eps = min(_VALUE_TOL / 2, _PAIR_TOL / (8 * (max(roots) - min(roots) + 1)))
+    left.sort()
+    complete = any(beyond for _, beyond in marks) and len(left) == len(rest) - 1 and all(
+        b - a > 2 * eps for a, b in zip(left, left[1:])) and all(
+        _sign(rest, t - eps) * _sign(rest, t + eps) < 0 for t in left)
+    return [(q, beyond and complete) for q, beyond in marks]
+
+
+def _divide_out(poly, divisor) -> tuple[int, list[int]]:
+    """How many times a monic divisor divides poly, and the quotient by that
+    power, by synthetic division; coefficients highest first."""
+    count, d = 0, len(divisor) - 1
+    while True:
+        out = list(poly)
+        for i in range(len(out) - d):
+            for j in range(1, d + 1):
+                out[i + j] -= out[i] * divisor[j]
+        if len(out) <= d or any(out[-d:]):
+            return count, poly
+        count, poly = count + 1, out[:-d]
+
+
+def _sign(poly, t: float) -> int:
+    """Sign of poly at the float t = p / 2^e, exactly: that of
+    sum_i poly[i] p^(D-i) 2^(e i), D = deg poly."""
+    p, q = t.as_integer_ratio()
+    e, acc = q.bit_length() - 1, 0
+    for i, c in enumerate(poly):
+        acc = acc * p + (c << (e * i))
+    return (acc > 0) - (acc < 0)
 
 
 def _arrowhead(lam: float, main: MainData) -> np.ndarray:
     arrow = np.diag(np.r_[lam, main.values])
     arrow[0, 1:] = arrow[1:, 0] = lam * main.directions.sum(axis=0)
     return arrow
-
-
-def _walk_operator(label: QuadInt, main: MainData) -> np.ndarray:
-    """2 L_lam = 2 lam P + 2 Q on the walk basis (e_0, 1, A1, ..., A^{s-1} 1)
-    in Python ints, 2 lam = a + b sqrt(delta) replaced by its integer
-    companion matrix C: P (x) C + 2Q (x) I has eigenvalues twice the lifts of
-    lam and of its conjugate."""
-    s = len(main.coefs)
-    lam_part = np.zeros((s + 1, s + 1), dtype=object)
-    lam_part[0, 0] = lam_part[1, 0] = 1  # L e_0 = lam e_0 + lam 1
-    lam_part[0, 1:] = main.walks  # L A^j 1 = lam (1^T A^j 1) e_0 + A^{j+1} 1
-    fixed = np.zeros((s + 1, s + 1), dtype=object)
-    fixed[2:, 1:s] = np.identity(s - 1, dtype=object)
-    fixed[1:, s] = main.coefs  # A^s 1 = sum_j coefs[j] A^j 1
-    a, b, delta = label.a, label.b, label.delta
-    companion = [[a]] if label.is_rational_integer else [[0, b * b * delta - a * a], [1, 2 * a]]
-    return (np.kron(lam_part, np.array(companion, dtype=object))
-            + np.kron(2 * fixed, np.identity(len(companion), dtype=object)))
 
 
 def _halve(q: QuadInt | None) -> QuadInt | None:

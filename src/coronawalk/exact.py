@@ -53,21 +53,6 @@ def two_adic_valuation(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-def _is_square(n: int) -> bool:
-    return n >= 0 and math.isqrt(n) ** 2 == n
-
-
-def is_quadratic_square(p: int, q: int, delta: int) -> bool:
-    """Whether p + q sqrt(delta), delta > 1 square-free, is (x + y sqrt(delta))^2
-    for rationals x, y: exactly when p^2 - delta q^2 = R^2 for an integer R and,
-    for t = p + R or p - R, 2t = (2x)^2 and 2 delta (2p - t) = (2 delta y)^2 are
-    squares of integers."""
-    norm = p * p - delta * q * q
-    r = math.isqrt(max(norm, 0))
-    return r * r == norm and any(_is_square(2 * t) and _is_square(2 * delta * (2 * p - t))
-                                 for t in (p + r, p - r))
-
-
 def gcd_list(values: Iterable[int]) -> int:
     """gcd of a list of nonnegative integers; at least one must be nonzero."""
     vals = [abs(int(v)) for v in values]

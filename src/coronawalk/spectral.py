@@ -223,15 +223,16 @@ def strong_cospectral(
 # ---------------------------------------------------------------------------
 # exact labeling
 
-# a class value this close to an integer or to a pair's QuadInt is tried by rank
+# a class value this close to an integer or to a pair's QuadInt is tried by rank,
+# or by exact division of a lift polynomial (`corona.lift_class`)
 _VALUE_TOL = 1e-9
 # a candidate conjugate pair's sum and squared gap lie this close to integers
 _PAIR_TOL = 1e-6
 
 
 def attach_exact_labels(d: SpectralDecomposition, matrix) -> SpectralDecomposition:
-    """Label the classes of d, which decomposes `matrix` or a matrix similar to
-    it, with verified integer or quadratic-integer eigenvalues.
+    """Label the classes of d, which decomposes `matrix` (a `file:` leaf's
+    adjacency), with verified integer or quadratic-integer eigenvalues.
 
     Integer rule, run first: a class near an integer r is labeled r when
     A - rI has defect equal to the class multiplicity.  Pair rule: an
@@ -243,17 +244,14 @@ def attach_exact_labels(d: SpectralDecomposition, matrix) -> SpectralDecompositi
     that A^2 - aA + ((a^2 - b^2 delta)/4) I has their combined multiplicity
     as defect.  Unverifiable classes keep exact=None, which downgrades
     downstream certificates to inconclusive.  A matrix of any dtype but
-    integer, object with int entries or float with integer entries raises
-    ValueError.
+    integer or float with integer entries raises ValueError.
     """
     a_int = np.asarray(matrix)
     # a float matrix counts only when its entries are int64 integers exactly
     if a_int.dtype.kind == "f" and np.all(np.abs(a_int) < 2.0**63) and np.array_equal(
             a_int, np.round(a_int)):
         a_int = a_int.astype(np.int64)
-    # exact_rank truncates with int(), so an object entry must be an int already
-    if a_int.dtype.kind not in "iuO" or (
-            a_int.dtype.kind == "O" and not all(isinstance(x, int) for x in a_int.flat)):
+    if a_int.dtype.kind not in "iu":
         raise ValueError("exact labels need an integer matrix")
     # Python ints, so the products below never overflow
     a_int = a_int.astype(object)
@@ -395,14 +393,15 @@ class SpecFactors:
 
 
 def _pair_label(x: float, y: float) -> QuadInt | None:
-    """(a + s*sqrt(c))/2 for x > y with a = x + y and s^2 c = (x - y)^2, c > 1."""
+    """The label (a +- s*sqrt(c))/2 of x, the sign that of x - y, with a = x + y
+    and s^2 c = (x - y)^2, c > 1."""
     a, sq = round(x + y), round((x - y) ** 2)
     if abs(x + y - a) > _PAIR_TOL or abs((x - y) ** 2 - sq) > _PAIR_TOL or sq < 1:
         return None
     split = square_free_part(sq)
     if split.c == 1 or (a * a - sq) % 4:
         return None
-    q = QuadInt(a, split.s, split.c)
+    q = QuadInt(a, split.s if x > y else -split.s, split.c)
     return q if abs(x - q.value()) < _VALUE_TOL else None
 
 

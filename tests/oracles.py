@@ -5,7 +5,10 @@ block and evaluates every walk amplitude as an exponential sum
 (`spectral.exp_sum`).  These helpers build the dense N x N objects instead:
 class projectors, the reassembled matrix and the transition matrix U(t).
 It also keeps the exact algebra of the paper's pair lift for a k-regular
-copy factor, which the walk-basis labels of `corona.lift_class` must equal;
+copy factor, which the labels `corona.lift_class` reads off its lift
+polynomial must equal, with the integer square test of its degree-4 case
+and a bounded integer search for the factors of degree <= 2 of a lift
+polynomial, which its degree flags must agree with;
 the reference report writers, which the CLI's must match byte for byte: the
 canonicaliser `canon` (values rounded to 15 digits; records, complex and
 numpy values made plain), a stdlib-encoder JSON writer, the `path = value`
@@ -207,3 +210,59 @@ def _half_pair(
         quad_int((num_a + gap_a) // 2, (num_b + gap_b) // 2, delta),
         quad_int((num_a - gap_a) // 2, (num_b - gap_b) // 2, delta),
     ]
+
+
+def is_quadratic_square(p: int, q: int, delta: int) -> bool:
+    """Whether p + q sqrt(delta), delta > 1 square-free, is (x + y sqrt(delta))^2
+    for rationals x, y: exactly when p^2 - delta q^2 = R^2 for an integer R and,
+    for t = p + R or p - R, 2t = (2x)^2 and 2 delta (2p - t) = (2 delta y)^2 are
+    squares of integers.  Over a k-regular H on m vertices the lifts of an
+    irrational (a + b sqrt(delta))/2 have degree 4 exactly when this fails for
+    P = (1 + 4m)(a^2 + b^2 delta) - 4ka + 4k^2, Q = 2b((1 + 4m)a - 2k)."""
+
+    def is_square(n: int) -> bool:
+        return n >= 0 and math.isqrt(n) ** 2 == n
+
+    norm = p * p - delta * q * q
+    r = math.isqrt(max(norm, 0))
+    return r * r == norm and any(is_square(2 * t) and is_square(2 * delta * (2 * p - t))
+                                 for t in (p + r, p - r))
+
+
+def small_factors(poly) -> list[tuple[int, ...]]:
+    """Every monic factor y - r and irreducible y^2 - Ay + B in Z[y] of a monic
+    real-rooted poly (coefficients highest first), as (1, -r) and (1, -A, B).
+
+    No float is used.  Every root has |y| <= S = sqrt(sum y_i^2), which is
+    c_1^2 - 2 c_2 by Newton's identities, so |r| <= S, |A| <= 2S, |B| <= S^2.
+    With the factors y^k stripped, r and B divide the nonzero constant term,
+    and 1 - A + B divides poly(1); each candidate is kept when it divides poly
+    exactly.
+    """
+    poly = [int(c) for c in poly]
+    bound = math.isqrt(poly[1] ** 2 - 2 * poly[2]) + 1
+    found = [(1, 0)] if poly[-1] == 0 else []
+    while poly[-1] == 0:
+        poly.pop()
+    const, at_one = poly[-1], sum(poly)
+    found += [(1, -r) for r in range(-bound, bound + 1)
+              if r and const % r == 0 and not any(_remainder(poly, (1, -r)))]
+    for b in range(-bound * bound, bound * bound + 1):
+        if not b or const % b:
+            continue
+        for a in range(-2 * bound, 2 * bound + 1):
+            disc = a * a - 4 * b
+            if (disc > 0 and math.isqrt(disc) ** 2 != disc
+                    and (1 - a + b == 0 or at_one % (1 - a + b) == 0)
+                    and not any(_remainder(poly, (1, -a, b)))):
+                found.append((1, -a, b))
+    return found
+
+
+def _remainder(poly, divisor) -> list[int]:
+    """Remainder of poly by a monic divisor, by synthetic division."""
+    out, d = list(poly), len(divisor) - 1
+    for i in range(len(out) - d):
+        for j in range(1, d + 1):
+            out[i + j] -= out[i] * divisor[j]
+    return out[len(out) - d:]

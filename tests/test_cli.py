@@ -526,10 +526,10 @@ class TestLabelsFollowTheReader:
         ids=["fidelity", "sweep", "cospectral"],
     )
     def test_float_readers_make_no_label(self, capsys, monkeypatch, argv):
+        # the two labellers: a file leaf's rank and a lift's polynomial
         labels = []
-        for module in (spectral, corona):
-            monkeypatch.setattr(module, "attach_exact_labels",
-                                lambda *args, label=module.attach_exact_labels:
+        for module, name in ((spectral, "attach_exact_labels"), (corona, "_lift_labels")):
+            monkeypatch.setattr(module, name, lambda *args, label=getattr(module, name):
                                 labels.append(args[0].n) or label(*args))
         assert run(capsys, *argv)[0] == EXIT_OK
         assert labels == []

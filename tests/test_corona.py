@@ -13,9 +13,11 @@ from coronawalk import spectral, transfer
 from coronawalk.cli import parse_graph_spec
 from coronawalk.corona import (
     CoronaSpec,
+    MainData,
     corona_spectral_closed_form,
     corona_terms,
     lift_class,
+    lift_polynomial,
 )
 from coronawalk.defaults import DEFAULT_GROUP_TOL
 from coronawalk.exact import QuadInt
@@ -30,6 +32,7 @@ from coronawalk.graphs import (
     path_graph,
     require_regular,
     star_graph,
+    write_edge_list,
 )
 from coronawalk.spectral import (
     GRID_BLOCK,
@@ -45,10 +48,12 @@ from coronawalk.spectral import (
 from oracles import (
     corona_entry_base_base,
     corona_entry_base_copy,
+    is_quadratic_square,
     lift_base_eigenvalue,
     projector,
     reassemble,
     regular_main,
+    small_factors,
     transition_matrix,
 )
 
@@ -802,7 +807,9 @@ class TestDegreeFlag:
     @pytest.mark.parametrize("label, main", [
         (QuadInt.from_int(1), regular_main(2, 3)),  # an integer lifts to quadratics
         (None, regular_main(2, 3)),  # a float class: nothing is known
-        (QuadInt(0, 2, 2), CoronaSpec.from_graphs(path_graph(2), star_graph(3)).main),
+        # over the irregular K_{1,3} (1 + sqrt(5))/2 lifts to (3 + 3 sqrt(5))/2,
+        # -1 and -sqrt(5)
+        (QuadInt(1, 1, 5), CoronaSpec.from_graphs(path_graph(2), star_graph(4)).main),
     ], ids=["integer", "unlabelled", "irregular-h"])
     def test_nothing_else_is_flagged(self, label, main):
         assert not any(l.beyond_quadratic for l in lift_class(math.sqrt(2), label, main))
@@ -817,9 +824,13 @@ class TestDegreeFlag:
         factors = SpecFactors()
         h = factors.labelled(parse_graph_spec("corona(path:4,cycle:3)"))
         d = factors.labelled(parse_graph_spec("corona(path:2,corona(path:4,cycle:3))"))
+        # them main: each survives in the two copies of the outer corona; the
+        # outer lifts of +-1 over that irregular H are flagged on their own
         inner = [c.value for c in h.classes if c.beyond_quadratic]
-        outer = [(c.value, c.multiplicity) for c in d.classes if c.beyond_quadratic]
-        assert len(inner) == 4 and outer == [(value, 2) for value in inner]
+        copies = [c.value for c in d.classes if c.beyond_quadratic and c.multiplicity == 2]
+        lifts = [c for c in d.classes if c.beyond_quadratic and c.multiplicity != 2]
+        assert len(inner) == 4 and copies == inner
+        assert len(lifts) == 8 and all(c.multiplicity == 1 for c in lifts)
 
     @pytest.mark.parametrize("first, second, merged", [
         ((QuadInt.from_int(1), False), (QuadInt.from_int(1), False), (QuadInt.from_int(1), False)),
@@ -846,3 +857,142 @@ class TestDegreeFlag:
                     values = np.linalg.eigvalsh(c.vectors.T @ a @ c.vectors)
                     worst = max(worst, float(np.max(np.abs(values - c.exact.value()))))
         assert worst < 1e-9
+
+
+def assert_flags_agree_with_search(factors, spec, seen):
+    """Every lift over spec's factors that lift_class flags lies outside each
+    factor of degree <= 2 of its lift polynomial that the float-free search
+    (`small_factors`) finds, and every label's doubled minimal polynomial is
+    one of them; (label, copy) pairs in seen are skipped.  Returns the number
+    of flags checked."""
+    main, flags = factors.corona(spec).main, 0
+    for c in factors.labelled(spec.factors[0]).classes:
+        if c.exact is None or (c.exact, spec.factors[1]) in seen:
+            continue
+        seen.add((c.exact, spec.factors[1]))
+        lifts = lift_class(c.value, c.exact, main)
+        small = small_factors(lift_polynomial(c.exact, main))
+        roots = [r for f in small for r in np.roots([float(x) for x in f])]
+        for lift in lifts:
+            if lift.beyond_quadratic:
+                flags += 1
+                assert min((abs(2 * lift.value - r) for r in roots), default=1.0) > 1e-6, (
+                    str(spec), c.exact, lift.value)
+            q = lift.exact
+            if q is not None:
+                assert ((1, -q.a) if q.is_rational_integer
+                        else (1, -2 * q.a, q.a * q.a - q.b * q.b * q.delta)) in small
+    return flags
+
+
+_CENSUS_BASES = ([f"path:{n}" for n in range(2, 7)] + [f"cycle:{n}" for n in range(3, 8)]
+                 + [f"star:{n}" for n in range(3, 7)] + [f"complete:{n}" for n in range(2, 6)]
+                 + ["cocktail:2", "cocktail:3"])
+_CENSUS_COPIES = ("path:2", "path:3", "path:4", "cycle:3", "cycle:4", "complete:4", "empty:1",
+                  "empty:2", "star:3")
+
+
+class TestLiftPolynomial:
+    def test_census_of_small_coronas(self):
+        """`pst` on every vertex pair of 180 small coronas, from the labelled
+        closed form: the degree flags over irregular copy factors decide 9,312
+        pairs that stayed `Inconclusive`, and every other reason keeps its
+        count."""
+        counts: dict = {}
+        for g, h in itertools.product(_CENSUS_BASES, _CENSUS_COPIES):
+            d = SpecFactors().labelled(parse_graph_spec(f"corona({g},{h})"))
+            for u, v in itertools.combinations(range(d.n), 2):
+                cert = transfer.pst_certify(d, u, v)
+                key = (cert.verdict, cert.failure_reason)
+                counts[key] = counts.get(key, 0) + 1
+        assert counts == {
+            ("Inconclusive", "inexact spectrum"): 5340,
+            ("NoPST", "support value of degree > 2"): 14260,
+            ("NoPST", "not strongly cospectral"): 8831,
+            ("NoPST", "support not quadratic"): 220,
+            ("NoPST", "2-adic sign pattern fails"): 59,
+        }
+
+    def test_flags_agree_with_the_integer_search(self):
+        seen: set = set()
+        flags = 0
+        pairs = itertools.chain(itertools.product(_CENSUS_BASES, _CENSUS_COPIES),
+                                itertools.product(_FAMILY_FACTORS, repeat=2))
+        for g, h in pairs:
+            spec = parse_graph_spec(f"corona({g},{h})")
+            flags += assert_flags_agree_with_search(SpecFactors(), spec, seen)
+        assert flags > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flags_over_random_copy_factors_agree_with_the_integer_search(self, seed, tmp_path):
+        path = tmp_path / "h.edges"
+        path.write_text(write_edge_list(random_irregular_graph(40, seed)))
+        flags = sum(assert_flags_agree_with_search(
+            SpecFactors(), parse_graph_spec(f"corona({g},file:{path})"), set())
+            for g in ("path:3", "cycle:4", "complete:3"))
+        assert flags > 0
+        # at --group-tol 1e-2 H's classes merge main values, so the arrowhead
+        # is no longer H's: no sign test certifies a search, and nothing is
+        # flagged
+        loose = SpecFactors(1e-2).labelled(parse_graph_spec(f"corona(path:3,file:{path})"))
+        assert not any(c.beyond_quadratic for c in loose.classes)
+
+    def test_regular_flags_are_the_square_test(self):
+        # over a k-regular H the lifts of (a + b sqrt(delta))/2 have degree 4
+        # exactly when 4D = P + Q sqrt(delta) is no square in Q(sqrt(delta))
+        for a, b, delta, k, m in itertools.product(range(-6, 7), (-3, -2, -1, 1, 2, 3),
+                                                   (2, 3, 5, 6, 7), range(4), range(1, 5)):
+            q = QuadInt(a, b, delta)
+            p_, q_ = (1 + 4 * m) * (a * a + b * b * delta) - 4 * k * a + 4 * k * k, \
+                2 * b * ((1 + 4 * m) * a - 2 * k)
+            flags = [lift.beyond_quadratic for lift in lift_class(0.0, q, regular_main(k, m))]
+            assert flags == [not is_quadratic_square(p_, q_, delta)] * 2, (a, b, delta, k, m)
+
+    def test_planted_quadratic_factors_are_labelled_and_never_flagged(self):
+        # main data of six main values nu, the roots of M, that interlace the
+        # roots of phi = (x^2 - 2)(x^2 - 3)(x^3 - 9x + 1) with N = (x - 1)M - phi:
+        # lam = 1 lifts to the roots of phi, so Psi = 2^7 phi(y/2)
+        m = [1, 1, -8, -3, 16, 1, -5]  # (x^2 - x - 1)(x^2 + x - 1)(x^2 + x - 5)
+        phi = np.polymul(np.polymul([1, 0, -2], [1, 0, -3]), [1, 0, -9, 1])
+        n = np.polysub(np.polymul([1, -1], m), phi)[2:]
+        walks: list[int] = []  # N/M = sum_j walks[j] x^(-j-1)
+        for j in range(6):
+            walks.append(int(n[j]) - sum(m[i] * walks[j - i] for i in range(1, j + 1)))
+        nu = np.sort(np.roots(m))
+        weights = -np.polyval(phi, nu) / np.polyval(np.polyder(m), nu)
+        assert np.all(weights > 0)
+        main = MainData(nu, np.diag(np.sqrt(weights)), tuple(walks), tuple(-c for c in m[:0:-1]))
+        label = QuadInt.from_int(1)
+        planted = np.polymul(np.polymul([1, 0, -8], [1, 0, -12]), [1, 0, -36, 8])
+        assert list(lift_polynomial(label, main)) == [int(c) for c in planted]
+        lifts = lift_class(1.0, label, main)
+        assert [(lift.exact, lift.beyond_quadratic) for lift in lifts] == [
+            (None, True), (QuadInt(0, 2, 3), False), (QuadInt(0, 2, 2), False), (None, True),
+            (QuadInt(0, -2, 2), False), (QuadInt(0, -2, 3), False), (None, True)]
+
+    def test_a_double_integer_root_is_divided_out_before_the_flags(self):
+        # 0 is a main value of P9, so lam = 0 lifts to the double root 0 of
+        # Psi = y M2(y) and to 2cos(pi/10), 2cos(3 pi/10) and their negatives,
+        # of degree 4: the sign test runs on Psi less y^2
+        main = CoronaSpec.from_graphs(path_graph(3), path_graph(9)).main
+        lifts = lift_class(0.0, QuadInt.from_int(0), main)
+        assert [(lift.exact, lift.beyond_quadratic) for lift in lifts] == (
+            [(None, True)] * 2 + [(QuadInt.from_int(0), False)] * 2 + [(None, True)] * 2)
+
+    def test_an_inexact_arrowhead_flags_nothing(self):
+        # a main value 1e-6 off the exact main polynomial moves the lifts of
+        # (1 + sqrt(5))/2 over 3-cycle copies, (7 + sqrt(5))/2 and -1, off the
+        # roots of Psi: they take no label, and no sign change of Psi
+        # certifies the search, so neither is flagged
+        main = regular_main(2, 3)
+        lifts = lift_class(0.0, QuadInt(1, 1, 5), main._replace(values=main.values + 1e-6))
+        assert [(lift.exact, lift.beyond_quadratic) for lift in lifts] == [(None, False)] * 2
+
+    def test_lifts_take_labels_and_flags_without_rank(self):
+        with mock.patch("coronawalk.exact.exact_rank", side_effect=AssertionError), \
+                mock.patch("coronawalk.spectral.exact_rank", side_effect=AssertionError):
+            for spec in ("corona(path:4,cycle:3)", "corona(path:2,path:3)",
+                         "corona(cycle:5,star:4)", "corona(path:3,corona(path:4,cycle:3))"):
+                d = SpecFactors().labelled(parse_graph_spec(spec))
+                assert any(c.exact is not None for c in d.classes)
+                assert any(c.beyond_quadratic for c in d.classes)

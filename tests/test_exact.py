@@ -10,7 +10,6 @@ from coronawalk.exact import (
     QuadInt,
     exact_rank,
     gcd_list,
-    is_quadratic_square,
     main_polynomial,
     square_free_part,
     two_adic_valuation,
@@ -18,7 +17,7 @@ from coronawalk.exact import (
 from coronawalk.graphs import FAMILIES, corona_graph, make_graph, path_graph
 from coronawalk.spectral import decompose
 
-from oracles import quad_int
+from oracles import is_quadratic_square, quad_int
 
 
 def brute_square_split(n):

@@ -319,9 +319,3 @@ class TestExactLabels:
         assert abs(d.classes[1].value - 1) < 1e-9
         with pytest.raises(ValueError, match="integer matrix"):
             attach_exact_labels(d, a.astype(object))
-
-    def test_object_matrix_of_ints_is_labelled(self):
-        a = cocktail_party_graph(3).adjacency()
-        d = decompose(a)
-        assert [c.exact for c in attach_exact_labels(d, a.astype(object)).classes] == [
-            QuadInt.from_int(4), QuadInt.from_int(0), QuadInt.from_int(-2)]

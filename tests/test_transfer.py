@@ -135,13 +135,16 @@ class TestCoronaBasePeriodicity:
         # over 3-cycle copies (1 + sqrt(5))/2 lifts to (7 + sqrt(5))/2 and -1,
         # but (-1 + sqrt(5))/2 has 4D = 102 - 34 sqrt(5): its norm 68^2 is a
         # square, yet neither 2(102 + 68) nor 2(102 - 68) is, so its lifts
-        # are flagged without the walk-operator rank that could not label them
-        with mock.patch("coronawalk.corona._walk_operator",
-                        wraps=corona_module._walk_operator) as walk:
-            verdict = base_periodicity(path_graph(4), cycle_graph(3), 0)
+        # are flagged; each of the four base values, labelled by theorem, is
+        # lifted by its lift polynomial, and no rank runs
+        with mock.patch("coronawalk.corona.lift_polynomial",
+                        wraps=corona_module.lift_polynomial) as poly, \
+                mock.patch("coronawalk.spectral.exact_rank", side_effect=AssertionError):
+            d = SpecFactors().labelled(parse_graph_spec("corona(path:4,cycle:3)"))
+        verdict = vertex_periodicity(d, 0)
         assert verdict == PeriodicityVerdict("no", reason="support value of degree > 2")
-        assert [call.args[0] for call in walk.call_args_list] == [
-            QuadInt(1, 1, 5), QuadInt(1, -1, 5)]
+        assert sorted(call.args[0] for call in poly.call_args_list) == [
+            QuadInt(-1, -1, 5), QuadInt(-1, 1, 5), QuadInt(1, -1, 5), QuadInt(1, 1, 5)]
 
     def test_quadratic_branch(self):
         # the middle vertex of the 3-path supports only +-sqrt(2)
@@ -160,12 +163,14 @@ class TestCoronaBasePeriodicity:
 
     def test_irregular_copy_factor_is_decided_by_its_labels(self):
         # the rule needs no regular H: in P2 * P3 the base value 1 lifts over
-        # the main values +-sqrt(2) of P3 to three cubic roots, which stay
-        # unlabelled and unflagged
+        # the main values +-sqrt(2) of P3 to the roots of x^3 - x^2 - 5x - 2,
+        # which has no rational root, so they are flagged; the assembled
+        # corona's labels leave them open
         g, h = path_graph(2), path_graph(3)
         verdict = base_periodicity(g, h, 0)
         assembled = vertex_periodicity(exact_decomposition(corona_graph(g, h)), 0)
-        assert verdict == assembled == PeriodicityVerdict(
+        assert verdict == PeriodicityVerdict("no", reason="support value of degree > 2")
+        assert assembled == PeriodicityVerdict(
             "inconclusive", reason="inexact eigenvalue in support")
 
     def test_numeric_confirmation_on_assembled_graph(self):
