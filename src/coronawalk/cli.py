@@ -8,7 +8,8 @@ subcommands whose reports depend on which eigenvalues share a class
 no-pst-scan report the walk amplitude, a sum over the classes that does
 not, and group at the default.  --support-tol is on support, periodic, pst
 and pgst, --cospectral-tol on cospectral, pst and pgst; neither is read on
-a family spec or a pgst family base, whose supports and signs are exact.
+a family spec, a family corona over a regular family or a pgst family base,
+whose supports and signs are exact.
 --w is a usage error unless --pair is base-copy.  The help text is in
 `helptext`, which only a call with -h or --help imports.
 
@@ -21,20 +22,24 @@ the cocktail family's base, and on a family base the t51 and t52 families'
 base transfer, by theorem), so those analysis errors load no numpy either;
 the graphs the gates build seed the handler's `SpecFactors`, and a family
 base's classes its search.  A scan passes --v, --vp and --w (None for
-base-base) to its gates and scan.  spectrum, support, cospectral, periodic
-and pst on a family spec read the family's classes and eigenspaces by
-theorem (`leafspectra.FamilyDecomposition`), which loads `exact` but
-neither numpy nor `spectral`.  cospectral on any other spec first compares
+base-base) to its gates and scan.  spectrum, support, cospectral, periodic,
+pst and fidelity on a family spec read the family's classes and eigenspaces
+by theorem (`leafspectra.FamilyDecomposition`), which loads `exact` but
+neither numpy nor `spectral`; on the corona of a family with a regular
+family (`cycle`, `complete`, `cocktail`, `empty`, or a `path` or `star` of
+order <= 2) they read its lifts and copy classes from both factors'
+theorems (`familycorona.FamilyCoronaDecomposition`), which loads `corona`
+too (`_by_theorem`).  cospectral on a spec that is no family first compares
 the degrees of u and v, read off the factor graphs: unequal degrees refute
 strong cospectrality exactly, with no numpy.  Each handler imports the
 analysis modules it calls: `spectral` (and numpy) for every other call,
 which loads `corona` only for a corona spec, and `transfer`, which loads
 numpy only inside its grid analyses, for sweep, periodic, pst, no-pst-scan
 and pgst.  Each handler asks `SpecFactors` for the float classes it
-reads: spectrum, support, periodic and pst on a spec that is no family, and
-the base of no-pst-scan and pgst, for classes with exact labels
-(`labelled`), fidelity, sweep, and cospectral on a spec that is no family,
-for float classes alone (`decomposition`).  corona-build checks the vertex
+reads: spectrum, support, periodic and pst on any other spec, and the base
+of no-pst-scan and pgst, for classes with exact labels (`labelled`),
+fidelity, sweep, and cospectral on any other spec, for float classes alone
+(`decomposition`).  corona-build checks the vertex
 and edge count of its spec against the build budget before it builds.  No
 module uses `dataclasses` (records are NamedTuples, eigenvalue classes
 plain `__slots__` classes), so no call loads it, and a call that skips
@@ -276,19 +281,33 @@ def _require_corona(spec: graphs.GraphSpec, who: str = "this subcommand") -> Non
 # subcommand handlers: each returns (report_dict, payload_or_None); a payload
 # is the handler's own rendering of --format (sweep csv, corona-build text)
 
-def _labelled(args):
-    """The labelled classes of args.spec with its vertex queries: a family's
-    by theorem (`leafspectra.FamilyDecomposition`, no numpy), any other
-    spec's from `spectral.SpecFactors`."""
-    spec = args.spec
+def _by_theorem(spec: graphs.GraphSpec, group_tol: float):
+    """The classes of spec with its vertex queries by theorem, with no numpy:
+    a family's (`leafspectra.FamilyDecomposition`) or the corona of a family
+    with a regular family's (`familycorona.FamilyCoronaDecomposition`); None
+    for any other spec."""
     if spec.kind in graphs.FAMILIES:
         graphs.check_budget(graphs.spec_order(spec, {}))
         from . import leafspectra
 
-        return leafspectra.FamilyDecomposition(spec.kind, spec.size, args.group_tol)
+        return leafspectra.FamilyDecomposition(spec.kind, spec.size, group_tol)
+    if not graphs.is_family_corona(spec):
+        return None
+    graphs.check_budget(graphs.spec_order(spec, {}))
+    from . import familycorona
+
+    return familycorona.FamilyCoronaDecomposition(spec, group_tol)
+
+
+def _labelled(args):
+    """The labelled classes of args.spec with its vertex queries: by theorem
+    where `_by_theorem` gives them, else from `spectral.SpecFactors`."""
+    d = _by_theorem(args.spec, args.group_tol)
+    if d is not None:
+        return d
     from . import spectral
 
-    return spectral.SpecFactors(args.group_tol).labelled(spec)
+    return spectral.SpecFactors(args.group_tol).labelled(args.spec)
 
 
 def _cmd_spectrum(args):
@@ -315,10 +334,12 @@ def _cmd_corona_build(args):
 
 
 def _cmd_fidelity(args):
-    from . import spectral
+    d = _by_theorem(args.spec, DEFAULT_GROUP_TOL)
+    if d is None:
+        from . import spectral
 
-    d = spectral.SpecFactors().decomposition(args.spec)
-    amp = complex(spectral.entry_amplitudes(d, args.u, args.v, args.t))
+        d = spectral.SpecFactors().decomposition(args.spec)
+    amp = d.amplitude(args.u, args.v, args.t)
     return {
         "u": args.u,
         "v": args.v,
@@ -359,10 +380,8 @@ def _cmd_support(args):
 
 def _cmd_cospectral(args):
     u, v = args.u, args.v
-    if args.spec.kind in graphs.FAMILIES:  # signs by theorem, in integers
-        d = _labelled(args)
-    else:
-        built: dict = {}
+    built: dict = {}
+    if args.spec.kind not in graphs.FAMILIES:
         n = graphs.spec_order(args.spec, built)
         graphs.check_budget(n)
         # strongly cospectral vertices have equal closed-walk counts, degrees
@@ -370,6 +389,8 @@ def _cmd_cospectral(args):
         if u != v and 0 <= u < n and 0 <= v < n and \
                 graphs.spec_degree(args.spec, built, u) != graphs.spec_degree(args.spec, built, v):
             return {"u": u, "v": v, "strongly_cospectral": False}, None
+    d = _by_theorem(args.spec, args.group_tol)  # signs by theorem, in integers
+    if d is None:
         from . import spectral
 
         d = spectral.SpecFactors(args.group_tol, built=built).decomposition(args.spec)

@@ -4,51 +4,57 @@ The corona of a base graph G (n vertices) with a graph H (m vertices) keeps
 one copy of G plus n copies of H and joins every vertex of copy j to all
 base neighbors of vertex j; `graphs.corona_graph` assembles it, which
 `spectral.SpecFactors` asks for only where a corona is a copy factor.
-`SpecFactors` loads this module only when a spec term is a corona, and the
+`SpecFactors` loads this module only when a spec term is a corona, the
 searches (`transfer.pgst_search`, `corona_no_pst_check`) only when they
-run.  On columns x (x) phi, phi a base eigenvector of lam and x a layer
-column (base, copy_0, ..., copy_{m-1}), it acts as the layer matrix
-[[lam, lam 1^T], [lam 1, A_H]].  Restricted to the base layer and the main
-directions u_mu = P_mu 1 / w_mu of H (w_mu = ||P_mu 1|| > 0) that is the
-arrowhead [[lam, lam w^T], [lam w, diag(mu)]], whose eigenpairs
-are the lifts of lam, the roots of one integer polynomial in the doubled
-variable (`lift_polynomial`); the rest of each H class survives with
-multiplicity n.  For a k-regular H the one main direction is 1/sqrt(m), so
-lam lifts to
+run, and `familycorona` for a family corona over a regular family.  On
+columns x (x) phi, phi a base eigenvector of lam and x a layer column
+(base, copy_0, ..., copy_{m-1}), it acts as the layer matrix [[lam, lam
+1^T], [lam 1, A_H]].  Restricted to the base layer and the main directions
+u_mu = P_mu 1 / w_mu of H (w_mu = ||P_mu 1|| > 0) that is the arrowhead
+[[lam, lam w^T], [lam w, diag(mu)]], whose eigenpairs are the lifts of lam,
+the roots of one integer polynomial in the doubled variable
+(`lift_polynomial`); the rest of each H class survives with multiplicity n.
+For a k-regular H the one main direction is 1/sqrt(m), so lam lifts to
 
     lam_pm = (lam + k +- Lambda) / 2,   Lambda = sqrt((lam - k)^2 + 4 m lam^2),
 
-the paper's pair.  One routine, `lift_class`, serves every consumer below:
-the closed form builds the classes as eigenvector blocks (x (x) V_lam for a
-lift, (0 (+) W) (x) I_n for a copy class), grouped as `decompose` groups
-(`leafspectra.class_runs`), with exact labels and the flag of lifts of
-degree > 2 that refutes periodicity and transfer; and the walk amplitude
-from (v', 0) to (v, 0), or to (v, w) with w given, is an exponential sum
-over the lifted values (`corona_terms`),
-which `spectral.exp_sum_grid` evaluates on uniform time grids in batches,
-each one small matrix product of two phase tables of about sqrt(batch)
-columns, in memory independent of --lmax and --points.
+the paper's pair, computed here in pure Python with its 2 x 2 eigenvectors
+in closed form; LAPACK solves a larger arrowhead.  One routine,
+`lift_class`, serves every consumer below: the closed form builds the
+classes as eigenvector blocks (x (x) V_lam for a lift, (0 (+) W) (x) I_n
+for a copy class), grouped as `decompose` groups (`merge_runs`, by
+`leafspectra.class_runs`), with exact labels and the flag of lifts of degree
+> 2 that refutes periodicity and transfer; and the walk amplitude from (v',
+0) to (v, 0), or to (v, w) with w given, is an exponential sum over the
+lifted values (`corona_terms`), which `spectral.exp_sum_grid` evaluates on
+uniform time grids in batches, each one small matrix product of two phase
+tables of about sqrt(batch) columns, in memory independent of --lmax and
+--points.  numpy and `spectral` are imported only inside the functions that
+build float blocks or solve a larger arrowhead, so lifting over a regular H
+loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .defaults import DEFAULT_GROUP_TOL
-from .exact import QuadInt, main_polynomial
+from .exact import _PAIR_TOL, _VALUE_TOL, QuadInt, _pair_label, main_polynomial
 from .graphs import Graph, check_base_vertex, check_budget, check_copy_vertex
 from .leafspectra import class_runs
-from .spectral import (_PAIR_TOL, _VALUE_TOL, EigenClass, SpectralDecomposition, _pair_label,
-                       decompose)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .spectral import EigenClass, SpectralDecomposition
 
 
 class MainData(NamedTuple):
     """H's s main eigenvalues mu and unit directions P_mu 1 / ||P_mu 1|| (m x s;
     ||P_mu 1|| is a column's sum), with walks 1^T A^j 1 and coefs of
-    A^s 1 = sum_j coefs[j] A^j 1 (j < s) in Python ints."""
+    A^s 1 = sum_j coefs[j] A^j 1 (j < s) in Python ints; the values and
+    directions are arrays, or Python floats for a regular H (`regular_main`)."""
 
     values: np.ndarray
     directions: np.ndarray
@@ -60,6 +66,8 @@ def main_data(h: Graph, h_decomp: SpectralDecomposition) -> MainData:
     """Main data of an irregular H: the exact Krylov relation of its all-ones
     vector (`exact.main_polynomial`), of degree s, and the s classes of
     h_decomp with the largest ||P_mu 1||."""
+    import numpy as np
+
     walks, coefs = main_polynomial(h.edges, h.n)
     classes = h_decomp.classes
     sums = [c.vectors.sum(axis=0) for c in classes]  # ||P_mu 1|| = |W^T 1|
@@ -68,6 +76,11 @@ def main_data(h: Graph, h_decomp: SpectralDecomposition) -> MainData:
                                   for i in main])
     values = np.array([classes[i].value for i in main])
     return MainData(values, directions, walks, coefs)
+
+
+def regular_main(k: int, m: int) -> MainData:
+    """Main data of a k-regular H on m vertices: mu = k on 1/sqrt(m)."""
+    return MainData((float(k),), ((1 / math.sqrt(m),),) * m, (m,), (k,))
 
 
 class CoronaSpec(NamedTuple):
@@ -82,11 +95,14 @@ class CoronaSpec(NamedTuple):
     def from_graphs(cls, g: Graph, h: Graph, h_decomp=None) -> "CoronaSpec":
         """The corona of g and h.  A k-regular H has mu = k on 1/sqrt(m);
         h_decomp, H's decomposition, is read (or made) only for an irregular H."""
-        k, m = h.is_regular(), h.n
+        k = h.is_regular()
         if k is not None:
-            return cls(g, h, k, MainData(np.array([float(k)]), np.full((m, 1), 1 / math.sqrt(m)),
-                                         (m,), (k,)))
-        return cls(g, h, k, main_data(h, h_decomp or decompose(h.adjacency())))
+            return cls(g, h, k, regular_main(k, h.n))
+        if h_decomp is None:
+            from .spectral import decompose
+
+            h_decomp = decompose(h.adjacency())
+        return cls(g, h, k, main_data(h, h_decomp))
 
     @property
     def n(self) -> int:
@@ -105,7 +121,7 @@ class LiftedClass(NamedTuple):
     value: float
     exact: QuadInt | None
     base: float
-    copy: np.ndarray
+    copy: np.ndarray | list[float]
     beyond_quadratic: bool
 
 
@@ -113,21 +129,62 @@ def lift_class(lam: float, label: QuadInt | None, main: MainData) -> list[Lifted
     """Corona lifts of the base class lam (exact label or None) over H's main data.
 
     One lift per eigenvector x of the arrowhead of lam (the label's value
-    when labelled), with base x[0] and copy U x[1:], U the main directions.
-    A labelled lam's lifts are labelled, and those of degree > 2 flagged
-    `beyond_quadratic`, from its integer lift polynomial (`lift_polynomial`)
-    by `_lift_labels`, with no rank, for a regular and an irregular H alike.
-    A periodic vertex, and so a vertex with perfect state transfer, has only
-    integer or quadratic support values (Godsil, "Periodic graphs", Electron.
-    J. Combin. 18 (2011) #P23), so a flagged lift in a vertex's support
-    refutes both.
+    when labelled), with base x[0] and copy U x[1:], U the main directions:
+    over a regular H the paper's pair with its 2 x 2 eigenvectors in closed
+    form (`_regular_lifts`), in pure Python, and LAPACK's eigh on a larger
+    arrowhead.  A labelled lam's lifts are labelled, and those of degree > 2
+    flagged `beyond_quadratic`, from its integer lift polynomial
+    (`lift_polynomial`) by `_lift_labels`, with no rank, for a regular and an
+    irregular H alike.  A periodic vertex, and so a vertex with perfect state
+    transfer, has only integer or quadratic support values (Godsil, "Periodic
+    graphs", Electron. J. Combin. 18 (2011) #P23), so a flagged lift in a
+    vertex's support refutes both.
     """
     if label is not None:
         lam = label.value()
-    d = decompose(_arrowhead(lam, main))
-    marks = [(None, False)] * len(d.classes) if label is None else _lift_labels(d, label, main)
-    return [LiftedClass(c.value, exact, float(x[0]), main.directions @ x[1:], beyond)
-            for c, (exact, beyond) in zip(d.classes, marks) for x in c.vectors.T]
+    values, columns = _arrowhead_eigen(lam, main)
+    runs = class_runs(values, DEFAULT_GROUP_TOL)  # grouped as `decompose` groups
+    groups = [(sum(values[a:b]) / (b - a), b - a) for a, b in runs]
+    marks = [(None, False)] * len(runs) if label is None else _lift_labels(groups, label, main)
+    return [LiftedClass(value, exact, base, copy, beyond)
+            for (value, _), (a, b), (exact, beyond) in zip(groups, runs, marks)
+            for base, copy in columns[a:b]]
+
+
+def _arrowhead_eigen(lam: float, main: MainData):
+    """The eigenvalues of the arrowhead of lam, descending, and the layer
+    column (base, copy) of each."""
+    if len(main.coefs) == 1:
+        m = main.walks[0]
+        values, vectors = _regular_lifts(lam, float(main.values[0]), m)
+        return values, [(x0, [x1 / math.sqrt(m)] * m) for x0, x1 in vectors]
+    import numpy as np
+
+    from .spectral import symmetric_eigen
+
+    arrow = np.diag(np.r_[lam, main.values])
+    arrow[0, 1:] = arrow[1:, 0] = lam * main.directions.sum(axis=0)
+    values, vectors = symmetric_eigen(arrow)
+    return values[::-1].tolist(), [(float(x[0]), main.directions @ x[1:]) for x in vectors.T[::-1]]
+
+
+def _regular_lifts(lam: float, k: float, m: int):
+    """The eigenpairs of [[lam, lam sqrt(m)], [lam sqrt(m), k]], the arrowhead
+    of lam over a k-regular H on m vertices: the paper's pair (lam + k +-
+    Lambda)/2, descending, the one of larger magnitude by the formula and the
+    other from their product k lam - m lam^2, with unit eigenvectors in closed
+    form.  lam = 0 lifts to k on the copies and to 0 on the base."""
+    if lam == 0:
+        return [k, 0.0], [(0.0, 1.0), (1.0, 0.0)]
+    half, off = (lam - k) / 2, lam * math.sqrt(m)
+    mean, r = (lam + k) / 2, math.hypot(half, off)  # r = Lambda / 2
+    big = mean + r if mean >= 0 else mean - r
+    small = lam * (k - m * lam) / big
+    # the larger root's eigenvector, (r + half, off) or its multiple (off, r - half)
+    x0, x1 = (r + half, off) if half >= 0 else (off, r - half)
+    norm = math.hypot(x0, x1)
+    x0, x1 = x0 / norm, x1 / norm
+    return [big, small] if mean >= 0 else [small, big], [(x0, x1), (-x1, x0)]
 
 
 def lift_polynomial(label: QuadInt, main: MainData) -> list[int]:
@@ -145,22 +202,32 @@ def lift_polynomial(label: QuadInt, main: MainData) -> list[int]:
     delta: monic in Z[y] even where label is no algebraic integer.
     """
     m = (1, *(-c for c in reversed(main.coefs)))  # M, highest first: m[i] = m_{s-i}
-    m2 = np.array([c << i for i, c in enumerate(m)], dtype=object)
+    m2 = [c << i for i, c in enumerate(m)]
     # N2 padded to the length of M2: N_{s-1-r} 2^r at r + 1
-    n2 = np.array([0, *(sum(m[i] * main.walks[r - i] for i in range(r + 1)) << r
-                        for r in range(len(m) - 1))], dtype=object)
+    n2 = [0, *(sum(m[i] * main.walks[r - i] for i in range(r + 1)) << r
+               for r in range(len(m) - 1))]
     a, b, delta = label
     p = a * a - b * b * delta
     terms = ([([1, -a], m2), ([0, -a * a], n2)] if label.is_rational_integer else
-             [([1, -2 * a, p], np.convolve(m2, m2)),
-              ([0, 2 * p - 4 * a * a, 2 * a * p], np.convolve(m2, n2)),
-              ([0, 0, p * p], np.convolve(n2, n2))])
-    return sum(np.convolve(f, g) for f, g in terms).tolist()
+             [([1, -2 * a, p], _times(m2, m2)),
+              ([0, 2 * p - 4 * a * a, 2 * a * p], _times(m2, n2)),
+              ([0, 0, p * p], _times(n2, n2))])
+    return [sum(column) for column in zip(*(_times(f, g) for f, g in terms))]
 
 
-def _lift_labels(d: SpectralDecomposition, label: QuadInt,
+def _times(f: list[int], g: list[int]) -> list[int]:
+    """The product of two polynomials, coefficients highest first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _lift_labels(groups: list[tuple[float, int]], label: QuadInt,
                  main: MainData) -> list[tuple[QuadInt | None, bool]]:
-    """(label, beyond_quadratic) of each class of d, the arrowhead of label.
+    """(label, beyond_quadratic) of each class (value, multiplicity) of the
+    arrowhead of label.
 
     Psi (`lift_polynomial`) is monic in Z[y], so a doubled lift y of degree
     <= 2 is an integer root r of Psi or a root of a factor y^2 - Ay + B in
@@ -177,21 +244,21 @@ def _lift_labels(d: SpectralDecomposition, label: QuadInt,
     rounded sum and squared gap exact and its value within _VALUE_TOL.
     """
     psi, conjugates = lift_polynomial(label, main), {label, label.conjugate()}
-    roots = [2 * t for q in conjugates
-             for t in np.linalg.eigvalsh(_arrowhead(q.value(), main)).tolist()]
+    roots = [2 * t for q in conjugates for t in _arrowhead_eigen(q.value(), main)[0]]
     rest, left = psi, roots  # R and its float roots
     marks = []
-    for c in d.classes:
-        y, r = 2 * c.value, round(2 * c.value)
+    for value, multiplicity in groups:
+        y, r = 2 * value, round(2 * value)
         count, rest = _divide_out(rest, [1, -r]) if abs(y - r) < _VALUE_TOL else (0, rest)
         if count:
             left = [t for t in left if abs(t - r) >= _VALUE_TOL]
-        q = QuadInt.from_int(r) if count == len(conjugates) * c.multiplicity else None
-        if not count and c.multiplicity == 1:
+        q = QuadInt.from_int(r) if count == len(conjugates) * multiplicity else None
+        lone = not count and multiplicity == 1
+        if lone:
             pairs = (_pair_label(y, z) for z in roots)
             q = next((g for g in pairs if g and _divide_out(
                 psi, [1, -g.a, (g.a * g.a - g.b * g.b * g.delta) // 4])[0]), None)
-        marks.append((_halve(q), not count and c.multiplicity == 1 and q is None))
+        marks.append((_halve(q), lone and q is None))
     eps = min(_VALUE_TOL / 2, _PAIR_TOL / (8 * (max(roots) - min(roots) + 1)))
     left.sort()
     complete = any(beyond for _, beyond in marks) and len(left) == len(rest) - 1 and all(
@@ -224,12 +291,6 @@ def _sign(poly, t: float) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _arrowhead(lam: float, main: MainData) -> np.ndarray:
-    arrow = np.diag(np.r_[lam, main.values])
-    arrow[0, 1:] = arrow[1:, 0] = lam * main.directions.sum(axis=0)
-    return arrow
-
-
 def _halve(q: QuadInt | None) -> QuadInt | None:
     """q / 2, or None when that is no (a + b sqrt(delta))/2 with integer a, b."""
     ok = q is not None and q.a % 2 == q.b % 2 == 0 and (q.delta > 1 or q.a % 4 == 0)
@@ -253,12 +314,15 @@ def corona_spectral_closed_form(
     """
     n, m = spec.n, spec.m
     check_budget(n * (m + 1))
+    import numpy as np
+
+    from .spectral import EigenClass
 
     raw: list[EigenClass] = []
     eye_n = np.eye(n)
     for c in h_decomp.classes:
         # main directions inside this class: ||U^T W||^2 of them, 0 or 1
-        inner = spec.main.directions.T @ c.vectors
+        inner = np.asarray(spec.main.directions).T @ c.vectors
         mains = round(float(np.sum(inner * inner)))
         block = c.vectors @ np.linalg.svd(inner)[2][mains:].T if mains else c.vectors
         if block.shape[1]:
@@ -291,6 +355,8 @@ def corona_terms(
     Otherwise it is <(v',0)| U(t) |(v,w)>, with coefficient E base copy[w]
     (+-E lam/Lambda at lam_pm, the same for every w, when H is regular).
     """
+    import numpy as np
+
     check_base_vertex(spec.n, v)
     check_base_vertex(spec.n, vp)
     if w is not None:
@@ -309,17 +375,29 @@ def corona_terms(
 def _merge_classes(
     raw: list[EigenClass], n: int, group_tol: float
 ) -> SpectralDecomposition:
-    """The raw classes grouped as `decompose` groups eigenvalues; a class keeps
-    its first member's value, one of the corona's eigenvalues, and a label or
-    the `beyond_quadratic` flag only where every member carries it."""
+    """The raw classes merged by `merge_runs`, their blocks side by side."""
+    import numpy as np
+
+    from .spectral import EigenClass, SpectralDecomposition
+
+    return SpectralDecomposition(
+        [EigenClass(run[0].value, run[0].vectors if len(run) == 1 else
+                    np.hstack([c.vectors for c in run]), label, flagged)
+         for run, label, flagged in merge_runs(raw, group_tol)], n)
+
+
+def merge_runs(raw: list, group_tol: float) -> list[tuple[list, QuadInt | None, bool]]:
+    """The raw classes (each with a value, label and flag), sorted by
+    decreasing value in place, in runs grouped as `decompose` groups
+    eigenvalues, each with the label and the `beyond_quadratic` flag that
+    every member carries, else None and False.  A run's class keeps its first
+    member's value, one of the corona's eigenvalues."""
     raw.sort(key=lambda c: c.value, reverse=True)
-    merged: list[EigenClass] = []
+    runs = []
     for a, b in class_runs([c.value for c in raw], group_tol):
         run = raw[a:b]
-        vectors = run[0].vectors if b - a == 1 else np.hstack([c.vectors for c in run])
         labels = {c.exact for c in run}
         # numerically merged but symbolically distinct values: stay honest
-        merged.append(EigenClass(run[0].value, vectors,
-                                 labels.pop() if len(labels) == 1 else None,
-                                 all(c.beyond_quadratic for c in run)))
-    return SpectralDecomposition(merged, n)
+        runs.append((run, labels.pop() if len(labels) == 1 else None,
+                     all(c.beyond_quadratic for c in run)))
+    return runs

@@ -1,13 +1,21 @@
 """Exact integer and quadratic-integer arithmetic backing the certification layer.
 
 Everything here works on plain Python integers so that the
-eigenvalue certificates downstream never rest on floating point alone.
+eigenvalue certificates downstream never rest on floating point alone; the
+one float reader, `_pair_label`, proposes a quadratic label that its caller
+then verifies exactly.  No numpy.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, NamedTuple, Sequence
+
+# a class value this close to an integer or to a pair's QuadInt is tried by rank,
+# or by exact division of a lift polynomial (`corona.lift_class`)
+_VALUE_TOL = 1e-9
+# a candidate conjugate pair's sum and squared gap lie this close to integers
+_PAIR_TOL = 1e-6
 
 # Inputs are discriminants of desk-scale graphs; anything past 128 bits means
 # the caller fed us something this trial-division factorizer was not built for.
@@ -181,3 +189,16 @@ class QuadInt(NamedTuple("QuadInt", [("a", int), ("b", int), ("delta", int)])):
         if self.is_rational_integer:
             return str(self.a // 2)
         return f"({self.a}{self.b:+}*sqrt({self.delta}))/2"
+
+
+def _pair_label(x: float, y: float) -> QuadInt | None:
+    """The label (a +- s*sqrt(c))/2 of x, the sign that of x - y, with a = x + y
+    and s^2 c = (x - y)^2, c > 1."""
+    a, sq = round(x + y), round((x - y) ** 2)
+    if abs(x + y - a) > _PAIR_TOL or abs((x - y) ** 2 - sq) > _PAIR_TOL or sq < 1:
+        return None
+    split = square_free_part(sq)
+    if split.c == 1 or (a * a - sq) % 4:
+        return None
+    q = QuadInt(a, split.s if x > y else -split.s, split.c)
+    return q if abs(x - q.value()) < _VALUE_TOL else None

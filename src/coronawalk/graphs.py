@@ -229,22 +229,29 @@ def require_regular(k: int | None) -> int:
 # specs
 
 class Family(NamedTuple):
-    """A named graph family: its builder on a size, its edge count on a size
-    and the least size it takes."""
+    """A named graph family: its builder on a size, its edge count on a size,
+    its degree on a size where it is regular (else None) and the least size
+    it takes."""
 
     build: Callable[[int], Graph]
     edge_count: Callable[[int], int]
+    degree: Callable[[int], int | None]
     minimum: int = 1
 
 
+def _at_most_an_edge(n: int) -> int | None:
+    """Degree of a path or star: regular only at order 1 or 2."""
+    return n - 1 if n <= 2 else None
+
+
 FAMILIES = {
-    "path": Family(path_graph, lambda n: n - 1),
+    "path": Family(path_graph, lambda n: n - 1, _at_most_an_edge),
     # a 1- or 2-cycle would need loops or parallel edges
-    "cycle": Family(cycle_graph, lambda n: n, 3),
-    "complete": Family(complete_graph, lambda n: n * (n - 1) // 2),
-    "cocktail": Family(cocktail_party_graph, lambda n: 2 * n * (n - 1)),
-    "empty": Family(empty_graph, lambda n: 0),
-    "star": Family(star_graph, lambda n: n - 1),
+    "cycle": Family(cycle_graph, lambda n: n, lambda n: 2, 3),
+    "complete": Family(complete_graph, lambda n: n * (n - 1) // 2, lambda n: n - 1),
+    "cocktail": Family(cocktail_party_graph, lambda n: 2 * n * (n - 1), lambda n: 2 * n - 2),
+    "empty": Family(empty_graph, lambda n: 0, lambda n: 0),
+    "star": Family(star_graph, lambda n: n - 1, _at_most_an_edge),
 }
 
 
@@ -262,6 +269,16 @@ class GraphSpec(NamedTuple):
         if self.kind == "file":
             return f"file:{self.path}"
         return f"{self.kind}:{self.size}"
+
+
+def is_family_corona(spec: GraphSpec) -> bool:
+    """Whether spec is the corona of a family graph with a regular family
+    graph, which `familycorona` decomposes by theorem."""
+    if spec.kind != "corona":
+        return False
+    base, copy = spec.factors
+    return base.kind in FAMILIES and copy.kind in FAMILIES and \
+        FAMILIES[copy.kind].degree(copy.size) is not None
 
 
 def build_family(spec: GraphSpec) -> Graph:

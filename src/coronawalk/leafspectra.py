@@ -26,9 +26,12 @@ phi(d)/2 >= 3.  A labelled value is the float of its label.
 `FamilyDecomposition` answers the vertex queries of a decomposition from
 these eigenspaces, deciding support and strong-cospectral signs in
 integers, with no numpy and no eigensolve: `spectrum`, `support`,
-`cospectral`, `periodic` and `pst` on a family spec read it, as does the
-t51/t52 base gate of `pgst` on a family base.  `spectral.SpecFactors` labels
-a family leaf's float classes from `family_values` instead of by exact rank.
+`cospectral`, `periodic`, `pst` and `fidelity` on a family spec read it, as
+does the t51/t52 base gate of `pgst` on a family base, and
+`familycorona.FamilyCoronaDecomposition` reads its per-eigenspace rules
+(`holds`, `sign`, `entry`) for both factors of a family corona over a
+regular family.  `spectral.SpecFactors` labels a family leaf's float classes
+from `family_values` instead of by exact rank.
 
 `class_runs` is the one rule that groups descending eigenvalues into classes,
 for these values, `spectral.decompose` and the corona closed form alike.
@@ -91,21 +94,22 @@ class FamilyDecomposition:
     when it holds one distinct value.
 
     Support and strong-cospectral signs are decided in integers per
-    eigenspace, so the tolerances those take are not read.  A class that
-    merges several eigenspaces (at a loose group_tol) is the sum of their
-    orthogonal projectors: it holds a vertex iff one of them does, and has a
-    sign iff every one that holds u or v has that sign.  The amplitude is a
+    eigenspace (`spaces`, the (value, key) pairs of each class, read by
+    `holds`, `sign` and `entry`), so the tolerances those take are not
+    read.  A class that merges several eigenspaces (at a loose group_tol)
+    is the sum of their orthogonal projectors: it holds a vertex iff one of
+    them does, and has a sign iff every one that holds u or v has that sign.  The amplitude is a
     sum of closed-form projector entries, each at its eigenspace's value.
     """
 
-    __slots__ = ("kind", "size", "n", "classes", "_spaces")
+    __slots__ = ("kind", "size", "n", "classes", "spaces")
 
     def __init__(self, kind: str, size: int, group_tol: float):
         runs = _family_runs(kind, size, group_tol)
         self.kind, self.size = kind, size
         self.n = 2 * size if kind == "cocktail" else size
         self.classes = [c for c, _ in runs]
-        self._spaces = [spaces for _, spaces in runs]
+        self.spaces = [spaces for _, spaces in runs]
 
     def support(self, u: int, tol: float | None = None) -> SupportSet:
         """Classes holding u, in decreasing eigenvalue order, flagged
@@ -113,8 +117,8 @@ class FamilyDecomposition:
         degree phi(d)/2 >= 3: an eigenspace's value, not a merged class's."""
         self._check(u)
         idx, beyond = [], False
-        for i, spaces in enumerate(self._spaces):
-            held = [value for value, key in spaces if self._holds(key, u)]
+        for i, spaces in enumerate(self.spaces):
+            held = [value for value, key in spaces if self.holds(key, u)]
             if held:
                 idx.append(i)
                 beyond = beyond or any(value.exact is None for value in held)
@@ -128,8 +132,8 @@ class FamilyDecomposition:
         self._check(u)
         self._check(v)
         signs: dict[int, int] = {}
-        for i, spaces in enumerate(self._spaces):
-            found = {self._sign(key, u, v) for _, key in spaces} - {0}
+        for i, spaces in enumerate(self.spaces):
+            found = {self.sign(key, u, v) for _, key in spaces} - {0}
             if len(found) > 1 or None in found:
                 return None
             if found:
@@ -140,15 +144,15 @@ class FamilyDecomposition:
         """Walk amplitude <u| exp(-itA) |v> = sum_theta exp(-it theta) E_theta[u,v]."""
         self._check(u)
         self._check(v)
-        return sum(self._entry(key, u, v) * complex(math.cos(t * value.value),
-                                                    -math.sin(t * value.value))
-                   for spaces in self._spaces for value, key in spaces)
+        return sum(self.entry(key, u, v) * complex(math.cos(t * value.value),
+                                                   -math.sin(t * value.value))
+                   for spaces in self.spaces for value, key in spaces)
 
     def _check(self, u: int) -> None:
         if not 0 <= u < self.n:
             raise ValueError(f"vertex {u} out of range for dimension {self.n}")
 
-    def _holds(self, key: int, u: int) -> bool:
+    def holds(self, key: int, u: int) -> bool:
         """Whether eigenspace `key` does not kill e_u."""
         n = self.size
         if self.kind == "path":
@@ -156,7 +160,7 @@ class FamilyDecomposition:
         # only the star's 0 space, on the leaves, kills a vertex: its centre
         return not (self.kind == "star" and key == 0 and u == 0 and n > 1)
 
-    def _sign(self, key: int, u: int, v: int) -> int | None:
+    def sign(self, key: int, u: int, v: int) -> int | None:
         """s with E e_u = s E e_v != 0 on eigenspace `key` (u != v), 0 when E
         kills both, None when neither sign holds."""
         kind, n = self.kind, self.size
@@ -188,7 +192,7 @@ class FamilyDecomposition:
             return 1 if u * v else key if n == 2 else None
         return None  # empty: E = I
 
-    def _entry(self, key: int, u: int, v: int) -> float:
+    def entry(self, key: int, u: int, v: int) -> float:
         """E[u, v] on eigenspace `key`."""
         kind, n = self.kind, self.size
         if kind == "path":

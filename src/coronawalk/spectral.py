@@ -14,11 +14,13 @@ spec densely here, a corona in closed form from its factors through
 a plain spec never load it.  Its caller asks for labels: `labelled` labels
 a family leaf's classes from the family's spectrum by theorem
 (`leafspectra`), a `file:` leaf's by `attach_exact_labels`, and a corona's
-through its factors; `decomposition` makes no label.  On a family spec,
-`spectrum`, `support`, `cospectral`, `periodic` and `pst` read the theorem's
-classes and eigenspaces (`leafspectra.FamilyDecomposition`) without this
-module, so a family leaf is decomposed here only for `fidelity` and
-`sweep`, and as a corona factor.
+through its factors; `decomposition` makes no label.  On a family spec, and
+on the corona of a family with a regular family, `spectrum`, `support`,
+`cospectral`, `periodic`, `pst` and `fidelity` read the theorem's classes
+and eigenspaces (`leafspectra.FamilyDecomposition`,
+`familycorona.FamilyCoronaDecomposition`) without this module, so a family
+leaf is decomposed here only for `sweep`, as a factor of any other corona,
+and in the closed form those routes are tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_GROUP_TOL, DEFAULT_SUPPORT_TOL
-from .exact import QuadInt, exact_rank, square_free_part
+from .exact import _VALUE_TOL, QuadInt, _pair_label, exact_rank
 from .graphs import FAMILIES, Graph, GraphSpec, build_graph, check_budget, spec_order
 from .leafspectra import FamilyClass, SupportSet, class_runs, family_values
 
@@ -223,13 +225,6 @@ def strong_cospectral(
 # ---------------------------------------------------------------------------
 # exact labeling
 
-# a class value this close to an integer or to a pair's QuadInt is tried by rank,
-# or by exact division of a lift polynomial (`corona.lift_class`)
-_VALUE_TOL = 1e-9
-# a candidate conjugate pair's sum and squared gap lie this close to integers
-_PAIR_TOL = 1e-6
-
-
 def attach_exact_labels(d: SpectralDecomposition, matrix) -> SpectralDecomposition:
     """Label the classes of d, which decomposes `matrix` (a `file:` leaf's
     adjacency), with verified integer or quadratic-integer eigenvalues.
@@ -322,9 +317,10 @@ class SpecFactors:
     corona is decomposed in closed form from its factors'
     decompositions of the same kind, recursing into both, and is assembled
     only where an enclosing corona needs it as a factor.  An irregular copy
-    factor's main data is read off its labelled decomposition where the
-    command made one, else off the float one.  `built` seeds the graph cache
-    with graphs already built, as the search gates build them.
+    factor's main data is read off its decomposition at the default
+    group_tol, the labelled one where the command made it: a looser grouping
+    would merge main values.  `built` seeds the graph cache with graphs
+    already built, as the search gates build them.
     """
 
     def __init__(self, group_tol: float = DEFAULT_GROUP_TOL,
@@ -374,10 +370,15 @@ class SpecFactors:
 
             g, h = map(self.graph, spec.factors)
             h_spec = spec.factors[1]
-            # an irregular H's main data is read off its decomposition, the
+            # an irregular H's main data is read off its decomposition at the
+            # default group_tol, where no class merges main values: the
             # labelled one where this command made it
-            h_decomp = (None if h.is_regular() is not None
-                        else self._labelled.get(h_spec) or factor(h_spec))
+            if h.is_regular() is not None:
+                h_decomp = None
+            elif self.group_tol != DEFAULT_GROUP_TOL:
+                h_decomp = SpecFactors(built=self._graphs).decomposition(h_spec)
+            else:
+                h_decomp = self._labelled.get(h_spec) or factor(h_spec)
             self._coronas[spec] = CoronaSpec.from_graphs(g, h, h_decomp)
         return self._coronas[spec]
 
@@ -390,19 +391,6 @@ class SpecFactors:
         return corona_spectral_closed_form(
             self._corona(spec, factor), *map(factor, spec.factors), self.group_tol
         )
-
-
-def _pair_label(x: float, y: float) -> QuadInt | None:
-    """The label (a +- s*sqrt(c))/2 of x, the sign that of x - y, with a = x + y
-    and s^2 c = (x - y)^2, c > 1."""
-    a, sq = round(x + y), round((x - y) ** 2)
-    if abs(x + y - a) > _PAIR_TOL or abs((x - y) ** 2 - sq) > _PAIR_TOL or sq < 1:
-        return None
-    split = square_free_part(sq)
-    if split.c == 1 or (a * a - sq) % 4:
-        return None
-    q = QuadInt(a, split.s if x > y else -split.s, split.c)
-    return q if abs(x - q.value()) < _VALUE_TOL else None
 
 
 def _check_vertex(d: SpectralDecomposition, u: int) -> None:

@@ -9,10 +9,12 @@ runs its own loop over the batches of one grid kernel, `exp_sum_grid`.
 The verdicts (`periodicity_test`, `pst_certify` and the t51/t52 base gate
 `base_transfer`) read support, signs and amplitude through the methods of
 the decomposition they are given: `spectral.SpectralDecomposition`'s float
-classes, or a family leaf's `leafspectra.FamilyDecomposition`, decided in
-integers.  So this module loads numpy and `spectral` only inside the grid
-analyses (scans, searches and sweeps): `periodic` and `pst` on a family
-spec, and a family base the pgst gate refutes, load neither.  The two corona analyses import
+classes, or, decided in integers, a family leaf's
+`leafspectra.FamilyDecomposition` or a family corona's over a regular family
+(`familycorona.FamilyCoronaDecomposition`).  So this module loads numpy and
+`spectral` only inside the grid analyses (scans, searches and sweeps):
+`periodic` and `pst` on a family spec or such a corona, and a family base
+the pgst gate refutes, load neither.  The two corona analyses import
 `corona` and `gates` when they run, so `pst`, `sweep` and `periodic` on a
 plain spec load neither.
 """
@@ -30,6 +32,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .corona import CoronaSpec
+    from .familycorona import FamilyCoronaDecomposition
     from .leafspectra import FamilyDecomposition
     from .spectral import SpectralDecomposition
 
@@ -136,7 +139,7 @@ _CERTIFIED_FIDELITY_TOL = 1e-8
 
 
 def pst_certify(
-    d: SpectralDecomposition | FamilyDecomposition,
+    d: SpectralDecomposition | FamilyDecomposition | FamilyCoronaDecomposition,
     u: int,
     v: int,
     support_tol: float = DEFAULT_SUPPORT_TOL,
@@ -155,8 +158,8 @@ def pst_certify(
     Classes in the support must carry exact labels; otherwise the verdict is
     NoPST where the support of u holds a value of degree > 2 (transfer from
     u makes u periodic), else Inconclusive rather than a guess.  d is a
-    decomposition, float or family (module docstring): its `support`,
-    `signs` and `amplitude` take support_tol and cospectral_tol.
+    decomposition, float, family or family corona (module docstring): its
+    `support`, `signs` and `amplitude` take support_tol and cospectral_tol.
     """
     check_distinct(u, v)
     sup = d.support(u, support_tol)

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from coronawalk.cli import _round15
-from coronawalk.corona import MainData, corona_terms
+from coronawalk.corona import corona_terms
 from coronawalk.exact import QuadInt, square_free_part
 from coronawalk.spectral import entry_amplitudes, exp_sum
 
@@ -128,11 +128,6 @@ def render_csv(header, left, right) -> str:
     for row in zip(left.tolist(), right.tolist()):
         lines.append(",".join(f"{_round15(x):.15g}" for x in row))
     return "\n".join(lines) + "\n"
-
-
-def regular_main(k: int, m: int) -> MainData:
-    """Main data of a k-regular copy factor on m vertices: mu = k on 1/sqrt(m)."""
-    return MainData(np.array([float(k)]), np.full((m, 1), 1.0 / math.sqrt(m)), (m,), (k,))
 
 
 def quad_int(a: int, b: int, disc: int) -> QuadInt:

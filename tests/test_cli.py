@@ -181,6 +181,29 @@ class TestSpectrumCommand:
         code, _, err = run(capsys, *argv)
         assert (code, err, calls) == (EXIT_OK, "", [])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("spectrum", "corona(cocktail:3,cycle:3)"),
+         ("support", "corona(path:3,empty:2)", "--u", "4"),
+         ("cospectral", "corona(cycle:4,cycle:3)", "--u", "0", "--v", "2"),
+         ("periodic", "corona(cycle:8,cycle:4)", "--u", "6"),
+         # within one 4-cycle copy, over an isolated base vertex: PST at pi/2
+         ("pst", "corona(empty:2,cycle:4)", "--u", "2", "--v", "6"),
+         ("fidelity", "corona(cycle:4,cycle:3)", "--u", "11", "--v", "12", "--t", "0.5")],
+        ids=["spectrum", "support", "cospectral", "periodic", "pst", "fidelity"])
+    def test_family_corona_queries_run_no_eigensolve(self, capsys, argv):
+        """A family corona over a regular copy factor is read off the theorem
+        and the lifts' closed form: no eigensolver, no rank."""
+        with mock.patch.object(spectral, "symmetric_eigen", side_effect=AssertionError), \
+                mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError), \
+                mock.patch.object(np.linalg, "eigh", side_effect=AssertionError), \
+                mock.patch.object(exact, "exact_rank", side_effect=AssertionError), \
+                mock.patch.object(spectral, "exact_rank", side_effect=AssertionError):
+            code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        if argv[0] == "pst":
+            assert json.loads(out)["verdict"] == "PST"
+
     @pytest.mark.parametrize("spec", ["path:5000", "complete:4097", "cocktail:2049"])
     def test_family_spectrum_over_budget_builds_nothing(self, capsys, monkeypatch, spec):
         builds = []
@@ -444,11 +467,11 @@ class TestAdjacencyBuilds:
 
     @pytest.mark.parametrize(
         "argv, orders",
-        # a family's spectrum and vertex queries are read off the theorem: no
-        # matrix is built
+        # a family's spectrum and vertex queries are read off the theorem, and
+        # so are a family corona's over a regular copy factor: no matrix is built
         [(("spectrum", "cycle:12"), []),
          (("support", "cycle:12", "--u", "0"), []),
-         (("periodic", "corona(cycle:8,cycle:4)", "--u", "1"), [8, 4]),
+         (("periodic", "corona(cycle:8,cycle:4)", "--u", "1"), []),
          # an irregular H is labelled before its main data is read off it
          (("pst", "corona(cycle:13,path:4)", "--u", "0", "--v", "6"), [4, 13])],
         ids=["spectrum", "support", "periodic-corona", "pst-irregular-copy"],

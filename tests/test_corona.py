@@ -18,6 +18,7 @@ from coronawalk.corona import (
     corona_terms,
     lift_class,
     lift_polynomial,
+    regular_main,
 )
 from coronawalk.defaults import DEFAULT_GROUP_TOL
 from coronawalk.exact import QuadInt
@@ -52,7 +53,6 @@ from oracles import (
     lift_base_eigenvalue,
     projector,
     reassemble,
-    regular_main,
     small_factors,
     transition_matrix,
 )
@@ -512,6 +512,21 @@ class TestOracleEquality:
                 diff = transition_matrix(d, t) - transition_matrix(ref, t)
                 assert np.max(np.abs(diff)) < 1e-8, base
 
+    @pytest.mark.parametrize("group_tol", [1e-8, 1e-2])
+    def test_an_irregular_copy_factor_keeps_its_main_rows_at_any_group_tol(self, tmp_path,
+                                                                          group_tol):
+        # H's main data is read off H at the default tolerance: at 1e-2 its
+        # classes would merge main values and leave 30 of the 40 main rows
+        path = tmp_path / "h.edges"
+        path.write_text(write_edge_list(random_irregular_graph(40, 0)))
+        spec = parse_graph_spec(f"corona(path:3,file:{path})")
+        factors = SpecFactors(group_tol)
+        main = factors.corona(spec).main
+        assert len(main.values) == len(main.coefs) == 40  # an arrowhead of 41 rows
+        assembled = np.linalg.eigvalsh(factors.graph(spec).adjacency())
+        for c in factors.labelled(spec).classes:
+            assert np.min(np.abs(assembled - c.value)) <= 1e-9, c.value
+
 
 class TestEntries:
     def test_base_base_at_zero_is_kronecker(self):
@@ -931,11 +946,11 @@ class TestLiftPolynomial:
             SpecFactors(), parse_graph_spec(f"corona({g},file:{path})"), set())
             for g in ("path:3", "cycle:4", "complete:3"))
         assert flags > 0
-        # at --group-tol 1e-2 H's classes merge main values, so the arrowhead
-        # is no longer H's: no sign test certifies a search, and nothing is
-        # flagged
-        loose = SpecFactors(1e-2).labelled(parse_graph_spec(f"corona(path:3,file:{path})"))
-        assert not any(c.beyond_quadratic for c in loose.classes)
+        # at --group-tol 1e-2 H's main data is still read off H at the default
+        # tolerance, so the arrowhead is H's and its flags are certified too
+        loose = SpecFactors(1e-2)
+        assert assert_flags_agree_with_search(
+            loose, parse_graph_spec(f"corona(path:3,file:{path})"), set()) > 0
 
     def test_regular_flags_are_the_square_test(self):
         # over a k-regular H the lifts of (a + b sqrt(delta))/2 have degree 4
@@ -985,7 +1000,7 @@ class TestLiftPolynomial:
         # roots of Psi: they take no label, and no sign change of Psi
         # certifies the search, so neither is flagged
         main = regular_main(2, 3)
-        lifts = lift_class(0.0, QuadInt(1, 1, 5), main._replace(values=main.values + 1e-6))
+        lifts = lift_class(0.0, QuadInt(1, 1, 5), main._replace(values=(main.values[0] + 1e-6,)))
         assert [(lift.exact, lift.beyond_quadratic) for lift in lifts] == [(None, False)] * 2
 
     def test_lifts_take_labels_and_flags_without_rank(self):

@@ -142,7 +142,7 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
         # a family's spectrum is read off the theorem, a file's off the eigensolve
         (("spectrum", "path:3"), ["coronawalk.exact"]),
         (("spectrum", "file:{path}"), ANALYSIS),
-        (("fidelity", "path:2", "--u", "0", "--v", "1", "--t", "1"), ANALYSIS),
+        (("fidelity", "path:2", "--u", "0", "--v", "1", "--t", "1"), ["coronawalk.exact"]),
         (("support", "file:{path}", "--u", "1"), ANALYSIS),
         # a family's vertex queries are decided by theorem, with no numpy
         (("support", "star:5", "--u", "0"), ["coronawalk.exact"]),
@@ -152,19 +152,30 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
         (("periodic", "path:3", "--u", "0"), ["coronawalk.exact", "coronawalk.transfer"]),
         (("pst", "path:3", "--u", "0", "--v", "2"), ["coronawalk.exact", "coronawalk.transfer"]),
         (("pst", "file:{path}", "--u", "0", "--v", "2"), ANALYSIS + ["coronawalk.transfer"]),
-        (("spectrum", "corona(path:2,cycle:3)"),
-         ["numpy", "coronawalk.exact", "coronawalk.corona", "coronawalk.spectral"]),
+        # so are a family corona's over a regular copy factor, by its lifts
+        (("spectrum", "corona(path:2,cycle:3)"), ["coronawalk.exact", "coronawalk.corona"]),
         (("periodic", "corona(path:2,empty:2)", "--u", "0"),
-         ["numpy", "coronawalk.exact", "coronawalk.corona", "coronawalk.spectral",
-          "coronawalk.transfer"]),
+         ["coronawalk.exact", "coronawalk.corona", "coronawalk.transfer"]),
+        (("support", "corona(path:3,cycle:4)", "--u", "5"),
+         ["coronawalk.exact", "coronawalk.corona"]),
+        (("cospectral", "corona(cycle:4,cycle:3)", "--u", "0", "--v", "2"),
+         ["coronawalk.exact", "coronawalk.corona"]),
+        (("pst", "corona(cycle:8,cycle:4)", "--u", "0", "--v", "4"),
+         ["coronawalk.exact", "coronawalk.corona", "coronawalk.transfer"]),
+        (("fidelity", "corona(cycle:4,cycle:3)", "--u", "11", "--v", "12", "--t", "0.5"),
+         ["coronawalk.exact", "coronawalk.corona"]),
+        # an irregular copy factor takes the closed form, on float classes
+        (("spectrum", "corona(path:2,path:3)"),
+         ["numpy", "coronawalk.exact", "coronawalk.corona", "coronawalk.spectral"]),
         (("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base", "--v", "0",
           "--vp", "1", "--points", "100"), SEARCH),
         (("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
           "--lmax", "100"), SEARCH),
     ],
     ids=["spectrum", "spectrum-file", "fidelity", "support-file", "support", "cospectral",
-         "sweep", "periodic", "pst", "pst-file", "spectrum-corona", "periodic-corona", "no-pst-scan",
-         "pgst"],
+         "sweep", "periodic", "pst", "pst-file", "spectrum-corona", "periodic-corona",
+         "support-corona", "cospectral-corona", "pst-corona", "fidelity-corona",
+         "spectrum-irregular-copy", "no-pst-scan", "pgst"],
 )
 def test_each_subcommand_loads_what_it_runs(argv, loaded, tmp_path):
     """Only the searches load `gates`, and only a corona spec loads `corona`."""
