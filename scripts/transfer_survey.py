@@ -13,7 +13,6 @@ from coronawalk import (
     corona_no_pst_check,
     corona_spectral_closed_form,
     cycle_graph,
-    eigenvalue_support,
     empty_graph,
     exact_decomposition,
     path_graph,
@@ -35,8 +34,7 @@ def main() -> None:
         gd = exact_decomposition(g)
         for hname, h in COPIES:
             spec = CoronaSpec.from_graphs(g, h)
-            support = eigenvalue_support(
-                corona_spectral_closed_form(spec, gd, exact_decomposition(h)), 0)
+            support = corona_spectral_closed_form(spec, gd, exact_decomposition(h)).support(0)
             verdict = periodicity_test(support.exact, support.beyond_quadratic)
             note = verdict.periodic
             if verdict.reason:

@@ -43,12 +43,7 @@ _EXPORTS = {
         "SpectralDecomposition",
         "attach_exact_labels",
         "decompose",
-        "eigenvalue_support",
-        "entry_amplitudes",
-        "entry_terms",
         "exact_decomposition",
-        "exp_sum",
-        "strong_cospectral",
         "symmetric_eigen",
     ),
     "corona": (

@@ -20,30 +20,30 @@ neither numpy, `json` nor `exact`.  pgst and no-pst-scan first import
 vertex ranges, distinct vertices, a regular copy factor of nonzero degree,
 the cocktail family's base, and on a family base the t51 and t52 families'
 base transfer, by theorem), so those analysis errors load no numpy either;
-the graphs the gates build seed the handler's `SpecFactors`, and a family
-base's classes its search.  A scan passes --v, --vp and --w (None for
-base-base) to its gates and scan.  spectrum, support, cospectral, periodic,
-pst and fidelity on a family spec read the family's classes and eigenspaces
+the graphs the gates build seed the handler's decompositions.  A scan
+passes --v, --vp and --w (None for base-base) to its gates and scan.
+
+Every handler reads its spec, or the base of its search, through one
+dispatch, `_decomposition`.  A family spec's classes and eigenspaces come
 by theorem (`leafspectra.FamilyDecomposition`), which loads `exact` but
-neither numpy nor `spectral`; on the corona of a family with a regular
-family (`cycle`, `complete`, `cocktail`, `empty`, or a `path` or `star` of
-order <= 2) they read its lifts and copy classes from both factors'
+neither numpy nor `spectral`; so do those of the corona of a family with a
+regular family (`cycle`, `complete`, `cocktail`, `empty`, or a `path` or
+`star` of order <= 2), its lifts and copy classes from both factors'
 theorems (`familycorona.FamilyCoronaDecomposition`), which loads `corona`
-too (`_by_theorem`).  cospectral on a spec that is no family first compares
-the degrees of u and v, read off the factor graphs: unequal degrees refute
-strong cospectrality exactly, with no numpy.  Each handler imports the
-analysis modules it calls: `spectral` (and numpy) for every other call,
-which loads `corona` only for a corona spec, and `transfer`, which loads
-numpy only inside its grid analyses, for sweep, periodic, pst, no-pst-scan
-and pgst.  Each handler asks `SpecFactors` for the float classes it
-reads: spectrum, support, periodic and pst on any other spec, and the base
-of no-pst-scan and pgst, for classes with exact labels (`labelled`),
-fidelity, sweep, and cospectral on any other spec, for float classes alone
-(`decomposition`).  corona-build checks the vertex
-and edge count of its spec against the build budget before it builds.  No
-module uses `dataclasses` (records are NamedTuples, eigenvalue classes
-plain `__slots__` classes), so no call loads it, and a call that skips
-numpy loads no `inspect` either.
+too.  Any other spec's come from `spectral.SpecFactors` (and numpy), which
+loads `corona` only for a corona spec: with exact labels (`labelled`) for
+the readers of labels, spectrum, support, periodic, pst and the t51 and t52
+base gate of pgst, and as float classes alone (`decomposition`) for
+fidelity, sweep, cospectral, no-pst-scan and the cocktail family of pgst.
+All three answer the same vertex queries (`leafspectra.Decomposition`).
+cospectral on a spec that is no family first compares the degrees of u and
+v, read off the factor graphs: unequal degrees refute strong cospectrality
+exactly, with no numpy.  `transfer`, which loads numpy only inside its grid
+analyses, serves sweep, periodic, pst, no-pst-scan and pgst.  corona-build
+checks the vertex and edge count of its spec against the build budget
+before it builds.  No module uses `dataclasses` (records are NamedTuples,
+eigenvalue classes plain `__slots__` classes), so no call loads it, and a
+call that skips numpy loads no `inspect` either.
 
 Reports are byte-deterministic for a fixed command line.  `dumps_report`
 writes JSON in one walk, byte for byte as json.dumps(indent=2,
@@ -281,37 +281,31 @@ def _require_corona(spec: graphs.GraphSpec, who: str = "this subcommand") -> Non
 # subcommand handlers: each returns (report_dict, payload_or_None); a payload
 # is the handler's own rendering of --format (sweep csv, corona-build text)
 
-def _by_theorem(spec: graphs.GraphSpec, group_tol: float):
-    """The classes of spec with its vertex queries by theorem, with no numpy:
-    a family's (`leafspectra.FamilyDecomposition`) or the corona of a family
-    with a regular family's (`familycorona.FamilyCoronaDecomposition`); None
-    for any other spec."""
-    if spec.kind in graphs.FAMILIES:
+def _decomposition(spec: graphs.GraphSpec, group_tol: float = DEFAULT_GROUP_TOL,
+                   labelled: bool = False, built: dict | None = None):
+    """The classes of spec with its vertex queries, the one dispatch of every
+    handler.  A family's (`leafspectra.FamilyDecomposition`) and the corona
+    of a family with a regular family's
+    (`familycorona.FamilyCoronaDecomposition`) come by theorem, labelled,
+    with no numpy; any other spec's from `spectral.SpecFactors` on the graphs
+    in `built`, with exact labels when `labelled`."""
+    if spec.kind in graphs.FAMILIES or graphs.is_family_corona(spec):
         graphs.check_budget(graphs.spec_order(spec, {}))
-        from . import leafspectra
+        if spec.kind in graphs.FAMILIES:
+            from . import leafspectra
 
-        return leafspectra.FamilyDecomposition(spec.kind, spec.size, group_tol)
-    if not graphs.is_family_corona(spec):
-        return None
-    graphs.check_budget(graphs.spec_order(spec, {}))
-    from . import familycorona
+            return leafspectra.FamilyDecomposition(spec.kind, spec.size, group_tol)
+        from . import familycorona
 
-    return familycorona.FamilyCoronaDecomposition(spec, group_tol)
-
-
-def _labelled(args):
-    """The labelled classes of args.spec with its vertex queries: by theorem
-    where `_by_theorem` gives them, else from `spectral.SpecFactors`."""
-    d = _by_theorem(args.spec, args.group_tol)
-    if d is not None:
-        return d
+        return familycorona.FamilyCoronaDecomposition(spec, group_tol)
     from . import spectral
 
-    return spectral.SpecFactors(args.group_tol).labelled(args.spec)
+    factors = spectral.SpecFactors(group_tol, built=built)
+    return factors.labelled(spec) if labelled else factors.decomposition(spec)
 
 
 def _cmd_spectrum(args):
-    d = _labelled(args)
+    d = _decomposition(args.spec, args.group_tol, labelled=True)
     return {
         "n": d.n,
         "classes": [_class_record(c) for c in d.classes],
@@ -334,12 +328,7 @@ def _cmd_corona_build(args):
 
 
 def _cmd_fidelity(args):
-    d = _by_theorem(args.spec, DEFAULT_GROUP_TOL)
-    if d is None:
-        from . import spectral
-
-        d = spectral.SpecFactors().decomposition(args.spec)
-    amp = d.amplitude(args.u, args.v, args.t)
+    amp = _decomposition(args.spec).amplitude(args.u, args.v, args.t)
     return {
         "u": args.u,
         "v": args.v,
@@ -350,10 +339,10 @@ def _cmd_fidelity(args):
 
 
 def _cmd_sweep(args):
-    from . import spectral, transfer
+    from . import transfer
 
-    d = spectral.SpecFactors().decomposition(args.spec)
-    trace = transfer.fidelity_sweep(d, args.u, args.v, args.t_max, args.steps)
+    trace = transfer.fidelity_sweep(_decomposition(args.spec), args.u, args.v, args.t_max,
+                                    args.steps)
     report = {
         "u": args.u,
         "v": args.v,
@@ -370,7 +359,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_support(args):
-    d = _labelled(args)
+    d = _decomposition(args.spec, args.group_tol, labelled=True)
     sup = d.support(args.u, args.support_tol)
     return {
         "u": args.u,
@@ -389,11 +378,7 @@ def _cmd_cospectral(args):
         if u != v and 0 <= u < n and 0 <= v < n and \
                 graphs.spec_degree(args.spec, built, u) != graphs.spec_degree(args.spec, built, v):
             return {"u": u, "v": v, "strongly_cospectral": False}, None
-    d = _by_theorem(args.spec, args.group_tol)  # signs by theorem, in integers
-    if d is None:
-        from . import spectral
-
-        d = spectral.SpecFactors(args.group_tol, built=built).decomposition(args.spec)
+    d = _decomposition(args.spec, args.group_tol, built=built)
     signs = d.signs(u, v, args.cospectral_tol)
     report = {
         "u": u,
@@ -415,7 +400,8 @@ def _record(result) -> dict:
 def _cmd_periodic(args):
     from . import transfer
 
-    sup = _labelled(args).support(args.u, args.support_tol)
+    sup = _decomposition(args.spec, args.group_tol, labelled=True).support(
+        args.u, args.support_tol)
     verdict = transfer.periodicity_test(sup.exact, sup.beyond_quadratic)
     return {"u": args.u, "vertex_test": _record(verdict)}, None
 
@@ -423,7 +409,8 @@ def _cmd_periodic(args):
 def _cmd_pst(args):
     from . import transfer
 
-    cert = transfer.pst_certify(_labelled(args), args.u, args.v, args.support_tol, args.cospectral_tol)
+    d = _decomposition(args.spec, args.group_tol, labelled=True)
+    cert = transfer.pst_certify(d, args.u, args.v, args.support_tol, args.cospectral_tol)
     return _record(cert), None
 
 
@@ -436,12 +423,11 @@ def _cmd_no_pst_scan(args):
 
     built: dict = {}
     gates.scan_gates(args.spec, built, args.v, args.vp, w)
+    g_decomp = _decomposition(args.spec.factors[0], built=built)
     from . import spectral, transfer
 
-    factors = spectral.SpecFactors(built=built)
-    g_decomp = factors.labelled(args.spec.factors[0])
-    scan = transfer.corona_no_pst_check(factors.corona(args.spec), g_decomp, args.v, args.vp,
-                                        args.t_max, args.points, w)
+    scan = transfer.corona_no_pst_check(spectral.SpecFactors(built=built).corona(args.spec),
+                                        g_decomp, args.v, args.vp, args.t_max, args.points, w)
     return {"pair": args.pair, "t_max": args.t_max, **_record(scan)}, None
 
 
@@ -450,16 +436,17 @@ def _cmd_pgst(args):
     from . import gates
 
     built: dict = {}
-    base = gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax,
-                            args.group_tol, args.support_tol, args.cospectral_tol)
+    gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax,
+                     args.group_tol, args.support_tol, args.cospectral_tol)
+    # only the t51 and t52 base gate reads labels
+    g_decomp = _decomposition(args.spec.factors[0], args.group_tol,
+                              labelled=args.family != "cocktail", built=built)
     from . import spectral, transfer
 
-    factors = spectral.SpecFactors(args.group_tol, built=built)
-    g_decomp = factors.labelled(args.spec.factors[0])
-    result = transfer.pgst_search(factors.corona(args.spec), g_decomp, args.u, args.v,
-                                  args.family, ell_max=args.lmax, target=args.target,
-                                  support_tol=args.support_tol,
-                                  cospectral_tol=args.cospectral_tol, base=base)
+    result = transfer.pgst_search(spectral.SpecFactors(built=built).corona(args.spec), g_decomp,
+                                  args.u, args.v, args.family, ell_max=args.lmax,
+                                  target=args.target, support_tol=args.support_tol,
+                                  cospectral_tol=args.cospectral_tol)
     trace = [{"ell": e, "fidelity": f} for e, f in _printed_trace(result.trace)]
     return {**_record(result), "trace": trace}, None
 

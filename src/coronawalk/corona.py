@@ -26,12 +26,13 @@ for a copy class), grouped as `decompose` groups (`merge_runs`, by
 `leafspectra.class_runs`), with exact labels and the flag of lifts of degree
 > 2 that refutes periodicity and transfer; and the walk amplitude from (v',
 0) to (v, 0), or to (v, w) with w given, is an exponential sum over the
-lifted values (`corona_terms`), which `spectral.exp_sum_grid` evaluates on
-uniform time grids in batches, each one small matrix product of two phase
-tables of about sqrt(batch) columns, in memory independent of --lmax and
---points.  numpy and `spectral` are imported only inside the functions that
-build float blocks or solve a larger arrowhead, so lifting over a regular H
-loads neither.
+lifts of the base's walk terms (`corona_terms`, reading any decomposition's
+`leafspectra.Decomposition.terms`: float, family or family corona), which
+`spectral.exp_sum_grid` evaluates on uniform time grids in batches, each one
+small matrix product of two phase tables of about sqrt(batch) columns, in
+memory independent of --lmax and --points.  numpy and `spectral` are
+imported only inside the functions that build float blocks or solve a
+larger arrowhead, so lifting over a regular H loads neither.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .defaults import DEFAULT_GROUP_TOL
 from .exact import _PAIR_TOL, _VALUE_TOL, QuadInt, _pair_label, main_polynomial
 from .graphs import Graph, check_base_vertex, check_budget, check_copy_vertex
-from .leafspectra import class_runs
+from .leafspectra import Decomposition, class_runs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -342,18 +343,18 @@ def corona_spectral_closed_form(
 # closed-form walk amplitudes
 
 def corona_terms(
-    spec: CoronaSpec, g_decomp: SpectralDecomposition, v: int, vp: int,
-    w: int | None = None,
+    spec: CoronaSpec, g_decomp: Decomposition, v: int, vp: int, w: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Real exponential sum (freqs, coefs) of a corona walk amplitude.
 
     The amplitude is sum_j coefs[j] * exp(-i t freqs[j]) over the lifts of
-    each base class (`lift_class`, at the label's value but labelling
-    nothing), with E = E_lam[v,v'] and (base, copy) the lift's layer column.
-    With w None it is <(v,0)| U(t) |(v',0)>, with coefficient E base^2
-    (E (1 +- r)/2 at lam_pm for a k-regular H, r = (lam-k)/Lambda).
-    Otherwise it is <(v',0)| U(t) |(v,w)>, with coefficient E base copy[w]
-    (+-E lam/Lambda at lam_pm, the same for every w, when H is regular).
+    the value lam of each walk term (lam, E) of the base, E = E_lam[v,v']
+    (`leafspectra.Decomposition.terms`), by `lift_class`, which labels
+    nothing here, with (base, copy) the lift's layer column.  With w None it
+    is <(v,0)| U(t) |(v',0)>, with coefficient E base^2 (E (1 +- r)/2 at
+    lam_pm for a k-regular H, r = (lam-k)/Lambda).  Otherwise it is
+    <(v',0)| U(t) |(v,w)>, with coefficient E base copy[w] (+-E lam/Lambda
+    at lam_pm, the same for every w, when H is regular).
     """
     import numpy as np
 
@@ -363,9 +364,7 @@ def corona_terms(
         check_copy_vertex(spec.m, w)
     freqs: list[float] = []
     coefs: list[float] = []
-    for c in g_decomp.classes:
-        entry = c.entry(v, vp)
-        lam = c.value if c.exact is None else c.exact.value()
+    for lam, entry in g_decomp.terms(v, vp):
         for lift in lift_class(lam, None, spec.main):
             freqs.append(lift.value)
             coefs.append(entry * lift.base * (lift.base if w is None else lift.copy[w]))

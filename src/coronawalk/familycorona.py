@@ -23,36 +23,36 @@ The classes merge as the closed form merges its blocks (`corona.merge_runs`).
 Vertex (v, 0) is v and copy vertex (v, w) is n + w n + v, as
 `graphs.corona_graph` numbers them.  A merged class is the sum of its
 members' orthogonal projectors, and a member is the sum of its atoms, one
-for each eigenspace of F (a lift) or of R (a copy class): so support and
-signs are decided per atom from the eigenspace rules of F and R
-(`FamilyDecomposition.holds`, `sign` and `entry`), in integers, and the
-tolerances those take are not read.  A lift's atom x x^T (x) E meets (v,
-layer a) in x_a E e_v; x_a is 0 only where lam = 0, so only that lift's
-layer decides.  Two base vertices, or two copy vertices over v and v', take
-E's sign on v and v' (+1 on v = v'); a copy class parts copy vertices over
-v != v', and over one v takes R's sign on w and w', -1 for I - J/m at m = 2
-alone.  A base vertex and a copy vertex are never strongly cospectral: for
-each lam != 0 in the support the norms of the two lifts' atoms force
-E_lam[v,v] = E_lam[v',v'] / m, lam = 0 may hold neither, so 1 = 1/m; and at
-m = 1 the two lifts of lam != 0 would need base^2 = copy^2, which the pair
-(1, (+-sqrt(5) - 1)/2) of k = 0 refutes.  The amplitude sums each class's
-entry at its value, as the closed form's classes give it.
+for each eigenspace of F (a lift) or of R (a copy class), and I - J/m for
+`empty:m`: so the vertex queries of `leafspectra.Decomposition` read them
+per atom from the eigenspace rules of F and R (`FamilyDecomposition.holds`,
+`sign` and `entry`), in integers, and the tolerances those take are not
+read.  A lift's atom x x^T (x) E meets (v, layer a) in x_a E e_v; x_a is 0
+only where lam = 0, so only that lift's layer decides.  Two base vertices,
+or two copy vertices over v and v', take E's sign on v and v' (+1 on v =
+v'); a copy class parts copy vertices over v != v', and over one v takes
+R's sign on w and w', -1 for I - J/m at m = 2 alone.  A base vertex and a
+copy vertex are never strongly cospectral: for each lam != 0 in the support
+the norms of the two lifts' atoms force E_lam[v,v] = E_lam[v',v'] / m, lam
+= 0 may hold neither, so 1 = 1/m; and at m = 1 the two lifts of lam != 0
+would need base^2 = copy^2, which the pair (1, (+-sqrt(5) - 1)/2) of k = 0
+refutes.  An atom's walk term is taken at its class's value, as the closed
+form's classes give it.
 
-`cli` reads this for `spectrum`, `support`, `cospectral`, `periodic`, `pst`
-and `fidelity` on such a spec, with no numpy and no eigensolve; the closed
-form (`corona.corona_spectral_closed_form`) is the oracle it is tested
-against.
+`cli` reads this for every command on such a spec, with no numpy and no
+eigensolve (`sweep` loads numpy for its grid alone), and for `pgst` and
+`no-pst-scan` on such a base; the closed form
+(`corona.corona_spectral_closed_form`) is the oracle it is tested against.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .corona import lift_class, merge_runs, regular_main
 from .exact import QuadInt
 from .graphs import FAMILIES, GraphSpec, is_family_corona
-from .leafspectra import FamilyDecomposition, SupportSet
+from .leafspectra import Atom, Decomposition, FamilyDecomposition
 
 
 class CoronaClass(NamedTuple):
@@ -67,24 +67,25 @@ class CoronaClass(NamedTuple):
 
 class _Member(NamedTuple):
     """A raw class: value, label, flag and multiplicity, the keys of its
-    atoms' eigenspaces, of F for a lift and of R for a copy class, and a
-    lift's layer entries base and copy (base None for a copy class)."""
+    atoms, eigenspaces of F for a lift and of R for a copy class (None for
+    I - J/m), and a lift's layer entries base and copy (base None for a copy
+    class)."""
 
     value: float
     exact: QuadInt | None
     beyond_quadratic: bool
     multiplicity: int
-    keys: list[int]
+    keys: list[int | None]
     base: float | None = None
     copy: float = 0.0
 
 
-class FamilyCoronaDecomposition:
-    """The classes of corona(F, R), F a family and R a regular family, and
-    the vertex queries of `spectral.SpectralDecomposition` on them by theorem
-    (module docstring)."""
+class FamilyCoronaDecomposition(Decomposition):
+    """The classes of corona(F, R), F a family and R a regular family, as
+    runs of (member, eigenspace) atoms with the rules of the module
+    docstring; an atom's value and flag are its class's."""
 
-    __slots__ = ("n", "classes", "_base", "_copy", "_rest", "_members")
+    __slots__ = ("n", "classes", "atoms", "_base", "_copy")
 
     def __init__(self, spec: GraphSpec, group_tol: float):
         if not is_family_corona(spec):
@@ -96,93 +97,65 @@ class FamilyCoronaDecomposition:
         n, m = base.n, copy.n
         self.n = n * (m + 1)
         # R's first class holds its top eigenspace, which holds J/m: the copy
-        # classes keep the other eigenspaces, and `empty:m`'s one class I - J/m
-        main_key = copy.spaces[0][0][1]
-        self._rest = r.kind == "empty" and m > 1
+        # classes keep the other eigenspaces, and `empty:m`'s one class I - J/m,
+        # the key None
+        main_key = copy.atoms[0][0].key
+        rest = [None] if r.kind == "empty" and m > 1 else []
         raw = [_Member(c.value, c.exact, False, n * (c.multiplicity - (j == 0)),
-                       [key for _, key in spaces if key != main_key])
-               for j, (c, spaces) in enumerate(zip(copy.classes, copy.spaces))
+                       [a.key for a in atoms if a.key != main_key] + rest)
+               for j, (c, atoms) in enumerate(zip(copy.classes, copy.atoms))
                if c.multiplicity > (j == 0)]
         main = regular_main(k, m)
-        for c, spaces in zip(base.classes, base.spaces):
-            keys = [key for _, key in spaces]
+        for c, atoms in zip(base.classes, base.atoms):
+            keys = [a.key for a in atoms]
             raw.extend(_Member(x.value, x.exact, x.beyond_quadratic, c.multiplicity, keys, x.base,
                                x.copy[0]) for x in lift_class(c.value, c.exact, main))
         runs = merge_runs(raw, group_tol)
         self.classes = [CoronaClass(run[0].value, sum(x.multiplicity for x in run), label, flagged)
                         for run, label, flagged in runs]
-        self._members = [run for run, _, _ in runs]
+        self.atoms = [[Atom(c.value, c.beyond_quadratic, (x, key)) for x in run for key in x.keys]
+                      for c, (run, _, _) in zip(self.classes, runs)]
 
-    def support(self, u: int, tol: float | None = None) -> SupportSet:
-        """Classes holding u, in decreasing eigenvalue order, flagged
-        `beyond_quadratic` when one of them is (`corona.lift_class`)."""
-        v, w = self._vertex(u)
-        idx = [i for i, members in enumerate(self._members)
-               if any(self._holds(x, v, w) for x in members)]
-        return SupportSet(u, tuple(idx), tuple(self.classes[i].exact for i in idx),
-                          any(self.classes[i].beyond_quadratic for i in idx))
-
-    def signs(self, u: int, v: int, tol: float | None = None) -> dict[int, int] | None:
-        """Per-class signs when E e_u = +/- E e_v for every class, else None;
-        classes that hold neither vertex are skipped."""
-        if u == v:
-            raise ValueError("strong cospectrality is a relation on distinct vertices")
-        (a, w), (b, w2) = self._vertex(u), self._vertex(v)
-        if (w is None) != (w2 is None):
-            return None  # a base and a copy vertex (module docstring)
-        signs: dict[int, int] = {}
-        for i, members in enumerate(self._members):
-            for member in members:
-                for s in self._signs(member, a, w, b, w2):
-                    if s is None or s and signs.setdefault(i, s) != s:
-                        return None
-        return signs
-
-    def amplitude(self, u: int, v: int, t: float) -> complex:
-        """Walk amplitude <u| exp(-itA) |v> = sum_classes exp(-it value) E[u,v]."""
-        x, y = self._vertex(u), self._vertex(v)
-        return sum(sum(self._entry(member, *x, *y) for member in members)
-                   * complex(math.cos(t * c.value), -math.sin(t * c.value))
-                   for c, members in zip(self.classes, self._members))
-
-    def _vertex(self, u: int) -> tuple[int, int | None]:
+    def vertex(self, u: int) -> tuple[int, int | None]:
         """(v, None) for base vertex v, (v, w) for copy vertex (v, w)."""
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range for dimension {self.n}")
         n = self._base.n
-        if u < n:
+        if super().vertex(u) < n:
             return u, None
         w, v = divmod(u - n, n)
         return v, w
 
-    def _holds(self, x: _Member, v: int, w: int | None) -> bool:
-        if x.base is None:  # a copy class holds every copy vertex (module docstring)
+    def holds(self, atom, x, tol=None) -> bool:
+        (member, key), (v, w) = atom, x
+        if member.base is None:  # a copy class holds every copy vertex (module docstring)
             return w is not None
-        return (x.base if w is None else x.copy) != 0 and any(
-            self._base.holds(key, v) for key in x.keys)
+        return (member.base if w is None else member.copy) != 0 and self._base.holds(key, v)
 
-    def _signs(self, x: _Member, v: int, w: int | None, v2: int, w2: int | None):
-        """The sign s of each atom of x with E e_(v,w) = s E e_(v2,w2), None
-        where neither sign holds, and 0 or no entry where E kills both; both
-        vertices are base vertices or both copy vertices."""
-        if x.base is None:  # a copy class: 0 on base vertices, and parts two copies
+    def sign(self, atom, x, y, tol=None) -> int | None:
+        (member, key), (v, w), (v2, w2) = atom, x, y
+        if (w is None) != (w2 is None):
+            return None  # a base and a copy vertex (module docstring)
+        if member.base is None:  # a copy class: 0 on base vertices, and parts two copies
             if w is None:
-                return ()
+                return 0
             if v != v2:
-                return (None,)
-            return ([self._copy.sign(key, w, w2) for key in x.keys]
-                    + [-1 if self._copy.n == 2 else None] * self._rest)
-        if (x.base if w is None else x.copy) == 0:
-            return ()
+                return None
+            if key is None:  # (I - J/m)(e_w + e_w') = 0 only at m = 2
+                return -1 if self._copy.n == 2 else None
+            return self._copy.sign(key, w, w2)
+        if (member.base if w is None else member.copy) == 0:
+            return 0
         if v == v2:
-            return [int(self._base.holds(key, v)) for key in x.keys]
-        return [self._base.sign(key, v, v2) for key in x.keys]
+            return int(self._base.holds(key, v))
+        return self._base.sign(key, v, v2)
 
-    def _entry(self, x: _Member, v: int, w: int | None, v2: int, w2: int | None) -> float:
-        if x.base is None:  # (E_mu - J/m [mu holds it])[w, w2] on one copy
+    def entry(self, atom, x, y) -> float:
+        (member, key), (v, w), (v2, w2) = atom, x, y
+        if member.base is None:  # (E_mu - J/m [mu holds it])[w, w2] on one copy
             if w is None or w2 is None or v != v2:
                 return 0.0
-            rest = float(w == w2) - 1.0 / self._copy.n if self._rest else 0.0
-            return rest + sum(self._copy.entry(key, w, w2) for key in x.keys)
-        layer = (x.base if w is None else x.copy) * (x.base if w2 is None else x.copy)
-        return layer * sum(self._base.entry(key, v, v2) for key in x.keys)
+            if key is None:
+                return float(w == w2) - 1.0 / self._copy.n
+            return self._copy.entry(key, w, w2)
+        layer = (member.base if w is None else member.copy) * \
+            (member.base if w2 is None else member.copy)
+        return layer * self._base.entry(key, v, v2)

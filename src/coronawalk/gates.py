@@ -21,8 +21,6 @@ builds each factor graph once.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .defaults import PGST_FAMILIES
 from .graphs import (
     FAMILIES,
@@ -37,9 +35,6 @@ from .graphs import (
     require_regular,
     spec_order,
 )
-
-if TYPE_CHECKING:
-    from .leafspectra import FamilyDecomposition
 
 _COCKTAIL_BASE = ("cocktail family needs a cocktail party base graph on 2n "
                   "vertices with odd n >= 3")
@@ -104,14 +99,13 @@ def _corona_budgets(spec: GraphSpec,
 
 def pgst_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], u: int, v: int,
                family: str, ell_max: int, group_tol: float, support_tol: float,
-               cospectral_tol: float) -> FamilyDecomposition | None:
+               cospectral_tol: float) -> None:
     """Every gate of `pgst` on a corona spec that its factor graphs decide,
     in the order the analysis meets them.  The base graph is built only for
     the cocktail family, once its order has passed.  On a family base the
     t51 and t52 families' base gate (`transfer.base_transfer`) runs here too,
     on the family's classes and eigenspaces by theorem at group_tol
-    (`leafspectra.FamilyDecomposition`), which it returns for the search;
-    for any other base it returns None."""
+    (`leafspectra.FamilyDecomposition`)."""
     n, _, k = _corona_budgets(spec, built)
     check_pgst(n, k, u, v, family, ell_max)
     base = spec.factors[0]
@@ -121,10 +115,8 @@ def pgst_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], u: int, v: int,
         from .leafspectra import FamilyDecomposition
         from .transfer import base_transfer
 
-        d = FamilyDecomposition(base.kind, base.size, group_tol)
-        base_transfer(d, u, v, family, support_tol, cospectral_tol)
-        return d
-    return None
+        base_transfer(FamilyDecomposition(base.kind, base.size, group_tol), u, v, family,
+                      support_tol, cospectral_tol)
 
 
 def scan_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], v: int, vp: int,

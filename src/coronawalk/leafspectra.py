@@ -23,11 +23,12 @@ quadratic integer iff d is 5, 8, 10 or 12; a path's value is 2cos(2 pi j/(2n+2))
 Any other d has phi(d) >= 6, so an unlabelled family value has degree
 phi(d)/2 >= 3.  A labelled value is the float of its label.
 
-`FamilyDecomposition` answers the vertex queries of a decomposition from
-these eigenspaces, deciding support and strong-cospectral signs in
-integers, with no numpy and no eigensolve: `spectrum`, `support`,
-`cospectral`, `periodic`, `pst` and `fidelity` on a family spec read it, as
-does the t51/t52 base gate of `pgst` on a family base, and
+`Decomposition` is the one class engine: eigenvalue classes as runs of
+atoms, with support, signs, the walk terms and the amplitude written once
+over the atom rules each decomposition gives.  `FamilyDecomposition` gives
+them for a family's eigenspaces, deciding support and strong-cospectral
+signs in integers, with no numpy and no eigensolve: every command on a
+family spec reads it, as do `pgst` and `no-pst-scan` on a family base, and
 `familycorona.FamilyCoronaDecomposition` reads its per-eigenspace rules
 (`holds`, `sign`, `entry`) for both factors of a family corona over a
 regular family.  `spectral.SpecFactors` labels a family leaf's float classes
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_SUPPORT_TOL
 from .exact import QuadInt, square_free_part
 
 # 2cos(2 pi p/d), p/d reduced, by d: an integer, or (a + -b sqrt(delta))/2 as (a, b, delta)
@@ -80,79 +82,114 @@ def class_runs(values, group_tol: float) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+class Atom(NamedTuple):
+    """One term of a class: the eigenvalue of its walk term, whether a
+    support holding it is flagged `beyond_quadratic`, and the key its
+    decomposition's rules read."""
+
+    value: float
+    beyond_quadratic: bool
+    key: object
+
+
+class Decomposition:
+    """Eigenvalue classes as runs of atoms, `atoms[i]` those of `classes[i]`,
+    with the vertex queries the verdicts read (`transfer`), written once over
+    the atom rules a subclass gives:
+
+        holds(key, x, tol)    whether the atom's projector E does not kill x
+        sign(key, x, y, tol)  s with E e_x = s E e_y != 0, 0 where E kills
+                              both, None where neither sign holds (x != y)
+        entry(key, x, y)      E[x, y]
+
+    on vertices as `vertex` gives them.  A class is the sum of its atoms'
+    orthogonal projectors: it holds a vertex iff one of its atoms does, and
+    has a sign iff every atom that holds u or v has that sign.  The atoms
+    are a family's eigenspaces (`FamilyDecomposition`), a family corona's
+    (member, eigenspace) pairs (`familycorona.FamilyCoronaDecomposition`)
+    and one float class each (`spectral.SpectralDecomposition`)."""
+
+    __slots__ = ()
+
+    def vertex(self, u: int):
+        """u, checked against the order n."""
+        if not 0 <= u < self.n:
+            raise ValueError(f"vertex {u} out of range for dimension {self.n}")
+        return u
+
+    def support(self, u: int, tol: float = DEFAULT_SUPPORT_TOL) -> SupportSet:
+        """Classes holding u, in decreasing eigenvalue order, flagged
+        `beyond_quadratic` when an atom holding u is."""
+        x = self.vertex(u)
+        idx, beyond = [], False
+        for i, atoms in enumerate(self.atoms):
+            held = [a.beyond_quadratic for a in atoms if self.holds(a.key, x, tol)]
+            if held:
+                idx.append(i)
+                beyond = beyond or any(held)
+        return SupportSet(u, tuple(idx), tuple(self.classes[i].exact for i in idx), beyond)
+
+    def signs(self, u: int, v: int, tol: float = DEFAULT_COSPECTRAL_TOL) -> dict[int, int] | None:
+        """Per-class signs when E e_u = +/- E e_v for every class, else None;
+        classes that hold neither vertex are skipped."""
+        if u == v:
+            raise ValueError("strong cospectrality is a relation on distinct vertices")
+        x, y = self.vertex(u), self.vertex(v)
+        signs: dict[int, int] = {}
+        for i, atoms in enumerate(self.atoms):
+            for a in atoms:
+                s = self.sign(a.key, x, y, tol)
+                if s is None or s and signs.setdefault(i, s) != s:
+                    return None
+        return signs
+
+    def terms(self, u: int, v: int) -> list[tuple[float, float]]:
+        """The walk amplitude <u| exp(-itA) |v> as its (value, E[u,v]) terms;
+        consecutive atoms at one value add up, so a class is one term unless
+        it merges distinct values."""
+        x, y = self.vertex(u), self.vertex(v)
+        terms: list[tuple[float, float]] = []
+        for atoms in self.atoms:
+            for a in atoms:
+                entry = self.entry(a.key, x, y)
+                if terms and terms[-1][0] == a.value:
+                    entry += terms.pop()[1]
+                terms.append((a.value, entry))
+        return terms
+
+    def amplitude(self, u: int, v: int, t: float) -> complex:
+        """<u| exp(-itA) |v> = sum_theta exp(-it theta) E_theta[u,v]."""
+        return complex(sum(entry * complex(math.cos(t * value), -math.sin(t * value))
+                           for value, entry in self.terms(u, v)))
+
+
 def family_values(kind: str, n: int) -> list[FamilyClass]:
     """The distinct eigenvalues of family graph `kind:n`, descending, each with
     its multiplicity and, where the theorem gives one, its exact label."""
     return [value for value, _ in _distinct(kind, n)]
 
 
-class FamilyDecomposition:
-    """The classes of family graph `kind:size`, each with its eigenspaces,
-    answering the vertex queries of `spectral.SpectralDecomposition` by
-    theorem.  The classes are `family_values` grouped by `class_runs`: a
-    class's value is the mean of its eigenvalues, and it keeps a label only
-    when it holds one distinct value.
+class FamilyDecomposition(Decomposition):
+    """The classes of family graph `kind:size`, each a run of atoms, one per
+    eigenspace: the (value, key) pairs of `_distinct`, so an atom's value and
+    flag are its eigenspace's, not a merged class's.  The classes are
+    `family_values` grouped by `class_runs`: a class's value is the mean of
+    its eigenvalues, and it keeps a label only when it holds one distinct
+    value.  The atom rules decide support and strong-cospectral signs in
+    integers, so the tolerances they take are not read, and give projector
+    entries in closed form."""
 
-    Support and strong-cospectral signs are decided in integers per
-    eigenspace (`spaces`, the (value, key) pairs of each class, read by
-    `holds`, `sign` and `entry`), so the tolerances those take are not
-    read.  A class that merges several eigenspaces (at a loose group_tol)
-    is the sum of their orthogonal projectors: it holds a vertex iff one of
-    them does, and has a sign iff every one that holds u or v has that sign.  The amplitude is a
-    sum of closed-form projector entries, each at its eigenspace's value.
-    """
-
-    __slots__ = ("kind", "size", "n", "classes", "spaces")
+    __slots__ = ("kind", "size", "n", "classes", "atoms")
 
     def __init__(self, kind: str, size: int, group_tol: float):
         runs = _family_runs(kind, size, group_tol)
         self.kind, self.size = kind, size
         self.n = 2 * size if kind == "cocktail" else size
         self.classes = [c for c, _ in runs]
-        self.spaces = [spaces for _, spaces in runs]
+        self.atoms = [[Atom(value.value, value.exact is None, key) for value, key in spaces]
+                      for _, spaces in runs]
 
-    def support(self, u: int, tol: float | None = None) -> SupportSet:
-        """Classes holding u, in decreasing eigenvalue order, flagged
-        `beyond_quadratic` when u's support holds an unlabelled value, of
-        degree phi(d)/2 >= 3: an eigenspace's value, not a merged class's."""
-        self._check(u)
-        idx, beyond = [], False
-        for i, spaces in enumerate(self.spaces):
-            held = [value for value, key in spaces if self.holds(key, u)]
-            if held:
-                idx.append(i)
-                beyond = beyond or any(value.exact is None for value in held)
-        return SupportSet(u, tuple(idx), tuple(self.classes[i].exact for i in idx), beyond)
-
-    def signs(self, u: int, v: int, tol: float | None = None) -> dict[int, int] | None:
-        """Per-class signs when E e_u = +/- E e_v for every class, else None;
-        classes that hold neither vertex are skipped."""
-        if u == v:
-            raise ValueError("strong cospectrality is a relation on distinct vertices")
-        self._check(u)
-        self._check(v)
-        signs: dict[int, int] = {}
-        for i, spaces in enumerate(self.spaces):
-            found = {self.sign(key, u, v) for _, key in spaces} - {0}
-            if len(found) > 1 or None in found:
-                return None
-            if found:
-                signs[i] = found.pop()
-        return signs
-
-    def amplitude(self, u: int, v: int, t: float) -> complex:
-        """Walk amplitude <u| exp(-itA) |v> = sum_theta exp(-it theta) E_theta[u,v]."""
-        self._check(u)
-        self._check(v)
-        return sum(self.entry(key, u, v) * complex(math.cos(t * value.value),
-                                                   -math.sin(t * value.value))
-                   for spaces in self.spaces for value, key in spaces)
-
-    def _check(self, u: int) -> None:
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range for dimension {self.n}")
-
-    def holds(self, key: int, u: int) -> bool:
+    def holds(self, key: int, u: int, tol: float | None = None) -> bool:
         """Whether eigenspace `key` does not kill e_u."""
         n = self.size
         if self.kind == "path":
@@ -160,7 +197,7 @@ class FamilyDecomposition:
         # only the star's 0 space, on the leaves, kills a vertex: its centre
         return not (self.kind == "star" and key == 0 and u == 0 and n > 1)
 
-    def sign(self, key: int, u: int, v: int) -> int | None:
+    def sign(self, key: int, u: int, v: int, tol: float | None = None) -> int | None:
         """s with E e_u = s E e_v != 0 on eigenspace `key` (u != v), 0 when E
         kills both, None when neither sign holds."""
         kind, n = self.kind, self.size

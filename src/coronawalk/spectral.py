@@ -1,12 +1,14 @@
 """Dense symmetric spectral engine.
 
 Symmetric eigensolver (LAPACK eigh through numpy), eigenvalue classes held
-as orthonormal eigenvector blocks V, walk amplitudes as exponential sums,
-vertex supports, strong cospectrality, and exact (integer / quadratic)
-labeling of eigenvalue classes, verified by big-integer rank.  A quadratic
-label is read off a conjugate pair of classes: a = theta + theta' and
-b^2 delta = (theta - theta')^2.  Vertex queries read rows of V:
-E[u,v] = V[u].V[v] and ||E e_u|| = ||V[u]||.
+as orthonormal eigenvector blocks V, the batched grid evaluation of walk
+amplitudes as exponential sums (`exp_sum_grid`), and exact (integer /
+quadratic) labeling of eigenvalue classes, verified by big-integer rank.  A
+quadratic label is read off a conjugate pair of classes: a = theta +
+theta' and b^2 delta = (theta - theta')^2.  `SpectralDecomposition` gives
+the atom rules of `leafspectra.Decomposition`, one atom per class, read off
+rows of V: E[u,v] = V[u].V[v] and ||E e_u|| = ||V[u]||; support, signs and
+walk terms are the base class's.
 
 `SpecFactors` decomposes any graph spec, each term once: a family or file
 spec densely here, a corona in closed form from its factors through
@@ -15,12 +17,12 @@ a plain spec never load it.  Its caller asks for labels: `labelled` labels
 a family leaf's classes from the family's spectrum by theorem
 (`leafspectra`), a `file:` leaf's by `attach_exact_labels`, and a corona's
 through its factors; `decomposition` makes no label.  On a family spec, and
-on the corona of a family with a regular family, `spectrum`, `support`,
-`cospectral`, `periodic`, `pst` and `fidelity` read the theorem's classes
-and eigenspaces (`leafspectra.FamilyDecomposition`,
-`familycorona.FamilyCoronaDecomposition`) without this module, so a family
-leaf is decomposed here only for `sweep`, as a factor of any other corona,
-and in the closed form those routes are tested against.
+on the corona of a family with a regular family, every command reads the
+theorem's classes and eigenspaces (`leafspectra.FamilyDecomposition`,
+`familycorona.FamilyCoronaDecomposition`) without this module, as do
+`pgst` and `no-pst-scan` on such a base, so a family leaf is decomposed
+here only as a factor of any other corona and in the closed form those
+routes are tested against.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_GROUP_TOL, DEFAULT_SUPPORT_TOL
+from .defaults import DEFAULT_GROUP_TOL
 from .exact import _VALUE_TOL, QuadInt, _pair_label, exact_rank
 from .graphs import FAMILIES, Graph, GraphSpec, build_graph, check_budget, spec_order
-from .leafspectra import FamilyClass, SupportSet, class_runs, family_values
+from .leafspectra import Atom, Decomposition, FamilyClass, class_runs, family_values
 
 if TYPE_CHECKING:
     from .corona import CoronaSpec
@@ -81,17 +83,13 @@ class EigenClass:
     def multiplicity(self) -> int:
         return self.vectors.shape[1]
 
-    def entry(self, u: int, v: int) -> float:
-        """Projector entry E[u, v] = V[u] . V[v], read from two rows."""
-        # np.dot, not a 1-D @: on blocks of small multiplicity it sums in the
-        # order the dense product V V^T does, so the two agree to the bit
-        return np.dot(self.vectors[u], self.vectors[v])
 
-
-class SpectralDecomposition:
+class SpectralDecomposition(Decomposition):
     """Eigenvalue classes sorted by decreasing value; their blocks form an
-    eigenbasis.  The vertex queries the verdicts read (`transfer`) are
-    methods, as on `leafspectra.FamilyDecomposition`."""
+    eigenbasis.  Each class is one atom, its block V, valued at its label's
+    value where it has one, so a labelled class lifts and turns at its exact
+    eigenvalue; the rules read rows of V at the tolerances given: E e_u =
+    V V[u], ||E e_u|| = ||V[u]|| and E[u,v] = V[u] . V[v]."""
 
     __slots__ = ("classes", "n")
 
@@ -99,14 +97,27 @@ class SpectralDecomposition:
         self.classes = classes
         self.n = n
 
-    def support(self, u: int, tol: float = DEFAULT_SUPPORT_TOL) -> SupportSet:
-        return eigenvalue_support(self, u, tol)
+    @property
+    def atoms(self) -> list[list[Atom]]:
+        return [[Atom(c.value if c.exact is None else c.exact.value(), c.beyond_quadratic,
+                      c.vectors)] for c in self.classes]
 
-    def signs(self, u: int, v: int, tol: float = DEFAULT_COSPECTRAL_TOL) -> dict[int, int] | None:
-        return strong_cospectral(self, u, v, tol)
+    def holds(self, vectors: np.ndarray, u: int, tol: float) -> bool:
+        return float(np.linalg.norm(vectors[u])) > tol
 
-    def amplitude(self, u: int, v: int, t: float) -> complex:
-        return complex(entry_amplitudes(self, u, v, t))
+    def sign(self, vectors: np.ndarray, u: int, v: int, tol: float) -> int | None:
+        """+1 tested first, so a class never reports both signs."""
+        cu, cv = vectors @ vectors[u], vectors @ vectors[v]
+        if np.linalg.norm(cu) <= tol and np.linalg.norm(cv) <= tol:
+            return 0
+        if float(np.max(np.abs(cu - cv))) <= tol:
+            return 1
+        return -1 if float(np.max(np.abs(cu + cv))) <= tol else None
+
+    def entry(self, vectors: np.ndarray, u: int, v: int) -> float:
+        # np.dot, not a 1-D @: on blocks of small multiplicity it sums in the
+        # order the dense product V V^T does, so the two agree to the bit
+        return float(np.dot(vectors[u], vectors[v]))
 
 
 def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
@@ -124,22 +135,9 @@ def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposi
          for a, b in class_runs(values.tolist(), group_tol)], len(values))
 
 
-def exp_sum(freqs, coefs, t) -> np.ndarray:
-    """sum_j coefs[j] * exp(-i t freqs[j]) at each time of t (scalar or array).
-
-    Terms are added one at a time in the given order, so memory stays
-    O(len(t)) whatever the number of terms.
-    """
-    ts = np.asarray(t, dtype=float)
-    out = np.zeros(ts.shape, dtype=complex)
-    for f, c in zip(freqs, coefs):
-        out += np.exp(-1j * ts * f) * c
-    return out
-
-
 def exp_sum_grid(freqs: np.ndarray, coefs: np.ndarray, t0: float, dt: float, count: int):
-    """Yield exp_sum at t0 + j*dt, j = 0..count-1, in batches of block =
-    GRID_BLOCK times.
+    """Yield sum_k coefs[k] exp(-i t freqs[k]) at t = t0 + j*dt, j = 0..count-1,
+    in batches of block = GRID_BLOCK times.
 
     With j = s*block + q*a + r (r < a, q < b, a*b >= min(block, count)) it is
     sum_k w[k] coarse[k, q] fine[k, r], w = coefs * exp(-i freqs (t0 +
@@ -161,65 +159,6 @@ def exp_sum_grid(freqs: np.ndarray, coefs: np.ndarray, t0: float, dt: float, cou
         weights = coefs * np.exp(-1j * freqs * (t0 + start * dt))
         batch = ((weights[:, None] * coarse).T @ fine).ravel()
         yield batch[: min(block, count - start)]
-
-
-def entry_terms(d: SpectralDecomposition, u: int, v: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential sum (values, E[u,v]) of the walk amplitude <u| exp(-itA) |v>,
-    one term per class."""
-    _check_vertex(d, u)
-    _check_vertex(d, v)
-    return (np.array([c.value for c in d.classes], dtype=float),
-            np.array([c.entry(u, v) for c in d.classes], dtype=float))
-
-
-def entry_amplitudes(d: SpectralDecomposition, u: int, v: int, times) -> np.ndarray:
-    """Walk amplitude <u| exp(-itA) |v> = sum_r exp(-it value_r) E_r[u,v]."""
-    return exp_sum(*entry_terms(d, u, v), times)
-
-
-def eigenvalue_support(
-    d: SpectralDecomposition, u: int, tol: float = DEFAULT_SUPPORT_TOL
-) -> SupportSet:
-    """Classes with ||E e_u|| > tol, in decreasing eigenvalue order."""
-    _check_vertex(d, u)
-    idx = [
-        i
-        for i, c in enumerate(d.classes)
-        if float(np.linalg.norm(c.vectors[u])) > tol
-    ]
-    return SupportSet(
-        vertex=u,
-        class_indices=tuple(idx),
-        exact=tuple(d.classes[i].exact for i in idx),
-        beyond_quadratic=any(d.classes[i].beyond_quadratic for i in idx),
-    )
-
-
-def strong_cospectral(
-    d: SpectralDecomposition, u: int, v: int, tol: float = DEFAULT_COSPECTRAL_TOL
-) -> dict[int, int] | None:
-    """Per-class signs when E e_u = +/- E e_v for every class, else None.
-
-    Classes where both columns vanish are skipped.  The + sign is tested
-    first, so a class can never report both.
-    """
-    if u == v:
-        raise ValueError("strong cospectrality is a relation on distinct vertices")
-    _check_vertex(d, u)
-    _check_vertex(d, v)
-    signs: dict[int, int] = {}
-    for i, c in enumerate(d.classes):
-        cu = c.vectors @ c.vectors[u]
-        cv = c.vectors @ c.vectors[v]
-        if np.linalg.norm(cu) <= tol and np.linalg.norm(cv) <= tol:
-            continue
-        if float(np.max(np.abs(cu - cv))) <= tol:
-            signs[i] = 1
-        elif float(np.max(np.abs(cu + cv))) <= tol:
-            signs[i] = -1
-        else:
-            return None
-    return signs
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +256,11 @@ class SpecFactors:
     corona is decomposed in closed form from its factors'
     decompositions of the same kind, recursing into both, and is assembled
     only where an enclosing corona needs it as a factor.  An irregular copy
-    factor's main data is read off its decomposition at the default
-    group_tol, the labelled one where the command made it: a looser grouping
-    would merge main values.  `built` seeds the graph cache with graphs
-    already built, as the search gates build them.
+    factor is decomposed at the default group_tol, where no class merges
+    main values: its main data and its copy classes are read off those
+    classes, and the closed form merges the copy classes at group_tol.
+    `built` seeds the graph cache with graphs already built, as the search
+    gates build them.
     """
 
     def __init__(self, group_tol: float = DEFAULT_GROUP_TOL,
@@ -330,18 +270,19 @@ class SpecFactors:
         self._decomps: dict[GraphSpec, SpectralDecomposition] = {}
         self._labelled: dict[GraphSpec, SpectralDecomposition] = {}
         self._coronas: dict[GraphSpec, CoronaSpec] = {}
+        self._default = self if group_tol == DEFAULT_GROUP_TOL else None
 
     def graph(self, spec: GraphSpec) -> Graph:
         return build_graph(spec, self._graphs)
 
     def corona(self, spec: GraphSpec) -> CoronaSpec:
-        return self._corona(spec, self.decomposition)
+        return self._corona(spec, "decomposition")
 
     def decomposition(self, spec: GraphSpec) -> SpectralDecomposition:
         """Float classes: no label is made."""
         if spec not in self._decomps:
             self._decomps[spec] = (
-                self._closed_form(spec, self.decomposition) if spec.kind == "corona"
+                self._closed_form(spec, "decomposition") if spec.kind == "corona"
                 else decompose(self._adjacency(spec), self.group_tol))
         return self._decomps[spec]
 
@@ -349,7 +290,7 @@ class SpecFactors:
         """The same classes with exact labels."""
         if spec not in self._labelled:
             if spec.kind == "corona":
-                self._labelled[spec] = self._closed_form(spec, self.labelled)
+                self._labelled[spec] = self._closed_form(spec, "labelled")
             elif spec.kind in FAMILIES:
                 self._labelled[spec] = family_labels(self.decomposition(spec),
                                                      family_values(spec.kind, spec.size))
@@ -364,35 +305,32 @@ class SpecFactors:
         check_budget(spec_order(spec, self._graphs))  # before the matrix is made
         return self.graph(spec).adjacency()
 
-    def _corona(self, spec: GraphSpec, factor) -> CoronaSpec:
+    def _copy_factor(self, spec: GraphSpec, kind: str) -> SpectralDecomposition:
+        """The corona's copy factor H decomposed as `kind` ("decomposition" or
+        "labelled"): at the default group_tol when H is irregular."""
+        factors = self
+        if self.graph(spec.factors[1]).is_regular() is None:
+            if self._default is None:
+                self._default = SpecFactors(built=self._graphs)
+            factors = self._default
+        return getattr(factors, kind)(spec.factors[1])
+
+    def _corona(self, spec: GraphSpec, kind: str) -> CoronaSpec:
         if spec not in self._coronas:
             from .corona import CoronaSpec
 
             g, h = map(self.graph, spec.factors)
-            h_spec = spec.factors[1]
-            # an irregular H's main data is read off its decomposition at the
-            # default group_tol, where no class merges main values: the
-            # labelled one where this command made it
-            if h.is_regular() is not None:
-                h_decomp = None
-            elif self.group_tol != DEFAULT_GROUP_TOL:
-                h_decomp = SpecFactors(built=self._graphs).decomposition(h_spec)
-            else:
-                h_decomp = self._labelled.get(h_spec) or factor(h_spec)
+            # an irregular H's main data is read off its classes
+            h_decomp = None if h.is_regular() is not None else self._copy_factor(spec, kind)
             self._coronas[spec] = CoronaSpec.from_graphs(g, h, h_decomp)
         return self._coronas[spec]
 
-    def _closed_form(self, spec: GraphSpec, factor) -> SpectralDecomposition:
-        """The corona's classes from its factors' `factor` decompositions."""
+    def _closed_form(self, spec: GraphSpec, kind: str) -> SpectralDecomposition:
+        """The corona's classes from its factors decomposed as `kind`."""
         # checked before any graph is built or factor decomposed
         check_budget(spec_order(spec, self._graphs))
         from .corona import corona_spectral_closed_form
 
-        return corona_spectral_closed_form(
-            self._corona(spec, factor), *map(factor, spec.factors), self.group_tol
-        )
-
-
-def _check_vertex(d: SpectralDecomposition, u: int) -> None:
-    if not 0 <= u < d.n:
-        raise ValueError(f"vertex {u} out of range for dimension {d.n}")
+        corona = self._corona(spec, kind)
+        return corona_spectral_closed_form(corona, getattr(self, kind)(spec.factors[0]),
+                                           self._copy_factor(spec, kind), self.group_tol)

@@ -6,11 +6,15 @@ coronas, the structured time-family searches that realize pretty good
 state transfer between lifted base vertices, and fidelity sweeps; each
 runs its own loop over the batches of one grid kernel, `exp_sum_grid`.
 
-The verdicts (`periodicity_test`, `pst_certify` and the t51/t52 base gate
-`base_transfer`) read support, signs and amplitude through the methods of
-the decomposition they are given: `spectral.SpectralDecomposition`'s float
-classes, or, decided in integers, a family leaf's
-`leafspectra.FamilyDecomposition` or a family corona's over a regular family
+Every analysis here reads the decomposition it is given through the
+vertex queries of `leafspectra.Decomposition`: the verdicts
+(`periodicity_test`, `pst_certify` and the t51/t52 base gate
+`base_transfer`) its support, signs and amplitude, and the grid analyses
+its walk terms (`terms`: `fidelity_sweep` directly, the corona scan and
+search through `corona.corona_terms`, which lifts the base's).  The
+decomposition is `spectral.SpectralDecomposition`'s float classes or,
+decided in integers, a family leaf's `leafspectra.FamilyDecomposition` or
+a family corona's over a regular family
 (`familycorona.FamilyCoronaDecomposition`).  So this module loads numpy and
 `spectral` only inside the grid analyses (scans, searches and sweeps):
 `periodic` and `pst` on a family spec or such a corona, and a family base
@@ -32,9 +36,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .corona import CoronaSpec
-    from .familycorona import FamilyCoronaDecomposition
-    from .leafspectra import FamilyDecomposition
-    from .spectral import SpectralDecomposition
+    from .leafspectra import Decomposition
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,7 @@ _CERTIFIED_FIDELITY_TOL = 1e-8
 
 
 def pst_certify(
-    d: SpectralDecomposition | FamilyDecomposition | FamilyCoronaDecomposition,
+    d: Decomposition,
     u: int,
     v: int,
     support_tol: float = DEFAULT_SUPPORT_TOL,
@@ -157,9 +159,9 @@ def pst_certify(
 
     Classes in the support must carry exact labels; otherwise the verdict is
     NoPST where the support of u holds a value of degree > 2 (transfer from
-    u makes u periodic), else Inconclusive rather than a guess.  d is a
-    decomposition, float, family or family corona (module docstring): its
-    `support`, `signs` and `amplitude` take support_tol and cospectral_tol.
+    u makes u periodic), else Inconclusive rather than a guess.  d is any
+    decomposition (module docstring): its `support` and `signs` take
+    support_tol and cospectral_tol.
     """
     check_distinct(u, v)
     sup = d.support(u, support_tol)
@@ -270,7 +272,7 @@ class NoTransferScan(NamedTuple):
 
 def corona_no_pst_check(
     spec: CoronaSpec,
-    g_decomp: SpectralDecomposition,
+    g_decomp: Decomposition,
     v: int,
     vp: int,
     t_max: float,
@@ -283,7 +285,8 @@ def corona_no_pst_check(
     base-copy (v', 0), (v, w), as in `corona_terms`.  Reports the grid
     maximum and its first time (the linspace element, bit for bit), whether
     every sample stays below 1, and the static bound sum_lam |E_lam[v,v']|
-    (always <= 1) that caps the entry.  The grid is evaluated batch by batch
+    over the base's walk terms, one per class (always <= 1), that caps the
+    entry.  The grid is evaluated batch by batch
     and never held whole.  The pair's gates (`gates.check_scan_pair`:
     distinct base-base vertices, vertex ranges) need no decomposition, so
     the CLI runs them before it loads numpy.
@@ -308,7 +311,7 @@ def corona_no_pst_check(
         offset += fids.size
     # np.linspace puts t_max itself at the last point and i * step elsewhere
     argmax_time = float(t_max) if points > 1 and arg == points - 1 else arg * step
-    bound = float(sum(abs(c.entry(v, vp)) for c in g_decomp.classes))
+    bound = float(sum(abs(entry) for _, entry in g_decomp.terms(v, vp)))
     return NoTransferScan(
         vertices=(v, vp) if w is None else (vp, v, w),
         samples=points,
@@ -327,7 +330,7 @@ _ZERO_TOL = 1e-9
 
 
 def base_transfer(
-    d: SpectralDecomposition | FamilyDecomposition,
+    d: Decomposition,
     u: int,
     v: int,
     family: str,
@@ -335,8 +338,8 @@ def base_transfer(
     cospectral_tol: float,
 ) -> int:
     """The base gate of the t51 and t52 families on the base decomposition d
-    (float or family, as `pst_certify` takes it); returns the g of the base
-    transfer time pi/g.
+    (any, as `pst_certify` takes it); returns the g of the base transfer
+    time pi/g.
 
     t51 needs transfer from u to v at pi/g with integer g, and 0 outside the
     support of u; t52 needs transfer at pi/2 and 0 in the base spectrum.
@@ -381,7 +384,7 @@ class PGSTSearchResult(NamedTuple):
 
 def pgst_search(
     spec: CoronaSpec,
-    g_decomp: SpectralDecomposition,
+    g_decomp: Decomposition,
     u: int,
     v: int,
     family: str,
@@ -389,7 +392,6 @@ def pgst_search(
     target: float = DEFAULT_TARGET,
     support_tol: float = DEFAULT_SUPPORT_TOL,
     cospectral_tol: float = DEFAULT_COSPECTRAL_TOL,
-    base: FamilyDecomposition | None = None,
 ) -> PGSTSearchResult:
     """Sweep a structured time family for high corona base-to-base fidelity.
 
@@ -405,15 +407,13 @@ def pgst_search(
     base (`gates.check_pgst`, `gates.check_antipodal`) read only the factor
     graphs, so the CLI runs them before it loads numpy; they run here again,
     on the graphs, for library callers.  The t51 and t52 gate
-    (`base_transfer`) certifies base transfer with pst_certify at
-    support_tol and cospectral_tol, and t51 reads the support of u at
-    support_tol, on `base`, the base decomposition the gate reads: g_decomp
-    when None, a family base's `leafspectra.FamilyDecomposition` when the CLI
-    passes the one its gate read.  Records the strictly-improving
-    best-so-far trace and stops once fidelity reaches the target; the family
-    is evaluated one grid batch of ell values at a time, so an early stop
-    evaluates at most one batch past the hit, and a batch that cannot beat
-    the best so far is skipped.
+    (`base_transfer`) certifies base transfer on g_decomp with pst_certify
+    at support_tol and cospectral_tol, and t51 reads the support of u at
+    support_tol; the cocktail family reads no label.  Records the
+    strictly-improving best-so-far trace and stops once fidelity reaches the
+    target; the family is evaluated one grid batch of ell values at a time,
+    so an early stop evaluates at most one batch past the hit, and a batch
+    that cannot beat the best so far is skipped.
     """
     import numpy as np
 
@@ -428,8 +428,7 @@ def pgst_search(
         check_antipodal(spec.g, u, v)
         slope, offset = 8.0, 0.0
     else:
-        g_value = base_transfer(g_decomp if base is None else base, u, v, family,
-                                support_tol, cospectral_tol)
+        g_value = base_transfer(g_decomp, u, v, family, support_tol, cospectral_tol)
         slope, offset = 4.0, 2.0 / g_value if family == "t51" else 1.0
 
     freqs, coefs = corona_terms(spec, g_decomp, u, v)
@@ -486,18 +485,20 @@ class FidelityTrace(NamedTuple):
 
 
 def fidelity_sweep(
-    d: SpectralDecomposition, u: int, v: int, t_max: float, steps: int
+    d: Decomposition, u: int, v: int, t_max: float, steps: int
 ) -> FidelityTrace:
-    """|U(t)_{u,v}| on the uniform grid t_j = j * t_max / (steps - 1)."""
+    """|U(t)_{u,v}| on the uniform grid t_j = j * t_max / (steps - 1), from
+    the walk terms of d."""
     import numpy as np
 
-    from .spectral import entry_terms, exp_sum_grid
+    from .spectral import exp_sum_grid
 
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     ts = np.linspace(0.0, float(t_max), int(steps))
-    batches = exp_sum_grid(*entry_terms(d, u, v), 0.0, t_max / (steps - 1), steps)
+    freqs, coefs = (np.array(x, dtype=float) for x in zip(*d.terms(u, v)))
+    batches = exp_sum_grid(freqs, coefs, 0.0, t_max / (steps - 1), steps)
     vals = np.concatenate([np.abs(amps) for amps in batches])
     return FidelityTrace(times=ts, values=vals, best_index=int(np.argmax(vals)))

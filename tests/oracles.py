@@ -1,9 +1,11 @@
 """Reference forms of the spectral data that tests check the package against.
 
 The package reads an eigenvalue class through the rows of its eigenvector
-block and evaluates every walk amplitude as an exponential sum
-(`spectral.exp_sum`).  These helpers build the dense N x N objects instead:
-class projectors, the reassembled matrix and the transition matrix U(t).
+block and evaluates every walk amplitude as an exponential sum over a
+decomposition's walk terms (`leafspectra.Decomposition.terms`), which
+`exp_sum` evaluates here term by term at any array of times.  These helpers
+build the dense N x N objects instead: class projectors, the reassembled
+matrix and the transition matrix U(t).
 It also keeps the exact algebra of the paper's pair lift for a k-regular
 copy factor, which the labels `corona.lift_class` reads off its lift
 polynomial must equal, with the integer square test of its degree-4 case
@@ -25,7 +27,6 @@ import numpy as np
 from coronawalk.cli import _round15
 from coronawalk.corona import corona_terms
 from coronawalk.exact import QuadInt, square_free_part
-from coronawalk.spectral import entry_amplitudes, exp_sum
 
 
 def projector(c) -> np.ndarray:
@@ -49,9 +50,23 @@ def transition_matrix(d, t: float) -> np.ndarray:
     return out
 
 
+def exp_sum(freqs, coefs, t) -> np.ndarray:
+    """sum_j coefs[j] * exp(-i t freqs[j]) at each time of t (scalar or array)."""
+    ts = np.asarray(t, dtype=float)
+    out = np.zeros(ts.shape, dtype=complex)
+    for f, c in zip(freqs, coefs):
+        out += np.exp(-1j * ts * f) * c
+    return out
+
+
+def amplitudes(d, u: int, v: int, t) -> np.ndarray:
+    """<u| exp(-itA) |v> from the walk terms of d, at each time of t."""
+    return exp_sum(*zip(*d.terms(u, v)), t)
+
+
 def fidelity(d, u: int, v: int, t: float) -> float:
-    """|U(t)_{u,v}|, with the vertex checks of `entry_amplitudes`."""
-    return float(abs(entry_amplitudes(d, u, v, float(t))))
+    """|U(t)_{u,v}|, with the vertex checks of `terms`."""
+    return float(abs(amplitudes(d, u, v, float(t))))
 
 
 def corona_entry_base_base(spec, g_decomp, v: int, vp: int, t):

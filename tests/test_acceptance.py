@@ -45,12 +45,7 @@ from coronawalk.graphs import (
     path_graph,
     require_regular,
 )
-from coronawalk.spectral import (
-    decompose,
-    eigenvalue_support,
-    entry_amplitudes,
-    exact_decomposition,
-)
+from coronawalk.spectral import decompose, exact_decomposition
 from coronawalk.transfer import (
     corona_no_pst_check,
     periodicity_test,
@@ -59,6 +54,7 @@ from coronawalk.transfer import (
 )
 
 from oracles import (
+    amplitudes,
     corona_entry_base_base,
     corona_entry_base_copy,
     fidelity,
@@ -88,7 +84,7 @@ def _base_periodicity(g, h, v):
     """The one periodicity verdict at (v, 0), from the closed form of g * h."""
     closed = corona_spectral_closed_form(CoronaSpec.from_graphs(g, h), exact_decomposition(g),
                                          exact_decomposition(h))
-    sup = eigenvalue_support(closed, v)
+    sup = closed.support(v)
     return periodicity_test(sup.exact, sup.beyond_quadratic)
 
 
@@ -116,7 +112,7 @@ def test_criterion_1_closed_form_matches_numeric_oracle():
                     diff = np.max(
                         np.abs(
                             corona_entry_base_base(spec, gd, v, vp, ts)
-                            - entry_amplitudes(oracle, v, vp, ts)
+                            - amplitudes(oracle, v, vp, ts)
                         )
                     )
                     worst_entry = max(worst_entry, float(diff))
@@ -125,7 +121,7 @@ def test_criterion_1_closed_form_matches_numeric_oracle():
                         diff = np.max(
                             np.abs(
                                 corona_entry_base_copy(spec, gd, vp, v, w, ts)
-                                - entry_amplitudes(
+                                - amplitudes(
                                     oracle, vp, copy_index(g.n, v, w), ts
                                 )
                             )
@@ -181,7 +177,7 @@ def test_criterion_3_base_periodicity_conditions():
                        ("P3*E2", path_graph(3), empty_graph(2))):
         lifted = _base_periodicity(g, h, 0)
         corona = corona_graph(g, h)
-        vertex = periodicity_test(eigenvalue_support(exact_decomposition(corona), 0).exact)
+        vertex = periodicity_test(exact_decomposition(corona).support(0).exact)
         assert lifted.periodic == "yes" and lifted == vertex, name
         at_period = fidelity(decompose(corona.adjacency()), 0, 0, lifted.witness_period)
         assert at_period >= 1 - 1e-8, name
@@ -420,14 +416,10 @@ def test_criterion_7a_support_containment():
             assembled = exact_decomposition(corona_graph(g, h))
             zero_class = {i for i, c in enumerate(assembled.classes) if c.exact == zero}
             for v in range(g.n):
-                escapes = zero in eigenvalue_support(gd, v).exact and not h_has_zero
-                base = set(eigenvalue_support(assembled, v).class_indices)
+                escapes = zero in gd.support(v).exact and not h_has_zero
+                base = set(assembled.support(v).class_indices)
                 for w in range(h.n):
-                    copy = set(
-                        eigenvalue_support(
-                            assembled, copy_index(g.n, v, w)
-                        ).class_indices
-                    )
+                    copy = set(assembled.support(copy_index(g.n, v, w)).class_indices)
                     expected = zero_class if escapes else set()
                     if escapes:
                         assert len(zero_class) == 1, f"{gname}*{hname}"
@@ -450,7 +442,7 @@ def test_criterion_7b_no_periodicity_lift():
     g = path_graph(4)
     d = exact_decomposition(g)
     for v in range(g.n):
-        sup = eigenvalue_support(d, v)
+        sup = d.support(v)
         assert periodicity_test(list(sup.exact)).periodic == "no"
     for h in (empty_graph(2), cycle_graph(3)):
         for v in range(g.n):

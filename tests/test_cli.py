@@ -29,6 +29,7 @@ from coronawalk.cli import (
     render_report,
     run_command,
 )
+from coronawalk.defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_SUPPORT_TOL
 from coronawalk.spectral import SpecFactors
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import GraphSpec
@@ -189,8 +190,10 @@ class TestSpectrumCommand:
          ("periodic", "corona(cycle:8,cycle:4)", "--u", "6"),
          # within one 4-cycle copy, over an isolated base vertex: PST at pi/2
          ("pst", "corona(empty:2,cycle:4)", "--u", "2", "--v", "6"),
-         ("fidelity", "corona(cycle:4,cycle:3)", "--u", "11", "--v", "12", "--t", "0.5")],
-        ids=["spectrum", "support", "cospectral", "periodic", "pst", "fidelity"])
+         ("fidelity", "corona(cycle:4,cycle:3)", "--u", "11", "--v", "12", "--t", "0.5"),
+         ("sweep", "corona(cycle:4,cycle:3)", "--u", "0", "--v", "2", "--t-max", "9",
+          "--steps", "40")],
+        ids=["spectrum", "support", "cospectral", "periodic", "pst", "fidelity", "sweep"])
     def test_family_corona_queries_run_no_eigensolve(self, capsys, argv):
         """A family corona over a regular copy factor is read off the theorem
         and the lifts' closed form: no eigensolver, no rank."""
@@ -203,6 +206,25 @@ class TestSpectrumCommand:
         assert (code, err) == (EXIT_OK, "")
         if argv[0] == "pst":
             assert json.loads(out)["verdict"] == "PST"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("sweep", "path:6", "--u", "0", "--v", "5", "--t-max", "10", "--steps", "50"),
+         ("pgst", "corona(cocktail:3,cycle:3)", "--u", "0", "--v", "1", "--family", "cocktail",
+          "--lmax", "100"),
+         ("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
+          "--lmax", "100"),
+         ("no-pst-scan", "corona(cycle:6,cycle:3)", "--pair", "base-copy", "--v", "0",
+          "--vp", "3", "--points", "100")],
+        ids=["sweep", "pgst-cocktail", "pgst-t51", "no-pst-scan"])
+    def test_family_sweep_and_searches_run_no_eigensolve(self, capsys, argv):
+        """A sweep on a family spec reads the family's eigenspaces, and so do
+        the searches on a family base: the grid is the only numpy work."""
+        with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError), \
+                mock.patch.object(exact, "exact_rank", side_effect=AssertionError), \
+                mock.patch.object(spectral, "exact_rank", side_effect=AssertionError):
+            code, _, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "")
 
     @pytest.mark.parametrize("spec", ["path:5000", "complete:4097", "cocktail:2049"])
     def test_family_spectrum_over_budget_builds_nothing(self, capsys, monkeypatch, spec):
@@ -379,7 +401,8 @@ class TestFactorRouting:
         monkeypatch.setattr(spectral, "symmetric_eigen", recording)
         for command, *flags in self.COMMANDS:
             assert run(capsys, command, spec, *flags)[0] == EXIT_OK, command
-        assert dims and max(dims) <= largest_factor
+        # a family corona over a regular copy factor runs none at all
+        assert max(dims, default=0) <= largest_factor
         dims.clear()
         # an irregular copy factor lifts through its main directions too
         assert run(capsys, "spectrum", "corona(cycle:13,path:4)")[0] == EXIT_OK
@@ -428,7 +451,7 @@ class TestFactorRouting:
         for u in (0, g.n):  # a base vertex and a copy vertex
             code, out, err = run(capsys, "support", text, "--u", str(u))
             assert code == EXIT_OK and err == ""
-            sup = spectral.eigenvalue_support(oracle, u)
+            sup = oracle.support(u)
             check(json.loads(out)["classes"],
                   [oracle.classes[i] for i in sup.class_indices])
 
@@ -523,9 +546,9 @@ class TestLabelsFollowTheReader:
         assert ranks == []
 
     def test_family_base_takes_labels_without_rank(self, capsys, monkeypatch):
-        """The 202-vertex cocktail base is labelled by theorem, with no rank,
-        and its one eigensolve gives the float classes whose entries the
-        search reads."""
+        """The 202-vertex cocktail base is read by theorem: its eigenspaces
+        give the walk terms the search reads, with no rank and no
+        eigensolve."""
         ranks, solves = [], []
         for module in (exact, spectral):
             monkeypatch.setattr(module, "exact_rank", lambda rows, rank=module.exact_rank:
@@ -537,7 +560,28 @@ class TestLabelsFollowTheReader:
                              "--v", "1", "--family", "cocktail", "--lmax", "1000")
         assert (code, err) == (EXIT_OK, "")
         assert ranks == []
-        assert solves.count(202) == 1 and max(solves) == 202
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("pgst", "--u", "0", "--v", "1", "--family", "cocktail", "--lmax", "1000"),
+         ("no-pst-scan", "--pair", "base-base", "--v", "0", "--vp", "3", "--points", "1000")],
+        ids=["pgst-cocktail", "no-pst-scan"])
+    def test_searches_on_a_file_base_make_no_rank(self, capsys, tmp_path, argv):
+        """Only the t51 and t52 base gate reads labels: the cocktail family and
+        the scan read a file base's float classes, with no rank, and find what
+        the family spelling of the same graph finds."""
+        path = tmp_path / "cocktail7.edges"
+        path.write_text(graphs.write_edge_list(graphs.build_family(GraphSpec("cocktail", 7))),
+                        encoding="utf-8")
+        command, *flags = argv
+        with mock.patch.object(exact, "exact_rank", side_effect=AssertionError), \
+                mock.patch.object(spectral, "exact_rank", side_effect=AssertionError):
+            code, out, err = run(capsys, command, f"corona(file:{path},cycle:3)", *flags)
+        assert (code, err) == (EXIT_OK, "")
+        family = json.loads(run(capsys, command, "corona(cocktail:7,cycle:3)", *flags)[1])
+        key = "best_fidelity" if command == "pgst" else "max_fidelity"
+        assert abs(json.loads(out)[key] - family[key]) <= 1e-12
 
     @pytest.mark.parametrize(
         "argv",
@@ -1064,12 +1108,12 @@ def run_captured(*argv) -> tuple[int, str, str]:
 
 
 def cospectral_report(spec_text: str, u: int, v: int,
-                      tol: float = spectral.DEFAULT_COSPECTRAL_TOL):
+                      tol: float = DEFAULT_COSPECTRAL_TOL):
     """Signs of strong cospectrality on the spec's full decomposition (closed
     form for a corona), and the cospectral report that path writes."""
     spec = parse_graph_spec(spec_text)
     d = SpecFactors().decomposition(spec)
-    signs = spectral.strong_cospectral(d, u, v, tol)
+    signs = d.signs(u, v, tol)
     report = {"command": "cospectral", "spec": str(spec), "u": u, "v": v,
               "strongly_cospectral": signs is not None}
     if signs is not None:
@@ -1103,11 +1147,11 @@ class TestCospectralDegreeGate:
         g = graphs.build_graph(spec, {})
         degree = [len(g.neighbors(x)) for x in range(g.n)]
         assert [graphs.spec_degree(spec, {}, x) for x in range(g.n)] == degree
-        assert 4 * spectral.DEFAULT_COSPECTRAL_TOL * g.edge_count < 1
+        assert 4 * DEFAULT_COSPECTRAL_TOL * g.edge_count < 1
         d = SpecFactors().decomposition(spec)
         refuted = [(u, v) for u in range(g.n) for v in range(g.n) if degree[u] != degree[v]]
         for u, v in refuted:
-            assert spectral.strong_cospectral(d, u, v) is None, (u, v)
+            assert d.signs(u, v) is None, (u, v)
         for u, v in refuted[:: max(1, len(refuted) // self.CLI_PAIRS)]:
             expected = cospectral_report(text, u, v)[1]
             with mock.patch.object(spectral.SpecFactors, "decomposition") as decomposition:
@@ -1287,7 +1331,7 @@ class TestSearchSettings:
         monkeypatch.setattr(transfer, "pst_certify", lambda d, u, v, s, c:
                             seen.append((s, c)) or certify(d, u, v, s, c))
         extra = ()
-        expected = (spectral.DEFAULT_SUPPORT_TOL, spectral.DEFAULT_COSPECTRAL_TOL)
+        expected = (DEFAULT_SUPPORT_TOL, DEFAULT_COSPECTRAL_TOL)
         if source == "flag":
             extra = ("--support-tol", "1e-6", "--cospectral-tol", "1e-5")
             expected = (1e-6, 1e-5)

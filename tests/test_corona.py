@@ -39,16 +39,15 @@ from coronawalk.spectral import (
     GRID_BLOCK,
     SpecFactors,
     decompose,
-    eigenvalue_support,
-    entry_amplitudes,
     exact_decomposition,
-    exp_sum,
     exp_sum_grid,
 )
 
 from oracles import (
+    amplitudes,
     corona_entry_base_base,
     corona_entry_base_copy,
+    exp_sum,
     is_quadratic_square,
     lift_base_eigenvalue,
     projector,
@@ -243,11 +242,11 @@ class TestClosedForm:
         rng = np.random.default_rng(7)
         for t in rng.uniform(0, 10, size=10):
             lhs = np.array(
-                [[complex(entry_amplitudes(d, i, j, t)) for j in range(d.n)]
+                [[complex(amplitudes(d, i, j, t)) for j in range(d.n)]
                  for i in range(d.n)]
             )
             rhs = np.array(
-                [[complex(entry_amplitudes(oracle, i, j, t)) for j in range(d.n)]
+                [[complex(amplitudes(oracle, i, j, t)) for j in range(d.n)]
                  for i in range(d.n)]
             )
             assert np.max(np.abs(lhs - rhs)) < 1e-7
@@ -405,11 +404,11 @@ class TestClosedForm:
         oracle = decompose(a)
         for t in rng.uniform(0.0, 10.0, size=10):
             lhs = np.array(
-                [[complex(entry_amplitudes(closed, i, j, t)) for j in range(closed.n)]
+                [[complex(amplitudes(closed, i, j, t)) for j in range(closed.n)]
                  for i in range(closed.n)]
             )
             rhs = np.array(
-                [[complex(entry_amplitudes(oracle, i, j, t)) for j in range(closed.n)]
+                [[complex(amplitudes(oracle, i, j, t)) for j in range(closed.n)]
                  for i in range(closed.n)]
             )
             assert np.max(np.abs(lhs - rhs)) < 1e-7
@@ -440,7 +439,8 @@ class TestBlockFormat:
             cols = vecs[:, np.abs(values - c.value) < 1e-6]
             assert cols.shape[1] == c.multiplicity
             ref = cols @ cols.T
-            rows = np.array([[c.entry(u, w) for w in range(d.n)] for u in range(d.n)])
+            rows = np.array([[d.entry(c.vectors, u, w) for w in range(d.n)]
+                             for u in range(d.n)])
             assert np.max(np.abs(rows - ref)) < 1e-8
 
     def test_closed_form_memory_is_one_basis_not_a_projector_per_class(self):
@@ -491,6 +491,22 @@ class TestOracleEquality:
                 ref = decompose(factors.graph(spec).adjacency(), group_tol)
                 assert [c.multiplicity for c in d.classes] == \
                     [r.multiplicity for r in ref.classes], str(spec)
+
+    @pytest.mark.parametrize("spec", ["corona(empty:2,path:60)", "corona(path:3,path:60)",
+                                      "corona(cycle:5,path:9)", "corona(star:3,star:7)"])
+    @pytest.mark.parametrize("group_tol", [1e-2, 5e-3])
+    def test_loose_group_tol_takes_irregular_copy_classes_at_the_default(self, spec, group_tol):
+        # an irregular H's copy classes come from H grouped at the default
+        # tolerance and merge at the loose one: the assembled grouping, each
+        # class valued at one of the corona's eigenvalues, not at a mean
+        factors = SpecFactors(group_tol)
+        spec = parse_graph_spec(spec)
+        d = factors.labelled(spec)
+        a = factors.graph(spec).adjacency()
+        assert [c.multiplicity for c in d.classes] == \
+            [r.multiplicity for r in decompose(a, group_tol).classes]
+        values = np.linalg.eigvalsh(a.astype(float))
+        assert max(np.min(np.abs(values - c.value)) for c in d.classes) < 1e-9
 
     @pytest.mark.parametrize("copy", ORACLE_COPIES)
     def test_closed_form_equals_assembled_exact_decomposition(self, tmp_path, copy):
@@ -559,11 +575,11 @@ class TestEntries:
         for v in range(n):
             for vp in range(n):
                 lhs = corona_entry_base_base(spec, gd, v, vp, ts)
-                rhs = entry_amplitudes(oracle, v, vp, ts)
+                rhs = amplitudes(oracle, v, vp, ts)
                 assert np.max(np.abs(lhs - rhs)) < 1e-7
                 for w in range(m):
                     lhs2 = corona_entry_base_copy(spec, gd, vp, v, w, ts)
-                    rhs2 = entry_amplitudes(oracle, vp, copy_index(n, v, w), ts)
+                    rhs2 = amplitudes(oracle, vp, copy_index(n, v, w), ts)
                     assert np.max(np.abs(lhs2 - rhs2)) < 1e-7
 
     def test_base_copy_independent_of_copy_vertex(self):
@@ -586,7 +602,7 @@ class TestEntries:
         assert 0.0 in freqs and 2.0 in freqs
         assert np.all(freqs[np.abs(freqs) < 1e-12] == 0.0)
         assert coefs[list(freqs).index(2.0)] == 0.0
-        assert coefs[list(freqs).index(0.0)] == zero.entry(0, 1)
+        assert coefs[list(freqs).index(0.0)] == gd.entry(zero.vectors, 0, 1)
         # the closed form lifts the same class to exactly 2 and 0, and its
         # value-2 block lies on the copies alone
         values = [c.value for c in d.classes]
@@ -602,7 +618,7 @@ class TestEntries:
         oracle = decompose(corona_graph(g, h).adjacency())
         for t in (0.9, 3.7):
             lhs = corona_entry_base_base(spec, gd, 0, 0, t)
-            rhs = complex(entry_amplitudes(oracle, 0, 0, t))
+            rhs = complex(amplitudes(oracle, 0, 0, t))
             assert abs(lhs - rhs) < 1e-9
 
     def test_integral_spectrum_revival(self):
@@ -727,7 +743,7 @@ class TestExponentialSum:
         oracle = decompose(corona_graph(g, h).adjacency())
         target = v if w is None else copy_index(g.n, v, w)
         ts = np.array(times)
-        diff = exp_sum(*terms, ts) - entry_amplitudes(oracle, vp, target, ts)
+        diff = exp_sum(*terms, ts) - amplitudes(oracle, vp, target, ts)
         assert np.max(np.abs(diff)) < 1e-9
 
 
@@ -742,9 +758,9 @@ def base_lifts(support, main):
 def lifted_base_support(g, h, v):
     """The periodicity verdict at (v, 0) with the labels of the closed form's
     support it reads, and the assembled corona's exact support at v."""
-    sup = eigenvalue_support(closed_form(g, h)[1], v)
+    sup = closed_form(g, h)[1].support(v)
     verdict = transfer.periodicity_test(sup.exact, sup.beyond_quadratic)
-    assembled = eigenvalue_support(exact_decomposition(corona_graph(g, h)), v).exact
+    assembled = exact_decomposition(corona_graph(g, h)).support(v).exact
     return verdict, set(sup.exact), assembled
 
 
@@ -768,10 +784,10 @@ class TestSupportLift:
             (cycle_graph(4), cycle_graph(3), 0),
         ]
         for g, h, v in cases:
-            base = eigenvalue_support(exact_decomposition(g), v)
+            base = exact_decomposition(g).support(v)
             lifted = base_lifts(base.exact, CoronaSpec.from_graphs(g, h).main)
             assembled_d = exact_decomposition(corona_graph(g, h))
-            assembled = eigenvalue_support(assembled_d, v)
+            assembled = assembled_d.support(v)
             assert len(lifted) == len(assembled.class_indices)
             for (value, label), i, q in zip(lifted, assembled.class_indices, assembled.exact):
                 assert value == pytest.approx(assembled_d.classes[i].value, abs=1e-9)

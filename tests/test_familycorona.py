@@ -11,8 +11,7 @@ from coronawalk.defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_SUPPORT_TOL
 from coronawalk.familycorona import FamilyCoronaDecomposition
 from coronawalk.graphs import FAMILIES, GraphSpec, build_graph, spec_order
 from coronawalk.leafspectra import SupportSet
-from coronawalk.spectral import (SpecFactors, eigenvalue_support, exact_decomposition,
-                                 strong_cospectral)
+from coronawalk.spectral import SpecFactors, exact_decomposition
 from coronawalk.transfer import periodicity_test, pst_certify
 
 from oracles import transition_matrix
@@ -170,10 +169,10 @@ def test_the_projector_signs_are_the_float_rule(spec):
     d = SpecFactors().labelled(parse_graph_spec(spec))
     closed = ClosedForm(d)
     for u in range(d.n):
-        assert closed.support(u) == eigenvalue_support(d, u)
+        assert closed.support(u) == d.support(u)
         for v in range(d.n):
             if u != v:
-                assert closed.signs(u, v) == strong_cospectral(d, u, v), (u, v)
+                assert closed.signs(u, v) == d.signs(u, v), (u, v)
 
 
 @pytest.mark.parametrize("spec", SMALL)
@@ -188,10 +187,10 @@ def test_small_coronas_equal_the_assembled_graph(spec):
         [(r.multiplicity, r.exact) for r in ref.classes]
     assert max(abs(c.value - r.value) for c, r in zip(mine.classes, ref.classes)) <= 1e-9
     for u in range(mine.n):
-        assert mine.support(u)[:3] == eigenvalue_support(ref, u)[:3], u
+        assert mine.support(u)[:3] == ref.support(u)[:3], u
         for v in range(mine.n):
             if u != v:
-                assert mine.signs(u, v) == strong_cospectral(ref, u, v), (u, v)
+                assert mine.signs(u, v) == ref.signs(u, v), (u, v)
     for t in TIMES:
         u_t = transition_matrix(ref, t)
         assert max(abs(mine.amplitude(u, v, t) - u_t[u, v])

@@ -6,11 +6,12 @@ import math
 
 import pytest
 
+from coronawalk.cli import _decomposition, parse_graph_spec
 from coronawalk.defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_SUPPORT_TOL
 from coronawalk.exact import QuadInt
-from coronawalk.graphs import FAMILIES, GraphSpec, build_family
+from coronawalk.graphs import FAMILIES, GraphSpec, build_family, build_graph
 from coronawalk.leafspectra import FamilyDecomposition, class_runs, family_values
-from coronawalk.spectral import SpecFactors, eigenvalue_support, exact_decomposition
+from coronawalk.spectral import SpecFactors, exact_decomposition
 from coronawalk.transfer import PeriodicityVerdict, PSTCertificate, periodicity_test, pst_certify
 
 # path and cycle up to 60, the others up to 20, each from its least size
@@ -183,8 +184,51 @@ def test_degree_flag_by_brute_force(kind):
                    else [1] * len(oracle.classes))
         assert len(degrees) == len(oracle.classes)
         for u in range(oracle.n):
-            held = eigenvalue_support(oracle, u).class_indices
+            held = oracle.support(u).class_indices
             flagged = any(degrees[i] >= 3 for i in held)
             for group_tol in (1e-8, 1e-3, 1e-2):
                 sup = FamilyDecomposition(kind, n, group_tol).support(u)
                 assert sup.beyond_quadratic == flagged, (str(spec), u, group_tol)
+
+
+PAW = "4\n0 1\n1 2\n0 2\n2 3\n"
+KINDS = {
+    "family-leaf": "path:7",
+    "family-corona": "corona(path:3,cycle:4)",
+    "file-leaf": "file:{paw}",
+    "closed-form-regular": "corona(file:{paw},cycle:3)",
+    "closed-form-irregular": "corona(cycle:4,path:3)",
+    "nested": "corona(corona(path:2,empty:1),cycle:3)",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_decomposition_answers_as_the_assembled_graph(kind, tmp_path):
+    """One battery on each kind of decomposition the CLI reads, the kind it
+    reads for that spec (`cli._decomposition`), against the assembled graph's
+    eigensolve with rank-verified labels: classes (values within 1e-9,
+    multiplicities and labels equal), the support of every vertex, the signs
+    of every ordered pair, and the walk terms and amplitude of every pair at
+    three times, within 1e-12 but for the values."""
+    paw = tmp_path / "paw.edges"
+    paw.write_text(PAW, encoding="utf-8")
+    spec = parse_graph_spec(KINDS[kind].format(paw=paw))
+    d = _decomposition(spec, labelled=True)
+    ref = exact_decomposition(build_graph(spec, {}))
+    assert type(d).__name__ == {"family-leaf": "FamilyDecomposition",
+                                "family-corona": "FamilyCoronaDecomposition"}.get(
+        kind, "SpectralDecomposition")
+    assert [(c.multiplicity, c.exact) for c in d.classes] == \
+        [(r.multiplicity, r.exact) for r in ref.classes]
+    assert max(abs(c.value - r.value) for c, r in zip(d.classes, ref.classes)) <= 1e-9
+    for u in range(d.n):
+        assert d.support(u)[:3] == ref.support(u)[:3], u
+        for v in range(d.n):
+            if u != v:
+                assert d.signs(u, v) == ref.signs(u, v), (u, v)
+            terms, want = d.terms(u, v), ref.terms(u, v)
+            assert len(terms) == len(want)
+            assert max(abs(x - y) for (x, _), (y, _) in zip(terms, want)) <= 1e-9
+            assert max(abs(x - y) for (_, x), (_, y) in zip(terms, want)) <= 1e-12
+            for t in (0.7, 3.1, 11.3):
+                assert abs(d.amplitude(u, v, t) - ref.amplitude(u, v, t)) <= 1e-12, (u, v, t)

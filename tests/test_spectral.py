@@ -18,14 +18,11 @@ from coronawalk.graphs import (
 from coronawalk.spectral import (
     attach_exact_labels,
     decompose,
-    eigenvalue_support,
-    entry_amplitudes,
     exact_decomposition,
-    strong_cospectral,
     symmetric_eigen,
 )
 
-from oracles import fidelity, projector, reassemble, transition_matrix
+from oracles import amplitudes, fidelity, projector, reassemble, transition_matrix
 
 
 def random_graph(rng, n):
@@ -161,12 +158,12 @@ class TestFidelity:
     def test_amplitudes_vectorized(self):
         d = decompose(path_graph(2).adjacency())
         ts = np.array([0.0, math.pi / 4, math.pi / 2])
-        amps = entry_amplitudes(d, 0, 1, ts)
+        amps = amplitudes(d, 0, 1, ts)
         assert np.allclose(np.abs(amps), [0.0, math.sqrt(2) / 2, 1.0])
 
 
 def support_values(d, u):
-    return [d.classes[i].value for i in eigenvalue_support(d, u).class_indices]
+    return [d.classes[i].value for i in d.support(u).class_indices]
 
 
 class TestSupport:
@@ -176,7 +173,7 @@ class TestSupport:
 
     def test_cycle4_all_classes(self):
         d = decompose(cycle_graph(4).adjacency())
-        assert len(eigenvalue_support(d, 0).class_indices) == 3
+        assert len(d.support(0).class_indices) == 3
 
     def test_single_vertex_graph(self):
         d = decompose(complete_graph(1).adjacency())
@@ -190,31 +187,31 @@ class TestSupport:
 class TestStrongCospectral:
     def test_two_path(self):
         d = decompose(path_graph(2).adjacency())
-        assert strong_cospectral(d, 0, 1) == {0: 1, 1: -1}
+        assert d.signs(0, 1) == {0: 1, 1: -1}
 
     def test_three_path_endpoints(self):
         d = decompose(path_graph(3).adjacency())
-        assert strong_cospectral(d, 0, 2) == {0: 1, 1: -1, 2: 1}
+        assert d.signs(0, 2) == {0: 1, 1: -1, 2: 1}
 
     def test_star_leaves_fail(self):
         d = decompose(star_graph(4).adjacency())
-        assert strong_cospectral(d, 1, 2) is None
+        assert d.signs(1, 2) is None
 
     def test_four_path_adjacent_fail(self):
         d = decompose(path_graph(4).adjacency())
-        assert strong_cospectral(d, 0, 1) is None
+        assert d.signs(0, 1) is None
 
     def test_same_vertex_rejected(self):
         d = decompose(path_graph(2).adjacency())
         with pytest.raises(ValueError):
-            strong_cospectral(d, 1, 1)
+            d.signs(1, 1)
 
     def test_classes_missing_both_vertices_are_skipped(self):
         # one edge plus an isolated vertex: the isolated vertex owns the
         # 0-class alone, so that class is skipped for the edge's endpoints
         g = make_graph(3, [(0, 1)])
         d = decompose(g.adjacency())
-        signs = strong_cospectral(d, 0, 1)
+        signs = d.signs(0, 1)
         values = {round(d.classes[i].value): s for i, s in signs.items()}
         assert values == {1: 1, -1: -1}
         assert len(signs) == 2

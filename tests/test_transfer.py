@@ -28,8 +28,6 @@ from coronawalk.graphs import (
 from coronawalk.spectral import (
     SpecFactors,
     decompose,
-    eigenvalue_support,
-    entry_amplitudes,
     exact_decomposition,
 )
 from coronawalk.transfer import (
@@ -42,7 +40,7 @@ from coronawalk.transfer import (
     pst_certify,
 )
 
-from oracles import corona_entry_base_base, corona_entry_base_copy, fidelity
+from oracles import amplitudes, corona_entry_base_base, corona_entry_base_copy, fidelity
 
 
 def qi(n):
@@ -51,7 +49,7 @@ def qi(n):
 
 def vertex_periodicity(d, u):
     """The one periodicity verdict, as `periodic` reports it, at vertex u of d."""
-    sup = eigenvalue_support(d, u)
+    sup = d.support(u)
     return periodicity_test(sup.exact, sup.beyond_quadratic)
 
 
@@ -198,7 +196,7 @@ def test_lifted_base_test_agrees_with_the_vertex_test_on_a_sweep():
         d, cspec = factors.labelled(spec), factors.corona(spec)
         for u in range(cspec.n):
             verdict = vertex_periodicity(d, u)
-            labels_only = periodicity_test(eigenvalue_support(d, u).exact)
+            labels_only = periodicity_test(d.support(u).exact)
             counts[verdict.periodic, verdict.reason] += 1
             counts["yes with k >= 1"] += verdict.periodic == "yes" and cspec.k >= 1
             if labels_only.periodic != "inconclusive":
@@ -311,7 +309,7 @@ class TestPstCertify:
         # copy vertex (0, 0) of P4 * C3 meets the lifts of (-1 +- sqrt(5))/2
         d = SpecFactors().labelled(parse_graph_spec("corona(path:4,cycle:3)"))
         u = copy_index(4, 0, 0)
-        sup = eigenvalue_support(d, u)
+        sup = d.support(u)
         assert sup.beyond_quadratic and not sup.all_exact
         cert = pst_certify(d, u, copy_index(4, 3, 0))
         assert (cert.verdict, cert.failure_reason) == ("NoPST", "support value of degree > 2")
@@ -378,10 +376,10 @@ class TestSupportContainment:
         # factor has 0 in its own spectrum so the value-0 classes merge
         assembled = decompose(corona_graph(g, h).adjacency())
         for v in range(g.n):
-            base = set(eigenvalue_support(assembled, v).class_indices)
+            base = set(assembled.support(v).class_indices)
             for w in range(h.n):
                 copy = set(
-                    eigenvalue_support(assembled, copy_index(g.n, v, w)).class_indices
+                    assembled.support(copy_index(g.n, v, w)).class_indices
                 )
                 assert base <= copy
 
@@ -395,15 +393,15 @@ class TestSupportContainment:
             i for i, c in enumerate(assembled.classes) if abs(c.value) < 1e-9
         }
         for v in (0, 2):  # endpoints support eigenvalue 0 of the 3-path
-            base = set(eigenvalue_support(assembled, v).class_indices)
+            base = set(assembled.support(v).class_indices)
             for w in range(h.n):
                 copy = set(
-                    eigenvalue_support(assembled, copy_index(g.n, v, w)).class_indices
+                    assembled.support(copy_index(g.n, v, w)).class_indices
                 )
                 assert base - copy == zero_class
         # the middle vertex misses eigenvalue 0, so containment holds there
-        base = set(eigenvalue_support(assembled, 1).class_indices)
-        copy = set(eigenvalue_support(assembled, copy_index(g.n, 1, 0)).class_indices)
+        base = set(assembled.support(1).class_indices)
+        copy = set(assembled.support(copy_index(g.n, 1, 0)).class_indices)
         assert base <= copy
 
 
@@ -413,7 +411,7 @@ class TestNoPeriodicityLift:
         g = path_graph(4)
         d = exact_decomposition(g)
         for v in range(g.n):
-            sup = eigenvalue_support(d, v)
+            sup = d.support(v)
             assert periodicity_test(list(sup.exact)).periodic == "no"
         for v in range(g.n):
             assert base_periodicity(g, h, v).periodic == "no"
@@ -547,7 +545,7 @@ class TestPgstSearch:
         for ell in rng.integers(0, 2000, size=5):
             t = (4 * int(ell) + 1) * math.pi  # family time at this ell, g = 2
             closed = abs(complex(corona_entry_base_base(spec, gd, 0, 1, t)))
-            direct = abs(complex(entry_amplitudes(oracle, 0, 1, t)))
+            direct = abs(complex(amplitudes(oracle, 0, 1, t)))
             assert abs(closed - direct) < 1e-7
 
     def test_t52_on_c4_c5_reaches_target(self):
@@ -605,9 +603,10 @@ class TestPgstSearch:
         import coronawalk.spectral as spectral_module
 
         seen = []
-        support = spectral_module.eigenvalue_support
-        # the gate reads the float decomposition's support method, which calls it
-        monkeypatch.setattr(spectral_module, "eigenvalue_support",
+        cls = spectral_module.SpectralDecomposition
+        support = cls.support
+        # the gate reads the float decomposition's support method
+        monkeypatch.setattr(cls, "support",
                             lambda d, u, tol: seen.append(tol) or support(d, u, tol))
         g, h = path_graph(2), cycle_graph(3)
         spec = CoronaSpec.from_graphs(g, h)
