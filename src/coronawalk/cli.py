@@ -8,8 +8,9 @@ subcommands whose reports depend on which eigenvalues share a class
 no-pst-scan report the walk amplitude, a sum over the classes that does
 not, and group at the default.  --support-tol is on support, periodic, pst
 and pgst, --cospectral-tol on cospectral, pst and pgst; neither is read on
-a family spec, a family corona over a regular family or a pgst family base,
-whose supports and signs are exact.
+a family spec or a pgst family base, whose supports and signs are exact,
+nor on the corona of two families but where a copy vertex over a path or
+star copy factor meets a lift, whose copy entry there is a float.
 --w is a usage error unless --pair is base-copy.  The help text is in
 `helptext`, which only a call with -h or --help imports.
 
@@ -26,11 +27,10 @@ passes --v, --vp and --w (None for base-base) to its gates and scan.
 Every handler reads its spec, or the base of its search, through one
 dispatch, `_decomposition`.  A family spec's classes and eigenspaces come
 by theorem (`leafspectra.FamilyDecomposition`), which loads `exact` but
-neither numpy nor `spectral`; so do those of the corona of a family with a
-regular family (`cycle`, `complete`, `cocktail`, `empty`, or a `path` or
-`star` of order <= 2), its lifts and copy classes from both factors'
-theorems (`familycorona.FamilyCoronaDecomposition`), which loads `corona`
-too.  Any other spec's come from `spectral.SpecFactors` (and numpy), which
+neither numpy nor `spectral`; so do those of the corona of two families,
+its lifts and copy classes from both factors' theorems, over a path or a
+star copy factor by the secular equation of its main data
+(`familycorona.FamilyCoronaDecomposition`), which loads `corona` too.  Any other spec's come from `spectral.SpecFactors` (and numpy), which
 loads `corona` only for a corona spec: with exact labels (`labelled`) for
 the readers of labels, spectrum, support, periodic, pst and the t51 and t52
 base gate of pgst, and as float classes alone (`decomposition`) for
@@ -285,9 +285,8 @@ def _decomposition(spec: graphs.GraphSpec, group_tol: float = DEFAULT_GROUP_TOL,
                    labelled: bool = False, built: dict | None = None):
     """The classes of spec with its vertex queries, the one dispatch of every
     handler.  A family's (`leafspectra.FamilyDecomposition`) and the corona
-    of a family with a regular family's
-    (`familycorona.FamilyCoronaDecomposition`) come by theorem, labelled,
-    with no numpy; any other spec's from `spectral.SpecFactors` on the graphs
+    of two families' (`familycorona.FamilyCoronaDecomposition`) come by
+    theorem, labelled, with no numpy; any other spec's from `spectral.SpecFactors` on the graphs
     in `built`, with exact labels when `labelled`."""
     if spec.kind in graphs.FAMILIES or graphs.is_family_corona(spec):
         graphs.check_budget(graphs.spec_order(spec, {}))

@@ -6,7 +6,7 @@ base neighbors of vertex j; `graphs.corona_graph` assembles it, which
 `spectral.SpecFactors` asks for only where a corona is a copy factor.
 `SpecFactors` loads this module only when a spec term is a corona, the
 searches (`transfer.pgst_search`, `corona_no_pst_check`) only when they
-run, and `familycorona` for a family corona over a regular family.  On
+run, and `familycorona` for the corona of two families.  On
 columns x (x) phi, phi a base eigenvector of lam and x a layer column
 (base, copy_0, ..., copy_{m-1}), it acts as the layer matrix [[lam, lam
 1^T], [lam 1, A_H]].  Restricted to the base layer and the main directions
@@ -18,11 +18,18 @@ For a k-regular H the one main direction is 1/sqrt(m), so lam lifts to
 
     lam_pm = (lam + k +- Lambda) / 2,   Lambda = sqrt((lam - k)^2 + 4 m lam^2),
 
-the paper's pair, computed here in pure Python with its 2 x 2 eigenvectors
-in closed form; LAPACK solves a larger arrowhead.  One routine,
-`lift_class`, serves every consumer below: the closed form builds the
-classes as eigenvector blocks (x (x) V_lam for a lift, (0 (+) W) (x) I_n
-for a copy class), grouped as `decompose` groups (`merge_runs`, by
+the paper's pair, computed here with its 2 x 2 eigenvectors in closed
+form.  A larger arrowhead's eigenvalues are the roots of its secular
+equation, one in each gap between the poles mu and one beyond each end,
+each solved as an offset from its nearer pole, and its eigenvectors (1,
+lam w_mu / (theta - mu)) follow from weights recomputed from those roots
+(`arrowhead.secular_lifts`, imported only for an irregular H), so there is
+one arrowhead solver, in pure Python, for every H.  A lift is kept in main coordinates x (length s) and its copy
+entries U x are made only where read: all of them in the closed form, one
+w at a time elsewhere (`copy_entry`).  One routine, `lift_class`, serves
+every consumer below: the closed form builds the classes as eigenvector
+blocks (x (x) V_lam for a lift, (0 (+) W) (x) I_n for a copy class),
+grouped as `decompose` groups (`merge_runs`, by
 `leafspectra.class_runs`), with exact labels and the flag of lifts of degree
 > 2 that refutes periodicity and transfer; and the walk amplitude from (v',
 0) to (v, 0), or to (v, w) with w given, is an exponential sum over the
@@ -31,8 +38,8 @@ lifts of the base's walk terms (`corona_terms`, reading any decomposition's
 `spectral.exp_sum_grid` evaluates on uniform time grids in batches, each one
 small matrix product of two phase tables of about sqrt(batch) columns, in
 memory independent of --lmax and --points.  numpy and `spectral` are
-imported only inside the functions that build float blocks or solve a
-larger arrowhead, so lifting over a regular H loads neither.
+imported only inside the functions that build float blocks or read H's
+float classes, so lifting over any main data loads neither.
 """
 
 from __future__ import annotations
@@ -52,13 +59,16 @@ if TYPE_CHECKING:
 
 
 class MainData(NamedTuple):
-    """H's s main eigenvalues mu and unit directions P_mu 1 / ||P_mu 1|| (m x s;
-    ||P_mu 1|| is a column's sum), with walks 1^T A^j 1 and coefs of
-    A^s 1 = sum_j coefs[j] A^j 1 (j < s) in Python ints; the values and
-    directions are arrays, or Python floats for a regular H (`regular_main`)."""
+    """H's s main eigenvalues mu, unit directions P_mu 1 / ||P_mu 1|| (m x s,
+    a row per vertex of H) and their norms ||P_mu 1|| (a column's sum), with
+    walks 1^T A^j 1 and coefs of A^s 1 = sum_j coefs[j] A^j 1 (j < s) in
+    Python ints; values, directions and norms are arrays for H's float
+    classes (`main_data`), Python floats from a theorem (`regular_main`,
+    `familycorona`)."""
 
     values: np.ndarray
     directions: np.ndarray
+    norms: np.ndarray
     walks: tuple[int, ...]
     coefs: tuple[int, ...]
 
@@ -73,15 +83,15 @@ def main_data(h: Graph, h_decomp: SpectralDecomposition) -> MainData:
     classes = h_decomp.classes
     sums = [c.vectors.sum(axis=0) for c in classes]  # ||P_mu 1|| = |W^T 1|
     main = sorted(sorted(range(len(classes)), key=lambda i: -(sums[i] @ sums[i]))[:len(coefs)])
-    directions = np.column_stack([classes[i].vectors @ sums[i] / math.sqrt(sums[i] @ sums[i])
-                                  for i in main])
+    norms = np.array([math.sqrt(sums[i] @ sums[i]) for i in main])
+    directions = np.column_stack([classes[i].vectors @ sums[i] for i in main]) / norms
     values = np.array([classes[i].value for i in main])
-    return MainData(values, directions, walks, coefs)
+    return MainData(values, directions, norms, walks, coefs)
 
 
 def regular_main(k: int, m: int) -> MainData:
     """Main data of a k-regular H on m vertices: mu = k on 1/sqrt(m)."""
-    return MainData((float(k),), ((1 / math.sqrt(m),),) * m, (m,), (k,))
+    return MainData((float(k),), ((1 / math.sqrt(m),),) * m, (math.sqrt(m),), (m,), (k,))
 
 
 class CoronaSpec(NamedTuple):
@@ -116,57 +126,62 @@ class CoronaSpec(NamedTuple):
 
 class LiftedClass(NamedTuple):
     """One corona eigenvector direction lifted from a base class: its unit layer
-    column has `base` on layer 0 and `copy[w]` on copy layer w, and its block
-    is that column (x) V_lam.  `beyond_quadratic` marks a value of degree > 2."""
+    column has `base` on layer 0 and U x on the copy layers, x = `coords` its
+    s coordinates on H's main directions U (`copy_entry` reads one copy
+    vertex), and its block is that column (x) V_lam.  `beyond_quadratic`
+    marks a value of degree > 2."""
 
     value: float
     exact: QuadInt | None
     base: float
-    copy: np.ndarray | list[float]
+    coords: tuple[float, ...]
     beyond_quadratic: bool
+
+
+def copy_entry(main: MainData, coords, w: int) -> float:
+    """The entry (U x)[w] of a lift's layer column on copy vertex w: U's row w
+    times its main coordinates x, O(s)."""
+    return sum(u * x for u, x in zip(main.directions[w], coords))
 
 
 def lift_class(lam: float, label: QuadInt | None, main: MainData) -> list[LiftedClass]:
     """Corona lifts of the base class lam (exact label or None) over H's main data.
 
-    One lift per eigenvector x of the arrowhead of lam (the label's value
-    when labelled), with base x[0] and copy U x[1:], U the main directions:
-    over a regular H the paper's pair with its 2 x 2 eigenvectors in closed
-    form (`_regular_lifts`), in pure Python, and LAPACK's eigh on a larger
-    arrowhead.  A labelled lam's lifts are labelled, and those of degree > 2
-    flagged `beyond_quadratic`, from its integer lift polynomial
-    (`lift_polynomial`) by `_lift_labels`, with no rank, for a regular and an
-    irregular H alike.  A periodic vertex, and so a vertex with perfect state
-    transfer, has only integer or quadratic support values (Godsil, "Periodic
-    graphs", Electron. J. Combin. 18 (2011) #P23), so a flagged lift in a
-    vertex's support refutes both.
+    One lift per eigenvector (base, x) of the arrowhead of lam (the label's
+    value when labelled), x on the main directions, in pure Python for every
+    H: over a regular H the paper's pair with its 2 x 2 eigenvectors in closed
+    form (`_regular_lifts`), and over an irregular one the roots of the
+    secular equation (`arrowhead.secular_lifts`).  A labelled lam's lifts are
+    labelled, and those of degree > 2 flagged `beyond_quadratic`, from its
+    integer lift polynomial (`lift_polynomial`) by `_lift_labels`, with no
+    rank, for a regular and an irregular H alike.  A periodic vertex, and so
+    a vertex with perfect state transfer, has only integer or quadratic
+    support values (Godsil, "Periodic graphs", Electron. J. Combin. 18 (2011)
+    #P23), so a flagged lift in a vertex's support refutes both.
     """
     if label is not None:
         lam = label.value()
     values, columns = _arrowhead_eigen(lam, main)
     runs = class_runs(values, DEFAULT_GROUP_TOL)  # grouped as `decompose` groups
     groups = [(sum(values[a:b]) / (b - a), b - a) for a, b in runs]
-    marks = [(None, False)] * len(runs) if label is None else _lift_labels(groups, label, main)
-    return [LiftedClass(value, exact, base, copy, beyond)
+    marks = ([(None, False)] * len(runs) if label is None else
+             _lift_labels(groups, label, main, values))
+    return [LiftedClass(value, exact, base, coords, beyond)
             for (value, _), (a, b), (exact, beyond) in zip(groups, runs, marks)
-            for base, copy in columns[a:b]]
+            for base, coords in columns[a:b]]
 
 
-def _arrowhead_eigen(lam: float, main: MainData):
-    """The eigenvalues of the arrowhead of lam, descending, and the layer
-    column (base, copy) of each."""
+def _arrowhead_eigen(lam: float, main: MainData, vectors: bool = True):
+    """The eigenvalues of the arrowhead [[lam, lam w^T], [lam w, diag(mu)]] of
+    lam, w = H's main norms, descending, and, when `vectors`, the unit
+    eigenvector (base, x) of each, x on the main directions."""
     if len(main.coefs) == 1:
-        m = main.walks[0]
-        values, vectors = _regular_lifts(lam, float(main.values[0]), m)
-        return values, [(x0, [x1 / math.sqrt(m)] * m) for x0, x1 in vectors]
-    import numpy as np
+        values, columns = _regular_lifts(lam, float(main.values[0]), main.walks[0])
+        return values, [(x0, (x1,)) for x0, x1 in columns]
+    from .arrowhead import secular_lifts
 
-    from .spectral import symmetric_eigen
-
-    arrow = np.diag(np.r_[lam, main.values])
-    arrow[0, 1:] = arrow[1:, 0] = lam * main.directions.sum(axis=0)
-    values, vectors = symmetric_eigen(arrow)
-    return values[::-1].tolist(), [(float(x[0]), main.directions @ x[1:]) for x in vectors.T[::-1]]
+    return secular_lifts(lam, [float(mu) for mu in main.values],
+                         [float(w) for w in main.norms], vectors)
 
 
 def _regular_lifts(lam: float, k: float, m: int):
@@ -225,10 +240,10 @@ def _times(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
-def _lift_labels(groups: list[tuple[float, int]], label: QuadInt,
-                 main: MainData) -> list[tuple[QuadInt | None, bool]]:
+def _lift_labels(groups: list[tuple[float, int]], label: QuadInt, main: MainData,
+                 values: list[float]) -> list[tuple[QuadInt | None, bool]]:
     """(label, beyond_quadratic) of each class (value, multiplicity) of the
-    arrowhead of label.
+    arrowhead of label, whose eigenvalues are `values`.
 
     Psi (`lift_polynomial`) is monic in Z[y], so a doubled lift y of degree
     <= 2 is an integer root r of Psi or a root of a factor y^2 - Ay + B in
@@ -245,7 +260,8 @@ def _lift_labels(groups: list[tuple[float, int]], label: QuadInt,
     rounded sum and squared gap exact and its value within _VALUE_TOL.
     """
     psi, conjugates = lift_polynomial(label, main), {label, label.conjugate()}
-    roots = [2 * t for q in conjugates for t in _arrowhead_eigen(q.value(), main)[0]]
+    roots = [2 * t for q in conjugates
+             for t in (values if q == label else _arrowhead_eigen(q.value(), main, False)[0])]
     rest, left = psi, roots  # R and its float roots
     marks = []
     for value, multiplicity in groups:
@@ -321,9 +337,10 @@ def corona_spectral_closed_form(
 
     raw: list[EigenClass] = []
     eye_n = np.eye(n)
+    directions = np.asarray(spec.main.directions, dtype=float)
     for c in h_decomp.classes:
         # main directions inside this class: ||U^T W||^2 of them, 0 or 1
-        inner = np.asarray(spec.main.directions).T @ c.vectors
+        inner = directions.T @ c.vectors
         mains = round(float(np.sum(inner * inner)))
         block = c.vectors @ np.linalg.svd(inner)[2][mains:].T if mains else c.vectors
         if block.shape[1]:
@@ -332,7 +349,7 @@ def corona_spectral_closed_form(
 
     for c in g_decomp.classes:
         for lift in lift_class(c.value, c.exact, spec.main):
-            column = np.r_[lift.base, lift.copy]
+            column = np.r_[lift.base, directions @ lift.coords]
             raw.append(EigenClass(lift.value, np.kron(column[:, None], c.vectors),
                                   lift.exact, lift.beyond_quadratic))
 
@@ -350,11 +367,12 @@ def corona_terms(
     The amplitude is sum_j coefs[j] * exp(-i t freqs[j]) over the lifts of
     the value lam of each walk term (lam, E) of the base, E = E_lam[v,v']
     (`leafspectra.Decomposition.terms`), by `lift_class`, which labels
-    nothing here, with (base, copy) the lift's layer column.  With w None it
-    is <(v,0)| U(t) |(v',0)>, with coefficient E base^2 (E (1 +- r)/2 at
-    lam_pm for a k-regular H, r = (lam-k)/Lambda).  Otherwise it is
-    <(v',0)| U(t) |(v,w)>, with coefficient E base copy[w] (+-E lam/Lambda
-    at lam_pm, the same for every w, when H is regular).
+    nothing here, with base the lift's base entry.  With w None it is
+    <(v,0)| U(t) |(v',0)>, with coefficient E base^2 (E (1 +- r)/2 at lam_pm
+    for a k-regular H, r = (lam-k)/Lambda).  Otherwise it is <(v',0)| U(t)
+    |(v,w)>, with coefficient E base copy[w], the one copy entry read
+    (`copy_entry`; +-E lam/Lambda at lam_pm, the same for every w, when H
+    is regular).
     """
     import numpy as np
 
@@ -367,7 +385,8 @@ def corona_terms(
     for lam, entry in g_decomp.terms(v, vp):
         for lift in lift_class(lam, None, spec.main):
             freqs.append(lift.value)
-            coefs.append(entry * lift.base * (lift.base if w is None else lift.copy[w]))
+            coefs.append(entry * lift.base * (
+                lift.base if w is None else copy_entry(spec.main, lift.coords, w)))
     return np.array(freqs, dtype=float), np.array(coefs, dtype=float)
 
 

@@ -272,13 +272,10 @@ class GraphSpec(NamedTuple):
 
 
 def is_family_corona(spec: GraphSpec) -> bool:
-    """Whether spec is the corona of a family graph with a regular family
-    graph, which `familycorona` decomposes by theorem."""
-    if spec.kind != "corona":
-        return False
-    base, copy = spec.factors
-    return base.kind in FAMILIES and copy.kind in FAMILIES and \
-        FAMILIES[copy.kind].degree(copy.size) is not None
+    """Whether spec is the corona of two family graphs, which `familycorona`
+    decomposes by theorem: over a regular copy factor by the paper's pair,
+    over a path or a star by the secular equation of its main data."""
+    return spec.kind == "corona" and all(f.kind in FAMILIES for f in spec.factors)
 
 
 def build_family(spec: GraphSpec) -> Graph:

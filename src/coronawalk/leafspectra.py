@@ -30,8 +30,8 @@ them for a family's eigenspaces, deciding support and strong-cospectral
 signs in integers, with no numpy and no eigensolve: every command on a
 family spec reads it, as do `pgst` and `no-pst-scan` on a family base, and
 `familycorona.FamilyCoronaDecomposition` reads its per-eigenspace rules
-(`holds`, `sign`, `entry`) for both factors of a family corona over a
-regular family.  `spectral.SpecFactors` labels a family leaf's float classes
+(`holds`, `sign`, `entry`) for both factors of the corona of two families,
+and a path's and a star's main eigenspaces by theorem for its lifts.  `spectral.SpecFactors` labels a family leaf's float classes
 from `family_values` instead of by exact rank.
 
 `class_runs` is the one rule that groups descending eigenvalues into classes,

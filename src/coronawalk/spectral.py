@@ -17,8 +17,8 @@ a plain spec never load it.  Its caller asks for labels: `labelled` labels
 a family leaf's classes from the family's spectrum by theorem
 (`leafspectra`), a `file:` leaf's by `attach_exact_labels`, and a corona's
 through its factors; `decomposition` makes no label.  On a family spec, and
-on the corona of a family with a regular family, every command reads the
-theorem's classes and eigenspaces (`leafspectra.FamilyDecomposition`,
+on the corona of two families, every command reads the theorem's classes
+and eigenspaces (`leafspectra.FamilyDecomposition`,
 `familycorona.FamilyCoronaDecomposition`) without this module, as do
 `pgst` and `no-pst-scan` on such a base, so a family leaf is decomposed
 here only as a factor of any other corona and in the closed form those

@@ -13,9 +13,8 @@ vertex queries of `leafspectra.Decomposition`: the verdicts
 its walk terms (`terms`: `fidelity_sweep` directly, the corona scan and
 search through `corona.corona_terms`, which lifts the base's).  The
 decomposition is `spectral.SpectralDecomposition`'s float classes or,
-decided in integers, a family leaf's `leafspectra.FamilyDecomposition` or
-a family corona's over a regular family
-(`familycorona.FamilyCoronaDecomposition`).  So this module loads numpy and
+decided by theorem, a family leaf's `leafspectra.FamilyDecomposition` or
+the corona of two families' (`familycorona.FamilyCoronaDecomposition`).  So this module loads numpy and
 `spectral` only inside the grid analyses (scans, searches and sweeps):
 `periodic` and `pst` on a family spec or such a corona, and a family base
 the pgst gate refutes, load neither.  The two corona analyses import

@@ -192,11 +192,22 @@ class TestSpectrumCommand:
          ("pst", "corona(empty:2,cycle:4)", "--u", "2", "--v", "6"),
          ("fidelity", "corona(cycle:4,cycle:3)", "--u", "11", "--v", "12", "--t", "0.5"),
          ("sweep", "corona(cycle:4,cycle:3)", "--u", "0", "--v", "2", "--t-max", "9",
-          "--steps", "40")],
-        ids=["spectrum", "support", "cospectral", "periodic", "pst", "fidelity", "sweep"])
+          "--steps", "40"),
+         # over a path or star copy the lifts are the secular equation's roots
+         ("spectrum", "corona(cycle:13,path:4)"),
+         ("pst", "corona(cycle:13,path:4)", "--u", "0", "--v", "6"),
+         ("periodic", "corona(cycle:6,path:3)", "--u", "1"),
+         ("cospectral", "corona(cycle:6,path:3)", "--u", "0", "--v", "3"),
+         ("sweep", "corona(cycle:6,path:9)", "--u", "0", "--v", "3", "--t-max", "3",
+          "--steps", "5"),
+         ("support", "corona(path:6,star:4)", "--u", "14"),
+         ("fidelity", "corona(path:4,star:3)", "--u", "0", "--v", "8", "--t", "1.5")],
+        ids=["spectrum", "support", "cospectral", "periodic", "pst", "fidelity", "sweep",
+             "spectrum-path", "pst-path", "periodic-path", "cospectral-path", "sweep-path",
+             "support-star", "fidelity-star"])
     def test_family_corona_queries_run_no_eigensolve(self, capsys, argv):
-        """A family corona over a regular copy factor is read off the theorem
-        and the lifts' closed form: no eigensolver, no rank."""
+        """A family corona is read off both factors' theorems and the lifts of
+        its base classes: no eigensolver, no rank."""
         with mock.patch.object(spectral, "symmetric_eigen", side_effect=AssertionError), \
                 mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError), \
                 mock.patch.object(np.linalg, "eigh", side_effect=AssertionError), \
@@ -204,7 +215,7 @@ class TestSpectrumCommand:
                 mock.patch.object(spectral, "exact_rank", side_effect=AssertionError):
             code, out, err = run(capsys, *argv)
         assert (code, err) == (EXIT_OK, "")
-        if argv[0] == "pst":
+        if argv[:2] == ("pst", "corona(empty:2,cycle:4)"):
             assert json.loads(out)["verdict"] == "PST"
 
     @pytest.mark.parametrize(
@@ -389,7 +400,7 @@ class TestFactorRouting:
          ("corona(corona(cycle:6,cycle:3),cycle:3)", 6)],
         ids=["c12-c5", "nested"],
     )
-    def test_eigensolver_never_sees_the_corona(self, capsys, monkeypatch,
+    def test_eigensolver_never_sees_the_corona(self, capsys, monkeypatch, tmp_path,
                                                spec, largest_factor):
         dims = []
         solve = spectral.symmetric_eigen
@@ -404,8 +415,11 @@ class TestFactorRouting:
         # a family corona over a regular copy factor runs none at all
         assert max(dims, default=0) <= largest_factor
         dims.clear()
-        # an irregular copy factor lifts through its main directions too
-        assert run(capsys, "spectrum", "corona(cycle:13,path:4)")[0] == EXIT_OK
+        # an irregular copy factor read from a file lifts through its main
+        # directions too
+        path4 = tmp_path / "path4.edges"
+        path4.write_text("4\n0 1\n1 2\n2 3\n", encoding="utf-8")
+        assert run(capsys, "spectrum", f"corona(cycle:13,file:{path4})")[0] == EXIT_OK
         assert max(dims) <= 13
 
     @pytest.mark.parametrize(
@@ -491,15 +505,20 @@ class TestAdjacencyBuilds:
     @pytest.mark.parametrize(
         "argv, orders",
         # a family's spectrum and vertex queries are read off the theorem, and
-        # so are a family corona's over a regular copy factor: no matrix is built
+        # so are a family corona's over any family: no matrix is built
         [(("spectrum", "cycle:12"), []),
          (("support", "cycle:12", "--u", "0"), []),
          (("periodic", "corona(cycle:8,cycle:4)", "--u", "1"), []),
-         # an irregular H is labelled before its main data is read off it
-         (("pst", "corona(cycle:13,path:4)", "--u", "0", "--v", "6"), [4, 13])],
-        ids=["spectrum", "support", "periodic-corona", "pst-irregular-copy"],
+         (("pst", "corona(cycle:13,path:4)", "--u", "0", "--v", "6"), []),
+         # an irregular H read from a file is labelled before its main data
+         # is read off it
+         (("pst", "corona(cycle:13,file:{path4})", "--u", "0", "--v", "6"), [4, 13])],
+        ids=["spectrum", "support", "periodic-corona", "pst-path-copy", "pst-irregular-copy"],
     )
-    def test_each_adjacency_is_built_once(self, capsys, monkeypatch, argv, orders):
+    def test_each_adjacency_is_built_once(self, capsys, monkeypatch, tmp_path, argv, orders):
+        path4 = tmp_path / "path4.edges"
+        path4.write_text("4\n0 1\n1 2\n2 3\n", encoding="utf-8")
+        argv = [a.format(path4=path4) for a in argv]
         built = []
         adjacency = graphs.Graph.adjacency
         monkeypatch.setattr(graphs.Graph, "adjacency",
@@ -509,14 +528,16 @@ class TestAdjacencyBuilds:
 
 
 class TestCoronaSpecBuilds:
-    def test_irregular_copy_factor_krylov_rank_runs_once(self, capsys, monkeypatch):
+    def test_irregular_copy_factor_krylov_rank_runs_once(self, capsys, monkeypatch, tmp_path):
         # periodic reads the corona spec in the closed form and in the base
         # test; H's Krylov relation is eliminated once
+        path3 = tmp_path / "path3.edges"
+        path3.write_text("3\n0 1\n1 2\n", encoding="utf-8")
         orders = []
         relation = corona.main_polynomial
         monkeypatch.setattr(corona, "main_polynomial",
                             lambda edges, n: orders.append(n) or relation(edges, n))
-        assert run(capsys, "periodic", "corona(cycle:6,path:3)", "--u", "1")[0] == EXIT_OK
+        assert run(capsys, "periodic", f"corona(cycle:6,file:{path3})", "--u", "1")[0] == EXIT_OK
         assert orders == [3]
 
 
@@ -587,13 +608,21 @@ class TestLabelsFollowTheReader:
         "argv",
         [("fidelity", "corona(cycle:6,corona(path:3,empty:1))", "--u", "0", "--v", "3",
           "--t", "1"),
-         ("sweep", "corona(cycle:6,path:9)", "--u", "0", "--v", "3", "--t-max", "3",
+         ("sweep", "corona(cycle:6,file:{path9})", "--u", "0", "--v", "3", "--t-max", "3",
           "--steps", "5"),
-         ("cospectral", "corona(cycle:6,path:3)", "--u", "0", "--v", "3")],
+         ("cospectral", "corona(cycle:6,file:{path3})", "--u", "0", "--v", "3")],
         ids=["fidelity", "sweep", "cospectral"],
     )
-    def test_float_readers_make_no_label(self, capsys, monkeypatch, argv):
-        # the two labellers: a file leaf's rank and a lift's polynomial
+    def test_float_readers_make_no_label(self, capsys, monkeypatch, tmp_path, argv):
+        # the two labellers: a file leaf's rank and a lift's polynomial; the
+        # irregular copy factors are path:9 and path:3 read from files, which
+        # take the float classes
+        paths = {}
+        for m in (3, 9):
+            paths[f"path{m}"] = tmp_path / f"path{m}.edges"
+            paths[f"path{m}"].write_text(graphs.write_edge_list(graphs.path_graph(m)),
+                                         encoding="utf-8")
+        argv = [a.format(**paths) for a in argv]
         labels = []
         for module, name in ((spectral, "attach_exact_labels"), (corona, "_lift_labels")):
             monkeypatch.setattr(module, name, lambda *args, label=getattr(module, name):

@@ -1,13 +1,14 @@
-"""Family coronas over a regular copy factor by theorem
-(`familycorona.FamilyCoronaDecomposition`) against the closed form
-(`corona_spectral_closed_form`, through `SpecFactors.labelled`) on the same
-spec, and a few small coronas against the assembled graph."""
+"""Coronas of two families by theorem (`familycorona.FamilyCoronaDecomposition`)
+against the closed form (`corona_spectral_closed_form`, through
+`SpecFactors.labelled`) on the same spec, and a few small coronas against
+the assembled graph."""
 
 import numpy as np
 import pytest
 
 from coronawalk.cli import parse_graph_spec
 from coronawalk.defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_SUPPORT_TOL
+from coronawalk.exact import QuadInt
 from coronawalk.familycorona import FamilyCoronaDecomposition
 from coronawalk.graphs import FAMILIES, GraphSpec, build_graph, spec_order
 from coronawalk.leafspectra import SupportSet
@@ -20,7 +21,8 @@ BASES = ([f"{kind}:{n}" for kind in ("path", "cycle", "complete", "empty", "star
           for n in range(FAMILIES[kind].minimum, 11)] + [f"cocktail:{n}" for n in range(1, 6)])
 COPIES = ([f"cycle:{n}" for n in range(3, 7)] + [f"complete:{n}" for n in range(1, 6)]
           + [f"cocktail:{n}" for n in range(1, 4)] + [f"empty:{n}" for n in range(1, 4)]
-          + ["path:1", "path:2", "star:1", "star:2"])
+          + ["path:1", "path:2", "star:1", "star:2"]
+          + [f"{kind}:{n}" for kind in ("path", "star") for n in range(3, 7)])
 TIMES = (0.7, 3.1, 11.3)
 
 
@@ -140,8 +142,9 @@ def same_classes(spec, mine, closed) -> None:
 def test_theorem_equals_the_closed_form(base):
     """Classes, the support and periodicity verdict of every vertex, the
     signs and PST certificate of every ordered pair (base-base, base-copy and
-    copy-copy) and amplitudes at three times within 1e-12, over every regular
-    copy factor in COPIES at --group-tol 1e-8, 1e-3 and 1e-2.  A looser
+    copy-copy) and amplitudes at three times within 1e-12, over every copy
+    factor in COPIES, regular and `path:3`-`path:6` and `star:3`-`star:6`,
+    at --group-tol 1e-8, 1e-3 and 1e-2.  A looser
     tolerance that groups every class as 1e-8 does gives the same members,
     so its queries are those compared at 1e-8."""
     factors = {tol: SpecFactors(tol) for tol in (1e-8, 1e-3, 1e-2)}
@@ -195,3 +198,22 @@ def test_small_coronas_equal_the_assembled_graph(spec):
         u_t = transition_matrix(ref, t)
         assert max(abs(mine.amplitude(u, v, t) - u_t[u, v])
                    for u in range(mine.n) for v in range(mine.n)) <= 1e-9
+
+
+def test_a_lift_vanishes_on_the_leaves_of_a_star_copy():
+    """Over star:3 a lift theta's copy layer is lam (theta - A_R)^-1 1 / ||x||,
+    whose leaf entries (theta + 1)/(theta^2 - 2) vanish at theta = -1: the
+    lift -1 of (1 +- sqrt(5))/2, base values of path:4, holds every base
+    vertex and the star's centres (copy vertices 4-7) but no leaf (copy
+    vertices 8-15), as on the assembled graph."""
+    spec = parse_graph_spec("corona(path:4,star:3)")
+    mine = FamilyCoronaDecomposition(spec, 1e-8)
+    ref = exact_decomposition(build_graph(spec, {}))
+    assert [(c.multiplicity, c.exact) for c in mine.classes] == \
+        [(r.multiplicity, r.exact) for r in ref.classes]
+    minus_one = [c.exact for c in mine.classes].index(QuadInt.from_int(-1))
+    assert mine.classes[minus_one].multiplicity == 2
+    for u in range(mine.n):
+        sup = mine.support(u)
+        assert sup[:3] == ref.support(u)[:3], u
+        assert (minus_one in sup.class_indices) == (u < 8), u

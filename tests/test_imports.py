@@ -110,6 +110,22 @@ def test_family_base_without_transfer_fails_the_pgst_gate_without_numpy():
         "code": 2, "loaded": ["coronawalk.exact", "coronawalk.gates", "coronawalk.transfer"]}
 
 
+def test_lifts_over_a_path_load_no_numpy():
+    """Over an irregular copy factor the lifts are the roots of the secular
+    equation, in pure Python: lifting and labelling over path:5's main data,
+    its three odd eigenspaces by theorem, loads neither numpy nor
+    `spectral`."""
+    body = ("from coronawalk.corona import lift_class\n"
+            "from coronawalk.exact import QuadInt\n"
+            "from coronawalk.familycorona import family_main\n"
+            "from coronawalk.leafspectra import FamilyDecomposition\n"
+            "main, keys = family_main(FamilyDecomposition('path', 5, 1e-8))\n"
+            "lifts = lift_class(1.0, QuadInt.from_int(1), main)\n"
+            "code = [len(lifts), sorted(keys)]")
+    assert probe(body, NUMPY_FREE) == {
+        "code": [4, [1, 3, 5]], "loaded": ["coronawalk.exact", "coronawalk.corona"]}
+
+
 def test_degree_refuted_cospectral_never_loads_numpy():
     """Base vertex 2 has degree (3 + 1) * 1 = 4, copy vertex 6 = (0, w1) has
     2 + 1 = 3: unequal degrees refute strong cospectrality exactly."""
@@ -164,8 +180,11 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
          ["coronawalk.exact", "coronawalk.corona", "coronawalk.transfer"]),
         (("fidelity", "corona(cycle:4,cycle:3)", "--u", "11", "--v", "12", "--t", "0.5"),
          ["coronawalk.exact", "coronawalk.corona"]),
-        # an irregular copy factor takes the closed form, on float classes
-        (("spectrum", "corona(path:2,path:3)"),
+        # so are a family corona's over a path or star copy, by the secular
+        # equation; an irregular copy factor read from a file takes the closed
+        # form, on float classes
+        (("spectrum", "corona(path:2,path:3)"), ["coronawalk.exact", "coronawalk.corona"]),
+        (("spectrum", "corona(path:2,file:{path})"),
          ["numpy", "coronawalk.exact", "coronawalk.corona", "coronawalk.spectral"]),
         (("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base", "--v", "0",
           "--vp", "1", "--points", "100"), SEARCH),
@@ -175,7 +194,7 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
     ids=["spectrum", "spectrum-file", "fidelity", "support-file", "support", "cospectral",
          "sweep", "periodic", "pst", "pst-file", "spectrum-corona", "periodic-corona",
          "support-corona", "cospectral-corona", "pst-corona", "fidelity-corona",
-         "spectrum-irregular-copy", "no-pst-scan", "pgst"],
+         "spectrum-path-copy", "spectrum-irregular-copy", "no-pst-scan", "pgst"],
 )
 def test_each_subcommand_loads_what_it_runs(argv, loaded, tmp_path):
     """Only the searches load `gates`, and only a corona spec loads `corona`."""

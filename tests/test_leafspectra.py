@@ -195,9 +195,11 @@ PAW = "4\n0 1\n1 2\n0 2\n2 3\n"
 KINDS = {
     "family-leaf": "path:7",
     "family-corona": "corona(path:3,cycle:4)",
+    "family-corona-star": "corona(path:3,star:3)",
+    "family-corona-path": "corona(cycle:4,path:4)",
     "file-leaf": "file:{paw}",
     "closed-form-regular": "corona(file:{paw},cycle:3)",
-    "closed-form-irregular": "corona(cycle:4,path:3)",
+    "closed-form-irregular": "corona(cycle:4,file:{p3})",
     "nested": "corona(corona(path:2,empty:1),cycle:3)",
 }
 
@@ -210,14 +212,15 @@ def test_every_decomposition_answers_as_the_assembled_graph(kind, tmp_path):
     multiplicities and labels equal), the support of every vertex, the signs
     of every ordered pair, and the walk terms and amplitude of every pair at
     three times, within 1e-12 but for the values."""
-    paw = tmp_path / "paw.edges"
+    paw, p3 = tmp_path / "paw.edges", tmp_path / "p3.edges"
     paw.write_text(PAW, encoding="utf-8")
-    spec = parse_graph_spec(KINDS[kind].format(paw=paw))
+    p3.write_text("3\n0 1\n1 2\n", encoding="utf-8")
+    spec = parse_graph_spec(KINDS[kind].format(paw=paw, p3=p3))
     d = _decomposition(spec, labelled=True)
     ref = exact_decomposition(build_graph(spec, {}))
-    assert type(d).__name__ == {"family-leaf": "FamilyDecomposition",
-                                "family-corona": "FamilyCoronaDecomposition"}.get(
-        kind, "SpectralDecomposition")
+    assert type(d).__name__ == ("FamilyDecomposition" if kind == "family-leaf" else
+                                "FamilyCoronaDecomposition" if kind.startswith("family-corona")
+                                else "SpectralDecomposition")
     assert [(c.multiplicity, c.exact) for c in d.classes] == \
         [(r.multiplicity, r.exact) for r in ref.classes]
     assert max(abs(c.value - r.value) for c, r in zip(d.classes, ref.classes)) <= 1e-9
