@@ -21,8 +21,15 @@ neither numpy, `json` nor `exact`.  pgst and no-pst-scan first import
 vertex ranges, distinct vertices, a regular copy factor of nonzero degree,
 the cocktail family's base, and on a family base the t51 and t52 families'
 base transfer, by theorem), so those analysis errors load no numpy either;
-the graphs the gates build seed the handler's decompositions.  A scan
-passes --v, --vp and --w (None for base-base) to its gates and scan.
+the graphs the gates build seed the handler's decompositions, and the
+searches' corona, whose copy factor's main data comes by theorem for a
+regular or family copy factor (`_corona_spec`) and off an eigensolve only
+for a `file:` or corona one.  A scan passes --v, --vp and --w (None for
+base-base) to its gates and scan.  A pgst search on a family base loads
+numpy only past the first batch of ell, which it enters in pure Python
+when the family's locked-gap bound reaches --target
+(`transfer.locked_bound`): the bound chooses how the values are computed,
+never a verdict or an ell, and the two ways' fidelities agree to rounding.
 
 Every handler reads its spec, or the base of its search, through one
 dispatch, `_decomposition`.  A family spec's classes and eigenspaces come
@@ -413,6 +420,29 @@ def _cmd_pst(args):
     return _record(cert), None
 
 
+def _corona_spec(spec: graphs.GraphSpec, built: dict):
+    """The `corona.CoronaSpec` the searches read, on the graphs in `built`:
+    the main data of a regular copy factor (`corona.regular_main`) and of a
+    family one (`familycorona.family_main`) by theorem, with no eigensolve,
+    and only that of a `file:` or corona copy factor off its float classes
+    (`spectral.SpecFactors`)."""
+    from .corona import CoronaSpec
+
+    copy = spec.factors[1]
+    g, h = (graphs.build_graph(factor, built) for factor in spec.factors)
+    if h.is_regular() is not None:
+        return CoronaSpec.from_graphs(g, h)
+    if copy.kind in graphs.FAMILIES:
+        from .familycorona import family_main
+        from .leafspectra import FamilyDecomposition
+
+        main, _ = family_main(FamilyDecomposition(copy.kind, copy.size, DEFAULT_GROUP_TOL))
+        return CoronaSpec(g, h, None, main)
+    from . import spectral
+
+    return spectral.SpecFactors(built=built).corona(spec)
+
+
 def _cmd_no_pst_scan(args):
     _require_corona(args.spec)
     if args.pair == "base-base" and args.w is not None:
@@ -423,10 +453,10 @@ def _cmd_no_pst_scan(args):
     built: dict = {}
     gates.scan_gates(args.spec, built, args.v, args.vp, w)
     g_decomp = _decomposition(args.spec.factors[0], built=built)
-    from . import spectral, transfer
+    from . import transfer
 
-    scan = transfer.corona_no_pst_check(spectral.SpecFactors(built=built).corona(args.spec),
-                                        g_decomp, args.v, args.vp, args.t_max, args.points, w)
+    scan = transfer.corona_no_pst_check(_corona_spec(args.spec, built), g_decomp, args.v,
+                                        args.vp, args.t_max, args.points, w)
     return {"pair": args.pair, "t_max": args.t_max, **_record(scan)}, None
 
 
@@ -440,9 +470,9 @@ def _cmd_pgst(args):
     # only the t51 and t52 base gate reads labels
     g_decomp = _decomposition(args.spec.factors[0], args.group_tol,
                               labelled=args.family != "cocktail", built=built)
-    from . import spectral, transfer
+    from . import transfer
 
-    result = transfer.pgst_search(spectral.SpecFactors(built=built).corona(args.spec), g_decomp,
+    result = transfer.pgst_search(_corona_spec(args.spec, built), g_decomp,
                                   args.u, args.v, args.family, ell_max=args.lmax,
                                   target=args.target, support_tol=args.support_tol,
                                   cospectral_tol=args.cospectral_tol)

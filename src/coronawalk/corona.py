@@ -37,8 +37,10 @@ lifts of the base's walk terms (`corona_terms`, reading any decomposition's
 `leafspectra.Decomposition.terms`: float, family or family corona), which
 `spectral.exp_sum_grid` evaluates on uniform time grids in batches, each one
 small matrix product of two phase tables of about sqrt(batch) columns, in
-memory independent of --lmax and --points.  numpy and `spectral` are
-imported only inside the functions that build float blocks or read H's
+memory independent of --lmax and --points.  The terms are Python floats, so
+a pgst search that evaluates its first batch in pure Python
+(`transfer.pgst_search`) reads them with no numpy.  numpy and `spectral`
+are imported only inside the functions that build float blocks or read H's
 float classes, so lifting over any main data loads neither.
 """
 
@@ -361,8 +363,9 @@ def corona_spectral_closed_form(
 
 def corona_terms(
     spec: CoronaSpec, g_decomp: Decomposition, v: int, vp: int, w: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real exponential sum (freqs, coefs) of a corona walk amplitude.
+) -> tuple[list[float], list[float]]:
+    """Real exponential sum (freqs, coefs) of a corona walk amplitude, as
+    two lists of Python floats.
 
     The amplitude is sum_j coefs[j] * exp(-i t freqs[j]) over the lifts of
     the value lam of each walk term (lam, E) of the base, E = E_lam[v,v']
@@ -374,8 +377,6 @@ def corona_terms(
     (`copy_entry`; +-E lam/Lambda at lam_pm, the same for every w, when H
     is regular).
     """
-    import numpy as np
-
     check_base_vertex(spec.n, v)
     check_base_vertex(spec.n, vp)
     if w is not None:
@@ -385,9 +386,9 @@ def corona_terms(
     for lam, entry in g_decomp.terms(v, vp):
         for lift in lift_class(lam, None, spec.main):
             freqs.append(lift.value)
-            coefs.append(entry * lift.base * (
-                lift.base if w is None else copy_entry(spec.main, lift.coords, w)))
-    return np.array(freqs, dtype=float), np.array(coefs, dtype=float)
+            coefs.append(float(entry * lift.base * (
+                lift.base if w is None else copy_entry(spec.main, lift.coords, w))))
+    return freqs, coefs
 
 
 def _merge_classes(

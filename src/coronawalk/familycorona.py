@@ -64,6 +64,9 @@ is taken at its class's value, as the closed form's classes give it.
 eigensolve (`sweep` loads numpy for its grid alone), and for `pgst` and
 `no-pst-scan` on such a base; the closed form
 (`corona.corona_spectral_closed_form`) is the oracle it is tested against.
+The searches read a path or star copy factor's main data from
+`family_main` too (`cli._corona_spec`), so `no-pst-scan` over one solves
+no eigenproblem of it.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .defaults import DEFAULT_GROUP_TOL
+from .defaults import DEFAULT_GROUP_TOL, GRID_BLOCK
 from .exact import _VALUE_TOL, QuadInt, _pair_label, exact_rank
 from .graphs import FAMILIES, Graph, GraphSpec, build_graph, check_budget, spec_order
 from .leafspectra import Atom, Decomposition, FamilyClass, class_runs, family_values
@@ -40,8 +40,6 @@ from .leafspectra import Atom, Decomposition, FamilyClass, class_runs, family_va
 if TYPE_CHECKING:
     from .corona import CoronaSpec
 
-# time points per batch of a uniform-grid evaluation
-GRID_BLOCK = 8192
 # a matrix is symmetric when A - A^T is this small relative to max(1, max|A|)
 _SYMMETRY_TOL = 1e-12
 
@@ -135,9 +133,11 @@ def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposi
          for a, b in class_runs(values.tolist(), group_tol)], len(values))
 
 
-def exp_sum_grid(freqs: np.ndarray, coefs: np.ndarray, t0: float, dt: float, count: int):
+def exp_sum_grid(freqs: np.ndarray, coefs: np.ndarray, t0: float, dt: float, count: int,
+                 skip: int = 0):
     """Yield sum_k coefs[k] exp(-i t freqs[k]) at t = t0 + j*dt, j = 0..count-1,
-    in batches of block = GRID_BLOCK times.
+    in batches of block = GRID_BLOCK times, less the first `skip` batches,
+    which are not computed; the others keep their bits.
 
     With j = s*block + q*a + r (r < a, q < b, a*b >= min(block, count)) it is
     sum_k w[k] coarse[k, q] fine[k, r], w = coefs * exp(-i freqs (t0 +
@@ -155,7 +155,7 @@ def exp_sum_grid(freqs: np.ndarray, coefs: np.ndarray, t0: float, dt: float, cou
     fine = np.exp(-1j * np.multiply.outer(freqs, np.arange(a) * dt))
     # q * a for q < b = ceil(size / a)
     coarse = np.exp(-1j * np.multiply.outer(freqs, np.arange(0, size, a) * dt))
-    for start in range(0, count, block):
+    for start in range(skip * block, count, block):
         weights = coefs * np.exp(-1j * freqs * (t0 + start * dt))
         batch = ((weights[:, None] * coarse).T @ fine).ravel()
         yield batch[: min(block, count - start)]

@@ -17,7 +17,12 @@ decided by theorem, a family leaf's `leafspectra.FamilyDecomposition` or
 the corona of two families' (`familycorona.FamilyCoronaDecomposition`).  So this module loads numpy and
 `spectral` only inside the grid analyses (scans, searches and sweeps):
 `periodic` and `pst` on a family spec or such a corona, and a family base
-the pgst gate refutes, load neither.  The two corona analyses import
+the pgst gate refutes, load neither.  Nor does a search on a family base
+that stops within its first batch of ell: that batch is evaluated in pure
+Python when the family's locked-gap bound (`locked_bound`) reaches the
+target.  The bound is the float forerunner of a certified family cap; it
+is not reported and decides no verdict, only how the values are computed,
+and its tolerance is one of that choice.  The two corona analyses import
 `corona` and `gates` when they run, so `pst`, `sweep` and `periodic` on a
 plain spec load neither.
 """
@@ -25,9 +30,16 @@ plain spec load neither.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_ELL_MAX, DEFAULT_SUPPORT_TOL, DEFAULT_TARGET
+from .defaults import (
+    DEFAULT_COSPECTRAL_TOL,
+    DEFAULT_ELL_MAX,
+    DEFAULT_SUPPORT_TOL,
+    DEFAULT_TARGET,
+    GRID_BLOCK,
+)
 from .exact import QuadInt, gcd_list, two_adic_valuation
 from .graphs import check_distinct
 
@@ -299,7 +311,7 @@ def corona_no_pst_check(
     if points < 1:
         raise ValueError("a scan needs at least one time point")
     check_scan_pair(spec.n, spec.m, v, vp, w)
-    freqs, coefs = corona_terms(spec, g_decomp, v, vp, w)
+    freqs, coefs = map(np.asarray, corona_terms(spec, g_decomp, v, vp, w))
     step = t_max / (points - 1) if points > 1 else 0.0
     best, arg, offset = -1.0, 0, 0
     for amps in exp_sum_grid(freqs, coefs, 0.0, step, points):
@@ -413,12 +425,19 @@ def pgst_search(
     target; the family is evaluated one grid batch of ell values at a time,
     so an early stop evaluates at most one batch past the hit, and a batch
     that cannot beat the best so far is skipped.
-    """
-    import numpy as np
 
+    On a family base (`leafspectra.FamilyDecomposition`) whose family is not
+    capped below the target (`locked_bound`), the first batch is evaluated
+    in pure Python, up to the hit (`_first_block`), and numpy and `spectral`
+    are loaded only to go on past it, with the batches that follow it bit
+    for bit.  Any other search evaluates every batch with numpy, as a base
+    read off an eigensolve has loaded it already.  The choice reads the
+    command's data alone, and changes no ell and no verdict: the two routes'
+    fidelities differ in rounding alone.
+    """
     from .corona import corona_terms
     from .gates import check_antipodal, check_pgst
-    from .spectral import exp_sum_grid
+    from .leafspectra import FamilyDecomposition
 
     check_pgst(spec.n, spec.k, u, v, family, ell_max)
     g_value: int | None = None
@@ -431,11 +450,107 @@ def pgst_search(
         slope, offset = 4.0, 2.0 / g_value if family == "t51" else 1.0
 
     freqs, coefs = corona_terms(spec, g_decomp, u, v)
-    batches = exp_sum_grid(freqs, coefs, offset * math.pi, slope * math.pi, ell_max + 1)
+    t0, dt, count = offset * math.pi, slope * math.pi, ell_max + 1
+    trace: list[tuple[int, float]] = []
+    skip = 0
+    if isinstance(g_decomp, FamilyDecomposition) and \
+            locked_bound(freqs, coefs, slope, offset) >= target:
+        trace, skip = _first_block(freqs, coefs, t0, dt, count, target), 1
+    if (not trace or trace[-1][1] < target) and skip * GRID_BLOCK < count:
+        _numpy_blocks(freqs, coefs, t0, dt, count, target, skip, trace)
+    best_ell, best = trace[-1]
+    return PGSTSearchResult(
+        family=family,
+        u=u,
+        v=v,
+        g=g_value,
+        target=target,
+        ell_max=ell_max,
+        best_ell=best_ell,
+        best_time=(slope * best_ell + offset) * math.pi,
+        best_fidelity=best,
+        target_reached=best >= target,
+        trace=tuple(trace),
+    )
+
+
+# two walk terms are locked along a family when their phases per step of ell
+# differ by this little from a multiple of 2 pi
+_LOCK_TOL = 1e-9
+
+
+def locked_bound(freqs: Sequence[float], coefs: Sequence[float], slope: float,
+                 offset: float) -> float:
+    """A float cap on the fidelity |A(ell)| of the terms (freqs, coefs) at
+    every family time (slope * ell + offset) * pi.
+
+    Terms theta_j, theta_k are locked when (theta_j - theta_k) * slope / 2
+    lies within _LOCK_TOL of an integer: their phases then turn together
+    along ell, so |A(ell)| <= sum over groups G of locked terms of |sum_{k
+    in G} c_k exp(-i theta_k offset pi)|.  It is 1/2 on the t52 family of
+    C4 * C3 and 1/7 on the cocktail family of cocktail(7) * K3, the caps the
+    acceptance checks derive.  It is the float form of the family cap that
+    locked gaps give (Banchi, Coutinho, Godsil & Severini, J. Math. Phys.
+    58, 032202, 2017), which a certified cap would decide in exact
+    arithmetic.  `pgst_search` reads it only to choose how it computes, so
+    its tolerance chooses a route and never a verdict.
+    """
+    groups: list[tuple[float, complex]] = []  # (first term's theta, group sum)
+    for theta, c in zip(freqs, coefs):
+        term = c * _turn(theta * offset * math.pi)
+        for i, (first, total) in enumerate(groups):
+            gap = (theta - first) * slope / 2
+            if abs(gap - round(gap)) <= _LOCK_TOL:
+                groups[i] = (first, total + term)
+                break
+        else:
+            groups.append((theta, term))
+    return sum(abs(total) for _, total in groups)
+
+
+def _first_block(freqs: Sequence[float], coefs: Sequence[float], t0: float, dt: float,
+                 count: int, target: float) -> list[tuple[int, float]]:
+    """The strictly improving trace of |A| over the first batch of the grid
+    t0 + ell * dt, up to its first ell at the target, in pure Python.
+
+    The batch, its tables and its product are `spectral.exp_sum_grid`'s:
+    ell = q*a + r, A = sum_k w[k] coarse[k][q] fine[k][r], w = coefs *
+    exp(-i freqs t0).
+    """
+    size = min(GRID_BLOCK, count)
+    a = math.isqrt(size - 1) + 1
+    fine = list(zip(*([_turn(f * (r * dt)) for r in range(a)] for f in freqs)))
+    rows = [[c * _turn(f * t0) * _turn(f * (q * dt)) for f, c in zip(freqs, coefs)]
+            for q in range(0, size, a)]
     trace: list[tuple[int, float]] = []
     best = -1.0
-    start = 0
-    for amps in batches:
+    for ell in range(size):
+        q, r = divmod(ell, a)
+        fid = abs(sum(map(operator.mul, rows[q], fine[r])))
+        if fid > best:
+            best = fid
+            trace.append((ell, fid))
+            if fid >= target:
+                break
+    return trace
+
+
+def _turn(x: float) -> complex:
+    """exp(-ix), as numpy's complex exp gives it."""
+    return complex(math.cos(x), -math.sin(x))
+
+
+def _numpy_blocks(freqs: Sequence[float], coefs: Sequence[float], t0: float, dt: float,
+                  count: int, target: float, skip: int, trace: list[tuple[int, float]]) -> None:
+    """Extend the strictly improving trace over the batches of the grid past
+    the first `skip`, with numpy, up to the first ell at the target."""
+    import numpy as np
+
+    from .spectral import exp_sum_grid
+
+    best = trace[-1][1] if trace else -1.0
+    start = skip * GRID_BLOCK
+    for amps in exp_sum_grid(np.asarray(freqs), np.asarray(coefs), t0, dt, count, skip):
         fids = np.abs(amps)
         start += fids.size
         if fids.max() <= best:  # best < target: nothing here improves or hits
@@ -450,20 +565,6 @@ def pgst_search(
         best = trace[-1][1]
         if hits.size:
             break
-    best_ell = trace[-1][0]
-    return PGSTSearchResult(
-        family=family,
-        u=u,
-        v=v,
-        g=g_value,
-        target=target,
-        ell_max=ell_max,
-        best_ell=best_ell,
-        best_time=(slope * best_ell + offset) * math.pi,
-        best_fidelity=best,
-        target_reached=best >= target,
-        trace=tuple(trace),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from coronawalk.defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_SUPPORT_TOL
 from coronawalk.spectral import SpecFactors
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import GraphSpec
+from coronawalk.leafspectra import FamilyDecomposition
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -582,6 +583,25 @@ class TestLabelsFollowTheReader:
         assert (code, err) == (EXIT_OK, "")
         assert ranks == []
         assert solves == []
+
+    @pytest.mark.parametrize("copy", ["path:3", "star:4"])
+    def test_scan_reads_a_family_copy_factor_by_theorem(self, capsys, monkeypatch, copy):
+        """Over a path or star copy factor the scan reads H's main data by
+        theorem (`familycorona.family_main`), with no eigensolve, and finds
+        what the main data off H's eigensolve finds."""
+        spec_text = f"corona(cycle:6,{copy})"
+        argv = ("--pair", "base-copy", "--v", "0", "--vp", "1", "--w", "1", "--points", "2000")
+        with mock.patch.object(spectral, "symmetric_eigen", side_effect=AssertionError):
+            code, out, err = run(capsys, "no-pst-scan", spec_text, *argv)
+        assert (code, err) == (EXIT_OK, "")
+        spec = parse_graph_spec(spec_text)
+        base = spec.factors[0]
+        scan = transfer.corona_no_pst_check(
+            SpecFactors().corona(spec), FamilyDecomposition(base.kind, base.size, 1e-8),
+            1, 0, 50.0, 2000, 1)
+        report = json.loads(out)
+        for key in ("max_fidelity", "argmax_time", "static_bound"):
+            assert abs(report[key] - getattr(scan, key)) <= 1e-12
 
     @pytest.mark.parametrize(
         "argv",

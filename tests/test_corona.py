@@ -21,7 +21,7 @@ from coronawalk.corona import (
     lift_polynomial,
     regular_main,
 )
-from coronawalk.defaults import DEFAULT_GROUP_TOL
+from coronawalk.defaults import DEFAULT_GROUP_TOL, GRID_BLOCK
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
     cocktail_party_graph,
@@ -37,7 +37,6 @@ from coronawalk.graphs import (
     write_edge_list,
 )
 from coronawalk.spectral import (
-    GRID_BLOCK,
     SpecFactors,
     decompose,
     exact_decomposition,
@@ -657,7 +656,7 @@ class TestEntries:
         spec, d = closed_form(g, h)
         gd = exact_decomposition(g)
         zero = next(c for c in gd.classes if c.exact == QuadInt.from_int(0))
-        freqs, coefs = corona_terms(spec, gd, 0, 1)
+        freqs, coefs = map(np.asarray, corona_terms(spec, gd, 0, 1))
         assert 0.0 in freqs and 2.0 in freqs
         assert np.all(freqs[np.abs(freqs) < 1e-12] == 0.0)
         assert coefs[list(freqs).index(2.0)] == 0.0
@@ -741,7 +740,7 @@ class TestExponentialSum:
         g, h, v, vp, w = case
         block, count = sizes
         spec = CoronaSpec.from_graphs(g, h)
-        freqs, coefs = corona_terms(spec, exact_decomposition(g), v, vp, w)
+        freqs, coefs = map(np.asarray, corona_terms(spec, exact_decomposition(g), v, vp, w))
         # a patch, not the monkeypatch fixture, which @given rejects
         with mock.patch.object(spectral, "GRID_BLOCK", block):
             batches = list(exp_sum_grid(freqs, coefs, t0, dt, count))
@@ -766,7 +765,7 @@ class TestExponentialSum:
     ], ids=["C4*C3", "CP3*C5", "P3*S4-copy"])
     def test_grid_kernel_at_search_scale(self, slope, offset, g, h, v, vp, w):
         spec = CoronaSpec.from_graphs(g, h)
-        freqs, coefs = corona_terms(spec, exact_decomposition(g), v, vp, w)
+        freqs, coefs = map(np.asarray, corona_terms(spec, exact_decomposition(g), v, vp, w))
         t0, dt, count = offset * math.pi, slope * math.pi, 2 * GRID_BLOCK + 1234
         grid = np.concatenate(list(exp_sum_grid(freqs, coefs, t0, dt, count)))
         assert grid.shape == (count,)

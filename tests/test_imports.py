@@ -188,19 +188,32 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
          ["numpy", "coronawalk.exact", "coronawalk.corona", "coronawalk.spectral"]),
         (("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base", "--v", "0",
           "--vp", "1", "--points", "100"), SEARCH),
+        # a search on a family base whose family reaches the target evaluates
+        # its first batch of ell in pure Python, and stops there; a capped
+        # family and a base read off an eigensolve take numpy
         (("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
+          "--lmax", "100"),
+         ["coronawalk.exact", "coronawalk.gates", "coronawalk.corona", "coronawalk.transfer"]),
+        (("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
+          "--lmax", "100000", "--target", "0.999"),
+         ["coronawalk.exact", "coronawalk.gates", "coronawalk.corona", "coronawalk.transfer"]),
+        (("pgst", "corona(cycle:4,cycle:3)", "--u", "0", "--v", "2", "--family", "t52",
+          "--lmax", "10000"), SEARCH),
+        (("pgst", "corona(file:{path2},cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
           "--lmax", "100"), SEARCH),
     ],
     ids=["spectrum", "spectrum-file", "fidelity", "support-file", "support", "cospectral",
          "sweep", "periodic", "pst", "pst-file", "spectrum-corona", "periodic-corona",
          "support-corona", "cospectral-corona", "pst-corona", "fidelity-corona",
-         "spectrum-path-copy", "spectrum-irregular-copy", "no-pst-scan", "pgst"],
+         "spectrum-path-copy", "spectrum-irregular-copy", "no-pst-scan", "pgst",
+         "pgst-early-stop", "pgst-capped", "pgst-file"],
 )
 def test_each_subcommand_loads_what_it_runs(argv, loaded, tmp_path):
     """Only the searches load `gates`, and only a corona spec loads `corona`."""
-    path = tmp_path / "path3.txt"
+    path, path2 = tmp_path / "path3.txt", tmp_path / "path2.txt"
     path.write_text("3\n0 1\n1 2\n", encoding="utf-8")
-    argv = [a.format(path=path) for a in argv]
+    path2.write_text("2\n0 1\n", encoding="utf-8")
+    argv = [a.format(path=path, path2=path2) for a in argv]
     assert probe(run_quietly(argv)) == {"code": 0, "loaded": loaded}
 
 

@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coronawalk import corona as corona_module
+from coronawalk import transfer
 from coronawalk.cli import parse_graph_spec
-from coronawalk.corona import CoronaSpec, corona_spectral_closed_form
+from coronawalk.corona import CoronaSpec, corona_spectral_closed_form, corona_terms
+from coronawalk.defaults import DEFAULT_GROUP_TOL, GRID_BLOCK
 from coronawalk.exact import QuadInt, two_adic_valuation
 from coronawalk.gates import check_pgst
 from coronawalk.graphs import (
@@ -21,10 +23,13 @@ from coronawalk.graphs import (
     copy_index,
     corona_graph,
     cycle_graph,
+    GraphSpec,
+    build_family,
     empty_graph,
     make_graph,
     path_graph,
 )
+from coronawalk.leafspectra import FamilyDecomposition
 from coronawalk.spectral import (
     SpecFactors,
     decompose,
@@ -35,6 +40,7 @@ from coronawalk.transfer import (
     _match_two_adic_pattern,
     corona_no_pst_check,
     fidelity_sweep,
+    locked_bound,
     periodicity_test,
     pgst_search,
     pst_certify,
@@ -684,6 +690,135 @@ class TestPgstSearch:
         gd = exact_decomposition(g)
         with pytest.raises(ValueError, match="unknown pgst family"):
             pgst_search(spec, gd, 0, 1, "bogus")
+
+
+def family_search_input(base: str, copy: str):
+    """The corona spec and the base's family decomposition, as `pgst` reads
+    them on a family base."""
+    (kind, size), (copy_kind, copy_size) = (
+        (k, int(n)) for k, n in (text.split(":") for text in (base, copy)))
+    spec = CoronaSpec.from_graphs(build_family(GraphSpec(kind, size)),
+                                  build_family(GraphSpec(copy_kind, copy_size)))
+    return spec, FamilyDecomposition(kind, size, DEFAULT_GROUP_TOL)
+
+
+# the family-base pairs of the benchmark's early-stop menu as (base, copy,
+# target), the capped instances of its sweeps, and (family, u, v) per base
+_EARLY = [
+    *(("path:2", c, t) for c, t in [
+        ("cycle:3", 0.99), ("cycle:3", 0.999), ("cycle:3", 0.9999), ("cycle:5", 0.99),
+        ("cycle:5", 0.9999), ("complete:2", 0.999), ("complete:4", 0.99),
+        ("complete:4", 0.9999), ("complete:5", 0.999)]),
+    *(("cycle:4", c, t) for c, t in [
+        ("cycle:5", 0.99), ("cycle:5", 0.999), ("cycle:6", 0.99), ("cycle:6", 0.9999),
+        ("complete:5", 0.999), ("complete:5", 0.9999)]),
+    *(("cocktail:3", c, t) for c, t in [
+        ("cycle:4", 0.99), ("cycle:6", 0.999), ("complete:2", 0.99), ("complete:4", 0.999),
+        ("complete:5", 0.9999), ("cocktail:3", 0.999)]),
+    *(("cocktail:5", c, t) for c, t in [
+        ("cycle:4", 0.999), ("cycle:5", 0.9999), ("cycle:6", 0.9999), ("complete:2", 0.999),
+        ("complete:4", 0.999), ("cocktail:3", 0.9999)]),
+    *(("cocktail:7", c, t) for c, t in [
+        ("cycle:4", 0.9999), ("cycle:5", 0.9999), ("cycle:6", 0.999), ("complete:2", 0.9999),
+        ("complete:5", 0.9999), ("cocktail:3", 0.999)]),
+]
+_CAPPED = [("cycle:4", "cycle:3"), ("cycle:4", "complete:3"), ("cocktail:7", "cycle:3"),
+           ("cocktail:7", "complete:3"), ("cocktail:3", "cycle:3")]
+_SEARCH = {"path:2": ("t51", 0, 1), "cycle:4": ("t52", 0, 2)}
+
+
+def search_args(base: str) -> tuple[str, int, int]:
+    return _SEARCH.get(base, ("cocktail", 0, 1))
+
+
+def numpy_route(monkeypatch):
+    """Force every batch onto numpy: no family reaches a target above 0."""
+    monkeypatch.setattr(transfer, "locked_bound", lambda *args: 0.0)
+
+
+class TestPgstRoutes:
+    """On a family base whose family is not capped below the target,
+    `pgst_search` evaluates its first batch of ell in pure Python and goes on
+    with numpy only past it.  The route changes no ell and no verdict."""
+
+    @staticmethod
+    def targets(spec, gd, family, u, v, monkeypatch) -> list[float]:
+        """Targets from the numpy route's trace that put the hit on the last
+        improving ell below GRID_BLOCK and on the first at or above it:
+        midway between that fidelity and the one before it."""
+        with monkeypatch.context() as patch:
+            numpy_route(patch)
+            trace = pgst_search(spec, gd, u, v, family, ell_max=10**5, target=1.0).trace
+        i = max(i for i, (ell, _) in enumerate(trace) if ell < GRID_BLOCK)
+        picks = [i, i + 1] if i + 1 < len(trace) else [i]
+        return [(trace[j][1] + trace[j - 1][1]) / 2 if j else trace[j][1] / 2 for j in picks]
+
+    @pytest.mark.parametrize("base, copy, target", [*_EARLY, *((b, c, 0.99) for b, c in _CAPPED)],
+                             ids=[f"{b}*{c}-{t}" for b, c, t in _EARLY] +
+                                 [f"{b}*{c}-capped" for b, c in _CAPPED])
+    def test_routes_agree(self, monkeypatch, base, copy, target):
+        spec, gd = family_search_input(base, copy)
+        family, u, v = search_args(base)
+        targets = [target]
+        if (base, copy) not in _CAPPED:
+            targets += self.targets(spec, gd, family, u, v, monkeypatch)
+        for target, ell_max in itertools.product(targets, (8190, 8191, 8192, 10**5)):
+            default = pgst_search(spec, gd, u, v, family, ell_max=ell_max, target=target)
+            with monkeypatch.context() as patch:
+                numpy_route(patch)
+                forced = pgst_search(spec, gd, u, v, family, ell_max=ell_max, target=target)
+            assert [e for e, _ in default.trace] == [e for e, _ in forced.trace]
+            assert (default.best_ell, default.target_reached) == (
+                forced.best_ell, forced.target_reached)
+            assert [f for _, f in default.trace] == pytest.approx(
+                [f for _, f in forced.trace], abs=1e-13)
+
+    @pytest.mark.parametrize("base, copy, u, v, cap", [
+        ("cycle:4", "cycle:3", 0, 2, 0.5),
+        ("cycle:4", "complete:3", 1, 3, 0.5),
+        ("cocktail:7", "complete:3", 0, 1, 1 / 7),
+        ("cocktail:7", "cycle:3", 5, 4, 1 / 7),
+        ("cocktail:3", "cycle:3", 2, 3, 0.0),
+    ])
+    def test_bound_is_the_cap_of_the_acceptance_checks(self, base, copy, u, v, cap):
+        """The caps 5b and 5c derive: 1/2 on the t52 family of C4 * C3 (and
+        K3, the same graph), 1/7 and 0 on the cocktail family of cocktail(7)
+        and cocktail(3) with 3-cycle copies."""
+        spec, gd = family_search_input(base, copy)
+        slope, offset = (4.0, 1.0) if base == "cycle:4" else (8.0, 0.0)
+        assert locked_bound(*corona_terms(spec, gd, u, v), slope, offset) == pytest.approx(
+            cap, abs=1e-12)
+
+    @pytest.mark.parametrize("base, copy, u, v, slope, offset", [
+        ("cycle:4", "cycle:5", 0, 2, 4.0, 1.0),
+        ("cocktail:3", "complete:4", 0, 1, 8.0, 0.0),
+    ])
+    def test_bound_of_uncapped_counterparts_reaches_one(self, base, copy, u, v, slope, offset):
+        spec, gd = family_search_input(base, copy)
+        assert locked_bound(*corona_terms(spec, gd, u, v), slope, offset) >= 0.9999
+
+    def test_capped_searches_never_enter_the_pure_python_block(self, monkeypatch):
+        entered = []
+        first_block = transfer._first_block
+        monkeypatch.setattr(transfer, "_first_block",
+                            lambda *args: entered.append(args) or first_block(*args))
+        for (base, copy), target in itertools.product(_CAPPED, (0.99, 0.999, 0.9999)):
+            spec, gd = family_search_input(base, copy)
+            family, u, v = search_args(base)
+            result = pgst_search(spec, gd, u, v, family, ell_max=3 * GRID_BLOCK, target=target)
+            assert not result.target_reached
+        assert entered == []
+        spec, gd = family_search_input("path:2", "cycle:3")
+        assert pgst_search(spec, gd, 0, 1, "t51", ell_max=10**5, target=0.999).target_reached
+        assert len(entered) == 1
+
+    def test_float_base_takes_numpy(self, monkeypatch):
+        """A base read off an eigensolve has loaded numpy already."""
+        monkeypatch.setattr(transfer, "_first_block", mock.Mock(side_effect=AssertionError))
+        g, h = path_graph(2), cycle_graph(3)
+        result = pgst_search(CoronaSpec.from_graphs(g, h), exact_decomposition(g), 0, 1, "t51",
+                             ell_max=10**5, target=0.999)
+        assert result.target_reached
 
 
 class TestFidelitySweep:
