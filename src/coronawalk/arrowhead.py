@@ -17,11 +17,10 @@ _EPS = 2.0 ** -52
 _SECULAR_STEPS = 100
 
 
-def secular_lifts(lam: float, poles: list[float], norms: list[float], vectors: bool = True):
+def secular_lifts(lam: float, poles: list[float], norms: list[float]):
     """The eigenpairs of the arrowhead [[lam, z^T], [z, diag(poles)]], z =
     lam norms, poles distinct and norms positive: its eigenvalues, descending,
-    and, when `vectors` (else None), unit eigenvectors (base, x), x in the
-    order of the poles.
+    and unit eigenvectors (base, x), x in the order of the poles.
 
     Its eigenvalues are the roots of the secular equation f(theta) = theta -
     lam + sum_j z_j^2 / (mu_j - theta) = 0, f increasing between its poles
@@ -44,8 +43,6 @@ def secular_lifts(lam: float, poles: list[float], norms: list[float], vectors: b
     mu = [poles[j] for j in order]
     z2 = [(lam * norms[j]) ** 2 for j in order]
     roots = [_secular_root(lam, mu, z2, k) for k in range(s + 1)]  # ascending (pole, offset)
-    if not vectors:
-        return [mu[p] + delta for p, delta in reversed(roots)], None
     # -prod_i (mu_j - theta_i) / prod_{i != j} (mu_j - mu_i) root by root, each
     # pole i paired with a root on its side, theta_i below it or theta_{i+1}
     # above, so every ratio is near 1 and no product overflows

@@ -25,11 +25,15 @@ the graphs the gates build seed the handler's decompositions, and the
 searches' corona, whose copy factor's main data comes by theorem for a
 regular or family copy factor (`_corona_spec`) and off an eigensolve only
 for a `file:` or corona one.  A scan passes --v, --vp and --w (None for
-base-base) to its gates and scan.  A pgst search on a family base loads
-numpy only past the first batch of ell, which it enters in pure Python
-when the family's locked-gap bound reaches --target
-(`transfer.locked_bound`): the bound chooses how the values are computed,
-never a verdict or an ell, and the two ways' fidelities agree to rounding.
+base-base) to its gates and scan, and on a family base loads no numpy
+unless its best-first search for the grid maximum passes its cap and hands
+the grid over (`transfer.corona_no_pst_check`).  The t51 and t52 gate on a
+family base hands its g to the search, which certifies the base transfer
+no second time.  A pgst search on a family base loads numpy only past the
+first batch of ell, which it enters in pure Python when the family's
+locked-gap bound reaches --target (`transfer.locked_bound`): the bound
+chooses how the values are computed, never a verdict or an ell, and the two
+ways' fidelities agree to rounding.
 
 Every handler reads its spec, or the base of its search, through one
 dispatch, `_decomposition`.  A family spec's classes and eigenspaces come
@@ -465,8 +469,8 @@ def _cmd_pgst(args):
     from . import gates
 
     built: dict = {}
-    gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax,
-                     args.group_tol, args.support_tol, args.cospectral_tol)
+    base_g = gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax,
+                              args.group_tol, args.support_tol, args.cospectral_tol)
     # only the t51 and t52 base gate reads labels
     g_decomp = _decomposition(args.spec.factors[0], args.group_tol,
                               labelled=args.family != "cocktail", built=built)
@@ -475,7 +479,7 @@ def _cmd_pgst(args):
     result = transfer.pgst_search(_corona_spec(args.spec, built), g_decomp,
                                   args.u, args.v, args.family, ell_max=args.lmax,
                                   target=args.target, support_tol=args.support_tol,
-                                  cospectral_tol=args.cospectral_tol)
+                                  cospectral_tol=args.cospectral_tol, base_g=base_g)
     trace = [{"ell": e, "fidelity": f} for e, f in _printed_trace(result.trace)]
     return {**_record(result), "trace": trace}, None
 

@@ -34,14 +34,17 @@ grouped as `decompose` groups (`merge_runs`, by
 > 2 that refutes periodicity and transfer; and the walk amplitude from (v',
 0) to (v, 0), or to (v, w) with w given, is an exponential sum over the
 lifts of the base's walk terms (`corona_terms`, reading any decomposition's
-`leafspectra.Decomposition.terms`: float, family or family corona), which
-`spectral.exp_sum_grid` evaluates on uniform time grids in batches, each one
-small matrix product of two phase tables of about sqrt(batch) columns, in
-memory independent of --lmax and --points.  The terms are Python floats, so
-a pgst search that evaluates its first batch in pure Python
-(`transfer.pgst_search`) reads them with no numpy.  numpy and `spectral`
-are imported only inside the functions that build float blocks or read H's
-float classes, so lifting over any main data loads neither.
+`leafspectra.Decomposition.terms`: float, family or family corona), two
+lists of Python floats.  A scan searches its grid for the maximum with them
+in pure Python (`transfer.corona_no_pst_check`), and a pgst search
+evaluates its first batch of ell with them (`transfer.pgst_search`), with
+no numpy; a scan past its search's cap, and a pgst search past its first
+batch, go to `spectral.exp_sum_grid`, which evaluates uniform time grids in
+batches, each one small matrix product of two phase tables of about
+sqrt(batch) columns, in memory independent of --lmax and --points.  numpy
+and `spectral` are imported only inside the functions that build float
+blocks or read H's float classes, so lifting over any main data loads
+neither.
 """
 
 from __future__ import annotations
@@ -146,7 +149,8 @@ def copy_entry(main: MainData, coords, w: int) -> float:
     return sum(u * x for u, x in zip(main.directions[w], coords))
 
 
-def lift_class(lam: float, label: QuadInt | None, main: MainData) -> list[LiftedClass]:
+def lift_class(lam: float, label: QuadInt | None, main: MainData,
+               solved: dict | None = None) -> list[LiftedClass]:
     """Corona lifts of the base class lam (exact label or None) over H's main data.
 
     One lift per eigenvector (base, x) of the arrowhead of lam (the label's
@@ -160,30 +164,43 @@ def lift_class(lam: float, label: QuadInt | None, main: MainData) -> list[Lifted
     a vertex with perfect state transfer, has only integer or quadratic
     support values (Godsil, "Periodic graphs", Electron. J. Combin. 18 (2011)
     #P23), so a flagged lift in a vertex's support refutes both.
+
+    Labelling reads the arrowhead of the label's conjugate too.  `solved`, a
+    dict a caller passes to every class of one base over one main data, keeps
+    each label's eigenpairs, so a base holding both conjugates solves each
+    arrowhead once.
     """
-    if label is not None:
-        lam = label.value()
-    values, columns = _arrowhead_eigen(lam, main)
+    solved = {} if solved is None else solved
+    values, columns = (_arrowhead_eigen(lam, main) if label is None else
+                       _solved(label, main, solved))
     runs = class_runs(values, DEFAULT_GROUP_TOL)  # grouped as `decompose` groups
     groups = [(sum(values[a:b]) / (b - a), b - a) for a, b in runs]
     marks = ([(None, False)] * len(runs) if label is None else
-             _lift_labels(groups, label, main, values))
+             _lift_labels(groups, label, main, values, solved))
     return [LiftedClass(value, exact, base, coords, beyond)
             for (value, _), (a, b), (exact, beyond) in zip(groups, runs, marks)
             for base, coords in columns[a:b]]
 
 
-def _arrowhead_eigen(lam: float, main: MainData, vectors: bool = True):
+def _arrowhead_eigen(lam: float, main: MainData):
     """The eigenvalues of the arrowhead [[lam, lam w^T], [lam w, diag(mu)]] of
-    lam, w = H's main norms, descending, and, when `vectors`, the unit
-    eigenvector (base, x) of each, x on the main directions."""
+    lam, w = H's main norms, descending, and the unit eigenvector (base, x)
+    of each, x on the main directions."""
     if len(main.coefs) == 1:
         values, columns = _regular_lifts(lam, float(main.values[0]), main.walks[0])
         return values, [(x0, (x1,)) for x0, x1 in columns]
     from .arrowhead import secular_lifts
 
     return secular_lifts(lam, [float(mu) for mu in main.values],
-                         [float(w) for w in main.norms], vectors)
+                         [float(w) for w in main.norms])
+
+
+def _solved(label: QuadInt, main: MainData, solved: dict):
+    """The eigenpairs of the arrowhead of label's value, from `solved` or
+    solved once into it."""
+    if label not in solved:
+        solved[label] = _arrowhead_eigen(label.value(), main)
+    return solved[label]
 
 
 def _regular_lifts(lam: float, k: float, m: int):
@@ -243,9 +260,10 @@ def _times(f: list[int], g: list[int]) -> list[int]:
 
 
 def _lift_labels(groups: list[tuple[float, int]], label: QuadInt, main: MainData,
-                 values: list[float]) -> list[tuple[QuadInt | None, bool]]:
+                 values: list[float], solved: dict) -> list[tuple[QuadInt | None, bool]]:
     """(label, beyond_quadratic) of each class (value, multiplicity) of the
-    arrowhead of label, whose eigenvalues are `values`.
+    arrowhead of label, whose eigenvalues are `values`; the conjugate's
+    arrowhead comes from `solved` (`lift_class`).
 
     Psi (`lift_polynomial`) is monic in Z[y], so a doubled lift y of degree
     <= 2 is an integer root r of Psi or a root of a factor y^2 - Ay + B in
@@ -263,7 +281,7 @@ def _lift_labels(groups: list[tuple[float, int]], label: QuadInt, main: MainData
     """
     psi, conjugates = lift_polynomial(label, main), {label, label.conjugate()}
     roots = [2 * t for q in conjugates
-             for t in (values if q == label else _arrowhead_eigen(q.value(), main, False)[0])]
+             for t in (values if q == label else _solved(q, main, solved)[0])]
     rest, left = psi, roots  # R and its float roots
     marks = []
     for value, multiplicity in groups:
@@ -349,8 +367,9 @@ def corona_spectral_closed_form(
             w = np.vstack([np.zeros((1, block.shape[1])), block])
             raw.append(EigenClass(c.value, np.kron(w, eye_n), c.exact, c.beyond_quadratic))
 
+    solved: dict = {}
     for c in g_decomp.classes:
-        for lift in lift_class(c.value, c.exact, spec.main):
+        for lift in lift_class(c.value, c.exact, spec.main, solved):
             column = np.r_[lift.base, directions @ lift.coords]
             raw.append(EigenClass(lift.value, np.kron(column[:, None], c.vectors),
                                   lift.exact, lift.beyond_quadratic))

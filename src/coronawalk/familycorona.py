@@ -157,7 +157,7 @@ class FamilyCoronaDecomposition(Decomposition):
         # the copy classes keep R's other eigenspaces, and `empty:m`'s one
         # class I - J/m, the key None
         rest = [None] if r.kind == "empty" and m > 1 else []
-        raw = []
+        raw, solved = [], {}
         for c, atoms in zip(copy.classes, copy.atoms):
             mains = sum(a.key in main_keys for a in atoms)
             if c.multiplicity > mains:
@@ -166,7 +166,7 @@ class FamilyCoronaDecomposition(Decomposition):
         for c, atoms in zip(base.classes, base.atoms):
             keys = [a.key for a in atoms]
             raw.extend(_Member(x.value, x.exact, x.beyond_quadratic, c.multiplicity, keys, x.base,
-                               x.coords) for x in lift_class(c.value, c.exact, self._main))
+                               x.coords) for x in lift_class(c.value, c.exact, self._main, solved))
         runs = merge_runs(raw, group_tol)
         self.classes = [CoronaClass(run[0].value, sum(x.multiplicity for x in run), label, flagged)
                         for run, label, flagged in runs]

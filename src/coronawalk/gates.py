@@ -99,13 +99,14 @@ def _corona_budgets(spec: GraphSpec,
 
 def pgst_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], u: int, v: int,
                family: str, ell_max: int, group_tol: float, support_tol: float,
-               cospectral_tol: float) -> None:
+               cospectral_tol: float) -> int | None:
     """Every gate of `pgst` on a corona spec that its factor graphs decide,
     in the order the analysis meets them.  The base graph is built only for
     the cocktail family, once its order has passed.  On a family base the
     t51 and t52 families' base gate (`transfer.base_transfer`) runs here too,
     on the family's classes and eigenspaces by theorem at group_tol
-    (`leafspectra.FamilyDecomposition`)."""
+    (`leafspectra.FamilyDecomposition`), and its g is returned, for the
+    search to take (`transfer.pgst_search`'s base_g); else None."""
     n, _, k = _corona_budgets(spec, built)
     check_pgst(n, k, u, v, family, ell_max)
     base = spec.factors[0]
@@ -115,8 +116,9 @@ def pgst_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], u: int, v: int,
         from .leafspectra import FamilyDecomposition
         from .transfer import base_transfer
 
-        base_transfer(FamilyDecomposition(base.kind, base.size, group_tol), u, v, family,
-                      support_tol, cospectral_tol)
+        return base_transfer(FamilyDecomposition(base.kind, base.size, group_tol), u, v,
+                             family, support_tol, cospectral_tol)
+    return None
 
 
 def scan_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], v: int, vp: int,

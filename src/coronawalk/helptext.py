@@ -28,7 +28,8 @@ COMMANDS = {
     "cospectral": "whether u and v are strongly cospectral, and the sign of each class",
     "periodic": "whether vertex u is periodic, decided on its exact eigenvalue support",
     "pst": "certify or refute perfect state transfer from u to v in exact arithmetic",
-    "no-pst-scan": "largest closed-form fidelity of a corona vertex pair on a time grid",
+    "no-pst-scan": "largest closed-form fidelity of a corona vertex pair on a time grid, "
+                   "to within 1e-12",
     "pgst": "search a time family for pretty good state transfer between base vertices",
 }
 

@@ -3,8 +3,11 @@
 Periodicity tests on exact eigenvalue supports, full perfect-state-transfer
 certification with 2-adic sign conditions, pointwise no-transfer scans on
 coronas, the structured time-family searches that realize pretty good
-state transfer between lifted base vertices, and fidelity sweeps; each
-runs its own loop over the batches of one grid kernel, `exp_sum_grid`.
+state transfer between lifted base vertices, and fidelity sweeps.  Sweeps
+and searches run their own loops over the batches of one grid kernel,
+`exp_sum_grid`; a scan finds its grid maximum by a certified best-first
+search in pure Python (`gridmax`), and takes the kernel only past that
+search's cap.
 
 Every analysis here reads the decomposition it is given through the
 vertex queries of `leafspectra.Decomposition`: the verdicts
@@ -14,17 +17,18 @@ its walk terms (`terms`: `fidelity_sweep` directly, the corona scan and
 search through `corona.corona_terms`, which lifts the base's).  The
 decomposition is `spectral.SpectralDecomposition`'s float classes or,
 decided by theorem, a family leaf's `leafspectra.FamilyDecomposition` or
-the corona of two families' (`familycorona.FamilyCoronaDecomposition`).  So this module loads numpy and
-`spectral` only inside the grid analyses (scans, searches and sweeps):
-`periodic` and `pst` on a family spec or such a corona, and a family base
-the pgst gate refutes, load neither.  Nor does a search on a family base
-that stops within its first batch of ell: that batch is evaluated in pure
-Python when the family's locked-gap bound (`locked_bound`) reaches the
-target.  The bound is the float forerunner of a certified family cap; it
-is not reported and decides no verdict, only how the values are computed,
-and its tolerance is one of that choice.  The two corona analyses import
-`corona` and `gates` when they run, so `pst`, `sweep` and `periodic` on a
-plain spec load neither.
+the corona of two families' (`familycorona.FamilyCoronaDecomposition`).
+So this module loads numpy and `spectral` only inside the grid analyses
+(scans, searches and sweeps): `periodic` and `pst` on a family spec or
+such a corona, and a family base the pgst gate refutes, load neither.  Nor
+does a scan on a family base that ends within its cap, nor a search on a
+family base that stops within its first batch of ell: that batch is
+evaluated in pure Python when the family's locked-gap bound
+(`locked_bound`) reaches the target.  The bound is the float forerunner of
+a certified family cap; it is not reported and decides no verdict, only
+how the values are computed, and its tolerance is one of that choice.  The
+two corona analyses import `corona` and `gates` when they run, so `pst`,
+`sweep` and `periodic` on a plain spec load neither.
 """
 
 from __future__ import annotations
@@ -294,32 +298,35 @@ def corona_no_pst_check(
 
     The pair is base-base (v, 0), (v', 0) with v != v' when w is None, else
     base-copy (v', 0), (v, w), as in `corona_terms`.  Reports the grid
-    maximum and its first time (the linspace element, bit for bit), whether
-    every sample stays below 1, and the static bound sum_lam |E_lam[v,v']|
-    over the base's walk terms, one per class (always <= 1), that caps the
-    entry.  The grid is evaluated batch by batch
-    and never held whole.  The pair's gates (`gates.check_scan_pair`:
-    distinct base-base vertices, vertex ranges) need no decomposition, so
-    the CLI runs them before it loads numpy.
-    """
-    import numpy as np
+    maximum of |A(t_j)|, t_j = j * step, and its time (the linspace element,
+    bit for bit), whether every sample stays below 1, and the static bound
+    sum_lam |E_lam[v,v']| over the base's walk terms, one per class (always
+    <= 1), that caps the entry.
 
+    The maximum comes from `gridmax.grid_max`: a certified best-first
+    search over the grid's index intervals, in pure Python, which drops an
+    interval once a second-order bound on |A| over it is within 1e-12
+    (`gridmax._SCAN_EPS`) of the best point found.  So no grid value
+    exceeds the reported one by more than that, and on a tie within that
+    margin the reported time need not be the first one.  A search that
+    would pass 2^17 term evaluations (`gridmax._SCAN_CAP`) hands the grid to
+    numpy instead, which evaluates every point in batches of
+    `spectral.exp_sum_grid` and reports the first time of the maximum.  The
+    route reads the command's data alone.  The pair's gates
+    (`gates.check_scan_pair`: distinct base-base vertices, vertex ranges)
+    need no decomposition, so the CLI runs them before it loads any
+    analysis.
+    """
     from .corona import corona_terms
     from .gates import check_scan_pair
-    from .spectral import exp_sum_grid
+    from .gridmax import grid_max
 
     if points < 1:
         raise ValueError("a scan needs at least one time point")
     check_scan_pair(spec.n, spec.m, v, vp, w)
-    freqs, coefs = map(np.asarray, corona_terms(spec, g_decomp, v, vp, w))
+    freqs, coefs = corona_terms(spec, g_decomp, v, vp, w)
     step = t_max / (points - 1) if points > 1 else 0.0
-    best, arg, offset = -1.0, 0, 0
-    for amps in exp_sum_grid(freqs, coefs, 0.0, step, points):
-        fids = np.abs(amps)
-        i = int(np.argmax(fids))
-        if fids[i] > best:
-            best, arg = float(fids[i]), offset + i
-        offset += fids.size
+    best, arg = grid_max(freqs, coefs, step, points)
     # np.linspace puts t_max itself at the last point and i * step elsewhere
     argmax_time = float(t_max) if points > 1 and arg == points - 1 else arg * step
     bound = float(sum(abs(entry) for _, entry in g_decomp.terms(v, vp)))
@@ -403,6 +410,7 @@ def pgst_search(
     target: float = DEFAULT_TARGET,
     support_tol: float = DEFAULT_SUPPORT_TOL,
     cospectral_tol: float = DEFAULT_COSPECTRAL_TOL,
+    base_g: int | None = None,
 ) -> PGSTSearchResult:
     """Sweep a structured time family for high corona base-to-base fidelity.
 
@@ -420,11 +428,13 @@ def pgst_search(
     on the graphs, for library callers.  The t51 and t52 gate
     (`base_transfer`) certifies base transfer on g_decomp with pst_certify
     at support_tol and cospectral_tol, and t51 reads the support of u at
-    support_tol; the cocktail family reads no label.  Records the
-    strictly-improving best-so-far trace and stops once fidelity reaches the
-    target; the family is evaluated one grid batch of ell values at a time,
-    so an early stop evaluates at most one batch past the hit, and a batch
-    that cannot beat the best so far is skipped.
+    support_tol; the cocktail family reads no label.  A caller that has run
+    that gate on an equal decomposition already (`gates.pgst_gates` on a
+    family base) passes its g as base_g, and it is not run again.  Records
+    the strictly-improving best-so-far trace and stops once fidelity reaches
+    the target; the family is evaluated one grid batch of ell values at a
+    time, so an early stop evaluates at most one batch past the hit, and a
+    batch that cannot beat the best so far is skipped.
 
     On a family base (`leafspectra.FamilyDecomposition`) whose family is not
     capped below the target (`locked_bound`), the first batch is evaluated
@@ -446,7 +456,7 @@ def pgst_search(
         check_antipodal(spec.g, u, v)
         slope, offset = 8.0, 0.0
     else:
-        g_value = base_transfer(g_decomp, u, v, family, support_tol, cospectral_tol)
+        g_value = base_g or base_transfer(g_decomp, u, v, family, support_tol, cospectral_tol)
         slope, offset = 4.0, 2.0 / g_value if family == "t51" else 1.0
 
     freqs, coefs = corona_terms(spec, g_decomp, u, v)

@@ -1387,8 +1387,8 @@ class TestSearchSettings:
         code, out, _ = run(capsys, "pgst", "corona(path:2,cycle:3)", "--u", "0",
                            "--v", "1", "--family", "t51", "--lmax", "100", *extra)
         assert code == EXIT_OK
-        # once in the CLI's gate on the family base, once in the search
-        assert seen == [expected, expected]
+        # once, in the CLI's gate on the family base; the search takes its g
+        assert seen == [expected]
         assert json.loads(out)["best_ell"] == 53
 
 

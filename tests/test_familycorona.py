@@ -217,3 +217,27 @@ def test_a_lift_vanishes_on_the_leaves_of_a_star_copy():
         sup = mine.support(u)
         assert sup[:3] == ref.support(u)[:3], u
         assert (minus_one in sup.class_indices) == (u < 8), u
+
+
+def test_each_arrowhead_is_solved_once(monkeypatch, capsys):
+    """path:3's values +-sqrt(2) are conjugates, and labelling the lifts of
+    each reads the other's arrowhead: the base's three values take three
+    solves of the secular equation over path:200's main data, not five, and
+    the report is that of solving each value's arrowhead anew."""
+    from coronawalk import arrowhead, familycorona
+    from coronawalk.cli import run_command
+
+    calls = []
+    solve = arrowhead.secular_lifts
+    monkeypatch.setattr(arrowhead, "secular_lifts",
+                        lambda *args: calls.append(args[0]) or solve(*args))
+    argv = ["spectrum", "corona(path:3,path:200)"]
+    assert run_command(argv) == 0
+    shared = capsys.readouterr().out
+    assert len(calls) == 3
+    lift = familycorona.lift_class
+    monkeypatch.setattr(familycorona, "lift_class",
+                        lambda lam, label, main, solved: lift(lam, label, main))
+    assert run_command(argv) == 0
+    assert len(calls) == 3 + 5
+    assert capsys.readouterr().out == shared

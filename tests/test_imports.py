@@ -186,8 +186,15 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
         (("spectrum", "corona(path:2,path:3)"), ["coronawalk.exact", "coronawalk.corona"]),
         (("spectrum", "corona(path:2,file:{path})"),
          ["numpy", "coronawalk.exact", "coronawalk.corona", "coronawalk.spectral"]),
+        # a scan searches its grid in pure Python; on a family base it loads
+        # numpy only where the search passes its cap and hands the grid over
         (("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base", "--v", "0",
-          "--vp", "1", "--points", "100"), SEARCH),
+          "--vp", "1", "--points", "100"),
+         ["coronawalk.exact", "coronawalk.gates", "coronawalk.corona", "coronawalk.transfer"]),
+        (("no-pst-scan", "corona(file:{path},cycle:3)", "--pair", "base-base", "--v", "0",
+          "--vp", "2", "--points", "100"), SEARCH),
+        (("no-pst-scan", "corona(cocktail:7,cycle:5)", "--pair", "base-base", "--v", "0",
+          "--vp", "2", "--t-max", "2000", "--points", "2000000"), SEARCH),
         # a search on a family base whose family reaches the target evaluates
         # its first batch of ell in pure Python, and stops there; a capped
         # family and a base read off an eigensolve take numpy
@@ -205,7 +212,8 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
     ids=["spectrum", "spectrum-file", "fidelity", "support-file", "support", "cospectral",
          "sweep", "periodic", "pst", "pst-file", "spectrum-corona", "periodic-corona",
          "support-corona", "cospectral-corona", "pst-corona", "fidelity-corona",
-         "spectrum-path-copy", "spectrum-irregular-copy", "no-pst-scan", "pgst",
+         "spectrum-path-copy", "spectrum-irregular-copy", "no-pst-scan", "no-pst-scan-file",
+         "no-pst-scan-handover", "pgst",
          "pgst-early-stop", "pgst-capped", "pgst-file"],
 )
 def test_each_subcommand_loads_what_it_runs(argv, loaded, tmp_path):
@@ -215,6 +223,19 @@ def test_each_subcommand_loads_what_it_runs(argv, loaded, tmp_path):
     path2.write_text("2\n0 1\n", encoding="utf-8")
     argv = [a.format(path=path, path2=path2) for a in argv]
     assert probe(run_quietly(argv)) == {"code": 0, "loaded": loaded}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base", "--v", "0", "--vp", "1",
+      "--points", "100"), ["coronawalk.gridmax"]),
+    (("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
+      "--lmax", "100"), []),
+    (("pst", "path:3", "--u", "0", "--v", "2"), []),
+], ids=["no-pst-scan", "pgst", "pst"])
+def test_only_a_scan_loads_the_grid_search(argv, loaded):
+    """The scan's grid search is a module of its own, which the other calls
+    that load `transfer` do not compile."""
+    assert probe(run_quietly(argv), ("coronawalk.gridmax",)) == {"code": 0, "loaded": loaded}
 
 
 def test_every_exported_name_resolves():

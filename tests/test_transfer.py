@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coronawalk import corona as corona_module
+from coronawalk import gridmax
 from coronawalk import transfer
 from coronawalk.cli import parse_graph_spec
 from coronawalk.corona import CoronaSpec, corona_spectral_closed_form, corona_terms
@@ -476,6 +477,129 @@ class TestNoTransferScan:
         t_max = 0.1 + 0.2  # not a multiple of its own step in floats
         scan = corona_no_pst_check(spec, gd, 1, 0, t_max, 7, w=0)
         assert scan.argmax_time == t_max == float(np.linspace(0.0, t_max, 7)[-1])
+
+
+# the scan's certified margin, with room for the rounding between its pure
+# Python sums and numpy's, a few ulps of terms whose |c| sum to at most 1
+SCAN_TIE = gridmax._SCAN_EPS + 1e-14
+
+
+def _scan_of_terms(freqs, coefs, t_max, points):
+    """corona_no_pst_check with the walk terms (freqs, coefs) in place of a
+    corona's: the pair's gates and static bound are those of P2 * C3."""
+    spec = CoronaSpec.from_graphs(path_graph(2), cycle_graph(3))
+    with mock.patch.object(corona_module, "corona_terms", return_value=(freqs, coefs)):
+        return corona_no_pst_check(spec, exact_decomposition(path_graph(2)), 0, 1, t_max,
+                                   points)
+
+
+def _grid_values(freqs, coefs, t_max, points):
+    """|A(j * step)| at every point of the grid, each summed directly."""
+    step = t_max / (points - 1) if points > 1 else 0.0
+    phases = np.multiply.outer(np.arange(points) * step, np.asarray(freqs, dtype=float))
+    c = np.asarray(coefs, dtype=float)
+    return np.hypot(np.cos(phases) @ c, np.sin(phases) @ c)
+
+
+def _check_scan_of_terms(freqs, coefs, t_max, points):
+    """The scan's maximum against the exhaustive grid: its time is the
+    np.linspace element, its value |A| there, no grid value exceeds it by
+    more than the margin, and a maximum unique by more than that is found."""
+    scan = _scan_of_terms(freqs, coefs, t_max, points)
+    ts = np.linspace(0.0, t_max, points)
+    hits = np.flatnonzero(ts == scan.argmax_time)
+    assert hits.size, scan
+    vals = _grid_values(freqs, coefs, t_max, points)
+    assert abs(scan.max_fidelity - vals[hits[0]]) <= 1e-14
+    assert vals.max() <= scan.max_fidelity + SCAN_TIE
+    top = int(np.argmax(vals))
+    if (np.delete(vals, top) < vals[top] - SCAN_TIE).all():
+        assert scan.argmax_time == float(ts[top])
+    assert scan.samples == points
+    return scan
+
+
+# frequencies from a small pool repeat; coefficients hold exact zeros and a
+# lone 1e-14, and are scaled so that their moduli sum to at most 1, as a
+# walk amplitude's do
+_scan_freqs = st.one_of(st.sampled_from([0.0, 1.0, -2.5, math.sqrt(2)]),
+                        st.floats(-10.0, 10.0))
+_scan_coefs = st.one_of(st.sampled_from([0.0, 1e-14]), st.floats(-1.0, 1.0))
+_scan_terms = st.lists(st.tuples(_scan_freqs, _scan_coefs), max_size=12).map(
+    lambda terms: ([f for f, _ in terms],
+                   [c / max(1.0, sum(abs(x) for _, x in terms)) for _, c in terms]))
+
+
+class TestScanSearch:
+    """The scan's best-first search (`gridmax._search`) against the
+    exhaustive grid, and its handover to numpy past the cap."""
+
+    @given(_scan_terms, st.floats(0.0, 300.0), st.integers(1, 50_000))
+    @settings(max_examples=150, deadline=None)
+    def test_search_matches_the_exhaustive_grid(self, terms, t_max, points):
+        _check_scan_of_terms(*terms, t_max, points)
+
+    @pytest.mark.parametrize("freqs, coefs, t_max, points", [
+        ([], [], 50.0, 1000),
+        ([0.0, 2.0], [0.0, 0.0], 50.0, 1000),
+        ([1.7], [0.6], 80.0, 20_000),
+        ([1.5, 1.5, 1.5], [0.2, -0.5, 0.1], 40.0, 5000),
+        ([0.0, 1e-14], [1e-14, 0.0], 40.0, 5000),
+        ([2.0, -1.0], [0.5, 0.4], 30.0, 1),
+        ([2.0, -1.0], [0.5, 0.4], 30.0, 2),
+        ([1.0, -1.0, 3.0], [0.3, 0.3, 0.4], 0.0, 9),
+    ], ids=["no-terms", "zero-coefficients", "one-term", "one-frequency", "lone-1e-14",
+            "one-point", "two-points", "zero-t-max"])
+    def test_degenerate_grids(self, freqs, coefs, t_max, points):
+        _check_scan_of_terms(freqs, coefs, t_max, points)
+
+    def test_no_nonzero_term_reports_zero_at_time_zero(self):
+        scan = _scan_of_terms([0.0, 2.0], [0.0, 0.0], 50.0, 1000)
+        assert (scan.max_fidelity, scan.argmax_time) == (0.0, 0.0)
+
+    def test_maximum_at_the_last_point_is_t_max(self):
+        # |0.5 - 0.5 e^{-it}| = |sin(t/2)| rises on [0, pi]
+        t_max = 0.1 + 3.0
+        scan = _check_scan_of_terms([0.0, 1.0], [0.5, -0.5], t_max, 1001)
+        assert scan.argmax_time == t_max
+
+    @staticmethod
+    def _exhaustive(freqs, coefs, step, points):
+        """The grid maximum and its first j over every point of numpy's
+        batches: the reference a handover must equal bit for bit."""
+        from coronawalk.spectral import exp_sum_grid
+
+        best, arg, offset = -1.0, 0, 0
+        for amps in exp_sum_grid(np.asarray(freqs), np.asarray(coefs), 0.0, step, points):
+            fids = np.abs(amps)
+            i = int(np.argmax(fids))
+            if fids[i] > best:
+                best, arg = float(fids[i]), offset + i
+            offset += fids.size
+        return best, arg
+
+    def test_a_forced_handover_reports_numpy_s_grid_maximum(self, monkeypatch):
+        g, h = path_graph(3), cycle_graph(3)
+        spec = CoronaSpec.from_graphs(g, h)
+        gd = exact_decomposition(g)
+        t_max, points = 37.3, 50_001
+        step = t_max / (points - 1)
+        monkeypatch.setattr(gridmax, "_SCAN_CAP", 0)
+        scan = corona_no_pst_check(spec, gd, 2, 0, t_max, points, w=1)
+        best, arg = self._exhaustive(*corona_terms(spec, gd, 2, 0, 1), step, points)
+        assert (scan.max_fidelity, scan.argmax_time) == (best, arg * step)
+
+    def test_a_long_grid_passes_the_cap_and_hands_over(self):
+        g = build_family(GraphSpec("cocktail", 7))
+        spec = CoronaSpec.from_graphs(g, cycle_graph(5))
+        gd = FamilyDecomposition("cocktail", 7, DEFAULT_GROUP_TOL)
+        t_max, points = 2000.0, 2_000_000
+        freqs, coefs = corona_terms(spec, gd, 0, 2)
+        step = t_max / (points - 1)
+        assert gridmax._search(freqs, coefs, step, points) is None
+        scan = corona_no_pst_check(spec, gd, 0, 2, t_max, points)
+        best, arg = self._exhaustive(freqs, coefs, step, points)
+        assert (scan.max_fidelity, scan.argmax_time) == (best, arg * step)
 
 
 def _peak_bytes(fn):
