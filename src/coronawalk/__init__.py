@@ -48,9 +48,11 @@ _EXPORTS = {
     ),
     "corona": (
         "CoronaSpec",
-        "corona_spectral_closed_form",
         "corona_terms",
         "lift_class",
+    ),
+    "coronaspectra": (
+        "CoronaDecomposition",
     ),
     "transfer": (
         "FidelityTrace",

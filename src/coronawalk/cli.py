@@ -7,10 +7,11 @@ subcommands whose reports depend on which eigenvalues share a class
 (spectrum, support, cospectral, periodic, pst, pgst); fidelity, sweep and
 no-pst-scan report the walk amplitude, a sum over the classes that does
 not, and group at the default.  --support-tol is on support, periodic, pst
-and pgst, --cospectral-tol on cospectral, pst and pgst; neither is read on
-a family spec or a pgst family base, whose supports and signs are exact,
-nor on the corona of two families but where a copy vertex over a path or
-star copy factor meets a lift, whose copy entry there is a float.
+and pgst, --cospectral-tol on cospectral, pst and pgst; they are read by the
+decisions on float data alone: a `file:` leaf's classes, a corona over a
+float factor, and a copy vertex over an irregular copy factor, whose lift
+entry there is a float; a family, and the other vertices of a corona of
+families, are decided exactly.
 --w is a usage error unless --pair is base-copy.  The help text is in
 `helptext`, which only a call with -h or --help imports.
 
@@ -23,8 +24,8 @@ the cocktail family's base, and on a family base the t51 and t52 families'
 base transfer, by theorem), so those analysis errors load no numpy either;
 the graphs the gates build seed the handler's decompositions, and the
 searches' corona, whose copy factor's main data comes by theorem for a
-regular or family copy factor (`_corona_spec`) and off an eigensolve only
-for a `file:` or corona one.  A scan passes --v, --vp and --w (None for
+regular copy factor and off its decomposition otherwise (`_corona_spec`),
+by theorem again for a family.  A scan passes --v, --vp and --w (None for
 base-base) to its gates and scan, and on a family base loads no numpy
 unless its best-first search for the grid maximum passes its cap and hands
 the grid over (`transfer.corona_no_pst_check`).  The t51 and t52 gate on a
@@ -36,17 +37,17 @@ chooses how the values are computed, never a verdict or an ell, and the two
 ways' fidelities agree to rounding.
 
 Every handler reads its spec, or the base of its search, through one
-dispatch, `_decomposition`.  A family spec's classes and eigenspaces come
-by theorem (`leafspectra.FamilyDecomposition`), which loads `exact` but
-neither numpy nor `spectral`; so do those of the corona of two families,
-its lifts and copy classes from both factors' theorems, over a path or a
-star copy factor by the secular equation of its main data
-(`familycorona.FamilyCoronaDecomposition`), which loads `corona` too.  Any other spec's come from `spectral.SpecFactors` (and numpy), which
-loads `corona` only for a corona spec: with exact labels (`labelled`) for
-the readers of labels, spectrum, support, periodic, pst and the t51 and t52
-base gate of pgst, and as float classes alone (`decomposition`) for
-fidelity, sweep, cospectral, no-pst-scan and the cocktail family of pgst.
-All three answer the same vertex queries (`leafspectra.Decomposition`).
+recursive dispatch, `_decomposition`: a family by theorem
+(`leafspectra.FamilyDecomposition`, which loads `exact` but neither numpy
+nor `spectral`), a `file:` leaf by eigensolve (`spectral`, and numpy), and
+a corona from its factors' decompositions (`coronaspectra`, which loads
+`corona`), its copy factor read at the default group tol where it is
+irregular.  So a corona of families, nested or not, loads no numpy.  Exact
+labels are made for the readers of labels, spectrum, support, periodic,
+pst and the t51 and t52 base gate of pgst: a `file:` leaf's by rank and a
+lift's by its lift polynomial; fidelity, sweep, cospectral, no-pst-scan and
+the cocktail family of pgst read the classes alone.  All answer the same
+vertex queries (`leafspectra.Decomposition`).
 cospectral on a spec that is no family first compares the degrees of u and
 v, read off the factor graphs: unequal degrees refute strong cospectrality
 exactly, with no numpy.  `transfer`, which loads numpy only inside its grid
@@ -295,23 +296,38 @@ def _require_corona(spec: graphs.GraphSpec, who: str = "this subcommand") -> Non
 def _decomposition(spec: graphs.GraphSpec, group_tol: float = DEFAULT_GROUP_TOL,
                    labelled: bool = False, built: dict | None = None):
     """The classes of spec with its vertex queries, the one dispatch of every
-    handler.  A family's (`leafspectra.FamilyDecomposition`) and the corona
-    of two families' (`familycorona.FamilyCoronaDecomposition`) come by
-    theorem, labelled, with no numpy; any other spec's from `spectral.SpecFactors` on the graphs
-    in `built`, with exact labels when `labelled`."""
-    if spec.kind in graphs.FAMILIES or graphs.is_family_corona(spec):
-        graphs.check_budget(graphs.spec_order(spec, {}))
-        if spec.kind in graphs.FAMILIES:
-            from . import leafspectra
+    handler, on the graphs in `built`, once spec's order has passed the dense
+    budget: a family's by theorem (`leafspectra.FamilyDecomposition`),
+    labelled, with no numpy; a `file:` leaf's float classes
+    (`spectral.decompose`), with exact labels when `labelled`; and a
+    corona's from its factors' (`coronaspectra.CoronaDecomposition`)."""
+    built = {} if built is None else built
+    graphs.check_budget(graphs.spec_order(spec, built))
+    return _decompose(spec, group_tol, labelled, built)
 
-            return leafspectra.FamilyDecomposition(spec.kind, spec.size, group_tol)
-        from . import familycorona
 
-        return familycorona.FamilyCoronaDecomposition(spec, group_tol)
-    from . import spectral
+def _decompose(spec: graphs.GraphSpec, group_tol: float, labelled: bool, built: dict):
+    if spec.kind in graphs.FAMILIES:
+        from .leafspectra import FamilyDecomposition
 
-    factors = spectral.SpecFactors(group_tol, built=built)
-    return factors.labelled(spec) if labelled else factors.decomposition(spec)
+        return FamilyDecomposition(spec.kind, spec.size, group_tol)
+    if spec.kind == "file":
+        from . import spectral
+
+        a = graphs.build_graph(spec, built).adjacency()
+        d = spectral.decompose(a, group_tol)
+        return spectral.attach_exact_labels(d, a) if labelled else d
+    from .corona import main_atoms
+    from .coronaspectra import CoronaDecomposition
+
+    base, copy = spec.factors
+    h = graphs.build_graph(copy, built)
+    # an irregular H's classes at the default, where none merges two of its
+    # eigenvalues, so that its main atoms are its main eigenspaces
+    h_decomp = _decompose(copy, DEFAULT_GROUP_TOL if h.is_regular() is None else group_tol,
+                          labelled, built)
+    return CoronaDecomposition(_decompose(base, group_tol, labelled, built), h_decomp,
+                               *main_atoms(h_decomp, h), group_tol, labelled)
 
 
 def _cmd_spectrum(args):
@@ -425,26 +441,17 @@ def _cmd_pst(args):
 
 
 def _corona_spec(spec: graphs.GraphSpec, built: dict):
-    """The `corona.CoronaSpec` the searches read, on the graphs in `built`:
-    the main data of a regular copy factor (`corona.regular_main`) and of a
-    family one (`familycorona.family_main`) by theorem, with no eigensolve,
-    and only that of a `file:` or corona copy factor off its float classes
-    (`spectral.SpecFactors`)."""
-    from .corona import CoronaSpec
+    """The `corona.CoronaSpec` the searches read, on the graphs in `built`: a
+    regular copy factor's main data by theorem (`corona.regular_main`), an
+    irregular one's off its decomposition (`corona.main_atoms`, on
+    `_decomposition` at the default group tol), by theorem for a family."""
+    from .corona import CoronaSpec, main_atoms
 
-    copy = spec.factors[1]
     g, h = (graphs.build_graph(factor, built) for factor in spec.factors)
     if h.is_regular() is not None:
         return CoronaSpec.from_graphs(g, h)
-    if copy.kind in graphs.FAMILIES:
-        from .familycorona import family_main
-        from .leafspectra import FamilyDecomposition
-
-        main, _ = family_main(FamilyDecomposition(copy.kind, copy.size, DEFAULT_GROUP_TOL))
-        return CoronaSpec(g, h, None, main)
-    from . import spectral
-
-    return spectral.SpecFactors(built=built).corona(spec)
+    main, _ = main_atoms(_decomposition(spec.factors[1], built=built), h)
+    return CoronaSpec(g, h, None, main)
 
 
 def _cmd_no_pst_scan(args):

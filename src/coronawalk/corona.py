@@ -1,16 +1,15 @@
-"""Closed-form spectral decomposition of neighborhood coronas.
+"""Lifts of base eigenvalues over a copy factor's main data, and the corona
+walk amplitude as an exponential sum.
 
 The corona of a base graph G (n vertices) with a graph H (m vertices) keeps
 one copy of G plus n copies of H and joins every vertex of copy j to all
-base neighbors of vertex j; `graphs.corona_graph` assembles it, which
-`spectral.SpecFactors` asks for only where a corona is a copy factor.
-`SpecFactors` loads this module only when a spec term is a corona, the
-searches (`transfer.pgst_search`, `corona_no_pst_check`) only when they
-run, and `familycorona` for the corona of two families.  On
-columns x (x) phi, phi a base eigenvector of lam and x a layer column
-(base, copy_0, ..., copy_{m-1}), it acts as the layer matrix [[lam, lam
-1^T], [lam 1, A_H]].  Restricted to the base layer and the main directions
-u_mu = P_mu 1 / w_mu of H (w_mu = ||P_mu 1|| > 0) that is the arrowhead
+base neighbors of vertex j; `graphs.corona_graph` assembles it, for
+`corona-build`, for a corona copy factor's main polynomial and as the
+oracle of the tests.  On columns x (x) phi, phi a base eigenvector of lam
+and x a layer column (base, copy_0, ..., copy_{m-1}), it acts as the layer
+matrix [[lam, lam 1^T], [lam 1, A_H]].  Restricted to the base layer and
+the main directions u_mu = P_mu 1 / w_mu of H (w_mu = ||P_mu 1|| > 0),
+read off any decomposition of H (`main_atoms`), that is the arrowhead
 [[lam, lam w^T], [lam w, diag(mu)]], whose eigenpairs are the lifts of lam,
 the roots of one integer polynomial in the doubled variable
 (`lift_polynomial`); the rest of each H class survives with multiplicity n.
@@ -24,74 +23,82 @@ equation, one in each gap between the poles mu and one beyond each end,
 each solved as an offset from its nearer pole, and its eigenvectors (1,
 lam w_mu / (theta - mu)) follow from weights recomputed from those roots
 (`arrowhead.secular_lifts`, imported only for an irregular H), so there is
-one arrowhead solver, in pure Python, for every H.  A lift is kept in main coordinates x (length s) and its copy
-entries U x are made only where read: all of them in the closed form, one
-w at a time elsewhere (`copy_entry`).  One routine, `lift_class`, serves
-every consumer below: the closed form builds the classes as eigenvector
-blocks (x (x) V_lam for a lift, (0 (+) W) (x) I_n for a copy class),
-grouped as `decompose` groups (`merge_runs`, by
-`leafspectra.class_runs`), with exact labels and the flag of lifts of degree
-> 2 that refutes periodicity and transfer; and the walk amplitude from (v',
-0) to (v, 0), or to (v, w) with w given, is an exponential sum over the
-lifts of the base's walk terms (`corona_terms`, reading any decomposition's
-`leafspectra.Decomposition.terms`: float, family or family corona), two
-lists of Python floats.  A scan searches its grid for the maximum with them
-in pure Python (`transfer.corona_no_pst_check`), and a pgst search
-evaluates its first batch of ell with them (`transfer.pgst_search`), with
-no numpy; a scan past its search's cap, and a pgst search past its first
-batch, go to `spectral.exp_sum_grid`, which evaluates uniform time grids in
-batches, each one small matrix product of two phase tables of about
-sqrt(batch) columns, in memory independent of --lmax and --points.  numpy
-and `spectral` are imported only inside the functions that build float
-blocks or read H's float classes, so lifting over any main data loads
-neither.
+one arrowhead solver, in pure Python, for every H.  A lift is kept in main
+coordinates x (length s) and its copy entries U x are made one w at a time
+where read (`copy_entry`).  One routine, `lift_class`, serves every
+consumer: the corona's classes (`coronaspectra.CoronaDecomposition`,
+grouped by `merge_runs`, by `leafspectra.class_runs`), with exact labels
+and the flag of lifts of degree > 2 that refutes periodicity and transfer;
+and the walk amplitude from (v', 0) to (v, 0), or to (v, w) with w given,
+an exponential sum over the lifts of the base's walk terms (`corona_terms`,
+reading any decomposition's `leafspectra.Decomposition.terms`), two lists
+of Python floats.  A scan searches its grid for the maximum with them in
+pure Python (`transfer.corona_no_pst_check`), and a pgst search evaluates
+its first batch of ell with them (`transfer.pgst_search`), with no numpy; a
+scan past its search's cap, and a pgst search past its first batch, go to
+`spectral.exp_sum_grid`, which evaluates uniform time grids in batches,
+each one small matrix product of two phase tables of about sqrt(batch)
+columns, in memory independent of --lmax and --points.  This module loads
+numpy only to eigensolve an irregular H given as a graph
+(`CoronaSpec.from_graphs`), so lifting over any main data loads none.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple, Sequence
 
 from .defaults import DEFAULT_GROUP_TOL
 from .exact import _PAIR_TOL, _VALUE_TOL, QuadInt, _pair_label, main_polynomial
-from .graphs import Graph, check_base_vertex, check_budget, check_copy_vertex
+from .graphs import Graph, check_base_vertex, check_copy_vertex
 from .leafspectra import Decomposition, class_runs
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .spectral import EigenClass, SpectralDecomposition
 
 
 class MainData(NamedTuple):
     """H's s main eigenvalues mu, unit directions P_mu 1 / ||P_mu 1|| (m x s,
     a row per vertex of H) and their norms ||P_mu 1|| (a column's sum), with
     walks 1^T A^j 1 and coefs of A^s 1 = sum_j coefs[j] A^j 1 (j < s) in
-    Python ints; values, directions and norms are arrays for H's float
-    classes (`main_data`), Python floats from a theorem (`regular_main`,
-    `familycorona`)."""
+    Python ints; values, directions and norms are Python floats, read off
+    H's atoms (`main_atoms`) or, for a regular H, from the theorem
+    (`regular_main`)."""
 
-    values: np.ndarray
-    directions: np.ndarray
-    norms: np.ndarray
+    values: Sequence[float]
+    directions: Sequence[Sequence[float]]
+    norms: Sequence[float]
     walks: tuple[int, ...]
     coefs: tuple[int, ...]
 
 
-def main_data(h: Graph, h_decomp: SpectralDecomposition) -> MainData:
-    """Main data of an irregular H: the exact Krylov relation of its all-ones
-    vector (`exact.main_polynomial`), of degree s, and the s classes of
-    h_decomp with the largest ||P_mu 1||."""
-    import numpy as np
+def main_atoms(h: Decomposition, graph: Graph) -> tuple[MainData, dict[int, list[int]]]:
+    """H's main data off its decomposition h, and for each main class i of
+    h the places j in h.atoms[i] of its atoms with E 1 != 0.
 
-    walks, coefs = main_polynomial(h.edges, h.n)
-    classes = h_decomp.classes
-    sums = [c.vectors.sum(axis=0) for c in classes]  # ||P_mu 1|| = |W^T 1|
-    main = sorted(sorted(range(len(classes)), key=lambda i: -(sums[i] @ sums[i]))[:len(coefs)])
-    norms = np.array([math.sqrt(sums[i] @ sums[i]) for i in main])
-    directions = np.column_stack([classes[i].vectors @ sums[i] for i in main]) / norms
-    values = np.array([classes[i].value for i in main])
-    return MainData(values, directions, norms, walks, coefs)
+    The degree s of the exact Krylov relation of H's all-ones vector
+    (`exact.main_polynomial`, on `graph`) counts H's main eigenvalues; the
+    main classes are the s with the largest ||P 1||, P 1 the sum of their
+    atoms' E 1 (`ones`), each with its value mu, its direction P 1 / ||P 1||
+    and its norm ||P 1||.  A k-regular H's one main class holds J/m, on
+    which `regular_main` gives the data exactly."""
+    k = graph.is_regular()
+    walks, coefs = main_polynomial(graph.edges, graph.n) if k is None else ((graph.n,), (k,))
+    found = []
+    for i, atoms in enumerate(h.atoms):
+        held = [(j, ones) for j, a in enumerate(atoms)
+                for ones in [h.ones(a.key)] if ones is not None and any(ones)]
+        if held:
+            total = held[0][1] if len(held) == 1 else [math.fsum(x) for x in zip(
+                *(ones for _, ones in held))]
+            found.append((math.fsum(x * x for x in total), i, total, [j for j, _ in held]))
+    found.sort(key=lambda f: -f[0])
+    main = sorted(found[:len(coefs)], key=lambda f: f[1])
+    places = {i: held for _, i, _, held in main}
+    if k is not None:
+        return regular_main(k, graph.n), places
+    norms = tuple(math.sqrt(square) for square, _, _, _ in main)
+    directions = [tuple(float(total[w]) / r for (_, _, total, _), r in zip(main, norms))
+                  for w in range(graph.n)]
+    values = tuple(h.classes[i].value for _, i, _, _ in main)
+    return MainData(values, directions, norms, walks, coefs), places
 
 
 def regular_main(k: int, m: int) -> MainData:
@@ -108,17 +115,15 @@ class CoronaSpec(NamedTuple):
     main: MainData
 
     @classmethod
-    def from_graphs(cls, g: Graph, h: Graph, h_decomp=None) -> "CoronaSpec":
-        """The corona of g and h.  A k-regular H has mu = k on 1/sqrt(m);
-        h_decomp, H's decomposition, is read (or made) only for an irregular H."""
+    def from_graphs(cls, g: Graph, h: Graph) -> "CoronaSpec":
+        """The corona of g and h.  A k-regular H has mu = k on 1/sqrt(m); an
+        irregular H's main data is read off its float classes (`main_atoms`)."""
         k = h.is_regular()
         if k is not None:
             return cls(g, h, k, regular_main(k, h.n))
-        if h_decomp is None:
-            from .spectral import decompose
+        from .spectral import decompose
 
-            h_decomp = decompose(h.adjacency())
-        return cls(g, h, k, main_data(h, h_decomp))
+        return cls(g, h, k, main_atoms(decompose(h.adjacency()), h)[0])
 
     @property
     def n(self) -> int:
@@ -133,8 +138,8 @@ class LiftedClass(NamedTuple):
     """One corona eigenvector direction lifted from a base class: its unit layer
     column has `base` on layer 0 and U x on the copy layers, x = `coords` its
     s coordinates on H's main directions U (`copy_entry` reads one copy
-    vertex), and its block is that column (x) V_lam.  `beyond_quadratic`
-    marks a value of degree > 2."""
+    vertex), and its projector is c c^T (x) E_lam for that column c.
+    `beyond_quadratic` marks a value of degree > 2."""
 
     value: float
     exact: QuadInt | None
@@ -334,49 +339,6 @@ def _halve(q: QuadInt | None) -> QuadInt | None:
     return QuadInt(q.a // 2, q.b // 2, q.delta) if ok else None
 
 
-def corona_spectral_closed_form(
-    spec: CoronaSpec,
-    g_decomp: SpectralDecomposition,
-    h_decomp: SpectralDecomposition,
-    group_tol: float = DEFAULT_GROUP_TOL,
-) -> SpectralDecomposition:
-    """Spectral decomposition of the corona built from the factor decompositions.
-
-    Classes: every lift of each base class (`lift_class`) with block
-    x (x) V_lam, x its layer column; and each H class with block
-    (0 (+) W) (x) I_n, W its eigenvector block minus its main direction.
-    Numerically coincident values merge by concatenating their blocks.
-    Raises ValueError when the corona order n(m+1) exceeds the dense budget,
-    as the assembled eigensolver does.
-    """
-    n, m = spec.n, spec.m
-    check_budget(n * (m + 1))
-    import numpy as np
-
-    from .spectral import EigenClass
-
-    raw: list[EigenClass] = []
-    eye_n = np.eye(n)
-    directions = np.asarray(spec.main.directions, dtype=float)
-    for c in h_decomp.classes:
-        # main directions inside this class: ||U^T W||^2 of them, 0 or 1
-        inner = directions.T @ c.vectors
-        mains = round(float(np.sum(inner * inner)))
-        block = c.vectors @ np.linalg.svd(inner)[2][mains:].T if mains else c.vectors
-        if block.shape[1]:
-            w = np.vstack([np.zeros((1, block.shape[1])), block])
-            raw.append(EigenClass(c.value, np.kron(w, eye_n), c.exact, c.beyond_quadratic))
-
-    solved: dict = {}
-    for c in g_decomp.classes:
-        for lift in lift_class(c.value, c.exact, spec.main, solved):
-            column = np.r_[lift.base, directions @ lift.coords]
-            raw.append(EigenClass(lift.value, np.kron(column[:, None], c.vectors),
-                                  lift.exact, lift.beyond_quadratic))
-
-    return _merge_classes(raw, n * (m + 1), group_tol)
-
-
 # ---------------------------------------------------------------------------
 # closed-form walk amplitudes
 
@@ -408,20 +370,6 @@ def corona_terms(
             coefs.append(float(entry * lift.base * (
                 lift.base if w is None else copy_entry(spec.main, lift.coords, w))))
     return freqs, coefs
-
-
-def _merge_classes(
-    raw: list[EigenClass], n: int, group_tol: float
-) -> SpectralDecomposition:
-    """The raw classes merged by `merge_runs`, their blocks side by side."""
-    import numpy as np
-
-    from .spectral import EigenClass, SpectralDecomposition
-
-    return SpectralDecomposition(
-        [EigenClass(run[0].value, run[0].vectors if len(run) == 1 else
-                    np.hstack([c.vectors for c in run]), label, flagged)
-         for run, label, flagged in merge_runs(raw, group_tol)], n)
 
 
 def merge_runs(raw: list, group_tol: float) -> list[tuple[list, QuadInt | None, bool]]:

@@ -16,7 +16,10 @@ analysis shares (budget, ranges, distinct vertices, a regular H) live in
 `transfer.pgst_search` and `transfer.corona_no_pst_check` run the same
 checks for library callers.  Only the graphs the CLI's gates build go on to
 the analysis, through the caller's `built` cache, so a call that passes
-builds each factor graph once.
+builds each factor graph once.  The gates read no decomposition of a copy
+factor: its main data, and a corona base's classes, come after them
+(`cli._corona_spec`, `cli._decomposition`), so a gate that fails loads
+neither `corona` nor `coronaspectra`.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def _corona_budgets(spec: GraphSpec,
     """The base order, the built copy factor H and H's regular degree (None
     when irregular) of a corona spec, after the budgets its base
     decomposition meets: the base's, read off the spec before any graph is
-    built, then an irregular H's, whose main data is read off its dense
+    built, then an irregular H's, whose main data is read off its
     decomposition."""
     base, copy = spec.factors
     n = spec_order(base, built)

@@ -271,13 +271,6 @@ class GraphSpec(NamedTuple):
         return f"{self.kind}:{self.size}"
 
 
-def is_family_corona(spec: GraphSpec) -> bool:
-    """Whether spec is the corona of two family graphs, which `familycorona`
-    decomposes by theorem: over a regular copy factor by the paper's pair,
-    over a path or a star by the secular equation of its main data."""
-    return spec.kind == "corona" and all(f.kind in FAMILIES for f in spec.factors)
-
-
 def build_family(spec: GraphSpec) -> Graph:
     """Materialize a family or file spec; coronas are built by build_graph."""
     if spec.kind == "file":

@@ -49,13 +49,14 @@ OPTIONS = {
     "--group-tol": "relative gap that starts a new eigenvalue class, in (0, 1e-2] "
                    "(default: %(default)s)",
     "--support-tol": "smallest projection ||E e_u|| that puts a class in a support, "
-                     "in (0, 1e-2]; not read on a family spec or base, and on the corona "
-                     "of two families only at a copy vertex over a path or star copy "
-                     "factor, the other supports being exact (default: %(default)s)",
-    "--cospectral-tol": "largest gap between E e_u and +-E e_v, in (0, 1e-2]; not read on "
-                        "a family spec or base, and on the corona of two families only for "
-                        "a pair with a copy vertex over a path or star copy factor, the "
-                        "other signs being exact (default: %(default)s)",
+                     "in (0, 1e-2]; read only on float factors (file:PATH, alone or in "
+                     "a corona) and at a copy vertex over a path, star or other "
+                     "irregular copy factor, the other supports being exact "
+                     "(default: %(default)s)",
+    "--cospectral-tol": "largest gap between E e_u and +-E e_v, in (0, 1e-2]; read only "
+                        "on float factors (file:PATH, alone or in a corona) and for a "
+                        "pair with a copy vertex over a path, star or other irregular "
+                        "copy factor, the other signs being exact (default: %(default)s)",
     "--t": "time t, finite (required)",
     "--t-max": "last time of the grid, positive (required)",
     "--steps": "number of grid times, at least 2 (required)",

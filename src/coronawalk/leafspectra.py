@@ -29,13 +29,11 @@ over the atom rules each decomposition gives.  `FamilyDecomposition` gives
 them for a family's eigenspaces, deciding support and strong-cospectral
 signs in integers, with no numpy and no eigensolve: every command on a
 family spec reads it, as do `pgst` and `no-pst-scan` on a family base, and
-`familycorona.FamilyCoronaDecomposition` reads its per-eigenspace rules
-(`holds`, `sign`, `entry`) for both factors of the corona of two families,
-and a path's and a star's main eigenspaces by theorem for its lifts.  `spectral.SpecFactors` labels a family leaf's float classes
-from `family_values` instead of by exact rank.
+`coronaspectra.CoronaDecomposition` reads its rules, and its main
+eigenspaces by theorem (`ones`), for a family factor of any corona.
 
 `class_runs` is the one rule that groups descending eigenvalues into classes,
-for these values, `spectral.decompose` and the corona closed form alike.
+for these values, `spectral.decompose` and the corona's lifts alike.
 """
 
 from __future__ import annotations
@@ -101,15 +99,23 @@ class Decomposition:
         sign(key, x, y, tol)  s with E e_x = s E e_y != 0, 0 where E kills
                               both, None where neither sign holds (x != y)
         entry(key, x, y)      E[x, y]
+        ones(key)             E 1 as a sequence over the vertices, or None
+                              where it is 0 exactly
+        residual(key)         the key of E less its main direction E 1 /
+                              ||E 1||, or None where that is 0 (for an atom
+                              with E 1 != 0)
 
-    on vertices as `vertex` gives them.  A class is the sum of its atoms'
+    on vertices as `vertex` gives them; `tolerant` says whether the rules
+    read the tolerances they take, and so whether a value that is 0 is
+    0.0.  A class is the sum of its atoms'
     orthogonal projectors: it holds a vertex iff one of its atoms does, and
     has a sign iff every atom that holds u or v has that sign.  The atoms
-    are a family's eigenspaces (`FamilyDecomposition`), a family corona's
-    (member, eigenspace) pairs (`familycorona.FamilyCoronaDecomposition`)
-    and one float class each (`spectral.SpectralDecomposition`)."""
+    are a family's eigenspaces (`FamilyDecomposition`), a corona's (member,
+    factor atom) pairs (`coronaspectra.CoronaDecomposition`) and one float
+    class each (`spectral.SpectralDecomposition`)."""
 
     __slots__ = ()
+    tolerant = False
 
     def vertex(self, u: int):
         """u, checked against the order n."""
@@ -163,21 +169,16 @@ class Decomposition:
                            for value, entry in self.terms(u, v)))
 
 
-def family_values(kind: str, n: int) -> list[FamilyClass]:
-    """The distinct eigenvalues of family graph `kind:n`, descending, each with
-    its multiplicity and, where the theorem gives one, its exact label."""
-    return [value for value, _ in _distinct(kind, n)]
-
-
 class FamilyDecomposition(Decomposition):
     """The classes of family graph `kind:size`, each a run of atoms, one per
     eigenspace: the (value, key) pairs of `_distinct`, so an atom's value and
-    flag are its eigenspace's, not a merged class's.  The classes are
-    `family_values` grouped by `class_runs`: a class's value is the mean of
+    flag are its eigenspace's, not a merged class's.  The classes are the
+    distinct values grouped by `class_runs`: a class's value is the mean of
     its eigenvalues, and it keeps a label only when it holds one distinct
     value.  The atom rules decide support and strong-cospectral signs in
     integers, so the tolerances they take are not read, and give projector
-    entries in closed form."""
+    entries and E 1 in closed form.  `empty:n`'s one eigenspace I has the
+    residual I - J/n, key 1."""
 
     __slots__ = ("kind", "size", "n", "classes", "atoms")
 
@@ -227,7 +228,8 @@ class FamilyDecomposition(Decomposition):
                 return -1 if u * v and n == 3 else None
             # x_u = x_v on two leaves; sqrt(n - 1) = 1 at the centre only at n = 2
             return 1 if u * v else key if n == 2 else None
-        return None  # empty: E = I
+        # empty: E = I, and (I - J/n)(e_u + e_v) = 0 only at n = 2
+        return -1 if key and n == 2 else None
 
     def entry(self, key: int, u: int, v: int) -> float:
         """E[u, v] on eigenspace `key`."""
@@ -251,7 +253,30 @@ class FamilyDecomposition(Decomposition):
                 return same - 1.0 / (n - 1) if u * v else 0.0
             root = math.sqrt(n - 1)
             return (key * root if u == 0 else 1.0) * (key * root if v == 0 else 1.0) / (2 * n - 2)
-        return same  # empty, and star:1, one vertex
+        return same - 1.0 / n if key else same  # empty, and star:1, one vertex
+
+    def ones(self, key: int) -> list[float] | None:
+        """E 1 on eigenspace `key`: 1 on the eigenspace of J, and on a path's
+        odd j E_j 1 = 2/(n+1) cot(pi j/(2n+2)) sin(pi j(u+1)/(n+1)) and a
+        star's +-sqrt(n - 1) x (x^T 1)/(2(n - 1)); None on the others."""
+        kind, n = self.kind, self.size
+        if kind == "path":
+            if key % 2 == 0:
+                return None
+            scale = 2.0 / (n + 1) / math.tan(math.pi * key / (2 * n + 2))
+            return [scale * _sin_pi(key * (u + 1), n + 1) for u in range(n)]
+        if kind == "star" and n > 1:
+            if key == 0:
+                return None
+            root = key * math.sqrt(n - 1)
+            scale = (root + n - 1) / (2 * n - 2)
+            return [root * scale] + [scale] * (n - 1)
+        return [1.0] * self.n if key == 0 else None
+
+    def residual(self, key: int) -> int | None:
+        """I - J/n, key 1, for `empty:n`'s I; every other main eigenspace is J's
+        or a path's or star's line, with nothing left."""
+        return 1 if self.kind == "empty" and self.size > 1 else None
 
 
 def _sin_pi(a: int, big_n: int) -> float:

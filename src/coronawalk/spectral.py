@@ -10,35 +10,25 @@ the atom rules of `leafspectra.Decomposition`, one atom per class, read off
 rows of V: E[u,v] = V[u].V[v] and ||E e_u|| = ||V[u]||; support, signs and
 walk terms are the base class's.
 
-`SpecFactors` decomposes any graph spec, each term once: a family or file
-spec densely here, a corona in closed form from its factors through
-`corona`, which is imported only when a spec term is a corona, so calls on
-a plain spec never load it.  Its caller asks for labels: `labelled` labels
-a family leaf's classes from the family's spectrum by theorem
-(`leafspectra`), a `file:` leaf's by `attach_exact_labels`, and a corona's
-through its factors; `decomposition` makes no label.  On a family spec, and
-on the corona of two families, every command reads the theorem's classes
-and eigenspaces (`leafspectra.FamilyDecomposition`,
-`familycorona.FamilyCoronaDecomposition`) without this module, as do
-`pgst` and `no-pst-scan` on such a base, so a family leaf is decomposed
-here only as a factor of any other corona and in the closed form those
-routes are tested against.
+A `file:` leaf is the one spec decomposed here, by `cli._decomposition`:
+its float classes, labelled by `attach_exact_labels` for the readers of
+labels, serve the leaf itself and any corona it is a factor of
+(`coronaspectra.CoronaDecomposition`, which reads them through the atom
+rules, with `ones` and `residual` for a copy factor's main directions).
+Family leaves and coronas are never eigensolved: the assembled graph is
+decomposed here only as the oracle the tests check them against.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .defaults import DEFAULT_GROUP_TOL, GRID_BLOCK
 from .exact import _VALUE_TOL, QuadInt, _pair_label, exact_rank
-from .graphs import FAMILIES, Graph, GraphSpec, build_graph, check_budget, spec_order
-from .leafspectra import Atom, Decomposition, FamilyClass, class_runs, family_values
-
-if TYPE_CHECKING:
-    from .corona import CoronaSpec
+from .graphs import Graph, check_budget
+from .leafspectra import Atom, Decomposition, class_runs
 
 # a matrix is symmetric when A - A^T is this small relative to max(1, max|A|)
 _SYMMETRY_TOL = 1e-12
@@ -87,9 +77,11 @@ class SpectralDecomposition(Decomposition):
     eigenbasis.  Each class is one atom, its block V, valued at its label's
     value where it has one, so a labelled class lifts and turns at its exact
     eigenvalue; the rules read rows of V at the tolerances given: E e_u =
-    V V[u], ||E e_u|| = ||V[u]|| and E[u,v] = V[u] . V[v]."""
+    V V[u], ||E e_u|| = ||V[u]|| and E[u,v] = V[u] . V[v], with E 1 = V V^T 1
+    and the residual the block V times the complement of V^T 1."""
 
     __slots__ = ("classes", "n")
+    tolerant = True
 
     def __init__(self, classes: list[EigenClass], n: int):
         self.classes = classes
@@ -116,6 +108,13 @@ class SpectralDecomposition(Decomposition):
         # np.dot, not a 1-D @: on blocks of small multiplicity it sums in the
         # order the dense product V V^T does, so the two agree to the bit
         return float(np.dot(vectors[u], vectors[v]))
+
+    def ones(self, vectors: np.ndarray) -> np.ndarray:
+        return vectors @ vectors.sum(axis=0)
+
+    def residual(self, vectors: np.ndarray) -> np.ndarray | None:
+        rest = vectors @ np.linalg.svd(vectors.sum(axis=0)[None, :])[2][1:].T
+        return rest if rest.shape[1] else None
 
 
 def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
@@ -224,113 +223,3 @@ def exact_decomposition(
     """Decompose a graph's adjacency matrix and attach exact labels."""
     a = g.adjacency()
     return attach_exact_labels(decompose(a, group_tol), a)
-
-
-def family_labels(d: SpectralDecomposition,
-                  values: list[FamilyClass]) -> SpectralDecomposition:
-    """Label the classes of d, which decomposes a family graph, from the
-    family's distinct eigenvalues by theorem (`leafspectra.family_values`).
-
-    A class takes the label of the labelled value within _VALUE_TOL of it
-    that has its multiplicity, else none.  Distinct family eigenvalues at a
-    dense order lie at least about 2.3e-6 apart, so at most one value is
-    that near, and a class that merges several values has a larger
-    multiplicity than any one of them.
-    """
-    known = [v for v in values if v.exact is not None]
-    return SpectralDecomposition(
-        [EigenClass(c.value, c.vectors, next(
-            (v.exact for v in known
-             if v.multiplicity == c.multiplicity and abs(v.value - c.value) < _VALUE_TOL),
-            None)) for c in d.classes], d.n)
-
-
-class SpecFactors:
-    """Built graphs and decompositions of a spec's terms, each made once.
-
-    The caller asks for what it reads: `decomposition(spec)` gives float
-    classes, `labelled(spec)` the same classes with exact labels, made only
-    for the terms it reaches.  A leaf is decomposed densely, once: its labels
-    are attached to that same eigensolve, a family's by theorem
-    (`family_labels`), a file's by exact rank (`attach_exact_labels`).  A
-    corona is decomposed in closed form from its factors'
-    decompositions of the same kind, recursing into both, and is assembled
-    only where an enclosing corona needs it as a factor.  An irregular copy
-    factor is decomposed at the default group_tol, where no class merges
-    main values: its main data and its copy classes are read off those
-    classes, and the closed form merges the copy classes at group_tol.
-    `built` seeds the graph cache with graphs already built, as the search
-    gates build them.
-    """
-
-    def __init__(self, group_tol: float = DEFAULT_GROUP_TOL,
-                 built: dict[GraphSpec, Graph] | None = None):
-        self.group_tol = group_tol
-        self._graphs: dict[GraphSpec, Graph] = {} if built is None else built
-        self._decomps: dict[GraphSpec, SpectralDecomposition] = {}
-        self._labelled: dict[GraphSpec, SpectralDecomposition] = {}
-        self._coronas: dict[GraphSpec, CoronaSpec] = {}
-        self._default = self if group_tol == DEFAULT_GROUP_TOL else None
-
-    def graph(self, spec: GraphSpec) -> Graph:
-        return build_graph(spec, self._graphs)
-
-    def corona(self, spec: GraphSpec) -> CoronaSpec:
-        return self._corona(spec, "decomposition")
-
-    def decomposition(self, spec: GraphSpec) -> SpectralDecomposition:
-        """Float classes: no label is made."""
-        if spec not in self._decomps:
-            self._decomps[spec] = (
-                self._closed_form(spec, "decomposition") if spec.kind == "corona"
-                else decompose(self._adjacency(spec), self.group_tol))
-        return self._decomps[spec]
-
-    def labelled(self, spec: GraphSpec) -> SpectralDecomposition:
-        """The same classes with exact labels."""
-        if spec not in self._labelled:
-            if spec.kind == "corona":
-                self._labelled[spec] = self._closed_form(spec, "labelled")
-            elif spec.kind in FAMILIES:
-                self._labelled[spec] = family_labels(self.decomposition(spec),
-                                                     family_values(spec.kind, spec.size))
-            else:  # labels on the file leaf's one eigensolve
-                a = self._adjacency(spec)
-                if spec not in self._decomps:
-                    self._decomps[spec] = decompose(a, self.group_tol)
-                self._labelled[spec] = attach_exact_labels(self._decomps[spec], a)
-        return self._labelled[spec]
-
-    def _adjacency(self, spec: GraphSpec) -> np.ndarray:
-        check_budget(spec_order(spec, self._graphs))  # before the matrix is made
-        return self.graph(spec).adjacency()
-
-    def _copy_factor(self, spec: GraphSpec, kind: str) -> SpectralDecomposition:
-        """The corona's copy factor H decomposed as `kind` ("decomposition" or
-        "labelled"): at the default group_tol when H is irregular."""
-        factors = self
-        if self.graph(spec.factors[1]).is_regular() is None:
-            if self._default is None:
-                self._default = SpecFactors(built=self._graphs)
-            factors = self._default
-        return getattr(factors, kind)(spec.factors[1])
-
-    def _corona(self, spec: GraphSpec, kind: str) -> CoronaSpec:
-        if spec not in self._coronas:
-            from .corona import CoronaSpec
-
-            g, h = map(self.graph, spec.factors)
-            # an irregular H's main data is read off its classes
-            h_decomp = None if h.is_regular() is not None else self._copy_factor(spec, kind)
-            self._coronas[spec] = CoronaSpec.from_graphs(g, h, h_decomp)
-        return self._coronas[spec]
-
-    def _closed_form(self, spec: GraphSpec, kind: str) -> SpectralDecomposition:
-        """The corona's classes from its factors decomposed as `kind`."""
-        # checked before any graph is built or factor decomposed
-        check_budget(spec_order(spec, self._graphs))
-        from .corona import corona_spectral_closed_form
-
-        corona = self._corona(spec, kind)
-        return corona_spectral_closed_form(corona, getattr(self, kind)(spec.factors[0]),
-                                           self._copy_factor(spec, kind), self.group_tol)

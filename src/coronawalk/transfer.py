@@ -15,12 +15,13 @@ vertex queries of `leafspectra.Decomposition`: the verdicts
 `base_transfer`) its support, signs and amplitude, and the grid analyses
 its walk terms (`terms`: `fidelity_sweep` directly, the corona scan and
 search through `corona.corona_terms`, which lifts the base's).  The
-decomposition is `spectral.SpectralDecomposition`'s float classes or,
-decided by theorem, a family leaf's `leafspectra.FamilyDecomposition` or
-the corona of two families' (`familycorona.FamilyCoronaDecomposition`).
-So this module loads numpy and `spectral` only inside the grid analyses
-(scans, searches and sweeps): `periodic` and `pst` on a family spec or
-such a corona, and a family base the pgst gate refutes, load neither.  Nor
+decomposition is a `file:` leaf's float classes
+(`spectral.SpectralDecomposition`), a family leaf's by theorem
+(`leafspectra.FamilyDecomposition`) or a corona's from its factors'
+(`coronaspectra.CoronaDecomposition`).  So this module loads numpy and
+`spectral` only inside the grid analyses (scans, searches and sweeps):
+`periodic` and `pst` on a family spec or a corona of families, and a family
+base the pgst gate refutes, load neither.  Nor
 does a scan on a family base that ends within its cap, nor a search on a
 family base that stops within its first batch of ell: that batch is
 evaluated in pure Python when the family's locked-gap bound

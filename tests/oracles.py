@@ -1,11 +1,14 @@
 """Reference forms of the spectral data that tests check the package against.
 
-The package reads an eigenvalue class through the rows of its eigenvector
-block and evaluates every walk amplitude as an exponential sum over a
+The package reads an eigenvalue class through its atoms' rules and
+evaluates every walk amplitude as an exponential sum over a
 decomposition's walk terms (`leafspectra.Decomposition.terms`), which
 `exp_sum` evaluates here term by term at any array of times.  These helpers
-build the dense N x N objects instead: class projectors, the reassembled
-matrix and the transition matrix U(t).
+build the dense N x N objects of any decomposition instead, read through
+its `entry` and `terms`: class projectors, the reassembled matrix and the
+transition matrix U(t).  `closed_form` is the Kronecker closed form of a
+corona, its classes as explicit eigenvector blocks from its factors', and
+`engine` builds the corona engine on factor graphs.
 It also keeps the exact algebra of the paper's pair lift for a k-regular
 copy factor, which the labels `corona.lift_class` reads off its lift
 polynomial must equal, with the integer square test of its degree-4 case
@@ -25,29 +28,99 @@ import math
 import numpy as np
 
 from coronawalk.cli import _round15
-from coronawalk.corona import corona_terms
-from coronawalk.exact import QuadInt, square_free_part
+from coronawalk.corona import corona_terms, lift_class, main_atoms, merge_runs
+from coronawalk.coronaspectra import CoronaDecomposition
+from coronawalk.defaults import DEFAULT_GROUP_TOL
+from coronawalk.exact import _VALUE_TOL, QuadInt, square_free_part
+from coronawalk.graphs import build_graph
+from coronawalk.leafspectra import FamilyDecomposition
+from coronawalk.spectral import EigenClass, SpectralDecomposition, decompose, exact_decomposition
 
 
-def projector(c) -> np.ndarray:
-    """Orthogonal projector V V^T onto an eigenvalue class."""
-    return c.vectors @ c.vectors.T
+def projector(d, i: int) -> np.ndarray:
+    """Orthogonal projector onto class i of any decomposition: the sum of its
+    atoms' entries."""
+    xs = [d.vertex(u) for u in range(d.n)]
+    return np.array([[sum(d.entry(a.key, x, y) for a in d.atoms[i]) for y in xs] for x in xs])
+
+
+def _walk_matrix(d, weight) -> np.ndarray:
+    """sum over the walk terms (value, E[u, v]) of weight(value) E[u, v], at
+    every u and v."""
+    return np.array([[sum(weight(value) * entry for value, entry in d.terms(u, v))
+                      for v in range(d.n)] for u in range(d.n)])
 
 
 def reassemble(d) -> np.ndarray:
-    """sum(value * projector) over the classes of a decomposition."""
-    out = np.zeros((d.n, d.n))
-    for c in d.classes:
-        out += c.value * projector(c)
-    return out
+    """sum(value * projector) over the walk terms of a decomposition."""
+    return _walk_matrix(d, float)
 
 
 def transition_matrix(d, t: float) -> np.ndarray:
     """U(t) = sum_r exp(-i t value_r) * projector_r; symmetric and unitary."""
-    out = np.zeros((d.n, d.n), dtype=complex)
-    for c in d.classes:
-        out += np.exp(-1j * t * c.value) * projector(c)
-    return out
+    return _walk_matrix(d, lambda value: np.exp(-1j * t * value))
+
+
+def engine(gd, h, hd=None, group_tol: float = DEFAULT_GROUP_TOL) -> CoronaDecomposition:
+    """The corona engine on the base decomposition gd and the copy factor
+    graph h: on hd, or on h's labelled float classes (at the default group
+    tol where h is irregular, as `cli._decomposition` reads it)."""
+    if hd is None:
+        hd = exact_decomposition(h, group_tol if h.is_regular() is not None
+                                 else DEFAULT_GROUP_TOL)
+    return CoronaDecomposition(gd, hd, *main_atoms(hd, h), group_tol)
+
+
+def closed_form(spec, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposition:
+    """The labelled classes of spec as eigenvector blocks: a `file:` leaf's
+    by eigensolve and rank, a family leaf's by eigensolve with the family's
+    labels (the value within _VALUE_TOL of the class that has its
+    multiplicity) and flagged where each of its eigenvalues is an
+    unlabelled family value, and a corona's in closed form from its factors' (an
+    irregular copy factor's at the default group tol): x (x) V_lam for each
+    lift x (`corona.lift_class`) of each base class V_lam, and (0 (+) W) (x)
+    I_n for each copy class, W its block less its main direction, merged by
+    `corona.merge_runs`."""
+    if spec.kind == "file":
+        return exact_decomposition(build_graph(spec, {}), group_tol)
+    if spec.kind != "corona":
+        a = build_graph(spec, {}).adjacency()
+        d = decompose(a, group_tol)
+        values = FamilyDecomposition(spec.kind, spec.size, 1e-15).classes  # distinct values
+        known = [v for v in values if v.exact is not None]
+
+        def unlabelled(x: float) -> bool:  # of degree >= 3 (Lehmer)
+            return min(values, key=lambda v: abs(v.value - x)).exact is None
+
+        return SpectralDecomposition([EigenClass(c.value, c.vectors, next(
+            (v.exact for v in known
+             if v.multiplicity == c.multiplicity and abs(v.value - c.value) < _VALUE_TOL),
+            None), all(map(unlabelled, np.linalg.eigvalsh(c.vectors.T @ a @ c.vectors))))
+            for c in d.classes], d.n)
+    h = build_graph(spec.factors[1], {})
+    hd = closed_form(spec.factors[1],
+                     group_tol if h.is_regular() is not None else DEFAULT_GROUP_TOL)
+    main, _ = main_atoms(hd, h)
+    gd = closed_form(spec.factors[0], group_tol)
+    n, eye = gd.n, np.eye(gd.n)
+    directions = np.asarray(main.directions, dtype=float)
+    raw = []
+    for c in hd.classes:
+        inner = directions.T @ c.vectors  # the main directions in this class
+        mains = round(float(np.sum(inner * inner)))
+        block = c.vectors @ np.linalg.svd(inner)[2][mains:].T if mains else c.vectors
+        if block.shape[1]:
+            w = np.vstack([np.zeros((1, block.shape[1])), block])
+            raw.append(EigenClass(c.value, np.kron(w, eye), c.exact, c.beyond_quadratic))
+    solved: dict = {}
+    for c in gd.classes:
+        for lift in lift_class(c.value, c.exact, main, solved):
+            column = np.r_[lift.base, directions @ lift.coords]
+            raw.append(EigenClass(lift.value, np.kron(column[:, None], c.vectors),
+                                  lift.exact, lift.beyond_quadratic))
+    return SpectralDecomposition(
+        [EigenClass(run[0].value, np.hstack([c.vectors for c in run]), label, flagged)
+         for run, label, flagged in merge_runs(raw, group_tol)], n * (h.n + 1))
 
 
 def exp_sum(freqs, coefs, t) -> np.ndarray:

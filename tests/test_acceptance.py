@@ -28,11 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from coronawalk.corona import (
-    CoronaSpec,
-    corona_spectral_closed_form,
-    lift_class,
-)
+from coronawalk.corona import CoronaSpec, lift_class
 from coronawalk.exact import QuadInt, SquareFreeSplit, square_free_part
 from coronawalk.graphs import (
     cocktail_party_graph,
@@ -57,6 +53,7 @@ from oracles import (
     amplitudes,
     corona_entry_base_base,
     corona_entry_base_copy,
+    engine,
     fidelity,
     projector,
     reassemble,
@@ -81,9 +78,8 @@ def _line(tag: str, ok: bool, detail: str) -> None:
 
 
 def _base_periodicity(g, h, v):
-    """The one periodicity verdict at (v, 0), from the closed form of g * h."""
-    closed = corona_spectral_closed_form(CoronaSpec.from_graphs(g, h), exact_decomposition(g),
-                                         exact_decomposition(h))
+    """The one periodicity verdict at (v, 0), from the corona engine on g * h."""
+    closed = engine(exact_decomposition(g), h)
     sup = closed.support(v)
     return periodicity_test(sup.exact, sup.beyond_quadratic)
 
@@ -98,7 +94,7 @@ def test_criterion_1_closed_form_matches_numeric_oracle():
             spec = CoronaSpec.from_graphs(g, h)
             gd = exact_decomposition(g)
             hd = exact_decomposition(h)
-            closed = corona_spectral_closed_form(spec, gd, hd)
+            closed = engine(gd, h, hd)
             assembled = corona_graph(g, h)
             a = assembled.adjacency().astype(float)
             recon = float(np.max(np.abs(reassemble(closed) - a)))
@@ -255,7 +251,7 @@ def test_criterion_5b_pgst_zero_mode_family():
     assert splits[-2] == SquareFreeSplit(8, 1)
     assert splits[2] == SquareFreeSplit(4, 3)
     half_gap = splits[2].s * math.sqrt(splits[2].c) / 2  # 2*sqrt(3)
-    entry = {c.exact.as_integer(): projector(c)[0, 2] for c in gd.classes}
+    entry = {c.exact.as_integer(): projector(gd, i)[0, 2] for i, c in enumerate(gd.classes)}
     assert entry[2] == pytest.approx(0.25, abs=1e-12)
     assert entry[0] + entry[-2] == pytest.approx(-0.25, abs=1e-12)
     cap = 0.5  # |cos(x)/4 - 1/4| <= 1/2, with equality only at cos(x) = -1
@@ -353,13 +349,12 @@ def test_criterion_6_invariant_suite_on_random_graphs():
         d = decompose(g.adjacency())
         eye = np.eye(d.n)
 
-        total = sum(projector(c) for c in d.classes)
-        proj_err = max(proj_err, float(np.max(np.abs(total - eye))))
-        for i, c in enumerate(d.classes):
-            p = projector(c)
+        projectors = [projector(d, i) for i in range(len(d.classes))]
+        proj_err = max(proj_err, float(np.max(np.abs(sum(projectors) - eye))))
+        for i, p in enumerate(projectors):
             proj_err = max(proj_err, float(np.max(np.abs(p @ p - p))))
-            for c2 in d.classes[i + 1 :]:
-                proj_err = max(proj_err, float(np.max(np.abs(p @ projector(c2)))))
+            for p2 in projectors[i + 1 :]:
+                proj_err = max(proj_err, float(np.max(np.abs(p @ p2))))
         assert proj_err < 1e-9
 
         t, s = rng.uniform(0.0, 10.0, size=2)

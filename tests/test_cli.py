@@ -22,6 +22,7 @@ from coronawalk.cli import (
     EXIT_OK,
     EXIT_USAGE,
     GraphSpecError,
+    _decomposition,
     _render_csv,
     _round15,
     dumps_report,
@@ -30,7 +31,6 @@ from coronawalk.cli import (
     run_command,
 )
 from coronawalk.defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_SUPPORT_TOL
-from coronawalk.spectral import SpecFactors
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import GraphSpec
 from coronawalk.leafspectra import FamilyDecomposition
@@ -68,7 +68,7 @@ class TestParseGraphSpec:
     def test_nested_corona(self):
         spec = parse_graph_spec("corona(corona(path:2,empty:2),cycle:3)")
         assert spec.factors[0].kind == "corona"
-        assert SpecFactors().graph(spec).n == (2 * 3) * 4
+        assert graphs.build_graph(spec, {}).n == (2 * 3) * 4
 
     def test_whitespace_insensitive(self):
         assert parse_graph_spec(" corona( path:2 ,\tcycle:3 ) ") == parse_graph_spec(
@@ -447,9 +447,8 @@ class TestFactorRouting:
         paw.write_text("4\n0 1\n1 2\n0 2\n2 3\n", encoding="utf-8")
         text = text.format(paw=paw)
         spec = parse_graph_spec(text)
-        factors = SpecFactors()
-        g = factors.graph(spec.factors[0])
-        oracle = spectral.exact_decomposition(factors.graph(spec))
+        g = graphs.build_graph(spec.factors[0], {})
+        oracle = spectral.exact_decomposition(graphs.build_graph(spec, {}))
 
         def check(records, classes):
             assert len(records) == len(classes)
@@ -512,8 +511,8 @@ class TestAdjacencyBuilds:
          (("periodic", "corona(cycle:8,cycle:4)", "--u", "1"), []),
          (("pst", "corona(cycle:13,path:4)", "--u", "0", "--v", "6"), []),
          # an irregular H read from a file is labelled before its main data
-         # is read off it
-         (("pst", "corona(cycle:13,file:{path4})", "--u", "0", "--v", "6"), [4, 13])],
+         # is read off it, and the family base is read by theorem
+         (("pst", "corona(cycle:13,file:{path4})", "--u", "0", "--v", "6"), [4])],
         ids=["spectrum", "support", "periodic-corona", "pst-path-copy", "pst-irregular-copy"],
     )
     def test_each_adjacency_is_built_once(self, capsys, monkeypatch, tmp_path, argv, orders):
@@ -587,8 +586,8 @@ class TestLabelsFollowTheReader:
     @pytest.mark.parametrize("copy", ["path:3", "star:4"])
     def test_scan_reads_a_family_copy_factor_by_theorem(self, capsys, monkeypatch, copy):
         """Over a path or star copy factor the scan reads H's main data by
-        theorem (`familycorona.family_main`), with no eigensolve, and finds
-        what the main data off H's eigensolve finds."""
+        theorem (`corona.main_atoms` on its eigenspaces), with no eigensolve,
+        and finds what the main data off H's eigensolve finds."""
         spec_text = f"corona(cycle:6,{copy})"
         argv = ("--pair", "base-copy", "--v", "0", "--vp", "1", "--w", "1", "--points", "2000")
         with mock.patch.object(spectral, "symmetric_eigen", side_effect=AssertionError):
@@ -596,8 +595,9 @@ class TestLabelsFollowTheReader:
         assert (code, err) == (EXIT_OK, "")
         spec = parse_graph_spec(spec_text)
         base = spec.factors[0]
+        g, h = (graphs.build_graph(f, {}) for f in spec.factors)
         scan = transfer.corona_no_pst_check(
-            SpecFactors().corona(spec), FamilyDecomposition(base.kind, base.size, 1e-8),
+            corona.CoronaSpec.from_graphs(g, h), FamilyDecomposition(base.kind, base.size, 1e-8),
             1, 0, 50.0, 2000, 1)
         report = json.loads(out)
         for key in ("max_fidelity", "argmax_time", "static_bound"):
@@ -1158,10 +1158,10 @@ def run_captured(*argv) -> tuple[int, str, str]:
 
 def cospectral_report(spec_text: str, u: int, v: int,
                       tol: float = DEFAULT_COSPECTRAL_TOL):
-    """Signs of strong cospectrality on the spec's full decomposition (closed
-    form for a corona), and the cospectral report that path writes."""
+    """Signs of strong cospectrality on the spec's full decomposition (the
+    corona engine for a corona), and the cospectral report that path writes."""
     spec = parse_graph_spec(spec_text)
-    d = SpecFactors().decomposition(spec)
+    d = _decomposition(spec)
     signs = d.signs(u, v, tol)
     report = {"command": "cospectral", "spec": str(spec), "u": u, "v": v,
               "strongly_cospectral": signs is not None}
@@ -1197,13 +1197,13 @@ class TestCospectralDegreeGate:
         degree = [len(g.neighbors(x)) for x in range(g.n)]
         assert [graphs.spec_degree(spec, {}, x) for x in range(g.n)] == degree
         assert 4 * DEFAULT_COSPECTRAL_TOL * g.edge_count < 1
-        d = SpecFactors().decomposition(spec)
+        d = _decomposition(spec)
         refuted = [(u, v) for u in range(g.n) for v in range(g.n) if degree[u] != degree[v]]
         for u, v in refuted:
             assert d.signs(u, v) is None, (u, v)
         for u, v in refuted[:: max(1, len(refuted) // self.CLI_PAIRS)]:
             expected = cospectral_report(text, u, v)[1]
-            with mock.patch.object(spectral.SpecFactors, "decomposition") as decomposition:
+            with mock.patch("coronawalk.cli._decompose") as decomposition:
                 assert run_captured("cospectral", text, "--u", str(u), "--v", str(v)) == (
                     EXIT_OK, expected, "")
             decomposition.assert_not_called()
@@ -1234,7 +1234,7 @@ class TestCospectralDegreeGate:
         text = "corona(path:4,cycle:3)"  # base 0 has degree 4, base 1 degree 8
         assert graphs.build_graph(parse_graph_spec(text), {}).edge_count == 33
         argv = ("cospectral", text, "--u", "0", "--v", "1", "--cospectral-tol", "1e-2")
-        with mock.patch.object(spectral.SpecFactors, "decomposition") as decomposition:
+        with mock.patch("coronawalk.cli._decompose") as decomposition:
             code, out, err = run_captured(*argv)
         decomposition.assert_not_called()
         assert (code, err) == (EXIT_OK, "")

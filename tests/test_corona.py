@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,19 +12,22 @@ from hypothesis import strategies as st
 from coronawalk import corona as corona_module
 from coronawalk import spectral, transfer
 from coronawalk.arrowhead import secular_lifts
-from coronawalk.cli import parse_graph_spec
+from coronawalk.cli import _corona_spec, _decomposition, parse_graph_spec
 from coronawalk.corona import (
     CoronaSpec,
     MainData,
-    corona_spectral_closed_form,
     corona_terms,
     lift_class,
     lift_polynomial,
+    main_atoms,
+    merge_runs,
     regular_main,
 )
+from coronawalk.coronaspectra import CoronaDecomposition
 from coronawalk.defaults import DEFAULT_GROUP_TOL, GRID_BLOCK
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
+    build_graph,
     cocktail_party_graph,
     complete_graph,
     copy_index,
@@ -36,15 +40,11 @@ from coronawalk.graphs import (
     star_graph,
     write_edge_list,
 )
-from coronawalk.spectral import (
-    SpecFactors,
-    decompose,
-    exact_decomposition,
-    exp_sum_grid,
-)
+from coronawalk.spectral import decompose, exact_decomposition, exp_sum_grid
 
 from oracles import (
     amplitudes,
+    engine,
     corona_entry_base_base,
     corona_entry_base_copy,
     exp_sum,
@@ -58,10 +58,7 @@ from oracles import (
 
 
 def closed_form(g, h):
-    spec = CoronaSpec.from_graphs(g, h)
-    return spec, corona_spectral_closed_form(
-        spec, exact_decomposition(g), exact_decomposition(h)
-    )
+    return CoronaSpec.from_graphs(g, h), engine(exact_decomposition(g), h)
 
 
 class TestAssembly:
@@ -289,7 +286,7 @@ class TestClosedForm:
         spec, d = closed_form(g, h)
         a = corona_graph(g, h).adjacency().astype(float)
         assert np.max(np.abs(reassemble(d) - a)) < 1e-8
-        total = sum(projector(c) for c in d.classes)
+        total = sum(projector(d, i) for i in range(len(d.classes)))
         assert np.max(np.abs(total - np.eye(d.n))) < 1e-9
         assert sum(c.multiplicity for c in d.classes) == d.n
 
@@ -320,9 +317,9 @@ class TestClosedForm:
         for c in exact_decomposition(g).classes:
             for lift in lift_class(c.value, c.exact, spec.main):
                 pair_values.add(round(lift.value, 9))
-        for c in d.classes:
+        for i, c in enumerate(d.classes):
             if round(c.value, 9) in h_only and round(c.value, 9) not in pair_values:
-                assert np.max(np.abs(projector(c)[: g.n, :])) == 0.0
+                assert np.max(np.abs(projector(d, i)[: g.n, :])) == 0.0
 
     @pytest.mark.parametrize(
         "g,h",
@@ -373,10 +370,7 @@ class TestClosedForm:
 
     def test_disconnected_base_reconstructs(self):
         g, h = empty_graph(2), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        d = corona_spectral_closed_form(
-            spec, exact_decomposition(g), exact_decomposition(h)
-        )
+        _, d = closed_form(g, h)
         a = corona_graph(g, h).adjacency().astype(float)
         assert np.max(np.abs(reassemble(d) - a)) < 1e-8
 
@@ -400,11 +394,10 @@ class TestClosedForm:
             "4 10\n5 10\n6 7\n7 10\n7 11\n9 10\n9 11\n10 11\n"
         )
         spec = parse_graph_spec(f"corona(file:{path},cycle:3)")
-        factors = SpecFactors(group_tol=1e-2)
-        base = factors.labelled(spec.factors[0])
+        base = _decomposition(spec.factors[0], 1e-2, labelled=True)
         assert any(abs(c.value) <= 1e-2 and c.exact is None for c in base.classes)
-        d = factors.labelled(spec)
-        assembled = np.linalg.eigvalsh(factors.graph(spec).adjacency().astype(float))
+        d = _decomposition(spec, 1e-2, labelled=True)
+        assembled = np.linalg.eigvalsh(build_graph(spec, {}).adjacency().astype(float))
         labels = [c.exact for c in d.classes if c.exact is not None]
         assert labels
         for q in labels:
@@ -426,7 +419,7 @@ class TestClosedForm:
         labels = [lift.exact for c in gd.classes
                   for lift in lift_class(c.value, c.exact, spec.main) if lift.exact is not None]
         assert labels
-        d = corona_spectral_closed_form(spec, gd, decompose(h.adjacency()))
+        d = engine(gd, h, decompose(h.adjacency()))
         assert {c.exact for c in d.classes} > set(labels)
         assembled = corona_graph(g, h).adjacency()
         values = np.linalg.eigvalsh(assembled.astype(float))
@@ -453,10 +446,7 @@ class TestClosedForm:
             if g.is_connected():
                 break
         h = copies[seed]
-        spec = CoronaSpec.from_graphs(g, h)
-        closed = corona_spectral_closed_form(
-            spec, decompose(g.adjacency()), decompose(h.adjacency())
-        )
+        closed = engine(decompose(g.adjacency()), h, decompose(h.adjacency()))
         a = corona_graph(g, h).adjacency().astype(float)
         assert np.max(np.abs(reassemble(closed) - a)) < 1e-8
         oracle = decompose(a)
@@ -470,48 +460,6 @@ class TestClosedForm:
                  for i in range(closed.n)]
             )
             assert np.max(np.abs(lhs - rhs)) < 1e-7
-
-
-class TestBlockFormat:
-    @pytest.mark.parametrize("path", ["closed-form", "decompose"])
-    @pytest.mark.parametrize(
-        "text",
-        [
-            # -4 is both a lift of the base eigenvalue -2 and a copy class
-            "corona(cocktail:3,cycle:3)",
-            # the disconnected base puts its lam = 0 columns into the k and 0 classes
-            "corona(empty:2,cycle:3)",
-            "corona(corona(path:2,cycle:3),complete:3)",
-        ],
-        ids=["cocktail3-c3", "empty2-c3", "nested"],
-    )
-    def test_blocks_are_orthonormal_and_rows_give_eigh_projector(self, text, path):
-        spec = parse_graph_spec(text)
-        a = SpecFactors().graph(spec).adjacency().astype(float)
-        d = SpecFactors().decomposition(spec) if path == "closed-form" else decompose(a)
-        values, vecs = np.linalg.eigh(a)
-        assert sum(c.multiplicity for c in d.classes) == d.n == len(values)
-        for c in d.classes:
-            v = c.vectors
-            assert np.max(np.abs(v.T @ v - np.eye(c.multiplicity))) < 1e-10
-            cols = vecs[:, np.abs(values - c.value) < 1e-6]
-            assert cols.shape[1] == c.multiplicity
-            ref = cols @ cols.T
-            rows = np.array([[d.entry(c.vectors, u, w) for w in range(d.n)]
-                             for u in range(d.n)])
-            assert np.max(np.abs(rows - ref)) < 1e-8
-
-    def test_closed_form_memory_is_one_basis_not_a_projector_per_class(self):
-        # 71 classes on 1260 vertices: dense projectors would need ~0.9 GB
-        spec = parse_graph_spec("corona(cycle:60,cycle:20)")
-        tracemalloc.start()
-        try:
-            d = SpecFactors().decomposition(spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert d.n == 1260
-        assert peak < 64 * 2**20
 
 
 ORACLE_BASES = ([f"path:{n}" for n in range(1, 6)] + ["cycle:3", "cycle:4", "cycle:5"]
@@ -533,20 +481,19 @@ GROUPING_FACTORS = ([f"path:{n}" for n in range(2, 8)] + [f"cycle:{n}" for n in 
 
 
 class TestOracleEquality:
-    """The closed form equals the assembled exact decomposition class by class
+    """The engine equals the assembled exact decomposition class by class
     on 19 bases times 17 copy factors, 323 factor pairs."""
 
     @pytest.mark.parametrize("group_tol", [1e-2, 5e-3, 1e-3])
     def test_loose_group_tol_splits_where_the_assembled_graph_does(self, group_tol):
-        # at a loose tolerance adjacent gaps chain into one class: the closed
-        # form groups its values by the rule `decompose` applies to the
-        # assembled corona's, over all 529 coronas of the small families
-        factors = SpecFactors(group_tol)
+        # at a loose tolerance adjacent gaps chain into one class: the engine
+        # groups its values by the rule `decompose` applies to the assembled
+        # corona's, over all 529 coronas of the small families
         for base in GROUPING_FACTORS:
             for copy in GROUPING_FACTORS:
                 spec = parse_graph_spec(f"corona({base},{copy})")
-                d = factors.decomposition(spec)
-                ref = decompose(factors.graph(spec).adjacency(), group_tol)
+                d = _decomposition(spec, group_tol)
+                ref = decompose(build_graph(spec, {}).adjacency(), group_tol)
                 assert [c.multiplicity for c in d.classes] == \
                     [r.multiplicity for r in ref.classes], str(spec)
 
@@ -557,17 +504,16 @@ class TestOracleEquality:
         # an irregular H's copy classes come from H grouped at the default
         # tolerance and merge at the loose one: the assembled grouping, each
         # class valued at one of the corona's eigenvalues, not at a mean
-        factors = SpecFactors(group_tol)
         spec = parse_graph_spec(spec)
-        d = factors.labelled(spec)
-        a = factors.graph(spec).adjacency()
+        d = _decomposition(spec, group_tol, labelled=True)
+        a = build_graph(spec, {}).adjacency()
         assert [c.multiplicity for c in d.classes] == \
             [r.multiplicity for r in decompose(a, group_tol).classes]
         values = np.linalg.eigvalsh(a.astype(float))
         assert max(np.min(np.abs(values - c.value)) for c in d.classes) < 1e-9
 
     @pytest.mark.parametrize("copy", ORACLE_COPIES)
-    def test_closed_form_equals_assembled_exact_decomposition(self, tmp_path, copy):
+    def test_engine_equals_assembled_exact_decomposition(self, tmp_path, copy):
         assert len(ORACLE_BASES) * len(ORACLE_COPIES) >= 200
         if copy in ORACLE_FILES:
             path = tmp_path / "h.edges"
@@ -575,9 +521,8 @@ class TestOracleEquality:
             copy = f"file:{path}"
         for base in ORACLE_BASES:
             spec = parse_graph_spec(f"corona({base},{copy})")
-            factors = SpecFactors()
-            d = factors.labelled(spec)
-            ref = exact_decomposition(factors.graph(spec))
+            d = _decomposition(spec, labelled=True)
+            ref = exact_decomposition(build_graph(spec, {}))
             assert [(c.multiplicity, c.exact) for c in d.classes] == \
                 [(r.multiplicity, r.exact) for r in ref.classes], base
             assert np.allclose([c.value for c in d.classes],
@@ -594,11 +539,10 @@ class TestOracleEquality:
         path = tmp_path / "h.edges"
         path.write_text(write_edge_list(random_irregular_graph(40, 0)))
         spec = parse_graph_spec(f"corona(path:3,file:{path})")
-        factors = SpecFactors(group_tol)
-        main = factors.corona(spec).main
+        main = _corona_spec(spec, {}).main
         assert len(main.values) == len(main.coefs) == 40  # an arrowhead of 41 rows
-        assembled = np.linalg.eigvalsh(factors.graph(spec).adjacency())
-        for c in factors.labelled(spec).classes:
+        assembled = np.linalg.eigvalsh(build_graph(spec, {}).adjacency())
+        for c in _decomposition(spec, group_tol, labelled=True).classes:
             assert np.min(np.abs(assembled - c.value)) <= 1e-9, c.value
 
 
@@ -650,7 +594,7 @@ class TestEntries:
             other = corona_entry_base_copy(spec, gd, 0, 1, w, ts)
             assert np.max(np.abs(other - reference)) < 1e-10
 
-    def test_rounding_zero_class_lifts_as_in_the_closed_form(self):
+    def test_rounding_zero_class_lifts_as_in_the_engine(self):
         # C4's class 0 (exact label 0) comes out of eigh as -1.1e-16
         g, h = cycle_graph(4), cycle_graph(3)
         spec, d = closed_form(g, h)
@@ -661,11 +605,11 @@ class TestEntries:
         assert np.all(freqs[np.abs(freqs) < 1e-12] == 0.0)
         assert coefs[list(freqs).index(2.0)] == 0.0
         assert coefs[list(freqs).index(0.0)] == gd.entry(zero.vectors, 0, 1)
-        # the closed form lifts the same class to exactly 2 and 0, and its
-        # value-2 block lies on the copies alone
+        # the engine lifts the same class to exactly 2 and 0, and its value-2
+        # class lies on the copies alone
         values = [c.value for c in d.classes]
         assert 2.0 in values and 0.0 in values
-        assert np.all(d.classes[values.index(2.0)].vectors[: g.n] == 0.0)
+        assert np.all(projector(d, values.index(2.0))[: g.n] == 0.0)
         assert base_lifts([zero.exact], spec.main) == [(0.0, QuadInt.from_int(0))]
 
     def test_degenerate_zero_gap_for_zero_degree(self):
@@ -903,16 +847,19 @@ class TestDegreeFlag:
     def test_nothing_else_is_flagged(self, label, main):
         assert not any(l.beyond_quadratic for l in lift_class(math.sqrt(2), label, main))
 
-    def test_float_classes_carry_no_flag(self):
-        d = SpecFactors().decomposition(parse_graph_spec("corona(path:4,cycle:3)"))
-        assert not any(c.beyond_quadratic for c in d.classes)
+    def test_float_classes_carry_no_flag(self, tmp_path):
+        # P4 as a file leaf, unlabelled: its lifts take no label and no flag
+        path = tmp_path / "p4.edges"
+        path.write_text(write_edge_list(path_graph(4)))
+        d = _decomposition(parse_graph_spec(f"corona(file:{path},cycle:3)"))
+        assert not any(c.beyond_quadratic or c.exact for c in d.classes)
 
     def test_copy_classes_inherit_the_flag(self):
         # the copy factor corona(path:4,cycle:3) has four flagged classes, none
         # of them main: each survives in the two copies of the outer corona
-        factors = SpecFactors()
-        h = factors.labelled(parse_graph_spec("corona(path:4,cycle:3)"))
-        d = factors.labelled(parse_graph_spec("corona(path:2,corona(path:4,cycle:3))"))
+        h = _decomposition(parse_graph_spec("corona(path:4,cycle:3)"), labelled=True)
+        d = _decomposition(parse_graph_spec("corona(path:2,corona(path:4,cycle:3))"),
+                           labelled=True)
         # them main: each survives in the two copies of the outer corona; the
         # outer lifts of +-1 over that irregular H are flagged on their own
         inner = [c.value for c in h.classes if c.beyond_quadratic]
@@ -928,10 +875,10 @@ class TestDegreeFlag:
         ((None, True), (None, False), (None, False)),
     ], ids=["shared-label", "one-unlabelled", "shared-flag", "one-unflagged"])
     def test_a_merged_class_keeps_what_every_member_carries(self, first, second, merged):
-        raw = [spectral.EigenClass(1.0 + 1e-12 * i, np.eye(2)[:, [i]], *member)
-               for i, member in enumerate((first, second))]
-        (c,) = corona_module._merge_classes(raw, 2, 1e-8).classes
-        assert (c.exact, c.beyond_quadratic, c.multiplicity) == (*merged, 2)
+        raw = [SimpleNamespace(value=1.0 + 1e-12 * i, exact=exact, beyond_quadratic=flag)
+               for i, (exact, flag) in enumerate((first, second))]
+        ((run, *c),) = merge_runs(raw, 1e-8)
+        assert (*c, len(run)) == (*merged, 2)
 
     def test_every_label_lies_on_its_class_at_the_widest_grouping(self):
         # at --group-tol 1e-2, 20 of these coronas merged an eigenvalue
@@ -940,22 +887,27 @@ class TestDegreeFlag:
         worst = 0.0
         for g, h in itertools.product(_FAMILY_FACTORS, repeat=2):
             spec = parse_graph_spec(f"corona({g},{h})")
-            a = corona_graph(*(SpecFactors().graph(f) for f in spec.factors)).adjacency()
-            for c in SpecFactors(1e-2).labelled(spec).classes:
+            a = build_graph(spec, {}).adjacency()
+            d = _decomposition(spec, 1e-2, labelled=True)
+            for i, c in enumerate(d.classes):
                 if c.exact is not None:
-                    values = np.linalg.eigvalsh(c.vectors.T @ a @ c.vectors)
+                    # an orthonormal basis of the class: the projector's eigenvectors of 1
+                    weights, vectors = np.linalg.eigh(projector(d, i))
+                    basis = vectors[:, weights > 0.5]
+                    assert basis.shape[1] == c.multiplicity
+                    values = np.linalg.eigvalsh(basis.T @ a @ basis)
                     worst = max(worst, float(np.max(np.abs(values - c.exact.value()))))
         assert worst < 1e-9
 
 
-def assert_flags_agree_with_search(factors, spec, seen):
+def assert_flags_agree_with_search(spec, seen, group_tol=DEFAULT_GROUP_TOL):
     """Every lift over spec's factors that lift_class flags lies outside each
     factor of degree <= 2 of its lift polynomial that the float-free search
     (`small_factors`) finds, and every label's doubled minimal polynomial is
     one of them; (label, copy) pairs in seen are skipped.  Returns the number
     of flags checked."""
-    main, flags = factors.corona(spec).main, 0
-    for c in factors.labelled(spec.factors[0]).classes:
+    main, flags = _corona_spec(spec, {}).main, 0
+    for c in _decomposition(spec.factors[0], group_tol, labelled=True).classes:
         if c.exact is None or (c.exact, spec.factors[1]) in seen:
             continue
         seen.add((c.exact, spec.factors[1]))
@@ -984,12 +936,12 @@ _CENSUS_COPIES = ("path:2", "path:3", "path:4", "cycle:3", "cycle:4", "complete:
 class TestLiftPolynomial:
     def test_census_of_small_coronas(self):
         """`pst` on every vertex pair of 180 small coronas, from the labelled
-        closed form: the degree flags over irregular copy factors decide 9,312
+        engine: the degree flags over irregular copy factors decide 9,312
         pairs that stayed `Inconclusive`, and every other reason keeps its
         count."""
         counts: dict = {}
         for g, h in itertools.product(_CENSUS_BASES, _CENSUS_COPIES):
-            d = SpecFactors().labelled(parse_graph_spec(f"corona({g},{h})"))
+            d = _decomposition(parse_graph_spec(f"corona({g},{h})"), labelled=True)
             for u, v in itertools.combinations(range(d.n), 2):
                 cert = transfer.pst_certify(d, u, v)
                 key = (cert.verdict, cert.failure_reason)
@@ -1009,7 +961,7 @@ class TestLiftPolynomial:
                                 itertools.product(_FAMILY_FACTORS, repeat=2))
         for g, h in pairs:
             spec = parse_graph_spec(f"corona({g},{h})")
-            flags += assert_flags_agree_with_search(SpecFactors(), spec, seen)
+            flags += assert_flags_agree_with_search(spec, seen)
         assert flags > 0
 
     @pytest.mark.parametrize("seed", range(4))
@@ -1017,14 +969,13 @@ class TestLiftPolynomial:
         path = tmp_path / "h.edges"
         path.write_text(write_edge_list(random_irregular_graph(40, seed)))
         flags = sum(assert_flags_agree_with_search(
-            SpecFactors(), parse_graph_spec(f"corona({g},file:{path})"), set())
+            parse_graph_spec(f"corona({g},file:{path})"), set())
             for g in ("path:3", "cycle:4", "complete:3"))
         assert flags > 0
         # at --group-tol 1e-2 H's main data is still read off H at the default
         # tolerance, so the arrowhead is H's and its flags are certified too
-        loose = SpecFactors(1e-2)
         assert assert_flags_agree_with_search(
-            loose, parse_graph_spec(f"corona(path:3,file:{path})"), set()) > 0
+            parse_graph_spec(f"corona(path:3,file:{path})"), set(), 1e-2) > 0
 
     def test_regular_flags_are_the_square_test(self):
         # over a k-regular H the lifts of (a + b sqrt(delta))/2 have degree 4
@@ -1083,6 +1034,6 @@ class TestLiftPolynomial:
                 mock.patch("coronawalk.spectral.exact_rank", side_effect=AssertionError):
             for spec in ("corona(path:4,cycle:3)", "corona(path:2,path:3)",
                          "corona(cycle:5,star:4)", "corona(path:3,corona(path:4,cycle:3))"):
-                d = SpecFactors().labelled(parse_graph_spec(spec))
+                d = _decomposition(parse_graph_spec(spec), labelled=True)
                 assert any(c.exact is not None for c in d.classes)
                 assert any(c.beyond_quadratic for c in d.classes)

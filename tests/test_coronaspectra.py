@@ -1,21 +1,20 @@
-"""Coronas of two families by theorem (`familycorona.FamilyCoronaDecomposition`)
-against the closed form (`corona_spectral_closed_form`, through
-`SpecFactors.labelled`) on the same spec, and a few small coronas against
-the assembled graph."""
+"""The corona engine (`coronaspectra.CoronaDecomposition`, through
+`cli._decomposition`) on coronas of two families against the Kronecker
+closed form of the same spec (`oracles.closed_form`), and a few small
+coronas against the assembled graph."""
 
 import numpy as np
 import pytest
 
-from coronawalk.cli import parse_graph_spec
+from coronawalk.cli import _decomposition, parse_graph_spec
 from coronawalk.defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_SUPPORT_TOL
 from coronawalk.exact import QuadInt
-from coronawalk.familycorona import FamilyCoronaDecomposition
 from coronawalk.graphs import FAMILIES, GraphSpec, build_graph, spec_order
 from coronawalk.leafspectra import SupportSet
-from coronawalk.spectral import SpecFactors, exact_decomposition
+from coronawalk.spectral import exact_decomposition
 from coronawalk.transfer import periodicity_test, pst_certify
 
-from oracles import transition_matrix
+from oracles import closed_form, transition_matrix
 
 BASES = ([f"{kind}:{n}" for kind in ("path", "cycle", "complete", "empty", "star")
           for n in range(FAMILIES[kind].minimum, 11)] + [f"cocktail:{n}" for n in range(1, 6)])
@@ -139,7 +138,7 @@ def same_classes(spec, mine, closed) -> None:
 
 
 @pytest.mark.parametrize("base", BASES)
-def test_theorem_equals_the_closed_form(base):
+def test_the_engine_equals_the_closed_form(base):
     """Classes, the support and periodicity verdict of every vertex, the
     signs and PST certificate of every ordered pair (base-base, base-copy and
     copy-copy) and amplitudes at three times within 1e-12, over every copy
@@ -147,12 +146,11 @@ def test_theorem_equals_the_closed_form(base):
     at --group-tol 1e-8, 1e-3 and 1e-2.  A looser
     tolerance that groups every class as 1e-8 does gives the same members,
     so its queries are those compared at 1e-8."""
-    factors = {tol: SpecFactors(tol) for tol in (1e-8, 1e-3, 1e-2)}
     for copy in COPIES:
         spec = corona(base, copy)
         seen = None
-        for tol, sf in factors.items():
-            mine, closed = FamilyCoronaDecomposition(spec, tol), sf.labelled(spec)
+        for tol in (1e-8, 1e-3, 1e-2):
+            mine, closed = _decomposition(spec, tol, labelled=True), closed_form(spec, tol)
             same_classes(spec, mine, closed)
             grouping = [c.multiplicity for c in mine.classes]
             if grouping != seen:
@@ -169,7 +167,7 @@ SMALL = ["corona(path:3,cycle:3)", "corona(cycle:4,empty:2)", "corona(star:4,com
 def test_the_projector_signs_are_the_float_rule(spec):
     """`ClosedForm` reads supports and signs as `eigenvalue_support` and
     `strong_cospectral` do, on every vertex and ordered pair."""
-    d = SpecFactors().labelled(parse_graph_spec(spec))
+    d = closed_form(parse_graph_spec(spec))
     closed = ClosedForm(d)
     for u in range(d.n):
         assert closed.support(u) == d.support(u)
@@ -184,7 +182,7 @@ def test_small_coronas_equal_the_assembled_graph(spec):
     values within 1e-9, multiplicities and labels equal, every support and
     sign equal to the float route's on it, and U(t) within 1e-9."""
     spec = parse_graph_spec(spec)
-    mine = FamilyCoronaDecomposition(spec, 1e-8)
+    mine = _decomposition(spec, 1e-8, labelled=True)
     ref = exact_decomposition(build_graph(spec, {}))
     assert [(c.multiplicity, c.exact) for c in mine.classes] == \
         [(r.multiplicity, r.exact) for r in ref.classes]
@@ -207,7 +205,7 @@ def test_a_lift_vanishes_on_the_leaves_of_a_star_copy():
     vertex and the star's centres (copy vertices 4-7) but no leaf (copy
     vertices 8-15), as on the assembled graph."""
     spec = parse_graph_spec("corona(path:4,star:3)")
-    mine = FamilyCoronaDecomposition(spec, 1e-8)
+    mine = _decomposition(spec, 1e-8, labelled=True)
     ref = exact_decomposition(build_graph(spec, {}))
     assert [(c.multiplicity, c.exact) for c in mine.classes] == \
         [(r.multiplicity, r.exact) for r in ref.classes]
@@ -224,7 +222,7 @@ def test_each_arrowhead_is_solved_once(monkeypatch, capsys):
     each reads the other's arrowhead: the base's three values take three
     solves of the secular equation over path:200's main data, not five, and
     the report is that of solving each value's arrowhead anew."""
-    from coronawalk import arrowhead, familycorona
+    from coronawalk import arrowhead, coronaspectra
     from coronawalk.cli import run_command
 
     calls = []
@@ -235,8 +233,8 @@ def test_each_arrowhead_is_solved_once(monkeypatch, capsys):
     assert run_command(argv) == 0
     shared = capsys.readouterr().out
     assert len(calls) == 3
-    lift = familycorona.lift_class
-    monkeypatch.setattr(familycorona, "lift_class",
+    lift = coronaspectra.lift_class
+    monkeypatch.setattr(coronaspectra, "lift_class",
                         lambda lam, label, main, solved: lift(lam, label, main))
     assert run_command(argv) == 0
     assert len(calls) == 3 + 5

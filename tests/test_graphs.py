@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
-from coronawalk.spectral import SpecFactors
 from coronawalk.graphs import (
     FAMILIES,
     UNREACHABLE,
     Graph,
     GraphSpec,
     build_family,
+    build_graph,
     cocktail_antipode_map,
     cocktail_party_graph,
     complete_graph,
@@ -95,11 +95,11 @@ class TestRegularityConnectivity:
     def test_is_connected(self):
         assert path_graph(4).is_connected()
         assert not empty_graph(2).is_connected()
-        corona = SpecFactors().graph(
+        corona = build_graph(
             GraphSpec(
                 "corona",
                 factors=(GraphSpec("path", 2), GraphSpec("cycle", 3)),
-            )
+            ), {}
         )
         assert corona.is_connected()
 

@@ -115,15 +115,15 @@ def test_lifts_over_a_path_load_no_numpy():
     equation, in pure Python: lifting and labelling over path:5's main data,
     its three odd eigenspaces by theorem, loads neither numpy nor
     `spectral`."""
-    body = ("from coronawalk.corona import lift_class\n"
+    body = ("from coronawalk.corona import lift_class, main_atoms\n"
             "from coronawalk.exact import QuadInt\n"
-            "from coronawalk.familycorona import family_main\n"
+            "from coronawalk.graphs import path_graph\n"
             "from coronawalk.leafspectra import FamilyDecomposition\n"
-            "main, keys = family_main(FamilyDecomposition('path', 5, 1e-8))\n"
+            "main, keys = main_atoms(FamilyDecomposition('path', 5, 1e-8), path_graph(5))\n"
             "lifts = lift_class(1.0, QuadInt.from_int(1), main)\n"
             "code = [len(lifts), sorted(keys)]")
     assert probe(body, NUMPY_FREE) == {
-        "code": [4, [1, 3, 5]], "loaded": ["coronawalk.exact", "coronawalk.corona"]}
+        "code": [4, [0, 2, 4]], "loaded": ["coronawalk.exact", "coronawalk.corona"]}
 
 
 def test_degree_refuted_cospectral_never_loads_numpy():
@@ -181,9 +181,13 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
         (("fidelity", "corona(cycle:4,cycle:3)", "--u", "11", "--v", "12", "--t", "0.5"),
          ["coronawalk.exact", "coronawalk.corona"]),
         # so are a family corona's over a path or star copy, by the secular
-        # equation; an irregular copy factor read from a file takes the closed
-        # form, on float classes
+        # equation, and a nested family corona's; an irregular copy factor
+        # read from a file gives its float classes
         (("spectrum", "corona(path:2,path:3)"), ["coronawalk.exact", "coronawalk.corona"]),
+        (("spectrum", "corona(path:2,corona(path:3,empty:1))"),
+         ["coronawalk.exact", "coronawalk.corona"]),
+        (("support", "corona(corona(cycle:20,cycle:10),cycle:12)", "--u", "0"),
+         ["coronawalk.exact", "coronawalk.corona"]),
         (("spectrum", "corona(path:2,file:{path})"),
          ["numpy", "coronawalk.exact", "coronawalk.corona", "coronawalk.spectral"]),
         # a scan searches its grid in pure Python; on a family base it loads
@@ -212,7 +216,8 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
     ids=["spectrum", "spectrum-file", "fidelity", "support-file", "support", "cospectral",
          "sweep", "periodic", "pst", "pst-file", "spectrum-corona", "periodic-corona",
          "support-corona", "cospectral-corona", "pst-corona", "fidelity-corona",
-         "spectrum-path-copy", "spectrum-irregular-copy", "no-pst-scan", "no-pst-scan-file",
+         "spectrum-path-copy", "spectrum-nested-copy", "support-nested-base",
+         "spectrum-irregular-copy", "no-pst-scan", "no-pst-scan-file",
          "no-pst-scan-handover", "pgst",
          "pgst-early-stop", "pgst-capped", "pgst-file"],
 )
@@ -242,7 +247,7 @@ def test_every_exported_name_resolves():
     body = ("import coronawalk\n"
             "missing = [n for n in coronawalk.__all__ if getattr(coronawalk, n, None) is None]\n"
             "assert coronawalk.__all__ and not missing, missing\n"
-            "from coronawalk import (CoronaSpec, corona_spectral_closed_form, cycle_graph,\n"
+            "from coronawalk import (CoronaDecomposition, CoronaSpec, cycle_graph,\n"
             "    empty_graph, exact_decomposition, path_graph, periodicity_test, pgst_search,\n"
             "    pst_certify)\n"
             "code = 0")
@@ -285,3 +290,20 @@ def test_cli_registers_no_exit_handler():
         "code": {"codes": [0] * 10, "registered": [], "added": 0},
         "loaded": SEARCH,
     }
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (("spectrum", "corona(path:2,cycle:3)"), ["coronawalk.coronaspectra"]),
+    (("no-pst-scan", "corona(cocktail:3,path:3)", "--pair", "base-copy", "--v", "0", "--vp",
+      "1", "--points", "100"), []),
+    (("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
+      "--lmax", "100"), []),
+    (("no-pst-scan", "corona(path:2,corona(path:3,empty:1))", "--pair", "base-base", "--v",
+      "0", "--vp", "1", "--points", "100"), ["coronawalk.coronaspectra"]),
+], ids=["spectrum", "no-pst-scan", "pgst", "no-pst-scan-corona-copy"])
+def test_only_a_corona_factor_brings_the_engine_to_a_search(argv, loaded):
+    """The searches read the base's walk terms and the copy factor's main data
+    (`corona.corona_terms`): they compile the corona engine only for a corona
+    base or copy factor, which it decomposes."""
+    assert probe(run_quietly(argv), ("coronawalk.coronaspectra",)) == {"code": 0,
+                                                                         "loaded": loaded}

@@ -1,17 +1,22 @@
 """Family spectra and vertex queries by theorem against the dense oracle: the
 eigensolver on the built graph with rank-verified labels
-(`exact_decomposition`), and the float route's supports, signs and verdicts."""
+(`exact_decomposition`), its classes, supports, signs and verdicts; and the
+conformance battery of every decomposition the CLI reads."""
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from coronawalk.cli import _decomposition, parse_graph_spec
 from coronawalk.defaults import DEFAULT_COSPECTRAL_TOL, DEFAULT_SUPPORT_TOL
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import FAMILIES, GraphSpec, build_family, build_graph
-from coronawalk.leafspectra import FamilyDecomposition, class_runs, family_values
-from coronawalk.spectral import SpecFactors, exact_decomposition
+from coronawalk.leafspectra import FamilyDecomposition, class_runs
+from coronawalk.corona import main_atoms
+from coronawalk.coronaspectra import CoronaDecomposition
+from coronawalk.spectral import EigenClass, SpectralDecomposition, decompose, exact_decomposition
 from coronawalk.transfer import PeriodicityVerdict, PSTCertificate, periodicity_test, pst_certify
 
 # path and cycle up to 60, the others up to 20, each from its least size
@@ -21,18 +26,16 @@ LARGEST = {"path": 60, "cycle": 60, "complete": 20, "cocktail": 20, "empty": 20,
 @pytest.mark.parametrize("group_tol", [1e-8, 1e-3, 1e-2])
 @pytest.mark.parametrize("kind", sorted(LARGEST))
 def test_theorem_equals_exact_decomposition(kind, group_tol):
-    """The `spectrum` classes and the labelled leaf both match the oracle:
-    multiplicities and labels equal, values within 1e-12, also where a loose
-    tolerance merges distinct values into one unlabelled class."""
+    """The `spectrum` classes match the oracle: multiplicities and labels
+    equal, values within 1e-12, also where a loose tolerance merges distinct
+    values into one unlabelled class."""
     for n in range(FAMILIES[kind].minimum, LARGEST[kind] + 1):
         spec = GraphSpec(kind, n)
         ref = exact_decomposition(build_family(spec), group_tol).classes
-        for classes in (FamilyDecomposition(kind, n, group_tol).classes,
-                        SpecFactors(group_tol).labelled(spec).classes):
-            assert [(c.multiplicity, c.exact) for c in classes] == \
-                [(r.multiplicity, r.exact) for r in ref], str(spec)
-            assert max(abs(c.value - r.value) for c, r in zip(classes, ref)) <= 1e-12, \
-                str(spec)
+        classes = FamilyDecomposition(kind, n, group_tol).classes
+        assert [(c.multiplicity, c.exact) for c in classes] == \
+            [(r.multiplicity, r.exact) for r in ref], str(spec)
+        assert max(abs(c.value - r.value) for c, r in zip(classes, ref)) <= 1e-12, str(spec)
 
 
 @pytest.mark.parametrize(
@@ -51,7 +54,7 @@ def test_theorem_equals_exact_decomposition(kind, group_tol):
     ],
 )
 def test_integer_spectra(kind, n, expected):
-    assert [(c.exact, c.multiplicity) for c in family_values(kind, n)] == \
+    assert [(c.exact, c.multiplicity) for c in FamilyDecomposition(kind, n, 1e-8).classes] == \
         [(QuadInt.from_int(r), m) for r, m in expected]
 
 
@@ -69,7 +72,7 @@ def test_integer_spectra(kind, n, expected):
     ],
 )
 def test_labels(kind, n, expected):
-    values = family_values(kind, n)
+    values = FamilyDecomposition(kind, n, 1e-8).classes
     assert [c.exact for c in values] == expected
     assert all(c.value == c.exact.value() for c in values if c.exact is not None)
     assert sum(c.multiplicity for c in values) == n
@@ -125,8 +128,9 @@ def _same_record(got, want):
 @pytest.mark.parametrize("kind", sorted(LARGEST))
 def test_vertex_queries_equal_the_float_route(kind, group_tol):
     """Support class indices, sign maps, periodicity and PST verdicts read off
-    the eigenspaces in integers equal the float route's on the labelled leaf,
-    on every vertex and ordered pair, floats within 1e-12.  The float route is
+    the eigenspaces in integers equal the float route's on the leaf's
+    eigensolve with rank-verified labels, on every vertex and ordered pair,
+    floats within 1e-12.  The float route is
     clear of its tolerances on these leaves: a family projector's nonzero
     column norm or column difference is far above 1e-7.  The one designed
     difference is the degree refutation: where u's support holds an
@@ -135,9 +139,7 @@ def test_vertex_queries_equal_the_float_route(kind, group_tol):
     for n in range(FAMILIES[kind].minimum, LARGEST[kind] + 1):
         spec = GraphSpec(kind, n)
         family = _Memo(FamilyDecomposition(kind, n, group_tol))
-        # the float classes' queries call eigenvalue_support, strong_cospectral
-        # and entry_amplitudes
-        floats = _Memo(SpecFactors(group_tol).labelled(spec))
+        floats = _Memo(exact_decomposition(build_family(spec), group_tol))
         assert family.n == floats.n and len(family.classes) == len(floats.classes)
         for u in range(family.n):
             got, want = family.support(u), floats.support(u)
@@ -175,7 +177,7 @@ def test_degree_flag_by_brute_force(kind):
     path and cycle values can have degree 3 or more."""
     for n in range(FAMILIES[kind].minimum, 61):
         spec = GraphSpec(kind, n)
-        oracle = SpecFactors().labelled(spec)
+        oracle = exact_decomposition(build_family(spec))
         if oracle.n > 60:
             break
         # the distinct values in descending order, as the oracle's classes
@@ -198,32 +200,49 @@ KINDS = {
     "family-corona-star": "corona(path:3,star:3)",
     "family-corona-path": "corona(cycle:4,path:4)",
     "file-leaf": "file:{paw}",
-    "closed-form-regular": "corona(file:{paw},cycle:3)",
-    "closed-form-irregular": "corona(cycle:4,file:{p3})",
-    "nested": "corona(corona(path:2,empty:1),cycle:3)",
+    "file-base": "corona(file:{paw},cycle:3)",
+    "file-copy": "corona(cycle:4,file:{p3})",
+    # +-sqrt(2) of multiplicity 2: a main direction each, and a residual
+    "file-copy-two-p3": "corona(path:2,file:{p3p3})",
+    "empty-copy": "corona(path:3,empty:3)",
+    "nested-base": "corona(corona(path:2,empty:1),cycle:3)",
+    "nested-file-base": "corona(corona(file:{paw},path:2),cycle:3)",
+    "nested-copy": "corona(path:2,corona(path:3,empty:1))",
+    # the lifts -1 of (1 +- sqrt(5))/2 meet: a main class of two atoms with E 1 != 0
+    "nested-copy-meeting-lifts": "corona(path:2,corona(path:4,cycle:3))",
 }
 
 
+@pytest.mark.parametrize("group_tol", [1e-8, 1e-3])
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_every_decomposition_answers_as_the_assembled_graph(kind, tmp_path):
+def test_every_decomposition_answers_as_the_assembled_graph(kind, group_tol, tmp_path):
     """One battery on each kind of decomposition the CLI reads, the kind it
     reads for that spec (`cli._decomposition`), against the assembled graph's
-    eigensolve with rank-verified labels: classes (values within 1e-9,
-    multiplicities and labels equal), the support of every vertex, the signs
-    of every ordered pair, and the walk terms and amplitude of every pair at
-    three times, within 1e-12 but for the values."""
-    paw, p3 = tmp_path / "paw.edges", tmp_path / "p3.edges"
+    eigensolve with rank-verified labels at the same group tol: classes
+    (multiplicities and labels equal, each value an eigenvalue within 1e-9),
+    the support of every vertex, the signs of every ordered pair, and the
+    walk terms of every pair, entries within 1e-12.  At 1e-8, where no class
+    merges distinct eigenvalues, the values, term values and the amplitude
+    at three times agree too (within 1e-9, 1e-9 and 1e-12); a merged class
+    keeps one of its eigenvalues, not their mean."""
+    paw, p3, p3p3 = tmp_path / "paw.edges", tmp_path / "p3.edges", tmp_path / "p3p3.edges"
     paw.write_text(PAW, encoding="utf-8")
     p3.write_text("3\n0 1\n1 2\n", encoding="utf-8")
-    spec = parse_graph_spec(KINDS[kind].format(paw=paw, p3=p3))
-    d = _decomposition(spec, labelled=True)
-    ref = exact_decomposition(build_graph(spec, {}))
+    p3p3.write_text("6\n0 1\n1 2\n3 4\n4 5\n", encoding="utf-8")
+    spec = parse_graph_spec(KINDS[kind].format(paw=paw, p3=p3, p3p3=p3p3))
+    d = _decomposition(spec, group_tol, labelled=True)
+    graph = build_graph(spec, {})
+    ref = exact_decomposition(graph, group_tol)
     assert type(d).__name__ == ("FamilyDecomposition" if kind == "family-leaf" else
-                                "FamilyCoronaDecomposition" if kind.startswith("family-corona")
-                                else "SpectralDecomposition")
+                                "SpectralDecomposition" if kind == "file-leaf"
+                                else "CoronaDecomposition")
     assert [(c.multiplicity, c.exact) for c in d.classes] == \
         [(r.multiplicity, r.exact) for r in ref.classes]
-    assert max(abs(c.value - r.value) for c, r in zip(d.classes, ref.classes)) <= 1e-9
+    values = np.linalg.eigvalsh(graph.adjacency().astype(float))
+    assert max(np.min(np.abs(values - c.value)) for c in d.classes) <= 1e-9
+    exact = group_tol == 1e-8
+    if exact:
+        assert max(abs(c.value - r.value) for c, r in zip(d.classes, ref.classes)) <= 1e-9
     for u in range(d.n):
         assert d.support(u)[:3] == ref.support(u)[:3], u
         for v in range(d.n):
@@ -231,7 +250,51 @@ def test_every_decomposition_answers_as_the_assembled_graph(kind, tmp_path):
                 assert d.signs(u, v) == ref.signs(u, v), (u, v)
             terms, want = d.terms(u, v), ref.terms(u, v)
             assert len(terms) == len(want)
-            assert max(abs(x - y) for (x, _), (y, _) in zip(terms, want)) <= 1e-9
             assert max(abs(x - y) for (_, x), (_, y) in zip(terms, want)) <= 1e-12
-            for t in (0.7, 3.1, 11.3):
-                assert abs(d.amplitude(u, v, t) - ref.amplitude(u, v, t)) <= 1e-12, (u, v, t)
+            if exact:
+                assert max(abs(x - y) for (x, _), (y, _) in zip(terms, want)) <= 1e-9
+                for t in (0.7, 3.1, 11.3):
+                    assert abs(d.amplitude(u, v, t) - ref.amplitude(u, v, t)) <= 1e-12, \
+                        (u, v, t)
+
+
+def test_no_corona_spec_builds_a_kronecker_product(tmp_path):
+    """Every corona of the battery answers every query from its factors:
+    numpy.kron is never called."""
+    paw, p3, p3p3 = tmp_path / "paw.edges", tmp_path / "p3.edges", tmp_path / "p3p3.edges"
+    paw.write_text(PAW, encoding="utf-8")
+    p3.write_text("3\n0 1\n1 2\n", encoding="utf-8")
+    p3p3.write_text("6\n0 1\n1 2\n3 4\n4 5\n", encoding="utf-8")
+    with mock.patch("numpy.kron", side_effect=AssertionError):
+        for text in KINDS.values():
+            spec = parse_graph_spec(text.format(paw=paw, p3=p3, p3p3=p3p3))
+            for labelled in (False, True):
+                d = _decomposition(spec, labelled=labelled)
+                for u in range(d.n):
+                    d.support(u)
+                    d.signs(u, d.n - 1 - u) if 2 * u != d.n - 1 else None
+                    d.amplitude(u, 0, 1.3)
+
+
+def test_a_float_base_decides_its_lifts_at_the_support_tol():
+    """Over a base of float classes a layer entry is read at --support-tol:
+    P3's value 0 as eigh might give it, 1e-17 and unlabelled, lifts over
+    cycle:3 to ~1e-17 on the base and to ~2 with a base entry ~1e-17, which
+    is no eigenvalue of a base vertex, as on the assembled graph; read
+    exactly (!= 0) it would hold every base vertex that 0 holds."""
+    p3 = decompose(build_family(GraphSpec("path", 3)).adjacency())
+    classes = [EigenClass(1e-17 if abs(c.value) < 1e-9 else c.value, c.vectors)
+               for c in p3.classes]
+    base = SpectralDecomposition(classes, 3)
+    h = build_family(GraphSpec("cycle", 3))
+    copy = FamilyDecomposition("cycle", 3, 1e-8)
+    d = CoronaDecomposition(base, copy, *main_atoms(copy, h), 1e-8)
+    two = next(i for i, c in enumerate(d.classes) if abs(c.value - 2) < 1e-9)
+    (atom,) = d.atoms[two]
+    assert 0 < abs(atom.key[0].base) < 1e-15
+    assert d.entry(atom.key, d.vertex(0), d.vertex(0)) > 0
+    assert all(two not in d.support(u).class_indices for u in range(3))
+    ref = exact_decomposition(build_graph(parse_graph_spec("corona(path:3,cycle:3)"), {}))
+    for u in range(3):
+        assert [d.classes[i].value for i in d.support(u).class_indices] == \
+            pytest.approx([ref.classes[i].value for i in ref.support(u).class_indices])

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from coronawalk import corona as corona_module
 from coronawalk import gridmax
 from coronawalk import transfer
-from coronawalk.cli import parse_graph_spec
-from coronawalk.corona import CoronaSpec, corona_spectral_closed_form, corona_terms
+from coronawalk.cli import _corona_spec, _decomposition, parse_graph_spec
+from coronawalk.corona import CoronaSpec, corona_terms
 from coronawalk.defaults import DEFAULT_GROUP_TOL, GRID_BLOCK
 from coronawalk.exact import QuadInt, two_adic_valuation
 from coronawalk.gates import check_pgst
@@ -31,11 +31,7 @@ from coronawalk.graphs import (
     path_graph,
 )
 from coronawalk.leafspectra import FamilyDecomposition
-from coronawalk.spectral import (
-    SpecFactors,
-    decompose,
-    exact_decomposition,
-)
+from coronawalk.spectral import decompose, exact_decomposition
 from coronawalk.transfer import (
     PeriodicityVerdict,
     _match_two_adic_pattern,
@@ -47,7 +43,7 @@ from coronawalk.transfer import (
     pst_certify,
 )
 
-from oracles import amplitudes, corona_entry_base_base, corona_entry_base_copy, fidelity
+from oracles import amplitudes, corona_entry_base_base, corona_entry_base_copy, engine, fidelity
 
 
 def qi(n):
@@ -61,9 +57,8 @@ def vertex_periodicity(d, u):
 
 
 def closed_form(g, h):
-    """The closed form of g * h built from the labelled factors."""
-    return corona_spectral_closed_form(CoronaSpec.from_graphs(g, h), exact_decomposition(g),
-                                       exact_decomposition(h))
+    """The corona engine on g * h from the labelled factors."""
+    return engine(exact_decomposition(g), h)
 
 
 def base_periodicity(g, h, v):
@@ -145,7 +140,7 @@ class TestCoronaBasePeriodicity:
         with mock.patch("coronawalk.corona.lift_polynomial",
                         wraps=corona_module.lift_polynomial) as poly, \
                 mock.patch("coronawalk.spectral.exact_rank", side_effect=AssertionError):
-            d = SpecFactors().labelled(parse_graph_spec("corona(path:4,cycle:3)"))
+            d = _decomposition(parse_graph_spec("corona(path:4,cycle:3)"), labelled=True)
         verdict = vertex_periodicity(d, 0)
         assert verdict == PeriodicityVerdict("no", reason="support value of degree > 2")
         assert sorted(call.args[0] for call in poly.call_args_list) == [
@@ -199,8 +194,7 @@ def test_lifted_base_test_agrees_with_the_vertex_test_on_a_sweep():
     counts: Counter = Counter()
     for g, h in itertools.product(_SWEEP_BASES, _SWEEP_COPIES):
         spec = parse_graph_spec(f"corona({g},{h})")
-        factors = SpecFactors()
-        d, cspec = factors.labelled(spec), factors.corona(spec)
+        d, cspec = _decomposition(spec, labelled=True), _corona_spec(spec, {})
         for u in range(cspec.n):
             verdict = vertex_periodicity(d, u)
             labels_only = periodicity_test(d.support(u).exact)
@@ -304,17 +298,17 @@ class TestPstCertify:
 
     def test_degree_four_lift_refutes_a_base_base_pair(self):
         # the assembled corona's labels leave (0, 0) and (4, 0) of C8 * C4
-        # open; the closed form flags the degree-4 lifts of +-sqrt(2)
+        # open; the engine flags the degree-4 lifts of +-sqrt(2)
         g, h = cycle_graph(8), cycle_graph(4)
-        closed = pst_certify(SpecFactors().labelled(parse_graph_spec("corona(cycle:8,cycle:4)")),
-                             0, 4)
+        closed = pst_certify(_decomposition(parse_graph_spec("corona(cycle:8,cycle:4)"),
+                                            labelled=True), 0, 4)
         assembled = pst_certify(exact_decomposition(corona_graph(g, h)), 0, 4)
         assert (closed.verdict, closed.failure_reason) == ("NoPST", "support value of degree > 2")
         assert (assembled.verdict, assembled.failure_reason) == ("Inconclusive", "inexact spectrum")
 
     def test_degree_four_lift_refutes_a_copy_vertex(self):
         # copy vertex (0, 0) of P4 * C3 meets the lifts of (-1 +- sqrt(5))/2
-        d = SpecFactors().labelled(parse_graph_spec("corona(path:4,cycle:3)"))
+        d = _decomposition(parse_graph_spec("corona(path:4,cycle:3)"), labelled=True)
         u = copy_index(4, 0, 0)
         sup = d.support(u)
         assert sup.beyond_quadratic and not sup.all_exact
