@@ -10,7 +10,10 @@ Algebra Appl. 435, 2011):
             H's main data (`corona.main_atoms`: its main eigenvalues mu_j,
             directions u_j and norms w_j = ||P_j 1||), one per eigenvector
             (base, x) of the arrowhead of lam (`corona.lift_class`, with its
-            labels and degree flags), each atom E of lam giving the atom
+            labels and degree flags, and flagged all where the base knows
+            every lift of lam has degree > 2,
+            `Decomposition.beyond_quadratic_lifts`: an unlabelled family
+            value of degree 3 or >= 5), each atom E of lam giving the atom
             c c^T (x) E for the unit layer column c = (base, U x) on the
             main directions U.  Over a k-regular H that is the paper's pair
             (lam + k +- Lambda)/2, Lambda = sqrt((lam - k)^2 + 4 m lam^2),
@@ -156,10 +159,11 @@ class CoronaDecomposition(Decomposition):
                                    n * (c.multiplicity - bool(held)),
                                    [key for key in keys if key is not None]
                                    + _lines([copy.ones(atoms[j].key) for j in held])))
-        for c, atoms in zip(base.classes, base.atoms):
+        for i, (c, atoms) in enumerate(zip(base.classes, base.atoms)):
             keys = [a.key for a in atoms]
-            raw.extend(_Member(x.value, x.exact, x.beyond_quadratic, c.multiplicity, keys, x.base,
-                               x.coords)
+            beyond = labelled and c.exact is None and base.beyond_quadratic_lifts(i)
+            raw.extend(_Member(x.value, x.exact, x.beyond_quadratic or beyond, c.multiplicity,
+                               keys, x.base, x.coords)
                        for x in lift_class(c.value, c.exact if labelled else None, main, solved))
         runs = merge_runs(raw, group_tol)
         self.classes = [CoronaClass(run[0].value, sum(x.multiplicity for x in run), label, flagged)

@@ -21,7 +21,13 @@ Their exact labels follow from Lehmer's theorem (1933): with p/d the reduced
 fraction j/N, 2cos(2 pi j/N) is an integer iff d is 1, 2, 3, 4 or 6, and a
 quadratic integer iff d is 5, 8, 10 or 12; a path's value is 2cos(2 pi j/(2n+2)).
 Any other d has phi(d) >= 6, so an unlabelled family value has degree
-phi(d)/2 >= 3.  A labelled value is the float of its label.
+phi(d)/2 >= 3.  A labelled value is the float of its label.  A lift theta
+of a base value lam over any copy factor solves lam^2 N(theta) + lam
+M(theta) - theta M(theta) = 0, not identically 0 in lam as M and N are
+coprime, so [Q(lam, theta) : Q(theta)] <= 2: were deg theta <= 2, deg lam
+would divide 1, 2 or 4.  So every lift of a value of degree 3 or >= 5 has
+degree > 2 (`FamilyDecomposition.beyond_quadratic_lifts`); degree 4, d in
+{15, 16, 20, 24, 30}, decides nothing.
 
 `Decomposition` is the one class engine: eigenvalue classes as runs of
 atoms, with support, signs, the walk terms and the amplitude written once
@@ -168,6 +174,11 @@ class Decomposition:
         return complex(sum(entry * complex(math.cos(t * value), -math.sin(t * value))
                            for value, entry in self.terms(u, v)))
 
+    def beyond_quadratic_lifts(self, i: int) -> bool:
+        """Whether every lift of class i over any copy factor is known to
+        have degree > 2; nothing is known unless a subclass says so."""
+        return False
+
 
 class FamilyDecomposition(Decomposition):
     """The classes of family graph `kind:size`, each a run of atoms, one per
@@ -255,6 +266,24 @@ class FamilyDecomposition(Decomposition):
             return (key * root if u == 0 else 1.0) * (key * root if v == 0 else 1.0) / (2 * n - 2)
         return same - 1.0 / n if key else same  # empty, and star:1, one vertex
 
+    def degree(self, key: int) -> int:
+        """The degree of eigenspace `key`'s value: phi(d)/2 for 2cos(2 pi
+        j/N), d = N/gcd(j, N) >= 3, N = 2n + 2 for a path and n for a cycle
+        (module docstring), 1 for d <= 2; every other family's values are
+        integers or square roots."""
+        if self.kind == "star" and key:
+            return 1 if math.isqrt(self.size - 1) ** 2 == self.size - 1 else 2
+        if self.kind not in ("path", "cycle"):
+            return 1
+        big = 2 * self.size + 2 if self.kind == "path" else self.size
+        d = big // math.gcd(key, big)
+        return max(1, _totient(d) // 2)
+
+    def beyond_quadratic_lifts(self, i: int) -> bool:
+        """Whether every eigenspace of class i has degree 3 or >= 5, so every
+        lift of the class does (module docstring)."""
+        return all(self.degree(a.key) == 3 or self.degree(a.key) >= 5 for a in self.atoms[i])
+
     def ones(self, key: int) -> list[float] | None:
         """E 1 on eigenspace `key`: 1 on the eigenspace of J, and on a path's
         odd j E_j 1 = 2/(n+1) cot(pi j/(2n+2)) sin(pi j(u+1)/(n+1)) and a
@@ -277,6 +306,18 @@ class FamilyDecomposition(Decomposition):
         """I - J/n, key 1, for `empty:n`'s I; every other main eigenspace is J's
         or a path's or star's line, with nothing left."""
         return 1 if self.kind == "empty" and self.size > 1 else None
+
+
+def _totient(d: int) -> int:
+    """Euler's phi(d), by trial division."""
+    out, p = d, 2
+    while p * p <= d:
+        if d % p == 0:
+            while d % p == 0:
+                d //= p
+            out -= out // p
+        p += 1
+    return out - out // d if d > 1 else out
 
 
 def _sin_pi(a: int, big_n: int) -> float:

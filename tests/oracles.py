@@ -61,6 +61,27 @@ def transition_matrix(d, t: float) -> np.ndarray:
     return _walk_matrix(d, lambda value: np.exp(-1j * t * value))
 
 
+def value_degree(j: int, big_n: int) -> int:
+    """Degree of 2cos(2 pi j/N) by brute force: phi(d)/2 for the reduced
+    denominator d of j/N when d >= 3, else 1."""
+    d = big_n // math.gcd(j, big_n)
+    return sum(math.gcd(k, d) == 1 for k in range(1, d + 1)) // 2 if d >= 3 else 1
+
+
+def _lifts_beyond_quadratic(spec, d) -> list[bool]:
+    """Per class of d, the decomposition of spec: whether it is an unlabelled
+    class of a path or cycle whose every eigenvalue 2cos(2 pi j/N) has
+    degree 3 or >= 5, so every lift of it has degree > 2."""
+    if spec.kind not in ("path", "cycle"):
+        return [False] * len(d.classes)
+    a = build_graph(spec, {}).adjacency()
+    big_n = 2 * spec.size + 2 if spec.kind == "path" else spec.size
+    return [c.exact is None and all(
+        value_degree(round(math.acos(min(1.0, max(-1.0, x / 2))) * big_n / (2 * math.pi)),
+                     big_n) not in (1, 2, 4)
+        for x in np.linalg.eigvalsh(c.vectors.T @ a @ c.vectors)) for c in d.classes]
+
+
 def engine(gd, h, hd=None, group_tol: float = DEFAULT_GROUP_TOL) -> CoronaDecomposition:
     """The corona engine on the base decomposition gd and the copy factor
     graph h: on hd, or on h's labelled float classes (at the default group
@@ -78,7 +99,9 @@ def closed_form(spec, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposi
     multiplicity) and flagged where each of its eigenvalues is an
     unlabelled family value, and a corona's in closed form from its factors' (an
     irregular copy factor's at the default group tol): x (x) V_lam for each
-    lift x (`corona.lift_class`) of each base class V_lam, and (0 (+) W) (x)
+    lift x (`corona.lift_class`) of each base class V_lam, flagged where the
+    class is a path's or cycle's whose values all have degree 3 or >= 5
+    (`value_degree`), and (0 (+) W) (x)
     I_n for each copy class, W its block less its main direction, merged by
     `corona.merge_runs`."""
     if spec.kind == "file":
@@ -113,11 +136,11 @@ def closed_form(spec, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposi
             w = np.vstack([np.zeros((1, block.shape[1])), block])
             raw.append(EigenClass(c.value, np.kron(w, eye), c.exact, c.beyond_quadratic))
     solved: dict = {}
-    for c in gd.classes:
+    for c, beyond in zip(gd.classes, _lifts_beyond_quadratic(spec.factors[0], gd)):
         for lift in lift_class(c.value, c.exact, main, solved):
             column = np.r_[lift.base, directions @ lift.coords]
             raw.append(EigenClass(lift.value, np.kron(column[:, None], c.vectors),
-                                  lift.exact, lift.beyond_quadratic))
+                                  lift.exact, lift.beyond_quadratic or beyond))
     return SpectralDecomposition(
         [EigenClass(run[0].value, np.hstack([c.vectors for c in run]), label, flagged)
          for run, label, flagged in merge_runs(raw, group_tol)], n * (h.n + 1))

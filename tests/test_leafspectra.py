@@ -298,3 +298,34 @@ def test_a_float_base_decides_its_lifts_at_the_support_tol():
     for u in range(3):
         assert [d.classes[i].value for i in d.support(u).class_indices] == \
             pytest.approx([ref.classes[i].value for i in ref.support(u).class_indices])
+
+
+@pytest.mark.parametrize("kind", ["path", "cycle"])
+def test_value_degrees_by_brute_force(kind):
+    """Every eigenspace's degree on every path and cycle to order 60 is
+    phi(d)/2 counted by brute force, and a class's lifts are flagged in
+    advance exactly where each of its eigenspaces has degree 3 or >= 5, at
+    every group_tol."""
+    for n in range(FAMILIES[kind].minimum, 61):
+        big_n = 2 * n + 2 if kind == "path" else n
+        for group_tol in (1e-8, 1e-3, 1e-2):
+            d = FamilyDecomposition(kind, n, group_tol)
+            for i, atoms in enumerate(d.atoms):
+                degrees = [_degree(a.key, big_n) for a in atoms]
+                assert [d.degree(a.key) for a in atoms] == degrees, (kind, n, i)
+                assert d.beyond_quadratic_lifts(i) == all(x not in (1, 2, 4) for x in degrees)
+
+
+def test_lifts_of_a_cubic_value_refute_transfer():
+    """cycle:7's values 2cos(2 pi j/7), j = 1, 2, 3, have degree 3: over any
+    copy factor every lift is flagged, so each base vertex's support decides
+    `periodic` and `pst`, as the leaf's own support does."""
+    for copy in ("cycle:3", "path:3", "empty:2"):
+        d = _decomposition(parse_graph_spec(f"corona(cycle:7,{copy})"), labelled=True)
+        sup = d.support(0)
+        assert sup.beyond_quadratic and not sup.all_exact
+        cert = pst_certify(d, 0, 1)
+        assert (cert.verdict, cert.failure_reason) == ("NoPST", "support value of degree > 2")
+        # the float readers lift unlabelled, and flag nothing
+        assert not any(c.beyond_quadratic for c in _decomposition(
+            parse_graph_spec(f"corona(cycle:7,{copy})")).classes)
