@@ -303,10 +303,19 @@ def _decomposition(spec: graphs.GraphSpec, group_tol: float = DEFAULT_GROUP_TOL,
     corona's from its factors' (`coronaspectra.CoronaDecomposition`)."""
     built = {} if built is None else built
     graphs.check_budget(graphs.spec_order(spec, built))
-    return _decompose(spec, group_tol, labelled, built)
+    return _decompose(spec, group_tol, labelled, built, {})
 
 
-def _decompose(spec: graphs.GraphSpec, group_tol: float, labelled: bool, built: dict):
+def _decompose(spec: graphs.GraphSpec, group_tol: float, labelled: bool, built: dict,
+               made: dict):
+    """spec's decomposition at group_tol, made once per spec term and kept
+    in `made`."""
+    if (spec, group_tol) not in made:
+        made[spec, group_tol] = _make(spec, group_tol, labelled, built, made)
+    return made[spec, group_tol]
+
+
+def _make(spec: graphs.GraphSpec, group_tol: float, labelled: bool, built: dict, made: dict):
     if spec.kind in graphs.FAMILIES:
         from .leafspectra import FamilyDecomposition
 
@@ -325,8 +334,8 @@ def _decompose(spec: graphs.GraphSpec, group_tol: float, labelled: bool, built: 
     # an irregular H's classes at the default, where none merges two of its
     # eigenvalues, so that its main atoms are its main eigenspaces
     h_decomp = _decompose(copy, DEFAULT_GROUP_TOL if h.is_regular() is None else group_tol,
-                          labelled, built)
-    return CoronaDecomposition(_decompose(base, group_tol, labelled, built), h_decomp,
+                          labelled, built, made)
+    return CoronaDecomposition(_decompose(base, group_tol, labelled, built, made), h_decomp,
                                *main_atoms(h_decomp, h), group_tol, labelled)
 
 

@@ -512,8 +512,11 @@ class TestAdjacencyBuilds:
          (("pst", "corona(cycle:13,path:4)", "--u", "0", "--v", "6"), []),
          # an irregular H read from a file is labelled before its main data
          # is read off it, and the family base is read by theorem
-         (("pst", "corona(cycle:13,file:{path4})", "--u", "0", "--v", "6"), [4])],
-        ids=["spectrum", "support", "periodic-corona", "pst-path-copy", "pst-irregular-copy"],
+         (("pst", "corona(cycle:13,file:{path4})", "--u", "0", "--v", "6"), [4]),
+         # a leaf that is both factors is decomposed once
+         (("spectrum", "corona(file:{path4},file:{path4})"), [4])],
+        ids=["spectrum", "support", "periodic-corona", "pst-path-copy", "pst-irregular-copy",
+             "spectrum-file-twice"],
     )
     def test_each_adjacency_is_built_once(self, capsys, monkeypatch, tmp_path, argv, orders):
         path4 = tmp_path / "path4.edges"

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coronawalk import corona as corona_module
 from coronawalk import spectral, transfer
 from coronawalk.arrowhead import secular_lifts
 from coronawalk.cli import _corona_spec, _decomposition, parse_graph_spec
@@ -19,11 +18,9 @@ from coronawalk.corona import (
     corona_terms,
     lift_class,
     lift_polynomial,
-    main_atoms,
     merge_runs,
     regular_main,
 )
-from coronawalk.coronaspectra import CoronaDecomposition
 from coronawalk.defaults import DEFAULT_GROUP_TOL, GRID_BLOCK
 from coronawalk.exact import QuadInt
 from coronawalk.graphs import (
