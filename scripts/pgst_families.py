@@ -9,34 +9,28 @@ family can never tune the needed phases (the printout shows the caps).
 
 import time
 
-from coronawalk import (
-    CoronaSpec,
-    cocktail_party_graph,
-    complete_graph,
-    cycle_graph,
-    exact_decomposition,
-    path_graph,
-    pgst_search,
-)
+from coronawalk import pgst_search
+from coronawalk.cli import _search_corona, parse_graph_spec
+from coronawalk.graphs import build_graph
 
 INSTANCES = [
-    ("t51", path_graph(2), cycle_graph(3), 0, 1, "2-path * 3-cycle"),
-    ("t52", cycle_graph(4), cycle_graph(3), 0, 2, "4-cycle * 3-cycle (degenerate)"),
-    ("t52", cycle_graph(4), cycle_graph(5), 0, 2, "4-cycle * 5-cycle"),
-    ("cocktail", cocktail_party_graph(3), cycle_graph(3), 0, 1,
-     "cocktail(3) * 3-cycle (degenerate)"),
-    ("cocktail", cocktail_party_graph(3), complete_graph(4), 0, 1,
-     "cocktail(3) * K4"),
+    ("t51", "corona(path:2,cycle:3)", 0, 1, "2-path * 3-cycle"),
+    ("t52", "corona(cycle:4,cycle:3)", 0, 2, "4-cycle * 3-cycle (degenerate)"),
+    ("t52", "corona(cycle:4,cycle:5)", 0, 2, "4-cycle * 5-cycle"),
+    ("cocktail", "corona(cocktail:3,cycle:3)", 0, 1, "cocktail(3) * 3-cycle (degenerate)"),
+    ("cocktail", "corona(cocktail:3,complete:4)", 0, 1, "cocktail(3) * K4"),
 ]
 
 
 def main() -> None:
     print(f"{'instance':38} {'family':9} {'best ell':>9} {'fidelity':>12} {'time/s':>7}")
-    for family, g, h, u, v, name in INSTANCES:
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+    for family, text, u, v, name in INSTANCES:
+        spec, built = parse_graph_spec(text), {}
         start = time.perf_counter()
-        result = pgst_search(spec, gd, u, v, family, ell_max=100_000, target=0.99)
+        # the corona engine `pgst` reads, its base labelled for the t51 and t52 gate
+        corona = _search_corona(spec, built, labelled_base=family != "cocktail")
+        result = pgst_search(corona, build_graph(spec.factors[0], built), u, v, family,
+                             ell_max=100_000, target=0.99)
         elapsed = time.perf_counter() - start
         marker = "" if result.target_reached else "  <- target unreachable"
         print(

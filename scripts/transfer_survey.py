@@ -9,7 +9,7 @@ time grid (always strictly below 1), as `no-pst-scan` finds it.
 """
 
 from coronawalk import corona_no_pst_check, periodicity_test
-from coronawalk.cli import _corona_spec, _decomposition, parse_graph_spec
+from coronawalk.cli import _decomposition, parse_graph_spec
 
 BASES = [("P2", "path:2"), ("P3", "path:3"), ("C4", "cycle:4")]
 COPIES = [("empty2", "empty:2"), ("empty3", "empty:3"), ("C3", "cycle:3"), ("K4", "complete:4")]
@@ -27,9 +27,8 @@ def main() -> None:
                 note += f" ({verdict.reason})"
             elif verdict.witness_period:
                 note += f" (period {verdict.witness_period:.6f})"
-            corona = _corona_spec(spec, {})
-            scan = corona_no_pst_check(corona, _decomposition(spec.factors[0]), 0,
-                                       corona.n - 1, 50.0, 5000)
+            corona = _decomposition(spec)
+            scan = corona_no_pst_check(corona, 0, corona.base.n - 1, 50.0, 5000)
             print(f"{gname}*{hname:7} {note:66} {scan.max_fidelity:>24.9f}")
 
 

@@ -47,9 +47,8 @@ _EXPORTS = {
         "symmetric_eigen",
     ),
     "corona": (
-        "CoronaSpec",
-        "corona_terms",
         "lift_class",
+        "main_atoms",
     ),
     "coronaspectra": (
         "CoronaDecomposition",

@@ -22,40 +22,39 @@ neither numpy, `json` nor `exact`.  pgst and no-pst-scan first import
 vertex ranges, distinct vertices, a regular copy factor of nonzero degree,
 the cocktail family's base, and on a family base the t51 and t52 families'
 base transfer, by theorem), so those analysis errors load no numpy either;
-the graphs the gates build seed the handler's decompositions, and the
-searches' corona, whose copy factor's main data comes by theorem for a
-regular copy factor and off its decomposition otherwise (`_corona_spec`),
-by theorem again for a family.  A scan passes --v, --vp and --w (None for
-base-base) to its gates and scan, and on a family base loads no numpy
-unless its best-first search for the grid maximum passes its cap and hands
-the grid over (`transfer.corona_no_pst_check`).  The t51 and t52 gate on a
-family base hands its g to the search, which certifies the base transfer
-no second time.  A pgst search on a family base loads numpy only past the
-first batch of ell, which it enters in pure Python when the family's
-locked-gap bound reaches --target (`transfer.locked_bound`): the bound
-chooses how the values are computed, never a verdict or an ell, and the two
-ways' fidelities agree to rounding.
+the graphs the gates build seed the handler's decompositions.  A scan
+passes --v, --vp and --w (None for base-base) to its gates and scan, and on
+a family base loads no numpy unless its best-first search for the grid
+maximum passes its cap and hands the grid over
+(`transfer.corona_no_pst_check`).  The t51 and t52 gate on a family base
+hands its g to the search, which certifies the base transfer no second
+time.  A pgst search on a family base loads numpy only past the first batch
+of ell, which it enters in pure Python when the family's locked-gap bound
+reaches --target (`transfer.locked_bound`): the bound chooses how the
+values are computed, never a verdict or an ell, and the two ways'
+fidelities agree to rounding.
 
-Every handler reads its spec, or the base of its search, through one
-recursive dispatch, `_decomposition`: a family by theorem
-(`leafspectra.FamilyDecomposition`, which loads `exact` but neither numpy
-nor `spectral`), a `file:` leaf by eigensolve (`spectral`, and numpy), and
-a corona from its factors' decompositions (`coronaspectra`, which loads
-`corona`), its copy factor read at the default group tol where it is
-irregular.  So a corona of families, nested or not, loads no numpy.  Exact
-labels are made for the readers of labels, spectrum, support, periodic,
-pst and the t51 and t52 base gate of pgst: a `file:` leaf's by rank and a
-lift's by its lift polynomial; fidelity, sweep, cospectral, no-pst-scan and
-the cocktail family of pgst read the classes alone.  All answer the same
-vertex queries (`leafspectra.Decomposition`).
-cospectral on a spec that is no family first compares the degrees of u and
-v, read off the factor graphs: unequal degrees refute strong cospectrality
-exactly, with no numpy.  `transfer`, which loads numpy only inside its grid
-analyses, serves sweep, periodic, pst, no-pst-scan and pgst.  corona-build
-checks the vertex and edge count of its spec against the build budget
-before it builds.  No module uses `dataclasses` (records are NamedTuples,
-eigenvalue classes plain `__slots__` classes), so no call loads it, and a
-call that skips numpy loads no `inspect` either.
+Every handler reads its spec through one recursive dispatch,
+`_decomposition`: a family by theorem (`leafspectra.FamilyDecomposition`,
+which loads `exact` but neither numpy nor `spectral`), a `file:` leaf by
+eigensolve (`spectral`, and numpy), and a corona from its factors'
+decompositions (`coronaspectra`, which loads `corona`), its copy factor
+read at the default group tol where it is irregular.  So a corona of
+families, nested or not, loads no numpy.  The searches read the corona's
+walk terms through the same dispatch (`_search_corona`).  Exact labels are
+made for the readers of labels, spectrum, support, periodic, pst and the
+t51 and t52 base gate of pgst: a `file:` leaf's by rank and a lift's by its
+lift polynomial; fidelity, sweep, cospectral, no-pst-scan and a search's
+lifts read the classes alone.  All answer the same vertex queries
+(`leafspectra.Decomposition`).  cospectral on a spec that is no family
+first compares the degrees of u and v, read off the factor graphs: unequal
+degrees refute strong cospectrality exactly, with no numpy.  `transfer`,
+which loads numpy only inside its grid analyses, serves sweep, periodic,
+pst, no-pst-scan and pgst.  corona-build checks the vertex and edge count
+of its spec against the build budget before it builds.  No module uses
+`dataclasses` (records are NamedTuples, eigenvalue classes plain
+`__slots__` classes), so no call loads it, and a call that skips numpy
+loads no `inspect` either.
 
 Reports are byte-deterministic for a fixed command line.  `dumps_report`
 writes JSON in one walk, byte for byte as json.dumps(indent=2,
@@ -323,9 +322,10 @@ def _make(spec: graphs.GraphSpec, group_tol: float, labelled: bool, built: dict,
     if spec.kind == "file":
         from . import spectral
 
-        a = graphs.build_graph(spec, built).adjacency()
-        d = spectral.decompose(a, group_tol)
-        return spectral.attach_exact_labels(d, a) if labelled else d
+        g = graphs.build_graph(spec, built)
+        if labelled:
+            return spectral.exact_decomposition(g, group_tol)
+        return spectral.decompose(g.adjacency(), group_tol)
     from .corona import main_atoms
     from .coronaspectra import CoronaDecomposition
 
@@ -449,18 +449,15 @@ def _cmd_pst(args):
     return _record(cert), None
 
 
-def _corona_spec(spec: graphs.GraphSpec, built: dict):
-    """The `corona.CoronaSpec` the searches read, on the graphs in `built`: a
-    regular copy factor's main data by theorem (`corona.regular_main`), an
-    irregular one's off its decomposition (`corona.main_atoms`, on
-    `_decomposition` at the default group tol), by theorem for a family."""
-    from .corona import CoronaSpec, main_atoms
-
-    g, h = (graphs.build_graph(factor, built) for factor in spec.factors)
-    if h.is_regular() is not None:
-        return CoronaSpec.from_graphs(g, h)
-    main, _ = main_atoms(_decomposition(spec.factors[1], built=built), h)
-    return CoronaSpec(g, h, None, main)
+def _search_corona(spec: graphs.GraphSpec, built: dict, group_tol: float = DEFAULT_GROUP_TOL,
+                   labelled_base: bool = False):
+    """The corona engine a search reads, by `_decomposition`'s dispatch on
+    the graphs in `built`, past the factor budgets its gates met: its lifts
+    unlabelled, on a base made first, labelled where the t51 and t52 gate
+    reads it."""
+    made: dict = {}
+    _decompose(spec.factors[0], group_tol, labelled_base, built, made)
+    return _decompose(spec, group_tol, False, built, made)
 
 
 def _cmd_no_pst_scan(args):
@@ -472,11 +469,10 @@ def _cmd_no_pst_scan(args):
 
     built: dict = {}
     gates.scan_gates(args.spec, built, args.v, args.vp, w)
-    g_decomp = _decomposition(args.spec.factors[0], built=built)
+    corona = _search_corona(args.spec, built)
     from . import transfer
 
-    scan = transfer.corona_no_pst_check(_corona_spec(args.spec, built), g_decomp, args.v,
-                                        args.vp, args.t_max, args.points, w)
+    scan = transfer.corona_no_pst_check(corona, args.v, args.vp, args.t_max, args.points, w)
     return {"pair": args.pair, "t_max": args.t_max, **_record(scan)}, None
 
 
@@ -488,11 +484,10 @@ def _cmd_pgst(args):
     base_g = gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax,
                               args.group_tol, args.support_tol, args.cospectral_tol)
     # only the t51 and t52 base gate reads labels
-    g_decomp = _decomposition(args.spec.factors[0], args.group_tol,
-                              labelled=args.family != "cocktail", built=built)
+    corona = _search_corona(args.spec, built, args.group_tol, args.family != "cocktail")
     from . import transfer
 
-    result = transfer.pgst_search(_corona_spec(args.spec, built), g_decomp,
+    result = transfer.pgst_search(corona, graphs.build_graph(args.spec.factors[0], built),
                                   args.u, args.v, args.family, ell_max=args.lmax,
                                   target=args.target, support_tol=args.support_tol,
                                   cospectral_tol=args.cospectral_tol, base_g=base_g)

@@ -1,5 +1,4 @@
-"""Lifts of base eigenvalues over a copy factor's main data, and the corona
-walk amplitude as an exponential sum.
+"""Lifts of base eigenvalues over a copy factor's main data.
 
 The corona of a base graph G (n vertices) with a graph H (m vertices) keeps
 one copy of G plus n copies of H and joins every vertex of copy j to all
@@ -25,22 +24,13 @@ lam w_mu / (theta - mu)) follow from weights recomputed from those roots
 (`arrowhead.secular_lifts`, imported only for an irregular H), so there is
 one arrowhead solver, in pure Python, for every H.  A lift is kept in main
 coordinates x (length s) and its copy entries U x are made one w at a time
-where read (`copy_entry`).  One routine, `lift_class`, serves every
-consumer: the corona's classes (`coronaspectra.CoronaDecomposition`,
-grouped by `merge_runs`, by `leafspectra.class_runs`), with exact labels
-and the flag of lifts of degree > 2 that refutes periodicity and transfer;
-and the walk amplitude from (v', 0) to (v, 0), or to (v, w) with w given,
-an exponential sum over the lifts of the base's walk terms (`corona_terms`,
-reading any decomposition's `leafspectra.Decomposition.terms`), two lists
-of Python floats.  A scan searches its grid for the maximum with them in
-pure Python (`transfer.corona_no_pst_check`), and a pgst search evaluates
-its first batch of ell with them (`transfer.pgst_search`), with no numpy; a
-scan past its search's cap, and a pgst search past its first batch, go to
-`spectral.exp_sum_grid`, which evaluates uniform time grids in batches,
-each one small matrix product of two phase tables of about sqrt(batch)
-columns, in memory independent of --lmax and --points.  This module loads
-numpy only to eigensolve an irregular H given as a graph
-(`CoronaSpec.from_graphs`), so lifting over any main data loads none.
+where read (`copy_entry`).  One routine, `lift_class`, makes the lifted
+classes of the corona engine (`coronaspectra.CoronaDecomposition`, grouped
+by `merge_runs`, by `leafspectra.class_runs`), with exact labels and the
+flag of lifts of degree > 2 that refutes periodicity and transfer, or
+unlabelled for the commands that read no label (`cli._decomposition`):
+the searches, for one, read the engine's walk terms alone.  This module
+loads no numpy.
 """
 
 from __future__ import annotations
@@ -50,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 from .defaults import DEFAULT_GROUP_TOL
 from .exact import _PAIR_TOL, _VALUE_TOL, QuadInt, _pair_label, main_polynomial
-from .graphs import Graph, check_base_vertex, check_copy_vertex
+from .graphs import Graph
 from .leafspectra import Decomposition, class_runs
 
 
@@ -104,34 +94,6 @@ def main_atoms(h: Decomposition, graph: Graph) -> tuple[MainData, dict[int, list
 def regular_main(k: int, m: int) -> MainData:
     """Main data of a k-regular H on m vertices: mu = k on 1/sqrt(m)."""
     return MainData((float(k),), ((1 / math.sqrt(m),),) * m, (math.sqrt(m),), (m,), (k,))
-
-
-class CoronaSpec(NamedTuple):
-    """Corona factors with H's regular degree (None when H irregular) and main data."""
-
-    g: Graph
-    h: Graph
-    k: int | None
-    main: MainData
-
-    @classmethod
-    def from_graphs(cls, g: Graph, h: Graph) -> "CoronaSpec":
-        """The corona of g and h.  A k-regular H has mu = k on 1/sqrt(m); an
-        irregular H's main data is read off its float classes (`main_atoms`)."""
-        k = h.is_regular()
-        if k is not None:
-            return cls(g, h, k, regular_main(k, h.n))
-        from .spectral import decompose
-
-        return cls(g, h, k, main_atoms(decompose(h.adjacency()), h)[0])
-
-    @property
-    def n(self) -> int:
-        return self.g.n
-
-    @property
-    def m(self) -> int:
-        return self.h.n
 
 
 class LiftedClass(NamedTuple):
@@ -337,39 +299,6 @@ def _halve(q: QuadInt | None) -> QuadInt | None:
     """q / 2, or None when that is no (a + b sqrt(delta))/2 with integer a, b."""
     ok = q is not None and q.a % 2 == q.b % 2 == 0 and (q.delta > 1 or q.a % 4 == 0)
     return QuadInt(q.a // 2, q.b // 2, q.delta) if ok else None
-
-
-# ---------------------------------------------------------------------------
-# closed-form walk amplitudes
-
-def corona_terms(
-    spec: CoronaSpec, g_decomp: Decomposition, v: int, vp: int, w: int | None = None,
-) -> tuple[list[float], list[float]]:
-    """Real exponential sum (freqs, coefs) of a corona walk amplitude, as
-    two lists of Python floats.
-
-    The amplitude is sum_j coefs[j] * exp(-i t freqs[j]) over the lifts of
-    the value lam of each walk term (lam, E) of the base, E = E_lam[v,v']
-    (`leafspectra.Decomposition.terms`), by `lift_class`, which labels
-    nothing here, with base the lift's base entry.  With w None it is
-    <(v,0)| U(t) |(v',0)>, with coefficient E base^2 (E (1 +- r)/2 at lam_pm
-    for a k-regular H, r = (lam-k)/Lambda).  Otherwise it is <(v',0)| U(t)
-    |(v,w)>, with coefficient E base copy[w], the one copy entry read
-    (`copy_entry`; +-E lam/Lambda at lam_pm, the same for every w, when H
-    is regular).
-    """
-    check_base_vertex(spec.n, v)
-    check_base_vertex(spec.n, vp)
-    if w is not None:
-        check_copy_vertex(spec.m, w)
-    freqs: list[float] = []
-    coefs: list[float] = []
-    for lam, entry in g_decomp.terms(v, vp):
-        for lift in lift_class(lam, None, spec.main):
-            freqs.append(lift.value)
-            coefs.append(float(entry * lift.base * (
-                lift.base if w is None else copy_entry(spec.main, lift.coords, w))))
-    return freqs, coefs
 
 
 def merge_runs(raw: list, group_tol: float) -> list[tuple[list, QuadInt | None, bool]]:

@@ -65,12 +65,13 @@ an atom holds a vertex where |c_a| ||E e_v|| exceeds --support-tol, and
 two vertices take the sign s of E e_v = +-E e_v' for which ||c_a E e_v - s
 c_b E e_v'|| is at most --cospectral-tol, 0 where both norms are, as
 `spectral.SpectralDecomposition` compares its rows.  An atom's walk term is
-taken at its class's value.
+taken at its member's own value, and a base class that holds several values
+lifts each (`_lifted_values`), so the amplitude reads no merged value at any
+group tol: a search's phases turn at the lifts' own values to t ~ 1e7.
 
 `cli._decomposition` reads every corona spec through this class, on its
-factors' decompositions; nested family coronas load no numpy.  The
-searches read `corona.corona_terms` instead, and load this module only for
-a corona base or copy factor.
+factors' decompositions, the searches too; family coronas, nested or not,
+load no numpy.
 """
 
 from __future__ import annotations
@@ -132,23 +133,40 @@ def _lines(ones: list) -> list[_Line]:
             for col in range(1, len(ones))]
 
 
+def _lifted_values(base: Decomposition, c, atoms: list[Atom],
+                   label: QuadInt | None) -> list[tuple[float, list, int]]:
+    """(value, keys, multiplicity) of each value that base class c lifts at:
+    its label's where it lifts labelled, else each distinct value of its
+    atoms, with the keys of the atoms there and, where c holds several
+    values, their rank, the trace of their projector."""
+    at: dict[float, list] = {}
+    for a in atoms:
+        at.setdefault(a.value if label is None else c.value, []).append(a.key)
+    if len(at) == 1:
+        return [(value, keys, c.multiplicity) for value, keys in at.items()]
+    xs = [base.vertex(u) for u in range(base.n)]
+    return [(value, keys, round(math.fsum(base.entry(key, x, x) for key in keys for x in xs)))
+            for value, keys in at.items()]
+
+
 class CoronaDecomposition(Decomposition):
     """The classes of the corona of the base G and the copy factor H, from
     their decompositions, as runs of (member, factor atom) atoms with the
-    rules of the module docstring; an atom's value and flag are its class's.
-    `main` and `main_keys` are H's main data and the places of the atoms
-    with E 1 != 0 of its main classes (`corona.main_atoms`), read off
-    `copy`; the lifts take labels and flags where `labelled`, from the base's
-    labels."""
+    rules of the module docstring; an atom's value is its member's, and its
+    flag its class's.  `base` and `copy` are G's and H's decompositions,
+    `main` H's main data and `degree` H's regular degree (None when H is
+    irregular); `main_keys` are the places of the atoms with E 1 != 0 of H's
+    main classes (`corona.main_atoms`), read off `copy`.  The lifts take
+    labels and flags where `labelled`, from the base's labels."""
 
-    __slots__ = ("n", "classes", "atoms", "tolerant", "_base", "_copy", "_main", "_regular")
+    __slots__ = ("n", "classes", "atoms", "tolerant", "base", "copy", "main", "degree")
 
     def __init__(self, base: Decomposition, copy: Decomposition, main: MainData,
                  main_keys: dict[int, list[int]], group_tol: float, labelled: bool = True):
         n = base.n
         self.n = n * (copy.n + 1)
-        self._base, self._copy, self._main = base, copy, main
-        self._regular = len(main.coefs) == 1  # 1 is an eigenvector
+        self.base, self.copy, self.main = base, copy, main
+        self.degree = main.coefs[0] if len(main.coefs) == 1 else None  # 1 is an eigenvector
         self.tolerant = base.tolerant or copy.tolerant
         raw, solved = [], {}
         for i, (c, atoms) in enumerate(zip(copy.classes, copy.atoms)):
@@ -160,51 +178,52 @@ class CoronaDecomposition(Decomposition):
                                    [key for key in keys if key is not None]
                                    + _lines([copy.ones(atoms[j].key) for j in held])))
         for i, (c, atoms) in enumerate(zip(base.classes, base.atoms)):
-            keys = [a.key for a in atoms]
+            label = c.exact if labelled else None
             beyond = labelled and c.exact is None and base.beyond_quadratic_lifts(i)
-            raw.extend(_Member(x.value, x.exact, x.beyond_quadratic or beyond, c.multiplicity,
-                               keys, x.base, x.coords)
-                       for x in lift_class(c.value, c.exact if labelled else None, main, solved))
+            for value, keys, multiplicity in _lifted_values(base, c, atoms, label):
+                raw.extend(_Member(x.value, x.exact, x.beyond_quadratic or beyond, multiplicity,
+                                   keys, x.base, x.coords)
+                           for x in lift_class(value, label, main, solved))
         runs = merge_runs(raw, group_tol)
         self.classes = [CoronaClass(run[0].value, sum(x.multiplicity for x in run), label, flagged)
                         for run, label, flagged in runs]
-        self.atoms = [[Atom(c.value, c.beyond_quadratic, (x, key)) for x in run for key in x.keys]
+        self.atoms = [[Atom(x.value, c.beyond_quadratic, (x, key)) for x in run for key in x.keys]
                       for c, (run, _, _) in zip(self.classes, runs)]
 
     def vertex(self, u: int):
         """(v, None, None) for base vertex v, (v, w, w') for copy vertex (v,
         w): v and w' as G's and H's rules take them, w for H's main rows."""
-        n = self._base.n
+        n = self.base.n
         if super().vertex(u) < n:
-            return self._base.vertex(u), None, None
+            return self.base.vertex(u), None, None
         w, v = divmod(u - n, n)
-        return self._base.vertex(v), w, self._copy.vertex(w)
+        return self.base.vertex(v), w, self.copy.vertex(w)
 
     def _layer(self, member: _Member, w: int | None) -> float:
         """A lift's layer entry on base vertices (w None) or copy vertex w."""
-        return member.base if w is None else copy_entry(self._main, member.coords, w)
+        return member.base if w is None else copy_entry(self.main, member.coords, w)
 
     def _exact(self, w: int | None) -> bool:
         """Whether a lift's layer entry there is decided exactly (module
         docstring)."""
-        return not self._base.tolerant and (w is None or self._regular)
+        return not self.base.tolerant and (w is None or self.degree is not None)
 
     def holds(self, atom, x, tol=None) -> bool:
         (member, key), (v, w, wh) = atom, x
         if member.base is None:  # a copy class: H's atom on the copy over v
             if isinstance(key, _Line):
                 return w is not None and abs(key[w]) > tol
-            return w is not None and self._copy.holds(key, wh, tol)
-        if not self._base.holds(key, v, tol):
+            return w is not None and self.copy.holds(key, wh, tol)
+        if not self.base.holds(key, v, tol):
             return False
         layer = self._layer(member, w)
         if self._exact(w):
             return layer != 0
-        return abs(layer) * math.sqrt(self._base.entry(key, v, v)) > tol
+        return abs(layer) * math.sqrt(self.base.entry(key, v, v)) > tol
 
     def sign(self, atom, x, y, tol=None) -> int | None:
         (member, key), (v, w, wh), (v2, w2, wh2) = atom, x, y
-        if self._regular and (w is None) != (w2 is None):
+        if self.degree is not None and (w is None) != (w2 is None):
             return None  # a base and a copy vertex (module docstring)
         if member.base is None:  # a copy class: 0 on base vertices, and parts two copies
             if w is not None and w2 is not None and v == v2:
@@ -212,20 +231,20 @@ class CoronaDecomposition(Decomposition):
                     a, b = key[w], key[w2]
                     return 0 if max(abs(a), abs(b)) <= tol else 1 if abs(a - b) <= tol else \
                         -1 if abs(a + b) <= tol else None
-                return self._copy.sign(key, wh, wh2, tol)
+                return self.copy.sign(key, wh, wh2, tol)
             return None if self.holds(atom, x, tol) or self.holds(atom, y, tol) else 0
         a, b = self._layer(member, w), self._layer(member, w2)
         if self._exact(w) and self._exact(w2):  # one layer: a = b
             if a == 0:
                 return 0
-            return int(self._base.holds(key, v, tol)) if v == v2 else \
-                self._base.sign(key, v, v2, tol)
+            return int(self.base.holds(key, v, tol)) if v == v2 else \
+                self.base.sign(key, v, v2, tol)
         # E_atom e_x = a (c (x) E e_v): compared as `SpectralDecomposition`
         # compares its rows, E e_v and E e_v2 related by G's rule
-        ev, ev2 = (math.sqrt(self._base.entry(key, u, u)) for u in (v, v2))
+        ev, ev2 = (math.sqrt(self.base.entry(key, u, u)) for u in (v, v2))
         if abs(a) * ev <= tol and abs(b) * ev2 <= tol:
             return 0
-        s = 1 if v == v2 else self._base.sign(key, v, v2, tol)
+        s = 1 if v == v2 else self.base.sign(key, v, v2, tol)
         if not s or abs(abs(a) - abs(b)) * ev > tol:
             return None
         return s if a * b >= 0 else -s
@@ -237,23 +256,23 @@ class CoronaDecomposition(Decomposition):
                 return 0.0
             if isinstance(key, _Line):
                 return key[w] * key[w2]
-            return self._copy.entry(key, wh, wh2)
-        return self._layer(member, w) * self._layer(member, w2) * self._base.entry(key, v, v2)
+            return self.copy.entry(key, wh, wh2)
+        return self._layer(member, w) * self._layer(member, w2) * self.base.entry(key, v, v2)
 
     def ones(self, atom) -> list[float] | None:
         """(c^T 1) c (x) E 1 for a lift, on the vertices in order; None for a
         copy class, whose E 1 is 0."""
         member, key = atom
-        ones = None if member.base is None else self._base.ones(key)
+        ones = None if member.base is None else self.base.ones(key)
         if ones is None:
             return None
-        layers = [member.base, *(copy_entry(self._main, member.coords, w)
-                                 for w in range(self._copy.n))]
+        layers = [member.base, *(copy_entry(self.main, member.coords, w)
+                                 for w in range(self.copy.n))]
         total = sum(layers)
         return [total * c * x for c in layers for x in ones]
 
     def residual(self, atom):
         """A lift over the base atom's residual."""
         member, key = atom
-        rest = self._base.residual(key)
+        rest = self.base.residual(key)
         return None if rest is None else (member, rest)

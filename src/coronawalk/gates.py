@@ -17,9 +17,8 @@ analysis shares (budget, ranges, distinct vertices, a regular H) live in
 checks for library callers.  Only the graphs the CLI's gates build go on to
 the analysis, through the caller's `built` cache, so a call that passes
 builds each factor graph once.  The gates read no decomposition of a copy
-factor: its main data, and a corona base's classes, come after them
-(`cli._corona_spec`, `cli._decomposition`), so a gate that fails loads
-neither `corona` nor `coronaspectra`.
+factor: the corona engine comes after them (`cli._search_corona`), so a
+gate that fails loads neither `corona` nor `coronaspectra`.
 """
 
 from __future__ import annotations
@@ -86,16 +85,16 @@ def check_scan_pair(n: int, m: int, v: int, vp: int, w: int | None = None) -> No
 def _corona_budgets(spec: GraphSpec,
                     built: dict[GraphSpec, Graph]) -> tuple[int, Graph, int | None]:
     """The base order, the built copy factor H and H's regular degree (None
-    when irregular) of a corona spec, after the budgets its base
-    decomposition meets: the base's, read off the spec before any graph is
-    built, then an irregular H's, whose main data is read off its
-    decomposition."""
+    when irregular) of a corona spec, after the budgets the corona engine
+    meets: the base's, read off the spec before any graph is built, then
+    H's unless it is a regular family, whose classes and main data come by
+    theorem."""
     base, copy = spec.factors
     n = spec_order(base, built)
     check_budget(n)
     h = build_graph(copy, built)
     k = h.is_regular()
-    if k is None:
+    if k is None or copy.kind not in FAMILIES:
         check_budget(h.n)
     return n, h, k
 

@@ -1,8 +1,8 @@
 """The maximum of a walk amplitude's modulus on a uniform time grid.
 
 A(t) = sum_k c_k exp(-i theta_k t) is a corona walk amplitude, its terms
-(`corona.corona_terms`) Python floats, and the grid is t_j = j * step, j <
-points, up to 2e6 points.  `grid_max` finds the largest |A(t_j)| by a
+the corona engine's (`transfer._walk_terms`) Python floats, and the grid is
+t_j = j * step, j < points, up to 2e6 points.  `grid_max` finds the largest |A(t_j)| by a
 certified best-first search over the grid's index intervals in pure
 Python, and hands the grid to numpy, which evaluates every point, only past
 a cap on the search's work.  Only `transfer.corona_no_pst_check` imports

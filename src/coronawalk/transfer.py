@@ -13,9 +13,9 @@ Every analysis here reads the decomposition it is given through the
 vertex queries of `leafspectra.Decomposition`: the verdicts
 (`periodicity_test`, `pst_certify` and the t51/t52 base gate
 `base_transfer`) its support, signs and amplitude, and the grid analyses
-its walk terms (`terms`: `fidelity_sweep` directly, the corona scan and
-search through `corona.corona_terms`, which lifts the base's).  The
-decomposition is a `file:` leaf's float classes
+its walk terms (`terms`: `fidelity_sweep` on any spec, the corona scan
+and search on the corona engine, whose base the base gate and the scan's
+static bound read).  The decomposition is a `file:` leaf's float classes
 (`spectral.SpectralDecomposition`), a family leaf's by theorem
 (`leafspectra.FamilyDecomposition`) or a corona's from its factors'
 (`coronaspectra.CoronaDecomposition`).  So this module loads numpy and
@@ -28,8 +28,8 @@ evaluated in pure Python when the family's locked-gap bound
 (`locked_bound`) reaches the target.  The bound is the float forerunner of
 a certified family cap; it is not reported and decides no verdict, only
 how the values are computed, and its tolerance is one of that choice.  The
-two corona analyses import `corona` and `gates` when they run, so `pst`,
-`sweep` and `periodic` on a plain spec load neither.
+two corona analyses import `gates` when they run, so `pst`, `sweep` and
+`periodic` load it never.
 """
 
 from __future__ import annotations
@@ -46,12 +46,12 @@ from .defaults import (
     GRID_BLOCK,
 )
 from .exact import QuadInt, gcd_list, two_adic_valuation
-from .graphs import check_distinct
+from .graphs import Graph, check_distinct
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from .corona import CoronaSpec
+    from .coronaspectra import CoronaDecomposition
     from .leafspectra import Decomposition
 
 
@@ -287,22 +287,21 @@ class NoTransferScan(NamedTuple):
 
 
 def corona_no_pst_check(
-    spec: CoronaSpec,
-    g_decomp: Decomposition,
+    corona: CoronaDecomposition,
     v: int,
     vp: int,
     t_max: float,
     points: int,
     w: int | None = None,
 ) -> NoTransferScan:
-    """Scan closed-form corona fidelities over np.linspace(0, t_max, points).
+    """Scan corona fidelities over np.linspace(0, t_max, points).
 
     The pair is base-base (v, 0), (v', 0) with v != v' when w is None, else
-    base-copy (v', 0), (v, w), as in `corona_terms`.  Reports the grid
-    maximum of |A(t_j)|, t_j = j * step, and its time (the linspace element,
-    bit for bit), whether every sample stays below 1, and the static bound
-    sum_lam |E_lam[v,v']| over the base's walk terms, one per class (always
-    <= 1), that caps the entry.
+    base-copy (v', 0), (v, w), read off the corona engine's walk terms
+    (`_walk_terms`).  Reports the grid maximum of |A(t_j)|, t_j = j * step,
+    and its time (the linspace element, bit for bit), whether every sample
+    stays below 1, and the static bound sum_lam |E_lam[v,v']| over the
+    base's walk terms, one per class (always <= 1), that caps the entry.
 
     The maximum comes from `gridmax.grid_max`: a certified best-first
     search over the grid's index intervals, in pure Python, which drops an
@@ -318,19 +317,19 @@ def corona_no_pst_check(
     need no decomposition, so the CLI runs them before it loads any
     analysis.
     """
-    from .corona import corona_terms
     from .gates import check_scan_pair
     from .gridmax import grid_max
 
     if points < 1:
         raise ValueError("a scan needs at least one time point")
-    check_scan_pair(spec.n, spec.m, v, vp, w)
-    freqs, coefs = corona_terms(spec, g_decomp, v, vp, w)
+    n = corona.base.n
+    check_scan_pair(n, corona.copy.n, v, vp, w)
+    freqs, coefs = _walk_terms(corona, v if w is None else vp, vp if w is None else n + w * n + v)
     step = t_max / (points - 1) if points > 1 else 0.0
     best, arg = grid_max(freqs, coefs, step, points)
     # np.linspace puts t_max itself at the last point and i * step elsewhere
     argmax_time = float(t_max) if points > 1 and arg == points - 1 else arg * step
-    bound = float(sum(abs(entry) for _, entry in g_decomp.terms(v, vp)))
+    bound = float(sum(abs(entry) for _, entry in corona.base.terms(v, vp)))
     return NoTransferScan(
         vertices=(v, vp) if w is None else (vp, v, w),
         samples=points,
@@ -339,6 +338,14 @@ def corona_no_pst_check(
         static_bound=bound,
         all_below_one=best < 1.0,
     )
+
+
+def _walk_terms(corona: CoronaDecomposition, x: int, y: int) -> tuple[list[float], list[float]]:
+    """The corona's walk terms from x to y as (freqs, coefs), lists of Python
+    floats, less the exactly 0 ones (a copy class's on a base vertex, a lift
+    0 on a layer), whose dropping changes no bit of a sum."""
+    terms = [(value, entry) for value, entry in corona.terms(x, y) if entry]
+    return [value for value, _ in terms], [entry for _, entry in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +409,8 @@ class PGSTSearchResult(NamedTuple):
 
 
 def pgst_search(
-    spec: CoronaSpec,
-    g_decomp: Decomposition,
+    corona: CoronaDecomposition,
+    g: Graph,
     u: int,
     v: int,
     family: str,
@@ -425,17 +432,19 @@ def pgst_search(
     All families need a regular copy factor of nonzero degree, and t51 and
     t52 distinct u and v.  These gates, the vertex ranges and the cocktail
     base (`gates.check_pgst`, `gates.check_antipodal`) read only the factor
-    graphs, so the CLI runs them before it loads numpy; they run here again,
-    on the graphs, for library callers.  The t51 and t52 gate
-    (`base_transfer`) certifies base transfer on g_decomp with pst_certify
-    at support_tol and cospectral_tol, and t51 reads the support of u at
-    support_tol; the cocktail family reads no label.  A caller that has run
-    that gate on an equal decomposition already (`gates.pgst_gates` on a
-    family base) passes its g as base_g, and it is not run again.  Records
-    the strictly-improving best-so-far trace and stops once fidelity reaches
-    the target; the family is evaluated one grid batch of ell values at a
-    time, so an early stop evaluates at most one batch past the hit, and a
-    batch that cannot beat the best so far is skipped.
+    graphs, so the CLI runs them before it loads numpy; they run here again
+    for library callers, on the engine's orders and H's degree and on the
+    base graph g.  The t51 and t52 gate (`base_transfer`) certifies base
+    transfer on the engine's base, labelled, with pst_certify at support_tol
+    and cospectral_tol, and t51 reads the support of u at support_tol; no
+    other family, and no lift, reads a label.  A caller that has run that
+    gate on an equal decomposition already (`gates.pgst_gates` on a family
+    base) passes its g as base_g, and it is not run again.  The fidelities
+    are the engine's walk terms from (u, 0) to (v, 0) (`_walk_terms`).
+    Records the strictly-improving best-so-far trace and stops once fidelity
+    reaches the target; the family is evaluated one grid batch of ell values
+    at a time, so an early stop evaluates at most one batch past the hit, and
+    a batch that cannot beat the best so far is skipped.
 
     On a family base (`leafspectra.FamilyDecomposition`) whose family is not
     capped below the target (`locked_bound`), the first batch is evaluated
@@ -446,25 +455,25 @@ def pgst_search(
     command's data alone, and changes no ell and no verdict: the two routes'
     fidelities differ in rounding alone.
     """
-    from .corona import corona_terms
     from .gates import check_antipodal, check_pgst
     from .leafspectra import FamilyDecomposition
 
-    check_pgst(spec.n, spec.k, u, v, family, ell_max)
+    base = corona.base
+    check_pgst(base.n, corona.degree, u, v, family, ell_max)
     g_value: int | None = None
     # family times (slope * ell + offset) * pi
     if family == "cocktail":
-        check_antipodal(spec.g, u, v)
+        check_antipodal(g, u, v)
         slope, offset = 8.0, 0.0
     else:
-        g_value = base_g or base_transfer(g_decomp, u, v, family, support_tol, cospectral_tol)
+        g_value = base_g or base_transfer(base, u, v, family, support_tol, cospectral_tol)
         slope, offset = 4.0, 2.0 / g_value if family == "t51" else 1.0
 
-    freqs, coefs = corona_terms(spec, g_decomp, u, v)
+    freqs, coefs = _walk_terms(corona, u, v)
     t0, dt, count = offset * math.pi, slope * math.pi, ell_max + 1
     trace: list[tuple[int, float]] = []
     skip = 0
-    if isinstance(g_decomp, FamilyDecomposition) and \
+    if isinstance(base, FamilyDecomposition) and \
             locked_bound(freqs, coefs, slope, offset) >= target:
         trace, skip = _first_block(freqs, coefs, t0, dt, count, target), 1
     if (not trace or trace[-1][1] < target) and skip * GRID_BLOCK < count:

@@ -7,8 +7,9 @@ decomposition's walk terms (`leafspectra.Decomposition.terms`), which
 build the dense N x N objects of any decomposition instead, read through
 its `entry` and `terms`: class projectors, the reassembled matrix and the
 transition matrix U(t).  `closed_form` is the Kronecker closed form of a
-corona, its classes as explicit eigenvector blocks from its factors', and
-`engine` builds the corona engine on factor graphs.
+corona, its classes as explicit eigenvector blocks from its factors';
+`engine` builds the corona engine on factor graphs, and `search_engine`
+the one a search reads, its lifts unlabelled.
 It also keeps the exact algebra of the paper's pair lift for a k-regular
 copy factor, which the labels `corona.lift_class` reads off its lift
 polynomial must equal, with the integer square test of its degree-4 case
@@ -28,7 +29,7 @@ import math
 import numpy as np
 
 from coronawalk.cli import _round15
-from coronawalk.corona import corona_terms, lift_class, main_atoms, merge_runs
+from coronawalk.corona import lift_class, main_atoms, merge_runs
 from coronawalk.coronaspectra import CoronaDecomposition
 from coronawalk.defaults import DEFAULT_GROUP_TOL
 from coronawalk.exact import _VALUE_TOL, QuadInt, square_free_part
@@ -165,14 +166,12 @@ def fidelity(d, u: int, v: int, t: float) -> float:
     return float(abs(amplitudes(d, u, v, float(t))))
 
 
-def corona_entry_base_base(spec, g_decomp, v: int, vp: int, t):
-    """Amplitude <(v,0)| U(t) |(v',0)> in the corona, vectorized over t."""
-    return exp_sum(*corona_terms(spec, g_decomp, v, vp), t)
-
-
-def corona_entry_base_copy(spec, g_decomp, vp: int, v: int, w: int, t):
-    """Amplitude <(v',0)| U(t) |(v,w)> in the corona, vectorized over t."""
-    return exp_sum(*corona_terms(spec, g_decomp, v, vp, w), t)
+def search_engine(gd, h) -> CoronaDecomposition:
+    """The corona engine a search reads at the default group tol, its lifts
+    unlabelled, on the base decomposition gd and the copy factor graph h's
+    float classes, with h's main data off them (`corona.main_atoms`)."""
+    hd = decompose(h.adjacency())
+    return CoronaDecomposition(gd, hd, *main_atoms(hd, h), DEFAULT_GROUP_TOL, labelled=False)
 
 
 def is_regular(g) -> int | None:

@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from coronawalk.corona import CoronaSpec, lift_class
+from coronawalk.corona import lift_class, regular_main
 from coronawalk.exact import QuadInt, SquareFreeSplit, square_free_part
 from coronawalk.graphs import (
     cocktail_party_graph,
@@ -51,12 +51,11 @@ from coronawalk.transfer import (
 
 from oracles import (
     amplitudes,
-    corona_entry_base_base,
-    corona_entry_base_copy,
     engine,
     fidelity,
     projector,
     reassemble,
+    search_engine,
     transition_matrix,
 )
 
@@ -91,10 +90,10 @@ def test_criterion_1_closed_form_matches_numeric_oracle():
     worst_entry = 0.0
     for gname, g in BASE_FAMILY.items():
         for hname, h in COPY_FAMILY.items():
-            spec = CoronaSpec.from_graphs(g, h)
             gd = exact_decomposition(g)
             hd = exact_decomposition(h)
             closed = engine(gd, h, hd)
+            search = search_engine(gd, h)
             assembled = corona_graph(g, h)
             a = assembled.adjacency().astype(float)
             recon = float(np.max(np.abs(reassemble(closed) - a)))
@@ -107,7 +106,7 @@ def test_criterion_1_closed_form_matches_numeric_oracle():
                 for vp in range(g.n):
                     diff = np.max(
                         np.abs(
-                            corona_entry_base_base(spec, gd, v, vp, ts)
+                            amplitudes(search, v, vp, ts)
                             - amplitudes(oracle, v, vp, ts)
                         )
                     )
@@ -116,7 +115,7 @@ def test_criterion_1_closed_form_matches_numeric_oracle():
                     for w in range(h.n):
                         diff = np.max(
                             np.abs(
-                                corona_entry_base_copy(spec, gd, vp, v, w, ts)
+                                amplitudes(search, vp, copy_index(g.n, v, w), ts)
                                 - amplitudes(
                                     oracle, vp, copy_index(g.n, v, w), ts
                                 )
@@ -190,17 +189,16 @@ def test_criterion_4_no_transfer_scan():
     worst = 0.0
     for g in (path_graph(2), path_graph(3)):
         h = cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         for v in range(g.n):
             for vp in range(v + 1, g.n):
-                scan = corona_no_pst_check(spec, gd, v, vp, 50.0, 10000)
+                scan = corona_no_pst_check(corona, v, vp, 50.0, 10000)
                 worst = max(worst, scan.max_fidelity)
                 assert scan.max_fidelity < 1 - 1e-6
         for vp in range(g.n):
             for v in range(g.n):
                 for w in range(h.n):
-                    scan = corona_no_pst_check(spec, gd, v, vp, 50.0, 10000, w)
+                    scan = corona_no_pst_check(corona, v, vp, 50.0, 10000, w)
                     worst = max(worst, scan.max_fidelity)
                     assert scan.max_fidelity < 1 - 1e-6
     _line("4", True, f"10^4-point scans stay below 1 - 1e-6 (max {worst:.9f})")
@@ -208,9 +206,9 @@ def test_criterion_4_no_transfer_scan():
 
 def test_criterion_5a_pgst_integer_family():
     start = time.perf_counter()
-    spec = CoronaSpec.from_graphs(path_graph(2), cycle_graph(3))
-    gd = exact_decomposition(path_graph(2))
-    result = pgst_search(spec, gd, 0, 1, "t51", ell_max=100_000, target=0.99)
+    g = path_graph(2)
+    corona = search_engine(exact_decomposition(g), cycle_graph(3))
+    result = pgst_search(corona, g, 0, 1, "t51", ell_max=100_000, target=0.99)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     assert result.target_reached and result.best_fidelity >= 0.99
@@ -224,13 +222,13 @@ def test_criterion_5a_pgst_integer_family():
     )
 
 
-def _level_gap_splits(spec: CoronaSpec, g_decomp) -> dict[int, SquareFreeSplit]:
+def _level_gap_splits(h, g_decomp) -> dict[int, SquareFreeSplit]:
     """Split s^2 * c of the squared level gap (lam-k)^2 + 4*m*lam^2 per base eigenvalue.
 
     Keyed by the exact integer base eigenvalue lam.  The gap Lambda = s*sqrt(c)
     is rational, and so locked at every family time, exactly when c == 1.
     """
-    k, m = require_regular(spec.k), spec.m
+    k, m = require_regular(h.is_regular()), h.n
     splits = {}
     for c in g_decomp.classes:
         lam = c.exact.as_integer()
@@ -241,9 +239,10 @@ def _level_gap_splits(spec: CoronaSpec, g_decomp) -> dict[int, SquareFreeSplit]:
 def test_criterion_5b_pgst_zero_mode_family():
     start = time.perf_counter()
     ell_max = 100_000
-    spec = CoronaSpec.from_graphs(cycle_graph(4), cycle_graph(3))
-    gd = exact_decomposition(cycle_graph(4))
-    splits = _level_gap_splits(spec, gd)
+    g = cycle_graph(4)
+    gd = exact_decomposition(g)
+    corona = search_engine(gd, cycle_graph(3))
+    splits = _level_gap_splits(cycle_graph(3), gd)
     # k = 2, m = 3.  At t = (4*ell + 1)*pi the factors of the integer gaps
     # sqrt(4) = 2 (lam = 0) and sqrt(64) = 8 (lam = -2) both equal 1, and the
     # lam = 2 term keeps only cos(t*Lambda/2) because lam - k = 0.
@@ -258,13 +257,13 @@ def test_criterion_5b_pgst_zero_mode_family():
 
     ells = np.arange(ell_max + 1)
     ts = (4.0 * ells + 1.0) * math.pi
-    amps = corona_entry_base_base(spec, gd, 0, 2, ts)
+    amps = amplitudes(corona, 0, 2, ts)  # the walk terms the search reads
     reduced = np.cos(half_gap * ts) / 4 - 1 / 4
     # float phase error grows with t; 1e-8 covers t <= 4*10^5*pi
     phase_err = float(np.max(np.abs(amps - reduced)))
     assert phase_err < 1e-8
 
-    result = pgst_search(spec, gd, 0, 2, "t52", ell_max=ell_max, target=0.99)
+    result = pgst_search(corona, g, 0, 2, "t52", ell_max=ell_max, target=0.99)
     assert not result.target_reached and result.ell_max == ell_max
     # the search's best is the family maximum over every ell <= ell_max
     fids = np.abs(amps)
@@ -277,9 +276,9 @@ def test_criterion_5b_pgst_zero_mode_family():
     assert result.trace[-1] == (result.best_ell, result.best_fidelity)
 
     # 5-cycle copies: the lam = -2 gap sqrt(96) is irrational and t52 works
-    spec5 = CoronaSpec.from_graphs(cycle_graph(4), cycle_graph(5))
-    assert _level_gap_splits(spec5, gd)[-2] == SquareFreeSplit(4, 6)
-    working = pgst_search(spec5, gd, 0, 2, "t52", ell_max=ell_max, target=0.99)
+    assert _level_gap_splits(cycle_graph(5), gd)[-2] == SquareFreeSplit(4, 6)
+    working = pgst_search(search_engine(gd, cycle_graph(5)), g, 0, 2, "t52", ell_max=ell_max,
+                          target=0.99)
     assert working.target_reached and working.best_fidelity >= 0.99
     assert working.best_ell == 282
     elapsed = time.perf_counter() - start
@@ -300,27 +299,27 @@ def test_criterion_5c_pgst_cocktail_family():
     start = time.perf_counter()
     ell_max = 100_000
     g = cocktail_party_graph(3)
-    spec = CoronaSpec.from_graphs(g, cycle_graph(3))
     gd = exact_decomposition(g)
-    splits = _level_gap_splits(spec, gd)
+    splits = _level_gap_splits(cycle_graph(3), gd)
     # Base spectrum {4, 0, -2}, k = 2, m = 3: every gap is an integer and
     # every lam + k is even, so at t = 8*ell*pi each phase factor is 1 and
     # the amplitude is sum_lam E_lam[0, 1] = I[0, 1] = 0.
     assert sorted(splits) == [-2, 0, 4]
     assert all(split.c == 1 for split in splits.values())
     assert {lam: split.s for lam, split in splits.items()} == {4: 14, 0: 2, -2: 8}
-    assert all((lam + spec.k) % 2 == 0 for lam in splits)
+    assert all((lam + 2) % 2 == 0 for lam in splits)  # k = 2
     noise_bound = 1e-8  # float phase error at t <= 8*10^5*pi
 
-    result = pgst_search(spec, gd, 0, 1, "cocktail", ell_max=ell_max, target=0.99)
+    result = pgst_search(search_engine(gd, cycle_graph(3)), g, 0, 1, "cocktail",
+                         ell_max=ell_max, target=0.99)
     assert not result.target_reached and result.ell_max == ell_max
     assert result.best_fidelity < noise_bound
 
     # 4-clique copies: the gaps sqrt(257) and sqrt(89) are irrational
-    spec_k4 = CoronaSpec.from_graphs(g, complete_graph(4))
-    splits_k4 = _level_gap_splits(spec_k4, gd)
+    splits_k4 = _level_gap_splits(complete_graph(4), gd)
     assert splits_k4[4].c == 257 and splits_k4[-2].c == 89
-    working = pgst_search(spec_k4, gd, 0, 1, "cocktail", ell_max=ell_max, target=0.99)
+    working = pgst_search(search_engine(gd, complete_graph(4)), g, 0, 1, "cocktail",
+                          ell_max=ell_max, target=0.99)
     assert working.target_reached and working.best_fidelity >= 0.99
     assert working.best_ell == 72
     elapsed = time.perf_counter() - start
@@ -370,11 +369,10 @@ def test_criterion_6_invariant_suite_on_random_graphs():
         )
         assert unit_err < 1e-8 and sym_err < 1e-8 and group_err < 1e-7
 
-        spec = CoronaSpec.from_graphs(g, cycle_graph(3))
-        k, m = require_regular(spec.k), spec.m
+        k, m = 2, 3  # cycle_graph(3)
         for c in d.classes:
             lam = c.value
-            plus, minus = (lift.value for lift in lift_class(lam, c.exact, spec.main))
+            plus, minus = (lift.value for lift in lift_class(lam, c.exact, regular_main(k, m)))
             lhs1 = ((plus - k) ** 2 + m * lam * lam) * (
                 (minus - k) ** 2 + m * lam * lam
             )

@@ -598,9 +598,9 @@ class TestLabelsFollowTheReader:
         assert (code, err) == (EXIT_OK, "")
         spec = parse_graph_spec(spec_text)
         base = spec.factors[0]
-        g, h = (graphs.build_graph(f, {}) for f in spec.factors)
+        h = graphs.build_graph(spec.factors[1], {})
         scan = transfer.corona_no_pst_check(
-            corona.CoronaSpec.from_graphs(g, h), FamilyDecomposition(base.kind, base.size, 1e-8),
+            oracles.search_engine(FamilyDecomposition(base.kind, base.size, 1e-8), h),
             1, 0, 50.0, 2000, 1)
         report = json.loads(out)
         for key in ("max_fidelity", "argmax_time", "static_bound"):
@@ -796,8 +796,8 @@ class TestOtherCommands:
         assert code == EXIT_OK and err == ""
         g = graphs.cocktail_party_graph(3)
         result = transfer.pgst_search(
-            corona.CoronaSpec.from_graphs(g, graphs.complete_graph(4)),
-            spectral.exact_decomposition(g), 0, 1, "cocktail", ell_max=1000, target=0.99,
+            oracles.search_engine(spectral.exact_decomposition(g), graphs.complete_graph(4)), g,
+            0, 1, "cocktail", ell_max=1000, target=0.99,
         )
         report = json.loads(out)
         assert result.target_reached and report["target_reached"] is True
@@ -1393,6 +1393,42 @@ class TestSearchSettings:
         # once, in the CLI's gate on the family base; the search takes its g
         assert seen == [expected]
         assert json.loads(out)["best_ell"] == 53
+
+
+class TestSearchReadsTheEngine:
+    """pgst and no-pst-scan read the corona engine's walk terms
+    (`cli._search_corona`): its lifts carry no label, while the t51 and t52
+    base gate reads the labels of the base."""
+
+    def test_a_search_labels_no_lift(self, capsys, monkeypatch, tmp_path):
+        """A t51 search on a `file:` base: its gate needs the base's rank
+        labels, and its lifts run no lift polynomial."""
+        path = tmp_path / "p2.edges"
+        path.write_text("2\n0 1\n", encoding="utf-8")
+        monkeypatch.setattr(corona, "lift_polynomial", mock.Mock(side_effect=AssertionError))
+        code, out, err = run(capsys, "pgst", f"corona(file:{path},cycle:3)", "--u", "0",
+                             "--v", "1", "--family", "t51", "--lmax", "5000")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["best_ell"] == 53
+        assert corona.lift_polynomial.call_count == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("pgst", "corona(cocktail:3,complete:4)", "--u", "0", "--v", "1", "--family",
+         "cocktail", "--lmax", "1000"),
+        ("no-pst-scan", "corona(cycle:4,cycle:3)", "--pair", "base-copy", "--v", "1",
+         "--vp", "0", "--w", "2", "--points", "5000"),
+    ], ids=["pgst", "no-pst-scan"])
+    def test_the_grid_reads_no_exact_zero(self, capsys, monkeypatch, argv):
+        """A copy class is 0 on a base vertex, as is the lift of 0 to k: the
+        grid gets the nonzero terms alone."""
+        seen = []
+        walk_terms = transfer._walk_terms
+        monkeypatch.setattr(transfer, "_walk_terms", lambda *args: seen.append(
+            (args[0].terms(*args[1:]), walk_terms(*args))) or seen[-1][1])
+        assert run(capsys, *argv)[0] == EXIT_OK
+        ((terms, (freqs, coefs)),) = seen
+        assert 0.0 in [entry for _, entry in terms]
+        assert list(zip(freqs, coefs)) == [(f, c) for f, c in terms if c != 0.0]
 
 
 SMALL_REPORT = ("spectrum", "path:4")

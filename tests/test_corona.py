@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from coronawalk import spectral, transfer
 from coronawalk.arrowhead import secular_lifts
-from coronawalk.cli import _corona_spec, _decomposition, parse_graph_spec
+from coronawalk.cli import _decomposition, parse_graph_spec
 from coronawalk.corona import (
-    CoronaSpec,
     MainData,
-    corona_terms,
     lift_class,
     lift_polynomial,
+    main_atoms,
     merge_runs,
     regular_main,
 )
@@ -33,7 +32,6 @@ from coronawalk.graphs import (
     empty_graph,
     make_graph,
     path_graph,
-    require_regular,
     star_graph,
     write_edge_list,
 )
@@ -42,20 +40,31 @@ from coronawalk.spectral import decompose, exact_decomposition, exp_sum_grid
 from oracles import (
     amplitudes,
     engine,
-    corona_entry_base_base,
-    corona_entry_base_copy,
     exp_sum,
     is_quadratic_square,
     lift_base_eigenvalue,
     projector,
     reassemble,
+    search_engine,
     small_factors,
     transition_matrix,
 )
 
 
+def main_of(h) -> MainData:
+    """H's main data off its float classes (by theorem where H is regular)."""
+    return main_atoms(decompose(h.adjacency()), h)[0]
+
+
 def closed_form(g, h):
-    return CoronaSpec.from_graphs(g, h), engine(exact_decomposition(g), h)
+    return main_of(h), engine(exact_decomposition(g), h)
+
+
+def walk_terms(g, h, v, vp, w=None):
+    """The walk terms a search reads on g * h (`transfer._walk_terms`), from
+    (v, 0) to (v', 0), or from (v', 0) to (v, w) where w is given, as arrays."""
+    x, y = (v, vp) if w is None else (vp, copy_index(g.n, v, w))
+    return map(np.asarray, transfer._walk_terms(search_engine(exact_decomposition(g), h), x, y))
 
 
 class TestAssembly:
@@ -105,11 +114,10 @@ class TestEigenPairs:
                 )
 
     def test_product_identities_all_pairs_of_a_decomposition(self):
-        spec = CoronaSpec.from_graphs(cycle_graph(4), cycle_graph(3))
-        k, m = require_regular(spec.k), spec.m
+        k, m = 2, 3  # cycle_graph(3)
         for c in exact_decomposition(cycle_graph(4)).classes:
             lam = c.value
-            plus, minus = (x.value for x in lift_class(lam, c.exact, spec.main))
+            plus, minus = (x.value for x in lift_class(lam, c.exact, regular_main(k, m)))
             lhs1 = ((plus - k) ** 2 + m * lam * lam) * (
                 (minus - k) ** 2 + m * lam * lam
             )
@@ -176,7 +184,7 @@ class TestEigenPairs:
         # (lam + k + Lambda)/2 - k cancels for 0 < lam << k; the arrowhead's
         # eigenvectors carry no such difference
         h = cycle_graph(3)
-        lifts = lift_class(lam, None, CoronaSpec.from_graphs(path_graph(1), h).main)
+        lifts = lift_class(lam, None, regular_main(2, 3))
         cols = np.array([np.r_[x.base, np.full(3, x.coords[0] / math.sqrt(3))] for x in lifts])
         assert np.max(np.abs(cols @ cols.T - np.eye(2))) <= 1e-15
         layer = np.block([[np.array([[lam]]), np.full((1, 3), lam)],
@@ -280,7 +288,7 @@ class TestClosedForm:
         ids=["p2c3", "p3c3", "c4k4", "p4c5"],
     )
     def test_reconstructs_adjacency(self, g, h):
-        spec, d = closed_form(g, h)
+        main, d = closed_form(g, h)
         a = corona_graph(g, h).adjacency().astype(float)
         assert np.max(np.abs(reassemble(d) - a)) < 1e-8
         total = sum(projector(d, i) for i in range(len(d.classes)))
@@ -289,7 +297,7 @@ class TestClosedForm:
 
     def test_transition_agrees_with_numeric_oracle(self):
         g, h = path_graph(2), cycle_graph(3)
-        spec, d = closed_form(g, h)
+        main, d = closed_form(g, h)
         oracle = decompose(corona_graph(g, h).adjacency())
         rng = np.random.default_rng(7)
         for t in rng.uniform(0, 10, size=10):
@@ -305,14 +313,14 @@ class TestClosedForm:
 
     def test_copy_only_classes_have_zero_base_blocks(self):
         g, h = path_graph(3), complete_graph(4)
-        spec, d = closed_form(g, h)
+        main, d = closed_form(g, h)
         hd = exact_decomposition(h)
         h_only = {
             round(c.value, 9) for c in hd.classes if abs(c.value - 3) > 1e-9
         }
         pair_values = set()
         for c in exact_decomposition(g).classes:
-            for lift in lift_class(c.value, c.exact, spec.main):
+            for lift in lift_class(c.value, c.exact, main):
                 pair_values.add(round(lift.value, 9))
         for i, c in enumerate(d.classes):
             if round(c.value, 9) in h_only and round(c.value, 9) not in pair_values:
@@ -374,7 +382,7 @@ class TestClosedForm:
     def test_merges_collisions_with_copy_eigenvalues(self):
         # complete base: eigenvalue -1 collides with the copy factor's -1
         g, h = complete_graph(3), complete_graph(4)
-        spec, d = closed_form(g, h)
+        main, d = closed_form(g, h)
         minus_one = [c for c in d.classes if abs(c.value + 1.0) < 1e-8]
         assert len(minus_one) == 1
         a = corona_graph(g, h).adjacency().astype(float)
@@ -410,11 +418,11 @@ class TestClosedForm:
         # eigenvalue of the assembled corona
         g = path_graph(3)
         h = path_graph(200) if copy == "path:200" else random_irregular_graph(40, copy)
-        spec = CoronaSpec.from_graphs(g, h)
-        assert len(spec.main.coefs) == (100 if copy == "path:200" else 40)
+        main = main_of(h)
+        assert len(main.coefs) == (100 if copy == "path:200" else 40)
         gd = exact_decomposition(g)
         labels = [lift.exact for c in gd.classes
-                  for lift in lift_class(c.value, c.exact, spec.main) if lift.exact is not None]
+                  for lift in lift_class(c.value, c.exact, main) if lift.exact is not None]
         assert labels
         d = engine(gd, h, decompose(h.adjacency()))
         assert {c.exact for c in d.classes} > set(labels)
@@ -536,7 +544,7 @@ class TestOracleEquality:
         path = tmp_path / "h.edges"
         path.write_text(write_edge_list(random_irregular_graph(40, 0)))
         spec = parse_graph_spec(f"corona(path:3,file:{path})")
-        main = _corona_spec(spec, {}).main
+        main = _decomposition(spec, group_tol).main
         assert len(main.values) == len(main.coefs) == 40  # an arrowhead of 41 rows
         assembled = np.linalg.eigvalsh(build_graph(spec, {}).adjacency())
         for c in _decomposition(spec, group_tol, labelled=True).classes:
@@ -546,18 +554,14 @@ class TestOracleEquality:
 class TestEntries:
     def test_base_base_at_zero_is_kronecker(self):
         g, h = path_graph(3), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
         for v in range(3):
             for vp in range(3):
-                val = corona_entry_base_base(spec, gd, v, vp, 0.0)
+                val = exp_sum(*walk_terms(g, h, v, vp), 0.0)
                 assert val == pytest.approx(1.0 if v == vp else 0.0, abs=1e-12)
 
     def test_base_copy_at_zero_vanishes(self):
         g, h = path_graph(3), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
-        assert corona_entry_base_copy(spec, gd, 0, 2, 1, 0.0) == pytest.approx(0.0)
+        assert exp_sum(*walk_terms(g, h, 2, 0, 1), 0.0) == pytest.approx(0.0)
 
     @pytest.mark.parametrize(
         "g,h",
@@ -565,39 +569,35 @@ class TestEntries:
         ids=["p2c3", "p3c3"],
     )
     def test_entries_match_assembled_oracle(self, g, h):
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
         oracle = decompose(corona_graph(g, h).adjacency())
         rng = np.random.default_rng(11)
         ts = rng.uniform(0, 20, size=25)
         n, m = g.n, h.n
         for v in range(n):
             for vp in range(n):
-                lhs = corona_entry_base_base(spec, gd, v, vp, ts)
+                lhs = exp_sum(*walk_terms(g, h, v, vp), ts)
                 rhs = amplitudes(oracle, v, vp, ts)
                 assert np.max(np.abs(lhs - rhs)) < 1e-7
                 for w in range(m):
-                    lhs2 = corona_entry_base_copy(spec, gd, vp, v, w, ts)
+                    lhs2 = exp_sum(*walk_terms(g, h, v, vp, w), ts)
                     rhs2 = amplitudes(oracle, vp, copy_index(n, v, w), ts)
                     assert np.max(np.abs(lhs2 - rhs2)) < 1e-7
 
     def test_base_copy_independent_of_copy_vertex(self):
         g, h = path_graph(2), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
         ts = np.linspace(0.0, 9.0, 20)
-        reference = corona_entry_base_copy(spec, gd, 0, 1, 0, ts)
+        reference = exp_sum(*walk_terms(g, h, 1, 0, 0), ts)
         for w in (1, 2):
-            other = corona_entry_base_copy(spec, gd, 0, 1, w, ts)
+            other = exp_sum(*walk_terms(g, h, 1, 0, w), ts)
             assert np.max(np.abs(other - reference)) < 1e-10
 
     def test_rounding_zero_class_lifts_as_in_the_engine(self):
         # C4's class 0 (exact label 0) comes out of eigh as -1.1e-16
         g, h = cycle_graph(4), cycle_graph(3)
-        spec, d = closed_form(g, h)
+        main, d = closed_form(g, h)
         gd = exact_decomposition(g)
         zero = next(c for c in gd.classes if c.exact == QuadInt.from_int(0))
-        freqs, coefs = map(np.asarray, corona_terms(spec, gd, 0, 1))
+        freqs, coefs = map(np.asarray, zip(*search_engine(gd, h).terms(0, 1)))
         assert 0.0 in freqs and 2.0 in freqs
         assert np.all(freqs[np.abs(freqs) < 1e-12] == 0.0)
         assert coefs[list(freqs).index(2.0)] == 0.0
@@ -607,16 +607,14 @@ class TestEntries:
         values = [c.value for c in d.classes]
         assert 2.0 in values and 0.0 in values
         assert np.all(projector(d, values.index(2.0))[: g.n] == 0.0)
-        assert base_lifts([zero.exact], spec.main) == [(0.0, QuadInt.from_int(0))]
+        assert base_lifts([zero.exact], main) == [(0.0, QuadInt.from_int(0))]
 
     def test_degenerate_zero_gap_for_zero_degree(self):
         # base eigenvalue 0 with a 0-regular copy factor hits Lambda = 0
         g, h = path_graph(3), empty_graph(1)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
         oracle = decompose(corona_graph(g, h).adjacency())
         for t in (0.9, 3.7):
-            lhs = corona_entry_base_base(spec, gd, 0, 0, t)
+            lhs = exp_sum(*walk_terms(g, h, 0, 0), t)
             rhs = complex(amplitudes(oracle, 0, 0, t))
             assert abs(lhs - rhs) < 1e-9
 
@@ -624,9 +622,7 @@ class TestEntries:
         # every corona eigenvalue of the 2-path with two isolated-vertex
         # copies is an integer, so the walk revives fully at t = 2 pi
         g, h = path_graph(2), empty_graph(2)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
-        val = corona_entry_base_base(spec, gd, 0, 0, 2 * math.pi)
+        val = exp_sum(*walk_terms(g, h, 0, 0), 2 * math.pi)
         assert abs(val) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -680,8 +676,7 @@ class TestExponentialSum:
     def test_grid_kernel_matches_explicit_times(self, case, sizes, t0, dt):
         g, h, v, vp, w = case
         block, count = sizes
-        spec = CoronaSpec.from_graphs(g, h)
-        freqs, coefs = map(np.asarray, corona_terms(spec, exact_decomposition(g), v, vp, w))
+        freqs, coefs = walk_terms(g, h, v, vp, w)
         # a patch, not the monkeypatch fixture, which @given rejects
         with mock.patch.object(spectral, "GRID_BLOCK", block):
             batches = list(exp_sum_grid(freqs, coefs, t0, dt, count))
@@ -705,8 +700,7 @@ class TestExponentialSum:
         (path_graph(3), star_graph(4), 0, 2, 1),
     ], ids=["C4*C3", "CP3*C5", "P3*S4-copy"])
     def test_grid_kernel_at_search_scale(self, slope, offset, g, h, v, vp, w):
-        spec = CoronaSpec.from_graphs(g, h)
-        freqs, coefs = map(np.asarray, corona_terms(spec, exact_decomposition(g), v, vp, w))
+        freqs, coefs = walk_terms(g, h, v, vp, w)
         t0, dt, count = offset * math.pi, slope * math.pi, 2 * GRID_BLOCK + 1234
         grid = np.concatenate(list(exp_sum_grid(freqs, coefs, t0, dt, count)))
         assert grid.shape == (count,)
@@ -737,8 +731,7 @@ class TestExponentialSum:
     @settings(max_examples=60, deadline=None)
     def test_terms_match_assembled_oracle(self, case, times):
         g, h, v, vp, w = case
-        spec = CoronaSpec.from_graphs(g, h)
-        terms = corona_terms(spec, exact_decomposition(g), v, vp, w)
+        terms = walk_terms(g, h, v, vp, w)
         oracle = decompose(corona_graph(g, h).adjacency())
         target = v if w is None else copy_index(g.n, v, w)
         ts = np.array(times)
@@ -784,7 +777,7 @@ class TestSupportLift:
         ]
         for g, h, v in cases:
             base = exact_decomposition(g).support(v)
-            lifted = base_lifts(base.exact, CoronaSpec.from_graphs(g, h).main)
+            lifted = base_lifts(base.exact, main_of(h))
             assembled_d = exact_decomposition(corona_graph(g, h))
             assembled = assembled_d.support(v)
             assert len(lifted) == len(assembled.class_indices)
@@ -839,7 +832,7 @@ class TestDegreeFlag:
         (None, regular_main(2, 3)),  # a float class: nothing is known
         # over the irregular K_{1,3} (1 + sqrt(5))/2 lifts to (3 + 3 sqrt(5))/2,
         # -1 and -sqrt(5)
-        (QuadInt(1, 1, 5), CoronaSpec.from_graphs(path_graph(2), star_graph(4)).main),
+        (QuadInt(1, 1, 5), main_of(star_graph(4))),
     ], ids=["integer", "unlabelled", "irregular-h"])
     def test_nothing_else_is_flagged(self, label, main):
         assert not any(l.beyond_quadratic for l in lift_class(math.sqrt(2), label, main))
@@ -903,7 +896,7 @@ def assert_flags_agree_with_search(spec, seen, group_tol=DEFAULT_GROUP_TOL):
     (`small_factors`) finds, and every label's doubled minimal polynomial is
     one of them; (label, copy) pairs in seen are skipped.  Returns the number
     of flags checked."""
-    main, flags = _corona_spec(spec, {}).main, 0
+    main, flags = _decomposition(spec).main, 0
     for c in _decomposition(spec.factors[0], group_tol, labelled=True).classes:
         if c.exact is None or (c.exact, spec.factors[1]) in seen:
             continue
@@ -1012,7 +1005,7 @@ class TestLiftPolynomial:
         # 0 is a main value of P9, so lam = 0 lifts to the double root 0 of
         # Psi = y M2(y) and to 2cos(pi/10), 2cos(3 pi/10) and their negatives,
         # of degree 4: the sign test runs on Psi less y^2
-        main = CoronaSpec.from_graphs(path_graph(3), path_graph(9)).main
+        main = main_of(path_graph(9))
         lifts = lift_class(0.0, QuadInt.from_int(0), main)
         assert [(lift.exact, lift.beyond_quadratic) for lift in lifts] == (
             [(None, True)] * 2 + [(QuadInt.from_int(0), False)] * 2 + [(None, True)] * 2)

@@ -99,8 +99,11 @@ def same_record(got, want):
             assert x == y, field
 
 
-def compare(spec: GraphSpec, mine, closed: ClosedForm) -> None:
-    """Every support, sign and verdict, and a sample of amplitudes, equal."""
+def compare(spec: GraphSpec, mine, closed: ClosedForm, truth: ClosedForm) -> None:
+    """Every support, sign and verdict, and a sample of amplitudes, equal; the
+    amplitudes, which certificates read too, are those of `truth`, the closed
+    form at 1e-8, where no class merges distinct eigenvalues: the engine
+    turns each atom at its own value at any group tol."""
     supports = [mine.support(u) for u in range(mine.n)]
     for u, sup in enumerate(supports):
         want = closed.support(u)
@@ -117,7 +120,7 @@ def compare(spec: GraphSpec, mine, closed: ClosedForm) -> None:
                     signs[u, v] = got
     # a pair that is not strongly cospectral gets its certificate from the
     # support and signs alone, compared above; the others read the amplitude
-    ours, theirs = Memo(mine, supports, signs), Memo(closed, supports, signs)
+    ours, theirs = Memo(mine, supports, signs), Memo(truth.d, supports, signs)
     for u, v in signs:
         same_record(pst_certify(ours, u, v), pst_certify(theirs, u, v))
     n, last = spec_order(spec.factors[0], {}), mine.n - 1
@@ -125,7 +128,7 @@ def compare(spec: GraphSpec, mine, closed: ClosedForm) -> None:
     # and a return amplitude
     pairs = [(0, n - 1), (0, last), (n, last), (n, last + 1 - n), (last, last)]
     for t in TIMES:
-        u_t = closed.transition(t)
+        u_t = truth.transition(t)
         for u, v in pairs:
             assert abs(mine.amplitude(u, v, t) - u_t[u, v]) <= 1e-12, (str(spec), u, v, t)
 
@@ -143,19 +146,22 @@ def test_the_engine_equals_the_closed_form(base):
     signs and PST certificate of every ordered pair (base-base, base-copy and
     copy-copy) and amplitudes at three times within 1e-12, over every copy
     factor in COPIES, regular and `path:3`-`path:6` and `star:3`-`star:6`,
-    at --group-tol 1e-8, 1e-3 and 1e-2.  A looser
-    tolerance that groups every class as 1e-8 does gives the same members,
-    so its queries are those compared at 1e-8."""
+    at --group-tol 1e-8, 1e-3 and 1e-2, the amplitudes against the closed
+    form at 1e-8 (`compare`).  A looser tolerance that groups every class as
+    1e-8 does gives the same members, so its queries are those compared at
+    1e-8."""
     for copy in COPIES:
         spec = corona(base, copy)
-        seen = None
+        seen = truth = None
         for tol in (1e-8, 1e-3, 1e-2):
             mine, closed = _decomposition(spec, tol, labelled=True), closed_form(spec, tol)
             same_classes(spec, mine, closed)
             grouping = [c.multiplicity for c in mine.classes]
             if grouping != seen:
                 seen = seen or grouping
-                compare(spec, mine, ClosedForm(closed))
+                form = ClosedForm(closed)
+                truth = truth or form
+                compare(spec, mine, form, truth)
 
 
 SMALL = ["corona(path:3,cycle:3)", "corona(cycle:4,empty:2)", "corona(star:4,complete:3)",
@@ -239,3 +245,22 @@ def test_each_arrowhead_is_solved_once(monkeypatch, capsys):
     assert run_command(argv) == 0
     assert len(calls) == 3 + 5
     assert capsys.readouterr().out == shared
+
+
+def test_a_merged_family_class_lifts_each_of_its_values():
+    """At --group-tol 1e-2 path:40 merges its values near 2 and near -2 into
+    classes of several values.  The engine lifts each value of such a class
+    with the rank of its atoms, so its classes are the assembled graph's at
+    1e-2 and its amplitudes the assembled graph's at 1e-8, within 1e-12: no
+    lift turns at a class mean."""
+    spec = parse_graph_spec("corona(path:40,cycle:3)")
+    base = _decomposition(spec.factors[0], 1e-2)
+    assert sum(len({a.value for a in atoms}) > 1 for atoms in base.atoms) == 2
+    d = _decomposition(spec, 1e-2, labelled=True)
+    graph = build_graph(spec, {})
+    assert [(c.multiplicity, c.exact) for c in d.classes] == \
+        [(c.multiplicity, c.exact) for c in exact_decomposition(graph, 1e-2).classes]
+    exact = exact_decomposition(graph, 1e-8)
+    for u, v in [(0, 1), (0, 39), (5, 45), (45, 85), (3, 159), (20, 21)]:
+        for t in TIMES:
+            assert abs(d.amplitude(u, v, t) - exact.amplitude(u, v, t)) <= 1e-12, (u, v, t)

@@ -101,6 +101,16 @@ def test_search_gate_failures_never_load_numpy(argv):
     assert probe(run_quietly(argv), NUMPY_FREE) == {"code": 2, "loaded": ["coronawalk.gates"]}
 
 
+def test_a_regular_file_copy_factor_past_the_budget_fails_the_gate_without_numpy(tmp_path):
+    """The corona engine eigensolves a `file:` copy factor, regular or not, so
+    the search gate holds it to the dense budget before numpy loads."""
+    path = tmp_path / "c4097.edges"
+    path.write_text("4097\n" + "".join(f"{i} {i + 1}\n" for i in range(4096)) + "0 4096\n",
+                    encoding="utf-8")
+    argv = ("pgst", f"corona(path:2,file:{path})", "--u", "0", "--v", "1", "--family", "t51")
+    assert probe(run_quietly(argv), NUMPY_FREE) == {"code": 2, "loaded": ["coronawalk.gates"]}
+
+
 def test_family_base_without_transfer_fails_the_pgst_gate_without_numpy():
     """path:3 transfers between its ends at pi/sqrt(2), not at pi/g with an
     integer g: the t51 gate decides that on the family's eigenspaces, in pure
@@ -247,7 +257,7 @@ def test_every_exported_name_resolves():
     body = ("import coronawalk\n"
             "missing = [n for n in coronawalk.__all__ if getattr(coronawalk, n, None) is None]\n"
             "assert coronawalk.__all__ and not missing, missing\n"
-            "from coronawalk import (CoronaDecomposition, CoronaSpec, cycle_graph,\n"
+            "from coronawalk import (CoronaDecomposition, cycle_graph,\n"
             "    empty_graph, exact_decomposition, path_graph, periodicity_test, pgst_search,\n"
             "    pst_certify)\n"
             "code = 0")
@@ -292,18 +302,20 @@ def test_cli_registers_no_exit_handler():
     }
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (("spectrum", "corona(path:2,cycle:3)"), ["coronawalk.coronaspectra"]),
-    (("no-pst-scan", "corona(cocktail:3,path:3)", "--pair", "base-copy", "--v", "0", "--vp",
-      "1", "--points", "100"), []),
-    (("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
-      "--lmax", "100"), []),
-    (("no-pst-scan", "corona(path:2,corona(path:3,empty:1))", "--pair", "base-base", "--v",
-      "0", "--vp", "1", "--points", "100"), ["coronawalk.coronaspectra"]),
-], ids=["spectrum", "no-pst-scan", "pgst", "no-pst-scan-corona-copy"])
-def test_only_a_corona_factor_brings_the_engine_to_a_search(argv, loaded):
-    """The searches read the base's walk terms and the copy factor's main data
-    (`corona.corona_terms`): they compile the corona engine only for a corona
-    base or copy factor, which it decomposes."""
-    assert probe(run_quietly(argv), ("coronawalk.coronaspectra",)) == {"code": 0,
-                                                                         "loaded": loaded}
+@pytest.mark.parametrize("argv", [
+    ("no-pst-scan", "corona(cocktail:3,path:3)", "--pair", "base-copy", "--v", "0", "--vp",
+     "1", "--points", "100"),
+    ("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
+     "--lmax", "100"),
+    ("pgst", "corona(cocktail:3,complete:4)", "--u", "0", "--v", "1", "--family", "cocktail",
+     "--lmax", "100"),
+    ("no-pst-scan", "corona(path:2,corona(path:3,empty:1))", "--pair", "base-base", "--v",
+     "0", "--vp", "1", "--points", "100"),
+], ids=["no-pst-scan", "pgst-t51", "pgst-cocktail", "no-pst-scan-corona-copy"])
+def test_searches_on_family_factors_read_the_engine_without_numpy(argv):
+    """The searches read the corona engine's walk terms, as every other
+    corona command does: on family factors, nested ones too, they compile
+    the engine and load neither numpy nor `spectral`."""
+    watched = ("numpy", "coronawalk.spectral", "coronawalk.coronaspectra")
+    assert probe(run_quietly(argv), watched) == {"code": 0,
+                                                  "loaded": ["coronawalk.coronaspectra"]}

@@ -213,6 +213,21 @@ KINDS = {
 }
 
 
+def _class_entries(d, u: int, v: int) -> list[float]:
+    """E[u, v] of each class of d, the sum over its atoms."""
+    x, y = d.vertex(u), d.vertex(v)
+    return [math.fsum(d.entry(a.key, x, y) for a in atoms) for atoms in d.atoms]
+
+
+def _terms_per_value(d, u: int, v: int) -> list[tuple[float, float]]:
+    """The walk terms of d from u to v summed per value: values within 1e-9
+    of the one before are one value."""
+    terms = sorted(d.terms(u, v), reverse=True)
+    runs = [0, *(i for i in range(1, len(terms)) if terms[i - 1][0] - terms[i][0] > 1e-9),
+            len(terms)]
+    return [(terms[a][0], math.fsum(e for _, e in terms[a:b])) for a, b in zip(runs, runs[1:])]
+
+
 @pytest.mark.parametrize("group_tol", [1e-8, 1e-3])
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_every_decomposition_answers_as_the_assembled_graph(kind, group_tol, tmp_path):
@@ -220,11 +235,16 @@ def test_every_decomposition_answers_as_the_assembled_graph(kind, group_tol, tmp
     reads for that spec (`cli._decomposition`), against the assembled graph's
     eigensolve with rank-verified labels at the same group tol: classes
     (multiplicities and labels equal, each value an eigenvalue within 1e-9),
-    the support of every vertex, the signs of every ordered pair, and the
-    walk terms of every pair, entries within 1e-12.  At 1e-8, where no class
-    merges distinct eigenvalues, the values, term values and the amplitude
-    at three times agree too (within 1e-9, 1e-9 and 1e-12); a merged class
-    keeps one of its eigenvalues, not their mean."""
+    the support of every vertex, the signs of every ordered pair, and each
+    class's entry E[u, v] on every pair, within 1e-12.  Against the assembled
+    graph at 1e-8, where no class merges distinct eigenvalues, the walk
+    terms summed per value (values within 1e-9, entries within 1e-12) and
+    the amplitude at three times (within 1e-12) agree at 1e-8, and at 1e-3
+    too where the base is a family: each atom takes its own value, so a
+    class that merges lifts of distinct values, or a base class that
+    merges distinct values, turns each at its own eigenvalue.  At 1e-8 the
+    values agree too (within 1e-9); a merged class keeps one of its
+    eigenvalues, not their mean."""
     paw, p3, p3p3 = tmp_path / "paw.edges", tmp_path / "p3.edges", tmp_path / "p3p3.edges"
     paw.write_text(PAW, encoding="utf-8")
     p3.write_text("3\n0 1\n1 2\n", encoding="utf-8")
@@ -240,21 +260,24 @@ def test_every_decomposition_answers_as_the_assembled_graph(kind, group_tol, tmp
         [(r.multiplicity, r.exact) for r in ref.classes]
     values = np.linalg.eigvalsh(graph.adjacency().astype(float))
     assert max(np.min(np.abs(values - c.value)) for c in d.classes) <= 1e-9
-    exact = group_tol == 1e-8
-    if exact:
+    if group_tol == 1e-8:
         assert max(abs(c.value - r.value) for c, r in zip(d.classes, ref.classes)) <= 1e-9
+    own = group_tol == 1e-8 or (spec.kind == "corona" and spec.factors[0].kind in FAMILIES)
+    exact = ref if group_tol == 1e-8 else exact_decomposition(graph, 1e-8)
     for u in range(d.n):
         assert d.support(u)[:3] == ref.support(u)[:3], u
         for v in range(d.n):
             if u != v:
                 assert d.signs(u, v) == ref.signs(u, v), (u, v)
-            terms, want = d.terms(u, v), ref.terms(u, v)
-            assert len(terms) == len(want)
-            assert max(abs(x - y) for (_, x), (_, y) in zip(terms, want)) <= 1e-12
-            if exact:
+            entries, want = _class_entries(d, u, v), _class_entries(ref, u, v)
+            assert max(abs(x - y) for x, y in zip(entries, want)) <= 1e-12, (u, v)
+            if own:
+                terms, want = _terms_per_value(d, u, v), exact.terms(u, v)
+                assert len(terms) == len(want), (u, v)
                 assert max(abs(x - y) for (x, _), (y, _) in zip(terms, want)) <= 1e-9
+                assert max(abs(x - y) for (_, x), (_, y) in zip(terms, want)) <= 1e-12
                 for t in (0.7, 3.1, 11.3):
-                    assert abs(d.amplitude(u, v, t) - ref.amplitude(u, v, t)) <= 1e-12, \
+                    assert abs(d.amplitude(u, v, t) - exact.amplitude(u, v, t)) <= 1e-12, \
                         (u, v, t)
 
 

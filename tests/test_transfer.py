@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from coronawalk import corona as corona_module
 from coronawalk import gridmax
 from coronawalk import transfer
-from coronawalk.cli import _corona_spec, _decomposition, parse_graph_spec
-from coronawalk.corona import CoronaSpec, corona_terms
-from coronawalk.defaults import DEFAULT_GROUP_TOL, GRID_BLOCK
+from coronawalk.cli import _decomposition, _search_corona, parse_graph_spec
+from coronawalk.defaults import GRID_BLOCK
 from coronawalk.exact import QuadInt, two_adic_valuation
 from coronawalk.gates import check_pgst
 from coronawalk.graphs import (
@@ -24,13 +23,11 @@ from coronawalk.graphs import (
     copy_index,
     corona_graph,
     cycle_graph,
-    GraphSpec,
-    build_family,
+    build_graph,
     empty_graph,
     make_graph,
     path_graph,
 )
-from coronawalk.leafspectra import FamilyDecomposition
 from coronawalk.spectral import decompose, exact_decomposition
 from coronawalk.transfer import (
     PeriodicityVerdict,
@@ -43,7 +40,7 @@ from coronawalk.transfer import (
     pst_certify,
 )
 
-from oracles import amplitudes, corona_entry_base_base, corona_entry_base_copy, engine, fidelity
+from oracles import amplitudes, engine, fidelity, search_engine
 
 
 def qi(n):
@@ -195,12 +192,12 @@ def test_lifted_base_test_agrees_with_the_vertex_test_on_a_sweep():
     counts: Counter = Counter()
     for g, h in itertools.product(_SWEEP_BASES, _SWEEP_COPIES):
         spec = parse_graph_spec(f"corona({g},{h})")
-        d, cspec = _decomposition(spec, labelled=True), _corona_spec(spec, {})
-        for u in range(cspec.n):
+        d = _decomposition(spec, labelled=True)
+        for u in range(d.base.n):
             verdict = vertex_periodicity(d, u)
             labels_only = periodicity_test(d.support(u).exact)
             counts[verdict.periodic, verdict.reason] += 1
-            counts["yes with k >= 1"] += verdict.periodic == "yes" and cspec.k >= 1
+            counts["yes with k >= 1"] += verdict.periodic == "yes" and d.degree >= 1
             if labels_only.periodic != "inconclusive":
                 assert verdict == labels_only, (g, h, u)
     assert counts == {
@@ -231,8 +228,8 @@ def test_lifted_base_test_never_contradicts_the_assembled_support(base, h):
 
 
 def _p2_c3_scan(points):
-    spec = CoronaSpec.from_graphs(path_graph(2), cycle_graph(3))
-    return corona_no_pst_check(spec, exact_decomposition(path_graph(2)), 0, 1, 1.0, points)
+    corona = search_engine(exact_decomposition(path_graph(2)), cycle_graph(3))
+    return corona_no_pst_check(corona, 0, 1, 1.0, points)
 
 
 class TestLibraryOnlyErrors:
@@ -243,6 +240,38 @@ class TestLibraryOnlyErrors:
         (lambda: _p2_c3_scan(0), "a scan needs at least one time point"),
         (lambda: check_pgst(2, 2, 0, 1, "t51", -1), "ell_max must be nonnegative"),
     ], ids=["scan-no-points", "pgst-negative-ell-max"])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
+def _p2(copy):
+    return search_engine(exact_decomposition(path_graph(2)), copy)
+
+
+class TestLibraryGates:
+    """`pgst_search` and `corona_no_pst_check` run the gates the CLI runs
+    before them, for library callers, on the corona engine they are handed,
+    with the CLI's messages."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: pgst_search(_p2(cycle_graph(3)), path_graph(2), 0, 2, "t51"),
+         "base vertex 2 out of range"),
+        (lambda: pgst_search(_p2(path_graph(3)), path_graph(2), 0, 1, "t51"),
+         "the pgst families need a regular copy factor H"),
+        (lambda: pgst_search(_p2(empty_graph(2)), path_graph(2), 0, 1, "t52"),
+         "pgst families need a copy factor of nonzero degree"),
+        (lambda: pgst_search(search_engine(exact_decomposition(cycle_graph(6)), cycle_graph(3)),
+                             cycle_graph(6), 0, 3, "cocktail"),
+         "cocktail family needs a cocktail party base graph"),
+        (lambda: corona_no_pst_check(_p2(cycle_graph(3)), 1, 1, 1.0, 10),
+         "base-base scans need distinct vertices"),
+        (lambda: corona_no_pst_check(_p2(cycle_graph(3)), 0, 2, 1.0, 10),
+         "base vertex 2 out of range"),
+        (lambda: corona_no_pst_check(_p2(cycle_graph(3)), 0, 1, 1.0, 10, w=3),
+         "copy vertex 3 out of range"),
+    ], ids=["pgst-vertex", "pgst-irregular-copy", "pgst-degree-0", "pgst-not-cocktail",
+            "scan-same-vertex", "scan-vertex", "scan-copy-vertex"])
     def test_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
@@ -421,43 +450,38 @@ class TestNoPeriodicityLift:
 class TestNoTransferScan:
     def test_base_base_scan_stays_below_one(self):
         g, h = path_graph(2), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
-        scan = corona_no_pst_check(spec, gd, 0, 1, 50.0, 1000)
+        corona = search_engine(exact_decomposition(g), h)
+        scan = corona_no_pst_check(corona, 0, 1, 50.0, 1000)
         assert scan.all_below_one
         assert scan.max_fidelity < 1 - 1e-6
         assert scan.static_bound <= 1 + 1e-9
 
     def test_base_copy_zero_at_time_zero(self):
         g, h = path_graph(2), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
-        scan = corona_no_pst_check(spec, gd, 1, 0, 0.0, 1, w=0)
+        corona = search_engine(exact_decomposition(g), h)
+        scan = corona_no_pst_check(corona, 1, 0, 0.0, 1, w=0)
         assert scan.max_fidelity == pytest.approx(0.0, abs=1e-12)
 
     def test_p3_base_base_scan(self):
         g, h = path_graph(3), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
-        scan = corona_no_pst_check(spec, gd, 0, 2, 50.0, 1000)
+        corona = search_engine(exact_decomposition(g), h)
+        scan = corona_no_pst_check(corona, 0, 2, 50.0, 1000)
         assert scan.all_below_one
 
     def test_identical_base_vertices_rejected(self):
         g, h = path_graph(2), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         with pytest.raises(ValueError):
-            corona_no_pst_check(spec, gd, 1, 1, 1.0, 1)
+            corona_no_pst_check(corona, 1, 1, 1.0, 1)
 
 
     def test_scan_reports_the_linspace_argmax(self):
         g, h = path_graph(3), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         t_max, points = 37.3, 50_001
-        scan = corona_no_pst_check(spec, gd, 2, 0, t_max, points, w=1)
+        scan = corona_no_pst_check(corona, 2, 0, t_max, points, w=1)
         ts = np.linspace(0.0, t_max, points)
-        fids = np.abs(corona_entry_base_copy(spec, gd, 0, 2, 1, ts))
+        fids = np.abs(amplitudes(corona, 0, copy_index(g.n, 2, 1), ts))
         i = int(np.argmax(fids))
         assert scan.samples == points
         assert scan.argmax_time == float(ts[i])
@@ -466,10 +490,9 @@ class TestNoTransferScan:
     def test_scan_argmax_at_the_last_point_is_t_max(self):
         # the base-copy amplitude starts at 0 and grows on a short grid
         g, h = path_graph(2), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         t_max = 0.1 + 0.2  # not a multiple of its own step in floats
-        scan = corona_no_pst_check(spec, gd, 1, 0, t_max, 7, w=0)
+        scan = corona_no_pst_check(corona, 1, 0, t_max, 7, w=0)
         assert scan.argmax_time == t_max == float(np.linspace(0.0, t_max, 7)[-1])
 
 
@@ -481,10 +504,9 @@ SCAN_TIE = gridmax._SCAN_EPS + 1e-14
 def _scan_of_terms(freqs, coefs, t_max, points):
     """corona_no_pst_check with the walk terms (freqs, coefs) in place of a
     corona's: the pair's gates and static bound are those of P2 * C3."""
-    spec = CoronaSpec.from_graphs(path_graph(2), cycle_graph(3))
-    with mock.patch.object(corona_module, "corona_terms", return_value=(freqs, coefs)):
-        return corona_no_pst_check(spec, exact_decomposition(path_graph(2)), 0, 1, t_max,
-                                   points)
+    corona = search_engine(exact_decomposition(path_graph(2)), cycle_graph(3))
+    with mock.patch.object(transfer, "_walk_terms", return_value=(freqs, coefs)):
+        return corona_no_pst_check(corona, 0, 1, t_max, points)
 
 
 def _grid_values(freqs, coefs, t_max, points):
@@ -574,24 +596,22 @@ class TestScanSearch:
 
     def test_a_forced_handover_reports_numpy_s_grid_maximum(self, monkeypatch):
         g, h = path_graph(3), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         t_max, points = 37.3, 50_001
         step = t_max / (points - 1)
         monkeypatch.setattr(gridmax, "_SCAN_CAP", 0)
-        scan = corona_no_pst_check(spec, gd, 2, 0, t_max, points, w=1)
-        best, arg = self._exhaustive(*corona_terms(spec, gd, 2, 0, 1), step, points)
+        scan = corona_no_pst_check(corona, 2, 0, t_max, points, w=1)
+        best, arg = self._exhaustive(*transfer._walk_terms(corona, 0, copy_index(g.n, 2, 1)),
+                                     step, points)
         assert (scan.max_fidelity, scan.argmax_time) == (best, arg * step)
 
     def test_a_long_grid_passes_the_cap_and_hands_over(self):
-        g = build_family(GraphSpec("cocktail", 7))
-        spec = CoronaSpec.from_graphs(g, cycle_graph(5))
-        gd = FamilyDecomposition("cocktail", 7, DEFAULT_GROUP_TOL)
+        corona, _ = family_search_input("cocktail:7", "cycle:5")
         t_max, points = 2000.0, 2_000_000
-        freqs, coefs = corona_terms(spec, gd, 0, 2)
+        freqs, coefs = transfer._walk_terms(corona, 0, 2)
         step = t_max / (points - 1)
         assert gridmax._search(freqs, coefs, step, points) is None
-        scan = corona_no_pst_check(spec, gd, 0, 2, t_max, points)
+        scan = corona_no_pst_check(corona, 0, 2, t_max, points)
         best, arg = self._exhaustive(freqs, coefs, step, points)
         assert (scan.max_fidelity, scan.argmax_time) == (best, arg * step)
 
@@ -613,11 +633,9 @@ class TestBoundedMemory:
 
     def test_two_million_point_scan(self):
         g = cocktail_party_graph(7)
-        spec = CoronaSpec.from_graphs(g, complete_graph(4))
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), complete_graph(4))
         t_max, points = 150.0, 2_000_000
-        scan, peak = _peak_bytes(lambda: corona_no_pst_check(
-            spec, gd, 0, 1, t_max, points, w=2))
+        scan, peak = _peak_bytes(lambda: corona_no_pst_check(corona, 0, 1, t_max, points, w=2))
         assert peak < self.BOUND
         assert scan.samples == points
         ts = np.linspace(0.0, t_max, points)
@@ -627,10 +645,9 @@ class TestBoundedMemory:
 
     def test_capped_pgst_sweep_to_a_million(self):
         g = cycle_graph(4)
-        spec = CoronaSpec.from_graphs(g, cycle_graph(3))
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), cycle_graph(3))
         result, peak = _peak_bytes(lambda: pgst_search(
-            spec, gd, 0, 2, "t52", ell_max=10**6, target=0.99))
+            corona, g, 0, 2, "t52", ell_max=10**6, target=0.99))
         assert peak < self.BOUND
         assert not result.target_reached and result.ell_max == 10**6
         assert result.best_fidelity <= 0.5 + 1e-8
@@ -639,9 +656,8 @@ class TestBoundedMemory:
 class TestPgstSearch:
     def test_t51_on_p2_c3_reaches_target(self):
         g, h = path_graph(2), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
-        result = pgst_search(spec, gd, 0, 1, "t51", ell_max=5000, target=0.99)
+        corona = search_engine(exact_decomposition(g), h)
+        result = pgst_search(corona, g, 0, 1, "t51", ell_max=5000, target=0.99)
         assert result.target_reached
         assert result.g == 2
         # frozen regression values for this instance
@@ -652,9 +668,8 @@ class TestPgstSearch:
 
     def test_trace_strictly_increasing_and_bounded(self):
         g, h = path_graph(2), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
-        result = pgst_search(spec, gd, 0, 1, "t51", ell_max=300, target=0.9999)
+        corona = search_engine(exact_decomposition(g), h)
+        result = pgst_search(corona, g, 0, 1, "t51", ell_max=300, target=0.9999)
         fids = [f for _, f in result.trace]
         assert all(b > a for a, b in zip(fids, fids[1:]))
         assert result.best_fidelity == max(fids)
@@ -662,30 +677,27 @@ class TestPgstSearch:
 
     def test_t51_times_match_assembled_oracle(self):
         g, h = path_graph(2), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         oracle = decompose(corona_graph(g, h).adjacency())
         rng = np.random.default_rng(3)
         for ell in rng.integers(0, 2000, size=5):
             t = (4 * int(ell) + 1) * math.pi  # family time at this ell, g = 2
-            closed = abs(complex(corona_entry_base_base(spec, gd, 0, 1, t)))
+            closed = abs(complex(amplitudes(corona, 0, 1, t)))
             direct = abs(complex(amplitudes(oracle, 0, 1, t)))
             assert abs(closed - direct) < 1e-7
 
     def test_t52_on_c4_c5_reaches_target(self):
         g, h = cycle_graph(4), cycle_graph(5)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
-        result = pgst_search(spec, gd, 0, 2, "t52", target=0.99)
+        corona = search_engine(exact_decomposition(g), h)
+        result = pgst_search(corona, g, 0, 2, "t52", target=0.99)
         assert result.target_reached
         assert result.best_ell == 282  # frozen regression value
         assert result.best_time == pytest.approx((4 * 282 + 1) * math.pi)
 
     def test_cocktail_on_cocktail3_k4_reaches_target(self):
         g, h = cocktail_party_graph(3), complete_graph(4)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
-        result = pgst_search(spec, gd, 0, 1, "cocktail", target=0.99)
+        corona = search_engine(exact_decomposition(g), h)
+        result = pgst_search(corona, g, 0, 1, "cocktail", target=0.99)
         assert result.target_reached
         assert result.best_ell == 72  # frozen regression value
         assert result.best_time == pytest.approx(8 * 72 * math.pi)
@@ -702,16 +714,15 @@ class TestPgstSearch:
         ids=["t51-p2-c3", "t52-c4-c5", "cocktail3-k4", "t52-c4-c3-capped"],
     )
     def test_trace_is_strict_prefix_maxima(self, g, h, u, v, family, ell_max, target):
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
-        result = pgst_search(spec, gd, u, v, family, ell_max=ell_max, target=target)
+        corona = search_engine(exact_decomposition(g), h)
+        result = pgst_search(corona, g, u, v, family, ell_max=ell_max, target=target)
         ells = np.arange(result.best_ell + 1)
         times = {
             "t51": lambda: (4.0 * ells + 2.0 / result.g) * math.pi,
             "t52": lambda: (4.0 * ells + 1.0) * math.pi,
             "cocktail": lambda: 8.0 * ells * math.pi,
         }[family]()
-        fids = np.abs(corona_entry_base_base(spec, gd, u, v, times))
+        fids = np.abs(amplitudes(corona, u, v, times))
         expected, best = [], -1.0
         for ell, fid in zip(ells, fids):
             if fid > best:
@@ -733,9 +744,8 @@ class TestPgstSearch:
         monkeypatch.setattr(cls, "support",
                             lambda d, u, tol: seen.append(tol) or support(d, u, tol))
         g, h = path_graph(2), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
-        result = pgst_search(spec, gd, 0, 1, "t51", ell_max=100, target=0.99,
+        corona = search_engine(exact_decomposition(g), h)
+        result = pgst_search(corona, g, 0, 1, "t51", ell_max=100, target=0.99,
                              support_tol=1e-6, cospectral_tol=1e-5)
         assert result.best_ell == 53
         # once inside pst_certify, once for the "0 outside the support" check
@@ -743,47 +753,41 @@ class TestPgstSearch:
 
     def test_zero_degree_copy_factor_rejected(self):
         g, h = path_graph(2), empty_graph(2)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         with pytest.raises(ValueError, match="nonzero degree"):
-            pgst_search(spec, gd, 0, 1, "t51")
+            pgst_search(corona, g, 0, 1, "t51")
 
     def test_t51_needs_integer_transfer_time(self):
         # 3-path transfer runs at pi/sqrt(2), not pi/g
         g, h = path_graph(3), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         with pytest.raises(ValueError, match="pi/g"):
-            pgst_search(spec, gd, 0, 2, "t51")
+            pgst_search(corona, g, 0, 2, "t51")
 
     def test_t51_needs_base_transfer(self):
         g, h = path_graph(4), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         with pytest.raises(ValueError, match="base transfer"):
-            pgst_search(spec, gd, 0, 3, "t51")
+            pgst_search(corona, g, 0, 3, "t51")
 
     def test_t52_needs_zero_eigenvalue(self):
         g, h = path_graph(2), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         with pytest.raises(ValueError, match="0 in the base spectrum"):
-            pgst_search(spec, gd, 0, 1, "t52")
+            pgst_search(corona, g, 0, 1, "t52")
 
     def test_cocktail_needs_odd_half_order(self):
         # the 2-person cocktail party (the 4-cycle) has even n = 2
         g, h = cycle_graph(4), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         with pytest.raises(ValueError, match="odd n"):
-            pgst_search(spec, gd, 0, 2, "cocktail")
+            pgst_search(corona, g, 0, 2, "cocktail")
 
     def test_cocktail_needs_antipodal_pair(self):
         g, h = cocktail_party_graph(3), complete_graph(4)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         with pytest.raises(ValueError, match="antipodal"):
-            pgst_search(spec, gd, 0, 2, "cocktail")
+            pgst_search(corona, g, 0, 2, "cocktail")
 
     @pytest.mark.parametrize("change", ["cycle", "removed", "added"])
     def test_cocktail_base_read_off_the_graph(self, change):
@@ -798,26 +802,22 @@ class TestPgstSearch:
             edges.add((0, 1))
         g = (cycle_graph(6) if change == "cycle"
              else make_graph(6, [(perm[a], perm[b]) for a, b in edges]))
-        spec = CoronaSpec.from_graphs(g, cycle_graph(3))
+        corona = search_engine(exact_decomposition(g), cycle_graph(3))
         with pytest.raises(ValueError, match="cocktail family needs a cocktail party base"):
-            pgst_search(spec, exact_decomposition(g), 0, 3, "cocktail")
+            pgst_search(corona, g, 0, 3, "cocktail")
 
     def test_unknown_family_rejected(self):
         g, h = path_graph(2), cycle_graph(3)
-        spec = CoronaSpec.from_graphs(g, h)
-        gd = exact_decomposition(g)
+        corona = search_engine(exact_decomposition(g), h)
         with pytest.raises(ValueError, match="unknown pgst family"):
-            pgst_search(spec, gd, 0, 1, "bogus")
+            pgst_search(corona, g, 0, 1, "bogus")
 
 
 def family_search_input(base: str, copy: str):
-    """The corona spec and the base's family decomposition, as `pgst` reads
-    them on a family base."""
-    (kind, size), (copy_kind, copy_size) = (
-        (k, int(n)) for k, n in (text.split(":") for text in (base, copy)))
-    spec = CoronaSpec.from_graphs(build_family(GraphSpec(kind, size)),
-                                  build_family(GraphSpec(copy_kind, copy_size)))
-    return spec, FamilyDecomposition(kind, size, DEFAULT_GROUP_TOL)
+    """The corona engine and the base graph, as `pgst` reads them on a family
+    base."""
+    spec = parse_graph_spec(f"corona({base},{copy})")
+    return _search_corona(spec, {}), build_graph(spec.factors[0], {})
 
 
 # the family-base pairs of the benchmark's early-stop menu as (base, copy,
@@ -860,13 +860,13 @@ class TestPgstRoutes:
     with numpy only past it.  The route changes no ell and no verdict."""
 
     @staticmethod
-    def targets(spec, gd, family, u, v, monkeypatch) -> list[float]:
+    def targets(corona, g, family, u, v, monkeypatch) -> list[float]:
         """Targets from the numpy route's trace that put the hit on the last
         improving ell below GRID_BLOCK and on the first at or above it:
         midway between that fidelity and the one before it."""
         with monkeypatch.context() as patch:
             numpy_route(patch)
-            trace = pgst_search(spec, gd, u, v, family, ell_max=10**5, target=1.0).trace
+            trace = pgst_search(corona, g, u, v, family, ell_max=10**5, target=1.0).trace
         i = max(i for i, (ell, _) in enumerate(trace) if ell < GRID_BLOCK)
         picks = [i, i + 1] if i + 1 < len(trace) else [i]
         return [(trace[j][1] + trace[j - 1][1]) / 2 if j else trace[j][1] / 2 for j in picks]
@@ -875,16 +875,16 @@ class TestPgstRoutes:
                              ids=[f"{b}*{c}-{t}" for b, c, t in _EARLY] +
                                  [f"{b}*{c}-capped" for b, c in _CAPPED])
     def test_routes_agree(self, monkeypatch, base, copy, target):
-        spec, gd = family_search_input(base, copy)
+        corona, g = family_search_input(base, copy)
         family, u, v = search_args(base)
         targets = [target]
         if (base, copy) not in _CAPPED:
-            targets += self.targets(spec, gd, family, u, v, monkeypatch)
+            targets += self.targets(corona, g, family, u, v, monkeypatch)
         for target, ell_max in itertools.product(targets, (8190, 8191, 8192, 10**5)):
-            default = pgst_search(spec, gd, u, v, family, ell_max=ell_max, target=target)
+            default = pgst_search(corona, g, u, v, family, ell_max=ell_max, target=target)
             with monkeypatch.context() as patch:
                 numpy_route(patch)
-                forced = pgst_search(spec, gd, u, v, family, ell_max=ell_max, target=target)
+                forced = pgst_search(corona, g, u, v, family, ell_max=ell_max, target=target)
             assert [e for e, _ in default.trace] == [e for e, _ in forced.trace]
             assert (default.best_ell, default.target_reached) == (
                 forced.best_ell, forced.target_reached)
@@ -902,9 +902,9 @@ class TestPgstRoutes:
         """The caps 5b and 5c derive: 1/2 on the t52 family of C4 * C3 (and
         K3, the same graph), 1/7 and 0 on the cocktail family of cocktail(7)
         and cocktail(3) with 3-cycle copies."""
-        spec, gd = family_search_input(base, copy)
+        corona, g = family_search_input(base, copy)
         slope, offset = (4.0, 1.0) if base == "cycle:4" else (8.0, 0.0)
-        assert locked_bound(*corona_terms(spec, gd, u, v), slope, offset) == pytest.approx(
+        assert locked_bound(*transfer._walk_terms(corona, u, v), slope, offset) == pytest.approx(
             cap, abs=1e-12)
 
     @pytest.mark.parametrize("base, copy, u, v, slope, offset", [
@@ -912,8 +912,8 @@ class TestPgstRoutes:
         ("cocktail:3", "complete:4", 0, 1, 8.0, 0.0),
     ])
     def test_bound_of_uncapped_counterparts_reaches_one(self, base, copy, u, v, slope, offset):
-        spec, gd = family_search_input(base, copy)
-        assert locked_bound(*corona_terms(spec, gd, u, v), slope, offset) >= 0.9999
+        corona, g = family_search_input(base, copy)
+        assert locked_bound(*transfer._walk_terms(corona, u, v), slope, offset) >= 0.9999
 
     def test_capped_searches_never_enter_the_pure_python_block(self, monkeypatch):
         entered = []
@@ -921,20 +921,20 @@ class TestPgstRoutes:
         monkeypatch.setattr(transfer, "_first_block",
                             lambda *args: entered.append(args) or first_block(*args))
         for (base, copy), target in itertools.product(_CAPPED, (0.99, 0.999, 0.9999)):
-            spec, gd = family_search_input(base, copy)
+            corona, g = family_search_input(base, copy)
             family, u, v = search_args(base)
-            result = pgst_search(spec, gd, u, v, family, ell_max=3 * GRID_BLOCK, target=target)
+            result = pgst_search(corona, g, u, v, family, ell_max=3 * GRID_BLOCK, target=target)
             assert not result.target_reached
         assert entered == []
-        spec, gd = family_search_input("path:2", "cycle:3")
-        assert pgst_search(spec, gd, 0, 1, "t51", ell_max=10**5, target=0.999).target_reached
+        corona, g = family_search_input("path:2", "cycle:3")
+        assert pgst_search(corona, g, 0, 1, "t51", ell_max=10**5, target=0.999).target_reached
         assert len(entered) == 1
 
     def test_float_base_takes_numpy(self, monkeypatch):
         """A base read off an eigensolve has loaded numpy already."""
         monkeypatch.setattr(transfer, "_first_block", mock.Mock(side_effect=AssertionError))
         g, h = path_graph(2), cycle_graph(3)
-        result = pgst_search(CoronaSpec.from_graphs(g, h), exact_decomposition(g), 0, 1, "t51",
+        result = pgst_search(search_engine(exact_decomposition(g), h), g, 0, 1, "t51",
                              ell_max=10**5, target=0.999)
         assert result.target_reached
 
