@@ -47,14 +47,13 @@ t51 and t52 base gate of pgst: a `file:` leaf's by rank and a lift's by its
 lift polynomial; fidelity, sweep, cospectral, no-pst-scan and a search's
 lifts read the classes alone.  All answer the same vertex queries
 (`leafspectra.Decomposition`).  cospectral on a spec that is no family
-first compares the degrees of u and v, read off the factor graphs: unequal
-degrees refute strong cospectrality exactly, with no numpy.  `transfer`,
-which loads numpy only inside its grid analyses, serves sweep, periodic,
-pst, no-pst-scan and pgst.  corona-build checks the vertex and edge count
-of its spec against the build budget before it builds.  No module uses
-`dataclasses` (records are NamedTuples, eigenvalue classes plain
-`__slots__` classes), so no call loads it, and a call that skips numpy
-loads no `inspect` either.
+first compares closed-walk counts (`_walks_differ`): unequal ones refute
+strong cospectrality exactly, with no numpy.  `transfer`, which loads numpy
+only inside its grid analyses, serves sweep, periodic, pst, no-pst-scan and
+pgst.  corona-build checks the vertex and edge count of its spec against
+the build budget before it builds.  No module uses `dataclasses` (records
+are NamedTuples, eigenvalue classes plain `__slots__` classes), so no call
+loads it, and a call that skips numpy loads no `inspect` either.
 
 Reports are byte-deterministic for a fixed command line.  `dumps_report`
 writes JSON in one walk, byte for byte as json.dumps(indent=2,
@@ -408,10 +407,7 @@ def _cmd_cospectral(args):
     if args.spec.kind not in graphs.FAMILIES:
         n = graphs.spec_order(args.spec, built)
         graphs.check_budget(n)
-        # strongly cospectral vertices have equal closed-walk counts, degrees
-        # among them: an exact refutation, which wins over any tolerance
-        if u != v and 0 <= u < n and 0 <= v < n and \
-                graphs.spec_degree(args.spec, built, u) != graphs.spec_degree(args.spec, built, v):
+        if u != v and 0 <= u < n and 0 <= v < n and _walks_differ(args.spec, built, u, v):
             return {"u": u, "v": v, "strongly_cospectral": False}, None
     d = _decomposition(args.spec, args.group_tol, built=built)
     signs = d.signs(u, v, args.cospectral_tol)
@@ -425,6 +421,21 @@ def _cmd_cospectral(args):
             {"value": d.classes[i].value, "sign": sign} for i, sign in sorted(signs.items())
         ]
     return report, None
+
+
+def _walks_differ(spec: graphs.GraphSpec, built: dict, u: int, v: int) -> bool:
+    """Whether u and v have unequal closed-walk counts, which strongly
+    cospectral vertices never have: an exact refutation, which wins over any
+    tolerance.  Degrees (length 2) are read off the factors, and a `file:`
+    leaf's every length to n - 1 within a work bound (`exact`)."""
+    if graphs.spec_degree(spec, built, u) != graphs.spec_degree(spec, built, v):
+        return True
+    if spec.kind != "file":
+        return False
+    from .exact import closed_walk_witness
+
+    g = graphs.build_graph(spec, built)
+    return closed_walk_witness(g.edges, g.n, u, v) is not None
 
 
 def _record(result) -> dict:

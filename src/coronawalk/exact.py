@@ -17,6 +17,10 @@ _VALUE_TOL = 1e-9
 # a candidate conjugate pair's sum and squared gap lie this close to integers
 _PAIR_TOL = 1e-6
 
+# edge and vertex visits a closed-walk comparison may spend: about 10 ms of
+# Python, well under the numpy import that the eigensolve it spares needs
+_WALK_WORK = 1 << 16
+
 # Inputs are discriminants of desk-scale graphs; anything past 128 bits means
 # the caller fed us something this trial-division factorizer was not built for.
 _MAX_FACTOR_INPUT = 1 << 128
@@ -142,10 +146,42 @@ def main_polynomial(
         d = math.gcd(*row, *combo)
         basis.append((pivot, [x // d for x in row], [x // d for x in combo]))
         walks.append(sum(vec))
-        prev, vec = vec, [0] * n
-        for a, b in edges:
-            vec[a] += prev[b]
-            vec[b] += prev[a]
+        vec = _times_adjacency(edges, vec)
+
+
+def _times_adjacency(edges: list[tuple[int, int]], vec: list[int]) -> list[int]:
+    """A vec, A the adjacency matrix of the graph with these edges."""
+    out = [0] * len(vec)
+    for a, b in edges:
+        out[a] += vec[b]
+        out[b] += vec[a]
+    return out
+
+
+def closed_walk_witness(edges: Iterable[tuple[int, int]], n: int, u: int, v: int) -> int | None:
+    """The least j < n with (A^j)_uu != (A^j)_vv, A the adjacency matrix of
+    the graph on n vertices with these edges, in Python ints; None where
+    there is none, or none within _WALK_WORK.
+
+    Strongly cospectral vertices are cospectral, with equal closed-walk
+    counts at every length (Godsil & Smith, "Strongly cospectral vertices",
+    2017), and by Cayley-Hamilton the lengths below n decide every length.
+    With x_i = A^i e_u, (A^2i)_uu = x_i . x_i and (A^(2i+1))_uu = x_i .
+    x_(i+1), so one product of x_i, and one of y_i = A^i e_v, give two.
+    """
+    edges, pair = list(edges), [[int(w == z) for w in range(n)] for z in (u, v)]
+    for j in range(1, n):
+        if j % 2:  # the (j + 1)/2-th two products and two dot products
+            if (j + 1) * (len(edges) + n) > _WALK_WORK:
+                return None
+            ahead = [_times_adjacency(edges, x) for x in pair]
+            walks = [sum(p * q for p, q in zip(x, y)) for x, y in zip(pair, ahead)]
+            pair = ahead
+        else:
+            walks = [sum(p * p for p in x) for x in pair]
+        if walks[0] != walks[1]:
+            return j
+    return None
 
 
 class QuadInt(NamedTuple("QuadInt", [("a", int), ("b", int), ("delta", int)])):

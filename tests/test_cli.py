@@ -1364,6 +1364,44 @@ class TestOptionSurface:
         assert not any(word in out for word in ("numpy", "_json", "dataclasses"))
 
 
+class TestCospectralWalkGate:
+    """On a `file:` leaf cospectral also compares the closed walks of every
+    length to n - 1 (`exact.closed_walk_witness`): a difference refutes the
+    pair exactly, with the report the eigensolve gives and no
+    decomposition; a pair that no length refutes takes the eigensolve."""
+
+    @staticmethod
+    def permuted_path(tmp_path, n: int, rng: random.Random) -> tuple[str, list[int]]:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        g = graphs.make_graph(n, [tuple(sorted((perm[i], perm[i + 1]))) for i in range(n - 1)])
+        path = tmp_path / "path.edges"
+        path.write_text(graphs.write_edge_list(g), encoding="utf-8")
+        return f"file:{path}", perm
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_permuted_path_is_refuted_as_the_eigensolve_refutes_it(self, tmp_path, seed):
+        rng = random.Random(seed)
+        text, perm = self.permuted_path(tmp_path, 30, rng)
+        # two interior vertices of one degree, no mirror pair
+        i = rng.randrange(1, 14)
+        u, v = perm[i], perm[i + 1]
+        signs, expected = cospectral_report(text, u, v)
+        assert signs is None
+        with mock.patch("coronawalk.cli._decompose") as decomposition:
+            assert run_captured("cospectral", text, "--u", str(u), "--v", str(v)) == (
+                EXIT_OK, expected, "")
+        decomposition.assert_not_called()
+
+    def test_a_mirror_pair_takes_the_eigensolve(self, tmp_path):
+        text, perm = self.permuted_path(tmp_path, 30, random.Random(3))
+        u, v = perm[4], perm[25]
+        signs, expected = cospectral_report(text, u, v)
+        assert signs is not None
+        assert run_captured("cospectral", text, "--u", str(u), "--v", str(v)) == (
+            EXIT_OK, expected, "")
+
+
 class TestSearchSettings:
     def test_lowered_target_stops_early(self, capsys):
         code, out, _ = run(

@@ -6,15 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coronawalk import exact as exact_module
 from coronawalk.exact import (
     QuadInt,
+    closed_walk_witness,
     exact_rank,
     gcd_list,
     main_polynomial,
     square_free_part,
     two_adic_valuation,
 )
-from coronawalk.graphs import FAMILIES, corona_graph, make_graph, path_graph
+from coronawalk.graphs import (
+    FAMILIES,
+    cocktail_party_graph,
+    corona_graph,
+    cycle_graph,
+    make_graph,
+    path_graph,
+)
 from coronawalk.spectral import decompose
 
 from oracles import is_quadratic_square, quad_int
@@ -247,6 +256,88 @@ class TestMainPolynomial:
         # s = 30 at n = 60: the rounded route still passed its check there
         assert rounded_main_polynomial(path_graph(n)) is not None
         self.check(path_graph(n))
+
+
+def walk_test_graph(kind: str, size: int, seed: int):
+    """A graph the closed-walk test reads, its vertices permuted by seed, and
+    its pair that an automorphism swaps: G(n, p) with no such pair, a path
+    with its mirror pair, a cycle, a cocktail party graph or a hypercube
+    with an antipodal pair."""
+    rng = np.random.default_rng(seed)
+    if kind == "gnp":
+        n = size + 1
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        pair = None
+    elif kind == "path":
+        n, edges = size + 1, list(path_graph(size + 1).edges)
+        pair = (0, n - 1)
+    elif kind == "cycle":
+        n, edges = 2 * size + 2, list(cycle_graph(2 * size + 2).edges)
+        pair = (0, size + 1)
+    elif kind == "cocktail":
+        n, edges = 2 * size, list(cocktail_party_graph(size).edges)
+        pair = (0, 1)
+    else:
+        d = min(size, 4)
+        n = 2**d
+        edges = [(a, a ^ (1 << b)) for a in range(n) for b in range(d) if a < a ^ (1 << b)]
+        pair = (0, n - 1)
+    perm = rng.permutation(n).tolist()
+    g = make_graph(n, [tuple(sorted((perm[a], perm[b]))) for a, b in edges])
+    return g, None if pair is None else (perm[pair[0]], perm[pair[1]])
+
+
+class TestClosedWalkWitness:
+    @staticmethod
+    def first_difference(g, u, v):
+        """The least j < n with (A^j)_uu != (A^j)_vv, by integer matrix powers."""
+        a = g.adjacency().astype(object)
+        power = a
+        for j in range(1, g.n):
+            if power[u, u] != power[v, v]:
+                return j
+            power = power @ a
+        return None
+
+    def test_examples(self):
+        # P6: vertices 1 and 2 have degree 2, but 5 and 6 closed walks of length 4
+        edges = list(path_graph(6).edges)
+        assert closed_walk_witness(edges, 6, 1, 2) == 4
+        assert closed_walk_witness(edges, 6, 0, 1) == 2
+        assert closed_walk_witness(edges, 6, 1, 4) is None  # the mirror pair
+        assert closed_walk_witness(edges, 1, 0, 0) is None
+
+    @given(st.sampled_from(["gnp", "path", "cycle", "cocktail", "hypercube"]),
+           st.integers(1, 9), st.integers(0, 2**16), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_witness_never_refutes_a_strongly_cospectral_pair(self, kind, size, seed,
+                                                                 swapped, data):
+        """Over seeded G(n, p), permuted paths, cycles, cocktail party graphs
+        and hypercubes, on the pair an automorphism swaps or on any pair: the
+        witness is the least length whose closed-walk counts differ, and
+        where it exists the eigensolve finds the pair not strongly
+        cospectral."""
+        g, pair = walk_test_graph(kind, size, seed)
+        if pair is None or not swapped:
+            u = data.draw(st.integers(0, g.n - 1))
+            v = data.draw(st.integers(0, g.n - 1).filter(lambda x: x != u or g.n == 1))
+        else:
+            u, v = pair
+        witness = closed_walk_witness(g.edges, g.n, u, v)
+        assert witness == self.first_difference(g, u, v)
+        if u != v and decompose(g.adjacency()).signs(u, v) is not None:
+            assert witness is None
+        if pair is not None and swapped:
+            assert witness is None
+
+    def test_the_work_bound_hands_over(self, monkeypatch):
+        # vertices 28 and 30 of P_60 first differ at length 58, after 29
+        # products of each vector; a bound of one product stops at length 2
+        edges = list(path_graph(60).edges)
+        assert closed_walk_witness(edges, 60, 28, 30) == 58
+        monkeypatch.setattr(exact_module, "_WALK_WORK", 2 * (59 + 60))
+        assert closed_walk_witness(edges, 60, 0, 1) == 2
+        assert closed_walk_witness(edges, 60, 28, 30) is None
 
 
 class TestQuadInt:

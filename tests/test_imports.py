@@ -319,3 +319,16 @@ def test_searches_on_family_factors_read_the_engine_without_numpy(argv):
     watched = ("numpy", "coronawalk.spectral", "coronawalk.coronaspectra")
     assert probe(run_quietly(argv), watched) == {"code": 0,
                                                   "loaded": ["coronawalk.coronaspectra"]}
+
+
+def test_walk_refuted_cospectral_on_a_file_loads_no_numpy(tmp_path):
+    """Vertices 1 and 2 of a path on 6 vertices, written as a file with its
+    vertices permuted, have degree 2 each but 5 and 6 closed walks of length
+    4: the walk counts refute strong cospectrality exactly, with no
+    eigensolve."""
+    perm = [3, 0, 5, 1, 4, 2]
+    path = tmp_path / "p6.edges"
+    edges = sorted(tuple(sorted((perm[i], perm[i + 1]))) for i in range(5))
+    path.write_text("6\n" + "".join(f"{a} {b}\n" for a, b in edges), encoding="utf-8")
+    argv = ("cospectral", f"file:{path}", "--u", str(perm[1]), "--v", str(perm[2]))
+    assert probe(run_quietly(argv), NUMPY_FREE) == {"code": 0, "loaded": ["coronawalk.exact"]}
