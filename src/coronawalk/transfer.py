@@ -46,7 +46,7 @@ from .defaults import (
     GRID_BLOCK,
 )
 from .exact import QuadInt, gcd_list, two_adic_valuation
-from .graphs import Graph, check_distinct
+from .graphs import Graph, check_distinct, copy_index
 
 if TYPE_CHECKING:
     import numpy as np
@@ -324,7 +324,8 @@ def corona_no_pst_check(
         raise ValueError("a scan needs at least one time point")
     n = corona.base.n
     check_scan_pair(n, corona.copy.n, v, vp, w)
-    freqs, coefs = _walk_terms(corona, v if w is None else vp, vp if w is None else n + w * n + v)
+    x, y = (v, vp) if w is None else (vp, copy_index(n, v, w))
+    freqs, coefs = _walk_terms(corona, x, y)
     step = t_max / (points - 1) if points > 1 else 0.0
     best, arg = grid_max(freqs, coefs, step, points)
     # np.linspace puts t_max itself at the last point and i * step elsewhere
