@@ -29,7 +29,7 @@ evaluated in pure Python when the family's locked-gap bound
 a certified family cap; it is not reported and decides no verdict, only
 how the values are computed, and its tolerance is one of that choice.  The
 two corona analyses import `gates` when they run, so `pst`, `sweep` and
-`periodic` load it never.
+`periodic` never load it.
 """
 
 from __future__ import annotations

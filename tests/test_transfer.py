@@ -252,26 +252,19 @@ def _p2(copy):
 class TestLibraryGates:
     """`pgst_search` and `corona_no_pst_check` run the gates the CLI runs
     before them, for library callers, on the corona engine they are handed,
-    with the CLI's messages."""
+    with the CLI's messages (the other gates: `TestPgstSearch`,
+    `TestNoTransferScan`)."""
 
     @pytest.mark.parametrize("call, match", [
         (lambda: pgst_search(_p2(cycle_graph(3)), path_graph(2), 0, 2, "t51"),
          "base vertex 2 out of range"),
         (lambda: pgst_search(_p2(path_graph(3)), path_graph(2), 0, 1, "t51"),
          "the pgst families need a regular copy factor H"),
-        (lambda: pgst_search(_p2(empty_graph(2)), path_graph(2), 0, 1, "t52"),
-         "pgst families need a copy factor of nonzero degree"),
-        (lambda: pgst_search(search_engine(exact_decomposition(cycle_graph(6)), cycle_graph(3)),
-                             cycle_graph(6), 0, 3, "cocktail"),
-         "cocktail family needs a cocktail party base graph"),
-        (lambda: corona_no_pst_check(_p2(cycle_graph(3)), 1, 1, 1.0, 10),
-         "base-base scans need distinct vertices"),
         (lambda: corona_no_pst_check(_p2(cycle_graph(3)), 0, 2, 1.0, 10),
          "base vertex 2 out of range"),
         (lambda: corona_no_pst_check(_p2(cycle_graph(3)), 0, 1, 1.0, 10, w=3),
          "copy vertex 3 out of range"),
-    ], ids=["pgst-vertex", "pgst-irregular-copy", "pgst-degree-0", "pgst-not-cocktail",
-            "scan-same-vertex", "scan-vertex", "scan-copy-vertex"])
+    ], ids=["pgst-vertex", "pgst-irregular-copy", "scan-vertex", "scan-copy-vertex"])
     def test_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
