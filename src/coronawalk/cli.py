@@ -10,8 +10,9 @@ not, and group at the default.  --support-tol is on support, periodic, pst
 and pgst, --cospectral-tol on cospectral, pst and pgst; they are read by the
 decisions on float data alone: a `file:` leaf's classes, a corona over a
 float factor, and a copy vertex over an irregular copy factor, whose lift
-entry there is a float; a family, and the other vertices of a corona of
-families, are decided exactly.
+entry there is a float; a family, the other vertices of a corona of
+families, and pst and periodic on a `file:` vertex of integral walk module
+(`_walk_module`) are decided exactly.
 --w is a usage error unless --pair is base-copy.  The help text is in
 `helptext`, which only a call with -h or --help imports.
 
@@ -40,8 +41,10 @@ which loads `exact` but neither numpy nor `spectral`), a `file:` leaf by
 eigensolve (`spectral`, and numpy), and a corona from its factors'
 decompositions (`coronaspectra`, which loads `corona`), its copy factor
 read at the default group tol where it is irregular.  So a corona of
-families, nested or not, loads no numpy.  The searches read the corona's
-walk terms through the same dispatch (`_search_corona`).  Exact labels are
+families, nested or not, loads no numpy, nor do pst and periodic on a
+`file:` vertex of integral walk module, which they try first.  The searches
+read the corona's walk terms through the same dispatch (`_search_corona`),
+over a regular copy factor with no class of it.  Exact labels are
 made for the readers of labels, spectrum, support, periodic, pst and the
 t51 and t52 base gate of pgst: a `file:` leaf's by rank and a lift's by its
 lift polynomial; fidelity, sweep, cospectral, no-pst-scan and a search's
@@ -50,8 +53,9 @@ lifts read the classes alone.  All answer the same vertex queries
 first compares closed-walk counts (`_walks_differ`): unequal ones refute
 strong cospectrality exactly, with no numpy.  `transfer`, which loads numpy
 only inside its grid analyses, serves sweep, periodic, pst, no-pst-scan and
-pgst.  corona-build checks the vertex and edge count of its spec against
-the build budget before it builds.  No module uses `dataclasses` (records
+pgst, and runs a sweep within `defaults.PURE_GRID_CAP` in pure Python.
+corona-build checks the vertex and edge count of its spec against the
+build budget before it builds.  No module uses `dataclasses` (records
 are NamedTuples, eigenvalue classes plain `__slots__` classes), so no call
 loads it, and a call that skips numpy loads no `inspect` either.
 
@@ -266,9 +270,10 @@ def render_report(report: dict, fmt: str) -> str:
 
 
 def _render_csv(header: tuple[str, str], left, right) -> str:
-    """Two float columns (arrays) under a header, each value at 15 significant
-    digits, the rows written by one `%` call."""
-    flat = [x for row in zip(left.tolist(), right.tolist()) for x in row]
+    """Two float columns (lists or arrays) under a header, each value at 15
+    significant digits, the rows written by one `%` call."""
+    columns = [c.tolist() if hasattr(c, "dtype") else c for c in (left, right)]
+    flat = [x for row in zip(*columns) for x in row]
     return ",".join(header) + "\n" + ("%.15g,%.15g\n" * len(left)) % tuple(flat)
 
 
@@ -443,11 +448,26 @@ def _record(result) -> dict:
     return {k: v for k, v in result._asdict().items() if v is not None}
 
 
+def _walk_module(spec: graphs.GraphSpec, built: dict, u: int, v: int | None = None):
+    """u's integral walk module on a `file:` leaf (`walkmodule`), u and v in
+    range and distinct; else None, and the caller takes `_decomposition`."""
+    if spec.kind != "file":
+        return None
+    g = graphs.build_graph(spec, built)
+    if not 0 <= u < g.n or v is not None and (v == u or not 0 <= v < g.n):
+        return None
+    from .walkmodule import integral_module
+
+    return integral_module(g, u)
+
+
 def _cmd_periodic(args):
     from . import transfer
 
-    sup = _decomposition(args.spec, args.group_tol, labelled=True).support(
-        args.u, args.support_tol)
+    built: dict = {}
+    d = _walk_module(args.spec, built, args.u) or _decomposition(
+        args.spec, args.group_tol, labelled=True, built=built)
+    sup = d.support(args.u, args.support_tol)
     verdict = transfer.periodicity_test(sup.exact, sup.beyond_quadratic)
     return {"u": args.u, "vertex_test": _record(verdict)}, None
 
@@ -455,7 +475,9 @@ def _cmd_periodic(args):
 def _cmd_pst(args):
     from . import transfer
 
-    d = _decomposition(args.spec, args.group_tol, labelled=True)
+    built: dict = {}
+    d = _walk_module(args.spec, built, args.u, args.v) or _decomposition(
+        args.spec, args.group_tol, labelled=True, built=built)
     cert = transfer.pst_certify(d, args.u, args.v, args.support_tol, args.cospectral_tol)
     return _record(cert), None
 
@@ -465,10 +487,19 @@ def _search_corona(spec: graphs.GraphSpec, built: dict, group_tol: float = DEFAU
     """The corona engine a search reads, by `_decomposition`'s dispatch on
     the graphs in `built`, past the factor budgets its gates met: its lifts
     unlabelled, on a base made first, labelled where the t51 and t52 gate
-    reads it."""
+    reads it.  A search reads no copy class, so a regular copy factor gives
+    only its order and main data (`coronaspectra.RegularCopy`)."""
     made: dict = {}
-    _decompose(spec.factors[0], group_tol, labelled_base, built, made)
-    return _decompose(spec, group_tol, False, built, made)
+    base = _decompose(spec.factors[0], group_tol, labelled_base, built, made)
+    h = graphs.build_graph(spec.factors[1], built)
+    k = h.is_regular()
+    if k is None:
+        return _decompose(spec, group_tol, False, built, made)
+    from .corona import regular_main
+    from .coronaspectra import CoronaDecomposition, RegularCopy
+
+    return CoronaDecomposition(base, RegularCopy(h.n), regular_main(k, h.n), {}, group_tol,
+                               labelled=False)
 
 
 def _cmd_no_pst_scan(args):

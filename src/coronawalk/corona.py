@@ -39,7 +39,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .defaults import DEFAULT_GROUP_TOL
-from .exact import _PAIR_TOL, _VALUE_TOL, QuadInt, _pair_label, main_polynomial
+from .exact import _PAIR_TOL, _VALUE_TOL, QuadInt, _divide_out, _pair_label, main_polynomial
 from .graphs import Graph
 from .leafspectra import Decomposition, class_runs
 
@@ -269,20 +269,6 @@ def _lift_labels(groups: list[tuple[float, int]], label: QuadInt, main: MainData
         b - a > 2 * eps for a, b in zip(left, left[1:])) and all(
         _sign(rest, t - eps) * _sign(rest, t + eps) < 0 for t in left)
     return [(q, beyond and complete) for q, beyond in marks]
-
-
-def _divide_out(poly, divisor) -> tuple[int, list[int]]:
-    """How many times a monic divisor divides poly, and the quotient by that
-    power, by synthetic division; coefficients highest first."""
-    count, d = 0, len(divisor) - 1
-    while True:
-        out = list(poly)
-        for i in range(len(out) - d):
-            for j in range(1, d + 1):
-                out[i + j] -= out[i] * divisor[j]
-        if len(out) <= d or any(out[-d:]):
-            return count, poly
-        count, poly = count + 1, out[:-d]
 
 
 def _sign(poly, t: float) -> int:

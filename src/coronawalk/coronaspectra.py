@@ -149,6 +149,19 @@ def _lifted_values(base: Decomposition, c, atoms: list[Atom],
             for value, keys in at.items()]
 
 
+class RegularCopy(Decomposition):
+    """A regular copy factor on m vertices as the searches read it: its
+    order and no class, its main data by theorem (`corona.regular_main`).
+    A copy class's walk term on a base vertex is exactly 0, which the
+    searches drop (`transfer._walk_terms`)."""
+
+    __slots__ = ("n",)
+    classes = atoms = ()
+
+    def __init__(self, m: int):
+        self.n = m
+
+
 class CoronaDecomposition(Decomposition):
     """The classes of the corona of the base G and the copy factor H, from
     their decompositions, as runs of (member, factor atom) atoms with the

@@ -113,20 +113,34 @@ def main_polynomial(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Walk counts and main polynomial of the graph on n vertices with these edges.
 
-    Builds the Krylov vectors 1, A1, A^2 1, ... and eliminates each against
-    the earlier ones, fraction-free with gcd normalisation, until the first
-    dependency A^s 1 = sum_j coefs[j] A^j 1 (j < s).  Returns the walk counts
-    walks[j] = 1^T A^j 1 for j < s and those coefs.  The relation is the
-    minimal polynomial of 1 (Wiedemann 1986 for Krylov minimal polynomials),
-    a monic factor of A's integer characteristic polynomial, so its
-    coefficients are integers by Gauss's lemma.
+    The Krylov relation of the all-ones vector (`krylov`): the walk counts
+    walks[j] = 1^T A^j 1 for j < s and the coefs of A^s 1 = sum_j coefs[j]
+    A^j 1.
+    """
+    vectors, coefs = krylov(edges, [1] * n)
+    return tuple(sum(vec) for vec in vectors), coefs
+
+
+def krylov(edges: Iterable[tuple[int, int]], start: Sequence[int],
+           limit: int | None = None) -> tuple[list[list[int]], tuple[int, ...]] | None:
+    """The Krylov vectors x, Ax, ..., A^(s-1) x of x = start and the coefs
+    of the first dependency A^s x = sum_j coefs[j] A^j x (j < s), A the
+    adjacency matrix of the graph on len(x) vertices with these edges and x
+    an integer vector; None where s would pass `limit`.
+
+    Each vector is eliminated against the earlier ones, fraction-free with
+    gcd normalisation, in Python ints.  The relation is the minimal
+    polynomial x^s - sum_j coefs[j] x^j of x (Wiedemann 1986 for Krylov
+    minimal polynomials), a monic factor of A's integer characteristic
+    polynomial, so its coefficients are integers by Gauss's lemma; for A
+    symmetric its roots are the eigenvalues whose projectors do not kill x.
     """
     edges = list(edges)
-    vec = [1] * n
+    vec = [int(c) for c in start]
     basis: list[tuple[int, list[int], list[int]]] = []  # pivot, row, row's Krylov combination
-    walks: list[int] = []
+    vectors: list[list[int]] = []
     while True:
-        row, combo = vec, [0] * len(walks) + [1]
+        row, combo = vec, [0] * len(vectors) + [1]
         for pivot, b_row, b_combo in basis:
             f, g = b_row[pivot], row[pivot]
             if g:
@@ -140,13 +154,29 @@ def main_polynomial(
             for c in combo[:-1]:
                 q, r = divmod(-c, lead)
                 if r:
-                    raise ArithmeticError(f"main polynomial coefficient {-c}/{lead} is no integer")
+                    raise ArithmeticError(f"Krylov coefficient {-c}/{lead} is no integer")
                 coefs.append(q)
-            return tuple(walks), tuple(coefs)
+            return vectors, tuple(coefs)
+        if limit is not None and len(vectors) == limit:
+            return None
         d = math.gcd(*row, *combo)
         basis.append((pivot, [x // d for x in row], [x // d for x in combo]))
-        walks.append(sum(vec))
+        vectors.append(vec)
         vec = _times_adjacency(edges, vec)
+
+
+def _divide_out(poly, divisor) -> tuple[int, list[int]]:
+    """How many times a monic divisor divides poly, and the quotient by that
+    power, by synthetic division; coefficients highest first."""
+    count, d = 0, len(divisor) - 1
+    while True:
+        out = list(poly)
+        for i in range(len(out) - d):
+            for j in range(1, d + 1):
+                out[i + j] -= out[i] * divisor[j]
+        if len(out) <= d or any(out[-d:]):
+            return count, poly
+        count, poly = count + 1, out[:-d]
 
 
 def _times_adjacency(edges: list[tuple[int, int]], vec: list[int]) -> list[int]:

@@ -85,16 +85,16 @@ def check_scan_pair(n: int, m: int, v: int, vp: int, w: int | None = None) -> No
 def _corona_budgets(spec: GraphSpec,
                     built: dict[GraphSpec, Graph]) -> tuple[int, Graph, int | None]:
     """The base order, the built copy factor H and H's regular degree (None
-    when irregular) of a corona spec, after the budgets the corona engine
-    meets: the base's, read off the spec before any graph is built, then
-    H's unless it is a regular family, whose classes and main data come by
-    theorem."""
+    when irregular) of a corona spec, after the budgets the search's corona
+    engine meets: the base's, read off the spec before any graph is built,
+    then H's unless it is regular, whose main data come by theorem and
+    whose classes a search does not read (`cli._search_corona`)."""
     base, copy = spec.factors
     n = spec_order(base, built)
     check_budget(n)
     h = build_graph(copy, built)
     k = h.is_regular()
-    if k is None or copy.kind not in FAMILIES:
+    if k is None:
         check_budget(h.n)
     return n, h, k
 

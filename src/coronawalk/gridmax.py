@@ -15,14 +15,15 @@ import heapq
 import math
 from typing import Sequence
 
+from .defaults import PURE_GRID_CAP
+
 # a grid interval whose bound on |A| is within this of the best point found
 # is not searched: the margin of the certified maximum
 _SCAN_EPS = 1e-12
-# term evaluations (points evaluated times terms) the search may spend, about
-# the cost of importing numpy; past it the grid goes to numpy
-_SCAN_CAP = 2**17
 # an interval of at most this many points is evaluated point by point
 _SCAN_LEAF = 8
+# the search spends 3.3 to 9 times its lower bound on the benchmark's scans
+_SCAN_SPREAD = 3
 
 
 def grid_max(freqs: Sequence[float], coefs: Sequence[float], step: float,
@@ -32,10 +33,10 @@ def grid_max(freqs: Sequence[float], coefs: Sequence[float], step: float,
 
     No grid value exceeds the maximum by more than _SCAN_EPS, and on a tie
     within that margin the j reported need not be the first (`_search`).
-    A search that would pass _SCAN_CAP term evaluations gives way to every
-    point evaluated with numpy (`_every_point`), which reports the first j
-    of the maximum.  Which route runs depends on the terms and the grid
-    alone.
+    A search that would pass PURE_GRID_CAP term evaluations, or is predicted
+    to before it starts, gives way to every point evaluated with numpy
+    (`_every_point`), which reports the first j of the maximum.  Which route
+    runs depends on the terms and the grid alone.
     """
     return _search(freqs, coefs, step, points) or _every_point(freqs, coefs, step, points)
 
@@ -43,7 +44,7 @@ def grid_max(freqs: Sequence[float], coefs: Sequence[float], step: float,
 def _search(freqs: Sequence[float], coefs: Sequence[float], step: float,
             points: int) -> tuple[float, int] | None:
     """The grid maximum by best-first search, in pure Python; None past
-    _SCAN_CAP.
+    PURE_GRID_CAP, or where the search is predicted to pass it.
 
     With the zero coefficients dropped and theta_k = freqs[k] shifted by
     their |c|-weighted mean to phi_k (which turns A's phase alone), |A''| <=
@@ -57,6 +58,11 @@ def _search(freqs: Sequence[float], coefs: Sequence[float], step: float,
     an interval of at most _SCAN_LEAF points is evaluated point by point,
     each point summed directly.  With no nonzero term A is 0 everywhere,
     reported at j = 0.
+
+    An interval is dropped only where s_hi^2 M2/2 <= W = sum_k |c_k|, which
+    bounds |A|, so a search over K nonzero terms to t_max spends at least
+    about K t_max sqrt(M2/2W) term evaluations; where _SCAN_SPREAD times that
+    passes the cap, it is not begun.
     """
     terms = [(f, c) for f, c in zip(freqs, coefs) if c]
     if not terms:
@@ -65,7 +71,9 @@ def _search(freqs: Sequence[float], coefs: Sequence[float], step: float,
     mean = sum(abs(c) * f for f, c in terms) / weight
     shifted = [(f, f - mean, c) for f, c in terms]
     half_curvature = sum(abs(c) * (f - mean) ** 2 for f, c in terms) / 2
-    budget = _SCAN_CAP // len(terms)  # points the search may evaluate
+    budget = PURE_GRID_CAP // len(terms)  # points the search may evaluate
+    if _SCAN_SPREAD * (points - 1) * step * math.sqrt(half_curvature / weight) > budget:
+        return None
     cos, sin, hypot = math.cos, math.sin, math.hypot
 
     def value(j: int) -> float:

@@ -26,12 +26,26 @@ COMMANDS = {
     "sweep": "fidelity |U(t)[u,v]| on an evenly spaced time grid from 0 to --t-max",
     "support": "eigenvalue support of vertex u: the classes that do not vanish on u",
     "cospectral": "whether u and v are strongly cospectral, and the sign of each class",
-    "periodic": "whether vertex u is periodic, decided on its exact eigenvalue support",
-    "pst": "certify or refute perfect state transfer from u to v in exact arithmetic",
+    "periodic": "whether vertex u is periodic, decided on its exact eigenvalue support; "
+                "on file:PATH from u's walk module where its values are all integers",
+    "pst": "certify or refute perfect state transfer from u to v in exact arithmetic; "
+           "on file:PATH from walk modules where u's support values are all integers",
     "no-pst-scan": "largest closed-form fidelity of a corona vertex pair on a time grid, "
                    "to within 1e-12",
     "pgst": "search a time family for pretty good state transfer between base vertices",
 }
+
+# on a `file:` leaf, pst and periodic decide a vertex whose support values
+# are all integers from walk modules, exactly
+_MODULE = ("; on file:PATH alone not read where every support value of u is an integer, "
+           "which walk modules decide exactly (default: %(default)s)")
+_GROUP = "relative gap that starts a new eigenvalue class, in (0, 1e-2]"
+_SUPPORT = ("smallest projection ||E e_u|| that puts a class in a support, in (0, 1e-2]; read "
+            "only on float factors (file:PATH, alone or in a corona) and at a copy vertex over "
+            "a path, star or other irregular copy factor, the other supports being exact")
+_COSPECTRAL = ("largest gap between E e_u and +-E e_v, in (0, 1e-2]; read only on float "
+               "factors (file:PATH, alone or in a corona) and for a pair with a copy vertex "
+               "over a path, star or other irregular copy factor, the other signs being exact")
 
 # one line an option, keyed by its flag, or by "COMMAND FLAG" where the
 # option means something else on that subcommand
@@ -46,17 +60,14 @@ OPTIONS = {
     "sweep --format": "report format, one of %(choices)s; csv writes t,fidelity rows "
                       "(default: %(default)s)",
     "--output": "write the report to this file instead of stdout",
-    "--group-tol": "relative gap that starts a new eigenvalue class, in (0, 1e-2] "
-                   "(default: %(default)s)",
-    "--support-tol": "smallest projection ||E e_u|| that puts a class in a support, "
-                     "in (0, 1e-2]; read only on float factors (file:PATH, alone or in "
-                     "a corona) and at a copy vertex over a path, star or other "
-                     "irregular copy factor, the other supports being exact "
-                     "(default: %(default)s)",
-    "--cospectral-tol": "largest gap between E e_u and +-E e_v, in (0, 1e-2]; read only "
-                        "on float factors (file:PATH, alone or in a corona) and for a "
-                        "pair with a copy vertex over a path, star or other irregular "
-                        "copy factor, the other signs being exact (default: %(default)s)",
+    "--group-tol": _GROUP + " (default: %(default)s)",
+    "--support-tol": _SUPPORT + " (default: %(default)s)",
+    "--cospectral-tol": _COSPECTRAL + " (default: %(default)s)",
+    "periodic --group-tol": _GROUP + _MODULE,
+    "periodic --support-tol": _SUPPORT + _MODULE,
+    "pst --group-tol": _GROUP + _MODULE,
+    "pst --support-tol": _SUPPORT + _MODULE,
+    "pst --cospectral-tol": _COSPECTRAL + _MODULE,
     "--t": "time t, finite (required)",
     "--t-max": "last time of the grid, positive (required)",
     "--steps": "number of grid times, at least 2 (required)",

@@ -16,15 +16,16 @@ vertex queries of `leafspectra.Decomposition`: the verdicts
 its walk terms (`terms`: `fidelity_sweep` on any spec, the corona scan
 and search on the corona engine, whose base the base gate and the scan's
 static bound read).  The decomposition is a `file:` leaf's float classes
-(`spectral.SpectralDecomposition`), a family leaf's by theorem
+(`spectral.SpectralDecomposition`) or a vertex's walk module
+(`walkmodule.WalkModule`), a family leaf's by theorem
 (`leafspectra.FamilyDecomposition`) or a corona's from its factors'
 (`coronaspectra.CoronaDecomposition`).  So this module loads numpy and
 `spectral` only inside the grid analyses (scans, searches and sweeps):
-`periodic` and `pst` on a family spec or a corona of families, and a family
-base the pgst gate refutes, load neither.  Nor
-does a scan on a family base that ends within its cap, nor a search on a
-family base that stops within its first batch of ell: that batch is
-evaluated in pure Python when the family's locked-gap bound
+`periodic` and `pst` on any but float classes, and a family base the pgst
+gate refutes, load neither.  Nor does a sweep within PURE_GRID_CAP term
+evaluations, nor a scan on a family base that ends within its cap, nor a
+search on a family base that stops within its first batch of ell: that
+batch is evaluated in pure Python when the family's locked-gap bound
 (`locked_bound`) reaches the target.  The bound is the float forerunner of
 a certified family cap; it is not reported and decides no verdict, only
 how the values are computed, and its tolerance is one of that choice.  The
@@ -44,13 +45,12 @@ from .defaults import (
     DEFAULT_SUPPORT_TOL,
     DEFAULT_TARGET,
     GRID_BLOCK,
+    PURE_GRID_CAP,
 )
 from .exact import QuadInt, gcd_list, two_adic_valuation
 from .graphs import Graph, check_distinct, copy_index
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .coronaspectra import CoronaDecomposition
     from .leafspectra import Decomposition
 
@@ -309,10 +309,10 @@ def corona_no_pst_check(
     (`gridmax._SCAN_EPS`) of the best point found.  So no grid value
     exceeds the reported one by more than that, and on a tie within that
     margin the reported time need not be the first one.  A search that
-    would pass 2^17 term evaluations (`gridmax._SCAN_CAP`) hands the grid to
-    numpy instead, which evaluates every point in batches of
-    `spectral.exp_sum_grid` and reports the first time of the maximum.  The
-    route reads the command's data alone.  The pair's gates
+    would pass 2^17 term evaluations (`defaults.PURE_GRID_CAP`), or is
+    predicted to, hands the grid to numpy instead, which evaluates every
+    point in batches of `spectral.exp_sum_grid` and reports the first time
+    of the maximum.  The route reads the command's data alone.  The pair's gates
     (`gates.check_scan_pair`: distinct base-base vertices, vertex ranges)
     need no decomposition, so the CLI runs them before it loads any
     analysis.
@@ -341,11 +341,11 @@ def corona_no_pst_check(
     )
 
 
-def _walk_terms(corona: CoronaDecomposition, x: int, y: int) -> tuple[list[float], list[float]]:
-    """The corona's walk terms from x to y as (freqs, coefs), lists of Python
-    floats, less the exactly 0 ones (a copy class's on a base vertex, a lift
-    0 on a layer), whose dropping changes no bit of a sum."""
-    terms = [(value, entry) for value, entry in corona.terms(x, y) if entry]
+def _walk_terms(d: Decomposition, x: int, y: int) -> tuple[list[float], list[float]]:
+    """d's walk terms from x to y as (freqs, coefs), lists of Python floats,
+    less the exactly 0 ones (on a corona a copy class's on a base vertex, a
+    lift 0 on a layer), whose dropping changes no bit of a sum."""
+    terms = [(value, entry) for value, entry in d.terms(x, y) if entry]
     return [value for value, _ in terms], [entry for _, entry in terms]
 
 
@@ -532,28 +532,32 @@ def locked_bound(freqs: Sequence[float], coefs: Sequence[float], slope: float,
 def _first_block(freqs: Sequence[float], coefs: Sequence[float], t0: float, dt: float,
                  count: int, target: float) -> list[tuple[int, float]]:
     """The strictly improving trace of |A| over the first batch of the grid
-    t0 + ell * dt, up to its first ell at the target, in pure Python.
-
-    The batch, its tables and its product are `spectral.exp_sum_grid`'s:
-    ell = q*a + r, A = sum_k w[k] coarse[k][q] fine[k][r], w = coefs *
-    exp(-i freqs t0).
-    """
-    size = min(GRID_BLOCK, count)
-    a = math.isqrt(size - 1) + 1
-    fine = list(zip(*([_turn(f * (r * dt)) for r in range(a)] for f in freqs)))
-    rows = [[c * _turn(f * t0) * _turn(f * (q * dt)) for f, c in zip(freqs, coefs)]
-            for q in range(0, size, a)]
+    t0 + ell * dt, up to its first ell at the target, in pure Python
+    (`_grid_moduli`, on the batch `spectral.exp_sum_grid` makes)."""
     trace: list[tuple[int, float]] = []
     best = -1.0
-    for ell in range(size):
-        q, r = divmod(ell, a)
-        fid = abs(sum(map(operator.mul, rows[q], fine[r])))
+    for ell, fid in enumerate(_grid_moduli(freqs, coefs, t0, dt, min(GRID_BLOCK, count))):
         if fid > best:
             best = fid
             trace.append((ell, fid))
             if fid >= target:
                 break
     return trace
+
+
+def _grid_moduli(freqs: Sequence[float], coefs: Sequence[float], t0: float, dt: float,
+                 count: int):
+    """Yield |A(t0 + j * dt)| for j < count, A(t) = sum_k coefs[k] exp(-i
+    freqs[k] t), in pure Python, from the tables of one batch of
+    `spectral.exp_sum_grid`: j = q*a + r, A = sum_k w[k] coarse[k][q]
+    fine[k][r], w = coefs * exp(-i freqs t0); a row of coarse is made when
+    the grid reaches it."""
+    a = math.isqrt(count - 1) + 1
+    fine = [[_turn(f * (r * dt)) for f in freqs] for r in range(a)]
+    for q in range(0, count, a):
+        row = [c * _turn(f * t0) * _turn(f * (q * dt)) for f, c in zip(freqs, coefs)]
+        for r in range(min(a, count - q)):
+            yield abs(sum(map(operator.mul, row, fine[r])))
 
 
 def _turn(x: float) -> complex:
@@ -592,8 +596,8 @@ def _numpy_blocks(freqs: Sequence[float], coefs: Sequence[float], t0: float, dt:
 # plain fidelity sweeps
 
 class FidelityTrace(NamedTuple):
-    times: np.ndarray
-    values: np.ndarray
+    times: Sequence[float]
+    values: Sequence[float]
     best_index: int
 
     @property
@@ -608,18 +612,32 @@ class FidelityTrace(NamedTuple):
 def fidelity_sweep(
     d: Decomposition, u: int, v: int, t_max: float, steps: int
 ) -> FidelityTrace:
-    """|U(t)_{u,v}| on the uniform grid t_j = j * t_max / (steps - 1), from
-    the walk terms of d."""
-    import numpy as np
+    """|U(t)_{u,v}| on the uniform grid t_j = j * t_max / (steps - 1), the
+    last point t_max itself (np.linspace's values), from the walk terms of d
+    less the exactly 0 ones (`_walk_terms`), with the first index of the
+    maximum.
 
-    from .spectral import exp_sum_grid
-
+    Where steps times the terms left is at most PURE_GRID_CAP, the grid is
+    evaluated in pure Python (`_grid_moduli`) and its times and values are
+    lists; past it, with numpy in the batches of `spectral.exp_sum_grid`,
+    as arrays.  The two differ in rounding alone, and the choice reads the
+    command's data alone.
+    """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    freqs, coefs = _walk_terms(d, u, v)
+    step = t_max / (steps - 1)
+    if steps * len(freqs) <= PURE_GRID_CAP:
+        values = list(_grid_moduli(freqs, coefs, 0.0, step, steps))
+        times = [j * step for j in range(steps - 1)] + [float(t_max)]
+        return FidelityTrace(times, values, values.index(max(values)))
+    import numpy as np
+
+    from .spectral import exp_sum_grid
+
     ts = np.linspace(0.0, float(t_max), int(steps))
-    freqs, coefs = (np.array(x, dtype=float) for x in zip(*d.terms(u, v)))
-    batches = exp_sum_grid(freqs, coefs, 0.0, t_max / (steps - 1), steps)
+    batches = exp_sum_grid(np.asarray(freqs), np.asarray(coefs), 0.0, step, steps)
     vals = np.concatenate([np.abs(amps) for amps in batches])
     return FidelityTrace(times=ts, values=vals, best_index=int(np.argmax(vals)))

@@ -164,9 +164,10 @@ class TestExactRank:
         assert exact_rank(m) == np.linalg.matrix_rank(m.astype(float))
 
 
-def krylov(g, count):
-    """The first `count` Krylov vectors 1, A1, A^2 1, ... of g, in Python ints."""
-    vecs = [[1] * g.n]
+def krylov(g, count, start=None):
+    """The first `count` Krylov vectors x, Ax, A^2 x, ... of g, in Python ints,
+    x = start or the all-ones vector."""
+    vecs = [[1] * g.n if start is None else list(start)]
     while len(vecs) < count:
         vec = [0] * g.n
         for a, b in g.edges:
@@ -213,6 +214,12 @@ def seeded_graph(seed):
     return make_graph(n + 3 * (kind == 3), gnp(n))
 
 
+def vertex_starts(g):
+    """Start vectors e_u and e_u +- e_v on a few vertices of g, in Python ints."""
+    unit = [[int(w == u) for w in range(g.n)] for u in range(min(g.n, 3))]
+    return unit + [[x + s * y for x, y in zip(unit[0], e)] for e in unit[1:] for s in (1, -1)]
+
+
 LEAVES = {f"{name}:{size}": family.build(size) for name, family in FAMILIES.items()
           for size in range(family.minimum, 9)}
 # every 25th corona of two leaves on at most 24 vertices, and one nested corona
@@ -231,6 +238,21 @@ class TestMainPolynomial:
         assert walks == tuple(sum(vec) for vec in vecs[:s])
         reference = rounded_main_polynomial(g)
         assert reference is None or reference == (walks, coefs)
+        for start in vertex_starts(g):
+            self.check_start(g, start)
+
+    def check_start(self, g, start):
+        """exact.krylov from start: degree the rank of the Krylov matrix, its
+        vectors the matrix's rows, the relation exact, and None at any
+        limit below the degree."""
+        vectors, coefs = exact_module.krylov(g.edges, start)
+        s = len(coefs)
+        vecs = krylov(g, g.n + 1, start)
+        assert s == len(vectors) == exact_rank(vecs) == exact_rank(vecs[:s])
+        assert vectors == vecs[:s]
+        assert [sum(c * vec[i] for c, vec in zip(coefs, vecs)) for i in range(g.n)] == vecs[s]
+        assert exact_module.krylov(g.edges, start, s) == (vectors, coefs)
+        assert exact_module.krylov(g.edges, start, s - 1) is None
 
     def test_examples(self):
         # P_3: A1 = (1, 2, 1) and A^2 1 = (2, 2, 2) = 2 * 1, walks 3 and 4

@@ -101,13 +101,20 @@ def test_search_gate_failures_never_load_numpy(argv):
     assert probe(run_quietly(argv), NUMPY_FREE) == {"code": 2, "loaded": ["coronawalk.gates"]}
 
 
-def test_a_regular_file_copy_factor_past_the_budget_fails_the_gate_without_numpy(tmp_path):
-    """The corona engine eigensolves a `file:` copy factor, regular or not, so
-    the search gate holds it to the dense budget before numpy loads."""
+def test_a_regular_file_copy_factor_past_the_budget_passes_the_search_gates(tmp_path):
+    """A search reads a regular copy factor's order and main data by theorem
+    and no class of it, so a `file:` cycle on 4097 vertices passes the
+    search gates, and the search on a family base loads no numpy; an
+    irregular `file:` copy factor is eigensolved, and the gate holds it to
+    the dense budget before numpy loads."""
     path = tmp_path / "c4097.edges"
     path.write_text("4097\n" + "".join(f"{i} {i + 1}\n" for i in range(4096)) + "0 4096\n",
                     encoding="utf-8")
-    argv = ("pgst", f"corona(path:2,file:{path})", "--u", "0", "--v", "1", "--family", "t51")
+    argv = ("pgst", f"corona(path:2,file:{path})", "--u", "0", "--v", "1", "--family", "t51",
+            "--lmax", "100")
+    assert probe(run_quietly(argv), ("numpy", "coronawalk.spectral")) == {
+        "code": 0, "loaded": []}
+    path.write_text("4097\n" + "".join(f"{i} {i + 1}\n" for i in range(4096)), encoding="utf-8")
     assert probe(run_quietly(argv), NUMPY_FREE) == {"code": 2, "loaded": ["coronawalk.gates"]}
 
 
@@ -173,11 +180,18 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
         # a family's vertex queries are decided by theorem, with no numpy
         (("support", "star:5", "--u", "0"), ["coronawalk.exact"]),
         (("cospectral", "path:3", "--u", "0", "--v", "2"), ["coronawalk.exact"]),
+        # a sweep within the pure-Python grid cap loads no numpy, a longer one does
         (("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "5"),
-         ANALYSIS + ["coronawalk.transfer"]),
+         ["coronawalk.exact", "coronawalk.transfer"]),
+        (("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "70000"),
+         ["numpy", "coronawalk.exact", "coronawalk.spectral", "coronawalk.transfer"]),
         (("periodic", "path:3", "--u", "0"), ["coronawalk.exact", "coronawalk.transfer"]),
         (("pst", "path:3", "--u", "0", "--v", "2"), ["coronawalk.exact", "coronawalk.transfer"]),
+        # a file's vertex whose support values are not all integers (+-sqrt(2)
+        # on path:3) is eigensolved; the hypercube's are read off its walk module
         (("pst", "file:{path}", "--u", "0", "--v", "2"), ANALYSIS + ["coronawalk.transfer"]),
+        (("pst", "file:{cube}", "--u", "0", "--v", "7"),
+         ["coronawalk.exact", "coronawalk.transfer"]),
         # so are a family corona's over a regular copy factor, by its lifts
         (("spectrum", "corona(path:2,cycle:3)"), ["coronawalk.exact", "coronawalk.corona"]),
         (("periodic", "corona(path:2,empty:2)", "--u", "0"),
@@ -224,7 +238,8 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
           "--lmax", "100"), SEARCH),
     ],
     ids=["spectrum", "spectrum-file", "fidelity", "support-file", "support", "cospectral",
-         "sweep", "periodic", "pst", "pst-file", "spectrum-corona", "periodic-corona",
+         "sweep", "sweep-past-the-cap", "periodic", "pst", "pst-file", "pst-integral-file",
+         "spectrum-corona", "periodic-corona",
          "support-corona", "cospectral-corona", "pst-corona", "fidelity-corona",
          "spectrum-path-copy", "spectrum-nested-copy", "support-nested-base",
          "spectrum-irregular-copy", "no-pst-scan", "no-pst-scan-file",
@@ -233,10 +248,11 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
 )
 def test_each_subcommand_loads_what_it_runs(argv, loaded, tmp_path):
     """Only the searches load `gates`, and only a corona spec loads `corona`."""
-    path, path2 = tmp_path / "path3.txt", tmp_path / "path2.txt"
+    path, path2, cube = (tmp_path / f"{name}.txt" for name in ("path3", "path2", "cube"))
     path.write_text("3\n0 1\n1 2\n", encoding="utf-8")
     path2.write_text("2\n0 1\n", encoding="utf-8")
-    argv = [a.format(path=path, path2=path2) for a in argv]
+    cube.write_text(permuted_cube(), encoding="utf-8")
+    argv = [a.format(path=path, path2=path2, cube=cube) for a in argv]
     assert probe(run_quietly(argv)) == {"code": 0, "loaded": loaded}
 
 
@@ -264,11 +280,49 @@ def test_every_exported_name_resolves():
     assert probe(body)["code"] == 0
 
 
+def permuted_cube() -> str:
+    """The 3-cube's edge list, its vertices relabelled: 0 and 7 stay antipodal."""
+    perm = [0, 5, 3, 6, 2, 4, 1, 7]
+    edges = sorted(tuple(sorted((perm[a], perm[a ^ (1 << b)]))) for a in range(8)
+                   for b in range(3) if a < a ^ (1 << b))
+    return "8\n" + "".join(f"{a} {b}\n" for a, b in edges)
+
+
+@pytest.mark.parametrize("argv", [
+    ("pst", "file:{cube}", "--u", "0", "--v", "7"),
+    ("periodic", "file:{cube}", "--u", "3"),
+    ("sweep", "corona(cycle:6,complete:4)", "--u", "4", "--v", "2", "--t-max", "31.5",
+     "--steps", "10000"),
+], ids=["pst", "periodic", "sweep"])
+def test_walk_modules_and_factor_sized_sweeps_load_no_numpy(argv, tmp_path):
+    """pst and periodic on a vertex of a `file:` leaf whose support values
+    are all integers read its walk module, and a sweep of at most
+    PURE_GRID_CAP term evaluations runs in pure Python: neither eigensolves."""
+    cube = tmp_path / "cube.edges"
+    cube.write_text(permuted_cube(), encoding="utf-8")
+    argv = [a.format(cube=cube) for a in argv]
+    assert probe(run_quietly(argv), ("numpy", "coronawalk.spectral")) == {
+        "code": 0, "loaded": []}
+
+
+def test_pst_on_a_random_leaf_still_eigensolves(tmp_path):
+    """A seeded G(12, 0.4): vertex 0's support holds values that are no
+    integers, so the walk module declines and the leaf is eigensolved."""
+    rng = __import__("random").Random(1)
+    edges = [(a, b) for a in range(12) for b in range(a + 1, 12) if rng.random() < 0.4]
+    path = tmp_path / "g.edges"
+    path.write_text("12\n" + "".join(f"{a} {b}\n" for a, b in edges), encoding="utf-8")
+    argv = ("pst", f"file:{path}", "--u", "0", "--v", "1")
+    assert probe(run_quietly(argv), ("numpy", "coronawalk.spectral")) == {
+        "code": 0, "loaded": ["numpy", "coronawalk.spectral"]}
+
+
+# the sweep runs past the pure-Python grid cap, so numpy and `spectral` load too
 EVERY_SUBCOMMAND = [
     ("spectrum", "path:3"),
     ("corona-build", "corona(path:2,cycle:3)"),
     ("fidelity", "path:2", "--u", "0", "--v", "1", "--t", "1"),
-    ("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "5"),
+    ("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "70000"),
     ("support", "path:3", "--u", "1"),
     ("cospectral", "path:3", "--u", "0", "--v", "2"),
     ("periodic", "corona(path:2,empty:2)", "--u", "0"),

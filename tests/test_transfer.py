@@ -592,7 +592,7 @@ class TestScanSearch:
         corona = search_engine(exact_decomposition(g), h)
         t_max, points = 37.3, 50_001
         step = t_max / (points - 1)
-        monkeypatch.setattr(gridmax, "_SCAN_CAP", 0)
+        monkeypatch.setattr(gridmax, "PURE_GRID_CAP", 0)
         scan = corona_no_pst_check(corona, 2, 0, t_max, points, w=1)
         best, arg = self._exhaustive(*transfer._walk_terms(corona, 0, copy_index(g.n, 2, 1)),
                                      step, points)
