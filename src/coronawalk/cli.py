@@ -29,11 +29,11 @@ a family base loads no numpy unless its best-first search for the grid
 maximum passes its cap and hands the grid over
 (`transfer.corona_no_pst_check`).  The t51 and t52 gate on a family base
 hands its g to the search, which certifies the base transfer no second
-time.  A pgst search on a family base loads numpy only past the first batch
-of ell, which it enters in pure Python when the family's locked-gap bound
-reaches --target (`transfer.locked_bound`): the bound chooses how the
-values are computed, never a verdict or an ell, and the two ways'
-fidelities agree to rounding.
+time.  sweep, pgst and no-pst-scan take their grids from `grid`, whose
+one rule runs a grid on family factors in pure Python within 2^17 term
+evaluations (`grid.pure_budget`), so a pgst search whose family's
+locked-gap bound reaches --target (`transfer.locked_bound`) and that stops
+in its first batch of ell loads no numpy.
 
 Every handler reads its spec through one recursive dispatch,
 `_decomposition`: a family by theorem (`leafspectra.FamilyDecomposition`,
@@ -53,7 +53,8 @@ lifts read the classes alone.  All answer the same vertex queries
 first compares closed-walk counts (`_walks_differ`): unequal ones refute
 strong cospectrality exactly, with no numpy.  `transfer`, which loads numpy
 only inside its grid analyses, serves sweep, periodic, pst, no-pst-scan and
-pgst, and runs a sweep within `defaults.PURE_GRID_CAP` in pure Python.
+pgst, and runs a sweep on family factors within `grid.PURE_GRID_CAP` in
+pure Python.
 corona-build checks the vertex and edge count of its spec against the
 build budget before it builds.  No module uses `dataclasses` (records
 are NamedTuples, eigenvalue classes plain `__slots__` classes), so no call

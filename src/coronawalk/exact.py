@@ -9,7 +9,8 @@ then verifies exactly.  No numpy.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 # a class value this close to an integer or to a pair's QuadInt is tried by rank,
 # or by exact division of a lift polynomial (`corona.lift_class`)
@@ -135,8 +136,8 @@ def krylov(edges: Iterable[tuple[int, int]], start: Sequence[int],
     polynomial, so its coefficients are integers by Gauss's lemma; for A
     symmetric its roots are the eigenvalues whose projectors do not kill x.
     """
-    edges = list(edges)
     vec = [int(c) for c in start]
+    rows = _neighbours(edges, len(vec))
     basis: list[tuple[int, list[int], list[int]]] = []  # pivot, row, row's Krylov combination
     vectors: list[list[int]] = []
     while True:
@@ -162,7 +163,7 @@ def krylov(edges: Iterable[tuple[int, int]], start: Sequence[int],
         d = math.gcd(*row, *combo)
         basis.append((pivot, [x // d for x in row], [x // d for x in combo]))
         vectors.append(vec)
-        vec = _times_adjacency(edges, vec)
+        vec = _times_adjacency(rows, vec)
 
 
 def _divide_out(poly, divisor) -> tuple[int, list[int]]:
@@ -179,13 +180,21 @@ def _divide_out(poly, divisor) -> tuple[int, list[int]]:
         count, poly = count + 1, out[:-d]
 
 
-def _times_adjacency(edges: list[tuple[int, int]], vec: list[int]) -> list[int]:
-    """A vec, A the adjacency matrix of the graph with these edges."""
-    out = [0] * len(vec)
+def _neighbours(edges: Iterable[tuple[int, int]], n: int) -> list[Callable]:
+    """Per vertex of the graph on n vertices with these edges, a getter of
+    its neighbours' entries of a vector, made once for many products."""
+    rows: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
-        out[a] += vec[b]
-        out[b] += vec[a]
-    return out
+        rows[a].append(b)
+        rows[b].append(a)
+    # itemgetter of one index gives the entry itself, not a tuple
+    return [itemgetter(*r) if len(r) > 1 else lambda vec, r=r: [vec[i] for i in r]
+            for r in rows]
+
+
+def _times_adjacency(rows: list[Callable], vec: list[int]) -> list[int]:
+    """A vec, A the adjacency matrix whose `_neighbours` are rows."""
+    return [sum(get(vec)) for get in rows]
 
 
 def closed_walk_witness(edges: Iterable[tuple[int, int]], n: int, u: int, v: int) -> int | None:
@@ -200,11 +209,13 @@ def closed_walk_witness(edges: Iterable[tuple[int, int]], n: int, u: int, v: int
     x_(i+1), so one product of x_i, and one of y_i = A^i e_v, give two.
     """
     edges, pair = list(edges), [[int(w == z) for w in range(n)] for z in (u, v)]
+    rows = None
     for j in range(1, n):
         if j % 2:  # the (j + 1)/2-th two products and two dot products
             if (j + 1) * (len(edges) + n) > _WALK_WORK:
                 return None
-            ahead = [_times_adjacency(edges, x) for x in pair]
+            rows = rows or _neighbours(edges, n)
+            ahead = [_times_adjacency(rows, x) for x in pair]
             walks = [sum(p * q for p, q in zip(x, y)) for x, y in zip(pair, ahead)]
             pair = ahead
         else:

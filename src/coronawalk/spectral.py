@@ -1,9 +1,8 @@
 """Dense symmetric spectral engine.
 
 Symmetric eigensolver (LAPACK eigh through numpy), eigenvalue classes held
-as orthonormal eigenvector blocks V, the batched grid evaluation of walk
-amplitudes as exponential sums (`exp_sum_grid`), and exact (integer /
-quadratic) labeling of eigenvalue classes, verified by big-integer rank.  A
+as orthonormal eigenvector blocks V, and exact (integer / quadratic)
+labeling of eigenvalue classes, verified by big-integer rank.  A
 quadratic label is read off a conjugate pair of classes: a = theta +
 theta' and b^2 delta = (theta - theta')^2.  `SpectralDecomposition` gives
 the atom rules of `leafspectra.Decomposition`, one atom per class, read off
@@ -16,16 +15,15 @@ labels, serve the leaf itself and any corona it is a factor of
 (`coronaspectra.CoronaDecomposition`, which reads them through the atom
 rules, with `ones` and `residual` for a copy factor's main directions).
 Family leaves and coronas are never eigensolved: the assembled graph is
-decomposed here only as the oracle the tests check them against.
+decomposed here only as the oracle the tests check them against.  The
+grids of walk amplitudes are `grid`'s, which never loads this module.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .defaults import DEFAULT_GROUP_TOL, GRID_BLOCK
+from .defaults import DEFAULT_GROUP_TOL
 from .exact import _VALUE_TOL, QuadInt, _pair_label, exact_rank
 from .graphs import Graph, check_budget
 from .leafspectra import Atom, Decomposition, class_runs
@@ -130,34 +128,6 @@ def decompose(matrix, group_tol: float = DEFAULT_GROUP_TOL) -> SpectralDecomposi
     return SpectralDecomposition(
         [EigenClass(float(np.mean(values[a:b])), vecs[:, a:b])
          for a, b in class_runs(values.tolist(), group_tol)], len(values))
-
-
-def exp_sum_grid(freqs: np.ndarray, coefs: np.ndarray, t0: float, dt: float, count: int,
-                 skip: int = 0):
-    """Yield sum_k coefs[k] exp(-i t freqs[k]) at t = t0 + j*dt, j = 0..count-1,
-    in batches of block = GRID_BLOCK times, less the first `skip` batches,
-    which are not computed; the others keep their bits.
-
-    With j = s*block + q*a + r (r < a, q < b, a*b >= min(block, count)) it is
-    sum_k w[k] coarse[k, q] fine[k, r], w = coefs * exp(-i freqs (t0 +
-    s*block*dt)), fine[:, r] = exp(-i freqs r dt) and coarse[:, q] =
-    exp(-i freqs q a dt).  The two tables are made once, a and b near
-    sqrt(block), and each batch is one (b x K)(K x a) matrix product
-    (w[:, None] * coarse)^T @ fine, raveled and cut to the batch; memory
-    stays O(K sqrt(block) + block), K = len(freqs), whatever the count.
-    """
-    if count <= 0:
-        return
-    block = GRID_BLOCK
-    size = min(block, count)
-    a = math.isqrt(size - 1) + 1  # a * a >= size
-    fine = np.exp(-1j * np.multiply.outer(freqs, np.arange(a) * dt))
-    # q * a for q < b = ceil(size / a)
-    coarse = np.exp(-1j * np.multiply.outer(freqs, np.arange(0, size, a) * dt))
-    for start in range(skip * block, count, block):
-        weights = coefs * np.exp(-1j * freqs * (t0 + start * dt))
-        batch = ((weights[:, None] * coarse).T @ fine).ravel()
-        yield batch[: min(block, count - start)]
 
 
 # ---------------------------------------------------------------------------

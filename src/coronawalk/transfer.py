@@ -3,11 +3,12 @@
 Periodicity tests on exact eigenvalue supports, full perfect-state-transfer
 certification with 2-adic sign conditions, pointwise no-transfer scans on
 coronas, the structured time-family searches that realize pretty good
-state transfer between lifted base vertices, and fidelity sweeps.  Sweeps
-and searches run their own loops over the batches of one grid kernel,
-`exp_sum_grid`; a scan finds its grid maximum by a certified best-first
-search in pure Python (`gridmax`), and takes the kernel only past that
-search's cap.
+state transfer between lifted base vertices, and fidelity sweeps.  The
+three grid analyses (sweeps, searches and scans) evaluate |A(t)| on their
+uniform grids through `grid`: its one batch kernel, its one rule for
+pure Python or numpy (`grid.pure_budget`, given the term evaluations each
+analysis predicts) and its readers; a scan tries that module's certified
+best-first search first.
 
 Every analysis here reads the decomposition it is given through the
 vertex queries of `leafspectra.Decomposition`: the verdicts
@@ -19,24 +20,23 @@ static bound read).  The decomposition is a `file:` leaf's float classes
 (`spectral.SpectralDecomposition`) or a vertex's walk module
 (`walkmodule.WalkModule`), a family leaf's by theorem
 (`leafspectra.FamilyDecomposition`) or a corona's from its factors'
-(`coronaspectra.CoronaDecomposition`).  So this module loads numpy and
-`spectral` only inside the grid analyses (scans, searches and sweeps):
-`periodic` and `pst` on any but float classes, and a family base the pgst
-gate refutes, load neither.  Nor does a sweep within PURE_GRID_CAP term
-evaluations, nor a scan on a family base that ends within its cap, nor a
-search on a family base that stops within its first batch of ell: that
-batch is evaluated in pure Python when the family's locked-gap bound
+(`coronaspectra.CoronaDecomposition`).  So this module loads `grid` only
+inside the grid analyses, and numpy only where a grid passes its pure
+Python budget: `periodic` and `pst` on any but float classes, and a family
+base the pgst gate refutes, load neither.  Nor does a sweep within
+`grid.PURE_GRID_CAP` term evaluations, nor a scan on a family base that
+ends within its cap, nor a search on a family base that stops within its
+first batch of ell, which it predicts where the family's locked-gap bound
 (`locked_bound`) reaches the target.  The bound is the float forerunner of
 a certified family cap; it is not reported and decides no verdict, only
-how the values are computed, and its tolerance is one of that choice.  The
-two corona analyses import `gates` when they run, so `pst`, `sweep` and
-`periodic` never load it.
+how the values are computed, and its tolerance is one of that choice.  No
+grid analysis loads `spectral`.  The two corona analyses import `gates`
+when they run, so `pst`, `sweep` and `periodic` never load it.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .defaults import (
@@ -44,8 +44,6 @@ from .defaults import (
     DEFAULT_ELL_MAX,
     DEFAULT_SUPPORT_TOL,
     DEFAULT_TARGET,
-    GRID_BLOCK,
-    PURE_GRID_CAP,
 )
 from .exact import QuadInt, gcd_list, two_adic_valuation
 from .graphs import Graph, check_distinct, copy_index
@@ -303,22 +301,22 @@ def corona_no_pst_check(
     stays below 1, and the static bound sum_lam |E_lam[v,v']| over the
     base's walk terms, one per class (always <= 1), that caps the entry.
 
-    The maximum comes from `gridmax.grid_max`: a certified best-first
+    The maximum comes from `grid.grid_max`: a certified best-first
     search over the grid's index intervals, in pure Python, which drops an
     interval once a second-order bound on |A| over it is within 1e-12
-    (`gridmax._SCAN_EPS`) of the best point found.  So no grid value
+    (`grid._SCAN_EPS`) of the best point found.  So no grid value
     exceeds the reported one by more than that, and on a tie within that
     margin the reported time need not be the first one.  A search that
-    would pass 2^17 term evaluations (`defaults.PURE_GRID_CAP`), or is
-    predicted to, hands the grid to numpy instead, which evaluates every
-    point in batches of `spectral.exp_sum_grid` and reports the first time
-    of the maximum.  The route reads the command's data alone.  The pair's gates
+    would pass 2^17 term evaluations (`grid.PURE_GRID_CAP`), or is
+    predicted to, hands the grid to `grid.moduli` instead, on the budget of
+    points times terms, which evaluates every point and reports the first
+    time of the maximum.  The route reads the command's data alone.  The pair's gates
     (`gates.check_scan_pair`: distinct base-base vertices, vertex ranges)
     need no decomposition, so the CLI runs them before it loads any
     analysis.
     """
+    from . import grid
     from .gates import check_scan_pair
-    from .gridmax import grid_max
 
     if points < 1:
         raise ValueError("a scan needs at least one time point")
@@ -327,7 +325,8 @@ def corona_no_pst_check(
     x, y = (v, vp) if w is None else (vp, copy_index(n, v, w))
     freqs, coefs = _walk_terms(corona, x, y)
     step = t_max / (points - 1) if points > 1 else 0.0
-    best, arg = grid_max(freqs, coefs, step, points)
+    best, arg = grid.grid_max(freqs, coefs, step, points,
+                              grid.pure_budget(corona, points * len(freqs)))
     # np.linspace puts t_max itself at the last point and i * step elsewhere
     argmax_time = float(t_max) if points > 1 and arg == points - 1 else arg * step
     bound = float(sum(abs(entry) for _, entry in corona.base.terms(v, vp)))
@@ -443,21 +442,20 @@ def pgst_search(
     base) passes its g as base_g, and it is not run again.  The fidelities
     are the engine's walk terms from (u, 0) to (v, 0) (`_walk_terms`).
     Records the strictly-improving best-so-far trace and stops once fidelity
-    reaches the target; the family is evaluated one grid batch of ell values
-    at a time, so an early stop evaluates at most one batch past the hit, and
-    a batch that cannot beat the best so far is skipped.
+    reaches the target (`grid.improving`); the family is evaluated one grid
+    batch of ell values at a time, and no batch past the hit is made.
 
-    On a family base (`leafspectra.FamilyDecomposition`) whose family is not
-    capped below the target (`locked_bound`), the first batch is evaluated
-    in pure Python, up to the hit (`_first_block`), and numpy and `spectral`
-    are loaded only to go on past it, with the batches that follow it bit
-    for bit.  Any other search evaluates every batch with numpy, as a base
-    read off an eigensolve has loaded it already.  The choice reads the
-    command's data alone, and changes no ell and no verdict: the two routes'
-    fidelities differ in rounding alone.
+    The grid's route (`grid.pure_budget`) reads a prediction of the term
+    evaluations: GRID_BLOCK times the terms where the family is not capped
+    below the target (`locked_bound`), so the search may stop in its first
+    batch, which is then evaluated in pure Python, and every ell times the
+    terms otherwise.  So a family base that stops early loads no numpy, and
+    a capped one past the cap takes numpy from its first batch.  The choice
+    reads the command's data alone; the two routes' fidelities differ in
+    rounding alone.
     """
+    from . import grid
     from .gates import check_antipodal, check_pgst
-    from .leafspectra import FamilyDecomposition
 
     base = corona.base
     check_pgst(base.n, corona.degree, u, v, family, ell_max)
@@ -472,13 +470,9 @@ def pgst_search(
 
     freqs, coefs = _walk_terms(corona, u, v)
     t0, dt, count = offset * math.pi, slope * math.pi, ell_max + 1
-    trace: list[tuple[int, float]] = []
-    skip = 0
-    if isinstance(base, FamilyDecomposition) and \
-            locked_bound(freqs, coefs, slope, offset) >= target:
-        trace, skip = _first_block(freqs, coefs, t0, dt, count, target), 1
-    if (not trace or trace[-1][1] < target) and skip * GRID_BLOCK < count:
-        _numpy_blocks(freqs, coefs, t0, dt, count, target, skip, trace)
+    points = grid.GRID_BLOCK if locked_bound(freqs, coefs, slope, offset) >= target else count
+    budget = grid.pure_budget(corona, points * len(freqs))
+    trace = grid.improving(grid.moduli(freqs, coefs, t0, dt, count, budget), target)
     best_ell, best = trace[-1]
     return PGSTSearchResult(
         family=family,
@@ -518,7 +512,8 @@ def locked_bound(freqs: Sequence[float], coefs: Sequence[float], slope: float,
     """
     groups: list[tuple[float, complex]] = []  # (first term's theta, group sum)
     for theta, c in zip(freqs, coefs):
-        term = c * _turn(theta * offset * math.pi)
+        phase = theta * offset * math.pi
+        term = c * complex(math.cos(phase), -math.sin(phase))
         for i, (first, total) in enumerate(groups):
             gap = (theta - first) * slope / 2
             if abs(gap - round(gap)) <= _LOCK_TOL:
@@ -527,69 +522,6 @@ def locked_bound(freqs: Sequence[float], coefs: Sequence[float], slope: float,
         else:
             groups.append((theta, term))
     return sum(abs(total) for _, total in groups)
-
-
-def _first_block(freqs: Sequence[float], coefs: Sequence[float], t0: float, dt: float,
-                 count: int, target: float) -> list[tuple[int, float]]:
-    """The strictly improving trace of |A| over the first batch of the grid
-    t0 + ell * dt, up to its first ell at the target, in pure Python
-    (`_grid_moduli`, on the batch `spectral.exp_sum_grid` makes)."""
-    trace: list[tuple[int, float]] = []
-    best = -1.0
-    for ell, fid in enumerate(_grid_moduli(freqs, coefs, t0, dt, min(GRID_BLOCK, count))):
-        if fid > best:
-            best = fid
-            trace.append((ell, fid))
-            if fid >= target:
-                break
-    return trace
-
-
-def _grid_moduli(freqs: Sequence[float], coefs: Sequence[float], t0: float, dt: float,
-                 count: int):
-    """Yield |A(t0 + j * dt)| for j < count, A(t) = sum_k coefs[k] exp(-i
-    freqs[k] t), in pure Python, from the tables of one batch of
-    `spectral.exp_sum_grid`: j = q*a + r, A = sum_k w[k] coarse[k][q]
-    fine[k][r], w = coefs * exp(-i freqs t0); a row of coarse is made when
-    the grid reaches it."""
-    a = math.isqrt(count - 1) + 1
-    fine = [[_turn(f * (r * dt)) for f in freqs] for r in range(a)]
-    for q in range(0, count, a):
-        row = [c * _turn(f * t0) * _turn(f * (q * dt)) for f, c in zip(freqs, coefs)]
-        for r in range(min(a, count - q)):
-            yield abs(sum(map(operator.mul, row, fine[r])))
-
-
-def _turn(x: float) -> complex:
-    """exp(-ix), as numpy's complex exp gives it."""
-    return complex(math.cos(x), -math.sin(x))
-
-
-def _numpy_blocks(freqs: Sequence[float], coefs: Sequence[float], t0: float, dt: float,
-                  count: int, target: float, skip: int, trace: list[tuple[int, float]]) -> None:
-    """Extend the strictly improving trace over the batches of the grid past
-    the first `skip`, with numpy, up to the first ell at the target."""
-    import numpy as np
-
-    from .spectral import exp_sum_grid
-
-    best = trace[-1][1] if trace else -1.0
-    start = skip * GRID_BLOCK
-    for amps in exp_sum_grid(np.asarray(freqs), np.asarray(coefs), t0, dt, count, skip):
-        fids = np.abs(amps)
-        start += fids.size
-        if fids.max() <= best:  # best < target: nothing here improves or hits
-            continue
-        ells = np.arange(start - fids.size, start)
-        hits = np.flatnonzero(fids >= target)
-        if hits.size:
-            ells, fids = ells[: hits[0] + 1], fids[: hits[0] + 1]
-        before = np.maximum.accumulate(np.concatenate(([best], fids[:-1])))
-        improved = np.flatnonzero(fids > before)
-        trace.extend((int(ells[i]), float(fids[i])) for i in improved)
-        best = trace[-1][1]
-        if hits.size:
-            break
 
 
 # ---------------------------------------------------------------------------
@@ -615,29 +547,24 @@ def fidelity_sweep(
     """|U(t)_{u,v}| on the uniform grid t_j = j * t_max / (steps - 1), the
     last point t_max itself (np.linspace's values), from the walk terms of d
     less the exactly 0 ones (`_walk_terms`), with the first index of the
-    maximum.
+    maximum (`grid.first_max`); times and values are lists of floats.
 
-    Where steps times the terms left is at most PURE_GRID_CAP, the grid is
-    evaluated in pure Python (`_grid_moduli`) and its times and values are
-    lists; past it, with numpy in the batches of `spectral.exp_sum_grid`,
-    as arrays.  The two differ in rounding alone, and the choice reads the
-    command's data alone.
+    The grid (`grid.moduli`) is evaluated in pure Python where steps times
+    the terms left is within `grid.pure_budget`, and with numpy past it.
+    The two differ in rounding alone, and the choice reads the command's
+    data alone.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
+    from . import grid
+
     freqs, coefs = _walk_terms(d, u, v)
     step = t_max / (steps - 1)
-    if steps * len(freqs) <= PURE_GRID_CAP:
-        values = list(_grid_moduli(freqs, coefs, 0.0, step, steps))
-        times = [j * step for j in range(steps - 1)] + [float(t_max)]
-        return FidelityTrace(times, values, values.index(max(values)))
-    import numpy as np
-
-    from .spectral import exp_sum_grid
-
-    ts = np.linspace(0.0, float(t_max), int(steps))
-    batches = exp_sum_grid(np.asarray(freqs), np.asarray(coefs), 0.0, step, steps)
-    vals = np.concatenate([np.abs(amps) for amps in batches])
-    return FidelityTrace(times=ts, values=vals, best_index=int(np.argmax(vals)))
+    values: list[float] = []
+    for fids in grid.moduli(freqs, coefs, 0.0, step, steps,
+                            grid.pure_budget(d, steps * len(freqs))):
+        values += fids.tolist() if hasattr(fids, "dtype") else fids
+    times = [j * step for j in range(steps - 1)] + [float(t_max)]
+    return FidelityTrace(times, values, grid.first_max([values])[1])

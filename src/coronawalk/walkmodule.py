@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact import QuadInt, _divide_out, _times_adjacency, krylov
+from .exact import QuadInt, _divide_out, _neighbours, _times_adjacency, krylov
 from .graphs import Graph
 from .leafspectra import Atom, Decomposition
 
@@ -118,8 +118,9 @@ def integral_module(g: Graph, u: int) -> WalkModule | None:
     if (2 * top + 1) * (len(edges) + n) > max(_MODULE_WORK, n ** 3 // 128):
         return None
     start = x = [int(w == u) for w in range(n)]
+    rows = _neighbours(edges, n)
     for theta in range(-top, top + 1):
-        x = [(y - theta * z) % _PRIME for y, z in zip(_times_adjacency(edges, x), x)]
+        x = [(y - theta * z) % _PRIME for y, z in zip(_times_adjacency(rows, x), x)]
     if any(x):
         return None
     found = krylov(edges, start, 2 * top + 1)

@@ -6,10 +6,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from coronawalk import spectral, transfer
+from coronawalk import grid, transfer
 from coronawalk.arrowhead import secular_lifts
 from coronawalk.cli import _decomposition, parse_graph_spec
 from coronawalk.corona import (
@@ -20,8 +20,9 @@ from coronawalk.corona import (
     merge_runs,
     regular_main,
 )
-from coronawalk.defaults import DEFAULT_GROUP_TOL, GRID_BLOCK
+from coronawalk.defaults import DEFAULT_GROUP_TOL
 from coronawalk.exact import QuadInt
+from coronawalk.grid import GRID_BLOCK, moduli
 from coronawalk.graphs import (
     build_graph,
     cocktail_party_graph,
@@ -35,7 +36,7 @@ from coronawalk.graphs import (
     star_graph,
     write_edge_list,
 )
-from coronawalk.spectral import decompose, exact_decomposition, exp_sum_grid
+from coronawalk.spectral import decompose, exact_decomposition
 
 from oracles import (
     amplitudes,
@@ -663,6 +664,17 @@ def corona_pairs(draw):
     return g, h, v, vp, w
 
 
+def numpy_batches(freqs, coefs, t0, dt, count) -> list[np.ndarray]:
+    """`moduli`'s batches on a budget of 0, numpy's unless there is no term
+    to evaluate, as arrays."""
+    return [np.asarray(b if hasattr(b, "dtype") else list(b), dtype=float)
+            for b in moduli(freqs, coefs, t0, dt, count, 0)]
+
+
+# the width a of the kernel's fine table on a whole batch
+_TABLE = math.isqrt(GRID_BLOCK - 1) + 1
+
+
 class TestExponentialSum:
     @given(
         corona_pairs(),
@@ -678,17 +690,47 @@ class TestExponentialSum:
         block, count = sizes
         freqs, coefs = walk_terms(g, h, v, vp, w)
         # a patch, not the monkeypatch fixture, which @given rejects
-        with mock.patch.object(spectral, "GRID_BLOCK", block):
-            batches = list(exp_sum_grid(freqs, coefs, t0, dt, count))
+        with mock.patch.object(grid, "GRID_BLOCK", block):
+            batches = numpy_batches(freqs, coefs, t0, dt, count)
         assert [b.size for b in batches[:-1]] == [block] * (len(batches) - 1)
         assert 1 <= batches[-1].size <= block
-        grid = np.concatenate(batches)
+        values = np.concatenate(batches)
         ts = t0 + np.arange(count) * dt
-        explicit = exp_sum(freqs, coefs, ts)
+        explicit = np.abs(exp_sum(freqs, coefs, ts))
         t_end = float(np.max(np.abs(ts)))
         top = float(np.max(np.abs(freqs), initial=0.0))
-        assert grid.shape == (count,)
-        assert np.max(np.abs(grid - explicit)) <= 1e-12 * (1.0 + top * t_end)
+        assert values.shape == (count,)
+        assert np.max(np.abs(values - explicit)) <= 1e-12 * (1.0 + top * t_end)
+
+    @given(
+        corona_pairs(),
+        # one point, the fine table's width and one less, a batch and one
+        # more or one less, and several batches
+        st.sampled_from([1, _TABLE - 1, _TABLE, GRID_BLOCK - 1, GRID_BLOCK + 1,
+                         3 * GRID_BLOCK + 7]),
+        st.floats(0.5, 40.0),
+        st.floats(0.01, 4.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_pure_batches_are_numpy_s_and_a_switch_keeps_its_bits(self, case, count, t0, dt):
+        """Pure Python and numpy batches have the same sizes and agree to
+        rounding; a budget that runs out at any batch boundary gives the pure
+        batches before it and the all-numpy batches after it, bit for bit."""
+        g, h, v, vp, w = case
+        freqs, coefs = (x.tolist() for x in walk_terms(g, h, v, vp, w))
+        assume(freqs)  # no term: nothing to evaluate, in pure Python
+        k = len(freqs)
+        dense = list(moduli(freqs, coefs, t0, dt, count, 0))
+        assert all(hasattr(b, "dtype") for b in dense)
+        pure = [list(b) for b in moduli(freqs, coefs, t0, dt, count, count * k)]
+        assert [len(b) for b in pure] == [b.size for b in dense]
+        top = max(abs(f) for f in freqs)
+        bound = 1e-13 * (1.0 + top * (t0 + (count - 1) * dt))
+        assert np.max(np.abs(np.concatenate(pure) - np.concatenate(dense))) <= bound
+        for s in range(1, len(pure)):
+            mixed = list(moduli(freqs, coefs, t0, dt, count, s * GRID_BLOCK * k))
+            assert [list(b) for b in mixed[:s]] == pure[:s]
+            assert all(np.array_equal(a, b) for a, b in zip(mixed[s:], dense[s:], strict=True))
 
     # the searches' grids: t = (slope l + offset) pi, slope 4 (t51, t52) or 8
     # (cocktail), offset 1 (t52) or 2/g (t51)
@@ -702,30 +744,29 @@ class TestExponentialSum:
     def test_grid_kernel_at_search_scale(self, slope, offset, g, h, v, vp, w):
         freqs, coefs = walk_terms(g, h, v, vp, w)
         t0, dt, count = offset * math.pi, slope * math.pi, 2 * GRID_BLOCK + 1234
-        grid = np.concatenate(list(exp_sum_grid(freqs, coefs, t0, dt, count)))
-        assert grid.shape == (count,)
+        values = np.concatenate(numpy_batches(freqs, coefs, t0, dt, count))
+        assert values.shape == (count,)
         picks = np.random.default_rng(5).integers(0, count, 250)
         picks = np.r_[picks, 0, GRID_BLOCK - 1, GRID_BLOCK, 2 * GRID_BLOCK, count - 2, count - 1]
-        explicit = exp_sum(freqs, coefs, t0 + picks * dt)
+        explicit = np.abs(exp_sum(freqs, coefs, t0 + picks * dt))
         top = float(np.max(np.abs(freqs)))
         bound = 1e-12 * (1.0 + top * (t0 + (count - 1) * dt))
-        assert np.max(np.abs(grid[picks] - explicit)) <= bound
+        assert np.max(np.abs(values[picks] - explicit)) <= bound
 
     def test_grid_kernel_memory_is_below_the_batch_table(self):
         # one K x GRID_BLOCK phase table of 64 terms alone takes 8 MB
         freqs, coefs = np.linspace(-8.0, 8.0, 64), np.linspace(-1.0, 1.0, 64)
         tracemalloc.start()
         try:
-            for _, amps in zip(range(3), exp_sum_grid(freqs, coefs, math.pi, 8 * math.pi,
-                                                     10**6)):
-                assert amps.size == GRID_BLOCK
+            for _, fids in zip(range(3), moduli(freqs, coefs, math.pi, 8 * math.pi, 10**6, 0)):
+                assert fids.size == GRID_BLOCK
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
 
     def test_empty_grid_yields_nothing(self):
-        assert list(exp_sum_grid(np.ones(3), np.ones(3), 0.0, 1.0, 0)) == []
+        assert list(moduli(np.ones(3), np.ones(3), 0.0, 1.0, 0, 0)) == []
 
     @given(corona_pairs(), st.lists(st.floats(0.0, 20.0), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)

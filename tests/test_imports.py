@@ -167,6 +167,8 @@ def test_family_spectrum_over_budget_loads_nothing():
 ANALYSIS = ["numpy", "coronawalk.exact", "coronawalk.spectral"]
 SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
           "coronawalk.spectral", "coronawalk.transfer"]
+# a search on family factors whose grid passes the pure-Python cap
+GRID = [m for m in SEARCH if m != "coronawalk.spectral"]
 
 
 @pytest.mark.parametrize(
@@ -180,11 +182,12 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
         # a family's vertex queries are decided by theorem, with no numpy
         (("support", "star:5", "--u", "0"), ["coronawalk.exact"]),
         (("cospectral", "path:3", "--u", "0", "--v", "2"), ["coronawalk.exact"]),
-        # a sweep within the pure-Python grid cap loads no numpy, a longer one does
+        # a sweep within the pure-Python grid cap loads no numpy, a longer one
+        # does, and no grid loads `spectral`
         (("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "5"),
          ["coronawalk.exact", "coronawalk.transfer"]),
         (("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "70000"),
-         ["numpy", "coronawalk.exact", "coronawalk.spectral", "coronawalk.transfer"]),
+         ["numpy", "coronawalk.exact", "coronawalk.transfer"]),
         (("periodic", "path:3", "--u", "0"), ["coronawalk.exact", "coronawalk.transfer"]),
         (("pst", "path:3", "--u", "0", "--v", "2"), ["coronawalk.exact", "coronawalk.transfer"]),
         # a file's vertex whose support values are not all integers (+-sqrt(2)
@@ -215,17 +218,19 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
         (("spectrum", "corona(path:2,file:{path})"),
          ["numpy", "coronawalk.exact", "coronawalk.corona", "coronawalk.spectral"]),
         # a scan searches its grid in pure Python; on a family base it loads
-        # numpy only where the search passes its cap and hands the grid over
+        # numpy, and not `spectral`, only where the search passes its cap and
+        # hands the grid over
         (("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base", "--v", "0",
           "--vp", "1", "--points", "100"),
          ["coronawalk.exact", "coronawalk.gates", "coronawalk.corona", "coronawalk.transfer"]),
         (("no-pst-scan", "corona(file:{path},cycle:3)", "--pair", "base-base", "--v", "0",
           "--vp", "2", "--points", "100"), SEARCH),
         (("no-pst-scan", "corona(cocktail:7,cycle:5)", "--pair", "base-base", "--v", "0",
-          "--vp", "2", "--t-max", "2000", "--points", "2000000"), SEARCH),
+          "--vp", "2", "--t-max", "2000", "--points", "2000000"), GRID),
         # a search on a family base whose family reaches the target evaluates
         # its first batch of ell in pure Python, and stops there; a capped
-        # family and a base read off an eigensolve take numpy
+        # family runs in pure Python within the grid cap and with numpy past
+        # it, without `spectral`; a base read off an eigensolve takes numpy
         (("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
           "--lmax", "100"),
          ["coronawalk.exact", "coronawalk.gates", "coronawalk.corona", "coronawalk.transfer"]),
@@ -233,7 +238,10 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
           "--lmax", "100000", "--target", "0.999"),
          ["coronawalk.exact", "coronawalk.gates", "coronawalk.corona", "coronawalk.transfer"]),
         (("pgst", "corona(cycle:4,cycle:3)", "--u", "0", "--v", "2", "--family", "t52",
-          "--lmax", "10000"), SEARCH),
+          "--lmax", "10000"),
+         ["coronawalk.exact", "coronawalk.gates", "coronawalk.corona", "coronawalk.transfer"]),
+        (("pgst", "corona(cycle:4,cycle:3)", "--u", "0", "--v", "2", "--family", "t52",
+          "--lmax", "100000"), GRID),
         (("pgst", "corona(file:{path2},cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
           "--lmax", "100"), SEARCH),
     ],
@@ -244,7 +252,7 @@ SEARCH = ["numpy", "coronawalk.exact", "coronawalk.gates", "coronawalk.corona",
          "spectrum-path-copy", "spectrum-nested-copy", "support-nested-base",
          "spectrum-irregular-copy", "no-pst-scan", "no-pst-scan-file",
          "no-pst-scan-handover", "pgst",
-         "pgst-early-stop", "pgst-capped", "pgst-file"],
+         "pgst-early-stop", "pgst-capped-within-the-cap", "pgst-capped", "pgst-file"],
 )
 def test_each_subcommand_loads_what_it_runs(argv, loaded, tmp_path):
     """Only the searches load `gates`, and only a corona spec loads `corona`."""
@@ -256,17 +264,21 @@ def test_each_subcommand_loads_what_it_runs(argv, loaded, tmp_path):
     assert probe(run_quietly(argv)) == {"code": 0, "loaded": loaded}
 
 
-@pytest.mark.parametrize("argv, loaded", [
+@pytest.mark.parametrize("argv, code, loaded", [
     (("no-pst-scan", "corona(path:2,cycle:3)", "--pair", "base-base", "--v", "0", "--vp", "1",
-      "--points", "100"), ["coronawalk.gridmax"]),
+      "--points", "100"), 0, ["coronawalk.grid"]),
     (("pgst", "corona(path:2,cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
-      "--lmax", "100"), []),
-    (("pst", "path:3", "--u", "0", "--v", "2"), []),
-], ids=["no-pst-scan", "pgst", "pst"])
-def test_only_a_scan_loads_the_grid_search(argv, loaded):
-    """The scan's grid search is a module of its own, which the other calls
-    that load `transfer` do not compile."""
-    assert probe(run_quietly(argv), ("coronawalk.gridmax",)) == {"code": 0, "loaded": loaded}
+      "--lmax", "100"), 0, ["coronawalk.grid"]),
+    (("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "5"), 0,
+     ["coronawalk.grid"]),
+    (("pst", "path:3", "--u", "0", "--v", "2"), 0, []),
+    (("periodic", "path:3", "--u", "0"), 0, []),
+    (("pgst", "corona(path:3,cycle:3)", "--u", "0", "--v", "2", "--family", "t51"), 2, []),
+], ids=["no-pst-scan", "pgst", "sweep", "pst", "periodic", "pgst-gate-refuted"])
+def test_only_sweep_pgst_and_no_pst_scan_load_the_grid(argv, code, loaded):
+    """The grid is a module of its own, which the calls that load
+    `transfer` for a verdict alone do not compile."""
+    assert probe(run_quietly(argv), ("coronawalk.grid",)) == {"code": code, "loaded": loaded}
 
 
 def test_every_exported_name_resolves():
@@ -317,9 +329,11 @@ def test_pst_on_a_random_leaf_still_eigensolves(tmp_path):
         "code": 0, "loaded": ["numpy", "coronawalk.spectral"]}
 
 
-# the sweep runs past the pure-Python grid cap, so numpy and `spectral` load too
+# the sweep runs past the pure-Python grid cap, so numpy loads, and the file
+# leaf's spectrum eigensolves, so `spectral` loads too
 EVERY_SUBCOMMAND = [
     ("spectrum", "path:3"),
+    ("spectrum", "file:{path}"),
     ("corona-build", "corona(path:2,cycle:3)"),
     ("fidelity", "path:2", "--u", "0", "--v", "1", "--t", "1"),
     ("sweep", "path:2", "--u", "0", "--v", "1", "--t-max", "3", "--steps", "70000"),
@@ -334,9 +348,12 @@ EVERY_SUBCOMMAND = [
 ]
 
 
-def test_cli_registers_no_exit_handler():
+def test_cli_registers_no_exit_handler(tmp_path):
     """The console entry point ends in os._exit, which runs no atexit handler,
     so nothing the CLI loads may register one."""
+    path = tmp_path / "path3.txt"
+    path.write_text("3\n0 1\n1 2\n", encoding="utf-8")
+    argvs = [[a.format(path=path) for a in argv] for argv in EVERY_SUBCOMMAND]
     body = ("import atexit, contextlib, io\n"
             "registered = []\n"
             "_register = atexit.register\n"
@@ -347,11 +364,11 @@ def test_cli_registers_no_exit_handler():
             "before = atexit._ncallbacks()\n"
             "from coronawalk.cli import run_command\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    codes = [run_command(list(argv)) for argv in {EVERY_SUBCOMMAND!r}]\n"
+            f"    codes = [run_command(argv) for argv in {argvs!r}]\n"
             "code = {'codes': codes, 'registered': registered,\n"
             "        'added': atexit._ncallbacks() - before}")
     assert probe(body) == {
-        "code": {"codes": [0] * 10, "registered": [], "added": 0},
+        "code": {"codes": [0] * 11, "registered": [], "added": 0},
         "loaded": SEARCH,
     }
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,12 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coronawalk import corona as corona_module
-from coronawalk import gridmax
+from coronawalk import grid
 from coronawalk import transfer
 from coronawalk.cli import _decomposition, _search_corona, parse_graph_spec
-from coronawalk.defaults import GRID_BLOCK
 from coronawalk.exact import QuadInt, two_adic_valuation
 from coronawalk.gates import check_pgst
+from coronawalk.grid import GRID_BLOCK, PURE_GRID_CAP
 from coronawalk.graphs import (
     cocktail_party_graph,
     complete_graph,
@@ -491,7 +492,7 @@ class TestNoTransferScan:
 
 # the scan's certified margin, with room for the rounding between its pure
 # Python sums and numpy's, a few ulps of terms whose |c| sum to at most 1
-SCAN_TIE = gridmax._SCAN_EPS + 1e-14
+SCAN_TIE = grid._SCAN_EPS + 1e-14
 
 
 def _scan_of_terms(freqs, coefs, t_max, points):
@@ -540,7 +541,7 @@ _scan_terms = st.lists(st.tuples(_scan_freqs, _scan_coefs), max_size=12).map(
 
 
 class TestScanSearch:
-    """The scan's best-first search (`gridmax._search`) against the
+    """The scan's best-first search (`grid._search`) against the
     exhaustive grid, and its handover to numpy past the cap."""
 
     @given(_scan_terms, st.floats(0.0, 300.0), st.integers(1, 50_000))
@@ -575,24 +576,17 @@ class TestScanSearch:
     @staticmethod
     def _exhaustive(freqs, coefs, step, points):
         """The grid maximum and its first j over every point of numpy's
-        batches: the reference a handover must equal bit for bit."""
-        from coronawalk.spectral import exp_sum_grid
-
-        best, arg, offset = -1.0, 0, 0
-        for amps in exp_sum_grid(np.asarray(freqs), np.asarray(coefs), 0.0, step, points):
-            fids = np.abs(amps)
-            i = int(np.argmax(fids))
-            if fids[i] > best:
-                best, arg = float(fids[i]), offset + i
-            offset += fids.size
-        return best, arg
+        batches, joined: the reference a handover must equal bit for bit."""
+        fids = np.concatenate(list(grid.moduli(freqs, coefs, 0.0, step, points, 0)))
+        i = int(np.argmax(fids))
+        return float(fids[i]), i
 
     def test_a_forced_handover_reports_numpy_s_grid_maximum(self, monkeypatch):
         g, h = path_graph(3), cycle_graph(3)
         corona = search_engine(exact_decomposition(g), h)
         t_max, points = 37.3, 50_001
         step = t_max / (points - 1)
-        monkeypatch.setattr(gridmax, "PURE_GRID_CAP", 0)
+        monkeypatch.setattr(grid, "PURE_GRID_CAP", 0)
         scan = corona_no_pst_check(corona, 2, 0, t_max, points, w=1)
         best, arg = self._exhaustive(*transfer._walk_terms(corona, 0, copy_index(g.n, 2, 1)),
                                      step, points)
@@ -603,7 +597,7 @@ class TestScanSearch:
         t_max, points = 2000.0, 2_000_000
         freqs, coefs = transfer._walk_terms(corona, 0, 2)
         step = t_max / (points - 1)
-        assert gridmax._search(freqs, coefs, step, points) is None
+        assert grid._search(freqs, coefs, step, points) is None
         scan = corona_no_pst_check(corona, 0, 2, t_max, points)
         best, arg = self._exhaustive(freqs, coefs, step, points)
         assert (scan.max_fidelity, scan.argmax_time) == (best, arg * step)
@@ -843,14 +837,26 @@ def search_args(base: str) -> tuple[str, int, int]:
 
 
 def numpy_route(monkeypatch):
-    """Force every batch onto numpy: no family reaches a target above 0."""
-    monkeypatch.setattr(transfer, "locked_bound", lambda *args: 0.0)
+    """Force every batch onto numpy: no grid is within a cap of 0."""
+    monkeypatch.setattr(grid, "PURE_GRID_CAP", 0)
+
+
+def spy_pure_batches(monkeypatch) -> list:
+    """The arguments of every pure Python batch the grid kernel makes from
+    now on, as it makes them."""
+    entered: list = []
+    pure_batch = grid._pure_batch
+    monkeypatch.setattr(grid, "_pure_batch",
+                        lambda *args: entered.append(args) or pure_batch(*args))
+    return entered
 
 
 class TestPgstRoutes:
     """On a family base whose family is not capped below the target,
     `pgst_search` evaluates its first batch of ell in pure Python and goes on
-    with numpy only past it.  The route changes no ell and no verdict."""
+    with numpy only past it; a capped family evaluates every ell in pure
+    Python where that is within the cap, else every one with numpy.  The
+    route changes no ell and no verdict."""
 
     @staticmethod
     def targets(corona, g, family, u, v, monkeypatch) -> list[float]:
@@ -878,9 +884,15 @@ class TestPgstRoutes:
             with monkeypatch.context() as patch:
                 numpy_route(patch)
                 forced = pgst_search(corona, g, u, v, family, ell_max=ell_max, target=target)
+            assert default.target_reached == forced.target_reached
+            if forced.best_fidelity <= 1e-9:
+                # a family capped at 0 (cocktail(3) * C3): every fidelity is
+                # rounding, 1e-11 by ell 8190, which decides the improving
+                # ells on either route
+                assert default.best_fidelity <= 1e-9
+                continue
             assert [e for e, _ in default.trace] == [e for e, _ in forced.trace]
-            assert (default.best_ell, default.target_reached) == (
-                forced.best_ell, forced.target_reached)
+            assert default.best_ell == forced.best_ell
             assert [f for _, f in default.trace] == pytest.approx(
                 [f for _, f in forced.trace], abs=1e-13)
 
@@ -909,27 +921,45 @@ class TestPgstRoutes:
         assert locked_bound(*transfer._walk_terms(corona, u, v), slope, offset) >= 0.9999
 
     def test_capped_searches_never_enter_the_pure_python_block(self, monkeypatch):
-        entered = []
-        first_block = transfer._first_block
-        monkeypatch.setattr(transfer, "_first_block",
-                            lambda *args: entered.append(args) or first_block(*args))
+        """Past the cap, that is: 10^5 + 1 ells of a capped family's terms
+        pass it, and every batch takes numpy; 3 * GRID_BLOCK + 1 ells of
+        C4 * C3's 5 terms are within it, and every batch is pure Python."""
+        entered = spy_pure_batches(monkeypatch)
         for (base, copy), target in itertools.product(_CAPPED, (0.99, 0.999, 0.9999)):
             corona, g = family_search_input(base, copy)
             family, u, v = search_args(base)
-            result = pgst_search(corona, g, u, v, family, ell_max=3 * GRID_BLOCK, target=target)
+            result = pgst_search(corona, g, u, v, family, ell_max=10**5, target=target)
             assert not result.target_reached
         assert entered == []
         corona, g = family_search_input("path:2", "cycle:3")
         assert pgst_search(corona, g, 0, 1, "t51", ell_max=10**5, target=0.999).target_reached
         assert len(entered) == 1
+        corona, g = family_search_input("cycle:4", "cycle:3")
+        assert len(transfer._walk_terms(corona, 0, 2)[0]) * (3 * GRID_BLOCK + 1) <= PURE_GRID_CAP
+        pgst_search(corona, g, 0, 2, "t52", ell_max=3 * GRID_BLOCK, target=0.99)
+        assert len(entered) == 1 + 4
 
     def test_float_base_takes_numpy(self, monkeypatch):
         """A base read off an eigensolve has loaded numpy already."""
-        monkeypatch.setattr(transfer, "_first_block", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(grid, "_pure_batch", mock.Mock(side_effect=AssertionError))
         g, h = path_graph(2), cycle_graph(3)
         result = pgst_search(search_engine(exact_decomposition(g), h), g, 0, 1, "t51",
                              ell_max=10**5, target=0.999)
         assert result.target_reached
+
+
+@pytest.mark.parametrize("tolerant, evaluations, budget", [
+    (False, PURE_GRID_CAP - 1, PURE_GRID_CAP - 1),
+    (False, PURE_GRID_CAP, PURE_GRID_CAP),
+    (False, PURE_GRID_CAP + 1, 0),
+    (True, PURE_GRID_CAP - 1, 0),
+    (True, PURE_GRID_CAP, 0),
+    (True, PURE_GRID_CAP + 1, 0),
+])
+def test_the_grid_route_rule(tolerant, evaluations, budget):
+    """Pure Python within the cap on classes that read no tolerance; numpy
+    on float classes, which an eigensolve made, and past the cap."""
+    assert grid.pure_budget(SimpleNamespace(tolerant=tolerant), evaluations) == budget
 
 
 class TestFidelitySweep:

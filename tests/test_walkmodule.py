@@ -11,7 +11,7 @@ import random
 import numpy as np
 import pytest
 
-from coronawalk import transfer
+from coronawalk import grid, transfer
 from coronawalk.cli import _decomposition, _record, parse_graph_spec, render_report, run_command
 from coronawalk.graphs import (
     cocktail_party_graph,
@@ -182,20 +182,23 @@ def test_cli_errors_keep_today_s_route(tmp_path):
 
 @pytest.mark.parametrize("case", range(12))
 def test_the_pure_python_sweep_is_the_numpy_sweep(case, monkeypatch):
-    """Within 1e-13, with the same times, np.linspace's, and the same best
-    index; past the cap (0 here) the sweep takes numpy."""
+    """On a walk module, which reads no tolerance: within 1e-13, with the
+    same times, np.linspace's, and the same best index; past the cap (0
+    here) the sweep takes numpy."""
     rng = np.random.default_rng(case)
     k = int(rng.integers(1, 9))
     g = [complete_graph(4), cycle_graph(6), hypercube(3), petersen()][case % 4]
     steps = int(rng.integers(2, 20000 // k))
     t_max = float(rng.uniform(0.1, 80.0))
     u, v = (int(x) for x in rng.integers(0, g.n, size=2))
-    d = exact_decomposition(g)
+    d = integral_module(g, u)
+    entered, pure_batch = [], grid._pure_batch
+    monkeypatch.setattr(grid, "_pure_batch", lambda *args: entered.append(args) or pure_batch(*args))
     pure = fidelity_sweep(d, u, v, t_max, steps)
-    assert isinstance(pure.times, list)
-    monkeypatch.setattr(transfer, "PURE_GRID_CAP", 0)
+    assert len(entered) == -(-steps // grid.GRID_BLOCK)
+    monkeypatch.setattr(grid, "PURE_GRID_CAP", 0)
     dense = fidelity_sweep(d, u, v, t_max, steps)
-    assert isinstance(dense.times, np.ndarray)
-    assert pure.times == dense.times.tolist() == np.linspace(0.0, t_max, steps).tolist()
+    assert len(entered) == -(-steps // grid.GRID_BLOCK)
+    assert pure.times == dense.times == np.linspace(0.0, t_max, steps).tolist()
     assert np.max(np.abs(np.asarray(pure.values) - dense.values)) <= 1e-13
     assert pure.best_index == dense.best_index
