@@ -118,16 +118,16 @@ def main_polynomial(
     walks[j] = 1^T A^j 1 for j < s and the coefs of A^s 1 = sum_j coefs[j]
     A^j 1.
     """
-    vectors, coefs = krylov(edges, [1] * n)
+    vectors, coefs = krylov(_neighbours(edges, n), [1] * n)
     return tuple(sum(vec) for vec in vectors), coefs
 
 
-def krylov(edges: Iterable[tuple[int, int]], start: Sequence[int],
+def krylov(rows: list[Callable], start: Sequence[int],
            limit: int | None = None) -> tuple[list[list[int]], tuple[int, ...]] | None:
     """The Krylov vectors x, Ax, ..., A^(s-1) x of x = start and the coefs
     of the first dependency A^s x = sum_j coefs[j] A^j x (j < s), A the
-    adjacency matrix of the graph on len(x) vertices with these edges and x
-    an integer vector; None where s would pass `limit`.
+    adjacency matrix whose `_neighbours` are rows and x an integer vector;
+    None where s would pass `limit`.
 
     Each vector is eliminated against the earlier ones, fraction-free with
     gcd normalisation, in Python ints.  The relation is the minimal
@@ -137,7 +137,6 @@ def krylov(edges: Iterable[tuple[int, int]], start: Sequence[int],
     symmetric its roots are the eigenvalues whose projectors do not kill x.
     """
     vec = [int(c) for c in start]
-    rows = _neighbours(edges, len(vec))
     basis: list[tuple[int, list[int], list[int]]] = []  # pivot, row, row's Krylov combination
     vectors: list[list[int]] = []
     while True:

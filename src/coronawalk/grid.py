@@ -65,7 +65,7 @@ def moduli(freqs: Sequence[float], coefs: Sequence[float], t0: float, dt: float,
         spent += points * len(freqs)
         if spent <= budget:
             if fine is None:
-                fine = [[_turn(f * (r * dt)) for f in freqs] for r in range(a)]
+                fine = [[turn(f * (r * dt)) for f in freqs] for r in range(a)]
             yield _pure_batch(freqs, coefs, t0 + start * dt, dt, points, a, fine)
             continue
         if tables is None:
@@ -85,12 +85,12 @@ def _pure_batch(freqs: Sequence[float], coefs: Sequence[float], t0: float, dt: f
     """|A(t0 + j * dt)| for j < points, from `moduli`'s tables in pure
     Python: the numpy batch's sums, term by term in order."""
     for q in range(0, points, a):
-        row = [c * _turn(f * t0) * _turn(f * (q * dt)) for f, c in zip(freqs, coefs)]
+        row = [c * turn(f * t0) * turn(f * (q * dt)) for f, c in zip(freqs, coefs)]
         for r in range(min(a, points - q)):
-            yield abs(sum(map(operator.mul, row, fine[r])))
+            yield abs(sum(map(operator.mul, row, fine[r]), 0j))
 
 
-def _turn(x: float) -> complex:
+def turn(x: float) -> complex:
     """exp(-ix), as numpy's complex exp gives it."""
     return complex(math.cos(x), -math.sin(x))
 

@@ -448,11 +448,11 @@ def pgst_search(
     The grid's route (`grid.pure_budget`) reads a prediction of the term
     evaluations: GRID_BLOCK times the terms where the family is not capped
     below the target (`locked_bound`), so the search may stop in its first
-    batch, which is then evaluated in pure Python, and every ell times the
-    terms otherwise.  So a family base that stops early loads no numpy, and
-    a capped one past the cap takes numpy from its first batch.  The choice
-    reads the command's data alone; the two routes' fidelities differ in
-    rounding alone.
+    batch, and every ell times the terms otherwise; the two routes differ
+    in rounding alone.  A family capped at 0 (the cocktail family of
+    cocktail(3) * C3) has fidelity 0 at every family time: the search
+    reports ell 0 at 0.0 and evaluates no grid, whose rounding alone would
+    set its improving ells, by the route.
     """
     from . import grid
     from .gates import check_antipodal, check_pgst
@@ -470,9 +470,13 @@ def pgst_search(
 
     freqs, coefs = _walk_terms(corona, u, v)
     t0, dt, count = offset * math.pi, slope * math.pi, ell_max + 1
-    points = grid.GRID_BLOCK if locked_bound(freqs, coefs, slope, offset) >= target else count
-    budget = grid.pure_budget(corona, points * len(freqs))
-    trace = grid.improving(grid.moduli(freqs, coefs, t0, dt, count, budget), target)
+    bound = locked_bound(freqs, coefs, slope, offset)
+    if bound:
+        points = grid.GRID_BLOCK if bound >= target else count
+        budget = grid.pure_budget(corona, points * len(freqs))
+        trace = grid.improving(grid.moduli(freqs, coefs, t0, dt, count, budget), target)
+    else:
+        trace = [(0, 0.0)]
     best_ell, best = trace[-1]
     return PGSTSearchResult(
         family=family,
@@ -507,13 +511,14 @@ def locked_bound(freqs: Sequence[float], coefs: Sequence[float], slope: float,
     acceptance checks derive.  It is the float form of the family cap that
     locked gaps give (Banchi, Coutinho, Godsil & Severini, J. Math. Phys.
     58, 032202, 2017), which a certified cap would decide in exact
-    arithmetic.  `pgst_search` reads it only to choose how it computes, so
-    its tolerance chooses a route and never a verdict.
+    arithmetic.  `pgst_search` reads it to choose its route, and a bound of
+    exactly 0 as fidelity 0 throughout; no other value changes a verdict.
     """
+    from .grid import turn
+
     groups: list[tuple[float, complex]] = []  # (first term's theta, group sum)
     for theta, c in zip(freqs, coefs):
-        phase = theta * offset * math.pi
-        term = c * complex(math.cos(phase), -math.sin(phase))
+        term = c * turn(theta * offset * math.pi)
         for i, (first, total) in enumerate(groups):
             gap = (theta - first) * slope / 2
             if abs(gap - round(gap)) <= _LOCK_TOL:

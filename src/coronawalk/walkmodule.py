@@ -41,7 +41,7 @@ an error.  No numpy.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .exact import QuadInt, _divide_out, _neighbours, _times_adjacency, krylov
 from .graphs import Graph
@@ -69,14 +69,14 @@ class WalkModule(Decomposition):
     coefficient first; the vertex queries of the module docstring on u and
     a second vertex v, with the pair's signs made once per v."""
 
-    __slots__ = ("n", "u", "classes", "atoms", "_edges", "_vectors", "_pairs")
+    __slots__ = ("n", "u", "classes", "atoms", "_rows", "_vectors", "_pairs")
 
-    def __init__(self, edges: list[tuple[int, int]], n: int, u: int, vectors: list[list[int]],
+    def __init__(self, rows: list[Callable], n: int, u: int, vectors: list[list[int]],
                  roots: list[tuple[int, list[int]]]):
         self.n, self.u = n, u
         self.classes = [ModuleClass(float(t), QuadInt.from_int(t)) for t, _ in roots]
         self.atoms = [[Atom(float(t), False, (t, q))] for t, q in roots]
-        self._edges, self._vectors = edges, vectors
+        self._rows, self._vectors = rows, vectors
         self._pairs: dict[int, frozenset[int] | None] = {}
 
     def _own(self, x: int) -> None:
@@ -91,7 +91,7 @@ class WalkModule(Decomposition):
         self._own(x)
         if y not in self._pairs:
             roots = [a.key[0] for atoms in self.atoms for a in atoms]
-            self._pairs[y] = _plus_roots(self._edges, self.n, x, y, roots)
+            self._pairs[y] = _plus_roots(self._rows, self.n, x, y, roots)
         plus = self._pairs[y]
         return None if plus is None else 1 if key[0] in plus else -1
 
@@ -123,7 +123,7 @@ def integral_module(g: Graph, u: int) -> WalkModule | None:
         x = [(y - theta * z) % _PRIME for y, z in zip(_times_adjacency(rows, x), x)]
     if any(x):
         return None
-    found = krylov(edges, start, 2 * top + 1)
+    found = krylov(rows, start, 2 * top + 1)
     if found is None:
         return None
     vectors, coefs = found
@@ -133,7 +133,7 @@ def integral_module(g: Graph, u: int) -> WalkModule | None:
         count, q = _divide_out(p, [1, -theta])
         if count:
             roots.append((theta, q))
-    return WalkModule(edges, n, u, vectors, roots) if len(roots) == len(coefs) else None
+    return WalkModule(rows, n, u, vectors, roots) if len(roots) == len(coefs) else None
 
 
 def _monic(coefs: tuple[int, ...]) -> list[int]:
@@ -141,7 +141,7 @@ def _monic(coefs: tuple[int, ...]) -> list[int]:
     return [1, *(-c for c in reversed(coefs))]
 
 
-def _plus_roots(edges: list[tuple[int, int]], n: int, u: int, v: int,
+def _plus_roots(rows: list[Callable], n: int, u: int, v: int,
                 roots: list[int]) -> frozenset[int] | None:
     """The roots of p with sign +1 where u and v are strongly cospectral,
     else None: p+ and p- from Krylov vectors of e_u +- e_v, each of degree
@@ -150,7 +150,7 @@ def _plus_roots(edges: list[tuple[int, int]], n: int, u: int, v: int,
     for s in (1, -1):
         x = [0] * n
         x[u], x[v] = 1, s
-        found = krylov(edges, x, len(roots))
+        found = krylov(rows, x, len(roots))
         if found is None:
             return None
         polys.append(_monic(found[1]))

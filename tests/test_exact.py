@@ -245,14 +245,15 @@ class TestMainPolynomial:
         """exact.krylov from start: degree the rank of the Krylov matrix, its
         vectors the matrix's rows, the relation exact, and None at any
         limit below the degree."""
-        vectors, coefs = exact_module.krylov(g.edges, start)
+        rows = exact_module._neighbours(g.edges, g.n)
+        vectors, coefs = exact_module.krylov(rows, start)
         s = len(coefs)
         vecs = krylov(g, g.n + 1, start)
         assert s == len(vectors) == exact_rank(vecs) == exact_rank(vecs[:s])
         assert vectors == vecs[:s]
         assert [sum(c * vec[i] for c, vec in zip(coefs, vecs)) for i in range(g.n)] == vecs[s]
-        assert exact_module.krylov(g.edges, start, s) == (vectors, coefs)
-        assert exact_module.krylov(g.edges, start, s - 1) is None
+        assert exact_module.krylov(rows, start, s) == (vectors, coefs)
+        assert exact_module.krylov(rows, start, s - 1) is None
 
     def test_examples(self):
         # P_3: A1 = (1, 2, 1) and A^2 1 = (2, 2, 2) = 2 * 1, walks 3 and 4

@@ -884,15 +884,9 @@ class TestPgstRoutes:
             with monkeypatch.context() as patch:
                 numpy_route(patch)
                 forced = pgst_search(corona, g, u, v, family, ell_max=ell_max, target=target)
-            assert default.target_reached == forced.target_reached
-            if forced.best_fidelity <= 1e-9:
-                # a family capped at 0 (cocktail(3) * C3): every fidelity is
-                # rounding, 1e-11 by ell 8190, which decides the improving
-                # ells on either route
-                assert default.best_fidelity <= 1e-9
-                continue
             assert [e for e, _ in default.trace] == [e for e, _ in forced.trace]
-            assert default.best_ell == forced.best_ell
+            assert (default.best_ell, default.target_reached) == (
+                forced.best_ell, forced.target_reached)
             assert [f for _, f in default.trace] == pytest.approx(
                 [f for _, f in forced.trace], abs=1e-13)
 
@@ -939,6 +933,19 @@ class TestPgstRoutes:
         pgst_search(corona, g, 0, 2, "t52", ell_max=3 * GRID_BLOCK, target=0.99)
         assert len(entered) == 1 + 4
 
+    @pytest.mark.parametrize("ell_max", [100, 8191, 10**5])
+    def test_a_family_capped_at_0_reports_ell_0(self, monkeypatch, ell_max):
+        """cocktail(3) * C3's locked groups cancel at every antipodal pair:
+        its fidelity is 0 at every family time, and no grid is made."""
+        monkeypatch.setattr(grid, "moduli", mock.Mock(side_effect=AssertionError))
+        corona, g = family_search_input("cocktail:3", "cycle:3")
+        for w in range(3):
+            for u, v in ((2 * w, 2 * w + 1), (2 * w + 1, 2 * w)):
+                result = pgst_search(corona, g, u, v, "cocktail", ell_max=ell_max, target=0.5)
+                assert result.trace == ((0, 0.0),)
+                assert (result.best_ell, result.best_time, result.best_fidelity) == (0, 0.0, 0.0)
+                assert not result.target_reached and result.ell_max == ell_max
+
     def test_float_base_takes_numpy(self, monkeypatch):
         """A base read off an eigensolve has loaded numpy already."""
         monkeypatch.setattr(grid, "_pure_batch", mock.Mock(side_effect=AssertionError))
@@ -979,6 +986,13 @@ class TestFidelitySweep:
         d = decompose(complete_graph(1).adjacency())
         trace = fidelity_sweep(d, 0, 0, 10.0, 11)
         assert np.allclose(trace.values, 1.0)
+
+    def test_a_pair_with_no_walk_term_sweeps_float_zeros(self):
+        """A(t) is an empty sum: 0.0 on either route, never the int 0."""
+        d = _decomposition(parse_graph_spec("empty:2"))
+        assert not d.tolerant and transfer._walk_terms(d, 0, 1) == ([], [])
+        trace = fidelity_sweep(d, 0, 1, 1.0, 3)
+        assert [(type(f), f) for f in trace.values] == [(float, 0.0)] * 3
 
     def test_bad_grid_rejected(self):
         d = decompose(path_graph(2).adjacency())
