@@ -11,8 +11,10 @@ and pgst, --cospectral-tol on cospectral, pst and pgst; they are read by the
 decisions on float data alone: a `file:` leaf's classes, a corona over a
 float factor, and a copy vertex over an irregular copy factor, whose lift
 entry there is a float; a family, the other vertices of a corona of
-families, and pst and periodic on a `file:` vertex of integral walk module
-(`_walk_module`) are decided exactly.
+families, pst and periodic on a `file:` vertex of integral walk module
+(`_walk_module`), and pgst on a `file:` base where u has one (for t52,
+one that holds 0) are decided exactly, and as the module groups no
+eigenvalue, pgst there reads none of the three tolerances.
 --w is a usage error unless --pair is base-copy.  The help text is in
 `helptext`, which only a call with -h or --help imports.
 
@@ -23,7 +25,12 @@ neither numpy, `json` nor `exact`.  pgst and no-pst-scan first import
 vertex ranges, distinct vertices, a regular copy factor of nonzero degree,
 the cocktail family's base, and on a family base the t51 and t52 families'
 base transfer, by theorem), so those analysis errors load no numpy either;
-the graphs the gates build seed the handler's decompositions.  A scan
+the graphs the gates build seed the handler's decompositions.  On a
+`file:` base a search first tries the walk module of the one base row it
+reads (`_walk_module`: u paired with v for pgst, v paired with v' for a
+base-base scan, v' alone for a base-copy one); where that is integral the
+base meets no dense budget and is neither eigensolved nor ranked, and the
+search loads numpy only where its grid passes the pure Python budget.  A scan
 passes --v, --vp and --w (None for base-base) to its gates and scan, and on
 a family base loads no numpy unless its best-first search for the grid
 maximum passes its cap and hands the grid over
@@ -44,7 +51,8 @@ read at the default group tol where it is irregular.  So a corona of
 families, nested or not, loads no numpy, nor do pst and periodic on a
 `file:` vertex of integral walk module, which they try first.  The searches
 read the corona's walk terms through the same dispatch (`_search_corona`),
-over a regular copy factor with no class of it.  Exact labels are
+over a regular copy factor with no class of it, on a base module where
+they found one.  Exact labels are
 made for the readers of labels, spectrum, support, periodic, pst and the
 t51 and t52 base gate of pgst: a `file:` leaf's by rank and a lift's by its
 lift polynomial; fidelity, sweep, cospectral, no-pst-scan and a search's
@@ -449,9 +457,11 @@ def _record(result) -> dict:
     return {k: v for k, v in result._asdict().items() if v is not None}
 
 
-def _walk_module(spec: graphs.GraphSpec, built: dict, u: int, v: int | None = None):
+def _walk_module(spec: graphs.GraphSpec, built: dict, u: int, v: int | None = None,
+                 labelled: bool = True):
     """u's integral walk module on a `file:` leaf (`walkmodule`), u and v in
-    range and distinct; else None, and the caller takes `_decomposition`."""
+    range and distinct; else None, and the caller takes `_decomposition`
+    (or `_search_corona`'s base), with rank labels where `labelled`."""
     if spec.kind != "file":
         return None
     g = graphs.build_graph(spec, built)
@@ -459,7 +469,7 @@ def _walk_module(spec: graphs.GraphSpec, built: dict, u: int, v: int | None = No
         return None
     from .walkmodule import integral_module
 
-    return integral_module(g, u)
+    return integral_module(g, u, labelled)
 
 
 def _cmd_periodic(args):
@@ -484,13 +494,16 @@ def _cmd_pst(args):
 
 
 def _search_corona(spec: graphs.GraphSpec, built: dict, group_tol: float = DEFAULT_GROUP_TOL,
-                   labelled_base: bool = False):
+                   labelled_base: bool = False, module=None):
     """The corona engine a search reads, by `_decomposition`'s dispatch on
     the graphs in `built`, past the factor budgets its gates met: its lifts
     unlabelled, on a base made first, labelled where the t51 and t52 gate
-    reads it.  A search reads no copy class, so a regular copy factor gives
-    only its order and main data (`coronaspectra.RegularCopy`)."""
-    made: dict = {}
+    reads it, or on `module`, the walk module of the one base row the
+    search reads (`_walk_module`), which serves its walk terms and base
+    gate with no eigensolve, no rank label and no dense budget.  A search
+    reads no copy class, so a regular copy factor gives only its order and
+    main data (`coronaspectra.RegularCopy`)."""
+    made: dict = {} if module is None else {(spec.factors[0], group_tol): module}
     base = _decompose(spec.factors[0], group_tol, labelled_base, built, made)
     h = graphs.build_graph(spec.factors[1], built)
     k = h.is_regular()
@@ -511,8 +524,13 @@ def _cmd_no_pst_scan(args):
     from . import gates
 
     built: dict = {}
-    gates.scan_gates(args.spec, built, args.v, args.vp, w)
-    corona = _search_corona(args.spec, built)
+    # the walk terms read the base's row v, paired with v' (base-base), or
+    # v' alone, v' = v allowed (base-copy)
+    base = args.spec.factors[0]
+    module = (_walk_module(base, built, args.v, args.vp, labelled=False) if w is None
+              else _walk_module(base, built, args.vp, labelled=False))
+    gates.scan_gates(args.spec, built, args.v, args.vp, w, module is not None)
+    corona = _search_corona(args.spec, built, module=module)
     from . import transfer
 
     scan = transfer.corona_no_pst_check(corona, args.v, args.vp, args.t_max, args.points, w)
@@ -524,10 +542,15 @@ def _cmd_pgst(args):
     from . import gates
 
     built: dict = {}
-    base_g = gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax,
-                              args.group_tol, args.support_tol, args.cospectral_tol)
     # only the t51 and t52 base gate reads labels
-    corona = _search_corona(args.spec, built, args.group_tol, args.family != "cocktail")
+    labelled = args.family != "cocktail"
+    module = _walk_module(args.spec.factors[0], built, args.u, args.v, labelled)
+    if module is not None and not module.serves(args.family):
+        module = None
+    base_g = gates.pgst_gates(args.spec, built, args.u, args.v, args.family, args.lmax,
+                              args.group_tol, args.support_tol, args.cospectral_tol,
+                              module is not None)
+    corona = _search_corona(args.spec, built, args.group_tol, labelled, module)
     from . import transfer
 
     result = transfer.pgst_search(corona, graphs.build_graph(args.spec.factors[0], built),

@@ -71,7 +71,11 @@ group tol: a search's phases turn at the lifts' own values to t ~ 1e7.
 
 `cli._decomposition` reads every corona spec through this class, on its
 factors' decompositions, the searches too; family coronas, nested or not,
-load no numpy.
+load no numpy.  A search over a `file:` base reads the base off the walk
+module of the one vertex whose row it reads, where that module is integral
+(`cli._search_corona`, `walkmodule.WalkModule`): its classes are that
+vertex's support alone and carry no multiplicity, so the lifts over them
+carry none either (None), which no search reads.
 """
 
 from __future__ import annotations
@@ -85,11 +89,12 @@ from .leafspectra import Atom, Decomposition
 
 
 class CoronaClass(NamedTuple):
-    """An eigenvalue class: value, multiplicity, exact label (or None) and
-    whether its value is known to have degree > 2 (`corona.lift_class`)."""
+    """An eigenvalue class: value, multiplicity (None over a base whose
+    classes carry none), exact label (or None) and whether its value is
+    known to have degree > 2 (`corona.lift_class`)."""
 
     value: float
-    multiplicity: int
+    multiplicity: int | None
     exact: QuadInt | None
     beyond_quadratic: bool
 
@@ -102,7 +107,7 @@ class _Member(NamedTuple):
     value: float
     exact: QuadInt | None
     beyond_quadratic: bool
-    multiplicity: int
+    multiplicity: int | None
     keys: list
     base: float | None = None
     coords: tuple[float, ...] = ()
@@ -134,11 +139,12 @@ def _lines(ones: list) -> list[_Line]:
 
 
 def _lifted_values(base: Decomposition, c, atoms: list[Atom],
-                   label: QuadInt | None) -> list[tuple[float, list, int]]:
+                   label: QuadInt | None) -> list[tuple[float, list, int | None]]:
     """(value, keys, multiplicity) of each value that base class c lifts at:
     its label's where it lifts labelled, else each distinct value of its
     atoms, with the keys of the atoms there and, where c holds several
-    values, their rank, the trace of their projector."""
+    values, their rank, the trace of their projector.  A walk module's
+    class carries None (`walkmodule.ModuleClass`), and none is made up."""
     at: dict[float, list] = {}
     for a in atoms:
         at.setdefault(a.value if label is None else c.value, []).append(a.key)
@@ -147,6 +153,11 @@ def _lifted_values(base: Decomposition, c, atoms: list[Atom],
     xs = [base.vertex(u) for u in range(base.n)]
     return [(value, keys, round(math.fsum(base.entry(key, x, x) for key in keys for x in xs)))
             for value, keys in at.items()]
+
+
+def _total(counts: list[int | None]) -> int | None:
+    """The multiplicity of a run of members, None where one has none."""
+    return None if None in counts else sum(counts)
 
 
 class RegularCopy(Decomposition):
@@ -198,8 +209,8 @@ class CoronaDecomposition(Decomposition):
                                    keys, x.base, x.coords)
                            for x in lift_class(value, label, main, solved))
         runs = merge_runs(raw, group_tol)
-        self.classes = [CoronaClass(run[0].value, sum(x.multiplicity for x in run), label, flagged)
-                        for run, label, flagged in runs]
+        self.classes = [CoronaClass(run[0].value, _total([x.multiplicity for x in run]), label,
+                                    flagged) for run, label, flagged in runs]
         self.atoms = [[Atom(x.value, c.beyond_quadratic, (x, key)) for x in run for key in x.keys]
                       for c, (run, _, _) in zip(self.classes, runs)]
 

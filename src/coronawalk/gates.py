@@ -2,11 +2,13 @@
 graphs alone decide.
 
 Only `pgst` and `no-pst-scan` load this module.  They meet the gates below
-before any decomposition: the dense budgets, the vertex ranges, distinct
-vertices where a pgst family certifies base transfer or a scan pairs two
-base vertices, the regular copy factor of nonzero degree a pgst family
-needs, and the cocktail family's base; a scan's pair is (v, v', w), w None
-for base-base, as the CLI's flags give it.  On a family base, the t51 and
+before any decomposition but a `file:` base's walk module, which the CLI
+tries first (`cli._walk_module`) and which frees the base from its dense
+budget alone: the dense budgets, the vertex ranges, distinct vertices
+where a pgst family certifies base transfer or a scan pairs two base
+vertices, the regular copy factor of nonzero degree a pgst family needs,
+and the cocktail family's base; a scan's pair is (v, v', w), w None for
+base-base, as the CLI's flags give it.  On a family base, the t51 and
 t52 families' base transfer is decided here as well, by theorem in pure
 Python (`leafspectra`, `transfer.base_transfer`), so a base without the
 transfer those families need loads no numpy either.  The checks every
@@ -82,16 +84,19 @@ def check_scan_pair(n: int, m: int, v: int, vp: int, w: int | None = None) -> No
         check_copy_vertex(m, w)
 
 
-def _corona_budgets(spec: GraphSpec,
-                    built: dict[GraphSpec, Graph]) -> tuple[int, Graph, int | None]:
+def _corona_budgets(spec: GraphSpec, built: dict[GraphSpec, Graph],
+                    module: bool = False) -> tuple[int, Graph, int | None]:
     """The base order, the built copy factor H and H's regular degree (None
     when irregular) of a corona spec, after the budgets the search's corona
     engine meets: the base's, read off the spec before any graph is built,
-    then H's unless it is regular, whose main data come by theorem and
-    whose classes a search does not read (`cli._search_corona`)."""
+    unless the search reads the base off a walk module (`module`), which
+    no dense budget bounds, then H's unless it is regular, whose main data
+    come by theorem and whose classes a search does not read
+    (`cli._search_corona`)."""
     base, copy = spec.factors
     n = spec_order(base, built)
-    check_budget(n)
+    if not module:
+        check_budget(n)
     h = build_graph(copy, built)
     k = h.is_regular()
     if k is None:
@@ -101,15 +106,17 @@ def _corona_budgets(spec: GraphSpec,
 
 def pgst_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], u: int, v: int,
                family: str, ell_max: int, group_tol: float, support_tol: float,
-               cospectral_tol: float) -> int | None:
+               cospectral_tol: float, module: bool = False) -> int | None:
     """Every gate of `pgst` on a corona spec that its factor graphs decide,
-    in the order the analysis meets them.  The base graph is built only for
-    the cocktail family, once its order has passed.  On a family base the
-    t51 and t52 families' base gate (`transfer.base_transfer`) runs here too,
-    on the family's classes and eigenspaces by theorem at group_tol
-    (`leafspectra.FamilyDecomposition`), and its g is returned, for the
-    search to take (`transfer.pgst_search`'s base_g); else None."""
-    n, _, k = _corona_budgets(spec, built)
+    in the order the analysis meets them, the base's budget only where the
+    search does not read the base off a walk module (`module`).  The base
+    graph is built only for the cocktail family, once its order has passed.
+    On a family base the t51 and t52 families' base gate
+    (`transfer.base_transfer`) runs here too, on the family's classes and
+    eigenspaces by theorem at group_tol (`leafspectra.FamilyDecomposition`),
+    and its g is returned, for the search to take (`transfer.pgst_search`'s
+    base_g); else None."""
+    n, _, k = _corona_budgets(spec, built, module)
     check_pgst(n, k, u, v, family, ell_max)
     base = spec.factors[0]
     if family == "cocktail":
@@ -124,8 +131,9 @@ def pgst_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], u: int, v: int,
 
 
 def scan_gates(spec: GraphSpec, built: dict[GraphSpec, Graph], v: int, vp: int,
-               w: int | None = None) -> None:
+               w: int | None = None, module: bool = False) -> None:
     """Every gate of `no-pst-scan` on a corona spec that its factor graphs
-    decide, in the order the analysis meets them."""
-    n, h, _ = _corona_budgets(spec, built)
+    decide, in the order the analysis meets them, the base's budget only
+    where the scan does not read the base off a walk module (`module`)."""
+    n, h, _ = _corona_budgets(spec, built, module)
     check_scan_pair(n, h.n, v, vp, w)

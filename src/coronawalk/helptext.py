@@ -39,6 +39,11 @@ COMMANDS = {
 # are all integers from walk modules, exactly
 _MODULE = ("; on file:PATH alone not read where every support value of u is an integer, "
            "which walk modules decide exactly (default: %(default)s)")
+# on a `file:` base, pgst reads u's walk module where its support values are
+# all integers (for t52, with 0 among them)
+_SEARCH_MODULE = ("; on a file:PATH base not read where every support value of u is an "
+                  "integer (for t52, 0 among them), which walk modules decide exactly "
+                  "(default: %(default)s)")
 _GROUP = "relative gap that starts a new eigenvalue class, in (0, 1e-2]"
 _SUPPORT = ("smallest projection ||E e_u|| that puts a class in a support, in (0, 1e-2]; read "
             "only on float factors (file:PATH, alone or in a corona) and at a copy vertex over "
@@ -68,6 +73,9 @@ OPTIONS = {
     "pst --group-tol": _GROUP + _MODULE,
     "pst --support-tol": _SUPPORT + _MODULE,
     "pst --cospectral-tol": _COSPECTRAL + _MODULE,
+    "pgst --group-tol": _GROUP + _SEARCH_MODULE,
+    "pgst --support-tol": _SUPPORT + _SEARCH_MODULE,
+    "pgst --cospectral-tol": _COSPECTRAL + _SEARCH_MODULE,
     "--t": "time t, finite (required)",
     "--t-max": "last time of the grid, positive (required)",
     "--steps": "number of grid times, at least 2 (required)",

@@ -299,7 +299,10 @@ def corona_no_pst_check(
     (`_walk_terms`).  Reports the grid maximum of |A(t_j)|, t_j = j * step,
     and its time (the linspace element, bit for bit), whether every sample
     stays below 1, and the static bound sum_lam |E_lam[v,v']| over the
-    base's walk terms, one per class (always <= 1), that caps the entry.
+    base's walk terms, one per class (always <= 1), that caps the entry,
+    read on the base row the walk terms read, v's for base-base and v''s
+    for base-copy (E is symmetric), so a walk module of that row serves
+    both (`cli._search_corona`).
 
     The maximum comes from `grid.grid_max`: a certified best-first
     search over the grid's index intervals, in pure Python, which drops an
@@ -329,7 +332,7 @@ def corona_no_pst_check(
                               grid.pure_budget(corona, points * len(freqs)))
     # np.linspace puts t_max itself at the last point and i * step elsewhere
     argmax_time = float(t_max) if points > 1 and arg == points - 1 else arg * step
-    bound = float(sum(abs(entry) for _, entry in corona.base.terms(v, vp)))
+    bound = float(sum(abs(entry) for _, entry in corona.base.terms(x, vp if w is None else v)))
     return NoTransferScan(
         vertices=(v, vp) if w is None else (vp, v, w),
         samples=points,
@@ -368,8 +371,9 @@ def base_transfer(
     time pi/g.
 
     t51 needs transfer from u to v at pi/g with integer g, and 0 outside the
-    support of u; t52 needs transfer at pi/2 and 0 in the base spectrum.
-    Raises ValueError naming the first condition that fails.
+    support of u; t52 needs transfer at pi/2 and 0 in the base spectrum,
+    read on d's classes (`walkmodule.WalkModule.serves`).  Raises ValueError
+    naming the first condition that fails.
     """
     cert = pst_certify(d, u, v, support_tol, cospectral_tol)
     if cert.verdict != "PST":

@@ -15,8 +15,11 @@ product of x - theta over the integers theta of [-D, D].
 applied to e_u is not 0 modulo a prime near 2^61, some support value of u
 is no integer, and it returns None at the cost of 2D + 1 sparse products.
 It declines at once where those would visit more edges and vertices than
-max(_MODULE_WORK, n^3/128), more than an eigensolve costs: on dense graphs
-of high degree.  Otherwise it computes p exactly, from at most 2D + 1 Krylov vectors, and
+the route it spares costs: max(_MODULE_WORK, m^3/128), m = min(n,
+MAX_DIMENSION), for an eigensolve and its rank labels, and m^3/1024 for an
+eigensolve alone (a search that reads no label), on dense graphs of high
+degree; past the dense budget no eigensolve runs, so no more is spent
+there than at it.  Otherwise it computes p exactly, from at most 2D + 1 Krylov vectors, and
 labels its roots by exact division at the integers of [-D, D]; the module
 is integral iff p has deg p integer roots, and None is returned where it
 is not.  The `WalkModule` it returns answers `leafspectra.Decomposition`'s
@@ -34,33 +37,48 @@ vertex queries on u with no tolerance and no eigensolve:
 
 So `transfer.pst_certify` and `periodicity_test` read it as they read any
 decomposition, and a `pst` or `periodic` on such a vertex loads no numpy
-(`cli._walk_module`).  Its classes are u's support alone, with no
-multiplicity, which neither command reads; a query on another vertex is
-an error.  No numpy.
+(`cli._walk_module`).  A search over a `file:` base reads the base on one
+row alone, and takes that row's module as its base where it is integral
+(`cli._search_corona`): the corona engine lifts its classes
+(`coronaspectra.CoronaDecomposition`), and `transfer.base_transfer` and
+the walk terms of `pgst` and `no-pst-scan` read it, with no eigensolve,
+no rank label and no dense budget.  Its classes are u's support alone,
+with no multiplicity (None), which none of these reads, so it serves the
+t52 gate, which asks for 0 anywhere in the spectrum, only where 0 is in
+that support (`WalkModule.serves`); a query on another vertex is an
+error.  No numpy.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+from .defaults import MAX_DIMENSION
 from .exact import QuadInt, _divide_out, _neighbours, _times_adjacency, krylov
 from .graphs import Graph
 from .leafspectra import Atom, Decomposition
 
 # a prime near 2^61: the refuting product is taken modulo it
 _PRIME = (1 << 61) - 1
-# edge and vertex visits the refutation may spend where that passes n^3/128,
-# about the cost of an eigensolve (LAPACK's order n^3 flops run about a
-# hundred times faster than a sparse product in Python ints): about the
-# numpy import it spares, 70 ms on a 2-CPU x86-64 host
+# edge and vertex visits the refutation may spend where that passes m^3/128,
+# m = min(n, MAX_DIMENSION), about the cost of an eigensolve and its rank
+# labels (LAPACK's order n^3 flops run about a hundred times faster than a
+# sparse product in Python ints): about the numpy import it spares, 70 ms on
+# a 2-CPU x86-64 host
 _MODULE_WORK = 1 << 19
+# where the route spared makes no rank label, m^3 is divided by this instead:
+# on G(1000, 0.065) a refutation of 6.3e6 visits, under 1000^3/128, took
+# 0.6 s and the eigensolve it spared 0.25 s, on the same host
+_UNLABELLED_SHARE = 1024
 
 
 class ModuleClass(NamedTuple):
-    """A class of a walk module: an integer eigenvalue and its label."""
+    """A class of a walk module: an integer eigenvalue, its label and no
+    multiplicity, which a vertex's walks do not see."""
 
     value: float
     exact: QuadInt
+    multiplicity: None = None
 
 
 class WalkModule(Decomposition):
@@ -82,6 +100,12 @@ class WalkModule(Decomposition):
     def _own(self, x: int) -> None:
         if x != self.u:
             raise ValueError(f"the walk module of vertex {self.u} answers for it alone")
+
+    def serves(self, family: str) -> bool:
+        """Whether a pgst search of `family` may read its base off this
+        module: the t52 gate asks for 0 anywhere in the base spectrum, which
+        the module answers only where 0 is in u's support."""
+        return family != "t52" or any(c.value == 0 for c in self.classes)
 
     def holds(self, key, x: int, tol: float | None = None) -> bool:
         self._own(x)
@@ -106,16 +130,18 @@ class WalkModule(Decomposition):
         return numerator / denominator
 
 
-def integral_module(g: Graph, u: int) -> WalkModule | None:
+def integral_module(g: Graph, u: int, labelled: bool = True) -> WalkModule | None:
     """u's walk module where every support value of u is an integer, else
-    None (module docstring)."""
+    None (module docstring); `labelled` whether the route it spares would
+    make rank labels too, which sets the work it may spend."""
     edges, n = list(g.edges), g.n
     degrees = [0] * n
     for a, b in edges:
         degrees[a] += 1
         degrees[b] += 1
     top = max(degrees)
-    if (2 * top + 1) * (len(edges) + n) > max(_MODULE_WORK, n ** 3 // 128):
+    work = min(n, MAX_DIMENSION) ** 3 // (128 if labelled else _UNLABELLED_SHARE)
+    if (2 * top + 1) * (len(edges) + n) > max(_MODULE_WORK, work):
         return None
     start = x = [int(w == u) for w in range(n)]
     rows = _neighbours(edges, n)

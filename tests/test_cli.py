@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from coronawalk import corona, exact, graphs, spectral, transfer
+from coronawalk import corona, exact, graphs, spectral, transfer, walkmodule
 from coronawalk.cli import (
     EXIT_ANALYSIS,
     EXIT_OK,
@@ -606,14 +606,15 @@ class TestLabelsFollowTheReader:
         for key in ("max_fidelity", "argmax_time", "static_bound"):
             assert abs(report[key] - getattr(scan, key)) <= 1e-12
 
-    @pytest.mark.parametrize(
+    SEARCHES_ON_COCKTAIL7 = pytest.mark.parametrize(
         "argv",
         [("pgst", "--u", "0", "--v", "1", "--family", "cocktail", "--lmax", "1000"),
          ("no-pst-scan", "--pair", "base-base", "--v", "0", "--vp", "3", "--points", "1000")],
         ids=["pgst-cocktail", "no-pst-scan"])
-    def test_searches_on_a_file_base_make_no_rank(self, capsys, tmp_path, argv):
-        """Only the t51 and t52 base gate reads labels: the cocktail family and
-        the scan read a file base's float classes, with no rank, and find what
+
+    @staticmethod
+    def search_cocktail7_file(capsys, tmp_path, argv):
+        """A search on cocktail(7) written as a file, with no rank, and what
         the family spelling of the same graph finds."""
         path = tmp_path / "cocktail7.edges"
         path.write_text(graphs.write_edge_list(graphs.build_family(GraphSpec("cocktail", 7))),
@@ -626,6 +627,25 @@ class TestLabelsFollowTheReader:
         family = json.loads(run(capsys, command, "corona(cocktail:7,cycle:3)", *flags)[1])
         key = "best_fidelity" if command == "pgst" else "max_fidelity"
         assert abs(json.loads(out)[key] - family[key]) <= 1e-12
+
+    @SEARCHES_ON_COCKTAIL7
+    def test_searches_on_a_file_base_make_no_rank(self, capsys, monkeypatch, tmp_path, argv):
+        """Only the t51 and t52 base gate reads labels: the cocktail family and
+        the scan read an eigensolved file base's float classes (its walk
+        module switched off), with no rank, and find what the family
+        spelling of the same graph finds."""
+        monkeypatch.setattr(walkmodule, "integral_module", lambda *args: None)
+        eigen = mock.Mock(side_effect=spectral.symmetric_eigen)
+        monkeypatch.setattr(spectral, "symmetric_eigen", eigen)
+        self.search_cocktail7_file(capsys, tmp_path, argv)
+        assert eigen.call_count == 1
+
+    @SEARCHES_ON_COCKTAIL7
+    def test_searches_on_a_module_base_make_no_rank(self, capsys, monkeypatch, tmp_path, argv):
+        """Where the row they read has an integral walk module, the same
+        searches read the base off it, with no eigensolve and no rank."""
+        monkeypatch.setattr(spectral, "symmetric_eigen", mock.Mock(side_effect=AssertionError))
+        self.search_cocktail7_file(capsys, tmp_path, argv)
 
     @pytest.mark.parametrize(
         "argv",
@@ -1438,9 +1458,10 @@ class TestSearchReadsTheEngine:
     (`cli._search_corona`): its lifts carry no label, while the t51 and t52
     base gate reads the labels of the base."""
 
-    def test_a_search_labels_no_lift(self, capsys, monkeypatch, tmp_path):
-        """A t51 search on a `file:` base: its gate needs the base's rank
-        labels, and its lifts run no lift polynomial."""
+    @staticmethod
+    def search_k2_file(capsys, monkeypatch, tmp_path):
+        """A t51 search on K2 written as a file, whose lifts run no lift
+        polynomial."""
         path = tmp_path / "p2.edges"
         path.write_text("2\n0 1\n", encoding="utf-8")
         monkeypatch.setattr(corona, "lift_polynomial", mock.Mock(side_effect=AssertionError))
@@ -1449,6 +1470,22 @@ class TestSearchReadsTheEngine:
         assert (code, err) == (EXIT_OK, "")
         assert json.loads(out)["best_ell"] == 53
         assert corona.lift_polynomial.call_count == 0
+
+    def test_a_search_labels_no_lift(self, capsys, monkeypatch, tmp_path):
+        """A t51 search on an eigensolved `file:` base (its walk module
+        switched off): its gate needs the base's rank labels, and its lifts
+        run no lift polynomial."""
+        monkeypatch.setattr(walkmodule, "integral_module", lambda *args: None)
+        ranks = mock.Mock(side_effect=spectral.exact_rank)
+        monkeypatch.setattr(spectral, "exact_rank", ranks)
+        self.search_k2_file(capsys, monkeypatch, tmp_path)
+        assert ranks.call_count > 0
+
+    def test_a_search_on_a_module_base_labels_no_lift(self, capsys, monkeypatch, tmp_path):
+        """On K2's walk module the gate reads the module's exact labels, with
+        no rank, and the lifts still run no lift polynomial."""
+        monkeypatch.setattr(spectral, "exact_rank", mock.Mock(side_effect=AssertionError))
+        self.search_k2_file(capsys, monkeypatch, tmp_path)
 
     @pytest.mark.parametrize("argv", [
         ("pgst", "corona(cocktail:3,complete:4)", "--u", "0", "--v", "1", "--family",

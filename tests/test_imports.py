@@ -242,7 +242,18 @@ GRID = [m for m in SEARCH if m != "coronawalk.spectral"]
          ["coronawalk.exact", "coronawalk.gates", "coronawalk.corona", "coronawalk.transfer"]),
         (("pgst", "corona(cycle:4,cycle:3)", "--u", "0", "--v", "2", "--family", "t52",
           "--lmax", "100000"), GRID),
+        # a search over an integral `file:` base (K2, the cube) reads it off
+        # the walk module of the row it reads, with no numpy, as it reads a
+        # family base by theorem
         (("pgst", "corona(file:{path2},cycle:3)", "--u", "0", "--v", "1", "--family", "t51",
+          "--lmax", "100"),
+         ["coronawalk.exact", "coronawalk.gates", "coronawalk.corona", "coronawalk.transfer"]),
+        (("no-pst-scan", "corona(file:{cube},cycle:3)", "--pair", "base-copy", "--v", "7",
+          "--vp", "0", "--w", "1", "--points", "2000"),
+         ["coronawalk.exact", "coronawalk.gates", "coronawalk.corona", "coronawalk.transfer"]),
+        # the cube and an isolated vertex: u's module holds no 0, and t52
+        # reads the whole spectrum, so the base is eigensolved
+        (("pgst", "corona(file:{cube1},cycle:3)", "--u", "0", "--v", "7", "--family", "t52",
           "--lmax", "100"), SEARCH),
     ],
     ids=["spectrum", "spectrum-file", "fidelity", "support-file", "support", "cospectral",
@@ -252,16 +263,30 @@ GRID = [m for m in SEARCH if m != "coronawalk.spectral"]
          "spectrum-path-copy", "spectrum-nested-copy", "support-nested-base",
          "spectrum-irregular-copy", "no-pst-scan", "no-pst-scan-file",
          "no-pst-scan-handover", "pgst",
-         "pgst-early-stop", "pgst-capped-within-the-cap", "pgst-capped", "pgst-file"],
+         "pgst-early-stop", "pgst-capped-within-the-cap", "pgst-capped", "pgst-file",
+         "no-pst-scan-integral-file", "pgst-file-t52-without-0"],
 )
 def test_each_subcommand_loads_what_it_runs(argv, loaded, tmp_path):
     """Only the searches load `gates`, and only a corona spec loads `corona`."""
-    path, path2, cube = (tmp_path / f"{name}.txt" for name in ("path3", "path2", "cube"))
+    path, path2, cube, cube1 = (tmp_path / f"{name}.txt"
+                                for name in ("path3", "path2", "cube", "cube1"))
     path.write_text("3\n0 1\n1 2\n", encoding="utf-8")
     path2.write_text("2\n0 1\n", encoding="utf-8")
     cube.write_text(permuted_cube(), encoding="utf-8")
-    argv = [a.format(path=path, path2=path2, cube=cube) for a in argv]
+    cube1.write_text("9" + permuted_cube()[1:], encoding="utf-8")  # and vertex 8 alone
+    argv = [a.format(path=path, path2=path2, cube=cube, cube1=cube1) for a in argv]
     assert probe(run_quietly(argv)) == {"code": 0, "loaded": loaded}
+
+
+def test_a_pgst_on_a_non_integral_file_base_eigensolves_it(tmp_path):
+    """The ends of path:3 have support values +-sqrt(2): no module serves,
+    the base is eigensolved and ranked, and its t51 gate refuses the
+    transfer at pi/sqrt(2).  A t51, t52 or cocktail search that passes its
+    gate has integer support values at u, so this base can only be refused."""
+    path = tmp_path / "path3.txt"
+    path.write_text("3\n0 1\n1 2\n", encoding="utf-8")
+    argv = ("pgst", f"corona(file:{path},cycle:3)", "--u", "0", "--v", "2", "--family", "t51")
+    assert probe(run_quietly(argv)) == {"code": 2, "loaded": SEARCH}
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
